@@ -1,9 +1,11 @@
-// Transport tax: the same mixed query workload served twice from one
-// QueryServer — first in-process (closed-loop Execute calls), then over
-// loopback TCP through the binary wire protocol (net/) with concurrent
-// blocking clients — so BENCH_net.json tracks per PR what the socket
-// front end costs: loopback qps next to in-process qps, the p99
-// round-trip latency a remote caller actually sees, and their ratio.
+// Transport tax: one mixed query mix served twice from one QueryServer
+// — first in-process (closed-loop Execute calls), then over loopback
+// TCP through the binary wire protocol (net/) with concurrent blocking
+// clients, each leg with its own freshly drawn requests so neither
+// reads distances the other cached — so BENCH_net.json tracks per PR
+// what the socket front end costs: loopback qps next to in-process
+// qps, the p99 round-trip latency a remote caller actually sees, and
+// their ratio.
 // No perf gate (the tax depends on the host's loopback stack); the run
 // fails only on correctness problems — a failed query, a corrupt
 // frame, or a refused connection.
@@ -102,11 +104,17 @@ int main() {
   QueryServer& server = *started.value();
 
   // Per-client slices, same shape for both paths so the comparison is
-  // apples to apples.
+  // apples to apples, but drawn from disjoint seeds: the loopback leg
+  // must not replay pairs whose distances the in-process leg already
+  // left in the server's distance cache.
   std::vector<std::vector<QueryRequest>> slices;
+  std::vector<std::vector<QueryRequest>> net_slices;
   slices.reserve(kClients);
+  net_slices.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
     slices.push_back(MakeWorkload(points.size(), eps, 31 + c));
+    net_slices.push_back(
+        MakeWorkload(points.size(), eps, 31 + kClients + c));
   }
 
   // --- in-process baseline: kClients threads of blocking Execute ------
@@ -148,9 +156,9 @@ int main() {
         Result<std::unique_ptr<QueryClient>> connected =
             QueryClient::Connect(copts);
         if (!connected.ok()) Die("client connect", connected.status());
-        rtts[c].reserve(slices[c].size());
+        rtts[c].reserve(net_slices[c].size());
         WallTimer rtt;
-        for (const QueryRequest& req : slices[c]) {
+        for (const QueryRequest& req : net_slices[c]) {
           const double t0 = rtt.ElapsedSeconds();
           Result<QueryResponse> r = connected.value()->Execute(req);
           if (!r.ok()) Die("loopback query", r.status());

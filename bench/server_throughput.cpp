@@ -10,9 +10,11 @@
 // OPEN-LOOP pressure probe floods admission control — that probe alone
 // feeds rejection_rate, reported separately from accepted_qps in
 // BENCH_server.json, alongside deadline_miss_rate (shed + cancelled
-// over completed) per worker count. A final sparse-mutation probe
-// measures mean publish latency with incremental publish off vs on
-// and gates the incremental/full ratio below 0.9. BENCH_server.json
+// over completed) per worker count. Two final probes measure mean
+// publish latency with incremental publish off vs on: a sparse-mutation
+// world (incremental/full ratio gated below 0.9) and a world serving an
+// ε-Link cluster_spec with about one point per node, where every
+// publish also re-clusters (ratio gated below 0.5). BENCH_server.json
 // is a per-PR history (one {sha, date, entries} row per run), not a
 // snapshot.
 // Wired into `run_all.sh bench-smoke` and `run_all.sh server-smoke`.
@@ -99,27 +101,41 @@ struct RunResult {
   double rejection_rate = 0.0;
 };
 
-// Publish latency on a sparse-mutation workload: a large network with
-// few points, one AddEdge per publish, so almost every CSR row of the
-// next epoch is untouched. Full rebuilds re-materialize the whole graph
-// each time; the incremental path splices the two dirty rows and copies
-// the rest, which is what the mean publish latencies compare. Reported
-// as publish_full_ms / publish_incremental_ms / publish_ratio in
-// BENCH_server.json, and gated: the ratio must stay below 0.9.
+// Publish latency, incremental publish off vs on, over a 20k-node
+// network. Sparse leg: few points and one AddEdge per publish, so
+// almost every CSR row of the next epoch is untouched — full rebuilds
+// re-materialize the whole graph each time, the incremental path
+// splices the two dirty rows and copies the rest (gated: ratio < 0.9).
+// Re-cluster leg: about one point per node and an ε-Link cluster_spec
+// (eps half the mean edge weight), two AddPoints then one AddEdge per
+// three publishes — the full path re-runs RunClustering every epoch,
+// the incremental one merges only the new links (gated: ratio < 0.5).
+// Reported as publish_full_ms / publish_incremental_ms / publish_ratio
+// in BENCH_server.json.
 struct PublishLatency {
   double full_ms = 0.0;
   double incremental_ms = 0.0;
   uint64_t publishes = 0;
+
+  double ratio() const {
+    return full_ms > 0.0 ? incremental_ms / full_ms : 1.0;
+  }
 };
 
-PublishLatency MeasurePublishLatency() {
+PublishLatency MeasurePublishLatency(PointId num_points, bool recluster) {
   GeneratedNetwork gen = GenerateRoadNetwork({20000, 1.3, 0.3, 91});
   PointSet points =
-      std::move(GenerateUniformPoints(gen.net, 64, 92)).value();
+      std::move(GenerateUniformPoints(gen.net, num_points, 92)).value();
+  const std::vector<Edge> edges = gen.net.Edges();
+  double mean_edge = 0.0;
+  for (const Edge& e : edges) mean_edge += e.weight;
+  mean_edge /= static_cast<double>(edges.size());
+  const double eps = 0.5 * mean_edge;
   std::printf(
-      "publish-latency: %u nodes, %zu edges, %u points, one edge "
-      "mutation per publish\n",
-      gen.net.num_nodes(), gen.net.num_edges(), points.size());
+      "publish-latency: %u nodes, %zu edges, %u points, %s\n",
+      gen.net.num_nodes(), gen.net.num_edges(), points.size(),
+      recluster ? "eps-link re-cluster, point and edge mutations"
+                : "one edge mutation per publish");
 
   constexpr int kPublishes = 9;
   PublishLatency out;
@@ -127,19 +143,34 @@ PublishLatency MeasurePublishLatency() {
     QueryServerOptions opts;
     opts.num_workers = 1;
     opts.incremental_publish = incremental;
+    if (recluster) opts.cluster_spec = MakeSpec(EpsLinkOptions{eps, 1});
     std::unique_ptr<QueryServer> server =
         std::move(QueryServer::Start(gen.net, points, opts).value());
     Rng rng(93);
     for (int i = 0; i < kPublishes; ++i) {
-      // Random endpoints; a duplicate-edge rejection just redraws.
-      for (;;) {
-        NodeId u = static_cast<NodeId>(rng.NextBounded(gen.net.num_nodes()));
-        NodeId v = static_cast<NodeId>(rng.NextBounded(gen.net.num_nodes()));
-        if (u == v) continue;
-        if (server->ApplyUpdate(
-                       NetworkUpdate::AddEdge(u, v, 1.0 + 0.5 * i))
-                .ok()) {
-          break;
+      if (recluster && i % 3 != 2) {
+        const Edge& e = edges[rng.NextBounded(edges.size())];
+        Status added = server->ApplyUpdate(
+            NetworkUpdate::AddPoint(e.u, e.v, rng.NextDouble() * e.weight));
+        if (!added.ok()) {
+          std::fprintf(stderr, "AddPoint failed: %s\n",
+                       added.ToString().c_str());
+          std::exit(1);
+        }
+      } else {
+        // Random endpoints; a duplicate-edge rejection just redraws.
+        const double weight =
+            recluster ? eps * (0.5 + 0.1 * i) : 1.0 + 0.5 * i;
+        for (;;) {
+          NodeId u =
+              static_cast<NodeId>(rng.NextBounded(gen.net.num_nodes()));
+          NodeId v =
+              static_cast<NodeId>(rng.NextBounded(gen.net.num_nodes()));
+          if (u == v) continue;
+          if (server->ApplyUpdate(NetworkUpdate::AddEdge(u, v, weight))
+                  .ok()) {
+            break;
+          }
         }
       }
       // One publish per mutation: without the flush, queued mutations
@@ -155,12 +186,17 @@ PublishLatency MeasurePublishLatency() {
     if (incremental) {
       out.incremental_ms = stats.mean_publish_incremental_ms;
       out.publishes = stats.publishes_incremental;
-      if (stats.publishes_incremental != kPublishes) {
+      const uint64_t reclusters = recluster ? kPublishes : 0;
+      if (stats.publishes_incremental != kPublishes ||
+          stats.reclusters_incremental != reclusters) {
         std::fprintf(stderr,
-                     "expected %d incremental publishes, saw %llu\n",
-                     kPublishes,
+                     "expected %d incremental publishes and %llu "
+                     "incremental re-clusters, saw %llu and %llu\n",
+                     kPublishes, static_cast<unsigned long long>(reclusters),
                      static_cast<unsigned long long>(
-                         stats.publishes_incremental));
+                         stats.publishes_incremental),
+                     static_cast<unsigned long long>(
+                         stats.reclusters_incremental));
         std::exit(1);
       }
     } else {
@@ -306,9 +342,8 @@ int main() {
              {"workers", static_cast<double>(workers)}});
   }
 
-  PublishLatency pub = MeasurePublishLatency();
-  const double pub_ratio =
-      pub.full_ms > 0.0 ? pub.incremental_ms / pub.full_ms : 1.0;
+  PublishLatency pub = MeasurePublishLatency(64, /*recluster=*/false);
+  const double pub_ratio = pub.ratio();
   std::printf(
       "publish latency: full %.3f ms, incremental %.3f ms over %llu "
       "publishes (ratio %.2f, gate < 0.9)\n",
@@ -319,6 +354,18 @@ int main() {
           {{"publish_full_ms", pub.full_ms},
            {"publish_incremental_ms", pub.incremental_ms},
            {"publish_ratio", pub_ratio}});
+  PublishLatency rc = MeasurePublishLatency(20000, /*recluster=*/true);
+  const double rc_ratio = rc.ratio();
+  std::printf(
+      "publish latency with re-cluster: full %.3f ms, incremental %.3f ms "
+      "over %llu publishes (ratio %.2f, gate < 0.5)\n",
+      rc.full_ms, rc.incremental_ms,
+      static_cast<unsigned long long>(rc.publishes), rc_ratio);
+  rec.Add("publish_latency_recluster", {rc.incremental_ms * 1e-3},
+          TraversalCounters{},
+          {{"publish_full_ms", rc.full_ms},
+           {"publish_incremental_ms", rc.incremental_ms},
+           {"publish_ratio", rc_ratio}});
 
   // Per-PR history: BENCH_server.json accumulates one {sha, date,
   // entries} row per run instead of being overwritten, so the perf
@@ -335,6 +382,15 @@ int main() {
     std::fprintf(stderr,
                  "FAIL: incremental publish latency ratio %.2f >= 0.9\n",
                  pub_ratio);
+    return 1;
+  }
+  // With an ε-Link spec the full path re-runs RunClustering over 20k
+  // points every epoch; merging the few new links must cost well under
+  // half of that.
+  if (rc_ratio >= 0.5) {
+    std::fprintf(stderr,
+                 "FAIL: re-cluster publish latency ratio %.2f >= 0.5\n",
+                 rc_ratio);
     return 1;
   }
 

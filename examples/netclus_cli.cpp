@@ -477,6 +477,16 @@ int RunServe(int argc, char** argv, const Network& net,
               static_cast<unsigned long long>(stats.epochs_published),
               static_cast<unsigned long long>(stats.epochs_drained),
               static_cast<unsigned long long>(server.current_epoch()));
+  std::printf("publishes: %llu full (mean %.2f ms), %llu incremental (mean "
+              "%.2f ms); re-clusters: %llu full, %llu incremental (mean "
+              "%.2f ms)\n",
+              static_cast<unsigned long long>(stats.publishes_full),
+              stats.mean_publish_full_ms,
+              static_cast<unsigned long long>(stats.publishes_incremental),
+              stats.mean_publish_incremental_ms,
+              static_cast<unsigned long long>(stats.reclusters_full),
+              static_cast<unsigned long long>(stats.reclusters_incremental),
+              stats.mean_recluster_ms);
   std::printf("batches %llu (mean size %.1f, mean %.2f ms); queue wait mean "
               "%.2f ms, max %.2f ms\n",
               static_cast<unsigned long long>(stats.batches),

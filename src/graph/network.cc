@@ -1,6 +1,7 @@
 #include "graph/network.h"
 
 #include <algorithm>
+#include <cmath>
 #include <queue>
 
 #include "graph/frozen_graph.h"
@@ -16,8 +17,9 @@ Status Network::AddEdge(NodeId a, NodeId b, double w) {
   if (a == b) {
     return Status::InvalidArgument("AddEdge: self loops are not allowed");
   }
-  if (!(w > 0.0)) {
-    return Status::InvalidArgument("AddEdge: weight must be positive");
+  if (!(w > 0.0) || !std::isfinite(w)) {
+    return Status::InvalidArgument(
+        "AddEdge: weight must be positive and finite");
   }
   // Duplicate detection scans the sparser endpoint's adjacency row —
   // O(min degree), matching the lookup path now that the edge-weight
@@ -167,7 +169,8 @@ Result<PointSet> PointSetBuilder::Build(const Network& net,
     if (w < 0.0) {
       return Status::InvalidArgument("PointSet: point on non-existent edge");
     }
-    if (r.offset < 0.0 || r.offset > w) {
+    // Written so NaN fails the test: it compares false both ways.
+    if (!(r.offset >= 0.0 && r.offset <= w)) {
       return Status::InvalidArgument("PointSet: offset outside edge");
     }
   }

@@ -22,9 +22,10 @@ class Network {
   Network() = default;
   explicit Network(NodeId num_nodes);
 
-  /// Adds undirected edge {a, b} with weight `w` > 0. Self loops,
-  /// duplicate edges, out-of-range endpoints and non-positive weights are
-  /// rejected. Invalidates any snapshot cached by Freeze().
+  /// Adds undirected edge {a, b} with finite weight `w` > 0. Self
+  /// loops, duplicate edges, out-of-range endpoints and non-positive,
+  /// infinite or NaN weights are rejected. Invalidates any snapshot
+  /// cached by Freeze().
   Status AddEdge(NodeId a, NodeId b, double w);
 
   NodeId num_nodes() const { return static_cast<NodeId>(adj_.size()); }

@@ -68,10 +68,12 @@ double PointNetworkDistanceImpl(const NetworkView& view, const Graph& graph,
 }
 
 // Second phase of RangeQuery, common to all overloads: inspect every
-// edge incident to a settled node and emit the points within eps.
+// edge incident to a settled node and emit the points within eps. `c`
+// is the center point (its own edge also admits the direct distance),
+// or null when the expansion was sourced at a node.
 template <typename Graph>
 void CollectRangePoints(const NetworkView& view, const Graph& graph,
-                        const PointPos& c, double wc, double eps,
+                        const PointPos* c, double wc, double eps,
                         const NodeScratch& scratch,
                         const std::vector<std::pair<NodeId, double>>& settled,
                         std::vector<RangeResult>* out) {
@@ -82,17 +84,19 @@ void CollectRangePoints(const NetworkView& view, const Graph& graph,
     NodeId u = std::min(a, b), v = std::max(a, b);
     double du = scratch.Get(u);  // kInfDist when not reached within eps
     double dv = scratch.Get(v);
-    bool is_center_edge = (u == c.u && v == c.v);
+    bool is_center_edge = c != nullptr && u == c->u && v == c->v;
     for (const EdgePoint& ep : pts) {
       double d = std::min(du + ep.offset, dv + (we - ep.offset));
-      if (is_center_edge) d = std::min(d, std::fabs(ep.offset - c.offset));
+      if (is_center_edge) d = std::min(d, std::fabs(ep.offset - c->offset));
       if (d <= eps) out->push_back(RangeResult{ep.id, d});
     }
   };
 
   std::unordered_set<uint64_t> seen_edges;
-  seen_edges.insert(EdgeKeyOf(c.u, c.v));
-  process_edge(c.u, c.v, wc);
+  if (c != nullptr) {
+    seen_edges.insert(EdgeKeyOf(c->u, c->v));
+    process_edge(c->u, c->v, wc);
+  }
   for (const auto& [n, d] : settled) {
     (void)d;
     VisitNeighbors(graph, n, [&](NodeId m, double we) {
@@ -121,7 +125,7 @@ void RangeQueryImpl(const NetworkView& view, const Graph& graph,
   // A cancelled expansion settled only part of the region: the collection
   // phase would emit a silently incomplete (and wrong-distance) set.
   if (ws->cancel.triggered) return;
-  CollectRangePoints(view, graph, c, wc, eps, ws->scratch, ws->settled, out);
+  CollectRangePoints(view, graph, &c, wc, eps, ws->scratch, ws->settled, out);
 }
 
 template <typename Graph>
@@ -156,7 +160,7 @@ void RangeQueryAccelImpl(const NetworkView& view, const Graph& graph,
         return SettleAction::kContinue;
       });
   if (ws->cancel.triggered) return;
-  CollectRangePoints(view, graph, c, wc, eps, ws->scratch, ws->settled, out);
+  CollectRangePoints(view, graph, &c, wc, eps, ws->scratch, ws->settled, out);
   // Pruning changes the settle order, so canonicalize: emitted sets are
   // provably identical to the unaccelerated query, order is not.
   std::sort(out->begin(), out->end(),
@@ -297,7 +301,23 @@ void RangeQuery(const NetworkView& view, PointId center, double eps,
                           settled.emplace_back(n, d);
                           return true;
                         });
-  CollectRangePoints(view, view, c, wc, eps, *scratch, settled, out);
+  CollectRangePoints(view, view, &c, wc, eps, *scratch, settled, out);
+}
+
+void NodeRangeQuery(const NetworkView& view, const FrozenGraph& frozen,
+                    NodeId source, double radius, TraversalWorkspace* ws,
+                    std::vector<RangeResult>* out) {
+  out->clear();
+  ws->settled.clear();
+  ws->cancel.triggered = false;
+  DijkstraExpandBounded(frozen, {{source, 0.0}}, radius, ws,
+                        [&](NodeId n, double d) {
+                          ws->settled.emplace_back(n, d);
+                          return true;
+                        });
+  if (ws->cancel.triggered) return;
+  CollectRangePoints(view, frozen, nullptr, 0.0, radius, ws->scratch,
+                     ws->settled, out);
 }
 
 void RangeQuery(const NetworkView& view, PointId center, double eps,

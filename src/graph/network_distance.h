@@ -118,6 +118,13 @@ void RangeQuery(const NetworkView& view, const FrozenGraph& frozen,
                 PointId center, double eps, TraversalWorkspace* ws,
                 std::vector<RangeResult>* out);
 
+/// Node-sourced variant over a snapshot: every point q whose network
+/// distance from node `source` is <= `radius`, with that distance.
+/// Results are unordered.
+void NodeRangeQuery(const NetworkView& view, const FrozenGraph& frozen,
+                    NodeId source, double radius, TraversalWorkspace* ws,
+                    std::vector<RangeResult>* out);
+
 /// Accelerated variant (`accel` may be null = plain overload above).
 /// Two levers, both result-preserving: the expansion radius is tightened
 /// to accel->RangeExpansionBound(center, eps) (landmark prefilter), and

@@ -19,8 +19,8 @@
 #ifndef NETCLUS_SERVER_IDENTITY_MAP_H_
 #define NETCLUS_SERVER_IDENTITY_MAP_H_
 
+#include <algorithm>
 #include <cstddef>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -37,14 +37,22 @@ class IdentityMap {
 
   /// `object_of_point[p]` is the ObjectId of this epoch's dense point
   /// `p`. Entries must be unique; kInvalidObjectId entries get no
-  /// reverse mapping.
+  /// reverse mapping. ObjectIds come from a watermark that counts every
+  /// object ever admitted, so the reverse table is a plain vector
+  /// indexed by ObjectId, as long as the largest id.
   explicit IdentityMap(std::vector<ObjectId> object_of_point)
       : object_of_point_(std::move(object_of_point)) {
-    point_of_object_.reserve(object_of_point_.size());
+    size_t table_size = 0;
+    for (ObjectId oid : object_of_point_) {
+      if (oid != kInvalidObjectId) {
+        table_size = std::max(table_size, static_cast<size_t>(oid) + 1);
+      }
+    }
+    point_of_object_.assign(table_size, kInvalidPointId);
     for (size_t p = 0; p < object_of_point_.size(); ++p) {
       if (object_of_point_[p] != kInvalidObjectId) {
-        point_of_object_.emplace(object_of_point_[p],
-                                 static_cast<PointId>(p));
+        point_of_object_[static_cast<size_t>(object_of_point_[p])] =
+            static_cast<PointId>(p);
       }
     }
   }
@@ -63,13 +71,14 @@ class IdentityMap {
   /// Dense point id of `oid` in this epoch; kInvalidPointId when the
   /// object is unknown (never existed, or is an edge).
   PointId PointOf(ObjectId oid) const {
-    auto it = point_of_object_.find(oid);
-    return it == point_of_object_.end() ? kInvalidPointId : it->second;
+    return oid < point_of_object_.size()
+               ? point_of_object_[static_cast<size_t>(oid)]
+               : kInvalidPointId;
   }
 
  private:
   std::vector<ObjectId> object_of_point_;
-  std::unordered_map<ObjectId, PointId> point_of_object_;
+  std::vector<PointId> point_of_object_;
 };
 
 /// Request-side translation helper: the dense point id of `oid` under

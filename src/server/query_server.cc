@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "graph/accelerator.h"
+#include "graph/network_distance.h"
 #include "index/distance_cache.h"
 #include "server/identity_map.h"
 
@@ -28,6 +29,17 @@ constexpr size_t kMinHealthSamples = 16;
 // workers. Deliberately rough; replaced by the measured mean after the
 // first batch drains.
 constexpr double kColdStartPerRequestMs = 0.05;
+
+// Whether the publish oracles and served-batch replay run: on request,
+// and always in -DNETCLUS_VALIDATE=ON builds.
+bool ValidationOn(const QueryServerOptions& options) {
+#if defined(NETCLUS_VALIDATE)
+  (void)options;
+  return true;
+#else
+  return options.validate_replay;
+#endif
+}
 
 // The server-side accelerator: vacuous bounds plus the pinned epoch's
 // exact point-pair cache, keyed on durable ObjectIds. The traversal
@@ -353,11 +365,7 @@ Status QueryServer::PublishWorld(const std::vector<NetworkUpdate>* batch) {
     if (dirty.empty()) dirty.assign(net_.num_nodes(), 0);
     fg = FrozenGraph::MaterializeIncremental(live_view, prev->frozen(), dirty);
     NETCLUS_RETURN_IF_ERROR(live_view.status());
-    bool validate = options_.validate_replay;
-#if defined(NETCLUS_VALIDATE)
-    validate = true;
-#endif
-    if (validate) {
+    if (ValidationOn(options_)) {
       // The oracle: a from-scratch rebuild must be byte-for-byte the
       // spliced one. A divergence fails the publish — queries keep
       // serving the last good epoch, never a mis-spliced one.
@@ -374,9 +382,14 @@ Status QueryServer::PublishWorld(const std::vector<NetworkUpdate>* batch) {
   auto graph = std::make_shared<const FrozenGraph>(std::move(fg));
 
   std::shared_ptr<const ClusterOutput> clusters;
+  bool recluster_incremental = false;
+  double recluster_ms = 0.0;
   if (options_.cluster_spec.has_value()) {
-    NETCLUS_ASSIGN_OR_RETURN(ClusterOutput out,
-                             RunClustering(live_view, *options_.cluster_spec));
+    const double recluster_start = clock_.ElapsedSeconds();
+    NETCLUS_ASSIGN_OR_RETURN(
+        ClusterOutput out, Recluster(live_view, *graph, raw_to_final, batch,
+                                     &recluster_incremental));
+    recluster_ms = (clock_.ElapsedSeconds() - recluster_start) * 1e3;
     clusters = std::make_shared<const ClusterOutput>(std::move(out));
   }
 
@@ -407,8 +420,133 @@ Status QueryServer::PublishWorld(const std::vector<NetworkUpdate>* batch) {
       ++publishes_full_;
       publish_full_ms_.Add(publish_ms);
     }
+    if (options_.cluster_spec.has_value()) {
+      ++(recluster_incremental ? reclusters_incremental_ : reclusters_full_);
+      recluster_ms_.Add(recluster_ms);
+    }
   }
   return Status::OK();
+}
+
+Result<ClusterOutput> QueryServer::Recluster(
+    const NetworkView& view, const FrozenGraph& graph,
+    const std::vector<PointId>& raw_to_final,
+    const std::vector<NetworkUpdate>* batch, bool* incremental) {
+  const ClusterSpec& spec = *options_.cluster_spec;
+  *incremental = false;
+  if (spec.algorithm != Algorithm::kEpsLink ||
+      !options_.incremental_publish) {
+    return RunClustering(view, spec);
+  }
+  const uint32_t min_sup = spec.eps_link.min_sup;
+  const uint32_t num_raw = static_cast<uint32_t>(raw_to_final.size());
+  if (batch == nullptr || !components_seeded_) {
+    // Seed the forest from one full run at min_sup 1, so components
+    // still too small to publish are kept: insert-only mutations can
+    // grow them past min_sup later. Re-normalizing at the real min_sup
+    // gives exactly what a run at that min_sup returns.
+    ClusterSpec seed_spec = spec;
+    seed_spec.eps_link.min_sup = 1;
+    NETCLUS_ASSIGN_OR_RETURN(ClusterOutput out,
+                             RunClustering(view, seed_spec));
+    components_ = UnionFind(num_raw);
+    std::vector<uint32_t> first_raw(
+        static_cast<size_t>(out.clustering.num_clusters), num_raw);
+    for (uint32_t i = 0; i < num_raw; ++i) {
+      const int label = out.clustering.assignment[raw_to_final[i]];
+      uint32_t& first = first_raw[static_cast<size_t>(label)];
+      if (first == num_raw) {
+        first = i;
+      } else {
+        components_.Union(first, i);
+      }
+    }
+    components_seeded_ = true;
+    NormalizeClustering(&out.clustering, min_sup);
+    return out;
+  }
+
+  // Mutations only add links, so components only merge, and every new
+  // link touches a new point or runs through a new edge. Both kinds
+  // are found on the final graph, which already holds the whole batch.
+  WallTimer timer;
+  const double eps = spec.eps_link.eps;
+  const uint32_t known = components_.num_elements();
+  components_.Grow(num_raw);
+  std::vector<uint32_t> raw_of_point(num_raw);
+  for (uint32_t i = 0; i < num_raw; ++i) raw_of_point[raw_to_final[i]] = i;
+  WorkspacePool::Lease lease = workspaces_.Acquire();
+  TraversalWorkspace* ws = lease.get();
+
+  // A new point links to every point within eps of it, new ones too.
+  std::vector<RangeResult> near;
+  for (uint32_t i = known; i < num_raw; ++i) {
+    RangeQuery(view, graph, raw_to_final[i], eps, ws, &near);
+    for (const RangeResult& r : near) {
+      components_.Union(i, raw_of_point[r.id]);
+    }
+  }
+
+  // A new edge (u, v, w) links a within eps of u to b within eps of v
+  // when dA(a) + w + dB(b) <= eps. With a* nearest u and b* nearest v,
+  // every such pair is chained a - b* - a* - b through links that pass
+  // the same test, so joining each b to a* and each a to b* suffices.
+  std::vector<RangeResult> from_u;
+  std::vector<RangeResult> from_v;
+  auto nearest = [](const std::vector<RangeResult>& rs) {
+    return *std::min_element(rs.begin(), rs.end(),
+                             [](const RangeResult& x, const RangeResult& y) {
+                               return x.dist < y.dist;
+                             });
+  };
+  for (const NetworkUpdate& upd : *batch) {
+    if (upd.kind != NetworkUpdate::Kind::kAddEdge || upd.value > eps) {
+      continue;
+    }
+    NodeRangeQuery(view, graph, upd.u, eps, ws, &from_u);
+    NodeRangeQuery(view, graph, upd.v, eps, ws, &from_v);
+    if (from_u.empty() || from_v.empty()) continue;
+    const RangeResult a_star = nearest(from_u);
+    const RangeResult b_star = nearest(from_v);
+    for (const RangeResult& b : from_v) {
+      if (a_star.dist + upd.value + b.dist <= eps) {
+        components_.Union(raw_of_point[a_star.id], raw_of_point[b.id]);
+      }
+    }
+    for (const RangeResult& a : from_u) {
+      if (a.dist + upd.value + b_star.dist <= eps) {
+        components_.Union(raw_of_point[a.id], raw_of_point[b_star.id]);
+      }
+    }
+  }
+
+  // ε-Link numbers clusters by their smallest dense id and noise is a
+  // matter of component size, so labelling each point by its root in
+  // dense order and normalizing reproduces the full run's labels.
+  ClusterOutput out;
+  out.algorithm = Algorithm::kEpsLink;
+  out.clustering.assignment.resize(num_raw);
+  for (uint32_t i = 0; i < num_raw; ++i) {
+    out.clustering.assignment[raw_to_final[i]] =
+        static_cast<int>(components_.Find(i));
+  }
+  NormalizeClustering(&out.clustering, min_sup);
+  out.wall_seconds = timer.ElapsedSeconds();
+  *incremental = true;
+
+  if (ValidationOn(options_) || spec.validate) {
+    // The oracle: a full run must agree label for label. A divergence
+    // fails the publish (the last good epoch keeps serving) and drops
+    // the forest, so the next publish reseeds it from a full run.
+    NETCLUS_ASSIGN_OR_RETURN(ClusterOutput full, RunClustering(view, spec));
+    if (full.clustering.num_clusters != out.clustering.num_clusters ||
+        full.clustering.assignment != out.clustering.assignment) {
+      components_seeded_ = false;
+      return Status::Internal(
+          "incremental re-cluster diverged from full RunClustering");
+    }
+  }
+  return out;
 }
 
 Status QueryServer::ApplyToWorld(const NetworkUpdate& update) {
@@ -426,7 +564,8 @@ Status QueryServer::ApplyToWorld(const NetworkUpdate& update) {
       if (w < 0.0) {
         return Status::InvalidArgument("AddPoint: edge does not exist");
       }
-      if (update.value < 0.0 || update.value > w) {
+      // Written so NaN fails the test: it compares false both ways.
+      if (!(update.value >= 0.0 && update.value <= w)) {
         return Status::InvalidArgument("AddPoint: offset outside edge");
       }
       raw_points_.push_back(update);
@@ -763,11 +902,7 @@ void QueryServer::ExecuteBatch(std::vector<PendingQuery>* batch) {
     responses[i].health = health;
   });
 
-  bool do_replay = options_.validate_replay;
-#if defined(NETCLUS_VALIDATE)
-  do_replay = true;
-#endif
-  if (do_replay) {
+  if (ValidationOn(options_)) {
     std::vector<QueryRequest> ok_requests;
     std::vector<QueryResponse> ok_responses;
     for (size_t i = 0; i < n; ++i) {
@@ -858,11 +993,6 @@ void QueryServer::UpdaterLoop() {
     uint64_t max_seq = 0;
     bool mutated = false;
     uint64_t logged = 0;
-    // The mutations that actually landed this round: PublishWorld
-    // derives the incremental dirty-node set (and the cache carry-over
-    // decision) from exactly these.
-    std::vector<NetworkUpdate> applied_batch;
-    applied_batch.reserve(batch.size());
     for (PendingUpdate& pu : batch) {
       max_seq = pu.seq;
       if (wal_ != nullptr) {
@@ -880,7 +1010,7 @@ void QueryServer::UpdaterLoop() {
       Status applied = ApplyToWorld(pu.update);
       if (applied.ok()) {
         mutated = true;
-        applied_batch.push_back(pu.update);
+        unpublished_.push_back(pu.update);
       }
       pu.promise.set_value(std::move(applied));
     }
@@ -895,15 +1025,16 @@ void QueryServer::UpdaterLoop() {
               options_.chaos.publish_failure_prob)) {
         publish = Status::Internal("chaos: injected publish failure");
       } else {
-        publish = PublishWorld(&applied_batch);
+        publish = PublishWorld(&unpublished_);
       }
       if (publish.ok()) {
+        unpublished_.clear();
         consecutive_publish_failures_.store(0, std::memory_order_relaxed);
         MaybeCheckpoint();
       } else {
         // The epoch manager was not touched: queries keep serving the
-        // last good epoch, and the applied mutations ride along with
-        // the next successful publish.
+        // last good epoch, and the applied mutations stay in
+        // unpublished_ to ride along with the next successful publish.
         consecutive_publish_failures_.fetch_add(1, std::memory_order_relaxed);
         MutexLock lock(&stats_mu_);
         ++publish_failures_;
@@ -938,12 +1069,15 @@ ServerStats QueryServer::stats() const {
     s.publish_failures = publish_failures_;
     s.publishes_full = publishes_full_;
     s.publishes_incremental = publishes_incremental_;
+    s.reclusters_full = reclusters_full_;
+    s.reclusters_incremental = reclusters_incremental_;
     s.checkpoints_written = checkpoints_written_;
     s.checkpoint_failures = checkpoint_failures_;
     s.wal_recovered_from_checkpoint = wal_recovered_from_checkpoint_ ? 1 : 0;
     s.wal_checkpoint_covers = wal_checkpoint_covers_;
     s.mean_publish_full_ms = publish_full_ms_.mean();
     s.mean_publish_incremental_ms = publish_incremental_ms_.mean();
+    s.mean_recluster_ms = recluster_ms_.mean();
     s.mean_queue_wait_ms = queue_wait_ms_.mean();
     s.max_queue_wait_ms = queue_wait_ms_.max();
     s.mean_batch_size = batch_size_.mean();
@@ -1002,6 +1136,12 @@ void QueryServer::PublishStats(StatsCollector* collector) const {
                  delta(now.publishes_incremental,
                        &published_stats_.publishes_incremental));
   collector->Add(
+      "server.reclusters_full",
+      delta(now.reclusters_full, &published_stats_.reclusters_full));
+  collector->Add("server.reclusters_incremental",
+                 delta(now.reclusters_incremental,
+                       &published_stats_.reclusters_incremental));
+  collector->Add(
       "server.checkpoints_written",
       delta(now.checkpoints_written, &published_stats_.checkpoints_written));
   collector->Add(
@@ -1010,6 +1150,9 @@ void QueryServer::PublishStats(StatsCollector* collector) const {
   // Gauges, not counters: overwritten with the point-in-time values.
   collector->Set("server.queue_depth", now.queue_depth);
   collector->Set("server.wal_checkpoint_covers", now.wal_checkpoint_covers);
+  const double recluster_us = now.mean_recluster_ms * 1e3;
+  collector->Set("server.mean_recluster_us",
+                 static_cast<uint64_t>(std::llround(recluster_us)));
 }
 
 std::vector<double> QueryServer::QueueWaitSamplesMs() const {

@@ -20,7 +20,9 @@
 //                   rebuild PointSet + FrozenGraph (+ re-cluster when a
 //                   cluster_spec is configured), publish the new epoch.
 //                   Untouched CSR rows are spliced from the retiring
-//                   snapshot (incremental publish); the ObjectId-keyed
+//                   snapshot and an ε-Link spec's components are merged
+//                   only where the new mutations link them (incremental
+//                   publish); the ObjectId-keyed
 //                   DistanceCache is carried forward across publishes
 //                   that leave the metric unchanged (point-only
 //                   batches) and replaced fresh whenever edge weights
@@ -71,6 +73,7 @@
 #include "common/stats.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "core/union_find.h"
 #include "graph/dijkstra.h"
 #include "graph/network.h"
 #include "graph/workspace_pool.h"
@@ -118,15 +121,24 @@ struct QueryServerOptions {
   size_t cache_capacity = 1 << 16;
   uint32_t cache_shards = 16;
   /// Splice untouched CSR rows from the retiring snapshot instead of
-  /// re-materializing the whole graph on every publish. Off = every
-  /// publish is a full rebuild (the NETCLUS_VALIDATE oracle path).
+  /// re-materializing the whole graph on every publish, and (ε-Link
+  /// specs) keep the clustering's components across epochs, merging
+  /// only what the new mutations link instead of re-running
+  /// RunClustering. Off = every publish is a full rebuild and a full
+  /// re-cluster (the NETCLUS_VALIDATE oracle path).
   bool incremental_publish = true;
   /// Replay every served batch through the direct inline path and fail
-  /// the batch kInternal on any payload divergence. Forced on by
+  /// the batch kInternal on any payload divergence; also check every
+  /// incremental publish (CSR splice, ε-Link re-cluster) against a full
+  /// rebuild and fail the publish on divergence. Forced on by
   /// -DNETCLUS_VALIDATE=ON builds.
   bool validate_replay = false;
-  /// When set, every epoch also runs RunClustering and caches the
-  /// ClusterOutput, enabling kClusterMembership queries.
+  /// When set, every epoch carries a ClusterOutput of this spec,
+  /// enabling kClusterMembership queries. The boot epoch runs
+  /// RunClustering; later epochs re-run it, except that an ε-Link spec
+  /// under `incremental_publish` updates its components in place (the
+  /// result is identical to a full run, which the publish oracle
+  /// re-checks when validate_replay or the spec's `validate` is set).
   std::optional<ClusterSpec> cluster_spec;
 
   /// Durable mutation log (server/wal.h). When `wal_path` is non-empty
@@ -183,6 +195,9 @@ struct ServerStats {
   uint64_t publish_failures = 0;  ///< failed publish rounds since Start
   uint64_t publishes_full = 0;  ///< epochs built by full materialization
   uint64_t publishes_incremental = 0;  ///< epochs built by CSR row splice
+  uint64_t reclusters_full = 0;  ///< epochs clustered by RunClustering
+  /// Epochs whose ε-Link clustering merged only the new links.
+  uint64_t reclusters_incremental = 0;
   uint64_t checkpoints_written = 0;  ///< completed checkpoint+truncate cycles
   uint64_t checkpoint_failures = 0;  ///< cycles that failed (write or trunc)
   /// 1 when Start rebuilt the boot world from a checkpoint (plus a log
@@ -198,6 +213,8 @@ struct ServerStats {
   double mean_batch_ms = 0.0;
   double mean_publish_full_ms = 0.0;
   double mean_publish_incremental_ms = 0.0;
+  /// Mean wall time of one re-cluster, full and incremental together.
+  double mean_recluster_ms = 0.0;
 };
 
 /// \brief What a kHealthz probe (or Healthz()) reports: the health
@@ -333,13 +350,24 @@ class QueryServer {
   void MaybeCheckpoint();
 
   /// Rebuilds the immutable world from the live one and publishes it as
-  /// the next epoch. `batch` is the coalesced mutation batch that
-  /// produced this publish: its kAddEdge endpoints form the dirty-node
-  /// set for the incremental CSR splice, and a batch with no kAddEdge
-  /// carries the predecessor's ObjectId-keyed distance cache forward.
-  /// nullptr (boot, or a caller without the batch) forces a full
-  /// rebuild with a fresh cache. Updater thread (and Start) only.
+  /// the next epoch. `batch` holds every mutation applied since the
+  /// last successful publish: its kAddEdge endpoints form the dirty-node
+  /// set for the incremental CSR splice and its kAddEdge records the
+  /// new ε-Link links to merge, and a batch with no kAddEdge carries
+  /// the predecessor's ObjectId-keyed distance cache forward. nullptr
+  /// (boot) forces a full rebuild, a fresh cache and a full re-cluster.
+  /// Updater thread (and Start) only.
   Status PublishWorld(const std::vector<NetworkUpdate>* batch = nullptr);
+  /// The epoch's clustering over `view` / `graph`. ε-Link specs under
+  /// incremental_publish merge the links `batch` and the raw points
+  /// beyond the component forest add (`*incremental` = true), seeding
+  /// the forest from one full run first when there is none; every
+  /// other case runs RunClustering. Updater thread (and Start) only.
+  Result<ClusterOutput> Recluster(const NetworkView& view,
+                                  const FrozenGraph& graph,
+                                  const std::vector<PointId>& raw_to_final,
+                                  const std::vector<NetworkUpdate>* batch,
+                                  bool* incremental);
   /// Applies one mutation to the live world, allocating the new
   /// object's stable ObjectId on success. Updater thread (and Start)
   /// only.
@@ -374,6 +402,19 @@ class QueryServer {
   uint64_t next_object_id_ = 0;
   std::vector<ObjectId> point_object_ids_;
   std::unordered_map<uint64_t, ObjectId> edge_object_ids_;
+
+  /// Mutations applied to the live world but not yet in a published
+  /// epoch (updater thread only). A failed publish leaves them here, so
+  /// the next publish still splices their rows and links their objects.
+  std::vector<NetworkUpdate> unpublished_;
+
+  // ε-Link components across epochs (updater thread only): a forest
+  // over raw point indices, which stay stable across dense renumbering
+  // because raw_points_ only grows. Its sets are exactly the connected
+  // components of the "within eps" graph over the last published world,
+  // components below min_sup included.
+  UnionFind components_{0};
+  bool components_seeded_ = false;
 
   /// The most recently published epoch's distance cache (updater thread
   /// only): a metric-preserving publish hands the SAME cache to the next
@@ -465,6 +506,9 @@ class QueryServer {
   uint64_t wal_checkpoint_covers_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
   RunningStats publish_full_ms_ NETCLUS_GUARDED_BY(stats_mu_);
   RunningStats publish_incremental_ms_ NETCLUS_GUARDED_BY(stats_mu_);
+  uint64_t reclusters_full_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
+  uint64_t reclusters_incremental_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
+  RunningStats recluster_ms_ NETCLUS_GUARDED_BY(stats_mu_);
   RunningStats queue_wait_ms_ NETCLUS_GUARDED_BY(stats_mu_);
   RunningStats batch_size_ NETCLUS_GUARDED_BY(stats_mu_);
   RunningStats batch_ms_ NETCLUS_GUARDED_BY(stats_mu_);

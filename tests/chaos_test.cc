@@ -6,7 +6,9 @@
 // from the WAL answers bit-identically to an uninterrupted one.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <future>
 #include <memory>
 #include <utility>
@@ -251,6 +253,65 @@ TEST(ChaosSoakTest, KillAndRecoverServesBitIdenticalResponses) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_TRUE(ResponsePayloadsEqual(r.value(), before[i]))
         << "probe " << i << " (" << QueryKindName(probes[i].kind) << ")";
+  }
+}
+
+// Non-finite mutations are logged before they are refused, like any
+// rejected mutation, so a log may hold them — including one written
+// before the finiteness checks existed. Replay must refuse them the
+// same way: the recovered world has no NaN point and no infinite edge.
+TEST(ChaosSoakTest, NonFiniteMutationsReplayAsRejected) {
+  World w(60, 40, 29);
+  std::unique_ptr<PagedFile> wal_file = PagedFile::CreateInMemory(4096);
+  QueryServerOptions opts;
+  opts.num_workers = 1;
+  opts.wal_file = wal_file.get();
+  std::vector<Edge> edges = w.gen.net.Edges();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  NodeId unjoined = 1;  // a node with no edge to node 0
+  while (w.gen.net.EdgeWeight(0, unjoined) >= 0.0) ++unjoined;
+  const NetworkUpdate bad[] = {
+      NetworkUpdate::AddPoint(edges[0].u, edges[0].v, nan, -1),
+      NetworkUpdate::AddEdge(0, unjoined, inf),
+  };
+  const NetworkUpdate good =
+      NetworkUpdate::AddPoint(edges[2].u, edges[2].v, edges[2].weight / 2, -1);
+  {
+    std::unique_ptr<QueryServer> server = StartOrDie(w, opts);
+    ASSERT_NE(server, nullptr);
+    for (const NetworkUpdate& u : bad) {
+      EXPECT_TRUE(server->ApplyUpdate(u).IsInvalidArgument());
+    }
+    ASSERT_TRUE(server->ApplyUpdate(good).ok());
+    ASSERT_TRUE(server->Flush().ok());
+    EXPECT_EQ(server->stats().wal_records, 3u);
+  }
+  {
+    auto wal = MutationWal::Open(wal_file.get());
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    ASSERT_EQ(wal.value()->recovery().records.size(), 3u);
+    EXPECT_TRUE(std::isnan(wal.value()->recovery().records[0].value));
+    EXPECT_TRUE(std::isinf(wal.value()->recovery().records[1].value));
+  }
+
+  std::unique_ptr<QueryServer> revived = StartOrDie(w, opts);
+  ASSERT_NE(revived, nullptr);
+  EXPECT_EQ(revived->stats().wal_recoveries, 3u);
+  // The only accepted mutation took the first free ObjectId; the
+  // rejected ones took none, so no id past it names anything.
+  const ObjectId first_free = w.points.size() + w.gen.net.num_edges();
+  Result<QueryResponse> d =
+      revived->Execute(QueryRequest::PointDistance(first_free, first_free));
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  EXPECT_EQ(d.value().distance, 0.0);
+  EXPECT_FALSE(
+      revived->Execute(QueryRequest::PointDistance(first_free + 1, 0)).ok());
+  for (PointId p = 0; p < w.points.size(); ++p) {
+    Result<QueryResponse> r =
+        revived->Execute(QueryRequest::PointDistance(p, first_free));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_FALSE(std::isnan(r.value().distance)) << "point " << p;
   }
 }
 

@@ -56,6 +56,20 @@ TEST(NormalizeClusteringTest, MinSizeDropsSmallClusters) {
   EXPECT_EQ(c.num_clusters, 2);
 }
 
+TEST(NormalizeClusteringTest, NegativeAndSmallIdsAgree) {
+  // Ids outside [0, n) take the compaction step; the result must match
+  // the same partition numbered inside [0, n).
+  Clustering wide;
+  wide.assignment = {-7, 40, -7, kNoise, 40, -3, 40};
+  NormalizeClustering(&wide, 2);
+  Clustering narrow;
+  narrow.assignment = {2, 0, 2, kNoise, 0, 1, 0};
+  NormalizeClustering(&narrow, 2);
+  EXPECT_EQ(wide.assignment, narrow.assignment);
+  EXPECT_EQ(wide.assignment, (std::vector<int>{0, 1, 0, kNoise, 1, kNoise, 1}));
+  EXPECT_EQ(wide.num_clusters, 2);
+}
+
 TEST(NormalizeClusteringTest, AllNoise) {
   Clustering c;
   c.assignment = {kNoise, kNoise};

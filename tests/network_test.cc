@@ -1,6 +1,8 @@
 // Tests for the in-memory network model, point sets and views.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "gen/network_gen.h"
 #include "graph/network.h"
 
@@ -16,6 +18,17 @@ TEST(NetworkTest, AddEdgeValidation) {
   EXPECT_TRUE(net.AddEdge(1, 2, 0.0).IsInvalidArgument());   // zero weight
   EXPECT_TRUE(net.AddEdge(1, 2, -1.0).IsInvalidArgument());  // negative
   EXPECT_EQ(net.num_edges(), 1u);
+}
+
+TEST(NetworkTest, AddEdgeRejectsNonFiniteWeights) {
+  Network net(3);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(net.AddEdge(0, 1, inf).IsInvalidArgument());
+  EXPECT_TRUE(net.AddEdge(0, 1, -inf).IsInvalidArgument());
+  EXPECT_TRUE(
+      net.AddEdge(0, 1, std::numeric_limits<double>::quiet_NaN())
+          .IsInvalidArgument());
+  EXPECT_EQ(net.num_edges(), 0u);
 }
 
 TEST(NetworkTest, EdgeWeightIsSymmetric) {
@@ -126,6 +139,13 @@ TEST(PointSetTest, RejectsInvalidPlacements) {
     b.Add(0, 1, -0.1, 0);  // negative offset
     EXPECT_TRUE(std::move(b).Build(net).status().IsInvalidArgument());
   }
+}
+
+TEST(PointSetTest, RejectsNaNOffset) {
+  Network net = MakePathNetwork(3, 10.0);
+  PointSetBuilder b;
+  b.Add(0, 1, std::numeric_limits<double>::quiet_NaN(), 0);
+  EXPECT_TRUE(std::move(b).Build(net).status().IsInvalidArgument());
 }
 
 TEST(PointSetTest, EndpointOffsetsAllowed) {

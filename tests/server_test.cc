@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cmath>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -661,6 +662,40 @@ TEST(QueryServerTest, RejectedUpdatesPublishNothing) {
 // Mixed readers against a mutating server: the served-side counterpart
 // of the EpochManager hammer (and the other tsan target). Readers must
 // only ever see fully published epochs, monotonically.
+// NaN compares false against both offset bounds and +inf passes a
+// positivity test, so both need explicit checks: neither may reach the
+// served world.
+TEST(QueryServerTest, NonFiniteMutationsAreRejected) {
+  PathWorld w;
+  QueryServerOptions opts;
+  opts.num_workers = 1;
+  Result<std::unique_ptr<QueryServer>> started =
+      QueryServer::Start(w.net, w.points, opts);
+  ASSERT_TRUE(started.ok());
+  QueryServer& server = *started.value();
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(server.ApplyUpdate(NetworkUpdate::AddPoint(0, 1, nan, -1))
+                  .IsInvalidArgument());
+  EXPECT_TRUE(server.ApplyUpdate(NetworkUpdate::AddPoint(0, 1, inf, -1))
+                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      server.ApplyUpdate(NetworkUpdate::AddEdge(0, 3, inf)).IsInvalidArgument());
+  EXPECT_TRUE(
+      server.ApplyUpdate(NetworkUpdate::AddEdge(0, 3, nan)).IsInvalidArgument());
+  ASSERT_TRUE(server.Flush().ok());
+  EXPECT_EQ(server.current_epoch(), 1u);
+
+  // Nothing took an ObjectId: the next accepted point is object 5 (two
+  // boot points, three boot edges), and distances stay finite.
+  ASSERT_TRUE(server.ApplyUpdate(NetworkUpdate::AddPoint(0, 1, 1.5, -1)).ok());
+  ASSERT_TRUE(server.Flush().ok());
+  Result<QueryResponse> d = server.Execute(QueryRequest::PointDistance(0, 5));
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  EXPECT_DOUBLE_EQ(d.value().distance, 1.0);
+}
+
 TEST(QueryServerTest, ConcurrentQueriesAcrossEpochSwaps) {
   World w(200, 300, 31);
   QueryServerOptions opts;
