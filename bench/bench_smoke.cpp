@@ -3,7 +3,10 @@
 // `run_all.sh bench-smoke` target. Each benchmark runs index-off and
 // index-on, prints the settled-node / heap-pop reduction, and the whole
 // table is emitted as machine-readable BENCH_smoke.json via
-// BenchRecorder so CI can diff substrate work across revisions.
+// BenchRecorder so CI can diff substrate work across revisions. The
+// k-medoids pair is a gate: the harness prints FAIL and exits 1 unless
+// kmedoids_on settles fewer nodes and has a lower median wall time than
+// kmedoids_off.
 //
 // netclus-lint: allow-legacy-entry — the index-on/off contrast times the
 // engine overload directly with a prebuilt accelerator; routing through
@@ -146,6 +149,10 @@ int main() {
 
   // Full k-medoids runs, index off vs on (ALT lower bounds prune
   // provably non-improving swap evaluations; trajectories identical).
+  // The index must pay for itself: the gate below requires the "on" run
+  // to settle fewer nodes and finish faster than the "off" run.
+  TraversalCounters kmedoids_work[2];
+  double kmedoids_median_s[2] = {0.0, 0.0};
   {
     KMedoidsOptions ko;
     ko.k = 8;
@@ -155,6 +162,7 @@ int main() {
       bool on = pass == 1;
       TraversalCounters total;
       std::vector<double> samples;
+      std::vector<double> bound_s;
       uint32_t pruned = 0;
       double cost = 0.0;
       for (int rep = 0; rep < 3; ++rep) {
@@ -165,16 +173,38 @@ int main() {
                             .value());
           pruned = r.stats.pruned_swaps;
           cost = r.cost;
+          bound_s.push_back(r.stats.bound_seconds);
         }));
       }
+      std::sort(bound_s.begin(), bound_s.end());
       report(on ? "kmedoids_on" : "kmedoids_off", samples, total,
              {{"pruned_swaps", static_cast<double>(pruned)},
+              {"bound_seconds", bound_s[bound_s.size() / 2]},
               {"cost", cost}});
+      std::sort(samples.begin(), samples.end());
+      kmedoids_work[pass] = total;
+      kmedoids_median_s[pass] = samples[samples.size() / 2];
     }
   }
 
   std::string path = rec.Write();
   std::printf("\nwrote %s\n", path.empty() ? "(json write FAILED)"
                                            : path.c_str());
-  return path.empty() ? 1 : 0;
+  if (path.empty()) return 1;
+  if (kmedoids_work[1].settled_nodes >= kmedoids_work[0].settled_nodes) {
+    std::printf("FAIL: kmedoids_on settles %llu nodes, kmedoids_off %llu\n",
+                static_cast<unsigned long long>(kmedoids_work[1].settled_nodes),
+                static_cast<unsigned long long>(kmedoids_work[0].settled_nodes));
+    return 1;
+  }
+  if (kmedoids_median_s[1] >= kmedoids_median_s[0]) {
+    std::printf("FAIL: kmedoids_on median %.3f ms is not below kmedoids_off "
+                "%.3f ms\n",
+                kmedoids_median_s[1] * 1e3, kmedoids_median_s[0] * 1e3);
+    return 1;
+  }
+  std::printf("OK: kmedoids_on settles fewer nodes and runs %.2fx faster "
+              "than kmedoids_off\n",
+              kmedoids_median_s[0] / kmedoids_median_s[1]);
+  return 0;
 }

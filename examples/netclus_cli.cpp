@@ -249,9 +249,13 @@ int RunCluster(int argc, char** argv, const InMemoryNetworkView& view,
       std::strcmp(FlagValue(argc, argv, "--voronoi", "on"), "off") != 0;
   spec.index.num_threads = threads;
   if (spec.index.enable) {
+    // k-medoids reads only the landmark bounds; RunClustering builds no
+    // Voronoi floors for it.
+    bool voronoi = spec.index.enable_voronoi &&
+                   spec.algorithm != Algorithm::kKMedoids;
     std::printf("index: %u landmarks, cache capacity %zu, voronoi %s\n",
                 spec.index.num_landmarks, spec.index.cache_capacity,
-                spec.index.enable_voronoi ? "on" : "off");
+                voronoi ? "on" : "off");
   }
 
   Result<EvaluationReport> report =

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <queue>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -80,19 +81,32 @@ class KMedoidsEngine {
         }
       });
     }
-    // Seed the new medoid's edge endpoints.
-    const PointPos& pos = medoid_pos_[med_idx];
-    double w = medoid_edge_w_[med_idx];
-    q.push(QEntry{pos.offset, pos.u, med_idx});
-    q.push(QEntry{w - pos.offset, pos.v, med_idx});
+    // Seed the new medoid's edge endpoints, and a surviving medoid's
+    // endpoint the replaced medoid owned: the path along the medoid's own
+    // edge reaches that orphan through no assigned neighbor.
+    for (size_t i = 0; i < medoids_.size(); ++i) {
+      const bool replaced = i == static_cast<size_t>(med_idx);
+      const PointPos& pos = medoid_pos_[i];
+      double w = medoid_edge_w_[i];
+      const int med = static_cast<int>(i);
+      if (replaced || node_med_[pos.u] < 0) {
+        q.push(QEntry{pos.offset, pos.u, med});
+      }
+      if (replaced || node_med_[pos.v] < 0) {
+        q.push(QEntry{w - pos.offset, pos.v, med});
+      }
+    }
     ConcurrentExpansion(&q, /*allow_improve=*/true);
   }
 
   /// Equation (1): assigns every point to its nearest medoid via either
   /// endpoint of its edge or directly along the edge; returns the
-  /// evaluation function R.
-  double AssignPoints(std::vector<int>* assignment) {
+  /// evaluation function R. When `point_cost` is non-null it receives
+  /// each point's exact distance to its assigned medoid (0 for noise).
+  double AssignPoints(std::vector<int>* assignment,
+                      std::vector<double>* point_cost) {
     assignment->assign(view_.num_points(), kNoise);
+    if (point_cost != nullptr) point_cost->assign(view_.num_points(), 0.0);
     double cost = 0.0;
     std::vector<EdgePoint> pts;
     view_.ForEachPointGroup([&](NodeId u, NodeId v, PointId first,
@@ -125,38 +139,64 @@ class KMedoidsEngine {
           }
         }
         (*assignment)[ep.id] = best_med;
-        if (best_med != kNoise) cost += best;
+        if (best_med != kNoise) {
+          cost += best;
+          if (point_cost != nullptr) (*point_cost)[ep.id] = best;
+        }
       }
     });
     return cost;
   }
 
   /// A sound lower bound on the evaluation function after replacing
-  /// medoid slot `med_idx` with `candidate`, from the accelerator's
-  /// per-pair bounds: a point provably reachable from some new medoid
-  /// (finite upper bound) contributes at least its smallest lower bound
-  /// over the new medoid set; a point with no finite upper bound may be
-  /// unreachable, in which case AssignPoints charges nothing for it, so
-  /// it must contribute 0 here. Returns early (with a value > `cut`)
-  /// once the accumulated bound proves the swap non-improving.
+  /// medoid slot `med_idx` with `candidate`, assembled against the
+  /// committed assignment (`members[j]` lists slot j's points; noise
+  /// points are in no list) and its exact per-point costs:
+  ///  - a point of another slot keeps its medoid, so its new distance is
+  ///    exactly min(point_cost[p], d(p, candidate)); it contributes
+  ///    min(point_cost[p], LB(p, candidate));
+  ///  - a noise point reaches no current medoid; it may reach the
+  ///    candidate, but at a distance >= 0, so it contributes 0;
+  ///  - a point of slot `med_idx` loses its medoid: if some new medoid
+  ///    provably reaches it (finite upper bound) it contributes its
+  ///    smallest lower bound over the new medoid set, otherwise it may
+  ///    become noise, which AssignPoints charges nothing, so it
+  ///    contributes 0.
+  /// Returns early (with a value > `cut`) once the accumulated bound
+  /// proves the swap non-improving.
   double SwapCostLowerBound(int med_idx, PointId candidate,
-                            const DistanceAccelerator& accel,
-                            double cut) const {
+                            const std::vector<std::vector<PointId>>& members,
+                            const std::vector<double>& point_cost,
+                            const DistanceAccelerator& accel, double cut) {
+    std::vector<PointId> new_medoids = medoids_;
+    new_medoids[med_idx] = candidate;
+    const std::vector<PointId> target = {candidate};
     double lb_sum = 0.0;
-    const size_t k = medoids_.size();
-    const PointId n = view_.num_points();
-    for (PointId p = 0; p < n; ++p) {
-      double lb = kInfDist;
-      double ub = kInfDist;
-      for (size_t i = 0; i < k; ++i) {
-        PointId m =
-            i == static_cast<size_t>(med_idx) ? candidate : medoids_[i];
-        lb = std::min(lb, accel.LowerBound(p, m));
-        ub = std::min(ub, accel.UpperBound(p, m));
-        if (lb == 0.0 && ub < kInfDist) break;  // contribution bound is 0
+    for (size_t j = 0; j < members.size(); ++j) {
+      const std::vector<PointId>& pts = members[j];
+      if (j == static_cast<size_t>(med_idx)) {
+        bound_lb_.assign(pts.size(), kInfDist);
+        accel.NearestTargetLowerBounds(pts, new_medoids, bound_lb_.data());
+        for (size_t t = 0; t < pts.size(); ++t) {
+          // A zero bound adds nothing; an infinite one proves every new
+          // medoid disconnected, so the point would become noise.
+          if (bound_lb_[t] == 0.0 || bound_lb_[t] == kInfDist) continue;
+          for (PointId m : new_medoids) {
+            if (accel.UpperBound(pts[t], m) < kInfDist) {
+              lb_sum += bound_lb_[t];
+              break;
+            }
+          }
+        }
+      } else {
+        // Capped at the current cost: min(point_cost[p], LB(p, candidate)).
+        bound_lb_.resize(pts.size());
+        for (size_t t = 0; t < pts.size(); ++t) {
+          bound_lb_[t] = point_cost[pts[t]];
+        }
+        accel.NearestTargetLowerBounds(pts, target, bound_lb_.data());
+        for (double v : bound_lb_) lb_sum += v;
       }
-      if (ub == kInfDist) continue;  // possibly unreachable: contributes 0
-      lb_sum += lb;
       if (lb_sum > cut) return lb_sum;
     }
     return lb_sum;
@@ -242,7 +282,17 @@ class KMedoidsEngine {
   std::vector<int> snap_med_;
   std::vector<double> snap_dist_;
   std::vector<PointId> snap_medoids_;
+  std::vector<double> bound_lb_;  // SwapCostLowerBound scratch
 };
+
+// Slot j's points, ascending, in (*members)[j]; noise points in none.
+void GroupBySlot(const std::vector<int>& assignment, uint32_t k,
+                 std::vector<std::vector<PointId>>* members) {
+  members->assign(k, {});
+  for (PointId p = 0; p < assignment.size(); ++p) {
+    if (assignment[p] != kNoise) (*members)[assignment[p]].push_back(p);
+  }
+}
 
 template <typename Graph>
 Result<KMedoidsResult> RunOnce(const NetworkView& view, const Graph& graph,
@@ -257,13 +307,22 @@ Result<KMedoidsResult> RunOnce(const NetworkView& view, const Graph& graph,
   KMedoidsResult result;
   WallTimer timer;
   engine.MedoidDistFind();
+  // Per-point costs are kept (and swapped on commit together with the
+  // assignment) only when the swap bound reads them.
   std::vector<int> assignment;
-  double cost = engine.AssignPoints(&assignment);
+  std::vector<double> point_cost;
+  std::vector<double>* cost_out = accel != nullptr ? &point_cost : nullptr;
+  double cost = engine.AssignPoints(&assignment, cost_out);
+  std::vector<std::vector<PointId>> members;
+  if (accel != nullptr) GroupBySlot(assignment, k, &members);
   result.stats.first_iteration_seconds = timer.ElapsedSeconds();
 
   uint32_t unsuccessful = 0;
   double swap_seconds_sum = 0.0;
   std::vector<int> tentative;
+  std::vector<double> tentative_cost;
+  std::vector<double>* tentative_cost_out =
+      accel != nullptr ? &tentative_cost : nullptr;
   // With k == N every point is a medoid and no swap candidate exists.
   while (k < view.num_points() &&
          unsuccessful < options.max_unsuccessful_swaps &&
@@ -282,7 +341,10 @@ Result<KMedoidsResult> RunOnce(const NetworkView& view, const Graph& graph,
       // the lower bound clears `cost` by more than the fp slack its own
       // summation could have introduced.
       double cut = cost + 1e-9 * std::max(1.0, cost);
-      if (engine.SwapCostLowerBound(med_idx, candidate, *accel, cut) > cut) {
+      double bound = engine.SwapCostLowerBound(med_idx, candidate, members,
+                                               point_cost, *accel, cut);
+      result.stats.bound_seconds += timer.ElapsedSeconds();
+      if (bound > cut) {
         swap_seconds_sum += timer.ElapsedSeconds();
         ++result.stats.pruned_swaps;
         ++unsuccessful;
@@ -296,12 +358,14 @@ Result<KMedoidsResult> RunOnce(const NetworkView& view, const Graph& graph,
     } else {
       engine.MedoidDistFind();
     }
-    double new_cost = engine.AssignPoints(&tentative);
+    double new_cost = engine.AssignPoints(&tentative, tentative_cost_out);
     swap_seconds_sum += timer.ElapsedSeconds();
 
     if (new_cost < cost) {
       cost = new_cost;
       assignment.swap(tentative);
+      point_cost.swap(tentative_cost);
+      if (accel != nullptr) GroupBySlot(assignment, k, &members);
       unsuccessful = 0;
       ++result.stats.committed_swaps;
     } else {
@@ -344,9 +408,14 @@ Result<KMedoidsResult> KMedoidsCluster(const NetworkView& view,
       return Status::InvalidArgument(
           "initial medoid set size must be in [1, N]");
     }
+    std::unordered_set<PointId> seen;
     for (PointId p : options.initial_medoids) {
       if (p >= view.num_points()) {
         return Status::InvalidArgument("initial medoid id out of range");
+      }
+      if (!seen.insert(p).second) {
+        return Status::InvalidArgument("duplicate initial medoid " +
+                                       std::to_string(p));
       }
     }
   } else if (options.k == 0 || options.k > view.num_points()) {
@@ -385,14 +454,17 @@ Result<KMedoidsResult> KMedoidsCluster(const NetworkView& view,
   // restart index; total_seconds aggregates every restart's work.
   Result<KMedoidsResult> best = Status::Internal("no restart ran");
   double total_seconds = 0.0;
+  double bound_seconds = 0.0;
   for (uint32_t r = 0; r < restarts; ++r) {
     if (!runs[r].ok()) return runs[r];
     total_seconds += runs[r].value().stats.total_seconds;
+    bound_seconds += runs[r].value().stats.bound_seconds;
     if (!best.ok() || runs[r].value().cost < best.value().cost) {
       best = std::move(runs[r]);
     }
   }
   best.value().stats.total_seconds = total_seconds;
+  best.value().stats.bound_seconds = bound_seconds;
   return best;
 }
 
@@ -409,7 +481,7 @@ Result<KMedoidsResult> AssignToMedoidsImpl(
   engine.SetMedoids(medoids);
   engine.MedoidDistFind();
   KMedoidsResult result;
-  result.cost = engine.AssignPoints(&result.clustering.assignment);
+  result.cost = engine.AssignPoints(&result.clustering.assignment, nullptr);
   result.medoids = medoids;
   result.clustering.num_clusters = static_cast<int>(medoids.size());
   return result;

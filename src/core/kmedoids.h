@@ -66,6 +66,10 @@ struct KMedoidsStats {
   double first_iteration_seconds = 0.0;
   /// Mean wall time of one subsequent swap evaluation ("next ones").
   double avg_swap_seconds = 0.0;
+  /// Wall time spent assembling swap lower bounds (always 0 without an
+  /// accelerator); included in avg_swap_seconds. Like total_seconds it
+  /// sums over every restart.
+  double bound_seconds = 0.0;
   double total_seconds = 0.0;
 };
 
@@ -90,12 +94,17 @@ Result<KMedoidsResult> KMedoidsCluster(const NetworkView& view,
                                        const KMedoidsOptions& options);
 
 /// As above with an optional distance accelerator (null = identical to
-/// the overload above). Before a tentative swap is evaluated, a sound
-/// lower bound on the post-swap cost is assembled from the
-/// accelerator's per-pair bounds; swaps whose bound already exceeds the
-/// current cost are rejected without running Inc_Medoid_Update or the
-/// assignment scan. Pruning never changes the result: the rng draws and
-/// the accept/reject sequence are identical with the index on or off.
+/// the overload above). Before a tentative swap of medoid slot i for
+/// candidate c is evaluated, a sound lower bound on the post-swap cost
+/// is assembled against the exact current assignment: a point of
+/// another slot keeps its medoid, so it is charged min(its current
+/// cost, LB(p, c)); only slot i's points are bounded against all k new
+/// medoids; noise points are charged 0. Swaps whose bound already
+/// exceeds the current cost are rejected without running
+/// Inc_Medoid_Update or the assignment scan. Pruning never changes the
+/// result: the rng draws and the accept/reject sequence are identical
+/// with the index on or off. Only the accelerator's lower and upper
+/// bounds are read.
 ///
 /// Deprecated legacy entry point: RunClustering builds the accelerator
 /// itself from ClusterSpec::index.

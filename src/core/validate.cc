@@ -617,6 +617,42 @@ Status ValidateDistanceAccelerator(const NetworkView& view,
     }
   }
 
+  // Batch nearest-target lower bounds must equal the per-pair minima
+  // they stand for (k-medoids prunes swaps on them), uncapped and capped
+  // at half the per-pair value.
+  if (!sampled.empty()) {
+    std::vector<PointId> targets;
+    for (size_t i = 0; i < sampled.size() && targets.size() < 3;
+         i += std::max<size_t>(1, sampled.size() / 3)) {
+      targets.push_back(sampled[i]);
+    }
+    std::vector<double> want(sampled.size(), kInfDist);
+    for (size_t j = 0; j < sampled.size(); ++j) {
+      for (PointId t : targets) {
+        want[j] = std::min(want[j], accel.LowerBound(sampled[j], t));
+      }
+    }
+    for (bool capped : {false, true}) {
+      // min(want, cap): the cap itself when capped, since cap <= want.
+      std::vector<double> expect(sampled.size());
+      for (size_t j = 0; j < sampled.size(); ++j) {
+        expect[j] = capped ? 0.5 * want[j] : want[j];
+      }
+      std::vector<double> got =
+          capped ? expect : std::vector<double>(sampled.size(), kInfDist);
+      accel.NearestTargetLowerBounds(sampled, targets, got.data());
+      for (size_t j = 0; j < sampled.size(); ++j) {
+        if (got[j] != expect[j]) {
+          return Violation("index",
+                           "batch nearest-target lower bound " +
+                               std::to_string(got[j]) + " != " +
+                               std::to_string(expect[j]) + " for point " +
+                               std::to_string(sampled[j]));
+        }
+      }
+    }
+  }
+
   // Nearest-object floors against the multi-source oracle: once with
   // nothing excluded (every node), then with a few excluded probes.
   std::vector<PointId> probes;

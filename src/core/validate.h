@@ -108,6 +108,8 @@ Status ValidateFrozenGraph(const NetworkView& view, const FrozenGraph& frozen);
 ///  - On a deterministic sample of point pairs, LowerBound and
 ///    UpperBound must sandwich the exact point-to-point Dijkstra
 ///    distance, and a cache hit must equal it.
+///  - NearestTargetLowerBounds must return exactly the per-pair
+///    LowerBound minima over its targets, capped by the seeded values.
 ///  - NearestObjectFloor(n, exclude) must not exceed the exact
 ///    distance from n to its nearest (non-excluded) object, checked for
 ///    every node against a multi-source oracle (all objects, and all

@@ -19,6 +19,9 @@
 #ifndef NETCLUS_GRAPH_ACCELERATOR_H_
 #define NETCLUS_GRAPH_ACCELERATOR_H_
 
+#include <algorithm>
+#include <vector>
+
 #include "graph/dijkstra.h"
 #include "graph/types.h"
 
@@ -40,6 +43,21 @@ class DistanceAccelerator {
   /// A value >= the exact network distance d(a, b).
   virtual double UpperBound(PointId /*a*/, PointId /*b*/) const {
     return kInfDist;
+  }
+
+  /// Batch lower bounds on the distance from each of `points` to its
+  /// nearest member of `targets`: lowers lb[j] to
+  /// min(lb[j], min_t LowerBound(points[j], t)). Callers seed lb[j] with
+  /// a cap (kInfDist for none). An override may only change how the
+  /// values are computed, never the values.
+  virtual void NearestTargetLowerBounds(const std::vector<PointId>& points,
+                                        const std::vector<PointId>& targets,
+                                        double* lb) const {
+    for (size_t j = 0; j < points.size(); ++j) {
+      for (PointId t : targets) {
+        lb[j] = std::min(lb[j], LowerBound(points[j], t));
+      }
+    }
   }
 
   /// If the exact distance d(a, b) is cached, writes it to `*out` and

@@ -2,11 +2,17 @@
 
 #include <utility>
 
+#include "graph/frozen_graph.h"
+
 namespace netclus {
 
 Result<std::unique_ptr<DistanceIndex>> DistanceIndex::Build(
     const NetworkView& view, const IndexOptions& options, ThreadPool* pool) {
-  return Build(view, options, pool, nullptr);
+  // The landmark SSSPs and the Voronoi expansion walk the whole graph
+  // several times; one snapshot up front is cheaper than virtual
+  // dispatch on every walk, and the contents are bit-identical.
+  NETCLUS_ASSIGN_OR_RETURN(FrozenGraph frozen, view.Freeze());
+  return Build(view, options, pool, &frozen);
 }
 
 Result<std::unique_ptr<DistanceIndex>> DistanceIndex::Build(

@@ -72,16 +72,17 @@ struct IndexStats {
 class DistanceIndex : public DistanceAccelerator {
  public:
   /// Builds the precomputes for `view` per `options` (landmark tables in
-  /// parallel on `pool`; null pool = serial, identical results). Prefer
-  /// this over the constructor — it runs the traversals and surfaces
-  /// view I/O errors as a Status.
+  /// parallel on `pool`; null pool = serial, identical results) over a
+  /// FrozenGraph snapshot of `view` taken for the build. Prefer this
+  /// over the constructor — it runs the traversals and surfaces view
+  /// I/O errors as a Status.
   static Result<std::unique_ptr<DistanceIndex>> Build(
       const NetworkView& view, const IndexOptions& options, ThreadPool* pool);
 
-  /// As above with an optional FrozenGraph snapshot of `view` (see
-  /// NetworkView::Freeze()): when non-null, the landmark SSSPs and the
-  /// Voronoi expansion run over the snapshot's CSR arrays. Bit-identical
-  /// index contents.
+  /// As above with the snapshot supplied by the caller (RunClustering
+  /// shares the one its algorithms run on); null runs the landmark SSSPs
+  /// and the Voronoi expansion on the view itself. Bit-identical index
+  /// contents either way.
   static Result<std::unique_ptr<DistanceIndex>> Build(
       const NetworkView& view, const IndexOptions& options, ThreadPool* pool,
       const FrozenGraph* frozen);
@@ -102,6 +103,11 @@ class DistanceIndex : public DistanceAccelerator {
   }
   double UpperBound(PointId a, PointId b) const override {
     return landmarks_.UpperBound(a, b);
+  }
+  void NearestTargetLowerBounds(const std::vector<PointId>& points,
+                                const std::vector<PointId>& targets,
+                                double* lb) const override {
+    landmarks_.NearestTargetLowerBounds(points, targets, lb);
   }
   bool LookupDistance(PointId a, PointId b, double* out) const override {
     return cache_.Lookup(a, b, out);

@@ -73,22 +73,28 @@ Result<LandmarkOracle> LandmarkOracle::Build(const NetworkView& view,
     }
   }
 
+  // Each point's position and edge weight, read once for all landmarks.
+  const PointId num_points = oracle.num_points_;
+  std::vector<PointPos> pos(num_points);
+  std::vector<double> edge_w(num_points);
+  for (PointId p = 0; p < num_points; ++p) {
+    pos[p] = view.PointPosition(p);
+    edge_w[p] = frozen != nullptr ? frozen->EdgeWeight(pos[p].u, pos[p].v)
+                                  : view.EdgeWeight(pos[p].u, pos[p].v);
+    NETCLUS_CHECK_GE(edge_w[p], 0.0) << "point " << p << " on missing edge";
+  }
+
   // Phase 2 (parallel over landmarks): convert node distances into exact
   // point distances. Each row is an independent per-index output slot,
   // so the result is bit-identical to a serial fill.
-  oracle.point_dist_.assign(static_cast<size_t>(k) * oracle.num_points_,
-                            kInfDist);
-  const PointId num_points = oracle.num_points_;
+  oracle.point_dist_.assign(static_cast<size_t>(k) * num_points, kInfDist);
   double* base = oracle.point_dist_.data();
   ParallelFor(pool, k, [&](size_t l, uint32_t /*worker*/) {
     const std::vector<double>& nd = node_dist[l];
     double* out = base + l * num_points;
     for (PointId p = 0; p < num_points; ++p) {
-      PointPos pos = view.PointPosition(p);
-      double w = view.EdgeWeight(pos.u, pos.v);
-      NETCLUS_CHECK_GE(w, 0.0) << "point " << p << " on missing edge";
-      out[p] = std::min(nd[pos.u] + pos.offset,
-                        nd[pos.v] + (w - pos.offset));
+      out[p] = std::min(nd[pos[p].u] + pos[p].offset,
+                        nd[pos[p].v] + (edge_w[p] - pos[p].offset));
     }
   });
 
@@ -120,6 +126,38 @@ double LandmarkOracle::UpperBound(PointId a, PointId b) const {
     if (sum < ub) ub = sum;
   }
   return ub;
+}
+
+void LandmarkOracle::NearestTargetLowerBounds(
+    const std::vector<PointId>& points, const std::vector<PointId>& targets,
+    double* lb) const {
+  const uint32_t num_l = num_landmarks();
+  auto at = [&](uint32_t l, PointId p) {
+    return point_dist_[static_cast<size_t>(l) * num_points_ + p];
+  };
+  // Target-major landmark distances, gathered once for all points.
+  std::vector<double> target_dist(targets.size() * num_l);
+  for (size_t t = 0; t < targets.size(); ++t) {
+    for (uint32_t l = 0; l < num_l; ++l) {
+      target_dist[t * num_l + l] = at(l, targets[t]);
+    }
+  }
+  for (size_t j = 0; j < points.size(); ++j) {
+    double lo = lb[j];
+    for (size_t t = 0; t < targets.size(); ++t) {
+      const double* td = target_dist.data() + t * num_l;
+      // LowerBound's arithmetic (std::max keeps its first argument when
+      // the second is NaN, so a landmark that sees neither side is
+      // skipped), stopped once the pair cannot lower lb[j]: the result
+      // is exactly the full scan's, and the remaining rows go unread.
+      double pair_lb = 0.0;
+      for (uint32_t l = 0; l < num_l && pair_lb < lo; ++l) {
+        pair_lb = std::max(pair_lb, std::fabs(at(l, points[j]) - td[l]));
+      }
+      lo = std::min(lo, pair_lb);
+    }
+    lb[j] = lo;
+  }
 }
 
 double LandmarkOracle::LandmarkPointDistance(uint32_t l, PointId p) const {

@@ -62,6 +62,13 @@ class LandmarkOracle {
   /// A value >= d(a, b); kInfDist with no landmarks (vacuous).
   double UpperBound(PointId a, PointId b) const;
 
+  /// DistanceAccelerator::NearestTargetLowerBounds over these tables:
+  /// the same values as the per-pair minima, with each target's
+  /// landmark distances gathered once per call.
+  void NearestTargetLowerBounds(const std::vector<PointId>& points,
+                                const std::vector<PointId>& targets,
+                                double* lb) const;
+
   /// Exact network distance from landmark index `l` to point `p`.
   double LandmarkPointDistance(uint32_t l, PointId p) const;
 

@@ -126,8 +126,14 @@ Result<ClusterOutput> RunClustering(const NetworkView& view,
     uint32_t workers = ResolveNumThreads(spec.index.num_threads);
     std::optional<ThreadPool> pool;
     if (workers > 1 && spec.index.num_landmarks > 1) pool.emplace(workers);
+    // k-medoids reads only the landmark bounds; the Voronoi floors would
+    // be built for nothing.
+    IndexOptions index_options = spec.index;
+    if (spec.algorithm == Algorithm::kKMedoids) {
+      index_options.enable_voronoi = false;
+    }
     NETCLUS_ASSIGN_OR_RETURN(
-        index, DistanceIndex::Build(view, spec.index,
+        index, DistanceIndex::Build(view, index_options,
                                     pool ? &*pool : nullptr, &frozen));
   }
   const DistanceAccelerator* accel = index.get();

@@ -8,15 +8,18 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "core/validate.h"
 #include "gen/network_gen.h"
 #include "gen/workload_gen.h"
+#include "graph/frozen_graph.h"
 #include "graph/network_distance.h"
 #include "index/distance_cache.h"
 #include "index/distance_index.h"
@@ -82,20 +85,27 @@ TEST(LandmarkOracleTest, BoundsSandwichExactDistancesOnRandomGraphs) {
   }
 }
 
+// Two generated road networks glued into one node space: a network
+// with two connected components of `nodes_a` and `nodes_b` nodes.
+Network TwoComponents(NodeId nodes_a, NodeId nodes_b, uint64_t seed) {
+  GeneratedNetwork a = GenerateRoadNetwork({nodes_a, 1.3, 0.3, seed});
+  GeneratedNetwork b = GenerateRoadNetwork({nodes_b, 1.3, 0.3, seed + 1});
+  NodeId na = a.net.num_nodes();
+  Network net(na + b.net.num_nodes());
+  for (const Edge& e : a.net.Edges()) {
+    EXPECT_TRUE(net.AddEdge(e.u, e.v, e.weight).ok());
+  }
+  for (const Edge& e : b.net.Edges()) {
+    EXPECT_TRUE(net.AddEdge(na + e.u, na + e.v, e.weight).ok());
+  }
+  return net;
+}
+
 TEST(LandmarkOracleTest, BoundsSandwichOnDisconnectedNetworkWithZeroOffsets) {
   // Two generated components glued into one node space, with handcrafted
   // points including zero-offset placements (points sitting exactly on a
   // node). Cross-component pairs must come back as proven-disconnected.
-  GeneratedNetwork a = GenerateRoadNetwork({40, 1.3, 0.3, 21});
-  GeneratedNetwork b = GenerateRoadNetwork({40, 1.3, 0.3, 22});
-  NodeId na = a.net.num_nodes();
-  Network net(na + b.net.num_nodes());
-  for (const Edge& e : a.net.Edges()) {
-    ASSERT_TRUE(net.AddEdge(e.u, e.v, e.weight).ok());
-  }
-  for (const Edge& e : b.net.Edges()) {
-    ASSERT_TRUE(net.AddEdge(na + e.u, na + e.v, e.weight).ok());
-  }
+  Network net = TwoComponents(40, 40, 21);
   ASSERT_FALSE(net.IsConnected());
 
   PointSetBuilder builder;
@@ -131,6 +141,59 @@ TEST(LandmarkOracleTest, BoundsSandwichOnDisconnectedNetworkWithZeroOffsets) {
     }
   }
   EXPECT_TRUE(saw_disconnected);
+}
+
+TEST(LandmarkOracleTest, TablesBitIdenticalWithAndWithoutFrozenGraph) {
+  Network net = TwoComponents(60, 25, 31);
+  PointSet points = std::move(GenerateUniformPoints(net, 120, 33)).value();
+  InMemoryNetworkView view(net, points);
+  FrozenGraph frozen = std::move(view.Freeze()).value();
+  ThreadPool pool(3);
+  LandmarkOracle plain =
+      std::move(LandmarkOracle::Build(view, 5, nullptr, nullptr)).value();
+  LandmarkOracle snap =
+      std::move(LandmarkOracle::Build(view, 5, &pool, &frozen)).value();
+  ASSERT_EQ(plain.landmarks(), snap.landmarks());
+  for (uint32_t l = 0; l < plain.num_landmarks(); ++l) {
+    for (PointId p = 0; p < points.size(); ++p) {
+      double a = plain.LandmarkPointDistance(l, p);
+      double b = snap.LandmarkPointDistance(l, p);
+      EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
+          << "landmark " << l << ", point " << p;
+    }
+  }
+}
+
+TEST(DistanceIndexTest, NearestTargetLowerBoundsMatchPerPairMinima) {
+  // On a disconnected network (infinite bounds, landmarks that see only
+  // one side), the landmark override must return exactly what the
+  // interface's per-pair default computes, with and without caps.
+  Network net = TwoComponents(60, 25, 41);
+  PointSet points = std::move(GenerateUniformPoints(net, 150, 43)).value();
+  InMemoryNetworkView view(net, points);
+  std::unique_ptr<DistanceIndex> index = std::move(
+      DistanceIndex::Build(view, Scenario::DefaultOptions(), nullptr).value());
+  std::vector<PointId> all(points.size());
+  for (PointId p = 0; p < points.size(); ++p) all[p] = p;
+  Rng rng(45);
+  for (size_t num_targets : {size_t{0}, size_t{1}, size_t{4}}) {
+    std::vector<PointId> targets;
+    for (size_t t = 0; t < num_targets; ++t) {
+      targets.push_back(static_cast<PointId>(rng.NextBounded(points.size())));
+    }
+    for (bool capped : {false, true}) {
+      std::vector<double> caps(all.size(), kInfDist);
+      if (capped) {
+        for (double& c : caps) c = 10.0 * rng.NextDouble();
+      }
+      std::vector<double> fast = caps;
+      std::vector<double> slow = caps;
+      index->NearestTargetLowerBounds(all, targets, fast.data());
+      index->DistanceAccelerator::NearestTargetLowerBounds(all, targets,
+                                                           slow.data());
+      EXPECT_EQ(fast, slow) << num_targets << " targets, capped " << capped;
+    }
+  }
 }
 
 TEST(VoronoiTest, FloorsMatchBruteForceWithAndWithoutExclusion) {
@@ -393,6 +456,9 @@ class IndexedRunFixture : public ::testing::Test {
     EXPECT_EQ(on.value().cost, off.value().cost);
     EXPECT_EQ(on.value().index_stats.num_landmarks, 4u);
     EXPECT_EQ(off.value().index_stats.num_landmarks, 0u);
+    // k-medoids reads only the landmark bounds: no Voronoi floors.
+    EXPECT_EQ(on.value().index_stats.voronoi_built,
+              spec.algorithm != Algorithm::kKMedoids);
   }
 
   GeneratedNetwork gen_;
@@ -430,6 +496,127 @@ TEST_F(IndexedRunFixture, SingleLinkIdenticalWithIndexOnAndOff) {
   spec.single_link.delta = 1.0;
   spec.cut_distance = 3.0;
   ExpectIndexedMatchesUnindexed(spec);
+}
+
+// The k-medoids swap bound (current costs for other slots' points, the
+// full new medoid set only for the replaced slot's points) must leave the
+// whole search untouched: same medoids, cost, assignment and swap counts
+// with the index on and off, validated.
+struct KMedoidsOnOff {
+  uint32_t pruned = 0;
+  bool noise = false;
+};
+
+KMedoidsOnOff ExpectKMedoidsIndexInvariant(const NetworkView& view,
+                                           KMedoidsOptions options) {
+  ClusterSpec spec = MakeSpec(options);
+  spec.validate = true;
+  Result<ClusterOutput> off = RunClustering(view, spec);
+  spec.index.enable = true;
+  spec.index.num_landmarks = 4;
+  Result<ClusterOutput> on = RunClustering(view, spec);
+  if (!off.ok() || !on.ok()) {
+    ADD_FAILURE() << off.status().ToString() << " / "
+                  << on.status().ToString();
+    return {};
+  }
+  const ClusterOutput& a = off.value();
+  const ClusterOutput& b = on.value();
+  EXPECT_EQ(b.medoids, a.medoids);
+  EXPECT_EQ(b.cost, a.cost);
+  EXPECT_EQ(b.clustering.assignment, a.clustering.assignment);
+  EXPECT_EQ(b.kmedoids_stats.attempted_swaps, a.kmedoids_stats.attempted_swaps);
+  EXPECT_EQ(b.kmedoids_stats.committed_swaps, a.kmedoids_stats.committed_swaps);
+  EXPECT_EQ(a.kmedoids_stats.pruned_swaps, 0u);
+  EXPECT_EQ(a.kmedoids_stats.bound_seconds, 0.0);
+  EXPECT_FALSE(b.index_stats.voronoi_built);
+  KMedoidsOnOff r;
+  r.pruned = b.kmedoids_stats.pruned_swaps;
+  for (int c : b.clustering.assignment) r.noise = r.noise || c == kNoise;
+  return r;
+}
+
+class KMedoidsSwapBoundTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    gen_ = GenerateRoadNetwork({90, 1.3, 0.3, 201});
+    points_ = std::move(GenerateUniformPoints(gen_.net, 160, 202)).value();
+    view_.emplace(gen_.net, points_);
+  }
+
+  GeneratedNetwork gen_;
+  PointSet points_;
+  std::optional<InMemoryNetworkView> view_;
+};
+
+TEST_F(KMedoidsSwapBoundTest, ConnectedNetwork) {
+  ASSERT_TRUE(gen_.net.IsConnected());
+  uint32_t pruned = 0;
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    KMedoidsOptions ko;
+    ko.k = 5;
+    ko.seed = seed;
+    pruned += ExpectKMedoidsIndexInvariant(*view_, ko).pruned;
+  }
+  EXPECT_GT(pruned, 0u);  // the prune path is exercised
+}
+
+TEST_F(KMedoidsSwapBoundTest, FromScratchUpdates) {
+  for (uint64_t seed : {5u, 6u, 7u}) {
+    KMedoidsOptions ko;
+    ko.k = 4;
+    ko.seed = seed;
+    ko.incremental_updates = false;
+    ExpectKMedoidsIndexInvariant(*view_, ko);
+  }
+}
+
+TEST_F(KMedoidsSwapBoundTest, ParallelRestarts) {
+  for (uint64_t seed : {8u, 9u}) {
+    KMedoidsOptions ko;
+    ko.k = 6;
+    ko.seed = seed;
+    ko.num_restarts = 4;
+    ko.num_threads = 3;
+    ExpectKMedoidsIndexInvariant(*view_, ko);
+  }
+}
+
+TEST_F(KMedoidsSwapBoundTest, FixedInitialMedoidsSharingAnEdge) {
+  // Two initial medoids on one edge (the same-edge assignment path) plus
+  // one elsewhere.
+  std::vector<PointId> shared;
+  view_->ForEachPointGroup(
+      [&](NodeId, NodeId, PointId first, uint32_t count) {
+        if (shared.empty() && count >= 2) shared = {first, first + 1};
+      });
+  ASSERT_EQ(shared.size(), 2u);
+  for (uint64_t seed : {10u, 11u, 12u}) {
+    KMedoidsOptions ko;
+    ko.initial_medoids = {shared[0], shared[1],
+                          (shared[0] + points_.size() / 2) % points_.size()};
+    ko.seed = seed;
+    ExpectKMedoidsIndexInvariant(*view_, ko);
+  }
+}
+
+TEST(KMedoidsSwapBoundDisconnectedTest, NoisePointsAndUnreachableCandidates) {
+  // A small second component: its points are noise while every medoid
+  // sits in the large one (they cost nothing, so the search tends to
+  // leave them there), and candidates drawn from it reach no other
+  // medoid.
+  Network net = TwoComponents(70, 12, 51);
+  ASSERT_FALSE(net.IsConnected());
+  PointSet points = std::move(GenerateUniformPoints(net, 150, 53)).value();
+  InMemoryNetworkView view(net, points);
+  bool noise = false;
+  for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    KMedoidsOptions ko;
+    ko.k = 3;
+    ko.seed = seed;
+    noise = ExpectKMedoidsIndexInvariant(view, ko).noise || noise;
+  }
+  EXPECT_TRUE(noise);
 }
 
 }  // namespace

@@ -109,6 +109,35 @@ TEST_P(KMedoidsIncrementalTest, IncrementalEqualsScratch) {
 INSTANTIATE_TEST_SUITE_P(Seeds, KMedoidsIncrementalTest,
                          ::testing::Values(21u, 22u, 23u, 24u));
 
+TEST(KMedoidsTest, IncrementalUpdateReseedsSurvivingMedoidEndpoints) {
+  // When the replaced medoid owned an endpoint of a surviving medoid's
+  // edge, the orphaned endpoint is reached along that edge and through
+  // no assigned neighbor. Without re-seeding it, Inc_Medoid_Update left
+  // non-nearest tags behind on this network (seeds 1, 23 and 24);
+  // validation re-proves every assignment exact, and the incremental
+  // search must match the from-scratch one.
+  GeneratedNetwork g = GenerateRoadNetwork({90, 1.3, 0.3, 201});
+  PointSet ps = std::move(GenerateUniformPoints(g.net, 160, 202)).value();
+  InMemoryNetworkView view(g.net, ps);
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    KMedoidsOptions opts;
+    opts.k = 5;
+    opts.seed = seed;
+    ClusterSpec spec = MakeSpec(opts);
+    spec.validate = true;
+    Result<ClusterOutput> inc = RunClustering(view, spec);
+    ASSERT_TRUE(inc.ok()) << "seed " << seed << ": "
+                          << inc.status().ToString();
+    spec.kmedoids.incremental_updates = false;
+    Result<ClusterOutput> scratch = RunClustering(view, spec);
+    ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
+    EXPECT_EQ(inc.value().medoids, scratch.value().medoids) << "seed " << seed;
+    EXPECT_EQ(inc.value().clustering.assignment,
+              scratch.value().clustering.assignment)
+        << "seed " << seed;
+  }
+}
+
 TEST(KMedoidsTest, SwapsNeverIncreaseCost) {
   GeneratedNetwork g = GenerateRoadNetwork({100, 1.3, 0.3, 31});
   PointSet ps = std::move(GenerateUniformPoints(g.net, 150, 32)).value();
@@ -228,6 +257,21 @@ TEST(KMedoidsTest, RejectsBadInitialMedoids) {
   KMedoidsOptions opts;
   opts.initial_medoids = {0, 99};  // out of range
   EXPECT_TRUE(RunKMedoids(view, opts).status().IsInvalidArgument());
+}
+
+TEST(KMedoidsTest, RejectsDuplicateInitialMedoids) {
+  // Two slots on one point would be a k-1 medoid search reported as k
+  // clusters; refused up front, with or without validation.
+  GeneratedNetwork g = GenerateRoadNetwork({30, 1.3, 0.3, 123});
+  PointSet ps = std::move(GenerateUniformPoints(g.net, 10, 124)).value();
+  InMemoryNetworkView view(g.net, ps);
+  KMedoidsOptions opts;
+  opts.initial_medoids = {3, 3, 7};
+  opts.max_swaps = 0;
+  ClusterSpec spec = MakeSpec(opts);
+  EXPECT_TRUE(RunClustering(view, spec).status().IsInvalidArgument());
+  spec.validate = true;
+  EXPECT_TRUE(RunClustering(view, spec).status().IsInvalidArgument());
 }
 
 TEST(KMedoidsTest, KEqualsNTerminates) {
