@@ -8,6 +8,8 @@
 //     the same computation) — any mismatch exits 1;
 //   - the snapshot path must be >= 1.3x faster (best of interleaved
 //     reps) — the de-virtualization payoff the PR claims.
+// It also records what the snapshot costs per run: the freeze time
+// (best of reps) and the bytes of its point layer.
 // Emitted as BENCH_frozen_traversal.json for CI diffing; wired into
 // `run_all.sh bench-smoke`.
 #include <algorithm>
@@ -43,10 +45,21 @@ int main() {
   PointSet points =
       std::move(GenerateUniformPoints(gen.net, 2000, 992)).value();
   InMemoryNetworkView view(gen.net, points);
-  FrozenGraph frozen = std::move(view.Freeze()).value();
+  const int kFreezeReps = 5;
+  std::vector<double> freeze_s;
+  FrozenGraph frozen;
+  for (int rep = 0; rep < kFreezeReps; ++rep) {
+    WallTimer t;
+    frozen = std::move(view.Freeze()).value();
+    freeze_s.push_back(t.ElapsedSeconds());
+  }
   std::printf("frozen-traversal: %u nodes, %zu edges, %zu half-edge slots\n",
               gen.net.num_nodes(), gen.net.num_edges(),
               frozen.num_half_edges());
+  std::printf("freeze: best %.3f ms; point layer: %zu bytes (%u points, "
+              "%zu groups)\n",
+              Best(freeze_s) * 1e3, frozen.point_layer_bytes(), points.size(),
+              frozen.point_groups().size());
 
   // k multi-source seeds, as in the concurrent-expansion assignment
   // phase: every node is settled by its nearest seed.
@@ -103,6 +116,9 @@ int main() {
   std::printf("speedup (view / frozen): %.2fx\n", speedup);
 
   BenchRecorder rec("frozen_traversal");
+  rec.Add("freeze", freeze_s, {},
+          {{"point_layer_bytes",
+            static_cast<double>(frozen.point_layer_bytes())}});
   rec.Add("assign_view", view_s, view_total, {});
   rec.Add("assign_frozen", frozen_s, frozen_total,
           {{"speedup_vs_view", speedup}});

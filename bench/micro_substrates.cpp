@@ -117,13 +117,13 @@ BENCHMARK(BM_PointNetworkDistance)->Unit(benchmark::kMicrosecond);
 
 void BM_RangeQuery(benchmark::State& state) {
   Fixture& f = SharedFixture();
-  NodeScratch scratch(f.gen.net.num_nodes());
+  TraversalWorkspace ws(f.gen.net.num_nodes());
   std::vector<RangeResult> out;
   Rng rng(6);
   double eps = static_cast<double>(state.range(0)) / 10.0;
   for (auto _ : state) {
     PointId p = static_cast<PointId>(rng.NextBounded(f.points.size()));
-    RangeQuery(*f.view, p, eps, &scratch, &out);
+    RangeQuery(*f.view, p, eps, &ws, &out);
     benchmark::DoNotOptimize(out.data());
   }
 }

@@ -159,6 +159,25 @@ $hits"
   fi
 done
 
+# Point-layer tripwire: the algorithms' hot loops read edge points
+# through graph/edge_points.h's EdgePointReader, which serves them from
+# the FrozenGraph point layer in place — no virtual call, no hash
+# lookup, no copy — and falls back to the view only when the snapshot
+# has no layer (disk-backed views). A direct view read in these files
+# would silently put the per-point virtual call back. The independent
+# oracles in core/validate.cc read through the view on purpose and are
+# not listed.
+for f in src/core/kmedoids.cc src/core/eps_link.cc src/core/dbscan.cc \
+         src/index/landmark_oracle.cc; do
+  stripped=$(sed 's@//.*@@' "$f")
+  hits=$(printf '%s\n' "$stripped" |
+    grep -nE '(GetEdgePoints|ForEachPointGroup)[[:space:]]*\(' || true)
+  if [ -n "$hits" ]; then
+    fail "$f: direct view point read in a point-layer hot file; read edge points through EdgePointReader (graph/edge_points.h)
+$hits"
+  fi
+done
+
 # Socket-confinement tripwire: raw POSIX socket syscalls and their
 # headers live in src/net/ only. Everywhere else talks to the network
 # through net/socket.h's RAII wrappers (which own EINTR retries,

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "graph/dijkstra.h"
+#include "graph/edge_points.h"
 #include "graph/frozen_graph.h"
 
 namespace netclus {
@@ -21,8 +22,9 @@ using MinHeap = std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>>
 // cluster distances (NNdist) live in an epoch-reset NodeScratch so a run
 // over many clusters never pays O(|V|) re-initialization. Templated on
 // the traversal graph (the view itself, or a FrozenGraph snapshot for
-// the de-virtualized path); both instantiations visit edges in the same
-// order, so clusterings are bit-identical.
+// the de-virtualized path, whose point layer also serves the edge-point
+// reads); both instantiations visit edges in the same order, so
+// clusterings are bit-identical.
 template <typename Graph>
 class EpsLinkRunner {
  public:
@@ -32,7 +34,8 @@ class EpsLinkRunner {
         graph_(graph),
         eps_(eps),
         out_(out),
-        nndist_(view.num_nodes()) {}
+        nndist_(view.num_nodes()),
+        reader_(view, &graph) {}
 
   void GrowCluster(PointId seed, int cluster_id) {
     nndist_.NewEpoch();
@@ -43,23 +46,28 @@ class EpsLinkRunner {
     // enqueue the endpoints that end up within eps of the cluster.
     PointPos pos = view_.PointPosition(seed);
     double w = graph_.EdgeWeight(pos.u, pos.v);
-    view_.GetEdgePoints(pos.u, pos.v, &pts_);
-    size_t idx = 0;
-    while (idx < pts_.size() && pts_[idx].id != seed) ++idx;
+    const EdgePointSpan pts = reader_.Get(pos.u, pos.v);
+    // The seed's index on its edge (count when absent: an unreadable
+    // edge on a failing store).
+    const size_t idx = seed >= pts.first && seed - pts.first < pts.count
+                           ? seed - pts.first
+                           : pts.count;
     // Toward u (descending offsets).
     double last_off = pos.offset;
     for (size_t j = idx; j-- > 0;) {
-      if (Clustered(pts_[j].id) || last_off - pts_[j].offset > eps_) break;
-      Assign(pts_[j].id, cluster_id);
-      last_off = pts_[j].offset;
+      const PointId p = pts.first + static_cast<PointId>(j);
+      if (Clustered(p) || last_off - pts.offsets[j] > eps_) break;
+      Assign(p, cluster_id);
+      last_off = pts.offsets[j];
     }
     MaybeEnqueue(&q, pos.u, last_off);
     // Toward v (ascending offsets).
     last_off = pos.offset;
-    for (size_t j = idx + 1; j < pts_.size(); ++j) {
-      if (Clustered(pts_[j].id) || pts_[j].offset - last_off > eps_) break;
-      Assign(pts_[j].id, cluster_id);
-      last_off = pts_[j].offset;
+    for (size_t j = idx + 1; j < pts.count; ++j) {
+      const PointId p = pts.first + static_cast<PointId>(j);
+      if (Clustered(p) || pts.offsets[j] - last_off > eps_) break;
+      Assign(p, cluster_id);
+      last_off = pts.offsets[j];
     }
     MaybeEnqueue(&q, pos.v, w - last_off);
 
@@ -93,23 +101,24 @@ class EpsLinkRunner {
   // re-enqueues whichever endpoints got closer to the cluster.
   void TraverseEdge(MinHeap* q, const QEntry& b, NodeId nz, double we,
                     int cluster_id) {
-    view_.GetEdgePoints(b.node, nz, &pts_);
+    const EdgePointSpan pts = reader_.Get(b.node, nz);
     double newd_b = kInfDist;   // new distance from b.node to the cluster
     double newd_nz = kInfDist;  // new distance from nz to the cluster
-    if (pts_.empty()) {
+    if (pts.empty()) {
       newd_nz = b.dist + we;
     } else {
       // Offsets are stored from the canonical (smaller-id) endpoint;
       // traverse from the b.node side.
-      bool forward = b.node < nz;
+      const bool forward = b.node < nz;
+      const size_t n = pts.count;
+      auto at = [&](size_t j) { return forward ? j : n - 1 - j; };
       auto off_from_b = [&](size_t j) {
-        const EdgePoint& ep = forward ? pts_[j] : pts_[pts_.size() - 1 - j];
-        return forward ? ep.offset : we - ep.offset;
+        const double off = pts.offsets[at(j)];
+        return forward ? off : we - off;
       };
       auto point_at = [&](size_t j) {
-        return (forward ? pts_[j] : pts_[pts_.size() - 1 - j]).id;
+        return pts.first + static_cast<PointId>(at(j));
       };
-      size_t n = pts_.size();
       if (!Clustered(point_at(0)) && off_from_b(0) + b.dist <= eps_) {
         newd_b = off_from_b(0);
         Assign(point_at(0), cluster_id);
@@ -132,7 +141,7 @@ class EpsLinkRunner {
   double eps_;
   Clustering* out_;
   NodeScratch nndist_;
-  std::vector<EdgePoint> pts_;
+  EdgePointReader reader_;
 };
 
 template <typename Graph>

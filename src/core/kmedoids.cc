@@ -11,6 +11,7 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "graph/dijkstra.h"
+#include "graph/edge_points.h"
 #include "graph/frozen_graph.h"
 
 namespace netclus {
@@ -30,10 +31,11 @@ using MedHeap = std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>>
 //
 // Templated on the traversal graph: `graph` is either the view itself
 // (compatibility path) or a FrozenGraph snapshot of it (de-virtualized
-// CSR walk). Point positions and edge-point scans stay on the view;
-// neighbor iteration and edge weights go through the graph. Both
-// instantiations expand in the same order, so trajectories (rng draws,
-// accept/reject sequence, final medoids) are bit-identical.
+// CSR walk). Point positions come from the view; neighbor iteration and
+// edge weights go through the graph, and the assignment scan reads the
+// snapshot's point layer (graph/edge_points.h). Both instantiations
+// expand in the same order, so trajectories (rng draws, accept/reject
+// sequence, final medoids) are bit-identical.
 template <typename Graph>
 class KMedoidsEngine {
  public:
@@ -41,7 +43,8 @@ class KMedoidsEngine {
       : view_(view),
         graph_(graph),
         node_med_(view.num_nodes(), -1),
-        node_dist_(view.num_nodes(), kInfDist) {}
+        node_dist_(view.num_nodes(), kInfDist),
+        reader_(view, &graph) {}
 
   void SetMedoids(std::vector<PointId> medoids) {
     medoids_ = std::move(medoids);
@@ -108,40 +111,37 @@ class KMedoidsEngine {
     assignment->assign(view_.num_points(), kNoise);
     if (point_cost != nullptr) point_cost->assign(view_.num_points(), 0.0);
     double cost = 0.0;
-    std::vector<EdgePoint> pts;
-    view_.ForEachPointGroup([&](NodeId u, NodeId v, PointId first,
-                                uint32_t count) {
-      (void)first;
-      (void)count;
-      double w = graph_.EdgeWeight(u, v);
+    reader_.ForEachGroup([&](NodeId u, NodeId v, double w,
+                             const EdgePointSpan& pts) {
       double du = node_dist_[u], dv = node_dist_[v];
       int mu = node_med_[u], mv = node_med_[v];
       auto it = edge_medoids_.find(EdgeKeyOf(u, v));
-      view_.GetEdgePoints(u, v, &pts);
-      for (const EdgePoint& ep : pts) {
+      for (uint32_t i = 0; i < pts.count; ++i) {
+        const double off = pts.offsets[i];
+        const PointId id = pts.first + i;
         double best = kInfDist;
         int best_med = kNoise;
-        if (mu >= 0 && du + ep.offset < best) {
-          best = du + ep.offset;
+        if (mu >= 0 && du + off < best) {
+          best = du + off;
           best_med = mu;
         }
-        if (mv >= 0 && dv + (w - ep.offset) < best) {
-          best = dv + (w - ep.offset);
+        if (mv >= 0 && dv + (w - off) < best) {
+          best = dv + (w - off);
           best_med = mv;
         }
         if (it != edge_medoids_.end()) {
           for (const auto& [mi, moff] : it->second) {
-            double d = ep.offset > moff ? ep.offset - moff : moff - ep.offset;
+            double d = off > moff ? off - moff : moff - off;
             if (d < best) {
               best = d;
               best_med = mi;
             }
           }
         }
-        (*assignment)[ep.id] = best_med;
+        (*assignment)[id] = best_med;
         if (best_med != kNoise) {
           cost += best;
-          if (point_cost != nullptr) (*point_cost)[ep.id] = best;
+          if (point_cost != nullptr) (*point_cost)[id] = best;
         }
       }
     });
@@ -283,6 +283,7 @@ class KMedoidsEngine {
   std::vector<double> snap_dist_;
   std::vector<PointId> snap_medoids_;
   std::vector<double> bound_lb_;  // SwapCostLowerBound scratch
+  EdgePointReader reader_;
 };
 
 // Slot j's points, ascending, in (*members)[j]; noise points in none.

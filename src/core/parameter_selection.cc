@@ -34,7 +34,7 @@ Result<double> SuggestEps(const NetworkView& view,
   double radius0 = gap.ok() ? std::max(gap.value(), 1e-9) : 1.0;
 
   Rng rng(options.seed);
-  NodeScratch scratch(view.num_nodes());
+  TraversalWorkspace ws(view.num_nodes());
   std::vector<RangeResult> found;
   std::vector<double> nn;
   uint32_t samples = std::min<uint32_t>(options.sample_size,
@@ -45,7 +45,7 @@ Result<double> SuggestEps(const NetworkView& view,
     double radius = radius0;
     double best = kInfDist;
     for (int attempt = 0; attempt < 24; ++attempt) {
-      RangeQuery(view, p, radius, &scratch, &found);
+      RangeQuery(view, p, radius, &ws, &found);
       for (const RangeResult& r : found) {
         if (r.id != p && r.dist < best) best = r.dist;
       }

@@ -447,6 +447,72 @@ Status ValidateWorkspace(const TraversalWorkspace& ws, NodeId num_nodes) {
   return ValidateSettleLog(ws.settled, num_nodes);
 }
 
+namespace {
+
+// The snapshot's point layer against the view: the group table must
+// replay ForEachPointGroup exactly (same edges, ranges and order, each
+// weight the view's EdgeWeight), and every point's offset must equal the
+// one GetEdgePoints reports for it.
+Status ValidatePointLayer(const NetworkView& view, const FrozenGraph& frozen) {
+  const std::vector<double>& offsets = frozen.point_offsets();
+  const std::vector<FrozenGraph::PointGroup>& groups = frozen.point_groups();
+  if (offsets.size() != view.num_points()) {
+    return Violation("frozen", "point layer holds " +
+                                   std::to_string(offsets.size()) +
+                                   " offsets for a view of " +
+                                   std::to_string(view.num_points()) +
+                                   " points");
+  }
+  std::string mismatch;
+  size_t g = 0;
+  std::vector<EdgePoint> pts;
+  view.ForEachPointGroup(
+      [&](NodeId u, NodeId v, PointId first, uint32_t count) {
+        if (!mismatch.empty()) return;
+        const std::string edge =
+            "edge {" + std::to_string(u) + ", " + std::to_string(v) + "}";
+        if (g >= groups.size()) {
+          mismatch = "point layer has no group for " + edge;
+          return;
+        }
+        const FrozenGraph::PointGroup& pg = groups[g++];
+        if (pg.u != u || pg.v != v || pg.first != first ||
+            pg.count != count) {
+          mismatch = "point layer group " + std::to_string(g - 1) +
+                     " is edge {" + std::to_string(pg.u) + ", " +
+                     std::to_string(pg.v) + "} range (" +
+                     std::to_string(pg.first) + ", " +
+                     std::to_string(pg.count) + "), view has " + edge +
+                     " range (" + std::to_string(first) + ", " +
+                     std::to_string(count) + ")";
+          return;
+        }
+        if (pg.weight != view.EdgeWeight(u, v)) {
+          mismatch = "point layer weight of " + edge + " is " +
+                     std::to_string(pg.weight) + ", view has " +
+                     std::to_string(view.EdgeWeight(u, v));
+          return;
+        }
+        view.GetEdgePoints(u, v, &pts);
+        for (const EdgePoint& ep : pts) {
+          if (ep.id >= offsets.size() || offsets[ep.id] != ep.offset) {
+            mismatch = "point " + std::to_string(ep.id) + " on " + edge +
+                       ": point layer offset differs from the view's " +
+                       std::to_string(ep.offset);
+            return;
+          }
+        }
+      });
+  if (mismatch.empty() && g != groups.size()) {
+    mismatch = "point layer has " + std::to_string(groups.size()) +
+               " groups but the view scans " + std::to_string(g);
+  }
+  if (!mismatch.empty()) return Violation("frozen", std::move(mismatch));
+  return Status::OK();
+}
+
+}  // namespace
+
 Status ValidateFrozenGraph(const NetworkView& view,
                            const FrozenGraph& frozen) {
   const NodeId num_nodes = view.num_nodes();
@@ -522,6 +588,9 @@ Status ValidateFrozenGraph(const NetworkView& view,
         }
       });
   if (!pt_mismatch.empty()) return Violation("frozen", std::move(pt_mismatch));
+  if (frozen.has_point_layer()) {
+    NETCLUS_RETURN_IF_ERROR(ValidatePointLayer(view, frozen));
+  }
   return view.status();
 }
 

@@ -156,6 +156,13 @@ struct TraversalWorkspace {
   NodeScratch scratch;
   std::vector<DijkstraHeapEntry> heap;  ///< binary-heap storage, reused
   std::vector<std::pair<NodeId, double>> settled;  ///< settle-order log
+  std::vector<DijkstraSource> sources;  ///< expansion seeds, reused
+  /// Settle-order stamps of the range-query collection phase: a node is
+  /// stamped with `stamp_epoch` when its edges are inspected, so each
+  /// edge is inspected once, from whichever endpoint settled first.
+  /// Sized on first use.
+  std::vector<uint64_t> stamp;
+  uint64_t stamp_epoch = 0;
   /// Cancellation token threaded into the kernel by the workspace-based
   /// entry points. Inert (null flag) by default; the query server arms
   /// it per request with the deadline watchdog's flag.

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/check.h"
+#include "graph/network.h"
 #include "graph/network_view.h"
 
 namespace netclus {
@@ -37,7 +38,74 @@ std::pair<PointId, uint32_t> FrozenGraph::EdgePointRange(NodeId a,
   return {pt_first_[slot], pt_count_[slot]};
 }
 
+namespace {
+
+// Invokes fn(neighbor, weight) over node i's row in the view's iteration
+// order: straight off the Network's adjacency list when the view is
+// in-memory (`net` non-null), through the virtual ForEachNeighbor
+// otherwise. InMemoryNetworkView iterates exactly that list, so both
+// produce the same sequence.
+template <typename Fn>
+void ForEachSourceNeighbor(const NetworkView& view, const Network* net,
+                           NodeId i, Fn&& fn) {
+  if (net != nullptr) {
+    for (const auto& [m, w] : net->neighbors(i)) fn(m, w);
+  } else {
+    view.ForEachNeighbor(i, fn);
+  }
+}
+
+}  // namespace
+
+size_t FrozenGraph::SetEdgePoints(NodeId u, NodeId v, PointId first,
+                                  uint32_t count) {
+  size_t su = SlotOf(u, v);
+  size_t sv = SlotOf(v, u);
+  if (su != SIZE_MAX) {
+    pt_first_[su] = first;
+    pt_count_[su] = count;
+  }
+  if (sv != SIZE_MAX) {
+    pt_first_[sv] = first;
+    pt_count_[sv] = count;
+  }
+  return su;
+}
+
+void FrozenGraph::AttachPoints(const NetworkView& view) {
+  const InMemoryNetworkView* mem = view.AsInMemory();
+  const size_t half_edges = neighbors_.size();
+  pt_first_.assign(half_edges, kInvalidPointId);
+  pt_count_.assign(half_edges, 0);
+  has_point_ranges_ = true;
+  if (mem == nullptr) {
+    view.ForEachPointGroup(
+        [this](NodeId u, NodeId v, PointId first, uint32_t count) {
+          SetEdgePoints(u, v, first, count);
+        });
+    return;
+  }
+  // The point layer: offsets and the group table copied straight from
+  // the PointSet; each group's weight is its CSR slot's weight, the
+  // very double EdgeWeight(u, v) returns.
+  const PointSet* points = &mem->points();
+  pt_offset_.resize(points->size());
+  for (PointId p = 0; p < points->size(); ++p) {
+    pt_offset_[p] = points->offset(p);
+  }
+  groups_.resize(points->num_groups());
+  for (size_t i = 0; i < points->num_groups(); ++i) {
+    const PointSet::Group& pg = points->group(i);
+    size_t su = SetEdgePoints(pg.u, pg.v, pg.first, pg.count);
+    groups_[i] = PointGroup{pg.u, pg.v, pg.first, pg.count,
+                            su == SIZE_MAX ? -1.0 : weights_[su]};
+  }
+  has_point_layer_ = true;
+}
+
 FrozenGraph FrozenGraph::Materialize(const NetworkView& view) {
+  const InMemoryNetworkView* mem = view.AsInMemory();
+  const Network* net = mem != nullptr ? &mem->network() : nullptr;
   FrozenGraph g;
   const NodeId n = view.num_nodes();
   g.offsets_.assign(static_cast<size_t>(n) + 1, 0);
@@ -45,7 +113,7 @@ FrozenGraph FrozenGraph::Materialize(const NetworkView& view) {
   // Pass 1: degrees into offsets_[i + 1], then prefix-sum.
   for (NodeId i = 0; i < n; ++i) {
     uint32_t deg = 0;
-    view.ForEachNeighbor(i, [&deg](NodeId, double) { ++deg; });
+    ForEachSourceNeighbor(view, net, i, [&deg](NodeId, double) { ++deg; });
     g.offsets_[i + 1] = deg;
   }
   for (NodeId i = 0; i < n; ++i) g.offsets_[i + 1] += g.offsets_[i];
@@ -63,7 +131,7 @@ FrozenGraph FrozenGraph::Materialize(const NetworkView& view) {
   for (NodeId i = 0; i < n; ++i) {
     uint32_t slot = g.offsets_[i];
     const uint32_t row_end = g.offsets_[i + 1];
-    view.ForEachNeighbor(i, [&](NodeId m, double w) {
+    ForEachSourceNeighbor(view, net, i, [&](NodeId m, double w) {
       if (slot < row_end) {
         g.neighbors_[slot] = m;
         g.weights_[slot] = w;
@@ -74,23 +142,7 @@ FrozenGraph FrozenGraph::Materialize(const NetworkView& view) {
         << "adjacency changed between Materialize passes at node " << i;
   }
 
-  // Point ranges: one slot-scan per populated edge, both directions.
-  g.pt_first_.assign(half_edges, kInvalidPointId);
-  g.pt_count_.assign(half_edges, 0);
-  g.has_point_ranges_ = true;
-  view.ForEachPointGroup([&g](NodeId u, NodeId v, PointId first,
-                              uint32_t count) {
-    size_t su = g.SlotOf(u, v);
-    size_t sv = g.SlotOf(v, u);
-    if (su != SIZE_MAX) {
-      g.pt_first_[su] = first;
-      g.pt_count_[su] = count;
-    }
-    if (sv != SIZE_MAX) {
-      g.pt_first_[sv] = first;
-      g.pt_count_[sv] = count;
-    }
-  });
+  g.AttachPoints(view);
   return g;
 }
 
@@ -103,6 +155,8 @@ FrozenGraph FrozenGraph::MaterializeIncremental(
     // dirty set does not describe it). Full rebuild.
     return Materialize(view);
   }
+  const InMemoryNetworkView* mem = view.AsInMemory();
+  const Network* net = mem != nullptr ? &mem->network() : nullptr;
   FrozenGraph g;
   g.offsets_.assign(static_cast<size_t>(n) + 1, 0);
 
@@ -112,7 +166,7 @@ FrozenGraph FrozenGraph::MaterializeIncremental(
     uint32_t deg;
     if (dirty[i] != 0) {
       deg = 0;
-      view.ForEachNeighbor(i, [&deg](NodeId, double) { ++deg; });
+      ForEachSourceNeighbor(view, net, i, [&deg](NodeId, double) { ++deg; });
     } else {
       deg = prev.degree(i);
     }
@@ -144,7 +198,7 @@ FrozenGraph FrozenGraph::MaterializeIncremental(
       }
       continue;
     }
-    view.ForEachNeighbor(i, [&](NodeId m, double w) {
+    ForEachSourceNeighbor(view, net, i, [&](NodeId m, double w) {
       if (slot < row_end) {
         g.neighbors_[slot] = m;
         g.weights_[slot] = w;
@@ -155,38 +209,46 @@ FrozenGraph FrozenGraph::MaterializeIncremental(
         << "adjacency changed between incremental passes at node " << i;
   }
 
-  // Point ranges always rebuild: every publish renumbers dense point
-  // ids, so no prior epoch's ranges can be reused.
-  g.pt_first_.assign(half_edges, kInvalidPointId);
-  g.pt_count_.assign(half_edges, 0);
-  g.has_point_ranges_ = true;
-  view.ForEachPointGroup([&g](NodeId u, NodeId v, PointId first,
-                              uint32_t count) {
-    size_t su = g.SlotOf(u, v);
-    size_t sv = g.SlotOf(v, u);
-    if (su != SIZE_MAX) {
-      g.pt_first_[su] = first;
-      g.pt_count_[su] = count;
-    }
-    if (sv != SIZE_MAX) {
-      g.pt_first_[sv] = first;
-      g.pt_count_[sv] = count;
-    }
-  });
+  // Point ranges (and the point layer) always rebuild: every publish
+  // renumbers dense point ids, so no prior epoch's ranges can be reused.
+  g.AttachPoints(view);
   return g;
 }
+
+namespace {
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+bool SamePointGroups(const std::vector<FrozenGraph::PointGroup>& a,
+                     const std::vector<FrozenGraph::PointGroup>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].u != b[i].u || a[i].v != b[i].v || a[i].first != b[i].first ||
+        a[i].count != b[i].count ||
+        std::memcmp(&a[i].weight, &b[i].weight, sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 bool FrozenGraph::BitIdenticalTo(const FrozenGraph& other) const {
   // Weights compare by bit pattern (memcmp), not operator== — the whole
   // point is that the spliced arrays are byte-for-byte the full
   // rebuild's arrays.
   return offsets_ == other.offsets_ && neighbors_ == other.neighbors_ &&
-         weights_.size() == other.weights_.size() &&
-         (weights_.empty() ||
-          std::memcmp(weights_.data(), other.weights_.data(),
-                      weights_.size() * sizeof(double)) == 0) &&
+         SameBits(weights_, other.weights_) &&
          pt_first_ == other.pt_first_ && pt_count_ == other.pt_count_ &&
-         has_point_ranges_ == other.has_point_ranges_;
+         has_point_ranges_ == other.has_point_ranges_ &&
+         SameBits(pt_offset_, other.pt_offset_) &&
+         SamePointGroups(groups_, other.groups_) &&
+         has_point_layer_ == other.has_point_layer_;
 }
 
 FrozenGraph FrozenGraph::FromAdjacency(

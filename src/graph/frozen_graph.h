@@ -1,5 +1,6 @@
 // FrozenGraph: an immutable struct-of-arrays CSR snapshot of a
-// NetworkView's adjacency structure.
+// NetworkView's adjacency structure, plus — when the view's points are
+// resident in memory — a flat copy of the points themselves.
 //
 // Every algorithm in the paper is a Dijkstra traversal, and the
 // traversal inner loop is exactly "for each neighbor of the popped
@@ -13,6 +14,18 @@
 //   weights_[i]                    the edge weight
 //   pt_first_[i], pt_count_[i]     points on that edge (id range), or
 //                                  (kInvalidPointId, 0) when none
+//
+// and, as the point layer (built only from an InMemoryNetworkView):
+//
+//   pt_offset_[p]                  offset of point p from its edge's
+//                                  smaller-id endpoint
+//   groups_[g]                     (u, v, first, count, weight) of the
+//                                  g-th point-bearing edge, in PointSet
+//                                  group order
+//
+// The traversal algorithms read edge points from the layer in place
+// (graph/edge_points.h); a snapshot without one — a disk-backed view's,
+// whose point reads must stay paged I/O — reads them through the view.
 //
 // The neighbor order of each node matches the source view's iteration
 // order exactly, so a traversal over the snapshot settles nodes, pushes
@@ -74,10 +87,41 @@ class FrozenGraph {
   std::pair<PointId, uint32_t> EdgePointRange(NodeId a, NodeId b) const;
   bool has_point_ranges() const { return has_point_ranges_; }
 
-  /// Builds a snapshot from any NetworkView by iterating its adjacency
-  /// (two passes: degree count, then fill) and its point groups. The
-  /// caller is responsible for checking view.status() around the call
-  /// (NetworkView::Freeze() does); Materialize itself cannot fail.
+  /// One point-bearing edge of the point layer: points
+  /// [first, first + count) lie on edge (u, v), u < v, of weight
+  /// `weight`.
+  struct PointGroup {
+    NodeId u = kInvalidNodeId;
+    NodeId v = kInvalidNodeId;
+    PointId first = kInvalidPointId;
+    uint32_t count = 0;
+    double weight = 0.0;
+  };
+
+  /// True when the snapshot carries the point layer: it was built from
+  /// a view whose points are resident in memory (see
+  /// NetworkView::AsInMemory()).
+  bool has_point_layer() const { return has_point_layer_; }
+  /// Offset of every point from its edge's smaller-id endpoint, indexed
+  /// by point id; ascending within each edge. Empty without the layer.
+  const std::vector<double>& point_offsets() const { return pt_offset_; }
+  /// The point-bearing edges in PointSet group order (ascending first
+  /// point id). Empty without the layer.
+  const std::vector<PointGroup>& point_groups() const { return groups_; }
+  /// Heap bytes held by the point layer.
+  size_t point_layer_bytes() const {
+    return pt_offset_.size() * sizeof(double) +
+           groups_.size() * sizeof(PointGroup);
+  }
+
+  /// Builds a snapshot from any NetworkView. An in-memory view
+  /// (view.AsInMemory() non-null) is copied straight out of its Network
+  /// adjacency rows and PointSet, point layer included; any other view
+  /// is iterated through the virtual interface (two adjacency passes:
+  /// degree count, then fill; one scan of its point groups) and gets no
+  /// point layer. The caller is responsible for checking view.status()
+  /// around the call (NetworkView::Freeze() does); Materialize itself
+  /// cannot fail.
   static FrozenGraph Materialize(const NetworkView& view);
 
   /// Incremental rebuild: produces the same snapshot Materialize(view)
@@ -86,8 +130,9 @@ class FrozenGraph {
   /// re-iterating the view. Callers flag exactly the nodes whose
   /// adjacency changed since `prev` was built; a clean row's neighbor
   /// order must be unchanged in the view (Network::AddEdge appends, so
-  /// rows it does not touch keep their order). Point ranges are always
-  /// rebuilt — dense point ids shift on every publish. Falls back to a
+  /// rows it does not touch keep their order). Point ranges and the
+  /// point layer are always rebuilt — dense point ids shift on every
+  /// publish. Falls back to a
   /// full Materialize when the node count changed or `dirty` is
   /// malformed.
   static FrozenGraph MaterializeIncremental(const NetworkView& view,
@@ -95,8 +140,9 @@ class FrozenGraph {
                                             const std::vector<char>& dirty);
 
   /// True when every array (offsets, neighbors, weight bit patterns,
-  /// point ranges) matches exactly — the NETCLUS_VALIDATE oracle that an
-  /// incremental rebuild spliced correctly.
+  /// point ranges, the point layer's offsets and group table) matches
+  /// exactly — the NETCLUS_VALIDATE oracle that an incremental rebuild
+  /// spliced correctly.
   bool BitIdenticalTo(const FrozenGraph& other) const;
 
   /// Builds a snapshot from raw adjacency lists (no point ranges).
@@ -111,9 +157,24 @@ class FrozenGraph {
     weights_[i] = weight;
   }
 
+  /// Test-only: overwrites point `p`'s offset in the point layer.
+  void CorruptPointOffsetForTest(PointId p, double offset) {
+    pt_offset_[p] = offset;
+  }
+
  private:
   // Slot index of neighbor `b` in `a`'s CSR row; SIZE_MAX when absent.
   size_t SlotOf(NodeId a, NodeId b) const;
+
+  // Records points [first, first + count) on edge {u, v} in both
+  // half-edge slots; returns u's slot (SIZE_MAX when the edge is
+  // absent).
+  size_t SetEdgePoints(NodeId u, NodeId v, PointId first, uint32_t count);
+
+  // Point ranges for every point group of `view`, plus the point layer
+  // when the view is in-memory (read straight from its PointSet);
+  // through the view's ForEachPointGroup scan otherwise.
+  void AttachPoints(const NetworkView& view);
 
   std::vector<uint32_t> offsets_;   // |V| + 1
   std::vector<NodeId> neighbors_;   // 2|E|
@@ -121,6 +182,9 @@ class FrozenGraph {
   std::vector<PointId> pt_first_;   // 2|E|, kInvalidPointId when no points
   std::vector<uint32_t> pt_count_;  // 2|E|
   bool has_point_ranges_ = false;
+  std::vector<double> pt_offset_;     // N, point layer only
+  std::vector<PointGroup> groups_;    // point groups, point layer only
+  bool has_point_layer_ = false;
 };
 
 /// Neighbor-iteration adapter the template traversal kernel dispatches

@@ -166,6 +166,7 @@ class InMemoryNetworkView : public NetworkView {
   void ForEachPointGroup(
       const std::function<void(NodeId, NodeId, PointId, uint32_t)>& fn)
       const override;
+  const InMemoryNetworkView* AsInMemory() const override { return this; }
 
   const Network& network() const { return net_; }
   const PointSet& points() const { return points_; }

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <queue>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 
+#include "graph/edge_points.h"
 #include "graph/frozen_graph.h"
 
 namespace netclus {
@@ -27,15 +26,17 @@ namespace {
 
 // The implementations below are templated on the traversal graph: the
 // live NetworkView (compatibility path, virtual dispatch per node) or a
-// FrozenGraph CSR snapshot (inlined pointer walk). Point data (positions,
-// edge points) always comes from the view — the snapshot carries
-// adjacency and point-id ranges only. Both instantiations relax edges in
-// the same order, so results are bit-identical.
+// FrozenGraph CSR snapshot (inlined pointer walk). Point positions come
+// from the view; edge points come from the snapshot's point layer when
+// it has one and from the view otherwise (graph/edge_points.h). Both
+// instantiations relax edges in the same order, so results are
+// bit-identical.
 
 template <typename Graph>
 double PointNetworkDistanceImpl(const NetworkView& view, const Graph& graph,
                                 PointId p, PointId q, NodeScratch* scratch,
                                 std::vector<DijkstraHeapEntry>* heap,
+                                std::vector<DijkstraSource>* sources,
                                 TraversalCancel* cancel) {
   if (p == q) return 0.0;
   PointPos pp = view.PointPosition(p);
@@ -45,10 +46,9 @@ double PointNetworkDistanceImpl(const NetworkView& view, const Graph& graph,
   double best = same_edge ? std::fabs(pp.offset - qq.offset) : kInfDist;
 
   double wp = view.EdgeWeight(pp.u, pp.v);
-  std::vector<DijkstraSource> sources = {{pp.u, pp.offset},
-                                         {pp.v, wp - pp.offset}};
+  sources->assign({{pp.u, pp.offset}, {pp.v, wp - pp.offset}});
   bool settled_u = false, settled_v = false;
-  DijkstraExpandKernel(graph, sources, kInfDist, scratch, heap,
+  DijkstraExpandKernel(graph, *sources, kInfDist, scratch, heap,
                        [&](NodeId n, double d) {
                          // All later settles have distance >= d, so once d
                          // reaches `best` no candidate can improve it.
@@ -67,42 +67,90 @@ double PointNetworkDistanceImpl(const NetworkView& view, const Graph& graph,
   return best;
 }
 
+// Emits the points of one edge that lie within eps, in ascending id
+// order, each with the distance
+//   min(du + off, dv + (we - off))    [, |off - c.off| on c's own edge]
+// where du / dv are the settled distances of the edge's smaller / larger
+// endpoint (kInfDist when unreached). Offsets ascend along the edge, and
+// floating-point addition and subtraction are monotone, so each term's
+// "<= eps" set is contiguous: du + off a prefix, dv + (we - off) a
+// suffix, |off - c.off| a window. Binary search finds the three runs and
+// only their union is visited — the same set, in the same order, with
+// the same distances as testing every point on the edge.
+void EmitEdgeRange(const EdgePointSpan& pts, double du, double dv, double we,
+                   const PointPos* c, double eps,
+                   std::vector<RangeResult>* out) {
+  const double* off = pts.offsets;
+  const uint32_t n = pts.count;
+  auto index_of = [off](const double* it) {
+    return static_cast<uint32_t>(it - off);
+  };
+  struct Run {
+    uint32_t from, to;
+  };
+  Run runs[3] = {
+      {0, index_of(std::partition_point(
+              off, off + n, [&](double o) { return du + o <= eps; }))},
+      {0, 0},
+      {index_of(std::partition_point(
+           off, off + n, [&](double o) { return !(dv + (we - o) <= eps); })),
+       n},
+  };
+  if (c != nullptr) {
+    runs[1] = {index_of(std::partition_point(
+                   off, off + n,
+                   [&](double o) { return o - c->offset < -eps; })),
+               index_of(std::partition_point(
+                   off, off + n,
+                   [&](double o) { return o - c->offset <= eps; }))};
+    if (runs[2].from < runs[1].from) std::swap(runs[1], runs[2]);
+  }
+  // Runs ordered by start; `next` skips what an earlier run covered.
+  uint32_t next = 0;
+  for (const Run& r : runs) {
+    for (uint32_t i = std::max(r.from, next); i < r.to; ++i) {
+      double d = std::min(du + off[i], dv + (we - off[i]));
+      if (c != nullptr) d = std::min(d, std::fabs(off[i] - c->offset));
+      out->push_back(RangeResult{pts.first + i, d});
+    }
+    next = std::max(next, r.to);
+  }
+}
+
 // Second phase of RangeQuery, common to all overloads: inspect every
-// edge incident to a settled node and emit the points within eps. `c`
-// is the center point (its own edge also admits the direct distance),
-// or null when the expansion was sourced at a node.
+// edge incident to a node of the settle log `ws->settled` and emit the
+// points within eps. `c` is the center point (its own edge also admits
+// the direct distance), or null when the expansion was sourced at a
+// node. Each edge is inspected once: the center edge first, then every
+// other edge from whichever endpoint settled first — the endpoint
+// reached second finds its partner already stamped.
 template <typename Graph>
 void CollectRangePoints(const NetworkView& view, const Graph& graph,
                         const PointPos* c, double wc, double eps,
-                        const NodeScratch& scratch,
-                        const std::vector<std::pair<NodeId, double>>& settled,
+                        TraversalWorkspace* ws,
                         std::vector<RangeResult>* out) {
-  std::vector<EdgePoint> pts;
+  EdgePointReader reader(view, &graph);
+  const NodeScratch& scratch = ws->scratch;
   auto process_edge = [&](NodeId a, NodeId b, double we) {
-    view.GetEdgePoints(a, b, &pts);
+    EdgePointSpan pts = reader.Get(a, b);
     if (pts.empty()) return;
     NodeId u = std::min(a, b), v = std::max(a, b);
-    double du = scratch.Get(u);  // kInfDist when not reached within eps
-    double dv = scratch.Get(v);
     bool is_center_edge = c != nullptr && u == c->u && v == c->v;
-    for (const EdgePoint& ep : pts) {
-      double d = std::min(du + ep.offset, dv + (we - ep.offset));
-      if (is_center_edge) d = std::min(d, std::fabs(ep.offset - c->offset));
-      if (d <= eps) out->push_back(RangeResult{ep.id, d});
-    }
+    EmitEdgeRange(pts, scratch.Get(u), scratch.Get(v), we,
+                  is_center_edge ? c : nullptr, eps, out);
   };
 
-  std::unordered_set<uint64_t> seen_edges;
-  if (c != nullptr) {
-    seen_edges.insert(EdgeKeyOf(c->u, c->v));
-    process_edge(c->u, c->v, wc);
-  }
-  for (const auto& [n, d] : settled) {
+  if (ws->stamp.size() < scratch.size()) ws->stamp.resize(scratch.size(), 0);
+  const uint64_t epoch = ++ws->stamp_epoch;
+  uint64_t* stamp = ws->stamp.data();
+  if (c != nullptr) process_edge(c->u, c->v, wc);
+  for (const auto& [n, d] : ws->settled) {
     (void)d;
+    stamp[n] = epoch;
     VisitNeighbors(graph, n, [&](NodeId m, double we) {
-      if (seen_edges.insert(EdgeKeyOf(n, m)).second) {
-        process_edge(n, m, we);
-      }
+      if (stamp[m] == epoch) return;  // inspected when m settled
+      if (c != nullptr && EdgeKeyOf(n, m) == EdgeKeyOf(c->u, c->v)) return;
+      process_edge(n, m, we);
     });
   }
 }
@@ -117,15 +165,15 @@ void RangeQueryImpl(const NetworkView& view, const Graph& graph,
 
   ws->settled.clear();
   ws->cancel.triggered = false;
-  DijkstraExpandBounded(graph, {{c.u, c.offset}, {c.v, wc - c.offset}}, eps,
-                        ws, [&](NodeId n, double d) {
-                          ws->settled.emplace_back(n, d);
-                          return true;
-                        });
+  ws->sources.assign({{c.u, c.offset}, {c.v, wc - c.offset}});
+  DijkstraExpandBounded(graph, ws->sources, eps, ws, [&](NodeId n, double d) {
+    ws->settled.emplace_back(n, d);
+    return true;
+  });
   // A cancelled expansion settled only part of the region: the collection
   // phase would emit a silently incomplete (and wrong-distance) set.
   if (ws->cancel.triggered) return;
-  CollectRangePoints(view, graph, &c, wc, eps, ws->scratch, ws->settled, out);
+  CollectRangePoints(view, graph, &c, wc, eps, ws, out);
 }
 
 template <typename Graph>
@@ -147,8 +195,9 @@ void RangeQueryAccelImpl(const NetworkView& view, const Graph& graph,
   const double prune_cut = eps * (1.0 + 1e-9);
   ws->settled.clear();
   ws->cancel.triggered = false;
+  ws->sources.assign({{c.u, c.offset}, {c.v, wc - c.offset}});
   DijkstraExpandBounded(
-      graph, {{c.u, c.offset}, {c.v, wc - c.offset}}, bound, ws,
+      graph, ws->sources, bound, ws,
       [&](NodeId n, double d) {
         ws->settled.emplace_back(n, d);
         // Every point != center whose shortest path runs through n is at
@@ -160,7 +209,7 @@ void RangeQueryAccelImpl(const NetworkView& view, const Graph& graph,
         return SettleAction::kContinue;
       });
   if (ws->cancel.triggered) return;
-  CollectRangePoints(view, graph, &c, wc, eps, ws->scratch, ws->settled, out);
+  CollectRangePoints(view, graph, &c, wc, eps, ws, out);
   // Pruning changes the settle order, so canonicalize: emitted sets are
   // provably identical to the unaccelerated query, order is not.
   std::sort(out->begin(), out->end(),
@@ -201,22 +250,22 @@ void KNearestNeighborsImpl(const NetworkView& view, const Graph& graph,
     return *std::next(dists.begin(), k - 1);
   };
 
-  std::vector<EdgePoint> pts;
+  EdgePointReader reader(view, &graph);
   // Offers along an edge from a settled endpoint: every offered value is
   // a genuine path length, i.e. an upper bound on the point's distance.
   auto offer_edge = [&](NodeId from, NodeId to, double we, double dist) {
-    view.GetEdgePoints(from, to, &pts);
-    for (const EdgePoint& ep : pts) {
-      double dl = from < to ? ep.offset : we - ep.offset;
-      offer(ep.id, dist + dl);
+    EdgePointSpan pts = reader.Get(from, to);
+    for (uint32_t i = 0; i < pts.count; ++i) {
+      double dl = from < to ? pts.offsets[i] : we - pts.offsets[i];
+      offer(pts.first + i, dist + dl);
     }
   };
   // The center's own edge is reachable without any node: offer the
   // direct distances (via-node paths for these points arrive when the
   // endpoints settle below).
-  view.GetEdgePoints(c.u, c.v, &pts);
-  for (const EdgePoint& ep : pts) {
-    offer(ep.id, std::fabs(ep.offset - c.offset));
+  EdgePointSpan own = reader.Get(c.u, c.v);
+  for (uint32_t i = 0; i < own.count; ++i) {
+    offer(own.first + i, std::fabs(own.offsets[i] - c.offset));
   }
 
   // INE-style expansion: a point whose best offer has not arrived yet
@@ -280,28 +329,17 @@ void KNearestNeighborsImpl(const NetworkView& view, const Graph& graph,
 double PointNetworkDistance(const NetworkView& view, PointId p, PointId q,
                             NodeScratch* scratch) {
   std::vector<DijkstraHeapEntry> heap;
-  return PointNetworkDistanceImpl(view, view, p, q, scratch, &heap, nullptr);
+  std::vector<DijkstraSource> sources;
+  return PointNetworkDistanceImpl(view, view, p, q, scratch, &heap, &sources,
+                                  nullptr);
 }
 
 double PointNetworkDistance(const NetworkView& view, const FrozenGraph& frozen,
                             PointId p, PointId q, NodeScratch* scratch) {
   std::vector<DijkstraHeapEntry> heap;
-  return PointNetworkDistanceImpl(view, frozen, p, q, scratch, &heap, nullptr);
-}
-
-void RangeQuery(const NetworkView& view, PointId center, double eps,
-                NodeScratch* scratch, std::vector<RangeResult>* out) {
-  out->clear();
-  PointPos c = view.PointPosition(center);
-  double wc = view.EdgeWeight(c.u, c.v);
-
-  std::vector<std::pair<NodeId, double>> settled;
-  DijkstraExpandBounded(view, {{c.u, c.offset}, {c.v, wc - c.offset}}, eps,
-                        scratch, [&](NodeId n, double d) {
-                          settled.emplace_back(n, d);
-                          return true;
-                        });
-  CollectRangePoints(view, view, &c, wc, eps, *scratch, settled, out);
+  std::vector<DijkstraSource> sources;
+  return PointNetworkDistanceImpl(view, frozen, p, q, scratch, &heap,
+                                  &sources, nullptr);
 }
 
 void NodeRangeQuery(const NetworkView& view, const FrozenGraph& frozen,
@@ -310,14 +348,14 @@ void NodeRangeQuery(const NetworkView& view, const FrozenGraph& frozen,
   out->clear();
   ws->settled.clear();
   ws->cancel.triggered = false;
-  DijkstraExpandBounded(frozen, {{source, 0.0}}, radius, ws,
+  ws->sources.assign({{source, 0.0}});
+  DijkstraExpandBounded(frozen, ws->sources, radius, ws,
                         [&](NodeId n, double d) {
                           ws->settled.emplace_back(n, d);
                           return true;
                         });
   if (ws->cancel.triggered) return;
-  CollectRangePoints(view, frozen, nullptr, 0.0, radius, ws->scratch,
-                     ws->settled, out);
+  CollectRangePoints(view, frozen, nullptr, 0.0, radius, ws, out);
 }
 
 void RangeQuery(const NetworkView& view, PointId center, double eps,
@@ -393,7 +431,7 @@ double PointNetworkDistance(const NetworkView& view, PointId p, PointId q,
   ws->cancel.triggered = false;
   if (accel == nullptr) {
     return PointNetworkDistanceImpl(view, view, p, q, &ws->scratch, &ws->heap,
-                                    &ws->cancel);
+                                    &ws->sources, &ws->cancel);
   }
   if (p == q) return 0.0;
   double cached;
@@ -402,7 +440,7 @@ double PointNetworkDistance(const NetworkView& view, PointId p, PointId q,
   if (lb == kInfDist) return kInfDist;  // proven disconnected — exact
   if (lb > threshold) return lb;        // caller only branches on the cut
   double exact = PointNetworkDistanceImpl(view, view, p, q, &ws->scratch,
-                                          &ws->heap, &ws->cancel);
+                                          &ws->heap, &ws->sources, &ws->cancel);
   // A cancelled expansion yields a garbage partial value — never let it
   // poison the cache.
   if (!ws->cancel.triggered) accel->StoreDistance(p, q, exact);
@@ -416,7 +454,7 @@ double PointNetworkDistance(const NetworkView& view, const FrozenGraph& frozen,
   ws->cancel.triggered = false;
   if (accel == nullptr) {
     return PointNetworkDistanceImpl(view, frozen, p, q, &ws->scratch,
-                                    &ws->heap, &ws->cancel);
+                                    &ws->heap, &ws->sources, &ws->cancel);
   }
   if (p == q) return 0.0;
   double cached;
@@ -425,7 +463,8 @@ double PointNetworkDistance(const NetworkView& view, const FrozenGraph& frozen,
   if (lb == kInfDist) return kInfDist;  // proven disconnected — exact
   if (lb > threshold) return lb;        // caller only branches on the cut
   double exact = PointNetworkDistanceImpl(view, frozen, p, q, &ws->scratch,
-                                          &ws->heap, &ws->cancel);
+                                          &ws->heap, &ws->sources,
+                                          &ws->cancel);
   if (!ws->cancel.triggered) accel->StoreDistance(p, q, exact);
   return exact;
 }

@@ -42,8 +42,8 @@ double PointNetworkDistance(const NetworkView& view, PointId p, PointId q,
 
 /// Frozen-path variant: the traversal runs over `frozen` (a snapshot of
 /// `view`, see NetworkView::Freeze()) with no virtual dispatch in the
-/// inner loop; point positions still come from `view`. Bit-identical to
-/// the overload above.
+/// inner loop; point positions come from `view`. Bit-identical to the
+/// overload above.
 double PointNetworkDistance(const NetworkView& view, const FrozenGraph& frozen,
                             PointId p, PointId q, NodeScratch* scratch);
 
@@ -98,29 +98,36 @@ inline bool operator!=(const RangeResult& a, const RangeResult& b) {
 }
 
 /// Finds every point q with d(center, q) <= eps (including `center`
-/// itself). Expands the network around `center` up to distance eps and
-/// inspects only edges incident to reached nodes, so the cost is
-/// proportional to the region spanned by eps, not to |V| or N.
-/// Results are unordered.
-void RangeQuery(const NetworkView& view, PointId center, double eps,
-                NodeScratch* scratch, std::vector<RangeResult>* out);
-
-/// As above, reusing the workspace's heap and settle-log storage as well
-/// as its scratch — the zero-allocation steady state for algorithms that
-/// issue one range query per point (DBSCAN). One workspace per concurrent
-/// caller; lease them from a WorkspacePool under parallelism.
+/// itself). Expands the network around `center` up to distance eps, then
+/// inspects each edge incident to a reached node once. Within an edge
+/// the points are sorted by offset, so the in-range ones form at most
+/// three runs (reached from the smaller endpoint, from the larger one,
+/// and — on the center's own edge — directly), found by binary search.
+/// The cost is the expansion plus O(log c) per inspected edge holding c
+/// points plus one step per emitted point — the edges and points inside
+/// the eps region, never |V| or N. Results come in the order edges are
+/// inspected (the center edge, then settle order), ascending id within
+/// an edge.
+///
+/// The workspace's heap, settle log, seed list and stamps are reused, so
+/// once they and `out` have grown to the largest region seen, a query
+/// over a snapshot with a point layer allocates nothing — the steady
+/// state for algorithms that issue one range query per point (DBSCAN).
+/// One workspace per concurrent caller; lease them from a WorkspacePool
+/// under parallelism.
 void RangeQuery(const NetworkView& view, PointId center, double eps,
                 TraversalWorkspace* ws, std::vector<RangeResult>* out);
 
 /// Frozen-path variant: expansion and edge inspection run over the
-/// snapshot (point data still comes from `view`). Bit-identical results.
+/// snapshot, edge points come from its point layer (through `view` when
+/// it has none). Bit-identical results.
 void RangeQuery(const NetworkView& view, const FrozenGraph& frozen,
                 PointId center, double eps, TraversalWorkspace* ws,
                 std::vector<RangeResult>* out);
 
 /// Node-sourced variant over a snapshot: every point q whose network
-/// distance from node `source` is <= `radius`, with that distance.
-/// Results are unordered.
+/// distance from node `source` is <= `radius`, with that distance, in
+/// settle order. Same cost and allocation behavior as RangeQuery.
 void NodeRangeQuery(const NetworkView& view, const FrozenGraph& frozen,
                     NodeId source, double radius, TraversalWorkspace* ws,
                     std::vector<RangeResult>* out);
@@ -153,7 +160,8 @@ void KNearestNeighbors(const NetworkView& view, PointId center, uint32_t k,
                        NodeScratch* scratch, std::vector<RangeResult>* out);
 
 /// Frozen-path variant: the INE expansion runs over the snapshot's CSR
-/// arrays (point data still comes from `view`). Bit-identical results.
+/// arrays and reads edge points from its point layer. Bit-identical
+/// results.
 void KNearestNeighbors(const NetworkView& view, const FrozenGraph& frozen,
                        PointId center, uint32_t k, NodeScratch* scratch,
                        std::vector<RangeResult>* out);

@@ -17,6 +17,7 @@
 namespace netclus {
 
 class FrozenGraph;
+class InMemoryNetworkView;
 
 /// \brief Read-only access to a network and the points lying on it.
 class NetworkView {
@@ -56,10 +57,18 @@ class NetworkView {
   /// structure (see graph/frozen_graph.h). Neighbor order matches this
   /// view's iteration order, so traversals over the snapshot are
   /// bit-identical to traversals over the view. Works for any backend;
-  /// a disk-backed view pages its whole adjacency file once. Fails if
-  /// the view has recorded (or records during the scan) an I/O error.
-  /// Defined in frozen_graph.cc; callers include graph/frozen_graph.h.
+  /// a disk-backed view pages its whole adjacency file once, an
+  /// in-memory view is copied directly and also gets the snapshot's
+  /// point layer. Fails if the view has recorded (or records during the
+  /// scan) an I/O error. Defined in frozen_graph.cc; callers include
+  /// graph/frozen_graph.h.
   Result<FrozenGraph> Freeze() const;
+
+  /// This view as an InMemoryNetworkView, or null (the default) when its
+  /// data is not resident in memory. FrozenGraph reads the Network rows
+  /// and the PointSet straight through it; a view returning null keeps
+  /// every point read going through the accessors above.
+  virtual const InMemoryNetworkView* AsInMemory() const { return nullptr; }
 
   /// First I/O error the view has swallowed, or OK. The accessor methods
   /// above cannot report failures inline (algorithms consume them as pure

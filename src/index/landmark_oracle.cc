@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "graph/dijkstra.h"
+#include "graph/edge_points.h"
 #include "graph/frozen_graph.h"
 
 namespace netclus {
@@ -73,16 +74,22 @@ Result<LandmarkOracle> LandmarkOracle::Build(const NetworkView& view,
     }
   }
 
-  // Each point's position and edge weight, read once for all landmarks.
+  // Each point's position and edge weight, read once for all landmarks
+  // in one pass over the point groups (the snapshot's point layer when
+  // it has one).
   const PointId num_points = oracle.num_points_;
   std::vector<PointPos> pos(num_points);
   std::vector<double> edge_w(num_points);
-  for (PointId p = 0; p < num_points; ++p) {
-    pos[p] = view.PointPosition(p);
-    edge_w[p] = frozen != nullptr ? frozen->EdgeWeight(pos[p].u, pos[p].v)
-                                  : view.EdgeWeight(pos[p].u, pos[p].v);
-    NETCLUS_CHECK_GE(edge_w[p], 0.0) << "point " << p << " on missing edge";
-  }
+  EdgePointReader reader(view, frozen);
+  reader.ForEachGroup([&](NodeId u, NodeId v, double w,
+                          const EdgePointSpan& pts) {
+    NETCLUS_CHECK_GE(w, 0.0) << "points on missing edge {" << u << ", " << v
+                             << "}";
+    for (uint32_t i = 0; i < pts.count; ++i) {
+      pos[pts.first + i] = PointPos{u, v, pts.offsets[i]};
+      edge_w[pts.first + i] = w;
+    }
+  });
 
   // Phase 2 (parallel over landmarks): convert node distances into exact
   // point distances. Each row is an independent per-index output slot,

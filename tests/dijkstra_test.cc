@@ -205,12 +205,12 @@ TEST(RangeQueryTest, FindsExactlyPointsWithinEps) {
     Result<PointSet> ps = GenerateUniformPoints(g.net, 60, seed);
     ASSERT_TRUE(ps.ok());
     InMemoryNetworkView view(g.net, ps.value());
-    NodeScratch scratch(g.net.num_nodes());
+    TraversalWorkspace ws(g.net.num_nodes());
     auto pd = BrutePointDistanceMatrix(g.net, ps.value());
     for (PointId center = 0; center < 60; center += 7) {
       for (double eps : {0.5, 1.5, 4.0}) {
         std::vector<RangeResult> got;
-        RangeQuery(view, center, eps, &scratch, &got);
+        RangeQuery(view, center, eps, &ws, &got);
         std::vector<PointId> got_ids;
         for (const RangeResult& r : got) {
           got_ids.push_back(r.id);
@@ -398,9 +398,9 @@ TEST(RangeQueryTest, CenterAlwaysIncluded) {
   b.Add(0, 1, 50.0, 0);
   PointSet ps = std::move(std::move(b).Build(net)).value();
   InMemoryNetworkView view(net, ps);
-  NodeScratch scratch(3);
+  TraversalWorkspace ws(3);
   std::vector<RangeResult> got;
-  RangeQuery(view, 0, 0.001, &scratch, &got);  // eps smaller than any gap
+  RangeQuery(view, 0, 0.001, &ws, &got);  // eps smaller than any gap
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].id, 0u);
   EXPECT_DOUBLE_EQ(got[0].dist, 0.0);

@@ -1,27 +1,83 @@
 // Tests for the FrozenGraph CSR snapshot (src/graph/frozen_graph.*):
 // neighbor-sequence equality with the source view on random networks,
 // Freeze() on both view implementations (in-memory and disk-backed),
-// edge-weight and point-range lookups, the validator's rejection of a
-// corrupted snapshot, identical Dijkstra traversal counters over view
-// and snapshot, and snapshot ownership across Network mutation. The
+// edge-weight and point-range lookups, the point layer (a faithful copy
+// of the PointSet, audited by the validator and BitIdenticalTo), the
+// validator's rejection of a corrupted snapshot, identical Dijkstra
+// traversal counters over view and snapshot, snapshot ownership across
+// Network mutation, and the point kernels (range, accelerated range,
+// node range, k-NN) over the point layer against the live view and a
+// full-scan reference — including a steady-state allocation count. The
 // per-algorithm frozen-vs-live bit-identity checks live in
 // tests/compat/legacy_api_test.cc (they exercise the deprecated
 // per-algorithm entry points).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "core/optics.h"
 #include "core/validate.h"
 #include "gen/network_gen.h"
 #include "gen/workload_gen.h"
 #include "graph/dijkstra.h"
 #include "graph/frozen_graph.h"
+#include "graph/network_distance.h"
 #include "graph/network_store.h"
+#include "index/distance_index.h"
 #include "netclus.h"
+
+// Allocation counting for the steady-state test: every global operator
+// new bumps the counter while `g_count_allocations` is set. All the
+// unaligned forms are replaced together, so each allocation is released
+// by its own pair (sanitizer runtimes check that).
+namespace {
+bool g_count_allocations = false;
+size_t g_allocations = 0;
+
+void* CountedMalloc(std::size_t size) noexcept {
+  if (g_count_allocations) ++g_allocations;
+  return std::malloc(size == 0 ? 1 : size);
+}
+}  // namespace
+
+// GCC cannot see that these operator news are the malloc behind the free.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void* operator new(std::size_t size) {
+  if (void* p = CountedMalloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) {
+  if (void* p = CountedMalloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedMalloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedMalloc(size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace netclus {
 namespace {
@@ -130,6 +186,61 @@ TEST(FrozenGraphTest, FreezeOnDiskViewMatchesInMemoryFreeze) {
   ExpectSameNeighborSequences(*s.view, disk_frozen.value());
   EXPECT_TRUE(
       ValidateFrozenGraph(bundle->view(), disk_frozen.value()).ok());
+  // Disk-resident points stay behind the buffer: no point layer.
+  EXPECT_FALSE(disk_frozen.value().has_point_layer());
+  EXPECT_TRUE(disk_frozen.value().point_offsets().empty());
+  EXPECT_EQ(disk_frozen.value().point_layer_bytes(), 0u);
+}
+
+TEST(FrozenGraphTest, PointLayerCopiesPointSet) {
+  Scenario s(100, 260, 33);
+  ASSERT_TRUE(s.frozen.has_point_layer());
+  const std::vector<double>& offsets = s.frozen.point_offsets();
+  ASSERT_EQ(offsets.size(), s.points.size());
+  for (PointId p = 0; p < s.points.size(); ++p) {
+    EXPECT_EQ(offsets[p], s.points.offset(p)) << "point " << p;
+  }
+  const std::vector<FrozenGraph::PointGroup>& groups =
+      s.frozen.point_groups();
+  ASSERT_EQ(groups.size(), s.points.num_groups());
+  for (size_t i = 0; i < groups.size(); ++i) {
+    const PointSet::Group& g = s.points.group(i);
+    EXPECT_EQ(groups[i].u, g.u);
+    EXPECT_EQ(groups[i].v, g.v);
+    EXPECT_EQ(groups[i].first, g.first);
+    EXPECT_EQ(groups[i].count, g.count);
+    EXPECT_EQ(groups[i].weight, s.gen.net.EdgeWeight(g.u, g.v));
+  }
+  EXPECT_EQ(s.frozen.point_layer_bytes(),
+            offsets.size() * sizeof(double) +
+                groups.size() * sizeof(FrozenGraph::PointGroup));
+}
+
+TEST(FrozenGraphTest, ValidatorRejectsCorruptedPointOffset) {
+  Scenario s(110, 130, 53);
+  ASSERT_TRUE(s.frozen.has_point_layer());
+  const PointId p = s.points.size() / 2;
+  s.frozen.CorruptPointOffsetForTest(p, s.points.offset(p) + 0.125);
+  Status st = ValidateFrozenGraph(*s.view, s.frozen);
+  EXPECT_FALSE(st.ok());
+  EXPECT_TRUE(st.IsInternal()) << st.ToString();
+  EXPECT_NE(st.ToString().find("point " + std::to_string(p)),
+            std::string::npos)
+      << st.ToString();
+}
+
+// The incremental-publish oracle compares snapshots with BitIdenticalTo;
+// a mis-copied point layer must fail it.
+TEST(FrozenGraphTest, BitIdenticalToComparesPointLayer) {
+  Scenario s(90, 150, 54);
+  FrozenGraph again = FrozenGraph::Materialize(*s.view);
+  EXPECT_TRUE(again.BitIdenticalTo(s.frozen));
+  // An all-clean incremental rebuild re-copies the layer identically.
+  std::vector<char> clean(s.view->num_nodes(), 0);
+  EXPECT_TRUE(FrozenGraph::MaterializeIncremental(*s.view, s.frozen, clean)
+                  .BitIdenticalTo(s.frozen));
+  again.CorruptPointOffsetForTest(0, s.points.offset(0) + 1.0);
+  EXPECT_FALSE(again.BitIdenticalTo(s.frozen));
 }
 
 TEST(FrozenGraphTest, ValidatorAcceptsFaithfulSnapshot) {
@@ -250,6 +361,255 @@ TEST_F(FrozenRunFixture, RunClusteringValidatesSnapshotForAllAlgorithms) {
     EXPECT_TRUE(out.ok()) << AlgorithmName(a) << ": "
                           << out.status().ToString();
   }
+}
+
+// ---------------------------------------------------------------------
+// Point kernels over the point layer vs the live view.
+
+// Forwards every accessor to an in-memory view without exposing it as
+// one, so its snapshot carries no point layer and every kernel reads
+// points through GetEdgePoints — over the very same CSR rows.
+class LayerlessView final : public NetworkView {
+ public:
+  explicit LayerlessView(const NetworkView& inner) : inner_(inner) {}
+  NodeId num_nodes() const override { return inner_.num_nodes(); }
+  PointId num_points() const override { return inner_.num_points(); }
+  void ForEachNeighbor(
+      NodeId n,
+      const std::function<void(NodeId, double)>& fn) const override {
+    inner_.ForEachNeighbor(n, fn);
+  }
+  double EdgeWeight(NodeId a, NodeId b) const override {
+    return inner_.EdgeWeight(a, b);
+  }
+  PointPos PointPosition(PointId p) const override {
+    return inner_.PointPosition(p);
+  }
+  void GetEdgePoints(NodeId a, NodeId b,
+                     std::vector<EdgePoint>* out) const override {
+    inner_.GetEdgePoints(a, b, out);
+  }
+  void ForEachPointGroup(
+      const std::function<void(NodeId, NodeId, PointId, uint32_t)>& fn)
+      const override {
+    inner_.ForEachPointGroup(fn);
+  }
+
+ private:
+  const NetworkView& inner_;
+};
+
+// The range-query semantics spelled out point by point: exact distances
+// from `sources` to every node, then every point of the network tested
+// with the kernel's distance expression. Ascending id order.
+std::vector<RangeResult> FullScanRange(const NetworkView& view,
+                                       const std::vector<DijkstraSource>& src,
+                                       const PointPos* center, double eps) {
+  TraversalWorkspace ws(view.num_nodes());
+  DijkstraDistances(view, src, &ws);
+  std::vector<RangeResult> out;
+  for (PointId p = 0; p < view.num_points(); ++p) {
+    PointPos pos = view.PointPosition(p);
+    double w = view.EdgeWeight(pos.u, pos.v);
+    double d = std::min(ws.scratch.Get(pos.u) + pos.offset,
+                        ws.scratch.Get(pos.v) + (w - pos.offset));
+    if (center != nullptr && center->u == pos.u && center->v == pos.v) {
+      d = std::min(d, std::fabs(pos.offset - center->offset));
+    }
+    if (d <= eps) out.push_back(RangeResult{p, d});
+  }
+  return out;
+}
+
+std::vector<RangeResult> SortedById(std::vector<RangeResult> v) {
+  std::sort(v.begin(), v.end(),
+            [](const RangeResult& a, const RangeResult& b) {
+              return a.id < b.id;
+            });
+  return v;
+}
+
+// One world, three snapshots' worth of kernels: the live view, the
+// snapshot with its point layer, and a layerless snapshot of the same
+// view. Every kernel must emit the identical (id, dist) sequence — same
+// order, distances compared bitwise — and match the full-scan reference.
+void ExpectKernelsMatchLiveView(const Network& net, const PointSet& points,
+                                const std::vector<double>& radii,
+                                PointId center_stride) {
+  InMemoryNetworkView view(net, points);
+  FrozenGraph frozen = std::move(view.Freeze()).value();
+  ASSERT_TRUE(frozen.has_point_layer());
+  LayerlessView layerless(view);
+  FrozenGraph plain = std::move(layerless.Freeze()).value();
+  ASSERT_FALSE(plain.has_point_layer());
+  ASSERT_TRUE(plain.BitIdenticalTo(plain));
+
+  IndexOptions io;
+  io.num_landmarks = 4;
+  io.num_threads = 1;
+  std::unique_ptr<DistanceIndex> index =
+      std::move(DistanceIndex::Build(view, io, nullptr, &frozen).value());
+
+  TraversalWorkspace ws(view.num_nodes());
+  std::vector<RangeResult> live, fast, other;
+  size_t emitted = 0;
+  for (PointId p = 0; p < points.size(); p += center_stride) {
+    const PointPos c = points.position(p);
+    const double wc = net.EdgeWeight(c.u, c.v);
+    for (double eps : radii) {
+      SCOPED_TRACE("center " + std::to_string(p) + " eps " +
+                   std::to_string(eps));
+      RangeQuery(view, p, eps, &ws, &live);
+      RangeQuery(view, frozen, p, eps, &ws, &fast);
+      EXPECT_EQ(fast, live);
+      RangeQuery(layerless, plain, p, eps, &ws, &other);
+      EXPECT_EQ(other, live);
+      EXPECT_EQ(SortedById(fast),
+                FullScanRange(view, {{c.u, c.offset}, {c.v, wc - c.offset}},
+                              &c, eps));
+      emitted += fast.size();
+
+      // Accelerated: id-sorted, identical across substrates.
+      RangeQuery(view, p, eps, &ws, index.get(), &live);
+      RangeQuery(view, frozen, p, eps, &ws, index.get(), &fast);
+      EXPECT_EQ(fast, live);
+      EXPECT_EQ(fast, SortedById(other));
+
+      // Node-sourced, from either endpoint of the center's edge.
+      for (NodeId n : {c.u, c.v}) {
+        NodeRangeQuery(view, frozen, n, eps, &ws, &fast);
+        NodeRangeQuery(layerless, plain, n, eps, &ws, &other);
+        EXPECT_EQ(fast, other);
+        EXPECT_EQ(SortedById(fast),
+                  FullScanRange(view, {{n, 0.0}}, nullptr, eps));
+      }
+    }
+    for (uint32_t k : {1u, 3u, 10u}) {
+      KNearestNeighbors(view, p, k, &ws, &live);
+      KNearestNeighbors(view, frozen, p, k, &ws, &fast);
+      EXPECT_EQ(fast, live) << "center " << p << " k " << k;
+      KNearestNeighbors(layerless, plain, p, k, &ws, &other);
+      EXPECT_EQ(other, live) << "center " << p << " k " << k;
+    }
+  }
+  EXPECT_GT(emitted, 0u);
+}
+
+// A grid with weights in {1, 2, 3}: equal-length paths everywhere, so
+// settle order is decided by distance ties. Points sit at half-integer
+// offsets with duplicates, and at both ends of edges (offset 0 and
+// offset w), so integer radii put points exactly at eps.
+struct TieWorld {
+  Network net;
+  PointSet points;
+};
+
+TieWorld MakeTieWorld(uint64_t seed) {
+  const NodeId side = 6;
+  TieWorld w{Network(side * side), PointSet()};
+  Rng rng(seed);
+  for (NodeId r = 0; r < side; ++r) {
+    for (NodeId c = 0; c < side; ++c) {
+      const NodeId n = r * side + c;
+      if (c + 1 < side) {
+        EXPECT_TRUE(w.net.AddEdge(n, n + 1, 1.0 + rng.NextBounded(3)).ok());
+      }
+      if (r + 1 < side) {
+        EXPECT_TRUE(
+            w.net.AddEdge(n, n + side, 1.0 + rng.NextBounded(3)).ok());
+      }
+    }
+  }
+  PointSetBuilder b;
+  for (const Edge& e : w.net.Edges()) {
+    if (rng.NextBounded(4) == 0) continue;  // some edges hold no points
+    const uint64_t halves = static_cast<uint64_t>(2.0 * e.weight);
+    const uint64_t count = 1 + rng.NextBounded(6);
+    for (uint64_t i = 0; i < count; ++i) {
+      b.Add(e.u, e.v, 0.5 * static_cast<double>(rng.NextBounded(halves + 1)),
+            -1);
+    }
+    if (rng.NextBounded(3) == 0) b.Add(e.u, e.v, 0.0, -1);
+    if (rng.NextBounded(3) == 0) b.Add(e.u, e.v, e.weight, -1);
+  }
+  w.points = std::move(std::move(b).Build(w.net)).value();
+  return w;
+}
+
+TEST(FrozenKernelTest, MatchesLiveViewOnIntegerWeightsWithTies) {
+  for (uint64_t seed : {3u, 4u, 5u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    TieWorld w = MakeTieWorld(seed);
+    ExpectKernelsMatchLiveView(w.net, w.points, {0.5, 1.0, 2.0, 3.0, 5.0},
+                               1);
+  }
+}
+
+// Centers at offset 0 and offset w, duplicate offsets, points exactly
+// at eps along the center's own edge and across the node.
+TEST(FrozenKernelTest, MatchesLiveViewAtEdgeEndsAndDuplicates) {
+  Network net(3);
+  ASSERT_TRUE(net.AddEdge(0, 1, 4.0).ok());
+  ASSERT_TRUE(net.AddEdge(1, 2, 2.0).ok());
+  PointSetBuilder b;
+  for (double off : {0.0, 1.0, 1.0, 2.0, 3.0, 4.0, 4.0}) b.Add(0, 1, off, -1);
+  for (double off : {0.0, 1.0, 2.0, 2.0}) b.Add(1, 2, off, -1);
+  PointSet points = std::move(std::move(b).Build(net)).value();
+  ExpectKernelsMatchLiveView(net, points, {0.5, 1.0, 2.0, 3.0, 4.0, 6.0}, 1);
+}
+
+// The paper's clustered workload, dense enough that point-bearing edges
+// hold dozens of points each — the case the windowed scan is for.
+TEST(FrozenKernelTest, MatchesLiveViewOnDenseClusteredEdges) {
+  GeneratedNetwork gen = GenerateRoadNetwork({60, 1.3, 0.3, 81});
+  double total_weight = 0.0;
+  for (const Edge& e : gen.net.Edges()) total_weight += e.weight;
+  ClusterWorkloadSpec spec;
+  spec.total_points = 1500;
+  spec.num_clusters = 3;
+  spec.s_init = 0.06 * total_weight / (3.0 * spec.total_points);
+  spec.seed = 82;
+  GeneratedWorkload wl =
+      std::move(GenerateClusteredPoints(gen.net, spec)).value();
+  size_t max_count = 0;
+  for (size_t i = 0; i < wl.points.num_groups(); ++i) {
+    max_count = std::max<size_t>(max_count, wl.points.group(i).count);
+  }
+  ASSERT_GE(wl.points.size() / wl.points.num_groups(), 12u);
+  ASSERT_GE(max_count, 48u);
+  const double gap = wl.max_intra_gap;
+  ExpectKernelsMatchLiveView(gen.net, wl.points, {gap, 3.0 * gap, 10.0 * gap},
+                             37);
+}
+
+// Once the workspace and the output vector have grown to the largest
+// region seen, a range query over a snapshot with a point layer
+// allocates nothing.
+TEST(FrozenKernelTest, RangeQuerySteadyStateAllocatesNothing) {
+  Scenario s(200, 600, 91);
+  ASSERT_TRUE(s.frozen.has_point_layer());
+  TraversalWorkspace ws(s.view->num_nodes());
+  std::vector<RangeResult> out;
+  const double eps = 2.5;
+  auto run_all = [&] {
+    size_t emitted = 0;
+    for (PointId p = 0; p < s.points.size(); ++p) {
+      RangeQuery(*s.view, s.frozen, p, eps, &ws, &out);
+      emitted += out.size();
+      NodeRangeQuery(*s.view, s.frozen, s.points.position(p).u, eps, &ws,
+                     &out);
+      emitted += out.size();
+    }
+    return emitted;
+  };
+  const size_t warm = run_all();  // grows every buffer to its peak
+  g_allocations = 0;
+  g_count_allocations = true;
+  const size_t steady = run_all();
+  g_count_allocations = false;
+  EXPECT_EQ(steady, warm);
+  EXPECT_GT(steady, 0u);
+  EXPECT_EQ(g_allocations, 0u);
 }
 
 }  // namespace

@@ -159,7 +159,7 @@ TEST(WorkloadGenTest, ClustersAreEpsConnectedAtMaxGap) {
   GeneratedWorkload w =
       std::move(GenerateClusteredPoints(g.net, spec).value());
   InMemoryNetworkView view(g.net, w.points);
-  NodeScratch scratch(g.net.num_nodes());
+  TraversalWorkspace ws(g.net.num_nodes());
   // Check connectivity within each label via a union-find over pairs
   // within max_intra_gap.
   for (int label = 0; label < 3; ++label) {
@@ -176,7 +176,7 @@ TEST(WorkloadGenTest, ClustersAreEpsConnectedAtMaxGap) {
       PointId p = frontier.back();
       frontier.pop_back();
       std::vector<RangeResult> nbrs;
-      RangeQuery(view, p, w.max_intra_gap * (1.0 + 1e-9), &scratch, &nbrs);
+      RangeQuery(view, p, w.max_intra_gap * (1.0 + 1e-9), &ws, &nbrs);
       for (const RangeResult& r : nbrs) {
         auto it = remaining.find(r.id);
         if (it != remaining.end()) {

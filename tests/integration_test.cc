@@ -192,13 +192,13 @@ TEST(IntegrationTest, DiskAndMemoryQueriesIdentical) {
   // The query primitives (k-NN, range, OPTICS) must also be storage-
   // agnostic.
   Pipeline p = MakePipeline(300, 800, 4, 1010);
-  NodeScratch mem_scratch(p.gen.net.num_nodes());
-  NodeScratch disk_scratch(p.gen.net.num_nodes());
+  TraversalWorkspace mem_ws(p.gen.net.num_nodes());
+  TraversalWorkspace disk_ws(p.gen.net.num_nodes());
   double eps = p.workload.max_intra_gap;
   for (PointId q = 0; q < 800; q += 97) {
     std::vector<RangeResult> a, b;
-    RangeQuery(*p.mem_view, q, eps, &mem_scratch, &a);
-    RangeQuery(p.disk->view(), q, eps, &disk_scratch, &b);
+    RangeQuery(*p.mem_view, q, eps, &mem_ws, &a);
+    RangeQuery(p.disk->view(), q, eps, &disk_ws, &b);
     auto by_id = [](const RangeResult& x, const RangeResult& y) {
       return x.id < y.id;
     };
@@ -209,8 +209,8 @@ TEST(IntegrationTest, DiskAndMemoryQueriesIdentical) {
       ASSERT_EQ(a[i].id, b[i].id);
       ASSERT_DOUBLE_EQ(a[i].dist, b[i].dist);
     }
-    KNearestNeighbors(*p.mem_view, q, 7, &mem_scratch, &a);
-    KNearestNeighbors(p.disk->view(), q, 7, &disk_scratch, &b);
+    KNearestNeighbors(*p.mem_view, q, 7, &mem_ws, &a);
+    KNearestNeighbors(p.disk->view(), q, 7, &disk_ws, &b);
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
       ASSERT_EQ(a[i].id, b[i].id);
