@@ -207,6 +207,13 @@ void PrintRow(const std::vector<std::string>& cells, int width) {
   std::printf("\n");
 }
 
+double Percentile(std::vector<double> v, double p) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  size_t idx = static_cast<size_t>(p * static_cast<double>(v.size() - 1));
+  return v[idx];
+}
+
 std::string Fmt(double x, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, x);

@@ -149,6 +149,10 @@ class BenchRecorder {
 /// Prints a row of fixed-width columns to stdout.
 void PrintRow(const std::vector<std::string>& cells, int width = 14);
 
+/// The sample at rank floor(p * (n - 1)) of `v` sorted ascending (p in
+/// [0, 1]); 0 when `v` is empty.
+double Percentile(std::vector<double> v, double p);
+
 /// Formats a double with `digits` decimals.
 std::string Fmt(double x, int digits = 3);
 

@@ -34,13 +34,6 @@ namespace {
 constexpr int kRequests = 1200;
 constexpr int kClients = 4;
 
-double Percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  size_t idx = static_cast<size_t>(p * static_cast<double>(v.size() - 1));
-  return v[idx];
-}
-
 std::vector<QueryRequest> MakeWorkload(PointId n_points, double eps,
                                        uint64_t seed) {
   std::vector<QueryRequest> reqs;

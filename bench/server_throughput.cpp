@@ -10,13 +10,16 @@
 // OPEN-LOOP pressure probe floods admission control — that probe alone
 // feeds rejection_rate, reported separately from accepted_qps in
 // BENCH_server.json, alongside deadline_miss_rate (shed + cancelled
-// over completed) per worker count. Two final probes measure mean
+// over completed) per worker count. Three final probes measure mean
 // publish latency with incremental publish off vs on: a sparse-mutation
-// world (incremental/full ratio gated below 0.9) and a world serving an
+// world (incremental/full ratio gated below 0.9), a world serving an
 // ε-Link cluster_spec with about one point per node, where every
-// publish also re-clusters (ratio gated below 0.5). BENCH_server.json
-// is a per-PR history (one {sha, date, entries} row per run), not a
-// snapshot.
+// publish also re-clusters (ratio gated below 0.5), and the same 20k
+// points with no cluster_spec and one AddPoint per publish, where the
+// PointSet merge is the work (ratio gated below 0.5). Each probe also
+// prints the mean PointSet, CSR and re-cluster stage times of both
+// legs. BENCH_server.json is a per-PR history (one {sha, date, entries}
+// row per run), not a snapshot.
 // Wired into `run_all.sh bench-smoke` and `run_all.sh server-smoke`.
 //
 // Gate: throughput must scale from 1 to 4 workers. The bar is
@@ -54,13 +57,6 @@ namespace {
 
 constexpr int kRequests = 1500;
 constexpr int kReps = 3;
-
-double Percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  size_t idx = static_cast<size_t>(p * static_cast<double>(v.size() - 1));
-  return v[idx];
-}
 
 std::vector<QueryRequest> MakeWorkload(PointId n_points, double eps) {
   std::vector<QueryRequest> reqs;
@@ -102,27 +98,36 @@ struct RunResult {
 };
 
 // Publish latency, incremental publish off vs on, over a 20k-node
-// network. Sparse leg: few points and one AddEdge per publish, so
-// almost every CSR row of the next epoch is untouched — full rebuilds
+// network. Edge leg: few points and one AddEdge per publish, so almost
+// every CSR row of the next epoch is untouched — full rebuilds
 // re-materialize the whole graph each time, the incremental path
 // splices the two dirty rows and copies the rest (gated: ratio < 0.9).
 // Re-cluster leg: about one point per node and an ε-Link cluster_spec
 // (eps half the mean edge weight), two AddPoints then one AddEdge per
 // three publishes — the full path re-runs RunClustering every epoch,
 // the incremental one merges only the new links (gated: ratio < 0.5).
-// Reported as publish_full_ms / publish_incremental_ms / publish_ratio
-// in BENCH_server.json.
-struct PublishLatency {
-  double full_ms = 0.0;
-  double incremental_ms = 0.0;
-  uint64_t publishes = 0;
+// Point leg: the same 20k points, no cluster_spec, one AddPoint per
+// publish — the full path sorts every point into a fresh PointSet, the
+// incremental one merges the new point into the last epoch's (gated:
+// ratio < 0.5). Reported as publish_full_ms / publish_incremental_ms /
+// publish_ratio plus the per-stage means in BENCH_server.json.
+enum class PublishLeg { kEdges, kRecluster, kPoints };
 
+// The stats of the full-publish server and of the incremental one.
+struct PublishLatency {
+  ServerStats full;
+  ServerStats incremental;
+
+  double full_ms() const { return full.mean_publish_full_ms; }
+  double incremental_ms() const {
+    return incremental.mean_publish_incremental_ms;
+  }
   double ratio() const {
-    return full_ms > 0.0 ? incremental_ms / full_ms : 1.0;
+    return full_ms() > 0.0 ? incremental_ms() / full_ms() : 1.0;
   }
 };
 
-PublishLatency MeasurePublishLatency(PointId num_points, bool recluster) {
+PublishLatency MeasurePublishLatency(PointId num_points, PublishLeg leg) {
   GeneratedNetwork gen = GenerateRoadNetwork({20000, 1.3, 0.3, 91});
   PointSet points =
       std::move(GenerateUniformPoints(gen.net, num_points, 92)).value();
@@ -131,11 +136,13 @@ PublishLatency MeasurePublishLatency(PointId num_points, bool recluster) {
   for (const Edge& e : edges) mean_edge += e.weight;
   mean_edge /= static_cast<double>(edges.size());
   const double eps = 0.5 * mean_edge;
-  std::printf(
-      "publish-latency: %u nodes, %zu edges, %u points, %s\n",
-      gen.net.num_nodes(), gen.net.num_edges(), points.size(),
-      recluster ? "eps-link re-cluster, point and edge mutations"
-                : "one edge mutation per publish");
+  const bool recluster = leg == PublishLeg::kRecluster;
+  const char* what[] = {"one edge mutation per publish",
+                        "eps-link re-cluster, point and edge mutations",
+                        "one point mutation per publish, no cluster spec"};
+  std::printf("publish-latency: %u nodes, %zu edges, %u points, %s\n",
+              gen.net.num_nodes(), gen.net.num_edges(), points.size(),
+              what[static_cast<int>(leg)]);
 
   constexpr int kPublishes = 9;
   PublishLatency out;
@@ -148,7 +155,7 @@ PublishLatency MeasurePublishLatency(PointId num_points, bool recluster) {
         std::move(QueryServer::Start(gen.net, points, opts).value());
     Rng rng(93);
     for (int i = 0; i < kPublishes; ++i) {
-      if (recluster && i % 3 != 2) {
+      if (leg == PublishLeg::kPoints || (recluster && i % 3 != 2)) {
         const Edge& e = edges[rng.NextBounded(edges.size())];
         Status added = server->ApplyUpdate(
             NetworkUpdate::AddPoint(e.u, e.v, rng.NextDouble() * e.weight));
@@ -183,9 +190,8 @@ PublishLatency MeasurePublishLatency(PointId num_points, bool recluster) {
       }
     }
     ServerStats stats = server->stats();
+    (incremental ? out.incremental : out.full) = stats;
     if (incremental) {
-      out.incremental_ms = stats.mean_publish_incremental_ms;
-      out.publishes = stats.publishes_incremental;
       const uint64_t reclusters = recluster ? kPublishes : 0;
       if (stats.publishes_incremental != kPublishes ||
           stats.reclusters_incremental != reclusters) {
@@ -199,11 +205,38 @@ PublishLatency MeasurePublishLatency(PointId num_points, bool recluster) {
                          stats.reclusters_incremental));
         std::exit(1);
       }
-    } else {
-      out.full_ms = stats.mean_publish_full_ms;
     }
   }
+  std::printf(
+      "  stages full / incremental: points %.3f / %.3f ms, csr %.3f / "
+      "%.3f ms, re-cluster %.3f / %.3f ms\n",
+      out.full.mean_publish_points_ms, out.incremental.mean_publish_points_ms,
+      out.full.mean_publish_splice_ms, out.incremental.mean_publish_splice_ms,
+      out.full.mean_recluster_ms, out.incremental.mean_recluster_ms);
   return out;
+}
+
+// Prints one publish-latency probe's verdict line and records it in
+// BENCH_server.json.
+void ReportPublishLatency(BenchRecorder* rec, const std::string& bench,
+                          const char* label, const PublishLatency& pub,
+                          double gate) {
+  std::printf(
+      "%s: full %.3f ms, incremental %.3f ms over %llu publishes (ratio "
+      "%.2f, gate < %.1f)\n",
+      label, pub.full_ms(), pub.incremental_ms(),
+      static_cast<unsigned long long>(pub.incremental.publishes_incremental),
+      pub.ratio(), gate);
+  rec->Add(bench, {pub.incremental_ms() * 1e-3}, TraversalCounters{},
+           {{"publish_full_ms", pub.full_ms()},
+            {"publish_incremental_ms", pub.incremental_ms()},
+            {"publish_ratio", pub.ratio()},
+            {"points_full_ms", pub.full.mean_publish_points_ms},
+            {"points_incremental_ms", pub.incremental.mean_publish_points_ms},
+            {"splice_full_ms", pub.full.mean_publish_splice_ms},
+            {"splice_incremental_ms", pub.incremental.mean_publish_splice_ms},
+            {"recluster_full_ms", pub.full.mean_recluster_ms},
+            {"recluster_incremental_ms", pub.incremental.mean_recluster_ms}});
 }
 
 RunResult RunAtWorkers(const Network& net, const PointSet& points,
@@ -342,30 +375,18 @@ int main() {
              {"workers", static_cast<double>(workers)}});
   }
 
-  PublishLatency pub = MeasurePublishLatency(64, /*recluster=*/false);
+  const PublishLatency pub = MeasurePublishLatency(64, PublishLeg::kEdges);
+  ReportPublishLatency(&rec, "publish_latency", "publish latency", pub, 0.9);
+  const PublishLatency rc =
+      MeasurePublishLatency(20000, PublishLeg::kRecluster);
+  ReportPublishLatency(&rec, "publish_latency_recluster",
+                       "publish latency with re-cluster", rc, 0.5);
+  const PublishLatency pt = MeasurePublishLatency(20000, PublishLeg::kPoints);
+  ReportPublishLatency(&rec, "publish_latency_points",
+                       "publish latency, points only", pt, 0.5);
   const double pub_ratio = pub.ratio();
-  std::printf(
-      "publish latency: full %.3f ms, incremental %.3f ms over %llu "
-      "publishes (ratio %.2f, gate < 0.9)\n",
-      pub.full_ms, pub.incremental_ms,
-      static_cast<unsigned long long>(pub.publishes), pub_ratio);
-  rec.Add("publish_latency", {pub.incremental_ms * 1e-3},
-          TraversalCounters{},
-          {{"publish_full_ms", pub.full_ms},
-           {"publish_incremental_ms", pub.incremental_ms},
-           {"publish_ratio", pub_ratio}});
-  PublishLatency rc = MeasurePublishLatency(20000, /*recluster=*/true);
   const double rc_ratio = rc.ratio();
-  std::printf(
-      "publish latency with re-cluster: full %.3f ms, incremental %.3f ms "
-      "over %llu publishes (ratio %.2f, gate < 0.5)\n",
-      rc.full_ms, rc.incremental_ms,
-      static_cast<unsigned long long>(rc.publishes), rc_ratio);
-  rec.Add("publish_latency_recluster", {rc.incremental_ms * 1e-3},
-          TraversalCounters{},
-          {{"publish_full_ms", rc.full_ms},
-           {"publish_incremental_ms", rc.incremental_ms},
-           {"publish_ratio", rc_ratio}});
+  const double pt_ratio = pt.ratio();
 
   // Per-PR history: BENCH_server.json accumulates one {sha, date,
   // entries} row per run instead of being overwritten, so the perf
@@ -391,6 +412,16 @@ int main() {
     std::fprintf(stderr,
                  "FAIL: re-cluster publish latency ratio %.2f >= 0.5\n",
                  rc_ratio);
+    return 1;
+  }
+
+  // One AddPoint per publish over 20k points: merging one point into
+  // the last epoch's PointSet must cost well under half of sorting all
+  // 20k into a fresh one.
+  if (pt_ratio >= 0.5) {
+    std::fprintf(stderr,
+                 "FAIL: point-only publish latency ratio %.2f >= 0.5\n",
+                 pt_ratio);
     return 1;
   }
 

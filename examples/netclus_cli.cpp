@@ -482,12 +482,13 @@ int RunServe(int argc, char** argv, const Network& net,
               static_cast<unsigned long long>(stats.epochs_drained),
               static_cast<unsigned long long>(server.current_epoch()));
   std::printf("publishes: %llu full (mean %.2f ms), %llu incremental (mean "
-              "%.2f ms); re-clusters: %llu full, %llu incremental (mean "
-              "%.2f ms)\n",
+              "%.2f ms); stages: points %.2f ms, csr %.2f ms; re-clusters: "
+              "%llu full, %llu incremental (mean %.2f ms)\n",
               static_cast<unsigned long long>(stats.publishes_full),
               stats.mean_publish_full_ms,
               static_cast<unsigned long long>(stats.publishes_incremental),
               stats.mean_publish_incremental_ms,
+              stats.mean_publish_points_ms, stats.mean_publish_splice_ms,
               static_cast<unsigned long long>(stats.reclusters_full),
               static_cast<unsigned long long>(stats.reclusters_incremental),
               stats.mean_recluster_ms);

@@ -41,7 +41,8 @@
 # >= 1.3x speedup) and the server_throughput harness (queries/sec at
 # 1/4/8 workers + p99 queue wait, with a hardware-aware 1->4 worker
 # scaling gate, and incremental/full publish-latency ratios gated below
-# 0.9 for the CSR splice and below 0.5 with ε-Link re-clustering),
+# 0.9 for the CSR splice, below 0.5 with ε-Link re-clustering and below
+# 0.5 for point-only publishes),
 # leaving machine-readable BENCH_*.json files at the repository root.
 #
 # `scripts/run_all.sh server-smoke` builds the default configuration,
@@ -254,13 +255,17 @@ if [ "${1:-}" = "bench-smoke" ]; then
   # Query-server throughput at 1/4/8 workers with the hardware-aware
   # 1->4 scaling gate, plus the publish-latency contrasts (incremental
   # splice vs full rebuild on a sparse-mutation workload; incremental
-  # vs full ε-Link re-cluster with about one point per node).
+  # vs full ε-Link re-cluster with about one point per node; PointSet
+  # merge vs full build with one AddPoint per publish).
   ./build/bench/server_throughput 2>&1 | tee -a bench_smoke_output.txt
   # Plain sh has no pipefail, so the tee above swallows the harnesses'
-  # exit codes — re-assert their gates from the captured output: both
-  # publish-latency rows must be present and no harness printed FAIL.
+  # exit codes — re-assert their gates from the captured output: all
+  # three publish-latency rows must be present and no harness printed
+  # FAIL.
   grep -q 'publish latency: full .* (ratio' bench_smoke_output.txt
   grep -q 'publish latency with re-cluster: full .* (ratio' \
+    bench_smoke_output.txt
+  grep -q 'publish latency, points only: full .* (ratio' \
     bench_smoke_output.txt
   if grep -q 'FAIL' bench_smoke_output.txt; then
     echo "run_all: a bench gate failed (see bench_smoke_output.txt)" >&2

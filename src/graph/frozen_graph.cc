@@ -178,26 +178,32 @@ FrozenGraph FrozenGraph::MaterializeIncremental(
   g.neighbors_.resize(half_edges);
   g.weights_.resize(half_edges);
 
-  // Pass 2: clean rows splice their (neighbor, weight) spans verbatim
-  // out of the retiring snapshot — unchanged rows keep their iteration
-  // order in the view, so the bytes are identical to what a full
+  // Pass 2: each maximal run of clean rows splices its (neighbor,
+  // weight) spans verbatim out of the retiring snapshot with one
+  // memcpy per array (one in all when no row is dirty) — unchanged
+  // rows keep their iteration order in the view and sit contiguously
+  // in both snapshots, so the bytes are identical to what a full
   // Materialize would produce. Dirty rows refill from the view.
-  for (NodeId i = 0; i < n; ++i) {
-    uint32_t slot = g.offsets_[i];
-    const uint32_t row_end = g.offsets_[i + 1];
+  for (NodeId i = 0; i < n;) {
     if (dirty[i] == 0) {
+      NodeId run_end = i + 1;
+      while (run_end < n && dirty[run_end] == 0) ++run_end;
+      const uint32_t slot = g.offsets_[i];
       const uint32_t prev_first = prev.offsets_[i];
-      const uint32_t count = row_end - slot;
+      const size_t count = prev.offsets_[run_end] - prev_first;
       if (count > 0) {
         std::memcpy(g.neighbors_.data() + slot,
                     prev.neighbors_.data() + prev_first,
-                    static_cast<size_t>(count) * sizeof(NodeId));
+                    count * sizeof(NodeId));
         std::memcpy(g.weights_.data() + slot,
                     prev.weights_.data() + prev_first,
-                    static_cast<size_t>(count) * sizeof(double));
+                    count * sizeof(double));
       }
+      i = run_end;
       continue;
     }
+    uint32_t slot = g.offsets_[i];
+    const uint32_t row_end = g.offsets_[i + 1];
     ForEachSourceNeighbor(view, net, i, [&](NodeId m, double w) {
       if (slot < row_end) {
         g.neighbors_[slot] = m;
@@ -207,6 +213,7 @@ FrozenGraph FrozenGraph::MaterializeIncremental(
     });
     NETCLUS_DCHECK(slot == row_end || !view.status().ok())
         << "adjacency changed between incremental passes at node " << i;
+    ++i;
   }
 
   // Point ranges (and the point layer) always rebuild: every publish

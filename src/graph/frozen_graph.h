@@ -125,16 +125,16 @@ class FrozenGraph {
   static FrozenGraph Materialize(const NetworkView& view);
 
   /// Incremental rebuild: produces the same snapshot Materialize(view)
-  /// would, but copies the CSR row of every node NOT flagged in `dirty`
+  /// would, but copies the CSR rows of nodes NOT flagged in `dirty`
   /// straight out of `prev` (the retiring epoch's snapshot) instead of
-  /// re-iterating the view. Callers flag exactly the nodes whose
-  /// adjacency changed since `prev` was built; a clean row's neighbor
-  /// order must be unchanged in the view (Network::AddEdge appends, so
-  /// rows it does not touch keep their order). Point ranges and the
-  /// point layer are always rebuilt — dense point ids shift on every
-  /// publish. Falls back to a
-  /// full Materialize when the node count changed or `dirty` is
-  /// malformed.
+  /// re-iterating the view — one memcpy per array for each maximal run
+  /// of clean rows, so the whole arrays when no row is flagged. Callers
+  /// flag exactly the nodes whose adjacency changed since `prev` was
+  /// built; a clean row's neighbor order must be unchanged in the view
+  /// (Network::AddEdge appends, so rows it does not touch keep their
+  /// order). Point ranges and the point layer are always rebuilt —
+  /// dense point ids shift on every publish. Falls back to a full
+  /// Materialize when the node count changed or `dirty` is malformed.
   static FrozenGraph MaterializeIncremental(const NetworkView& view,
                                             const FrozenGraph& prev,
                                             const std::vector<char>& dirty);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <queue>
 
 #include "graph/frozen_graph.h"
@@ -150,10 +151,37 @@ Network Network::LargestComponent(const Network& g,
 
 std::pair<PointId, uint32_t> PointSet::EdgePointRange(NodeId a,
                                                       NodeId b) const {
-  auto it = edge_to_group_.find(EdgeKeyOf(a, b));
-  if (it == edge_to_group_.end()) return {kInvalidPointId, 0};
-  const Group& g = groups_[it->second];
-  return {g.first, g.count};
+  const uint64_t key = EdgeKeyOf(a, b);
+  auto it = std::partition_point(
+      groups_.begin(), groups_.end(),
+      [key](const Group& g) { return EdgeKeyOf(g.u, g.v) < key; });
+  if (it == groups_.end() || EdgeKeyOf(it->u, it->v) != key) {
+    return {kInvalidPointId, 0};
+  }
+  return {it->first, it->count};
+}
+
+bool PointSet::BitIdenticalTo(const PointSet& other) const {
+  if (offsets_.size() != other.offsets_.size() ||
+      groups_.size() != other.groups_.size()) {
+    return false;
+  }
+  // Offsets compare by bit pattern, not operator==: the merged set must
+  // be byte-for-byte the full build's, -0.0 vs 0.0 included.
+  if (!offsets_.empty() &&
+      std::memcmp(offsets_.data(), other.offsets_.data(),
+                  offsets_.size() * sizeof(double)) != 0) {
+    return false;
+  }
+  for (size_t i = 0; i < groups_.size(); ++i) {
+    const Group& x = groups_[i];
+    const Group& y = other.groups_[i];
+    if (x.u != y.u || x.v != y.v || x.first != y.first ||
+        x.count != y.count) {
+      return false;
+    }
+  }
+  return labels_ == other.labels_ && group_of_ == other.group_of_;
 }
 
 void PointSetBuilder::Add(NodeId a, NodeId b, double offset_from_min,
@@ -162,7 +190,9 @@ void PointSetBuilder::Add(NodeId a, NodeId b, double offset_from_min,
                      static_cast<uint32_t>(raw_.size())});
 }
 
-Result<PointSet> PointSetBuilder::Build(const Network& net,
+Result<PointSet> PointSetBuilder::Merge(const Network& net,
+                                        const PointSet& base,
+                                        std::vector<PointId>* base_to_final,
                                         std::vector<PointId>* raw_to_final) && {
   for (const Raw& r : raw_) {
     double w = net.EdgeWeight(EdgeKeyU(r.edge_key), EdgeKeyV(r.edge_key));
@@ -178,34 +208,106 @@ Result<PointSet> PointSetBuilder::Build(const Network& net,
     return a.edge_key != b.edge_key ? a.edge_key < b.edge_key
                                     : a.offset < b.offset;
   });
-  PointSet ps;
-  ps.offsets_.reserve(raw_.size());
-  ps.labels_.reserve(raw_.size());
-  ps.group_of_.reserve(raw_.size());
+  size_t raw_keys = 0;
   for (size_t i = 0; i < raw_.size(); ++i) {
-    const Raw& r = raw_[i];
-    if (ps.groups_.empty() || ps.groups_.back().u != EdgeKeyU(r.edge_key) ||
-        ps.groups_.back().v != EdgeKeyV(r.edge_key)) {
-      PointSet::Group g;
-      g.u = EdgeKeyU(r.edge_key);
-      g.v = EdgeKeyV(r.edge_key);
-      g.first = static_cast<PointId>(i);
-      g.count = 0;
-      ps.edge_to_group_.emplace(r.edge_key,
-                                static_cast<uint32_t>(ps.groups_.size()));
-      ps.groups_.push_back(g);
-    }
-    ++ps.groups_.back().count;
-    ps.group_of_.push_back(static_cast<uint32_t>(ps.groups_.size() - 1));
-    ps.offsets_.push_back(r.offset);
-    ps.labels_.push_back(r.label);
+    if (i == 0 || raw_[i].edge_key != raw_[i - 1].edge_key) ++raw_keys;
+  }
+
+  PointSet ps;
+  const size_t total = base.offsets_.size() + raw_.size();
+  ps.offsets_.reserve(total);
+  ps.labels_.reserve(total);
+  ps.group_of_.reserve(total);
+  ps.groups_.reserve(base.groups_.size() + raw_keys);
+  if (base_to_final != nullptr) {
+    base_to_final->assign(base.offsets_.size(), kInvalidPointId);
   }
   if (raw_to_final != nullptr) {
     raw_to_final->assign(raw_.size(), kInvalidPointId);
-    for (size_t i = 0; i < raw_.size(); ++i) {
-      (*raw_to_final)[raw_[i].raw_index] = static_cast<PointId>(i);
+  }
+
+  // Appends one point, opening a new group when its edge differs from
+  // the last group's.
+  auto append = [&ps](uint64_t key, double offset, int label) {
+    const PointId id = static_cast<PointId>(ps.offsets_.size());
+    if (ps.groups_.empty() ||
+        EdgeKeyOf(ps.groups_.back().u, ps.groups_.back().v) != key) {
+      ps.groups_.push_back(
+          PointSet::Group{EdgeKeyU(key), EdgeKeyV(key), id, 0});
+    }
+    ++ps.groups_.back().count;
+    ps.group_of_.push_back(static_cast<uint32_t>(ps.groups_.size() - 1));
+    ps.offsets_.push_back(offset);
+    ps.labels_.push_back(label);
+    return id;
+  };
+  size_t r = 0;
+  auto append_raw = [&]() {
+    const Raw& x = raw_[r++];
+    const PointId id = append(x.edge_key, x.offset, x.label);
+    if (raw_to_final != nullptr) (*raw_to_final)[x.raw_index] = id;
+  };
+  // Copies base groups [g0, g1) whole: no added point lands on their
+  // edges, so their points keep their order and all shift by the same
+  // number of ids (and their groups by the same number of groups).
+  auto copy_groups = [&](size_t g0, size_t g1) {
+    if (g0 == g1) return;
+    const PointId p0 = base.groups_[g0].first;
+    const PointId p1 = base.groups_[g1 - 1].first + base.groups_[g1 - 1].count;
+    const PointId point_shift = ps.size() - p0;
+    const uint32_t group_shift = static_cast<uint32_t>(ps.groups_.size() - g0);
+    ps.offsets_.insert(ps.offsets_.end(), base.offsets_.begin() + p0,
+                       base.offsets_.begin() + p1);
+    ps.labels_.insert(ps.labels_.end(), base.labels_.begin() + p0,
+                      base.labels_.begin() + p1);
+    for (PointId p = p0; p < p1; ++p) {
+      ps.group_of_.push_back(base.group_of_[p] + group_shift);
+      if (base_to_final != nullptr) (*base_to_final)[p] = p + point_shift;
+    }
+    for (size_t g = g0; g < g1; ++g) {
+      PointSet::Group moved = base.groups_[g];
+      moved.first += point_shift;
+      ps.groups_.push_back(moved);
+    }
+  };
+
+  // One pass in edge-key order. Base groups before the next added
+  // point's edge copy whole; a base group sharing that edge merges
+  // point by point, the base point first on equal offsets (an added
+  // point goes ahead only when strictly smaller) — exactly where a
+  // stable sort of base-then-added would put it.
+  const size_t num_groups = base.groups_.size();
+  size_t g = 0;
+  while (r < raw_.size()) {
+    const uint64_t key = raw_[r].edge_key;
+    const size_t run_end = static_cast<size_t>(
+        std::partition_point(base.groups_.begin() + g, base.groups_.end(),
+                             [key](const PointSet::Group& bg) {
+                               return EdgeKeyOf(bg.u, bg.v) < key;
+                             }) -
+        base.groups_.begin());
+    copy_groups(g, run_end);
+    g = run_end;
+    if (g < num_groups && EdgeKeyOf(base.groups_[g].u, base.groups_[g].v) ==
+                              key) {
+      PointId p = base.groups_[g].first;
+      const PointId end = p + base.groups_[g].count;
+      while (p < end || (r < raw_.size() && raw_[r].edge_key == key)) {
+        if (r < raw_.size() && raw_[r].edge_key == key &&
+            (p == end || raw_[r].offset < base.offsets_[p])) {
+          append_raw();
+          continue;
+        }
+        const PointId id = append(key, base.offsets_[p], base.labels_[p]);
+        if (base_to_final != nullptr) (*base_to_final)[p] = id;
+        ++p;
+      }
+      ++g;
+    } else {
+      while (r < raw_.size() && raw_[r].edge_key == key) append_raw();
     }
   }
+  copy_groups(g, num_groups);
   return ps;
 }
 

@@ -4,7 +4,7 @@
 #define NETCLUS_GRAPH_NETWORK_H_
 
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -81,8 +81,12 @@ class Network {
 ///
 /// Point ids are assigned in group order: points on the same edge are
 /// consecutive, sorted by ascending offset from the smaller-id endpoint
-/// (paper Section 4.1). An integer label (e.g. the generating cluster, or
-/// -1) rides along with each point for evaluation against ground truth.
+/// (paper Section 4.1). Groups are ordered by the canonical edge key
+/// (u << 32 | v), so the group table is itself §4.1's ordered index on
+/// the edge: EdgePointRange is a binary search over it, and there is no
+/// side hash map to build or free. An integer label (e.g. the
+/// generating cluster, or -1) rides along with each point for
+/// evaluation against ground truth.
 class PointSet {
  public:
   /// One edge holding points: ids [first, first + count).
@@ -105,18 +109,23 @@ class PointSet {
   const Group& group(size_t i) const { return groups_[i]; }
 
   /// Points on edge {a, b} as [first, first + count); count == 0 if none.
+  /// O(log groups): a binary search over the key-ordered group table.
   std::pair<PointId, uint32_t> EdgePointRange(NodeId a, NodeId b) const;
 
   /// Ground-truth labels for all points (index = point id).
   const std::vector<int>& labels() const { return labels_; }
+
+  /// True when both sets hold the same groups and the same per-point
+  /// offsets (compared by bit pattern), labels and group indices — the
+  /// oracle that holds a merged set to the from-scratch build.
+  bool BitIdenticalTo(const PointSet& other) const;
 
  private:
   friend class PointSetBuilder;
   std::vector<double> offsets_;       // per point, from canonical u
   std::vector<int> labels_;           // per point
   std::vector<uint32_t> group_of_;    // per point -> group index
-  std::vector<Group> groups_;         // ordered by first point id
-  std::unordered_map<uint64_t, uint32_t> edge_to_group_;
+  std::vector<Group> groups_;         // ordered by edge key and first id
 };
 
 /// \brief Accumulates raw point placements and finalizes them into a
@@ -127,11 +136,25 @@ class PointSetBuilder {
   /// smaller-id endpoint, tagged with `label`.
   void Add(NodeId a, NodeId b, double offset_from_min, int label);
 
-  /// Validates placements against `net` (edge exists, offset within the
-  /// edge weight) and produces the PointSet. When `raw_to_final` is given
-  /// it receives, for each Add() call in order, the final point id.
+  /// The one build routine. Validates the added placements against
+  /// `net` (edge exists, offset within the edge weight; the first bad
+  /// one in Add() order fails the call), stable-sorts them by (edge
+  /// key, offset) and merges them into `base` in one linear pass. On
+  /// equal (edge key, offset) the base point goes first, so the result
+  /// is exactly what Build() returns for base's points (in id order)
+  /// followed by the added ones. `base` is trusted: it came out of an
+  /// earlier build over a network that has only gained edges since.
+  /// When given, `base_to_final` receives each base point's final id
+  /// and `raw_to_final`, for each Add() call in order, the final id.
+  Result<PointSet> Merge(const Network& net, const PointSet& base,
+                         std::vector<PointId>* base_to_final,
+                         std::vector<PointId>* raw_to_final) &&;
+
+  /// Merge() onto an empty base.
   Result<PointSet> Build(const Network& net,
-                         std::vector<PointId>* raw_to_final = nullptr) &&;
+                         std::vector<PointId>* raw_to_final = nullptr) && {
+    return std::move(*this).Merge(net, PointSet(), nullptr, raw_to_final);
+  }
 
  private:
   struct Raw {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstddef>
 #include <string>
 #include <utility>
 
@@ -318,15 +319,57 @@ void QueryServer::MaybeCheckpoint() {
   wal_checkpoint_covers_ = state.covers_seq;
 }
 
-Status QueryServer::PublishWorld(const std::vector<NetworkUpdate>* batch) {
-  const double start_seconds = clock_.ElapsedSeconds();
+Result<PointSet> QueryServer::BuildPoints(
+    const PointSet* base, std::vector<PointId>* raw_to_final) const {
+  const size_t known = base != nullptr ? base->size() : 0;
   PointSetBuilder builder;
-  for (const NetworkUpdate& p : raw_points_) {
+  for (size_t i = known; i < raw_points_.size(); ++i) {
+    const NetworkUpdate& p = raw_points_[i];
     builder.Add(p.u, p.v, p.value, p.label);
   }
+  if (base == nullptr) return std::move(builder).Build(net_, raw_to_final);
+
+  // raw_points_ only grows, so the base holds exactly raw points
+  // [0, known), and the last publish's mapping says where each landed.
+  NETCLUS_DCHECK(published_raw_to_final_.size() == known)
+      << "merge base out of step with the published mapping";
+  std::vector<PointId> base_to_final;
+  std::vector<PointId> added_to_final;
+  NETCLUS_ASSIGN_OR_RETURN(
+      PointSet merged,
+      std::move(builder).Merge(net_, *base, &base_to_final, &added_to_final));
+  raw_to_final->resize(raw_points_.size());
+  for (size_t i = 0; i < known; ++i) {
+    (*raw_to_final)[i] = base_to_final[published_raw_to_final_[i]];
+  }
+  std::copy(added_to_final.begin(), added_to_final.end(),
+            raw_to_final->begin() + static_cast<std::ptrdiff_t>(known));
+  if (ValidationOn(options_)) {
+    // The oracle: a from-scratch build over every raw point must be
+    // byte-for-byte the merged set, and map every raw point alike. A
+    // divergence fails the publish; the base does not advance.
+    std::vector<PointId> full_raw_to_final;
+    NETCLUS_ASSIGN_OR_RETURN(PointSet full,
+                             BuildPoints(nullptr, &full_raw_to_final));
+    if (!merged.BitIdenticalTo(full) || *raw_to_final != full_raw_to_final) {
+      return Status::Internal("merged PointSet diverged from full build");
+    }
+  }
+  return merged;
+}
+
+Status QueryServer::PublishWorld(const std::vector<NetworkUpdate>* batch) {
+  const double start_seconds = clock_.ElapsedSeconds();
+  // An incremental publish builds on the last published epoch: its
+  // PointSet is the merge base and its CSR rows the splice source.
+  std::shared_ptr<const EpochSnapshot> prev = epochs_.CurrentShared();
+  const bool incremental =
+      batch != nullptr && options_.incremental_publish && prev != nullptr;
+
   std::vector<PointId> raw_to_final;
-  NETCLUS_ASSIGN_OR_RETURN(PointSet ps,
-                           std::move(builder).Build(net_, &raw_to_final));
+  NETCLUS_ASSIGN_OR_RETURN(
+      PointSet ps,
+      BuildPoints(incremental ? &prev->points() : nullptr, &raw_to_final));
   auto points = std::make_shared<const PointSet>(std::move(ps));
 
   // The epoch's identity map: dense point p was raw point i, so it
@@ -337,32 +380,28 @@ Status QueryServer::PublishWorld(const std::vector<NetworkUpdate>* batch) {
     object_of_point[raw_to_final[i]] = point_object_ids_[i];
   }
   auto ids = std::make_shared<const IdentityMap>(std::move(object_of_point));
+  const double points_end_seconds = clock_.ElapsedSeconds();
 
   InMemoryNetworkView live_view(net_, *points);
 
-  // Incremental splice: when this publish came from a known mutation
-  // batch and a predecessor snapshot exists, only the rows of nodes an
-  // AddEdge touched are re-materialized — every other CSR row is copied
-  // verbatim from the retiring snapshot.
-  std::shared_ptr<const EpochSnapshot> prev = epochs_.CurrentShared();
-  bool incremental = false;
+  // Incremental splice: only the rows of nodes an AddEdge touched are
+  // re-materialized — every other CSR row is copied verbatim from the
+  // retiring snapshot.
   bool metric_changed = batch == nullptr;
   std::vector<char> dirty;
+  if (incremental) dirty.assign(net_.num_nodes(), 0);
   if (batch != nullptr) {
     for (const NetworkUpdate& upd : *batch) {
       if (upd.kind != NetworkUpdate::Kind::kAddEdge) continue;
       metric_changed = true;
-      if (options_.incremental_publish && prev != nullptr) {
-        if (dirty.empty()) dirty.assign(net_.num_nodes(), 0);
+      if (incremental) {
         if (upd.u < net_.num_nodes()) dirty[upd.u] = 1;
         if (upd.v < net_.num_nodes()) dirty[upd.v] = 1;
       }
     }
-    incremental = options_.incremental_publish && prev != nullptr;
   }
   FrozenGraph fg;
   if (incremental) {
-    if (dirty.empty()) dirty.assign(net_.num_nodes(), 0);
     fg = FrozenGraph::MaterializeIncremental(live_view, prev->frozen(), dirty);
     NETCLUS_RETURN_IF_ERROR(live_view.status());
     if (ValidationOn(options_)) {
@@ -380,6 +419,7 @@ Status QueryServer::PublishWorld(const std::vector<NetworkUpdate>* batch) {
     NETCLUS_ASSIGN_OR_RETURN(fg, live_view.Freeze());
   }
   auto graph = std::make_shared<const FrozenGraph>(std::move(fg));
+  const double splice_end_seconds = clock_.ElapsedSeconds();
 
   std::shared_ptr<const ClusterOutput> clusters;
   bool recluster_incremental = false;
@@ -408,6 +448,9 @@ Status QueryServer::PublishWorld(const std::vector<NetworkUpdate>* batch) {
   prev.reset();
   epochs_.Publish(std::move(graph), std::move(points), std::move(clusters),
                   live_cache_, std::move(ids));
+  // The merge base advances only here, with the epoch it describes; a
+  // failed publish leaves both in place, so its points merge next time.
+  published_raw_to_final_ = std::move(raw_to_final);
 
   const double publish_ms =
       (clock_.ElapsedSeconds() - start_seconds) * 1e3;
@@ -420,6 +463,8 @@ Status QueryServer::PublishWorld(const std::vector<NetworkUpdate>* batch) {
       ++publishes_full_;
       publish_full_ms_.Add(publish_ms);
     }
+    publish_points_ms_.Add((points_end_seconds - start_seconds) * 1e3);
+    publish_splice_ms_.Add((splice_end_seconds - points_end_seconds) * 1e3);
     if (options_.cluster_spec.has_value()) {
       ++(recluster_incremental ? reclusters_incremental_ : reclusters_full_);
       recluster_ms_.Add(recluster_ms);
@@ -1077,6 +1122,8 @@ ServerStats QueryServer::stats() const {
     s.wal_checkpoint_covers = wal_checkpoint_covers_;
     s.mean_publish_full_ms = publish_full_ms_.mean();
     s.mean_publish_incremental_ms = publish_incremental_ms_.mean();
+    s.mean_publish_points_ms = publish_points_ms_.mean();
+    s.mean_publish_splice_ms = publish_splice_ms_.mean();
     s.mean_recluster_ms = recluster_ms_.mean();
     s.mean_queue_wait_ms = queue_wait_ms_.mean();
     s.max_queue_wait_ms = queue_wait_ms_.max();

@@ -19,8 +19,9 @@
 //   ApplyUpdate ──> updater thread: mutate live Network / point list,
 //                   rebuild PointSet + FrozenGraph (+ re-cluster when a
 //                   cluster_spec is configured), publish the new epoch.
-//                   Untouched CSR rows are spliced from the retiring
-//                   snapshot and an ε-Link spec's components are merged
+//                   New points are merged into the retiring epoch's
+//                   PointSet, untouched CSR rows are spliced from its
+//                   snapshot, and an ε-Link spec's components are merged
 //                   only where the new mutations link them (incremental
 //                   publish); the ObjectId-keyed
 //                   DistanceCache is carried forward across publishes
@@ -120,18 +121,19 @@ struct QueryServerOptions {
   /// fresh whenever edge weights change; 0 disables caching.
   size_t cache_capacity = 1 << 16;
   uint32_t cache_shards = 16;
-  /// Splice untouched CSR rows from the retiring snapshot instead of
-  /// re-materializing the whole graph on every publish, and (ε-Link
-  /// specs) keep the clustering's components across epochs, merging
-  /// only what the new mutations link instead of re-running
-  /// RunClustering. Off = every publish is a full rebuild and a full
-  /// re-cluster (the NETCLUS_VALIDATE oracle path).
+  /// Merge new points into the retiring epoch's PointSet and splice
+  /// untouched CSR rows from its snapshot instead of rebuilding both
+  /// from scratch on every publish, and (ε-Link specs) keep the
+  /// clustering's components across epochs, merging only what the new
+  /// mutations link instead of re-running RunClustering. Off = every
+  /// publish is a full rebuild and a full re-cluster (the
+  /// NETCLUS_VALIDATE oracle path).
   bool incremental_publish = true;
   /// Replay every served batch through the direct inline path and fail
   /// the batch kInternal on any payload divergence; also check every
-  /// incremental publish (CSR splice, ε-Link re-cluster) against a full
-  /// rebuild and fail the publish on divergence. Forced on by
-  /// -DNETCLUS_VALIDATE=ON builds.
+  /// incremental publish (PointSet merge, CSR splice, ε-Link
+  /// re-cluster) against a full rebuild and fail the publish on
+  /// divergence. Forced on by -DNETCLUS_VALIDATE=ON builds.
   bool validate_replay = false;
   /// When set, every epoch carries a ClusterOutput of this spec,
   /// enabling kClusterMembership queries. The boot epoch runs
@@ -213,6 +215,13 @@ struct ServerStats {
   double mean_batch_ms = 0.0;
   double mean_publish_full_ms = 0.0;
   double mean_publish_incremental_ms = 0.0;
+  /// Mean wall time of a publish's PointSet stage (build or merge, plus
+  /// the epoch's identity map), full and incremental together.
+  double mean_publish_points_ms = 0.0;
+  /// Mean wall time of a publish's CSR stage (row splice or full
+  /// freeze), full and incremental together. Both stage means include
+  /// the stage's oracle when validation is on.
+  double mean_publish_splice_ms = 0.0;
   /// Mean wall time of one re-cluster, full and incremental together.
   double mean_recluster_ms = 0.0;
 };
@@ -351,13 +360,24 @@ class QueryServer {
 
   /// Rebuilds the immutable world from the live one and publishes it as
   /// the next epoch. `batch` holds every mutation applied since the
-  /// last successful publish: its kAddEdge endpoints form the dirty-node
-  /// set for the incremental CSR splice and its kAddEdge records the
-  /// new ε-Link links to merge, and a batch with no kAddEdge carries
-  /// the predecessor's ObjectId-keyed distance cache forward. nullptr
-  /// (boot) forces a full rebuild, a fresh cache and a full re-cluster.
+  /// last successful publish: with it the raw points beyond the last
+  /// epoch's PointSet are merged into that set, its kAddEdge endpoints
+  /// form the dirty-node set for the incremental CSR splice and its
+  /// kAddEdge records the new ε-Link links to merge, and a batch with
+  /// no kAddEdge carries the predecessor's ObjectId-keyed distance
+  /// cache forward. nullptr (boot) forces a full rebuild, a fresh cache
+  /// and a full re-cluster.
   /// Updater thread (and Start) only.
   Status PublishWorld(const std::vector<NetworkUpdate>* batch = nullptr);
+  /// The PointSet over raw_points_, with the raw index -> dense id
+  /// mapping in `raw_to_final`. With a `base` — the last published
+  /// epoch's set, which holds raw points [0, base->size()) as placed by
+  /// published_raw_to_final_ — only the newer raw points are sorted and
+  /// merged into it, and under ValidationOn the result is checked
+  /// against the from-scratch build; with none every raw point is built
+  /// from scratch. Updater thread (and Start) only.
+  Result<PointSet> BuildPoints(const PointSet* base,
+                               std::vector<PointId>* raw_to_final) const;
   /// The epoch's clustering over `view` / `graph`. ε-Link specs under
   /// incremental_publish merge the links `batch` and the raw points
   /// beyond the component forest add (`*incremental` = true), seeding
@@ -407,6 +427,11 @@ class QueryServer {
   /// epoch (updater thread only). A failed publish leaves them here, so
   /// the next publish still splices their rows and links their objects.
   std::vector<NetworkUpdate> unpublished_;
+
+  /// Where each raw point sits in the current epoch's PointSet
+  /// (updater thread only): the merge base's mapping, replaced only by
+  /// a successful publish.
+  std::vector<PointId> published_raw_to_final_;
 
   // ε-Link components across epochs (updater thread only): a forest
   // over raw point indices, which stay stable across dense renumbering
@@ -506,6 +531,8 @@ class QueryServer {
   uint64_t wal_checkpoint_covers_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
   RunningStats publish_full_ms_ NETCLUS_GUARDED_BY(stats_mu_);
   RunningStats publish_incremental_ms_ NETCLUS_GUARDED_BY(stats_mu_);
+  RunningStats publish_points_ms_ NETCLUS_GUARDED_BY(stats_mu_);
+  RunningStats publish_splice_ms_ NETCLUS_GUARDED_BY(stats_mu_);
   uint64_t reclusters_full_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
   uint64_t reclusters_incremental_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
   RunningStats recluster_ms_ NETCLUS_GUARDED_BY(stats_mu_);

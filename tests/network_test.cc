@@ -1,8 +1,13 @@
 // Tests for the in-memory network model, point sets and views.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/random.h"
 #include "gen/network_gen.h"
 #include "graph/network.h"
 
@@ -220,6 +225,250 @@ TEST(InMemoryViewTest, PointPositionMatchesPointSet) {
   EXPECT_EQ(pos.u, 0u);
   EXPECT_EQ(pos.v, 4u);
   EXPECT_DOUBLE_EQ(pos.offset, 1.5);
+}
+
+// ---------------------------------------------------------------------
+// PointSetBuilder::Merge: new points merged into an existing PointSet
+// must give exactly what one Build over all of them gives.
+// ---------------------------------------------------------------------
+
+// One placement, as handed to PointSetBuilder::Add.
+struct Placement {
+  NodeId a;
+  NodeId b;
+  double offset;
+  int label;
+};
+
+PointSetBuilder BuilderOf(const std::vector<Placement>& placements) {
+  PointSetBuilder b;
+  for (const Placement& p : placements) b.Add(p.a, p.b, p.offset, p.label);
+  return b;
+}
+
+// Merging `batch` into the set built from `base` equals one Build over
+// base then batch: the same set bit for bit, each base point mapped
+// where that Build puts it (through base's own raw mapping, as a
+// server composes it), each batch point likewise — or, when the batch
+// holds a bad point, the same Status.
+void ExpectMergeEqualsBuild(const Network& net,
+                            const std::vector<Placement>& base,
+                            const std::vector<Placement>& batch) {
+  std::vector<PointId> base_raw;
+  Result<PointSet> base_set = BuilderOf(base).Build(net, &base_raw);
+  ASSERT_TRUE(base_set.ok()) << base_set.status().ToString();
+  std::vector<PointId> base_to_final;
+  std::vector<PointId> raw_to_final;
+  Result<PointSet> merged = BuilderOf(batch).Merge(
+      net, base_set.value(), &base_to_final, &raw_to_final);
+
+  std::vector<Placement> all = base;
+  all.insert(all.end(), batch.begin(), batch.end());
+  std::vector<PointId> all_raw;
+  Result<PointSet> full = BuilderOf(all).Build(net, &all_raw);
+  ASSERT_EQ(merged.ok(), full.ok());
+  if (!full.ok()) {
+    EXPECT_EQ(merged.status().ToString(), full.status().ToString());
+    return;
+  }
+  EXPECT_TRUE(merged.value().BitIdenticalTo(full.value()));
+  ASSERT_EQ(base_to_final.size(), base.size());
+  ASSERT_EQ(raw_to_final.size(), batch.size());
+  for (size_t i = 0; i < base.size(); ++i) {
+    EXPECT_EQ(base_to_final[base_raw[i]], all_raw[i]) << "base point " << i;
+  }
+  for (size_t j = 0; j < batch.size(); ++j) {
+    EXPECT_EQ(raw_to_final[j], all_raw[base.size() + j]) << "added " << j;
+  }
+}
+
+// EdgePointRange against a scan of every point's position, for every
+// ordered node pair — both orientations of each edge, and node pairs
+// with no edge at all.
+void ExpectEdgePointRangeMatchesScan(const PointSet& ps, NodeId num_nodes) {
+  for (NodeId a = 0; a < num_nodes; ++a) {
+    for (NodeId b = 0; b < num_nodes; ++b) {
+      if (a == b) continue;
+      PointId first = kInvalidPointId;
+      uint32_t count = 0;
+      for (PointId p = 0; p < ps.size(); ++p) {
+        const PointPos pos = ps.position(p);
+        if (pos.u != std::min(a, b) || pos.v != std::max(a, b)) continue;
+        if (count == 0) first = p;
+        EXPECT_EQ(p, first + count) << "edge points not contiguous";
+        ++count;
+      }
+      EXPECT_EQ(ps.EdgePointRange(a, b), std::make_pair(first, count))
+          << "edge " << a << "-" << b;
+    }
+  }
+}
+
+// A random placement on one of `edges`; a third of the offsets sit on
+// a small grid of values (0, w/2, w, and -0.0) so ties across base and
+// batch are common.
+Placement RandomPlacement(const std::vector<Edge>& edges, Rng* rng) {
+  const Edge& e = edges[rng->NextBounded(edges.size())];
+  const bool flip = rng->NextBernoulli(0.5);
+  const int label = static_cast<int>(rng->NextBounded(5));
+  double offset = rng->NextDouble() * e.weight;
+  if (rng->NextBernoulli(0.35)) {
+    const double grid[] = {0.0, -0.0, 0.5 * e.weight, e.weight};
+    offset = grid[rng->NextBounded(4)];
+  }
+  return Placement{flip ? e.v : e.u, flip ? e.u : e.v, offset, label};
+}
+
+TEST(PointSetMergeTest, RandomMergesEqualOneBuild) {
+  for (uint64_t seed = 1; seed <= 150; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const NodeId n = 4 + static_cast<NodeId>(rng.NextBounded(9));
+    Network net(n);
+    const double weights[] = {0.75, 1.0, 2.5, 4.0};
+    for (int tries = 0; tries < 3 * static_cast<int>(n); ++tries) {
+      const NodeId a = static_cast<NodeId>(rng.NextBounded(n));
+      const NodeId b = static_cast<NodeId>(rng.NextBounded(n));
+      if (a == b || net.HasEdge(a, b)) continue;
+      ASSERT_TRUE(net.AddEdge(a, b, weights[rng.NextBounded(4)]).ok());
+    }
+    if (net.num_edges() == 0) continue;
+    const std::vector<Edge> edges = net.Edges();
+    std::vector<Placement> base(rng.NextBounded(30));
+    for (Placement& p : base) p = RandomPlacement(edges, &rng);
+    std::vector<Placement> batch(rng.NextBounded(12));
+    for (Placement& p : batch) p = RandomPlacement(edges, &rng);
+    ExpectMergeEqualsBuild(net, base, batch);
+
+    PointSet base_set = BuilderOf(base).Build(net).value();
+    PointSet merged =
+        BuilderOf(batch).Merge(net, base_set, nullptr, nullptr).value();
+    ExpectEdgePointRangeMatchesScan(merged, n);
+    if (HasFailure()) return;
+  }
+}
+
+TEST(PointSetMergeTest, EmptyBaseAndEmptyBatch) {
+  Network net = MakePathNetwork(4, 10.0);
+  ExpectMergeEqualsBuild(net, {}, {});
+  ExpectMergeEqualsBuild(net, {{0, 1, 3.0, 1}, {2, 3, 1.0, 2}}, {});
+  ExpectMergeEqualsBuild(net, {}, {{2, 3, 1.0, 2}, {0, 1, 3.0, 1}});
+
+  std::vector<PointId> base_to_final{7};
+  std::vector<PointId> raw_to_final{7};
+  PointSet empty =
+      PointSetBuilder().Merge(net, PointSet(), &base_to_final, &raw_to_final)
+          .value();
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_EQ(empty.num_groups(), 0u);
+  EXPECT_TRUE(base_to_final.empty());
+  EXPECT_TRUE(raw_to_final.empty());
+  EXPECT_EQ(empty.EdgePointRange(0, 1).second, 0u);
+}
+
+// On equal (edge, offset) the base point goes first — including at the
+// edge ends 0 and w, and with a base -0.0 tying a batch 0.0.
+TEST(PointSetMergeTest, EqualOffsetsKeepBasePointsFirst) {
+  Network net = MakePathNetwork(3, 10.0);
+  const std::vector<Placement> base = {
+      {0, 1, -0.0, 1}, {0, 1, 5.0, 2}, {1, 0, 5.0, 3}, {0, 1, 10.0, 4}};
+  const std::vector<Placement> batch = {
+      {0, 1, 10.0, 9}, {1, 0, 0.0, 7}, {0, 1, 5.0, 8}, {1, 2, 0.0, 5}};
+  ExpectMergeEqualsBuild(net, base, batch);
+
+  PointSet base_set = BuilderOf(base).Build(net).value();
+  PointSet merged =
+      BuilderOf(batch).Merge(net, base_set, nullptr, nullptr).value();
+  ASSERT_EQ(merged.size(), 8u);
+  const std::vector<int> want_labels = {1, 7, 2, 3, 8, 4, 9, 5};
+  EXPECT_EQ(merged.labels(), want_labels);
+  EXPECT_TRUE(std::signbit(merged.offset(0)));   // the base's -0.0
+  EXPECT_FALSE(std::signbit(merged.offset(1)));  // the batch's 0.0
+}
+
+// Batch points on edges before, between and after every base group,
+// on edges holding base points and on edges holding none.
+TEST(PointSetMergeTest, BatchEdgesAroundEveryBaseGroup) {
+  Network net = MakePathNetwork(8, 4.0);  // edges (i, i+1), i = 0..6
+  std::vector<Placement> base;
+  for (NodeId i : {1u, 3u, 5u}) {
+    base.push_back({i, i + 1, 1.0, static_cast<int>(i)});
+    base.push_back({i + 1, i, 3.0, static_cast<int>(i)});
+  }
+  std::vector<Placement> batch;
+  for (NodeId i = 7; i-- > 0;) {
+    batch.push_back({i, i + 1, 2.0, 10 + static_cast<int>(i)});
+  }
+  batch.push_back({6, 7, 0.5, 20});
+  ExpectMergeEqualsBuild(net, base, batch);
+
+  PointSet base_set = BuilderOf(base).Build(net).value();
+  PointSet merged =
+      BuilderOf(batch).Merge(net, base_set, nullptr, nullptr).value();
+  ASSERT_EQ(merged.num_groups(), 7u);
+  for (size_t g = 0; g < merged.num_groups(); ++g) {
+    EXPECT_EQ(merged.group(g).u, static_cast<NodeId>(g));
+    EXPECT_EQ(merged.group(g).count, g % 2 == 1 ? 3u : g == 6 ? 2u : 1u);
+  }
+  ExpectEdgePointRangeMatchesScan(merged, 8);
+}
+
+// A bad added point fails the merge with the Status Build returns for
+// base plus batch: the first bad point in Add() order decides.
+TEST(PointSetMergeTest, BadBatchPointsFailLikeBuild) {
+  Network net = MakePathNetwork(4, 10.0);
+  const std::vector<Placement> base = {{0, 1, 2.0, 0}, {2, 3, 4.0, 1}};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<Placement>> batches = {
+      {{0, 2, 1.0, 0}},                   // no such edge
+      {{1, 2, 10.5, 0}},                  // beyond the edge weight
+      {{1, 2, nan, 0}},                   // NaN offset
+      {{1, 2, -0.5, 0}},                  // negative offset
+      {{1, 2, 1.0, 0}, {0, 3, 1.0, 0}},   // good, then no such edge
+      {{1, 2, 11.0, 0}, {0, 3, 1.0, 0}},  // two bad: the first decides
+      {{0, 3, 1.0, 0}, {1, 2, 11.0, 0}},
+  };
+  for (size_t i = 0; i < batches.size(); ++i) {
+    SCOPED_TRACE("batch " + std::to_string(i));
+    ExpectMergeEqualsBuild(net, base, batches[i]);
+    PointSet base_set = BuilderOf(base).Build(net).value();
+    EXPECT_TRUE(BuilderOf(batches[i])
+                    .Merge(net, base_set, nullptr, nullptr)
+                    .status()
+                    .IsInvalidArgument());
+  }
+}
+
+TEST(PointSetMergeTest, BitIdenticalToRejectsEveryDifference) {
+  Network net = MakePathNetwork(3, 10.0);
+  auto build = [&net](const std::vector<Placement>& ps) {
+    return BuilderOf(ps).Build(net).value();
+  };
+  const std::vector<Placement> ref = {
+      {0, 1, 1.0, 0}, {0, 1, 1.0, 0}, {1, 2, 1.0, 0}};
+  EXPECT_TRUE(build(ref).BitIdenticalTo(build(ref)));
+
+  std::vector<Placement> ulp = ref;
+  ulp[2].offset = std::nextafter(1.0, 2.0);
+  EXPECT_FALSE(build(ref).BitIdenticalTo(build(ulp)));
+
+  std::vector<Placement> label = ref;
+  label[1].label = 1;
+  EXPECT_FALSE(build(ref).BitIdenticalTo(build(label)));
+
+  // Same offsets and labels point by point; only where edge (0, 1)
+  // ends and edge (1, 2) begins differs.
+  std::vector<Placement> moved = ref;
+  moved[1] = {1, 2, 1.0, 0};
+  const PointSet a = build(ref);
+  const PointSet b = build(moved);
+  ASSERT_EQ(a.size(), b.size());
+  for (PointId p = 0; p < a.size(); ++p) {
+    ASSERT_EQ(a.offset(p), b.offset(p));
+    ASSERT_EQ(a.label(p), b.label(p));
+  }
+  EXPECT_FALSE(a.BitIdenticalTo(b));
+  EXPECT_FALSE(b.BitIdenticalTo(a));
 }
 
 }  // namespace

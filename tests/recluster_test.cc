@@ -82,11 +82,13 @@ class ReferenceWorld {
     return labels;
   }
 
-  // A valid random mutation: mostly AddPoint on any current edge, else
-  // AddEdge between two unjoined nodes weighing 0.1-1.5 eps, so about
-  // two thirds of the new edges can carry a link.
-  NetworkUpdate RandomMutation(Rng* rng, double eps) const {
-    if (rng->NextDouble() < 0.7) {
+  // A valid random mutation: AddPoint on any current edge with
+  // probability `point_share`, else AddEdge between two unjoined nodes
+  // weighing 0.1-1.5 eps, so about two thirds of the new edges can
+  // carry a link.
+  NetworkUpdate RandomMutation(Rng* rng, double eps,
+                               double point_share = 0.7) const {
+    if (rng->NextDouble() < point_share) {
       const std::vector<Edge> edges = net_.Edges();
       const Edge& e = edges[rng->NextBounded(edges.size())];
       return NetworkUpdate::AddPoint(e.u, e.v, rng->NextDouble() * e.weight);
@@ -528,6 +530,190 @@ TEST(IncrementalReclusterTest, OtherSpecsAndDisabledOptionRunFullClustering) {
     EXPECT_EQ(stats.reclusters_full, 5u);
     EXPECT_EQ(stats.reclusters_incremental, 0u);
     EXPECT_GE(stats.mean_recluster_ms, 0.0);
+  }
+}
+
+// ---------------------------------------------------------------------
+// Publishing by merge: an incremental publish merges the new raw points
+// into the last published PointSet (DESIGN.md §16). validate_replay
+// runs the PointSet oracle on every such publish, so a merge that
+// differs from the from-scratch build fails the publish and the test.
+// ---------------------------------------------------------------------
+
+// What a client can see of each object: its membership, its distance
+// from the first object, and its three nearest objects. Equal
+// fingerprints from two servers mean the same ObjectIds sit at the
+// same positions in the same clusters. Each distance is asked in one
+// direction only: the distance cache is keyed on the unordered pair,
+// but a traversal from either end may round differently.
+std::vector<QueryResponse> Fingerprint(QueryServer* server,
+                                       const std::vector<ObjectId>& oids) {
+  std::vector<QueryResponse> out;
+  for (ObjectId oid : oids) {
+    for (const QueryRequest& req :
+         {QueryRequest::ClusterMembership(oid),
+          QueryRequest::PointDistance(oid, oids.front()),
+          QueryRequest::NearestObject(oid, 3)}) {
+      Result<QueryResponse> r = server->Execute(req);
+      EXPECT_TRUE(r.ok()) << "object " << oid << ": " << r.status().ToString();
+      out.push_back(r.ok() ? r.value() : QueryResponse{});
+    }
+  }
+  return out;
+}
+
+void ExpectSameFingerprints(const std::vector<QueryResponse>& got,
+                            const std::vector<QueryResponse>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(ResponsePayloadsEqual(got[i], want[i])) << "answer " << i;
+  }
+}
+
+// AddPoint-only and mixed AddPoint/AddEdge sequences, one mutation per
+// publish, with incremental publish on (every publish after boot is a
+// merge) and off (every publish is a full build).
+TEST(PointSetMergePublishTest, PublishesMatchTheFullRun) {
+  GenWorld w(60, 80, 61);
+  for (double point_share : {1.0, 0.6}) {
+    for (bool incremental : {true, false}) {
+      SCOPED_TRACE("point share " + std::to_string(point_share) +
+                   (incremental ? " incremental" : " full"));
+      ReferenceWorld ref(w.gen.net, w.points);
+      QueryServerOptions opts = EpsLinkServing(w.eps, 2);
+      opts.validate_replay = true;
+      opts.incremental_publish = incremental;
+      std::unique_ptr<QueryServer> server =
+          StartOrDie(w.gen.net, w.points, opts);
+      ASSERT_NE(server, nullptr);
+      Rng rng(61);
+      constexpr int kMutations = 16;
+      for (int m = 0; m < kMutations; ++m) {
+        const NetworkUpdate u = ref.RandomMutation(&rng, w.eps, point_share);
+        ASSERT_TRUE(ref.Apply(u));
+        ASSERT_TRUE(server->ApplyUpdate(u).ok());
+        ASSERT_TRUE(server->Flush().ok());
+        ExpectMatchesFullRun(server.get(), ref, *opts.cluster_spec);
+        if (HasFailure()) return;
+      }
+      const ServerStats stats = server->stats();
+      EXPECT_EQ(stats.publish_failures, 0u);
+      EXPECT_EQ(stats.publishes_full, incremental ? 1u : kMutations + 1u);
+      EXPECT_EQ(stats.publishes_incremental, incremental ? kMutations : 0u);
+      EXPECT_GT(stats.mean_publish_points_ms, 0.0);
+      EXPECT_GT(stats.mean_publish_splice_ms, 0.0);
+    }
+  }
+}
+
+// Chaos fails publishes; the base must not advance past a failed one,
+// so the next successful publish merges the failed batch's points
+// together with its own. A server booted from the same log (no chaos,
+// one full build) must then see the same objects at the same places.
+TEST(PointSetMergePublishTest, FailedPublishMergesBothBatchesNextTime) {
+  GenWorld w(60, 80, 71);
+  std::unique_ptr<PagedFile> wal_file = PagedFile::CreateInMemory(4096);
+  QueryServerOptions opts = EpsLinkServing(w.eps, 2);
+  opts.validate_replay = true;
+  opts.wal_file = wal_file.get();
+  opts.degraded_publish_failures = 0;
+  opts.chaos.seed = 9;
+  opts.chaos.publish_failure_prob = 0.4;
+  ReferenceWorld ref(w.gen.net, w.points);
+  std::vector<QueryResponse> served;
+  int failed = 0;
+  int merged_after_failure = 0;
+  {
+    std::unique_ptr<QueryServer> server =
+        StartOrDie(w.gen.net, w.points, opts);
+    ASSERT_NE(server, nullptr);
+    Rng rng(71);
+    bool last_failed = false;
+    for (int m = 0; m < 30 || last_failed; ++m) {
+      ASSERT_LT(m, 80) << "publishes never recovered from a failure";
+      const NetworkUpdate u = ref.RandomMutation(&rng, w.eps, 0.85);
+      ASSERT_TRUE(ref.Apply(u));
+      ASSERT_TRUE(server->ApplyUpdate(u).ok());
+      if (!server->Flush().ok()) {
+        ++failed;
+        last_failed = true;
+        continue;
+      }
+      if (last_failed) ++merged_after_failure;
+      last_failed = false;
+      ExpectMatchesFullRun(server.get(), ref, *opts.cluster_spec);
+      if (HasFailure()) return;
+    }
+    const ServerStats stats = server->stats();
+    EXPECT_EQ(stats.publish_failures, static_cast<uint64_t>(failed));
+    EXPECT_EQ(stats.publishes_full, 1u);
+    served = Fingerprint(server.get(), ref.oids());
+  }
+  EXPECT_GT(failed, 0);
+  EXPECT_GT(merged_after_failure, 0);
+
+  QueryServerOptions reboot_opts = opts;
+  reboot_opts.chaos = ChaosOptions{};
+  std::unique_ptr<QueryServer> rebooted =
+      StartOrDie(w.gen.net, w.points, reboot_opts);
+  ASSERT_NE(rebooted, nullptr);
+  ExpectSameFingerprints(Fingerprint(rebooted.get(), ref.oids()), served);
+}
+
+// WAL (and checkpoint) recovery, then more merged publishes on the
+// recovered world: the result must equal a server rebooted from the
+// same log, which builds that world in one go.
+TEST(PointSetMergePublishTest, MergesAfterRecoveryMatchAReboot) {
+  GenWorld w(60, 80, 81);
+  for (uint64_t checkpoint_every : {0u, 4u}) {
+    SCOPED_TRACE("checkpoint_every " + std::to_string(checkpoint_every));
+    std::unique_ptr<PagedFile> wal_file = PagedFile::CreateInMemory(4096);
+    std::unique_ptr<PagedFile> ckpt_a = PagedFile::CreateInMemory(4096);
+    std::unique_ptr<PagedFile> ckpt_b = PagedFile::CreateInMemory(4096);
+    QueryServerOptions opts = EpsLinkServing(w.eps, 2);
+    opts.validate_replay = true;
+    opts.wal_file = wal_file.get();
+    opts.checkpoint_file_a = ckpt_a.get();
+    opts.checkpoint_file_b = ckpt_b.get();
+    opts.wal_checkpoint_every = checkpoint_every;
+    ReferenceWorld ref(w.gen.net, w.points);
+    Rng rng(81 + checkpoint_every);
+    auto mutate = [&](QueryServer* server, int count) {
+      for (int m = 0; m < count; ++m) {
+        const NetworkUpdate u = ref.RandomMutation(&rng, w.eps);
+        ASSERT_TRUE(ref.Apply(u));
+        ASSERT_TRUE(server->ApplyUpdate(u).ok());
+        ASSERT_TRUE(server->Flush().ok());
+      }
+    };
+    {
+      std::unique_ptr<QueryServer> first =
+          StartOrDie(w.gen.net, w.points, opts);
+      ASSERT_NE(first, nullptr);
+      mutate(first.get(), 10);
+    }  // killed: only the WAL and checkpoint slots survive
+
+    std::vector<QueryResponse> served;
+    {
+      std::unique_ptr<QueryServer> revived =
+          StartOrDie(w.gen.net, w.points, opts);
+      ASSERT_NE(revived, nullptr);
+      mutate(revived.get(), 8);
+      if (HasFatalFailure()) return;
+      const ServerStats stats = revived->stats();
+      EXPECT_EQ(stats.publishes_full, 1u);
+      EXPECT_EQ(stats.publishes_incremental, 8u);
+      EXPECT_EQ(stats.publish_failures, 0u);
+      ExpectMatchesFullRun(revived.get(), ref, *opts.cluster_spec);
+      served = Fingerprint(revived.get(), ref.oids());
+    }
+
+    std::unique_ptr<QueryServer> rebooted =
+        StartOrDie(w.gen.net, w.points, opts);
+    ASSERT_NE(rebooted, nullptr);
+    EXPECT_EQ(rebooted->stats().wal_recovered_from_checkpoint,
+              checkpoint_every > 0 ? 1u : 0u);
+    ExpectSameFingerprints(Fingerprint(rebooted.get(), ref.oids()), served);
   }
 }
 
