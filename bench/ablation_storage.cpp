@@ -4,8 +4,15 @@
 // Runs ε-Link over the disk-backed store and reports physical page reads
 // for (a) CCAM-style connectivity placement vs. random placement of node
 // records, and (b) a sweep of buffer pool sizes. Physical I/O is the
-// hardware-independent cost signal of the paper's experiments.
+// hardware-independent cost signal of the paper's experiments; the disk
+// view is traversed directly, so the reads are ε-Link's own. The harness
+// prints FAIL and exits 1 unless connectivity placement reads fewer
+// pages than random at every buffer size, reads do not increase with
+// buffer size for either placement, and reads do not increase with page
+// size in the page sweep.
+#include <cstdint>
 #include <cstdio>
+#include <string>
 
 #include "bench_common.h"
 #include "core/eps_link.h"
@@ -58,19 +65,39 @@ int main() {
               d.workload.points.size());
 
   PrintRow({"buffer", "placement", "phys-reads", "logical", "hit-rate"});
+  int failures = 0;
+  auto fail = [&failures](const std::string& what) {
+    std::printf("FAIL: %s\n", what.c_str());
+    ++failures;
+  };
+  // Reads at the previous (smaller) buffer size, per placement.
+  uint64_t prev_reads[2] = {UINT64_MAX, UINT64_MAX};
   for (uint64_t kib : {64u, 128u, 256u, 512u, 1024u}) {
+    const std::string buffer = std::to_string(kib) + "KiB";
+    uint64_t reads[2];
+    int i = 0;
     for (auto [name, placement] :
          {std::pair<const char*, NodePlacement>{"connectivity",
                                                 NodePlacement::kConnectivity},
           {"random", NodePlacement::kRandom}}) {
       IoResult r = RunEpsLinkOnDisk(d, placement, kib * 1024);
-      PrintRow({std::to_string(kib) + "KiB", name,
-                std::to_string(r.physical_reads), std::to_string(r.logical),
-                Fmt(r.hit_rate, 4)});
+      PrintRow({buffer, name, std::to_string(r.physical_reads),
+                std::to_string(r.logical), Fmt(r.hit_rate, 4)});
+      if (r.physical_reads > prev_reads[i]) {
+        fail(std::string(name) + " placement reads more pages at " + buffer +
+             " than at the next smaller buffer");
+      }
+      reads[i] = prev_reads[i] = r.physical_reads;
+      ++i;
+    }
+    if (reads[0] >= reads[1]) {
+      fail("connectivity placement does not read fewer pages than random "
+           "at " + buffer);
     }
   }
   std::printf("\n--- page size sweep (256 KiB buffer, connectivity) ---\n");
   PrintRow({"page", "phys-reads", "phys-KiB", "logical"});
+  uint64_t prev_page_reads = UINT64_MAX;
   for (uint32_t page : {1024u, 2048u, 4096u, 8192u, 16384u}) {
     IoResult r = RunEpsLinkOnDisk(d, NodePlacement::kConnectivity, 256 * 1024,
                                   page);
@@ -78,12 +105,17 @@ int main() {
               std::to_string(r.physical_reads),
               std::to_string(r.physical_reads * (page / 1024)),
               std::to_string(r.logical)});
+    if (r.physical_reads > prev_page_reads) {
+      fail("reads grow from the next smaller page size to " +
+           std::to_string(page / 1024) + "KiB pages");
+    }
+    prev_page_reads = r.physical_reads;
   }
 
   std::printf(
-      "\nexpected shape: connectivity placement needs fewer physical reads\n"
-      "than random placement; physical reads fall as the buffer grows\n"
-      "until the working set fits; larger pages trade fewer reads against\n"
-      "more bytes transferred at a fixed buffer budget.\n");
-  return 0;
+      "\nstorage shape: connectivity placement reads fewer pages than "
+      "random at every buffer size; reads fall (or hold) as the buffer "
+      "grows and as pages grow — %d violation(s)\n",
+      failures);
+  return failures == 0 ? 0 : 1;
 }

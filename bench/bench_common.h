@@ -24,10 +24,10 @@ namespace netclus {
 namespace bench {
 
 // --- unified-entry adapters --------------------------------------------
-// The per-algorithm convenience overloads are deprecated; harnesses time
-// RunClustering(view, MakeSpec(options)) — the path users actually run,
-// including its one-time Freeze() — and unpack the ClusterOutput back
-// into the per-algorithm result shapes the tables read.
+// Harnesses time RunClustering(view, MakeSpec(options)) — the path users
+// actually run, including the one-time Freeze() of an in-memory view —
+// and unpack the ClusterOutput back into the per-algorithm result shapes
+// the tables read.
 
 inline Result<KMedoidsResult> RunKMedoids(const NetworkView& view,
                                           const KMedoidsOptions& options) {

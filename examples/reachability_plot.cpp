@@ -11,6 +11,7 @@
 #include "gen/network_gen.h"
 #include "gen/workload_gen.h"
 #include "graph/dijkstra.h"
+#include "graph/frozen_graph.h"
 
 using namespace netclus;
 
@@ -30,7 +31,8 @@ int main() {
   OpticsOptions opts;
   opts.eps = 4.0 * w.max_intra_gap;
   opts.min_pts = 5;
-  OpticsResult r = std::move(OpticsOrder(view, opts).value());
+  FrozenGraph frozen = std::move(view.Freeze()).value();
+  OpticsResult r = std::move(OpticsOrder(view, frozen, opts).value());
 
   // Downsampled ASCII reachability plot (60 columns, 12 rows).
   const int cols = 64, rows = 12;

@@ -141,8 +141,7 @@ done
 # VisitNeighbors(graph, n, fn) — which inlines the FrozenGraph CSR walk
 # — never through the virtual NetworkView::ForEachNeighbor, and must
 # never take a settle callback as std::function (type erasure defeats
-# the inlining the snapshot exists for). The std::function compat
-# wrappers live in src/graph/ only.
+# the inlining the snapshot exists for).
 for f in $(find src/core src/index -name '*.h' -o -name '*.cc' | sort); do
   stripped=$(sed 's@//.*@@' "$f")
   hits=$(printf '%s\n' "$stripped" |
@@ -162,9 +161,9 @@ done
 # Point-layer tripwire: the algorithms' hot loops read edge points
 # through graph/edge_points.h's EdgePointReader, which serves them from
 # the FrozenGraph point layer in place — no virtual call, no hash
-# lookup, no copy — and falls back to the view only when the snapshot
-# has no layer (disk-backed views). A direct view read in these files
-# would silently put the per-point virtual call back. The independent
+# lookup, no copy — and reads through the view only when the view itself
+# is the traversal graph (disk-backed runs). A direct view read in these
+# files would silently put the per-point virtual call back. The independent
 # oracles in core/validate.cc read through the view on purpose and are
 # not listed.
 for f in src/core/kmedoids.cc src/core/eps_link.cc src/core/dbscan.cc \
@@ -225,25 +224,6 @@ for f in $(find src -name '*.h' | sort); do
   if ! grep -q "^#ifndef ${guard}\$" "$f" ||
      ! grep -q "^#define ${guard}\$" "$f"; then
     fail "$f: header guard must be ${guard}"
-  fi
-done
-
-# Legacy-entry tripwire: the per-algorithm convenience overloads
-# (KMedoidsCluster & friends) are deprecated in favor of
-# RunClustering(view, MakeSpec(options)). tests/compat/ is the one
-# place that still exercises them (equivalence coverage); everything
-# else in tests/, examples/ and bench/ must go through the unified
-# entry. A file may opt out with a `netclus-lint: allow-legacy-entry`
-# comment when it deliberately times a non-deprecated engine overload.
-for f in $(find tests examples bench -name '*.h' -o -name '*.cc' -o -name '*.cpp' | sort); do
-  case "$f" in tests/compat/*) continue ;; esac
-  grep -q 'netclus-lint: allow-legacy-entry' "$f" && continue
-  stripped=$(sed 's@//.*@@' "$f")
-  hits=$(printf '%s\n' "$stripped" |
-    grep -nE '(^|[^[:alnum:]_])(KMedoidsCluster|EpsLinkCluster|DbscanCluster|SingleLinkCluster)[[:space:]]*\(' || true)
-  if [ -n "$hits" ]; then
-    fail "$f: legacy per-algorithm entry point; call RunClustering(view, MakeSpec(options)) (tests/compat/ is the only sanctioned caller; see also 'netclus-lint: allow-legacy-entry')
-$hits"
   fi
 done
 

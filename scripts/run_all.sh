@@ -42,8 +42,10 @@
 # 1/4/8 workers + p99 queue wait, with a hardware-aware 1->4 worker
 # scaling gate, and incremental/full publish-latency ratios gated below
 # 0.9 for the CSR splice, below 0.5 with ε-Link re-clustering and below
-# 0.5 for point-only publishes),
-# leaving machine-readable BENCH_*.json files at the repository root.
+# 0.5 for point-only publishes) and the two disk-I/O ablations
+# (ablation_method_io, ablation_storage, each gated on its page-count
+# shape), leaving machine-readable BENCH_*.json files at the repository
+# root.
 #
 # `scripts/run_all.sh server-smoke` builds the default configuration,
 # runs the query-server test suites (vocabulary, epoch manager,
@@ -258,15 +260,22 @@ if [ "${1:-}" = "bench-smoke" ]; then
   # vs full ε-Link re-cluster with about one point per node; PointSet
   # merge vs full build with one AddPoint per publish).
   ./build/bench/server_throughput 2>&1 | tee -a bench_smoke_output.txt
+  # The Section 5.2 disk-I/O experiments over the paged store: per-method
+  # page reads, and placement / buffer / page-size sweeps. Both gate the
+  # deterministic page-count shapes EXPERIMENTS.md records.
+  ./build/bench/ablation_method_io 2>&1 | tee -a bench_smoke_output.txt
+  ./build/bench/ablation_storage 2>&1 | tee -a bench_smoke_output.txt
   # Plain sh has no pipefail, so the tee above swallows the harnesses'
   # exit codes — re-assert their gates from the captured output: all
-  # three publish-latency rows must be present and no harness printed
-  # FAIL.
+  # three publish-latency rows and both I/O shape summaries must be
+  # present and no harness printed FAIL.
   grep -q 'publish latency: full .* (ratio' bench_smoke_output.txt
   grep -q 'publish latency with re-cluster: full .* (ratio' \
     bench_smoke_output.txt
   grep -q 'publish latency, points only: full .* (ratio' \
     bench_smoke_output.txt
+  grep -q 'method-io shape: ' bench_smoke_output.txt
+  grep -q 'storage shape: ' bench_smoke_output.txt
   if grep -q 'FAIL' bench_smoke_output.txt; then
     echo "run_all: a bench gate failed (see bench_smoke_output.txt)" >&2
     exit 1

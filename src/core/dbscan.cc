@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -12,21 +13,10 @@
 
 namespace netclus {
 
-Result<Clustering> DbscanCluster(const NetworkView& view,
-                                 const DbscanOptions& options) {
-  return DbscanCluster(view, options, nullptr, nullptr);
-}
-
-Result<Clustering> DbscanCluster(const NetworkView& view,
+template <TraversalGraph Graph>
+Result<Clustering> DbscanCluster(const NetworkView& view, const Graph& graph,
                                  const DbscanOptions& options,
                                  const DistanceAccelerator* accel) {
-  return DbscanCluster(view, options, accel, nullptr);
-}
-
-Result<Clustering> DbscanCluster(const NetworkView& view,
-                                 const DbscanOptions& options,
-                                 const DistanceAccelerator* accel,
-                                 const FrozenGraph* frozen) {
   if (!(options.eps > 0.0)) {
     return Status::InvalidArgument("eps must be positive");
   }
@@ -45,9 +35,13 @@ Result<Clustering> DbscanCluster(const NetworkView& view,
   // neighborhoods are computed up front (each worker leasing one
   // TraversalWorkspace), and the growth phase below consumes the cache;
   // since a neighborhood is a pure function of (view, p, eps), the
-  // result is bit-identical to the serial on-the-fly run.
-  const uint32_t threads =
+  // result is bit-identical to the serial on-the-fly run. Only a
+  // snapshot is shared across workers: a NetworkView may be disk-backed,
+  // and its buffer manager is not thread-safe, so a run over a view is
+  // serial.
+  uint32_t threads =
       std::min<uint32_t>(ResolveNumThreads(options.num_threads), n > 0 ? n : 1);
+  if constexpr (!std::is_same_v<Graph, FrozenGraph>) threads = 1;
   const bool precomputed = threads > 1;
   std::vector<std::vector<RangeResult>> cache;
   if (precomputed) {
@@ -59,15 +53,10 @@ Result<Clustering> DbscanCluster(const NetworkView& view,
     for (uint32_t w = 0; w < pool.size(); ++w) {
       leases.push_back(workspaces.Acquire());
     }
-    // The snapshot is immutable, so all workers share it read-only.
+    // The snapshot is immutable, so all workers share it.
     pool.ParallelFor(n, [&](size_t p, uint32_t worker) {
-      if (frozen != nullptr) {
-        RangeQuery(view, *frozen, static_cast<PointId>(p), options.eps,
-                   leases[worker].get(), accel, &cache[p]);
-      } else {
-        RangeQuery(view, static_cast<PointId>(p), options.eps,
-                   leases[worker].get(), accel, &cache[p]);
-      }
+      RangeQueryOver(view, graph, static_cast<PointId>(p), options.eps,
+                     leases[worker].get(), accel, &cache[p]);
     });
   }
 
@@ -76,11 +65,7 @@ Result<Clustering> DbscanCluster(const NetworkView& view,
   std::vector<RangeResult> buffer;
   auto neighborhood = [&](PointId p) -> const std::vector<RangeResult>& {
     if (precomputed) return cache[p];
-    if (frozen != nullptr) {
-      RangeQuery(view, *frozen, p, options.eps, &*serial_ws, accel, &buffer);
-    } else {
-      RangeQuery(view, p, options.eps, &*serial_ws, accel, &buffer);
-    }
+    RangeQueryOver(view, graph, p, options.eps, &*serial_ws, accel, &buffer);
     return buffer;
   };
 
@@ -120,5 +105,14 @@ Result<Clustering> DbscanCluster(const NetworkView& view,
   NormalizeClustering(&out);
   return out;
 }
+
+template Result<Clustering> DbscanCluster(const NetworkView&,
+                                          const FrozenGraph&,
+                                          const DbscanOptions&,
+                                          const DistanceAccelerator*);
+template Result<Clustering> DbscanCluster(const NetworkView&,
+                                          const NetworkView&,
+                                          const DbscanOptions&,
+                                          const DistanceAccelerator*);
 
 }  // namespace netclus

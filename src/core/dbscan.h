@@ -27,40 +27,26 @@ struct DbscanOptions {
   /// at any thread count: with > 1 thread all N neighborhoods are
   /// precomputed in parallel (per-worker TraversalWorkspace leases, no
   /// shared mutable state), then the cluster-growth phase replays the
-  /// exact serial scan order over the cached neighborhoods.
+  /// exact serial scan order over the cached neighborhoods. A run over a
+  /// NetworkView graph (possibly disk-backed, whose buffer is not
+  /// thread-safe) is serial whatever this says.
   uint32_t num_threads = 1;
 };
 
 /// Runs network DBSCAN over all points. Border points join the first core
 /// point that reaches them (scan order: ascending point id); unreached
-/// points are noise.
+/// points are noise. Every eps-range query expands over `graph`: a
+/// FrozenGraph snapshot of `view` (shared read-only across the query
+/// workers) or the view itself. `accel` is an optional distance
+/// accelerator (null = none) threaded into every query. Neither choice
+/// changes the clustering (audited under validate mode).
 ///
-/// Deprecated legacy entry point: call
-/// RunClustering(view, MakeSpec(options)) instead (netclus.h).
-[[deprecated("use RunClustering(view, MakeSpec(options))")]]
-Result<Clustering> DbscanCluster(const NetworkView& view,
-                                 const DbscanOptions& options);
-
-/// As above with an optional distance accelerator (null = identical to
-/// the overload above) threaded into every eps-range query. The
-/// accelerated queries return the same neighborhoods, so the clustering
-/// is identical with the index on or off (audited under validate mode).
-///
-/// Deprecated legacy entry point: RunClustering builds the accelerator
-/// itself from ClusterSpec::index.
-[[deprecated("use RunClustering with ClusterSpec::index")]]
-Result<Clustering> DbscanCluster(const NetworkView& view,
+/// Callers normally go through RunClustering(view, MakeSpec(options))
+/// (netclus.h), which picks the graph and builds the accelerator.
+template <TraversalGraph Graph>
+Result<Clustering> DbscanCluster(const NetworkView& view, const Graph& graph,
                                  const DbscanOptions& options,
                                  const DistanceAccelerator* accel);
-
-/// As above with an optional FrozenGraph snapshot of `view` (see
-/// NetworkView::Freeze()): when non-null, every eps-range query expands
-/// over the snapshot's CSR arrays (shared read-only across the query
-/// workers) instead of the virtual view. Bit-identical clustering.
-Result<Clustering> DbscanCluster(const NetworkView& view,
-                                 const DbscanOptions& options,
-                                 const DistanceAccelerator* accel,
-                                 const FrozenGraph* frozen);
 
 }  // namespace netclus
 

@@ -35,7 +35,7 @@ class EpsLinkRunner {
         eps_(eps),
         out_(out),
         nndist_(view.num_nodes()),
-        reader_(view, &graph) {}
+        reader_(graph) {}
 
   void GrowCluster(PointId seed, int cluster_id) {
     nndist_.NewEpoch();
@@ -141,12 +141,14 @@ class EpsLinkRunner {
   double eps_;
   Clustering* out_;
   NodeScratch nndist_;
-  EdgePointReader reader_;
+  EdgePointReader<Graph> reader_;
 };
 
-template <typename Graph>
-Result<Clustering> EpsLinkImpl(const NetworkView& view, const Graph& graph,
-                               const EpsLinkOptions& options) {
+}  // namespace
+
+template <TraversalGraph Graph>
+Result<Clustering> EpsLinkCluster(const NetworkView& view, const Graph& graph,
+                                  const EpsLinkOptions& options) {
   if (!(options.eps > 0.0)) {
     return Status::InvalidArgument("eps must be positive");
   }
@@ -163,18 +165,11 @@ Result<Clustering> EpsLinkImpl(const NetworkView& view, const Graph& graph,
   return out;
 }
 
-}  // namespace
-
-Result<Clustering> EpsLinkCluster(const NetworkView& view,
-                                  const EpsLinkOptions& options) {
-  return EpsLinkImpl(view, view, options);
-}
-
-Result<Clustering> EpsLinkCluster(const NetworkView& view,
-                                  const EpsLinkOptions& options,
-                                  const FrozenGraph* frozen) {
-  return frozen != nullptr ? EpsLinkImpl(view, *frozen, options)
-                           : EpsLinkImpl(view, view, options);
-}
+template Result<Clustering> EpsLinkCluster(const NetworkView&,
+                                           const FrozenGraph&,
+                                           const EpsLinkOptions&);
+template Result<Clustering> EpsLinkCluster(const NetworkView&,
+                                           const NetworkView&,
+                                           const EpsLinkOptions&);
 
 }  // namespace netclus

@@ -26,20 +26,16 @@ struct EpsLinkOptions {
 
 /// Clusters all points; the result's clusters are exactly the connected
 /// components of the "pairs within eps" graph, with components smaller
-/// than min_sup downgraded to noise. Deterministic for fixed input.
+/// than min_sup downgraded to noise. Deterministic for fixed input. The
+/// expansion traverses `graph`: a FrozenGraph snapshot of `view` (CSR
+/// arrays, no virtual dispatch) or the view itself. Bit-identical result
+/// either way.
 ///
-/// Deprecated legacy entry point: call
-/// RunClustering(view, MakeSpec(options)) instead (netclus.h).
-[[deprecated("use RunClustering(view, MakeSpec(options))")]]
-Result<Clustering> EpsLinkCluster(const NetworkView& view,
+/// Callers normally go through RunClustering(view, MakeSpec(options))
+/// (netclus.h), which picks the graph.
+template <TraversalGraph Graph>
+Result<Clustering> EpsLinkCluster(const NetworkView& view, const Graph& graph,
                                   const EpsLinkOptions& options);
-
-/// As above with an optional FrozenGraph snapshot of `view` (see
-/// NetworkView::Freeze()): when non-null, the expansion traverses the
-/// snapshot's CSR arrays with no virtual dispatch. Bit-identical result.
-Result<Clustering> EpsLinkCluster(const NetworkView& view,
-                                  const EpsLinkOptions& options,
-                                  const FrozenGraph* frozen);
 
 }  // namespace netclus
 

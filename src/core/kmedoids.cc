@@ -4,6 +4,7 @@
 #include <optional>
 #include <queue>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -30,11 +31,11 @@ using MedHeap = std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>>
 // point-assignment scan, with O(|V|) rollback snapshots for rejected swaps.
 //
 // Templated on the traversal graph: `graph` is either the view itself
-// (compatibility path) or a FrozenGraph snapshot of it (de-virtualized
+// (a disk-backed run) or a FrozenGraph snapshot of it (de-virtualized
 // CSR walk). Point positions come from the view; neighbor iteration and
 // edge weights go through the graph, and the assignment scan reads the
-// snapshot's point layer (graph/edge_points.h). Both instantiations
-// expand in the same order, so trajectories (rng draws, accept/reject
+// points through it (graph/edge_points.h). Both instantiations expand
+// in the same order, so trajectories (rng draws, accept/reject
 // sequence, final medoids) are bit-identical.
 template <typename Graph>
 class KMedoidsEngine {
@@ -44,7 +45,7 @@ class KMedoidsEngine {
         graph_(graph),
         node_med_(view.num_nodes(), -1),
         node_dist_(view.num_nodes(), kInfDist),
-        reader_(view, &graph) {}
+        reader_(graph) {}
 
   void SetMedoids(std::vector<PointId> medoids) {
     medoids_ = std::move(medoids);
@@ -283,7 +284,7 @@ class KMedoidsEngine {
   std::vector<double> snap_dist_;
   std::vector<PointId> snap_medoids_;
   std::vector<double> bound_lb_;  // SwapCostLowerBound scratch
-  EdgePointReader reader_;
+  EdgePointReader<Graph> reader_;
 };
 
 // Slot j's points, ascending, in (*members)[j]; noise points in none.
@@ -388,21 +389,11 @@ Result<KMedoidsResult> RunOnce(const NetworkView& view, const Graph& graph,
 
 }  // namespace
 
+template <TraversalGraph Graph>
 Result<KMedoidsResult> KMedoidsCluster(const NetworkView& view,
-                                       const KMedoidsOptions& options) {
-  return KMedoidsCluster(view, options, nullptr, nullptr);
-}
-
-Result<KMedoidsResult> KMedoidsCluster(const NetworkView& view,
+                                       const Graph& graph,
                                        const KMedoidsOptions& options,
                                        const DistanceAccelerator* accel) {
-  return KMedoidsCluster(view, options, accel, nullptr);
-}
-
-Result<KMedoidsResult> KMedoidsCluster(const NetworkView& view,
-                                       const KMedoidsOptions& options,
-                                       const DistanceAccelerator* accel,
-                                       const FrozenGraph* frozen) {
   const bool fixed_initial = !options.initial_medoids.empty();
   if (fixed_initial) {
     if (options.initial_medoids.size() > view.num_points()) {
@@ -427,11 +418,15 @@ Result<KMedoidsResult> KMedoidsCluster(const NetworkView& view,
 
   // One restart per task. Restart r draws from Rng(DeriveSeed(seed, r)),
   // so its whole trajectory (initial sample + swap sequence) is a pure
-  // function of (view, options, r) — independent of scheduling.
+  // function of (view, options, r) — independent of scheduling. Only a
+  // snapshot is shared across workers: a NetworkView may be disk-backed,
+  // and its buffer manager is not thread-safe, so restarts over a view
+  // run serially.
   std::vector<Result<KMedoidsResult>> runs(
       restarts, Status::Internal("restart did not run"));
   uint32_t threads =
       std::min<uint32_t>(ResolveNumThreads(options.num_threads), restarts);
+  if constexpr (!std::is_same_v<Graph, FrozenGraph>) threads = 1;
   std::optional<ThreadPool> pool;
   if (threads > 1) pool.emplace(threads);
   ParallelFor(pool ? &*pool : nullptr, restarts, [&](size_t r, uint32_t) {
@@ -444,11 +439,7 @@ Result<KMedoidsResult> KMedoidsCluster(const NetworkView& view,
           rng.SampleWithoutReplacement(view.num_points(), options.k);
       initial.assign(sample.begin(), sample.end());
     }
-    runs[r] = frozen != nullptr
-                  ? RunOnce(view, *frozen, options, std::move(initial), &rng,
-                            accel)
-                  : RunOnce(view, view, options, std::move(initial), &rng,
-                            accel);
+    runs[r] = RunOnce(view, graph, options, std::move(initial), &rng, accel);
   });
 
   // Deterministic reduction: lowest cost wins, ties broken by lowest
@@ -469,12 +460,10 @@ Result<KMedoidsResult> KMedoidsCluster(const NetworkView& view,
   return best;
 }
 
-namespace {
-
-template <typename Graph>
-Result<KMedoidsResult> AssignToMedoidsImpl(
-    const NetworkView& view, const Graph& graph,
-    const std::vector<PointId>& medoids) {
+template <TraversalGraph Graph>
+Result<KMedoidsResult> AssignToMedoids(const NetworkView& view,
+                                       const Graph& graph,
+                                       const std::vector<PointId>& medoids) {
   if (medoids.empty()) {
     return Status::InvalidArgument("medoid set must be non-empty");
   }
@@ -488,13 +477,19 @@ Result<KMedoidsResult> AssignToMedoidsImpl(
   return result;
 }
 
-}  // namespace
-
-Result<KMedoidsResult> AssignToMedoids(const NetworkView& view,
-                                       const std::vector<PointId>& medoids,
-                                       const FrozenGraph* frozen) {
-  return frozen != nullptr ? AssignToMedoidsImpl(view, *frozen, medoids)
-                           : AssignToMedoidsImpl(view, view, medoids);
-}
+template Result<KMedoidsResult> KMedoidsCluster(const NetworkView&,
+                                                const FrozenGraph&,
+                                                const KMedoidsOptions&,
+                                                const DistanceAccelerator*);
+template Result<KMedoidsResult> KMedoidsCluster(const NetworkView&,
+                                                const NetworkView&,
+                                                const KMedoidsOptions&,
+                                                const DistanceAccelerator*);
+template Result<KMedoidsResult> AssignToMedoids(const NetworkView&,
+                                                const FrozenGraph&,
+                                                const std::vector<PointId>&);
+template Result<KMedoidsResult> AssignToMedoids(const NetworkView&,
+                                                const NetworkView&,
+                                                const std::vector<PointId>&);
 
 }  // namespace netclus

@@ -82,54 +82,44 @@ struct KMedoidsResult {
 };
 
 /// Runs k-medoids: random initial medoids unless
-/// `options.initial_medoids` is set. Restarts execute in parallel on
-/// `options.num_threads` workers with per-restart derived seeds; the
-/// winning run (lowest cost, ties broken by lowest restart index) is
-/// bit-identical to a serial execution.
+/// `options.initial_medoids` is set. Every traversal (Medoid_Dist_Find,
+/// Inc_Medoid_Update, the assignment scan) runs over `graph`: a
+/// FrozenGraph snapshot of `view` (CSR arrays, no virtual dispatch,
+/// shared read-only across the restart workers) or the view itself.
+/// Results are bit-identical either way. Over a snapshot, restarts
+/// execute in parallel on `options.num_threads` workers with per-restart
+/// derived seeds; the winning run (lowest cost, ties broken by lowest
+/// restart index) is bit-identical to a serial execution. Over the view
+/// itself (possibly disk-backed, whose buffer is not thread-safe) they
+/// run serially.
 ///
-/// Deprecated legacy entry point: call
-/// RunClustering(view, MakeSpec(options)) instead (netclus.h).
-[[deprecated("use RunClustering(view, MakeSpec(options))")]]
-Result<KMedoidsResult> KMedoidsCluster(const NetworkView& view,
-                                       const KMedoidsOptions& options);
-
-/// As above with an optional distance accelerator (null = identical to
-/// the overload above). Before a tentative swap of medoid slot i for
-/// candidate c is evaluated, a sound lower bound on the post-swap cost
-/// is assembled against the exact current assignment: a point of
-/// another slot keeps its medoid, so it is charged min(its current
-/// cost, LB(p, c)); only slot i's points are bounded against all k new
-/// medoids; noise points are charged 0. Swaps whose bound already
-/// exceeds the current cost are rejected without running
-/// Inc_Medoid_Update or the assignment scan. Pruning never changes the
-/// result: the rng draws and the accept/reject sequence are identical
-/// with the index on or off. Only the accelerator's lower and upper
-/// bounds are read.
+/// `accel` is an optional distance accelerator (null = none). Before a
+/// tentative swap of medoid slot i for candidate c is evaluated, a sound
+/// lower bound on the post-swap cost is assembled against the exact
+/// current assignment: a point of another slot keeps its medoid, so it
+/// is charged min(its current cost, LB(p, c)); only slot i's points are
+/// bounded against all k new medoids; noise points are charged 0. Swaps
+/// whose bound already exceeds the current cost are rejected without
+/// running Inc_Medoid_Update or the assignment scan. Pruning never
+/// changes the result: the rng draws and the accept/reject sequence are
+/// identical with the index on or off. Only the accelerator's lower and
+/// upper bounds are read.
 ///
-/// Deprecated legacy entry point: RunClustering builds the accelerator
-/// itself from ClusterSpec::index.
-[[deprecated("use RunClustering with ClusterSpec::index")]]
+/// Callers normally go through RunClustering(view, MakeSpec(options))
+/// (netclus.h), which picks the graph and builds the accelerator.
+template <TraversalGraph Graph>
 Result<KMedoidsResult> KMedoidsCluster(const NetworkView& view,
+                                       const Graph& graph,
                                        const KMedoidsOptions& options,
                                        const DistanceAccelerator* accel);
 
-/// As above with an optional FrozenGraph snapshot of `view` (see
-/// NetworkView::Freeze()): when non-null, every traversal
-/// (Medoid_Dist_Find, Inc_Medoid_Update, the assignment scan's edge
-/// weights) runs over the snapshot's CSR arrays with no virtual
-/// dispatch, shared read-only across the restart workers. Results are
-/// bit-identical to the unfrozen run.
-Result<KMedoidsResult> KMedoidsCluster(const NetworkView& view,
-                                       const KMedoidsOptions& options,
-                                       const DistanceAccelerator* accel,
-                                       const FrozenGraph* frozen);
-
 /// Evaluates R for an arbitrary medoid set (no search), assigning every
-/// point to its nearest medoid. Exposed for tests and for the evaluation
-/// module. `frozen`, when non-null, must be a snapshot of `view`.
+/// point to its nearest medoid over `graph` (as above). Exposed for tests
+/// and for the evaluation module.
+template <TraversalGraph Graph>
 Result<KMedoidsResult> AssignToMedoids(const NetworkView& view,
-                                       const std::vector<PointId>& medoids,
-                                       const FrozenGraph* frozen = nullptr);
+                                       const Graph& graph,
+                                       const std::vector<PointId>& medoids);
 
 }  // namespace netclus
 

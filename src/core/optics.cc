@@ -31,11 +31,9 @@ double CoreDistance(std::vector<RangeResult>* neighborhood,
 }
 }  // namespace
 
-namespace {
-
-Result<OpticsResult> OpticsOrderImpl(const NetworkView& view,
-                                     const FrozenGraph* frozen,
-                                     const OpticsOptions& options) {
+template <TraversalGraph Graph>
+Result<OpticsResult> OpticsOrder(const NetworkView& view, const Graph& graph,
+                                 const OpticsOptions& options) {
   if (!(options.eps > 0.0)) {
     return Status::InvalidArgument("eps must be positive");
   }
@@ -59,11 +57,7 @@ Result<OpticsResult> OpticsOrderImpl(const NetworkView& view,
     processed[p] = true;
     res.order.push_back(p);
     res.reachability.push_back(reachability);
-    if (frozen != nullptr) {
-      RangeQuery(view, *frozen, p, options.eps, &ws, &neighborhood);
-    } else {
-      RangeQuery(view, p, options.eps, &ws, &neighborhood);
-    }
+    RangeQueryOver(view, graph, p, options.eps, &ws, nullptr, &neighborhood);
     double cd = CoreDistance(&neighborhood, options.min_pts);
     res.core_distance[p] = cd;
     if (cd == kInfDist) return;
@@ -91,18 +85,12 @@ Result<OpticsResult> OpticsOrderImpl(const NetworkView& view,
   return res;
 }
 
-}  // namespace
-
-Result<OpticsResult> OpticsOrder(const NetworkView& view,
-                                 const OpticsOptions& options) {
-  return OpticsOrderImpl(view, nullptr, options);
-}
-
-Result<OpticsResult> OpticsOrder(const NetworkView& view,
-                                 const OpticsOptions& options,
-                                 const FrozenGraph* frozen) {
-  return OpticsOrderImpl(view, frozen, options);
-}
+template Result<OpticsResult> OpticsOrder(const NetworkView&,
+                                          const FrozenGraph&,
+                                          const OpticsOptions&);
+template Result<OpticsResult> OpticsOrder(const NetworkView&,
+                                          const NetworkView&,
+                                          const OpticsOptions&);
 
 Clustering ExtractDbscanClustering(const OpticsResult& optics,
                                    double eps_prime, uint32_t min_pts) {

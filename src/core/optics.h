@@ -34,16 +34,12 @@ struct OpticsResult {
   std::vector<double> core_distance;  ///< per point id
 };
 
-/// Computes the OPTICS ordering of all points.
-Result<OpticsResult> OpticsOrder(const NetworkView& view,
+/// Computes the OPTICS ordering of all points. Every range expansion
+/// runs over `graph`: a FrozenGraph snapshot of `view` or the view
+/// itself. Bit-identical ordering either way.
+template <TraversalGraph Graph>
+Result<OpticsResult> OpticsOrder(const NetworkView& view, const Graph& graph,
                                  const OpticsOptions& options);
-
-/// As above with an optional FrozenGraph snapshot of `view` (see
-/// NetworkView::Freeze()): when non-null, every range expansion runs
-/// over the snapshot's CSR arrays. Bit-identical ordering.
-Result<OpticsResult> OpticsOrder(const NetworkView& view,
-                                 const OpticsOptions& options,
-                                 const FrozenGraph* frozen);
 
 /// Extracts the DBSCAN-equivalent clustering at `eps_prime` (must be <=
 /// the generating eps) from an ordering computed with `min_pts`.

@@ -28,14 +28,16 @@ struct NodeEntry {
 template <typename T>
 using MinHeap = std::priority_queue<T, std::vector<T>, std::greater<>>;
 
-// The whole run, templated on the traversal graph (the view itself on
-// the compatibility path, a FrozenGraph snapshot on the de-virtualized
-// one). Point scans stay on the view; the expansion and edge weights go
+}  // namespace
+
+// The whole run, templated on the traversal graph (the view itself for a
+// disk-backed run, a FrozenGraph snapshot on the de-virtualized path).
+// Point scans stay on the view; the expansion and edge weights go
 // through the graph. Same visit order either way → identical dendrogram.
-template <typename Graph>
-Result<SingleLinkResult> SingleLinkImpl(const NetworkView& view,
-                                        const Graph& graph,
-                                        const SingleLinkOptions& options) {
+template <TraversalGraph Graph>
+Result<SingleLinkResult> SingleLinkCluster(const NetworkView& view,
+                                           const Graph& graph,
+                                           const SingleLinkOptions& options) {
   if (options.delta < 0.0) {
     return Status::InvalidArgument("delta must be non-negative");
   }
@@ -165,18 +167,9 @@ Result<SingleLinkResult> SingleLinkImpl(const NetworkView& view,
   return result;
 }
 
-}  // namespace
-
-Result<SingleLinkResult> SingleLinkCluster(const NetworkView& view,
-                                           const SingleLinkOptions& options) {
-  return SingleLinkImpl(view, view, options);
-}
-
-Result<SingleLinkResult> SingleLinkCluster(const NetworkView& view,
-                                           const SingleLinkOptions& options,
-                                           const FrozenGraph* frozen) {
-  return frozen != nullptr ? SingleLinkImpl(view, *frozen, options)
-                           : SingleLinkImpl(view, view, options);
-}
+template Result<SingleLinkResult> SingleLinkCluster(
+    const NetworkView&, const FrozenGraph&, const SingleLinkOptions&);
+template Result<SingleLinkResult> SingleLinkCluster(
+    const NetworkView&, const NetworkView&, const SingleLinkOptions&);
 
 }  // namespace netclus

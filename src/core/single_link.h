@@ -53,21 +53,17 @@ struct SingleLinkResult {
   explicit SingleLinkResult(PointId n) : dendrogram(n) {}
 };
 
-/// Runs Single-Link over all points of `view`.
+/// Runs Single-Link over all points of `view`. The Voronoi expansion
+/// runs over `graph`: a FrozenGraph snapshot of `view` (CSR arrays, no
+/// virtual dispatch) or the view itself. The dendrogram and stats are
+/// bit-identical either way.
 ///
-/// Deprecated legacy entry point: call
-/// RunClustering(view, MakeSpec(options)) instead (netclus.h).
-[[deprecated("use RunClustering(view, MakeSpec(options))")]]
+/// Callers normally go through RunClustering(view, MakeSpec(options))
+/// (netclus.h), which picks the graph.
+template <TraversalGraph Graph>
 Result<SingleLinkResult> SingleLinkCluster(const NetworkView& view,
+                                           const Graph& graph,
                                            const SingleLinkOptions& options);
-
-/// As above with an optional FrozenGraph snapshot of `view` (see
-/// NetworkView::Freeze()): when non-null, the Voronoi expansion runs
-/// over the snapshot's CSR arrays with no virtual dispatch. The
-/// dendrogram and stats are bit-identical to the unfrozen run.
-Result<SingleLinkResult> SingleLinkCluster(const NetworkView& view,
-                                           const SingleLinkOptions& options,
-                                           const FrozenGraph* frozen);
 
 }  // namespace netclus
 

@@ -568,9 +568,9 @@ Status ValidateFrozenGraph(const NetworkView& view,
 
   // Point-range handles: every point-bearing edge of the view must map
   // to the identical (first, count) range in the snapshot.
-  if (!frozen.has_point_ranges()) {
+  if (!frozen.has_point_layer()) {
     return Violation("frozen",
-                     "snapshot built without point ranges cannot serve "
+                     "snapshot built without a point layer cannot serve "
                      "traversal clients of a point-bearing view");
   }
   std::string pt_mismatch;
@@ -588,9 +588,7 @@ Status ValidateFrozenGraph(const NetworkView& view,
         }
       });
   if (!pt_mismatch.empty()) return Violation("frozen", std::move(pt_mismatch));
-  if (frozen.has_point_layer()) {
-    NETCLUS_RETURN_IF_ERROR(ValidatePointLayer(view, frozen));
-  }
+  NETCLUS_RETURN_IF_ERROR(ValidatePointLayer(view, frozen));
   return view.status();
 }
 

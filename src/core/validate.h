@@ -98,11 +98,11 @@ Status ValidateWorkspace(const TraversalWorkspace& ws, NodeId num_nodes);
 /// node's neighbor sequence (ids AND weights, in the view's iteration
 /// order — the order bit-identical trajectories rest on), and every
 /// point-bearing edge's point-range handles must match the live view
-/// exactly; so must the point layer when the snapshot has one (group
-/// table in ForEachPointGroup order with the view's edge weights, and
-/// every point's offset). O(V + E + N). Wired into RunClustering's
-/// validate block so -DNETCLUS_VALIDATE=ON builds re-prove the snapshot
-/// on every run.
+/// exactly; so must the point layer (group table in ForEachPointGroup
+/// order with the view's edge weights, and every point's offset).
+/// O(V + E + N). Wired into RunClustering's validate block so
+/// -DNETCLUS_VALIDATE=ON builds re-prove the snapshot on every run that
+/// takes one.
 Status ValidateFrozenGraph(const NetworkView& view, const FrozenGraph& frozen);
 
 /// Distance-accelerator (index) consistency audit, against independent

@@ -19,48 +19,4 @@ std::vector<double> DijkstraDistances(
   return dist;
 }
 
-// The std::function compatibility wrappers below all delegate to the
-// template kernel; the per-neighbor std::function invocation they imply
-// is paid only by legacy call sites, never by kernel instantiations
-// over lambdas.
-
-void DijkstraDistances(const NetworkView& view,
-                       const std::vector<DijkstraSource>& sources,
-                       TraversalWorkspace* ws) {
-  DijkstraExpandKernel(view, sources, kInfDist, &ws->scratch, &ws->heap,
-                       [](NodeId, double) { return SettleAction::kContinue; });
-}
-
-void DijkstraExpandBounded(
-    const NetworkView& view, const std::vector<DijkstraSource>& sources,
-    double bound, NodeScratch* scratch,
-    const std::function<bool(NodeId, double)>& on_settle) {
-  std::vector<DijkstraHeapEntry> heap;
-  DijkstraExpandKernel(view, sources, bound, scratch, &heap, on_settle);
-}
-
-void DijkstraExpandBounded(
-    const NetworkView& view, const std::vector<DijkstraSource>& sources,
-    double bound, TraversalWorkspace* ws,
-    const std::function<bool(NodeId, double)>& on_settle) {
-  DijkstraExpandKernel(view, sources, bound, &ws->scratch, &ws->heap,
-                       on_settle, &ws->cancel);
-}
-
-void DijkstraExpandBounded(
-    const NetworkView& view, const std::vector<DijkstraSource>& sources,
-    double bound, NodeScratch* scratch,
-    const std::function<SettleAction(NodeId, double)>& on_settle) {
-  std::vector<DijkstraHeapEntry> heap;
-  DijkstraExpandKernel(view, sources, bound, scratch, &heap, on_settle);
-}
-
-void DijkstraExpandBounded(
-    const NetworkView& view, const std::vector<DijkstraSource>& sources,
-    double bound, TraversalWorkspace* ws,
-    const std::function<SettleAction(NodeId, double)>& on_settle) {
-  DijkstraExpandKernel(view, sources, bound, &ws->scratch, &ws->heap,
-                       on_settle, &ws->cancel);
-}
-
 }  // namespace netclus

@@ -1,5 +1,5 @@
 // Dijkstra shortest-path primitives: a header-template traversal kernel
-// plus NetworkView compatibility wrappers.
+// over any graph type.
 //
 // Every clustering algorithm in the paper is built on (multi-source,
 // possibly bounded) Dijkstra traversals; these helpers centralize the
@@ -9,11 +9,10 @@
 // The kernel (DijkstraExpandKernel) is parameterized on the graph type
 // and the settle functor, so over a FrozenGraph with a lambda the inner
 // loop compiles to a plain CSR pointer walk — no virtual dispatch, no
-// std::function. Neighbor iteration is reached through the
+// type-erased callback. Neighbor iteration is reached through the
 // VisitNeighbors(graph, node, fn) adapter, overloaded per graph type;
-// the NetworkView adapter below is the sanctioned bridge to the virtual
-// interface, kept so code that has not (or cannot — e.g. streaming
-// disk-backed scans) migrate to a snapshot still works unchanged.
+// the NetworkView adapter below is the bridge to the virtual interface
+// that a disk-backed view, which is never frozen, is traversed through.
 #ifndef NETCLUS_GRAPH_DIJKSTRA_H_
 #define NETCLUS_GRAPH_DIJKSTRA_H_
 
@@ -170,9 +169,8 @@ struct TraversalWorkspace {
 };
 
 /// Neighbor-iteration adapter for the template kernel: the NetworkView
-/// side funnels through the virtual call (one std::function built per
-/// visited node). This is the compatibility bridge — algorithm code
-/// passes a FrozenGraph to get the inlined CSR walk instead (see
+/// side funnels through the virtual call (one type-erased callback built
+/// per visited node). A FrozenGraph gets the inlined CSR walk instead (see
 /// graph/frozen_graph.h for that overload).
 template <typename Fn>
 inline void VisitNeighbors(const NetworkView& view, NodeId n, Fn&& fn) {
@@ -220,8 +218,8 @@ inline SettleAction InvokeSettle(SettleFn& on_settle, NodeId n, double d) {
 /// invoked once per settled node with dist <= `bound` and may return
 /// either bool (false = stop) or SettleAction. Instantiated with a
 /// FrozenGraph and a lambda, the inner loop carries no virtual dispatch
-/// and no std::function — this is the de-virtualized hot path every
-/// algorithm runs on.
+/// and no type-erased callback — the de-virtualized hot path every
+/// in-memory run takes.
 ///
 /// `cancel` (optional) is polled every `cancel->check_interval` settled
 /// nodes; when its flag reads true the expansion abandons its remaining
@@ -327,37 +325,6 @@ void DijkstraDistances(const Graph& graph,
 /// uses the TraversalWorkspace overload.
 std::vector<double> DijkstraDistances(const NetworkView& view,
                                       const std::vector<DijkstraSource>& sources);
-
-// --- NetworkView + std::function compatibility wrappers ------------------
-// Thin non-template overloads delegating to the kernel. They exist so
-// pre-snapshot call sites (and call sites that store their callback in a
-// std::function) keep compiling and linking unchanged; overload
-// resolution prefers them for std::function lvalues and the templates
-// above for everything else.
-
-void DijkstraDistances(const NetworkView& view,
-                       const std::vector<DijkstraSource>& sources,
-                       TraversalWorkspace* ws);
-
-void DijkstraExpandBounded(
-    const NetworkView& view, const std::vector<DijkstraSource>& sources,
-    double bound, NodeScratch* scratch,
-    const std::function<bool(NodeId, double)>& on_settle);
-
-void DijkstraExpandBounded(
-    const NetworkView& view, const std::vector<DijkstraSource>& sources,
-    double bound, TraversalWorkspace* ws,
-    const std::function<bool(NodeId, double)>& on_settle);
-
-void DijkstraExpandBounded(
-    const NetworkView& view, const std::vector<DijkstraSource>& sources,
-    double bound, NodeScratch* scratch,
-    const std::function<SettleAction(NodeId, double)>& on_settle);
-
-void DijkstraExpandBounded(
-    const NetworkView& view, const std::vector<DijkstraSource>& sources,
-    double bound, TraversalWorkspace* ws,
-    const std::function<SettleAction(NodeId, double)>& on_settle);
 
 }  // namespace netclus
 

@@ -2,16 +2,17 @@
 //
 // Every algorithm of the paper reads the points on each edge it crosses
 // (Section 4.1 stores them together, sorted by offset). The reader
-// serves those reads from a FrozenGraph's point layer when the snapshot
-// has one — a slice of the flat per-point offset array, no copy, no
-// virtual call, no hash lookup — and through NetworkView::GetEdgePoints
-// / ForEachPointGroup otherwise: for a disk-backed view, whose point
-// reads are the paged I/O the Section 5.2 experiments count, and for the
-// live-view instantiations of the algorithms. Both sources present the
-// same shape, so algorithm code is written once.
+// serves those reads from the traversal graph: over a FrozenGraph
+// snapshot, from its point layer — a slice of the flat per-point offset
+// array, no copy, no virtual call, no hash lookup; over a NetworkView,
+// through GetEdgePoints / ForEachPointGroup — for a disk-backed view
+// these are the paged point-file reads the Section 5.2 experiments
+// count. The graph type picks the source at compile time, and both
+// present the same shape, so algorithm code is written once.
 #ifndef NETCLUS_GRAPH_EDGE_POINTS_H_
 #define NETCLUS_GRAPH_EDGE_POINTS_H_
 
+#include <type_traits>
 #include <vector>
 
 #include "common/check.h"
@@ -31,55 +32,55 @@ struct EdgePointSpan {
   bool empty() const { return count == 0; }
 };
 
-/// \brief Reads edge points from the point layer or through the view.
+/// \brief Reads edge points from the traversal graph: the point layer of
+/// a FrozenGraph, or GetEdgePoints / ForEachPointGroup of a NetworkView.
 ///
 /// A span returned by Get() stays valid until the next Get() on the
 /// same reader. Not thread-safe: one reader per traversal.
+template <typename Graph>
 class EdgePointReader {
+  static constexpr bool kSnapshot = std::is_same_v<Graph, FrozenGraph>;
+
  public:
-  /// Reads through the snapshot's point layer when it has one, through
-  /// `view` otherwise; edge weights come from the snapshot. A null
-  /// `frozen` reads everything, weights included, through `view`.
-  EdgePointReader(const NetworkView& view, const FrozenGraph* frozen)
-      : view_(view),
-        frozen_(frozen),
-        layer_(frozen != nullptr && frozen->has_point_layer()
-                   ? frozen->point_offsets().data()
-                   : nullptr) {}
-  /// The live-view instantiations' form (the traversal graph is the view
-  /// itself): everything is read through `view`.
-  EdgePointReader(const NetworkView& view, const NetworkView* /*graph*/)
-      : view_(view) {}
+  explicit EdgePointReader(const Graph& graph) : graph_(graph) {
+    if constexpr (kSnapshot) {
+      NETCLUS_DCHECK(graph.has_point_layer())
+          << "traversal snapshot carries no point layer";
+    }
+  }
 
   /// Points on edge {a, b}; empty when the edge holds none.
   EdgePointSpan Get(NodeId a, NodeId b) {
-    if (layer_ != nullptr) {
-      auto [first, count] = frozen_->EdgePointRange(a, b);
+    if constexpr (kSnapshot) {
+      auto [first, count] = graph_.EdgePointRange(a, b);
       return count == 0 ? EdgePointSpan{}
-                        : EdgePointSpan{first, count, layer_ + first};
+                        : EdgePointSpan{first, count,
+                                        graph_.point_offsets().data() + first};
+    } else {
+      graph_.GetEdgePoints(a, b, &pts_);
+      return FromBuffer();
     }
-    view_.GetEdgePoints(a, b, &pts_);
-    return FromBuffer();
   }
 
   /// Invokes fn(u, v, weight, span) for every point-bearing edge in
   /// point-id order — the "single scan on the points file" of the
-  /// k-medoids assignment phase.
+  /// k-medoids assignment phase. Over a disk-backed view a failed read
+  /// yields weight -1 and an empty span; the view's status() has it.
   template <typename Fn>
   void ForEachGroup(Fn&& fn) {
-    if (layer_ != nullptr) {
-      for (const FrozenGraph::PointGroup& g : frozen_->point_groups()) {
-        fn(g.u, g.v, g.weight, EdgePointSpan{g.first, g.count,
-                                             layer_ + g.first});
+    if constexpr (kSnapshot) {
+      const double* layer = graph_.point_offsets().data();
+      for (const FrozenGraph::PointGroup& g : graph_.point_groups()) {
+        fn(g.u, g.v, g.weight,
+           EdgePointSpan{g.first, g.count, layer + g.first});
       }
-      return;
+    } else {
+      graph_.ForEachPointGroup([&](NodeId u, NodeId v, PointId, uint32_t) {
+        const double w = graph_.EdgeWeight(u, v);
+        graph_.GetEdgePoints(u, v, &pts_);
+        fn(u, v, w, FromBuffer());
+      });
     }
-    view_.ForEachPointGroup([&](NodeId u, NodeId v, PointId, uint32_t) {
-      const double w = frozen_ != nullptr ? frozen_->EdgeWeight(u, v)
-                                          : view_.EdgeWeight(u, v);
-      view_.GetEdgePoints(u, v, &pts_);
-      fn(u, v, w, FromBuffer());
-    });
   }
 
  private:
@@ -95,10 +96,8 @@ class EdgePointReader {
                          offsets_.data()};
   }
 
-  const NetworkView& view_;
-  const FrozenGraph* frozen_ = nullptr;
-  const double* layer_ = nullptr;
-  std::vector<EdgePoint> pts_;
+  const Graph& graph_;
+  std::vector<EdgePoint> pts_;  // view path only
   std::vector<double> offsets_;
 };
 

@@ -2,9 +2,7 @@
 
 #include <cstring>
 
-#include "common/check.h"
 #include "graph/network.h"
-#include "graph/network_view.h"
 
 namespace netclus {
 
@@ -28,7 +26,7 @@ double FrozenGraph::EdgeWeight(NodeId a, NodeId b) const {
 
 std::pair<PointId, uint32_t> FrozenGraph::EdgePointRange(NodeId a,
                                                          NodeId b) const {
-  if (!has_point_ranges_ || a >= num_nodes() || b >= num_nodes()) {
+  if (!has_point_layer_ || a >= num_nodes() || b >= num_nodes()) {
     return {kInvalidPointId, 0};
   }
   size_t slot = SlotOf(a, b);
@@ -37,25 +35,6 @@ std::pair<PointId, uint32_t> FrozenGraph::EdgePointRange(NodeId a,
   }
   return {pt_first_[slot], pt_count_[slot]};
 }
-
-namespace {
-
-// Invokes fn(neighbor, weight) over node i's row in the view's iteration
-// order: straight off the Network's adjacency list when the view is
-// in-memory (`net` non-null), through the virtual ForEachNeighbor
-// otherwise. InMemoryNetworkView iterates exactly that list, so both
-// produce the same sequence.
-template <typename Fn>
-void ForEachSourceNeighbor(const NetworkView& view, const Network* net,
-                           NodeId i, Fn&& fn) {
-  if (net != nullptr) {
-    for (const auto& [m, w] : net->neighbors(i)) fn(m, w);
-  } else {
-    view.ForEachNeighbor(i, fn);
-  }
-}
-
-}  // namespace
 
 size_t FrozenGraph::SetEdgePoints(NodeId u, NodeId v, PointId first,
                                   uint32_t count) {
@@ -72,30 +51,20 @@ size_t FrozenGraph::SetEdgePoints(NodeId u, NodeId v, PointId first,
   return su;
 }
 
-void FrozenGraph::AttachPoints(const NetworkView& view) {
-  const InMemoryNetworkView* mem = view.AsInMemory();
+void FrozenGraph::AttachPoints(const PointSet& points) {
   const size_t half_edges = neighbors_.size();
   pt_first_.assign(half_edges, kInvalidPointId);
   pt_count_.assign(half_edges, 0);
-  has_point_ranges_ = true;
-  if (mem == nullptr) {
-    view.ForEachPointGroup(
-        [this](NodeId u, NodeId v, PointId first, uint32_t count) {
-          SetEdgePoints(u, v, first, count);
-        });
-    return;
+  // Offsets and the group table copied straight from the PointSet; each
+  // group's weight is its CSR slot's weight, the very double
+  // EdgeWeight(u, v) returns.
+  pt_offset_.resize(points.size());
+  for (PointId p = 0; p < points.size(); ++p) {
+    pt_offset_[p] = points.offset(p);
   }
-  // The point layer: offsets and the group table copied straight from
-  // the PointSet; each group's weight is its CSR slot's weight, the
-  // very double EdgeWeight(u, v) returns.
-  const PointSet* points = &mem->points();
-  pt_offset_.resize(points->size());
-  for (PointId p = 0; p < points->size(); ++p) {
-    pt_offset_[p] = points->offset(p);
-  }
-  groups_.resize(points->num_groups());
-  for (size_t i = 0; i < points->num_groups(); ++i) {
-    const PointSet::Group& pg = points->group(i);
+  groups_.resize(points.num_groups());
+  for (size_t i = 0; i < points.num_groups(); ++i) {
+    const PointSet::Group& pg = points.group(i);
     size_t su = SetEdgePoints(pg.u, pg.v, pg.first, pg.count);
     groups_[i] = PointGroup{pg.u, pg.v, pg.first, pg.count,
                             su == SIZE_MAX ? -1.0 : weights_[su]};
@@ -103,76 +72,66 @@ void FrozenGraph::AttachPoints(const NetworkView& view) {
   has_point_layer_ = true;
 }
 
-FrozenGraph FrozenGraph::Materialize(const NetworkView& view) {
-  const InMemoryNetworkView* mem = view.AsInMemory();
-  const Network* net = mem != nullptr ? &mem->network() : nullptr;
-  FrozenGraph g;
-  const NodeId n = view.num_nodes();
-  g.offsets_.assign(static_cast<size_t>(n) + 1, 0);
+namespace {
 
-  // Pass 1: degrees into offsets_[i + 1], then prefix-sum.
-  for (NodeId i = 0; i < n; ++i) {
-    uint32_t deg = 0;
-    ForEachSourceNeighbor(view, net, i, [&deg](NodeId, double) { ++deg; });
-    g.offsets_[i + 1] = deg;
+// Fills the CSR arrays from `row(i)`, node i's (neighbor, weight) list in
+// iteration order — the order that keeps frozen traversals bit-identical
+// to live ones.
+template <typename RowFn>
+void CopyRows(size_t n, RowFn row, std::vector<uint32_t>* offsets,
+              std::vector<NodeId>* neighbors, std::vector<double>* weights) {
+  offsets->assign(n + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    (*offsets)[i + 1] = (*offsets)[i] + static_cast<uint32_t>(row(i).size());
   }
-  for (NodeId i = 0; i < n; ++i) g.offsets_[i + 1] += g.offsets_[i];
-
-  const size_t half_edges = g.offsets_[n];
-  g.neighbors_.resize(half_edges);
-  g.weights_.resize(half_edges);
-
-  // Pass 2: fill each row in the view's own iteration order — this is
-  // what keeps frozen traversals bit-identical to live ones. A view
-  // whose reads start failing between the passes can report different
-  // neighbors here (it records a sticky error and hands out neutral
-  // fallbacks); the bounds guard keeps the fill in-row and Freeze()
-  // rejects the snapshot via view.status() afterwards.
-  for (NodeId i = 0; i < n; ++i) {
-    uint32_t slot = g.offsets_[i];
-    const uint32_t row_end = g.offsets_[i + 1];
-    ForEachSourceNeighbor(view, net, i, [&](NodeId m, double w) {
-      if (slot < row_end) {
-        g.neighbors_[slot] = m;
-        g.weights_[slot] = w;
-      }
+  neighbors->resize((*offsets)[n]);
+  weights->resize((*offsets)[n]);
+  for (size_t i = 0; i < n; ++i) {
+    uint32_t slot = (*offsets)[i];
+    for (const auto& [m, w] : row(i)) {
+      (*neighbors)[slot] = m;
+      (*weights)[slot] = w;
       ++slot;
-    });
-    NETCLUS_DCHECK(slot == row_end || !view.status().ok())
-        << "adjacency changed between Materialize passes at node " << i;
+    }
   }
+}
 
-  g.AttachPoints(view);
+}  // namespace
+
+FrozenGraph FrozenGraph::Materialize(const InMemoryNetworkView& view) {
+  const Network& net = view.network();
+  FrozenGraph g;
+  CopyRows(
+      net.num_nodes(),
+      [&net](size_t i) -> const auto& {
+        return net.neighbors(static_cast<NodeId>(i));
+      },
+      &g.offsets_, &g.neighbors_, &g.weights_);
+  g.AttachPoints(view.points());
   return g;
 }
 
 FrozenGraph FrozenGraph::MaterializeIncremental(
-    const NetworkView& view, const FrozenGraph& prev,
+    const InMemoryNetworkView& view, const FrozenGraph& prev,
     const std::vector<char>& dirty) {
-  const NodeId n = view.num_nodes();
+  const Network& net = view.network();
+  const NodeId n = net.num_nodes();
   if (prev.num_nodes() != n || dirty.size() != static_cast<size_t>(n)) {
     // Nothing safe to splice from: the node space itself moved (or the
     // dirty set does not describe it). Full rebuild.
     return Materialize(view);
   }
-  const InMemoryNetworkView* mem = view.AsInMemory();
-  const Network* net = mem != nullptr ? &mem->network() : nullptr;
   FrozenGraph g;
   g.offsets_.assign(static_cast<size_t>(n) + 1, 0);
 
   // Pass 1: degrees. A clean row's degree is already known from prev;
-  // only dirty rows pay a view iteration.
+  // only dirty rows read the network.
   for (NodeId i = 0; i < n; ++i) {
-    uint32_t deg;
-    if (dirty[i] != 0) {
-      deg = 0;
-      ForEachSourceNeighbor(view, net, i, [&deg](NodeId, double) { ++deg; });
-    } else {
-      deg = prev.degree(i);
-    }
-    g.offsets_[i + 1] = deg;
+    const uint32_t deg =
+        dirty[i] != 0 ? static_cast<uint32_t>(net.neighbors(i).size())
+                      : prev.degree(i);
+    g.offsets_[i + 1] = g.offsets_[i] + deg;
   }
-  for (NodeId i = 0; i < n; ++i) g.offsets_[i + 1] += g.offsets_[i];
 
   const size_t half_edges = g.offsets_[n];
   g.neighbors_.resize(half_edges);
@@ -183,7 +142,7 @@ FrozenGraph FrozenGraph::MaterializeIncremental(
   // memcpy per array (one in all when no row is dirty) — unchanged
   // rows keep their iteration order in the view and sit contiguously
   // in both snapshots, so the bytes are identical to what a full
-  // Materialize would produce. Dirty rows refill from the view.
+  // Materialize would produce. Dirty rows refill from the network.
   for (NodeId i = 0; i < n;) {
     if (dirty[i] == 0) {
       NodeId run_end = i + 1;
@@ -203,22 +162,17 @@ FrozenGraph FrozenGraph::MaterializeIncremental(
       continue;
     }
     uint32_t slot = g.offsets_[i];
-    const uint32_t row_end = g.offsets_[i + 1];
-    ForEachSourceNeighbor(view, net, i, [&](NodeId m, double w) {
-      if (slot < row_end) {
-        g.neighbors_[slot] = m;
-        g.weights_[slot] = w;
-      }
+    for (const auto& [m, w] : net.neighbors(i)) {
+      g.neighbors_[slot] = m;
+      g.weights_[slot] = w;
       ++slot;
-    });
-    NETCLUS_DCHECK(slot == row_end || !view.status().ok())
-        << "adjacency changed between incremental passes at node " << i;
+    }
     ++i;
   }
 
-  // Point ranges (and the point layer) always rebuild: every publish
+  // Point ranges and the point layer always rebuild: every publish
   // renumbers dense point ids, so no prior epoch's ranges can be reused.
-  g.AttachPoints(view);
+  g.AttachPoints(view.points());
   return g;
 }
 
@@ -252,7 +206,6 @@ bool FrozenGraph::BitIdenticalTo(const FrozenGraph& other) const {
   return offsets_ == other.offsets_ && neighbors_ == other.neighbors_ &&
          SameBits(weights_, other.weights_) &&
          pt_first_ == other.pt_first_ && pt_count_ == other.pt_count_ &&
-         has_point_ranges_ == other.has_point_ranges_ &&
          SameBits(pt_offset_, other.pt_offset_) &&
          SamePointGroups(groups_, other.groups_) &&
          has_point_layer_ == other.has_point_layer_;
@@ -261,35 +214,16 @@ bool FrozenGraph::BitIdenticalTo(const FrozenGraph& other) const {
 FrozenGraph FrozenGraph::FromAdjacency(
     const std::vector<std::vector<std::pair<NodeId, double>>>& adj) {
   FrozenGraph g;
-  const size_t n = adj.size();
-  g.offsets_.assign(n + 1, 0);
-  for (size_t i = 0; i < n; ++i) {
-    g.offsets_[i + 1] =
-        g.offsets_[i] + static_cast<uint32_t>(adj[i].size());
-  }
-  const size_t half_edges = g.offsets_[n];
-  g.neighbors_.resize(half_edges);
-  g.weights_.resize(half_edges);
-  for (size_t i = 0; i < n; ++i) {
-    uint32_t slot = g.offsets_[i];
-    for (const auto& [m, w] : adj[i]) {
-      g.neighbors_[slot] = m;
-      g.weights_[slot] = w;
-      ++slot;
-    }
-  }
-  // No point information in a bare adjacency; has_point_ranges_ stays
+  CopyRows(
+      adj.size(), [&adj](size_t i) -> const auto& { return adj[i]; },
+      &g.offsets_, &g.neighbors_, &g.weights_);
+  // No point information in a bare adjacency; has_point_layer_ stays
   // false and EdgePointRange reports empty.
   return g;
 }
 
-Result<FrozenGraph> NetworkView::Freeze() const {
-  NETCLUS_RETURN_IF_ERROR(status());
-  FrozenGraph g = FrozenGraph::Materialize(*this);
-  // A disk-backed view records I/O failures out of band; re-check so a
-  // snapshot built over damaged reads is rejected instead of returned.
-  NETCLUS_RETURN_IF_ERROR(status());
-  return g;
+Result<FrozenGraph> InMemoryNetworkView::Freeze() const {
+  return FrozenGraph::Materialize(*this);
 }
 
 }  // namespace netclus

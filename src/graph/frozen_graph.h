@@ -1,6 +1,6 @@
-// FrozenGraph: an immutable struct-of-arrays CSR snapshot of a
-// NetworkView's adjacency structure, plus — when the view's points are
-// resident in memory — a flat copy of the points themselves.
+// FrozenGraph: an immutable struct-of-arrays CSR snapshot of an
+// in-memory network's adjacency structure, plus a flat copy of the
+// points lying on it.
 //
 // Every algorithm in the paper is a Dijkstra traversal, and the
 // traversal inner loop is exactly "for each neighbor of the popped
@@ -15,7 +15,7 @@
 //   pt_first_[i], pt_count_[i]     points on that edge (id range), or
 //                                  (kInvalidPointId, 0) when none
 //
-// and, as the point layer (built only from an InMemoryNetworkView):
+// and, as the point layer:
 //
 //   pt_offset_[p]                  offset of point p from its edge's
 //                                  smaller-id endpoint
@@ -24,8 +24,10 @@
 //                                  group order
 //
 // The traversal algorithms read edge points from the layer in place
-// (graph/edge_points.h); a snapshot without one — a disk-backed view's,
-// whose point reads must stay paged I/O — reads them through the view.
+// (graph/edge_points.h). Only an InMemoryNetworkView is ever frozen: a
+// disk-backed view is traversed directly, so the Section 5.2 experiments
+// count the algorithms' own page reads rather than one copy of the
+// whole adjacency file.
 //
 // The neighbor order of each node matches the source view's iteration
 // order exactly, so a traversal over the snapshot settles nodes, pushes
@@ -44,7 +46,8 @@
 
 namespace netclus {
 
-class NetworkView;
+class InMemoryNetworkView;
+class PointSet;
 
 /// \brief Immutable CSR adjacency snapshot; cheap to share read-only
 /// across threads (all state is set once at materialization).
@@ -82,10 +85,9 @@ class FrozenGraph {
 
   /// Points on edge {a, b} as [first, first + count); count == 0 when
   /// the edge holds none (or the edge is absent). Only meaningful when
-  /// has_point_ranges() — snapshots built from a bare adjacency carry
-  /// no point information.
+  /// has_point_layer() — snapshots built from a bare adjacency carry no
+  /// point information.
   std::pair<PointId, uint32_t> EdgePointRange(NodeId a, NodeId b) const;
-  bool has_point_ranges() const { return has_point_ranges_; }
 
   /// One point-bearing edge of the point layer: points
   /// [first, first + count) lie on edge (u, v), u < v, of weight
@@ -98,15 +100,14 @@ class FrozenGraph {
     double weight = 0.0;
   };
 
-  /// True when the snapshot carries the point layer: it was built from
-  /// a view whose points are resident in memory (see
-  /// NetworkView::AsInMemory()).
+  /// True when the snapshot carries the point ranges and the point
+  /// layer: every materialized snapshot does, FromAdjacency's does not.
   bool has_point_layer() const { return has_point_layer_; }
   /// Offset of every point from its edge's smaller-id endpoint, indexed
-  /// by point id; ascending within each edge. Empty without the layer.
+  /// by point id; ascending within each edge.
   const std::vector<double>& point_offsets() const { return pt_offset_; }
   /// The point-bearing edges in PointSet group order (ascending first
-  /// point id). Empty without the layer.
+  /// point id).
   const std::vector<PointGroup>& point_groups() const { return groups_; }
   /// Heap bytes held by the point layer.
   size_t point_layer_bytes() const {
@@ -114,20 +115,15 @@ class FrozenGraph {
            groups_.size() * sizeof(PointGroup);
   }
 
-  /// Builds a snapshot from any NetworkView. An in-memory view
-  /// (view.AsInMemory() non-null) is copied straight out of its Network
-  /// adjacency rows and PointSet, point layer included; any other view
-  /// is iterated through the virtual interface (two adjacency passes:
-  /// degree count, then fill; one scan of its point groups) and gets no
-  /// point layer. The caller is responsible for checking view.status()
-  /// around the call (NetworkView::Freeze() does); Materialize itself
-  /// cannot fail.
-  static FrozenGraph Materialize(const NetworkView& view);
+  /// Builds a snapshot of an in-memory view, copied straight out of its
+  /// Network adjacency rows and PointSet, point layer included. Cannot
+  /// fail.
+  static FrozenGraph Materialize(const InMemoryNetworkView& view);
 
   /// Incremental rebuild: produces the same snapshot Materialize(view)
   /// would, but copies the CSR rows of nodes NOT flagged in `dirty`
   /// straight out of `prev` (the retiring epoch's snapshot) instead of
-  /// re-iterating the view — one memcpy per array for each maximal run
+  /// re-reading the network — one memcpy per array for each maximal run
   /// of clean rows, so the whole arrays when no row is flagged. Callers
   /// flag exactly the nodes whose adjacency changed since `prev` was
   /// built; a clean row's neighbor order must be unchanged in the view
@@ -135,7 +131,7 @@ class FrozenGraph {
   /// order). Point ranges and the point layer are always rebuilt —
   /// dense point ids shift on every publish. Falls back to a full
   /// Materialize when the node count changed or `dirty` is malformed.
-  static FrozenGraph MaterializeIncremental(const NetworkView& view,
+  static FrozenGraph MaterializeIncremental(const InMemoryNetworkView& view,
                                             const FrozenGraph& prev,
                                             const std::vector<char>& dirty);
 
@@ -171,19 +167,16 @@ class FrozenGraph {
   // absent).
   size_t SetEdgePoints(NodeId u, NodeId v, PointId first, uint32_t count);
 
-  // Point ranges for every point group of `view`, plus the point layer
-  // when the view is in-memory (read straight from its PointSet);
-  // through the view's ForEachPointGroup scan otherwise.
-  void AttachPoints(const NetworkView& view);
+  // Point ranges for every group of `points`, plus the point layer.
+  void AttachPoints(const PointSet& points);
 
   std::vector<uint32_t> offsets_;   // |V| + 1
   std::vector<NodeId> neighbors_;   // 2|E|
   std::vector<double> weights_;     // 2|E|
   std::vector<PointId> pt_first_;   // 2|E|, kInvalidPointId when no points
   std::vector<uint32_t> pt_count_;  // 2|E|
-  bool has_point_ranges_ = false;
-  std::vector<double> pt_offset_;     // N, point layer only
-  std::vector<PointGroup> groups_;    // point groups, point layer only
+  std::vector<double> pt_offset_;   // N
+  std::vector<PointGroup> groups_;  // point groups
   bool has_point_layer_ = false;
 };
 

@@ -191,6 +191,13 @@ class InMemoryNetworkView : public NetworkView {
       const override;
   const InMemoryNetworkView* AsInMemory() const override { return this; }
 
+  /// Materializes an immutable CSR snapshot of the network's adjacency
+  /// plus the point layer (see graph/frozen_graph.h). Neighbor order
+  /// matches this view's iteration order, so traversals over the
+  /// snapshot are bit-identical to traversals over the view. Defined in
+  /// frozen_graph.cc; callers include graph/frozen_graph.h.
+  Result<FrozenGraph> Freeze() const;
+
   const Network& network() const { return net_; }
   const PointSet& points() const { return points_; }
 

@@ -25,12 +25,11 @@ double DirectDistanceToNode(const PointPos& p, double edge_weight, NodeId n) {
 namespace {
 
 // The implementations below are templated on the traversal graph: the
-// live NetworkView (compatibility path, virtual dispatch per node) or a
-// FrozenGraph CSR snapshot (inlined pointer walk). Point positions come
-// from the view; edge points come from the snapshot's point layer when
-// it has one and from the view otherwise (graph/edge_points.h). Both
-// instantiations relax edges in the same order, so results are
-// bit-identical.
+// live NetworkView (virtual dispatch per node) or a FrozenGraph CSR
+// snapshot (inlined pointer walk). Point positions come from the view;
+// edge points come from the snapshot's point layer or through the view
+// (graph/edge_points.h). Both instantiations relax edges in the same
+// order, so results are bit-identical.
 
 template <typename Graph>
 double PointNetworkDistanceImpl(const NetworkView& view, const Graph& graph,
@@ -125,11 +124,10 @@ void EmitEdgeRange(const EdgePointSpan& pts, double du, double dv, double we,
 // other edge from whichever endpoint settled first — the endpoint
 // reached second finds its partner already stamped.
 template <typename Graph>
-void CollectRangePoints(const NetworkView& view, const Graph& graph,
-                        const PointPos* c, double wc, double eps,
-                        TraversalWorkspace* ws,
+void CollectRangePoints(const Graph& graph, const PointPos* c, double wc,
+                        double eps, TraversalWorkspace* ws,
                         std::vector<RangeResult>* out) {
-  EdgePointReader reader(view, &graph);
+  EdgePointReader reader(graph);
   const NodeScratch& scratch = ws->scratch;
   auto process_edge = [&](NodeId a, NodeId b, double we) {
     EdgePointSpan pts = reader.Get(a, b);
@@ -173,7 +171,7 @@ void RangeQueryImpl(const NetworkView& view, const Graph& graph,
   // A cancelled expansion settled only part of the region: the collection
   // phase would emit a silently incomplete (and wrong-distance) set.
   if (ws->cancel.triggered) return;
-  CollectRangePoints(view, graph, &c, wc, eps, ws, out);
+  CollectRangePoints(graph, &c, wc, eps, ws, out);
 }
 
 template <typename Graph>
@@ -209,7 +207,7 @@ void RangeQueryAccelImpl(const NetworkView& view, const Graph& graph,
         return SettleAction::kContinue;
       });
   if (ws->cancel.triggered) return;
-  CollectRangePoints(view, graph, &c, wc, eps, ws, out);
+  CollectRangePoints(graph, &c, wc, eps, ws, out);
   // Pruning changes the settle order, so canonicalize: emitted sets are
   // provably identical to the unaccelerated query, order is not.
   std::sort(out->begin(), out->end(),
@@ -250,7 +248,7 @@ void KNearestNeighborsImpl(const NetworkView& view, const Graph& graph,
     return *std::next(dists.begin(), k - 1);
   };
 
-  EdgePointReader reader(view, &graph);
+  EdgePointReader reader(graph);
   // Offers along an edge from a settled endpoint: every offered value is
   // a genuine path length, i.e. an upper bound on the point's distance.
   auto offer_edge = [&](NodeId from, NodeId to, double we, double dist) {
@@ -342,7 +340,7 @@ double PointNetworkDistance(const NetworkView& view, const FrozenGraph& frozen,
                                   &sources, nullptr);
 }
 
-void NodeRangeQuery(const NetworkView& view, const FrozenGraph& frozen,
+void NodeRangeQuery(const NetworkView& /*view*/, const FrozenGraph& frozen,
                     NodeId source, double radius, TraversalWorkspace* ws,
                     std::vector<RangeResult>* out) {
   out->clear();
@@ -355,7 +353,7 @@ void NodeRangeQuery(const NetworkView& view, const FrozenGraph& frozen,
                           return true;
                         });
   if (ws->cancel.triggered) return;
-  CollectRangePoints(view, frozen, nullptr, 0.0, radius, ws, out);
+  CollectRangePoints(frozen, nullptr, 0.0, radius, ws, out);
 }
 
 void RangeQuery(const NetworkView& view, PointId center, double eps,

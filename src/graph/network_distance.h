@@ -14,6 +14,7 @@
 #ifndef NETCLUS_GRAPH_NETWORK_DISTANCE_H_
 #define NETCLUS_GRAPH_NETWORK_DISTANCE_H_
 
+#include <type_traits>
 #include <vector>
 
 #include "graph/accelerator.h"
@@ -41,9 +42,9 @@ double PointNetworkDistance(const NetworkView& view, PointId p, PointId q,
                             NodeScratch* scratch);
 
 /// Frozen-path variant: the traversal runs over `frozen` (a snapshot of
-/// `view`, see NetworkView::Freeze()) with no virtual dispatch in the
-/// inner loop; point positions come from `view`. Bit-identical to the
-/// overload above.
+/// `view`, see InMemoryNetworkView::Freeze()) with no virtual dispatch
+/// in the inner loop; point positions come from `view`. Bit-identical to
+/// the overload above.
 double PointNetworkDistance(const NetworkView& view, const FrozenGraph& frozen,
                             PointId p, PointId q, NodeScratch* scratch);
 
@@ -119,8 +120,8 @@ void RangeQuery(const NetworkView& view, PointId center, double eps,
                 TraversalWorkspace* ws, std::vector<RangeResult>* out);
 
 /// Frozen-path variant: expansion and edge inspection run over the
-/// snapshot, edge points come from its point layer (through `view` when
-/// it has none). Bit-identical results.
+/// snapshot, edge points come from its point layer. Bit-identical
+/// results.
 void RangeQuery(const NetworkView& view, const FrozenGraph& frozen,
                 PointId center, double eps, TraversalWorkspace* ws,
                 std::vector<RangeResult>* out);
@@ -150,6 +151,21 @@ void RangeQuery(const NetworkView& view, const FrozenGraph& frozen,
                 PointId center, double eps, TraversalWorkspace* ws,
                 const DistanceAccelerator* accel,
                 std::vector<RangeResult>* out);
+
+/// The accelerated RangeQuery over a traversal graph (see TraversalGraph):
+/// the snapshot overload for a FrozenGraph, the view's own for the view —
+/// what the graph-generic algorithm entries call.
+template <TraversalGraph Graph>
+void RangeQueryOver(const NetworkView& view, const Graph& graph,
+                    PointId center, double eps, TraversalWorkspace* ws,
+                    const DistanceAccelerator* accel,
+                    std::vector<RangeResult>* out) {
+  if constexpr (std::is_same_v<Graph, FrozenGraph>) {
+    RangeQuery(view, graph, center, eps, ws, accel, out);
+  } else {
+    RangeQuery(view, center, eps, ws, accel, out);
+  }
+}
 
 /// Finds the `k` points nearest to `center` by network distance
 /// (excluding `center` itself), ordered by ascending distance. Fewer

@@ -3,12 +3,16 @@
 // Two implementations exist: InMemoryNetworkView (adjacency lists in RAM)
 // and DiskNetworkView (the paper's Section 4.1 storage architecture: flat
 // files + sparse B+-trees behind an LRU buffer). Algorithms are written
-// once against this interface, so disk-backed and in-memory runs execute
+// once, generic over the traversal graph: an in-memory view is frozen
+// into a FrozenGraph snapshot (InMemoryNetworkView::Freeze()) and
+// traversed over that, a disk-backed view is traversed directly, so every
+// page it reads is one the algorithm itself asked for. Both runs execute
 // identical logic and must produce identical clusterings.
 #ifndef NETCLUS_GRAPH_NETWORK_VIEW_H_
 #define NETCLUS_GRAPH_NETWORK_VIEW_H_
 
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "common/status.h"
@@ -53,21 +57,10 @@ class NetworkView {
       const std::function<void(NodeId, NodeId, PointId, uint32_t)>& fn)
       const = 0;
 
-  /// Materializes an immutable CSR snapshot of this view's adjacency
-  /// structure (see graph/frozen_graph.h). Neighbor order matches this
-  /// view's iteration order, so traversals over the snapshot are
-  /// bit-identical to traversals over the view. Works for any backend;
-  /// a disk-backed view pages its whole adjacency file once, an
-  /// in-memory view is copied directly and also gets the snapshot's
-  /// point layer. Fails if the view has recorded (or records during the
-  /// scan) an I/O error. Defined in frozen_graph.cc; callers include
-  /// graph/frozen_graph.h.
-  Result<FrozenGraph> Freeze() const;
-
   /// This view as an InMemoryNetworkView, or null (the default) when its
-  /// data is not resident in memory. FrozenGraph reads the Network rows
-  /// and the PointSet straight through it; a view returning null keeps
-  /// every point read going through the accessors above.
+  /// data is not resident in memory. Only an in-memory view is frozen
+  /// into a snapshot; a view returning null is traversed directly, every
+  /// read going through the accessors above.
   virtual const InMemoryNetworkView* AsInMemory() const { return nullptr; }
 
   /// First I/O error the view has swallowed, or OK. The accessor methods
@@ -78,6 +71,12 @@ class NetworkView {
   /// Status at the API boundary rather than as silently wrong clusters.
   virtual Status status() const { return Status::OK(); }
 };
+
+/// The two traversal graphs every algorithm entry is instantiated for: a
+/// FrozenGraph snapshot of an in-memory view, or the view itself.
+template <typename Graph>
+concept TraversalGraph =
+    std::is_same_v<Graph, FrozenGraph> || std::is_same_v<Graph, NetworkView>;
 
 }  // namespace netclus
 

@@ -3,29 +3,35 @@
 #include <utility>
 
 #include "graph/frozen_graph.h"
+#include "graph/network.h"
 
 namespace netclus {
 
 Result<std::unique_ptr<DistanceIndex>> DistanceIndex::Build(
     const NetworkView& view, const IndexOptions& options, ThreadPool* pool) {
   // The landmark SSSPs and the Voronoi expansion walk the whole graph
-  // several times; one snapshot up front is cheaper than virtual
-  // dispatch on every walk, and the contents are bit-identical.
-  NETCLUS_ASSIGN_OR_RETURN(FrozenGraph frozen, view.Freeze());
-  return Build(view, options, pool, &frozen);
+  // several times; for an in-memory view one snapshot up front is cheaper
+  // than virtual dispatch on every walk, and the contents are
+  // bit-identical. A disk-backed view is walked directly.
+  if (const InMemoryNetworkView* mem = view.AsInMemory()) {
+    NETCLUS_ASSIGN_OR_RETURN(FrozenGraph frozen, mem->Freeze());
+    return Build(view, frozen, options, pool);
+  }
+  return Build(view, view, options, pool);
 }
 
+template <TraversalGraph Graph>
 Result<std::unique_ptr<DistanceIndex>> DistanceIndex::Build(
-    const NetworkView& view, const IndexOptions& options, ThreadPool* pool,
-    const FrozenGraph* frozen) {
+    const NetworkView& view, const Graph& graph, const IndexOptions& options,
+    ThreadPool* pool) {
   NETCLUS_RETURN_IF_ERROR(view.status());
   NETCLUS_ASSIGN_OR_RETURN(
       LandmarkOracle landmarks,
-      LandmarkOracle::Build(view, options.num_landmarks, pool, frozen));
+      LandmarkOracle::Build(view, graph, options.num_landmarks, pool));
   std::optional<VoronoiPrecompute> voronoi;
   if (options.enable_voronoi) {
     NETCLUS_ASSIGN_OR_RETURN(VoronoiPrecompute built,
-                             VoronoiPrecompute::Build(view, frozen));
+                             VoronoiPrecompute::Build(view, graph));
     voronoi = std::move(built);
   }
   auto index = std::make_unique<DistanceIndex>(
@@ -33,6 +39,11 @@ Result<std::unique_ptr<DistanceIndex>> DistanceIndex::Build(
   NETCLUS_RETURN_IF_ERROR(view.status());
   return index;
 }
+
+template Result<std::unique_ptr<DistanceIndex>> DistanceIndex::Build(
+    const NetworkView&, const FrozenGraph&, const IndexOptions&, ThreadPool*);
+template Result<std::unique_ptr<DistanceIndex>> DistanceIndex::Build(
+    const NetworkView&, const NetworkView&, const IndexOptions&, ThreadPool*);
 
 double DistanceIndex::RangeExpansionBound(PointId center, double eps) const {
   // The prefilter scans all points with O(k) bound checks each; past

@@ -72,20 +72,21 @@ struct IndexStats {
 class DistanceIndex : public DistanceAccelerator {
  public:
   /// Builds the precomputes for `view` per `options` (landmark tables in
-  /// parallel on `pool`; null pool = serial, identical results) over a
-  /// FrozenGraph snapshot of `view` taken for the build. Prefer this
-  /// over the constructor — it runs the traversals and surfaces view
-  /// I/O errors as a Status.
+  /// parallel on `pool`; null pool = serial, identical results). An
+  /// in-memory view is frozen for the build; any other view is traversed
+  /// directly. Prefer this over the constructor — it runs the traversals
+  /// and surfaces view I/O errors as a Status.
   static Result<std::unique_ptr<DistanceIndex>> Build(
       const NetworkView& view, const IndexOptions& options, ThreadPool* pool);
 
-  /// As above with the snapshot supplied by the caller (RunClustering
-  /// shares the one its algorithms run on); null runs the landmark SSSPs
-  /// and the Voronoi expansion on the view itself. Bit-identical index
-  /// contents either way.
+  /// As above with the traversal graph supplied by the caller: a
+  /// FrozenGraph snapshot of `view` (RunClustering shares the one its
+  /// algorithms run on) or the view itself. Bit-identical index contents
+  /// either way.
+  template <TraversalGraph Graph>
   static Result<std::unique_ptr<DistanceIndex>> Build(
-      const NetworkView& view, const IndexOptions& options, ThreadPool* pool,
-      const FrozenGraph* frozen);
+      const NetworkView& view, const Graph& graph, const IndexOptions& options,
+      ThreadPool* pool);
 
   /// Assembles an index from prebuilt components (Build's back end;
   /// public so tests can inject doctored components).

@@ -39,16 +39,11 @@ void LandmarkSssp(const Graph& graph, NodeId source, NodeId num_nodes,
 
 }  // namespace
 
+template <TraversalGraph Graph>
 Result<LandmarkOracle> LandmarkOracle::Build(const NetworkView& view,
+                                             const Graph& graph,
                                              uint32_t num_landmarks,
                                              ThreadPool* pool) {
-  return Build(view, num_landmarks, pool, nullptr);
-}
-
-Result<LandmarkOracle> LandmarkOracle::Build(const NetworkView& view,
-                                             uint32_t num_landmarks,
-                                             ThreadPool* pool,
-                                             const FrozenGraph* frozen) {
   LandmarkOracle oracle;
   oracle.num_points_ = view.num_points();
   const NodeId num_nodes = view.num_nodes();
@@ -64,25 +59,22 @@ Result<LandmarkOracle> LandmarkOracle::Build(const NetworkView& view,
   for (uint32_t l = 0; l < k; ++l) {
     NodeId pick = l == 0 ? NodeId{0} : FarthestNode(min_dist);
     oracle.landmarks_.push_back(pick);
-    if (frozen != nullptr) {
-      LandmarkSssp(*frozen, pick, num_nodes, &ws, &node_dist[l]);
-    } else {
-      LandmarkSssp(view, pick, num_nodes, &ws, &node_dist[l]);
-    }
+    LandmarkSssp(graph, pick, num_nodes, &ws, &node_dist[l]);
     for (NodeId n = 0; n < num_nodes; ++n) {
       min_dist[n] = std::min(min_dist[n], node_dist[l][n]);
     }
   }
 
   // Each point's position and edge weight, read once for all landmarks
-  // in one pass over the point groups (the snapshot's point layer when
-  // it has one).
+  // in one pass over the point groups. Over a disk-backed view a failed
+  // read yields weight -1; the view's status() then reports it.
   const PointId num_points = oracle.num_points_;
   std::vector<PointPos> pos(num_points);
   std::vector<double> edge_w(num_points);
-  EdgePointReader reader(view, frozen);
+  EdgePointReader reader(graph);
   reader.ForEachGroup([&](NodeId u, NodeId v, double w,
                           const EdgePointSpan& pts) {
+    if (w < 0.0 && !view.status().ok()) return;
     NETCLUS_CHECK_GE(w, 0.0) << "points on missing edge {" << u << ", " << v
                              << "}";
     for (uint32_t i = 0; i < pts.count; ++i) {
@@ -90,6 +82,7 @@ Result<LandmarkOracle> LandmarkOracle::Build(const NetworkView& view,
       edge_w[pts.first + i] = w;
     }
   });
+  NETCLUS_RETURN_IF_ERROR(view.status());
 
   // Phase 2 (parallel over landmarks): convert node distances into exact
   // point distances. Each row is an independent per-index output slot,
@@ -108,6 +101,13 @@ Result<LandmarkOracle> LandmarkOracle::Build(const NetworkView& view,
   NETCLUS_RETURN_IF_ERROR(view.status());
   return oracle;
 }
+
+template Result<LandmarkOracle> LandmarkOracle::Build(const NetworkView&,
+                                                      const FrozenGraph&,
+                                                      uint32_t, ThreadPool*);
+template Result<LandmarkOracle> LandmarkOracle::Build(const NetworkView&,
+                                                      const NetworkView&,
+                                                      uint32_t, ThreadPool*);
 
 double LandmarkOracle::LowerBound(PointId a, PointId b) const {
   double lb = 0.0;

@@ -33,22 +33,18 @@ namespace netclus {
 /// Immutable after Build; all const methods are safe to call concurrently.
 class LandmarkOracle {
  public:
-  /// Builds an oracle with min(num_landmarks, |V|) landmarks. Landmark
+  /// Builds an oracle with min(num_landmarks, |V|) landmarks, every
+  /// landmark SSSP running over `graph`: a FrozenGraph snapshot of `view`
+  /// or the view itself (bit-identical tables either way). Landmark
   /// selection (farthest-point sampling) is inherently sequential — each
   /// pick needs the previous landmark's SSSP — but the per-landmark
   /// point-distance tables are filled in parallel on `pool` (null pool =
   /// serial), with identical results either way.
+  template <TraversalGraph Graph>
   static Result<LandmarkOracle> Build(const NetworkView& view,
+                                      const Graph& graph,
                                       uint32_t num_landmarks,
                                       ThreadPool* pool);
-
-  /// As above with an optional FrozenGraph snapshot of `view` (see
-  /// NetworkView::Freeze()): when non-null, every landmark SSSP runs
-  /// over the snapshot's CSR arrays. Bit-identical tables.
-  static Result<LandmarkOracle> Build(const NetworkView& view,
-                                      uint32_t num_landmarks,
-                                      ThreadPool* pool,
-                                      const FrozenGraph* frozen);
 
   uint32_t num_landmarks() const {
     return static_cast<uint32_t>(landmarks_.size());

@@ -37,12 +37,11 @@ Label PopLabel(std::vector<Label>* heap) {
 
 }  // namespace
 
-// Templated over the traversal substrate: Graph is NetworkView (legacy
-// virtual dispatch) or FrozenGraph (inline CSR walk). Point data always
-// comes from the view; only the relax step touches `graph`.
-template <typename Graph>
-Result<VoronoiPrecompute> VoronoiPrecompute::BuildImpl(const NetworkView& view,
-                                                       const Graph& graph) {
+// Point data always comes from the view; only the relax step touches
+// `graph`.
+template <TraversalGraph Graph>
+Result<VoronoiPrecompute> VoronoiPrecompute::Build(const NetworkView& view,
+                                                   const Graph& graph) {
   VoronoiPrecompute vp;
   const NodeId num_nodes = view.num_nodes();
   vp.first_id_.assign(num_nodes, kInvalidPointId);
@@ -53,13 +52,16 @@ Result<VoronoiPrecompute> VoronoiPrecompute::BuildImpl(const NetworkView& view,
   // Seed with at most four labels per point-bearing edge: the two
   // smallest-offset points toward u and the two largest toward v (group
   // points are ordered by ascending offset from u, the smaller id).
+  // A failed read of a disk-backed view yields no points or weight -1;
+  // the view's status() then reports it.
   std::vector<Label> heap;
   std::vector<EdgePoint> pts;
   view.ForEachPointGroup([&](NodeId u, NodeId v, PointId /*first*/,
                              uint32_t count) {
     view.GetEdgePoints(u, v, &pts);
-    NETCLUS_CHECK_EQ(pts.size(), count);
     double w = view.EdgeWeight(u, v);
+    if ((pts.size() != count || w < 0.0) && !view.status().ok()) return;
+    NETCLUS_CHECK_EQ(pts.size(), count);
     NETCLUS_CHECK_GE(w, 0.0);
     uint32_t seeds = std::min<uint32_t>(2, count);
     for (uint32_t i = 0; i < seeds; ++i) {
@@ -68,6 +70,8 @@ Result<VoronoiPrecompute> VoronoiPrecompute::BuildImpl(const NetworkView& view,
       PushLabel(&heap, w - back.offset, v, back.id);
     }
   });
+
+  NETCLUS_RETURN_IF_ERROR(view.status());
 
   TraversalCounters& tc = LocalTraversalCounters();
   while (!heap.empty()) {
@@ -98,14 +102,9 @@ Result<VoronoiPrecompute> VoronoiPrecompute::BuildImpl(const NetworkView& view,
   return vp;
 }
 
-Result<VoronoiPrecompute> VoronoiPrecompute::Build(const NetworkView& view) {
-  return BuildImpl(view, view);
-}
-
-Result<VoronoiPrecompute> VoronoiPrecompute::Build(const NetworkView& view,
-                                                   const FrozenGraph* frozen) {
-  if (frozen == nullptr) return BuildImpl(view, view);
-  return BuildImpl(view, *frozen);
-}
+template Result<VoronoiPrecompute> VoronoiPrecompute::Build(
+    const NetworkView&, const FrozenGraph&);
+template Result<VoronoiPrecompute> VoronoiPrecompute::Build(
+    const NetworkView&, const NetworkView&);
 
 }  // namespace netclus

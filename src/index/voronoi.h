@@ -33,13 +33,12 @@ namespace netclus {
 /// Immutable after Build; all const methods are concurrency-safe.
 class VoronoiPrecompute {
  public:
-  static Result<VoronoiPrecompute> Build(const NetworkView& view);
-
-  /// As above with an optional FrozenGraph snapshot of `view` (see
-  /// NetworkView::Freeze()): when non-null, the multi-source expansion
-  /// runs over the snapshot's CSR arrays. Bit-identical tables.
+  /// Builds the tables; the multi-source expansion runs over `graph`: a
+  /// FrozenGraph snapshot of `view` or the view itself (bit-identical
+  /// tables either way).
+  template <TraversalGraph Graph>
   static Result<VoronoiPrecompute> Build(const NetworkView& view,
-                                         const FrozenGraph* frozen);
+                                         const Graph& graph);
 
   /// Nearest object to node n (kInvalidPointId if no object reaches n).
   PointId NearestObject(NodeId n) const { return first_id_[n]; }
@@ -60,13 +59,6 @@ class VoronoiPrecompute {
 
  private:
   VoronoiPrecompute() = default;
-
-  // Shared implementation, templated over the traversal substrate
-  // (NetworkView or FrozenGraph). Defined and instantiated in
-  // voronoi.cc only.
-  template <typename Graph>
-  static Result<VoronoiPrecompute> BuildImpl(const NetworkView& view,
-                                             const Graph& graph);
 
   std::vector<PointId> first_id_;
   std::vector<double> first_d_;

@@ -4,12 +4,14 @@
 #include <cmath>
 #include <memory>
 #include <optional>
+#include <type_traits>
 
 #include "common/stats.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/validate.h"
 #include "graph/frozen_graph.h"
+#include "graph/network.h"
 
 namespace netclus {
 
@@ -104,23 +106,19 @@ ClusterSpec MakeSpec(const SingleLinkOptions& options, double cut_distance,
   return spec;
 }
 
-Result<ClusterOutput> RunClustering(const NetworkView& view,
-                                    const ClusterSpec& spec) {
-  // A view carrying a prior storage error would feed the algorithms
-  // partial data; refuse up front.
-  NETCLUS_RETURN_IF_ERROR(view.status());
-  WallTimer timer;
-  // Freeze the adjacency structure once per run: every traversal below
-  // — index builds and the algorithms themselves — expands over this
-  // immutable CSR snapshot, shared read-only across the thread pool,
-  // instead of paying virtual dispatch per neighbor. Trajectories are
-  // bit-identical to the live-view path (ValidateFrozenGraph re-proves
-  // the snapshot under validate mode).
-  NETCLUS_ASSIGN_OR_RETURN(FrozenGraph frozen, view.Freeze());
+namespace {
+
+// One run over the traversal graph RunClustering picked: a snapshot of
+// an in-memory view, or the view itself. `timer` started with the run.
+template <TraversalGraph Graph>
+Result<ClusterOutput> RunOnGraph(const NetworkView& view, const Graph& graph,
+                                 const ClusterSpec& spec,
+                                 const WallTimer& timer) {
   // The optional distance index (landmarks + cache + Voronoi floors) is
-  // built up front and handed to the algorithms that accept an
-  // accelerator; the others simply ignore it. With `index.enable` unset
-  // `index` stays null and every call below takes the unindexed path.
+  // built up front over the same graph and handed to the algorithms that
+  // accept an accelerator; the others simply ignore it. With
+  // `index.enable` unset `index` stays null and every call below takes
+  // the unindexed path.
   std::unique_ptr<DistanceIndex> index;
   if (spec.index.enable) {
     uint32_t workers = ResolveNumThreads(spec.index.num_threads);
@@ -133,8 +131,8 @@ Result<ClusterOutput> RunClustering(const NetworkView& view,
       index_options.enable_voronoi = false;
     }
     NETCLUS_ASSIGN_OR_RETURN(
-        index, DistanceIndex::Build(view, index_options,
-                                    pool ? &*pool : nullptr, &frozen));
+        index, DistanceIndex::Build(view, graph, index_options,
+                                    pool ? &*pool : nullptr));
   }
   const DistanceAccelerator* accel = index.get();
   ClusterOutput out;
@@ -142,7 +140,7 @@ Result<ClusterOutput> RunClustering(const NetworkView& view,
   switch (spec.algorithm) {
     case Algorithm::kKMedoids: {
       Result<KMedoidsResult> r =
-          KMedoidsCluster(view, spec.kmedoids, accel, &frozen);
+          KMedoidsCluster(view, graph, spec.kmedoids, accel);
       if (!r.ok()) return r.status();
       out.clustering = std::move(r.value().clustering);
       out.medoids = std::move(r.value().medoids);
@@ -151,14 +149,14 @@ Result<ClusterOutput> RunClustering(const NetworkView& view,
       break;
     }
     case Algorithm::kEpsLink: {
-      Result<Clustering> r = EpsLinkCluster(view, spec.eps_link, &frozen);
+      Result<Clustering> r = EpsLinkCluster(view, graph, spec.eps_link);
       if (!r.ok()) return r.status();
       out.clustering = std::move(r.value());
       break;
     }
     case Algorithm::kSingleLink: {
       Result<SingleLinkResult> r =
-          SingleLinkCluster(view, spec.single_link, &frozen);
+          SingleLinkCluster(view, graph, spec.single_link);
       if (!r.ok()) return r.status();
       out.clustering = CutDendrogram(r.value().dendrogram, spec);
       out.dendrogram = std::move(r.value().dendrogram);
@@ -166,7 +164,7 @@ Result<ClusterOutput> RunClustering(const NetworkView& view,
       break;
     }
     case Algorithm::kDbscan: {
-      Result<Clustering> r = DbscanCluster(view, spec.dbscan, accel, &frozen);
+      Result<Clustering> r = DbscanCluster(view, graph, spec.dbscan, accel);
       if (!r.ok()) return r.status();
       out.clustering = std::move(r.value());
       break;
@@ -182,10 +180,12 @@ Result<ClusterOutput> RunClustering(const NetworkView& view,
   constexpr bool kAlwaysValidate = false;
 #endif
   if (spec.validate || kAlwaysValidate) {
-    // The snapshot every traversal above ran over must be a faithful
-    // copy of the view — checked first, since a corrupt snapshot would
+    // A snapshot every traversal above ran over must be a faithful copy
+    // of the view — checked first, since a corrupt snapshot would
     // invalidate the algorithm output audits below.
-    NETCLUS_RETURN_IF_ERROR(ValidateFrozenGraph(view, frozen));
+    if constexpr (std::is_same_v<Graph, FrozenGraph>) {
+      NETCLUS_RETURN_IF_ERROR(ValidateFrozenGraph(view, graph));
+    }
     NETCLUS_RETURN_IF_ERROR(ValidateOutput(view, spec, out));
     // Re-prove every class of bound the index served during the run
     // against independent exact traversals.
@@ -202,6 +202,28 @@ Result<ClusterOutput> RunClustering(const NetworkView& view,
   }
   out.wall_seconds = timer.ElapsedSeconds();
   return out;
+}
+
+}  // namespace
+
+Result<ClusterOutput> RunClustering(const NetworkView& view,
+                                    const ClusterSpec& spec) {
+  // A view carrying a prior storage error would feed the algorithms
+  // partial data; refuse up front.
+  NETCLUS_RETURN_IF_ERROR(view.status());
+  WallTimer timer;
+  // An in-memory view is frozen once per run: every traversal — index
+  // builds and the algorithms themselves — expands over the immutable
+  // CSR snapshot, shared read-only across the thread pool, instead of
+  // paying virtual dispatch per neighbor. Trajectories are bit-identical
+  // to the live-view path (ValidateFrozenGraph re-proves the snapshot
+  // under validate mode). Any other view is traversed directly, so a
+  // disk-backed run reads only the pages its algorithm asks for.
+  if (const InMemoryNetworkView* mem = view.AsInMemory()) {
+    NETCLUS_ASSIGN_OR_RETURN(FrozenGraph frozen, mem->Freeze());
+    return RunOnGraph(view, frozen, spec, timer);
+  }
+  return RunOnGraph(view, view, spec, timer);
 }
 
 }  // namespace netclus

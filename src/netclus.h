@@ -6,13 +6,12 @@
 // ClusterOutput: a flat Clustering, the dendrogram when the algorithm is
 // hierarchical, per-run statistics, and the wall time.
 //
-// The legacy per-algorithm entry points (KMedoidsCluster,
-// EpsLinkCluster, DbscanCluster, SingleLinkCluster convenience
-// overloads) are [[deprecated]]: every in-tree caller goes through
-// RunClustering — MakeSpec() below turns an algorithm's options struct
-// into a one-algorithm spec — and netclus-lint bans new uses outside
-// tests/compat. The engine overloads taking an explicit FrozenGraph
-// remain as the internal dispatch surface RunClustering itself uses.
+// MakeSpec() below turns an algorithm's options struct into a
+// one-algorithm spec. The per-algorithm engines (KMedoidsCluster,
+// EpsLinkCluster, DbscanCluster, SingleLinkCluster) each take the
+// traversal graph explicitly; RunClustering picks it — a FrozenGraph
+// snapshot of an in-memory view, or the view itself — and builds the
+// optional distance index over it.
 #ifndef NETCLUS_NETCLUS_H_
 #define NETCLUS_NETCLUS_H_
 
@@ -106,10 +105,9 @@ struct ClusterOutput {
   double wall_seconds = 0.0;
 };
 
-/// One-algorithm ClusterSpec from an options struct — the migration
-/// shim that turns a legacy per-algorithm call into the unified entry:
-///   KMedoidsCluster(view, opts)  ->  RunClustering(view, MakeSpec(opts))
-/// Every other spec field keeps its default (no index, no validate).
+/// One-algorithm ClusterSpec from an options struct, for
+/// RunClustering(view, MakeSpec(opts)). Every other spec field keeps its
+/// default (no index, no validate).
 ClusterSpec MakeSpec(const KMedoidsOptions& options);
 ClusterSpec MakeSpec(const EpsLinkOptions& options);
 ClusterSpec MakeSpec(const DbscanOptions& options);
@@ -119,8 +117,11 @@ ClusterSpec MakeSpec(const DbscanOptions& options);
 ClusterSpec MakeSpec(const SingleLinkOptions& options,
                      double cut_distance = 0.0, uint32_t cut_min_size = 1);
 
-/// Runs the algorithm selected by `spec` over `view`. Fallible options
-/// surface as the same Status the per-algorithm entry point returns.
+/// Runs the algorithm selected by `spec` over `view`: an in-memory view
+/// (NetworkView::AsInMemory()) is frozen once and the run traverses the
+/// snapshot; any other view is traversed directly, so a disk-backed run
+/// reads only the pages its algorithm asks for. Fallible options surface
+/// as the same Status the per-algorithm engine returns.
 /// RunClustering is also the storage-failure boundary: `view.status()` is
 /// checked before and after the run, so any I/O error, checksum mismatch
 /// or corrupt record a DiskNetworkView swallowed mid-run comes back as

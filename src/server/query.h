@@ -191,7 +191,7 @@ Status ValidateQueryRequest(const NetworkView& view, const QueryRequest& req,
 /// \brief The single execution core both styles funnel into.
 ///
 /// Runs `req` against `view`, traversing `frozen` when non-null (a
-/// snapshot of `view`, see NetworkView::Freeze()) and the virtual view
+/// snapshot of `view`, see InMemoryNetworkView::Freeze()) and the view
 /// otherwise — results are bit-identical either way. `ws` provides the
 /// reusable traversal state (one per concurrent caller; lease from a
 /// WorkspacePool under parallelism). `accel` may be null (= exact

@@ -49,6 +49,27 @@ ClusterSpec EpsLinkSpec() {
   return spec;
 }
 
+ClusterSpec DbscanSpec() {
+  ClusterSpec spec;
+  spec.algorithm = Algorithm::kDbscan;
+  spec.dbscan.eps = 0.8;
+  spec.dbscan.min_pts = 3;
+  return spec;
+}
+
+// The round-trip specs. The indexed ones make the distance index read
+// the store too — the landmark SSSPs and position pass for k-medoids,
+// the Voronoi seeding for DBSCAN (no landmarks, so it reads first) — and
+// a failed read there must come back as a Status as well.
+std::vector<ClusterSpec> RoundTripSpecs() {
+  std::vector<ClusterSpec> specs = {KMedoidsSpec(), EpsLinkSpec(),
+                                    KMedoidsSpec(), DbscanSpec()};
+  specs[2].index.enable = true;
+  specs[3].index.enable = true;
+  specs[3].index.num_landmarks = 0;
+  return specs;
+}
+
 // Flips one bit of byte `offset` of `path` in place.
 void FlipByteOnDisk(const std::string& path, uint64_t offset) {
   std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
@@ -81,7 +102,7 @@ class CorruptionRoundTripTest : public ::testing::Test {
         NodePlacement::kConnectivity, 1);
     ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
     ASSERT_TRUE(bundle.value()->buffer_manager().FlushAll().ok());
-    for (ClusterSpec spec : {KMedoidsSpec(), EpsLinkSpec()}) {
+    for (const ClusterSpec& spec : RoundTripSpecs()) {
       auto out = RunClustering(bundle.value()->view(), spec);
       ASSERT_TRUE(out.ok()) << out.status().ToString();
       clean_.push_back(out.value().clustering.assignment);
@@ -90,19 +111,20 @@ class CorruptionRoundTripTest : public ::testing::Test {
 
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  // Reopens the (possibly corrupted) store and runs both algorithms.
+  // Reopens the (possibly corrupted) store once per spec — a view that
+  // recorded a storage error refuses every later run — and runs it.
   // Every path must either report a non-OK Status or produce exactly the
   // clean results — silent wrong answers and crashes are the bug.
   void ReopenAndCheck(bool expect_failure) {
-    auto bundle = DiskNetworkBundle::OpenOnDisk(dir_, 1 << 20, 4096);
-    if (!bundle.ok()) {
-      EXPECT_TRUE(bundle.status().IsCorruption())
-          << bundle.status().ToString();
-      return;
-    }
     bool any_failure = false;
-    std::vector<ClusterSpec> specs = {KMedoidsSpec(), EpsLinkSpec()};
+    std::vector<ClusterSpec> specs = RoundTripSpecs();
     for (size_t i = 0; i < specs.size(); ++i) {
+      auto bundle = DiskNetworkBundle::OpenOnDisk(dir_, 1 << 20, 4096);
+      if (!bundle.ok()) {
+        EXPECT_TRUE(bundle.status().IsCorruption())
+            << bundle.status().ToString();
+        return;
+      }
       auto out = RunClustering(bundle.value()->view(), specs[i]);
       if (out.ok()) {
         EXPECT_EQ(out.value().clustering.assignment, clean_[i])
@@ -116,7 +138,7 @@ class CorruptionRoundTripTest : public ::testing::Test {
     }
     if (expect_failure) {
       EXPECT_TRUE(any_failure)
-          << "corruption in a page both runs read went undetected";
+          << "corruption in a page every run reads went undetected";
     }
   }
 
@@ -126,7 +148,7 @@ class CorruptionRoundTripTest : public ::testing::Test {
 
   std::string dir_;
   TestData data_;
-  std::vector<std::vector<int>> clean_;  // kmedoids, epslink assignments
+  std::vector<std::vector<int>> clean_;  // one per RoundTripSpecs() entry
 };
 
 TEST_F(CorruptionRoundTripTest, HeaderPageByteFlipFailsOpen) {
@@ -137,7 +159,7 @@ TEST_F(CorruptionRoundTripTest, HeaderPageByteFlipFailsOpen) {
 }
 
 TEST_F(CorruptionRoundTripTest, AdjacencyPageByteFlipIsNeverSilent) {
-  // Page 1 of the adjacency file holds node records both algorithms read.
+  // Page 1 of the adjacency file holds node records every run reads.
   FlipByteOnDisk(PathOf("adj.dat"), 4096 + 1000);
   ReopenAndCheck(/*expect_failure=*/true);
 }

@@ -1,16 +1,14 @@
 // Tests for the FrozenGraph CSR snapshot (src/graph/frozen_graph.*):
 // neighbor-sequence equality with the source view on random networks,
-// Freeze() on both view implementations (in-memory and disk-backed),
 // edge-weight and point-range lookups, the point layer (a faithful copy
 // of the PointSet, audited by the validator and BitIdenticalTo), the
 // validator's rejection of a corrupted snapshot, identical Dijkstra
 // traversal counters over view and snapshot, snapshot ownership across
-// Network mutation, and the point kernels (range, accelerated range,
-// node range, k-NN) over the point layer against the live view and a
-// full-scan reference — including a steady-state allocation count. The
-// per-algorithm frozen-vs-live bit-identity checks live in
-// tests/compat/legacy_api_test.cc (they exercise the deprecated
-// per-algorithm entry points).
+// Network mutation, the per-algorithm frozen-vs-live bit-identity of
+// each graph-generic entry (graph = view vs graph = snapshot), and the
+// point kernels (range, accelerated range, node range, k-NN) over the
+// point layer against the live view and a full-scan reference —
+// including a steady-state allocation count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -123,7 +121,7 @@ TEST(FrozenGraphTest, NeighborSequencesMatchViewOnRandomNetworks) {
   for (uint64_t seed : {7u, 8u, 9u}) {
     Scenario s(150, 200, seed);
     ExpectSameNeighborSequences(*s.view, s.frozen);
-    EXPECT_TRUE(s.frozen.has_point_ranges());
+    EXPECT_TRUE(s.frozen.has_point_layer());
   }
 }
 
@@ -170,26 +168,22 @@ TEST(FrozenGraphTest, FromAdjacencyCarriesNoPointRanges) {
   EXPECT_EQ(g.num_nodes(), 3u);
   EXPECT_EQ(g.num_half_edges(), 4u);
   EXPECT_EQ(g.EdgeWeight(0, 2), 5.0);
-  EXPECT_FALSE(g.has_point_ranges());
+  EXPECT_FALSE(g.has_point_layer());
   EXPECT_EQ(g.EdgePointRange(0, 1).second, 0u);
 }
 
-TEST(FrozenGraphTest, FreezeOnDiskViewMatchesInMemoryFreeze) {
+// Disk runs traverse the DiskNetworkView directly while in-memory runs
+// traverse the snapshot, so identical disk and memory results rest on
+// the disk view yielding each node's neighbors in the snapshot's order.
+TEST(FrozenGraphTest, DiskViewMatchesInMemorySnapshot) {
   Scenario s(140, 180, 41);
   auto bundle = std::move(DiskNetworkBundle::Create(
                               s.gen.net, s.points, 64 * 4096, 4096,
                               NodePlacement::kConnectivity, 1)
                               .value());
-  Result<FrozenGraph> disk_frozen = bundle->view().Freeze();
-  ASSERT_TRUE(disk_frozen.ok()) << disk_frozen.status().ToString();
-  ExpectSameNeighborSequences(bundle->view(), disk_frozen.value());
-  ExpectSameNeighborSequences(*s.view, disk_frozen.value());
-  EXPECT_TRUE(
-      ValidateFrozenGraph(bundle->view(), disk_frozen.value()).ok());
-  // Disk-resident points stay behind the buffer: no point layer.
-  EXPECT_FALSE(disk_frozen.value().has_point_layer());
-  EXPECT_TRUE(disk_frozen.value().point_offsets().empty());
-  EXPECT_EQ(disk_frozen.value().point_layer_bytes(), 0u);
+  ExpectSameNeighborSequences(bundle->view(), s.frozen);
+  EXPECT_TRUE(ValidateFrozenGraph(bundle->view(), s.frozen).ok());
+  EXPECT_TRUE(bundle->view().status().ok());
 }
 
 TEST(FrozenGraphTest, PointLayerCopiesPointSet) {
@@ -322,25 +316,83 @@ TEST(FrozenGraphTest, DijkstraCountersIdenticalOverViewAndSnapshot) {
   }
 }
 
-// The per-algorithm frozen-vs-live equivalence tests moved to
-// tests/compat/legacy_api_test.cc together with the other deprecated
-// entry-point checks; OPTICS (not deprecated) stays here.
+// Each graph-generic entry run with graph = the view and graph = its
+// snapshot: identical results, bit for bit.
 class FrozenRunFixture : public ::testing::Test {
  protected:
   void SetUp() override { s_.emplace(90, 140, 71); }
+  const NetworkView& view() const { return *s_->view; }
   std::optional<Scenario> s_;
 };
+
+TEST_F(FrozenRunFixture, KMedoidsFrozenIdentical) {
+  KMedoidsOptions options;
+  options.k = 5;
+  options.seed = 72;
+  Result<KMedoidsResult> live =
+      KMedoidsCluster(view(), view(), options, nullptr);
+  Result<KMedoidsResult> frozen =
+      KMedoidsCluster(view(), s_->frozen, options, nullptr);
+  ASSERT_TRUE(live.ok() && frozen.ok());
+  EXPECT_EQ(frozen.value().clustering.assignment,
+            live.value().clustering.assignment);
+  EXPECT_EQ(frozen.value().medoids, live.value().medoids);
+  EXPECT_EQ(frozen.value().cost, live.value().cost);
+}
+
+TEST_F(FrozenRunFixture, EpsLinkFrozenIdentical) {
+  EpsLinkOptions options;
+  options.eps = 3.0;
+  options.min_sup = 3;
+  Result<Clustering> live = EpsLinkCluster(view(), view(), options);
+  Result<Clustering> frozen = EpsLinkCluster(view(), s_->frozen, options);
+  ASSERT_TRUE(live.ok() && frozen.ok());
+  EXPECT_EQ(frozen.value().assignment, live.value().assignment);
+  EXPECT_EQ(frozen.value().num_clusters, live.value().num_clusters);
+}
+
+TEST_F(FrozenRunFixture, SingleLinkFrozenIdentical) {
+  SingleLinkOptions options;
+  options.delta = 1.0;
+  Result<SingleLinkResult> live = SingleLinkCluster(view(), view(), options);
+  Result<SingleLinkResult> frozen =
+      SingleLinkCluster(view(), s_->frozen, options);
+  ASSERT_TRUE(live.ok() && frozen.ok());
+  const auto& lm = live.value().dendrogram.merges();
+  const auto& fm = frozen.value().dendrogram.merges();
+  ASSERT_EQ(fm.size(), lm.size());
+  for (size_t i = 0; i < lm.size(); ++i) {
+    EXPECT_EQ(fm[i].a, lm[i].a);
+    EXPECT_EQ(fm[i].b, lm[i].b);
+    EXPECT_EQ(fm[i].distance, lm[i].distance);
+  }
+}
+
+TEST_F(FrozenRunFixture, DbscanFrozenIdenticalSerialAndParallel) {
+  DbscanOptions options;
+  options.eps = 3.0;
+  options.min_pts = 3;
+  for (uint32_t threads : {1u, 4u}) {
+    options.num_threads = threads;
+    Result<Clustering> live = DbscanCluster(view(), view(), options, nullptr);
+    Result<Clustering> frozen =
+        DbscanCluster(view(), s_->frozen, options, nullptr);
+    ASSERT_TRUE(live.ok() && frozen.ok());
+    EXPECT_EQ(frozen.value().assignment, live.value().assignment)
+        << "threads = " << threads;
+  }
+}
 
 TEST_F(FrozenRunFixture, OpticsIdentical) {
   OpticsOptions options;
   options.eps = 3.0;
   options.min_pts = 3;
-  Result<OpticsResult> legacy = OpticsOrder(*s_->view, options);
-  Result<OpticsResult> frozen = OpticsOrder(*s_->view, options, &s_->frozen);
-  ASSERT_TRUE(legacy.ok() && frozen.ok());
-  EXPECT_EQ(frozen.value().order, legacy.value().order);
-  EXPECT_EQ(frozen.value().reachability, legacy.value().reachability);
-  EXPECT_EQ(frozen.value().core_distance, legacy.value().core_distance);
+  Result<OpticsResult> live = OpticsOrder(view(), view(), options);
+  Result<OpticsResult> frozen = OpticsOrder(view(), s_->frozen, options);
+  ASSERT_TRUE(live.ok() && frozen.ok());
+  EXPECT_EQ(frozen.value().order, live.value().order);
+  EXPECT_EQ(frozen.value().reachability, live.value().reachability);
+  EXPECT_EQ(frozen.value().core_distance, live.value().core_distance);
 }
 
 // RunClustering freezes internally; with validation on, every algorithm
@@ -365,39 +417,6 @@ TEST_F(FrozenRunFixture, RunClusteringValidatesSnapshotForAllAlgorithms) {
 
 // ---------------------------------------------------------------------
 // Point kernels over the point layer vs the live view.
-
-// Forwards every accessor to an in-memory view without exposing it as
-// one, so its snapshot carries no point layer and every kernel reads
-// points through GetEdgePoints — over the very same CSR rows.
-class LayerlessView final : public NetworkView {
- public:
-  explicit LayerlessView(const NetworkView& inner) : inner_(inner) {}
-  NodeId num_nodes() const override { return inner_.num_nodes(); }
-  PointId num_points() const override { return inner_.num_points(); }
-  void ForEachNeighbor(
-      NodeId n,
-      const std::function<void(NodeId, double)>& fn) const override {
-    inner_.ForEachNeighbor(n, fn);
-  }
-  double EdgeWeight(NodeId a, NodeId b) const override {
-    return inner_.EdgeWeight(a, b);
-  }
-  PointPos PointPosition(PointId p) const override {
-    return inner_.PointPosition(p);
-  }
-  void GetEdgePoints(NodeId a, NodeId b,
-                     std::vector<EdgePoint>* out) const override {
-    inner_.GetEdgePoints(a, b, out);
-  }
-  void ForEachPointGroup(
-      const std::function<void(NodeId, NodeId, PointId, uint32_t)>& fn)
-      const override {
-    inner_.ForEachPointGroup(fn);
-  }
-
- private:
-  const NetworkView& inner_;
-};
 
 // The range-query semantics spelled out point by point: exact distances
 // from `sources` to every node, then every point of the network tested
@@ -429,29 +448,25 @@ std::vector<RangeResult> SortedById(std::vector<RangeResult> v) {
   return v;
 }
 
-// One world, three snapshots' worth of kernels: the live view, the
-// snapshot with its point layer, and a layerless snapshot of the same
-// view. Every kernel must emit the identical (id, dist) sequence — same
-// order, distances compared bitwise — and match the full-scan reference.
+// One world, two substrates' worth of kernels: the live view and the
+// snapshot with its point layer. Every kernel must emit the identical
+// (id, dist) sequence — same order, distances compared bitwise — and
+// match the full-scan reference.
 void ExpectKernelsMatchLiveView(const Network& net, const PointSet& points,
                                 const std::vector<double>& radii,
                                 PointId center_stride) {
   InMemoryNetworkView view(net, points);
   FrozenGraph frozen = std::move(view.Freeze()).value();
   ASSERT_TRUE(frozen.has_point_layer());
-  LayerlessView layerless(view);
-  FrozenGraph plain = std::move(layerless.Freeze()).value();
-  ASSERT_FALSE(plain.has_point_layer());
-  ASSERT_TRUE(plain.BitIdenticalTo(plain));
 
   IndexOptions io;
   io.num_landmarks = 4;
   io.num_threads = 1;
   std::unique_ptr<DistanceIndex> index =
-      std::move(DistanceIndex::Build(view, io, nullptr, &frozen).value());
+      std::move(DistanceIndex::Build(view, frozen, io, nullptr).value());
 
   TraversalWorkspace ws(view.num_nodes());
-  std::vector<RangeResult> live, fast, other;
+  std::vector<RangeResult> live, fast;
   size_t emitted = 0;
   for (PointId p = 0; p < points.size(); p += center_stride) {
     const PointPos c = points.position(p);
@@ -462,24 +477,21 @@ void ExpectKernelsMatchLiveView(const Network& net, const PointSet& points,
       RangeQuery(view, p, eps, &ws, &live);
       RangeQuery(view, frozen, p, eps, &ws, &fast);
       EXPECT_EQ(fast, live);
-      RangeQuery(layerless, plain, p, eps, &ws, &other);
-      EXPECT_EQ(other, live);
       EXPECT_EQ(SortedById(fast),
                 FullScanRange(view, {{c.u, c.offset}, {c.v, wc - c.offset}},
                               &c, eps));
       emitted += fast.size();
 
       // Accelerated: id-sorted, identical across substrates.
+      const std::vector<RangeResult> plain = SortedById(fast);
       RangeQuery(view, p, eps, &ws, index.get(), &live);
       RangeQuery(view, frozen, p, eps, &ws, index.get(), &fast);
       EXPECT_EQ(fast, live);
-      EXPECT_EQ(fast, SortedById(other));
+      EXPECT_EQ(fast, plain);
 
       // Node-sourced, from either endpoint of the center's edge.
       for (NodeId n : {c.u, c.v}) {
         NodeRangeQuery(view, frozen, n, eps, &ws, &fast);
-        NodeRangeQuery(layerless, plain, n, eps, &ws, &other);
-        EXPECT_EQ(fast, other);
         EXPECT_EQ(SortedById(fast),
                   FullScanRange(view, {{n, 0.0}}, nullptr, eps));
       }
@@ -488,8 +500,6 @@ void ExpectKernelsMatchLiveView(const Network& net, const PointSet& points,
       KNearestNeighbors(view, p, k, &ws, &live);
       KNearestNeighbors(view, frozen, p, k, &ws, &fast);
       EXPECT_EQ(fast, live) << "center " << p << " k " << k;
-      KNearestNeighbors(layerless, plain, p, k, &ws, &other);
-      EXPECT_EQ(other, live) << "center " << p << " k " << k;
     }
   }
   EXPECT_GT(emitted, 0u);

@@ -149,10 +149,11 @@ TEST(LandmarkOracleTest, TablesBitIdenticalWithAndWithoutFrozenGraph) {
   InMemoryNetworkView view(net, points);
   FrozenGraph frozen = std::move(view.Freeze()).value();
   ThreadPool pool(3);
+  const NetworkView& live = view;
   LandmarkOracle plain =
-      std::move(LandmarkOracle::Build(view, 5, nullptr, nullptr)).value();
+      std::move(LandmarkOracle::Build(live, live, 5, nullptr)).value();
   LandmarkOracle snap =
-      std::move(LandmarkOracle::Build(view, 5, &pool, &frozen)).value();
+      std::move(LandmarkOracle::Build(live, frozen, 5, &pool)).value();
   ASSERT_EQ(plain.landmarks(), snap.landmarks());
   for (uint32_t l = 0; l < plain.num_landmarks(); ++l) {
     for (PointId p = 0; p < points.size(); ++p) {

@@ -15,6 +15,7 @@
 #include "eval/metrics.h"
 #include "gen/network_gen.h"
 #include "gen/workload_gen.h"
+#include "graph/frozen_graph.h"
 #include "graph/network_distance.h"
 #include "graph/network_store.h"
 #include "run_helpers.h"
@@ -88,6 +89,36 @@ TEST(IntegrationTest, DiskAndMemoryDbscanIdentical) {
   ASSERT_TRUE(mem.ok());
   ASSERT_TRUE(disk.ok());
   EXPECT_EQ(mem.value().assignment, disk.value().assignment);
+}
+
+// The buffer manager behind a disk view is not thread-safe, so a run
+// over a view ignores the thread knobs and stays serial; the results
+// still equal the parallel in-memory runs. Under ThreadSanitizer
+// (`run_all.sh tsan`) a parallel phase over the disk view would race.
+TEST(IntegrationTest, ParallelKnobsRunSeriallyOverDiskView) {
+  Pipeline p = MakePipeline(300, 900, 4, 1004);
+  DbscanOptions dbscan;
+  dbscan.eps = p.workload.max_intra_gap;
+  dbscan.min_pts = 3;
+  dbscan.num_threads = 4;
+  Result<Clustering> mem_d = RunDbscan(*p.mem_view, dbscan);
+  Result<Clustering> disk_d = RunDbscan(p.disk->view(), dbscan);
+  ASSERT_TRUE(mem_d.ok() && disk_d.ok());
+  EXPECT_EQ(mem_d.value().assignment, disk_d.value().assignment);
+
+  KMedoidsOptions kmedoids;
+  kmedoids.k = 4;
+  kmedoids.seed = 9;
+  kmedoids.max_unsuccessful_swaps = 5;
+  kmedoids.num_restarts = 3;
+  kmedoids.num_threads = 3;
+  Result<KMedoidsResult> mem_k = RunKMedoids(*p.mem_view, kmedoids);
+  Result<KMedoidsResult> disk_k = RunKMedoids(p.disk->view(), kmedoids);
+  ASSERT_TRUE(mem_k.ok() && disk_k.ok());
+  EXPECT_EQ(mem_k.value().medoids, disk_k.value().medoids);
+  EXPECT_EQ(mem_k.value().clustering.assignment,
+            disk_k.value().clustering.assignment);
+  EXPECT_TRUE(p.disk->view().status().ok());
 }
 
 TEST(IntegrationTest, DiskAndMemorySingleLinkIdentical) {
@@ -220,11 +251,53 @@ TEST(IntegrationTest, DiskAndMemoryQueriesIdentical) {
   OpticsOptions oo;
   oo.eps = eps;
   oo.min_pts = 3;
-  OpticsResult om = std::move(OpticsOrder(*p.mem_view, oo).value());
-  OpticsResult od = std::move(OpticsOrder(p.disk->view(), oo).value());
+  FrozenGraph frozen = std::move(p.mem_view->Freeze()).value();
+  const NetworkView& disk = p.disk->view();
+  OpticsResult om = std::move(OpticsOrder(*p.mem_view, frozen, oo).value());
+  OpticsResult od = std::move(OpticsOrder(disk, disk, oo).value());
   EXPECT_EQ(om.order, od.order);
   EXPECT_EQ(om.reachability, od.reachability);
   EXPECT_EQ(om.core_distance, od.core_distance);
+}
+
+// A disk run reads only the adjacency its algorithm reaches. Every point
+// lies in one corner of a grid (~9% of the nodes, the first ones in the
+// store's connectivity order) and eps links only points on neighboring
+// edges, so ε-Link and DBSCAN never leave that corner: they read well
+// under half of the adjacency file. A run that first copied the whole
+// adjacency into memory would read every page of it.
+TEST(IntegrationTest, DiskRunReadsOnlyTheAdjacencyItReaches) {
+  const NodeId side = 60;
+  const NodeId corner = 18;
+  Network net = MakeGridNetwork(side, side, 1.0);
+  PointSetBuilder builder;
+  for (NodeId r = 0; r < corner; ++r) {
+    for (NodeId c = 0; c + 1 < corner; ++c) {
+      builder.Add(r * side + c, r * side + c + 1, 0.5, -1);
+    }
+  }
+  PointSet points = std::move(std::move(builder).Build(net)).value();
+  EpsLinkOptions eps_link;
+  eps_link.eps = 1.0;
+  DbscanOptions dbscan;
+  dbscan.eps = 1.0;
+  for (const ClusterSpec& spec : {MakeSpec(eps_link), MakeSpec(dbscan)}) {
+    SCOPED_TRACE(AlgorithmName(spec.algorithm));
+    auto bundle = std::move(DiskNetworkBundle::Create(
+                                net, points, 64 << 10, 1024,
+                                NodePlacement::kConnectivity, 3)
+                                .value());
+    const uint64_t adj_pages =
+        bundle->GetIoBreakdown().adj_flat.pages_allocated;
+    ASSERT_GE(adj_pages, 40u);
+    bundle->ResetIoStats();
+    Result<ClusterOutput> out = RunClustering(bundle->view(), spec);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    const uint64_t reads = bundle->GetIoBreakdown().adj_flat.page_reads;
+    EXPECT_GT(reads, 0u);
+    EXPECT_LT(reads, adj_pages / 4)
+        << reads << " of " << adj_pages << " adjacency pages read";
+  }
 }
 
 TEST(IntegrationTest, AsciiMapShowsPlantedClusters) {

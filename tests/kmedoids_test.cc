@@ -31,7 +31,7 @@ TEST(KMedoidsTest, SingleMedoidAssignsEverything) {
   GeneratedNetwork g = GenerateRoadNetwork({40, 1.3, 0.3, 3});
   PointSet ps = std::move(GenerateUniformPoints(g.net, 25, 4)).value();
   InMemoryNetworkView view(g.net, ps);
-  Result<KMedoidsResult> r = AssignToMedoids(view, {0});
+  Result<KMedoidsResult> r = AssignToMedoids<NetworkView>(view, view, {0});
   ASSERT_TRUE(r.ok());
   for (int a : r.value().clustering.assignment) EXPECT_EQ(a, 0);
   auto pd = BrutePointDistanceMatrix(g.net, ps);
@@ -56,7 +56,8 @@ TEST_P(KMedoidsAssignPropertyTest, MatchesBruteForceAssignment) {
     uint32_t k = 1 + static_cast<uint32_t>(rng.NextBounded(6));
     std::vector<uint64_t> sample = rng.SampleWithoutReplacement(60, k);
     std::vector<PointId> medoids(sample.begin(), sample.end());
-    Result<KMedoidsResult> r = AssignToMedoids(view, medoids);
+    Result<KMedoidsResult> r =
+        AssignToMedoids<NetworkView>(view, view, medoids);
     ASSERT_TRUE(r.ok());
     std::vector<int> brute_assign;
     double brute_cost = BruteMedoidAssign(pd, medoids, &brute_assign);
@@ -146,7 +147,8 @@ TEST(KMedoidsTest, SwapsNeverIncreaseCost) {
   Rng rng(33);
   std::vector<uint64_t> sample = rng.SampleWithoutReplacement(150, 4);
   std::vector<PointId> initial(sample.begin(), sample.end());
-  Result<KMedoidsResult> start = AssignToMedoids(view, initial);
+  Result<KMedoidsResult> start =
+      AssignToMedoids<NetworkView>(view, view, initial);
   KMedoidsOptions opts;
   opts.seed = 33;
   opts.initial_medoids = initial;
@@ -165,7 +167,8 @@ TEST(KMedoidsTest, FinalCostIsSelfConsistent) {
   opts.seed = 43;
   Result<KMedoidsResult> r = RunKMedoids(view, opts);
   ASSERT_TRUE(r.ok());
-  Result<KMedoidsResult> re = AssignToMedoids(view, r.value().medoids);
+  Result<KMedoidsResult> re =
+      AssignToMedoids<NetworkView>(view, view, r.value().medoids);
   ASSERT_TRUE(re.ok());
   EXPECT_NEAR(r.value().cost, re.value().cost, 1e-9);
 }
@@ -246,9 +249,6 @@ TEST_P(KMedoidsParallelRestartTest, ParallelRestartsMatchSerialBitExactly) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KMedoidsParallelRestartTest,
                          ::testing::Values(101u, 102u, 103u));
-
-// The null-accelerator-overload equivalence test lives in
-// tests/compat/legacy_api_test.cc with the other legacy-entry checks.
 
 TEST(KMedoidsTest, RejectsBadInitialMedoids) {
   GeneratedNetwork g = GenerateRoadNetwork({30, 1.3, 0.3, 121});

@@ -1,7 +1,6 @@
 // Tests for the unified RunClustering entry point: name parsing, the
 // MakeSpec shim, output shape, the Single-Link cut cascade, and the
-// evaluation wrapper built on top of it. Parity with the deprecated
-// per-algorithm entry points is proven in tests/compat/legacy_api_test.cc.
+// evaluation wrapper built on top of it.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -41,9 +40,7 @@ class NetclusApiFixture : public ::testing::Test {
   std::optional<InMemoryNetworkView> view_;
 };
 
-// Parity of RunClustering with the deprecated per-algorithm entry
-// points is proven in tests/compat/legacy_api_test.cc; here the output
-// shape and the MakeSpec shim are checked on their own terms.
+// The output shape and the MakeSpec shim, checked on their own terms.
 TEST_F(NetclusApiFixture, KMedoidsOutputShape) {
   ClusterSpec spec = MakeSpec(KMedoidsOptions{});
   spec.kmedoids.k = 4;

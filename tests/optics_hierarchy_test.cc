@@ -31,10 +31,14 @@ TEST(OpticsTest, RejectsBadOptions) {
   InMemoryNetworkView view(net, empty);
   OpticsOptions opts;
   opts.eps = 0.0;
-  EXPECT_TRUE(OpticsOrder(view, opts).status().IsInvalidArgument());
+  EXPECT_TRUE(OpticsOrder<NetworkView>(view, view, opts)
+                  .status()
+                  .IsInvalidArgument());
   opts.eps = 1.0;
   opts.min_pts = 0;
-  EXPECT_TRUE(OpticsOrder(view, opts).status().IsInvalidArgument());
+  EXPECT_TRUE(OpticsOrder<NetworkView>(view, view, opts)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(OpticsTest, OrderingCoversEveryPointOnce) {
@@ -44,7 +48,8 @@ TEST(OpticsTest, OrderingCoversEveryPointOnce) {
   OpticsOptions opts;
   opts.eps = 1.0;
   opts.min_pts = 3;
-  OpticsResult r = std::move(OpticsOrder(view, opts).value());
+  OpticsResult r =
+      std::move(OpticsOrder<NetworkView>(view, view, opts).value());
   ASSERT_EQ(r.order.size(), 80u);
   ASSERT_EQ(r.reachability.size(), 80u);
   std::vector<bool> seen(80, false);
@@ -62,7 +67,9 @@ TEST(OpticsTest, CoreDistancesMatchBruteForce) {
   const double eps = 1.2;
   const uint32_t min_pts = 4;
   OpticsResult r =
-      std::move(OpticsOrder(view, OpticsOptions{eps, min_pts}).value());
+      std::move(OpticsOrder<NetworkView>(view, view,
+                                         OpticsOptions{eps, min_pts})
+                    .value());
   for (PointId p = 0; p < 60; ++p) {
     // Brute core distance: min_pts-th smallest distance (self included)
     // if within eps, else undefined.
@@ -89,7 +96,9 @@ TEST_P(OpticsExtractionTest, ExtractionEqualsDbscanAtMinPts2) {
     InMemoryNetworkView view(g.net, ps);
     const double eps = 1.5;
     OpticsResult r =
-        std::move(OpticsOrder(view, OpticsOptions{eps, 2}).value());
+        std::move(
+            OpticsOrder<NetworkView>(view, view, OpticsOptions{eps, 2})
+                .value());
     double eps_prime = eps * eps_prime_frac;
     Clustering extracted = ExtractDbscanClustering(r, eps_prime, 2);
     DbscanOptions dopts;
@@ -112,7 +121,9 @@ TEST(OpticsTest, ExtractionCorePointsMatchDbscanAtHigherMinPts) {
   const double eps = 1.0;
   const uint32_t min_pts = 4;
   OpticsResult r =
-      std::move(OpticsOrder(view, OpticsOptions{eps, min_pts}).value());
+      std::move(OpticsOrder<NetworkView>(view, view,
+                                         OpticsOptions{eps, min_pts})
+                    .value());
   Clustering extracted = ExtractDbscanClustering(r, eps, min_pts);
   DbscanOptions dopts;
   dopts.eps = eps;
@@ -141,7 +152,9 @@ TEST(OpticsTest, ComponentStartsHaveUndefinedReachability) {
   PointSet ps = std::move(std::move(b).Build(net)).value();
   InMemoryNetworkView view(net, ps);
   OpticsResult r =
-      std::move(OpticsOrder(view, OpticsOptions{1.0, 2}).value());
+      std::move(
+          OpticsOrder<NetworkView>(view, view, OpticsOptions{1.0, 2})
+              .value());
   int undefined = 0;
   for (double reach : r.reachability) {
     if (reach == kInfDist) ++undefined;

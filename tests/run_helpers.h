@@ -1,11 +1,8 @@
 // Test-side adapters over the unified RunClustering entry point.
 //
-// The per-algorithm convenience overloads (KMedoidsCluster, EpsLinkCluster,
-// DbscanCluster, SingleLinkCluster) are deprecated; tests route through
-// RunClustering(view, MakeSpec(options)) and unpack the ClusterOutput back
-// into the per-algorithm result shapes so existing assertions read
-// unchanged. Equivalence of the two paths is itself proven in
-// tests/compat/legacy_api_test.cc.
+// Tests route through RunClustering(view, MakeSpec(options)) — the path
+// users run — and unpack the ClusterOutput back into the per-algorithm
+// result shapes so existing assertions read unchanged.
 #ifndef NETCLUS_TESTS_RUN_HELPERS_H_
 #define NETCLUS_TESTS_RUN_HELPERS_H_
 
