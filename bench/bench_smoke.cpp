@@ -1,14 +1,16 @@
-// Bench smoke: a minutes-scale micro pass over the substrates the
-// distance index accelerates, on a small generated network — the
-// `run_all.sh bench-smoke` target. Each benchmark runs index-off and
-// index-on, prints the settled-node / heap-pop reduction, and the whole
+// Bench smoke: a minutes-scale micro pass over the traversal substrates
+// on a small generated network — the `run_all.sh bench-smoke` target.
+// The plain range query runs once; the two consumers of the distance
+// index (the thresholded point distance and k-medoids) run index-off and
+// index-on and print the settled-node / heap-pop reduction. The whole
 // table is emitted as machine-readable BENCH_smoke.json via
-// BenchRecorder so CI can diff substrate work across revisions. The
-// k-medoids pair is a gate: the harness prints FAIL and exits 1 unless
-// kmedoids_on settles fewer nodes and has a lower median wall time than
-// kmedoids_off. The contrast times the k-medoids engine directly over
-// the live view with a prebuilt accelerator; routing through
-// RunClustering would rebuild the index inside the measured section.
+// BenchRecorder so CI can diff substrate work across revisions. Each
+// off/on pair is a gate: the harness prints FAIL and exits 1 unless the
+// `_on` row settles fewer nodes and has a lower median wall time than
+// its `_off` twin — every kept accelerator must pay for itself. The
+// k-medoids contrast times the engine directly over the live view with a
+// prebuilt accelerator; routing through RunClustering would rebuild the
+// index inside the measured section.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -43,7 +45,7 @@ double Timed(TraversalCounters* total, const Fn& fn) {
 
 int main() {
   // Small on purpose: the smoke pass proves the index reduces traversal
-  // work and the JSON plumbing works, not absolute throughput.
+  // work and time and the JSON plumbing works, not absolute throughput.
   GeneratedNetwork gen = GenerateRoadNetwork({3000, 1.3, 0.3, 99});
   PointSet points =
       std::move(GenerateUniformPoints(gen.net, 600, 100)).value();
@@ -91,37 +93,46 @@ int main() {
              22);
   };
 
-  // Range queries, index off vs on (Voronoi floor pruning + landmark
-  // expansion bound), over a deterministic center set.
+  // The off/on pairs' totals and median seconds, for the gates below.
+  struct Pair {
+    const char* name;
+    TraversalCounters work[2];
+    double median_s[2] = {0.0, 0.0};
+  };
+  auto record = [&](Pair* pair, bool on, std::vector<double> samples,
+                    const TraversalCounters& t,
+                    const std::vector<std::pair<std::string, double>>& extra) {
+    report((std::string(pair->name) + (on ? "_on" : "_off")).c_str(), samples,
+           t, extra);
+    std::sort(samples.begin(), samples.end());
+    pair->work[on] = t;
+    pair->median_s[on] = samples[samples.size() / 2];
+  };
+
+  // Range queries over a deterministic center set (the DBSCAN / ε-Link
+  // primitive; no index reads it).
   const int kQueries = 200;
   {
     TraversalWorkspace ws(gen.net.num_nodes());
     std::vector<RangeResult> out;
-    for (int pass = 0; pass < 2; ++pass) {
-      bool on = pass == 1;
-      TraversalCounters total;
-      std::vector<double> samples;
-      Rng rng(6);
-      uint64_t results = 0;
-      for (int i = 0; i < kQueries; ++i) {
-        PointId p = static_cast<PointId>(rng.NextBounded(points.size()));
-        samples.push_back(Timed(&total, [&] {
-          if (on) {
-            RangeQuery(view, p, eps, &ws, index.get(), &out);
-          } else {
-            RangeQuery(view, p, eps, &ws, &out);
-          }
-        }));
-        results += out.size();
-      }
-      report(on ? "range_query_on" : "range_query_off", samples, total,
-             {{"avg_results", static_cast<double>(results) / kQueries}});
+    TraversalCounters total;
+    std::vector<double> samples;
+    Rng rng(6);
+    uint64_t results = 0;
+    for (int i = 0; i < kQueries; ++i) {
+      PointId p = static_cast<PointId>(rng.NextBounded(points.size()));
+      samples.push_back(
+          Timed(&total, [&] { RangeQuery(view, p, eps, &ws, &out); }));
+      results += out.size();
     }
+    report("range_query", samples, total,
+           {{"avg_results", static_cast<double>(results) / kQueries}});
   }
 
   // Point-to-point distances under a threshold cut (the k-medoids inner
   // question "is d(p, m) below the current best"), index off vs on
   // (cache hits + lower-bound cutoffs skip whole expansions).
+  Pair point_distance{"point_distance", {}, {}};
   {
     NodeScratch scratch(gen.net.num_nodes());
     for (int pass = 0; pass < 2; ++pass) {
@@ -140,17 +151,14 @@ int main() {
         }));
       }
       IndexStats s = index->Stats();
-      report(on ? "point_distance_on" : "point_distance_off", samples, total,
+      record(&point_distance, on, std::move(samples), total,
              {{"cache_hits", static_cast<double>(s.cache_hits)}});
     }
   }
 
   // Full k-medoids runs, index off vs on (ALT lower bounds prune
   // provably non-improving swap evaluations; trajectories identical).
-  // The index must pay for itself: the gate below requires the "on" run
-  // to settle fewer nodes and finish faster than the "off" run.
-  TraversalCounters kmedoids_work[2];
-  double kmedoids_median_s[2] = {0.0, 0.0};
+  Pair kmedoids{"kmedoids", {}, {}};
   {
     KMedoidsOptions ko;
     ko.k = 8;
@@ -175,13 +183,10 @@ int main() {
         }));
       }
       std::sort(bound_s.begin(), bound_s.end());
-      report(on ? "kmedoids_on" : "kmedoids_off", samples, total,
+      record(&kmedoids, on, std::move(samples), total,
              {{"pruned_swaps", static_cast<double>(pruned)},
               {"bound_seconds", bound_s[bound_s.size() / 2]},
               {"cost", cost}});
-      std::sort(samples.begin(), samples.end());
-      kmedoids_work[pass] = total;
-      kmedoids_median_s[pass] = samples[samples.size() / 2];
     }
   }
 
@@ -189,20 +194,26 @@ int main() {
   std::printf("\nwrote %s\n", path.empty() ? "(json write FAILED)"
                                            : path.c_str());
   if (path.empty()) return 1;
-  if (kmedoids_work[1].settled_nodes >= kmedoids_work[0].settled_nodes) {
-    std::printf("FAIL: kmedoids_on settles %llu nodes, kmedoids_off %llu\n",
-                static_cast<unsigned long long>(kmedoids_work[1].settled_nodes),
-                static_cast<unsigned long long>(kmedoids_work[0].settled_nodes));
-    return 1;
+  int failed = 0;
+  for (const Pair* pair : {&point_distance, &kmedoids}) {
+    const uint64_t off = pair->work[0].settled_nodes;
+    const uint64_t on = pair->work[1].settled_nodes;
+    if (on >= off) {
+      std::printf("FAIL: %s_on settles %llu nodes, %s_off %llu\n", pair->name,
+                  static_cast<unsigned long long>(on), pair->name,
+                  static_cast<unsigned long long>(off));
+      ++failed;
+    } else if (pair->median_s[1] >= pair->median_s[0]) {
+      std::printf("FAIL: %s_on median %.4f ms is not below %s_off %.4f ms\n",
+                  pair->name, pair->median_s[1] * 1e3, pair->name,
+                  pair->median_s[0] * 1e3);
+      ++failed;
+    } else {
+      std::printf("OK: %s_on settles fewer nodes and runs %.2fx faster than "
+                  "%s_off\n",
+                  pair->name, pair->median_s[0] / pair->median_s[1],
+                  pair->name);
+    }
   }
-  if (kmedoids_median_s[1] >= kmedoids_median_s[0]) {
-    std::printf("FAIL: kmedoids_on median %.3f ms is not below kmedoids_off "
-                "%.3f ms\n",
-                kmedoids_median_s[1] * 1e3, kmedoids_median_s[0] * 1e3);
-    return 1;
-  }
-  std::printf("OK: kmedoids_on settles fewer nodes and runs %.2fx faster "
-              "than kmedoids_off\n",
-              kmedoids_median_s[0] / kmedoids_median_s[1]);
-  return 0;
+  return failed == 0 ? 0 : 1;
 }

@@ -50,9 +50,8 @@ const DistanceIndex& SharedIndex() {
   return *index;
 }
 
-// A sparser fixture for the indexed-vs-plain comparisons: nearest-object
-// floors (and therefore the index's pruning leverage) shrink as point
-// density grows, so the contrast benches run at ~0.25 points per node.
+// A sparser fixture (~0.25 points per node) for the indexed-vs-plain
+// k-medoids comparison.
 Fixture& SparseFixture() {
   static Fixture f(8000, 2000);
   return f;
@@ -84,8 +83,6 @@ struct CounterScope {
         static_cast<double>(d.settled_nodes), rate);
     state.counters["heap_pops"] = benchmark::Counter(
         static_cast<double>(d.heap_pops), rate);
-    state.counters["pruned"] = benchmark::Counter(
-        static_cast<double>(d.pruned_nodes), rate);
   }
 };
 
@@ -127,32 +124,6 @@ void BM_RangeQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_RangeQuery)->Arg(5)->Arg(20)->Arg(50)->Unit(
     benchmark::kMicrosecond);
-
-// Indexed-vs-plain range queries on the sparse fixture; arg = eps * 10.
-// The `settled` / `heap_pops` counters are the comparison that matters:
-// the indexed run answers the same queries settling fewer nodes (Voronoi
-// floor pruning + landmark expansion bound).
-void BM_RangeQueryContrast(benchmark::State& state) {
-  Fixture& f = SparseFixture();
-  const DistanceIndex* index = state.range(1) != 0 ? &SparseIndex() : nullptr;
-  TraversalWorkspace ws(f.gen.net.num_nodes());
-  std::vector<RangeResult> out;
-  Rng rng(6);
-  double eps = static_cast<double>(state.range(0)) / 10.0;
-  CounterScope counters(state);
-  for (auto _ : state) {
-    PointId p = static_cast<PointId>(rng.NextBounded(f.points.size()));
-    RangeQuery(*f.view, p, eps, &ws, index, &out);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_RangeQueryContrast)
-    ->ArgNames({"eps10", "index"})
-    ->Args({50, 0})
-    ->Args({50, 1})
-    ->Args({150, 0})
-    ->Args({150, 1})
-    ->Unit(benchmark::kMicrosecond);
 
 // Indexed point-to-point distance under a threshold cut (the question
 // the k-medoids swap evaluation asks per point): cache hits and

@@ -61,7 +61,6 @@ int Usage() {
                "           [--delta D] [--cut D] [--seed S]\n"
                "           [--threads T] [--restarts R]\n"
                "           [--index on|off] [--landmarks K] [--cache-cap N]\n"
-               "           [--voronoi on|off]\n"
                "  serve    --in FILE [--workers W] [--clients C]\n"
                "           [--queries N] [--mutations M] [--eps E|auto]\n"
                "           [--validate on|off] [--seed S]\n"
@@ -245,17 +244,16 @@ int RunCluster(int argc, char** argv, const InMemoryNetworkView& view,
       std::atol(FlagValue(argc, argv, "--landmarks", "8")));
   spec.index.cache_capacity = static_cast<size_t>(
       std::atoll(FlagValue(argc, argv, "--cache-cap", "65536")));
-  spec.index.enable_voronoi =
-      std::strcmp(FlagValue(argc, argv, "--voronoi", "on"), "off") != 0;
   spec.index.num_threads = threads;
   if (spec.index.enable) {
-    // k-medoids reads only the landmark bounds; RunClustering builds no
-    // Voronoi floors for it.
-    bool voronoi = spec.index.enable_voronoi &&
-                   spec.algorithm != Algorithm::kKMedoids;
-    std::printf("index: %u landmarks, cache capacity %zu, voronoi %s\n",
-                spec.index.num_landmarks, spec.index.cache_capacity,
-                voronoi ? "on" : "off");
+    // RunClustering builds the index for k-medoids only, the one
+    // algorithm that reads it.
+    if (spec.algorithm == Algorithm::kKMedoids) {
+      std::printf("index: %u landmarks, cache capacity %zu\n",
+                  spec.index.num_landmarks, spec.index.cache_capacity);
+    } else {
+      std::printf("index: not built (only k-medoids reads it)\n");
+    }
   }
 
   Result<EvaluationReport> report =

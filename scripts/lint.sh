@@ -123,10 +123,8 @@ done
 # must reach the Dijkstra substrate only through the graph-layer entry
 # points (PointNetworkDistance / RangeQuery) or a DistanceAccelerator —
 # a direct expansion call would bypass the accelerator hooks and the
-# traversal counters. The one sanctioned caller is validate.cc, whose
-# oracles must stay independent of the accelerated paths they audit.
+# traversal counters.
 for f in $(find src/core -name '*.h' -o -name '*.cc' | sort); do
-  [ "$f" = "src/core/validate.cc" ] && continue
   stripped=$(sed 's@//.*@@' "$f")
   hits=$(printf '%s\n' "$stripped" |
     grep -nE 'DijkstraExpandBounded[[:space:]]*\(|DijkstraDistances[[:space:]]*\(' || true)
@@ -151,7 +149,7 @@ for f in $(find src/core src/index -name '*.h' -o -name '*.cc' | sort); do
 $hits"
   fi
   hits=$(printf '%s\n' "$stripped" |
-    grep -nE 'std::function<(SettleAction|bool)[[:space:]]*\(' || true)
+    grep -nE 'std::function<bool[[:space:]]*\(' || true)
   if [ -n "$hits" ]; then
     fail "$f: std::function settle callback outside src/graph/; pass the functor as a template parameter (see DijkstraExpandKernel)
 $hits"

@@ -15,8 +15,7 @@ namespace netclus {
 
 template <TraversalGraph Graph>
 Result<Clustering> DbscanCluster(const NetworkView& view, const Graph& graph,
-                                 const DbscanOptions& options,
-                                 const DistanceAccelerator* accel) {
+                                 const DbscanOptions& options) {
   if (!(options.eps > 0.0)) {
     return Status::InvalidArgument("eps must be positive");
   }
@@ -56,7 +55,7 @@ Result<Clustering> DbscanCluster(const NetworkView& view, const Graph& graph,
     // The snapshot is immutable, so all workers share it.
     pool.ParallelFor(n, [&](size_t p, uint32_t worker) {
       RangeQueryOver(view, graph, static_cast<PointId>(p), options.eps,
-                     leases[worker].get(), accel, &cache[p]);
+                     leases[worker].get(), &cache[p]);
     });
   }
 
@@ -65,7 +64,7 @@ Result<Clustering> DbscanCluster(const NetworkView& view, const Graph& graph,
   std::vector<RangeResult> buffer;
   auto neighborhood = [&](PointId p) -> const std::vector<RangeResult>& {
     if (precomputed) return cache[p];
-    RangeQueryOver(view, graph, p, options.eps, &*serial_ws, accel, &buffer);
+    RangeQueryOver(view, graph, p, options.eps, &*serial_ws, &buffer);
     return buffer;
   };
 
@@ -108,11 +107,9 @@ Result<Clustering> DbscanCluster(const NetworkView& view, const Graph& graph,
 
 template Result<Clustering> DbscanCluster(const NetworkView&,
                                           const FrozenGraph&,
-                                          const DbscanOptions&,
-                                          const DistanceAccelerator*);
+                                          const DbscanOptions&);
 template Result<Clustering> DbscanCluster(const NetworkView&,
                                           const NetworkView&,
-                                          const DbscanOptions&,
-                                          const DistanceAccelerator*);
+                                          const DbscanOptions&);
 
 }  // namespace netclus

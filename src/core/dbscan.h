@@ -10,7 +10,6 @@
 
 #include "common/status.h"
 #include "core/clustering.h"
-#include "graph/accelerator.h"
 #include "graph/network_view.h"
 
 namespace netclus {
@@ -37,16 +36,14 @@ struct DbscanOptions {
 /// point that reaches them (scan order: ascending point id); unreached
 /// points are noise. Every eps-range query expands over `graph`: a
 /// FrozenGraph snapshot of `view` (shared read-only across the query
-/// workers) or the view itself. `accel` is an optional distance
-/// accelerator (null = none) threaded into every query. Neither choice
-/// changes the clustering (audited under validate mode).
+/// workers) or the view itself. The choice does not change the
+/// clustering (audited under validate mode).
 ///
 /// Callers normally go through RunClustering(view, MakeSpec(options))
-/// (netclus.h), which picks the graph and builds the accelerator.
+/// (netclus.h), which picks the graph.
 template <TraversalGraph Graph>
 Result<Clustering> DbscanCluster(const NetworkView& view, const Graph& graph,
-                                 const DbscanOptions& options,
-                                 const DistanceAccelerator* accel);
+                                 const DbscanOptions& options);
 
 }  // namespace netclus
 

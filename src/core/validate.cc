@@ -592,48 +592,14 @@ Status ValidateFrozenGraph(const NetworkView& view,
   return view.status();
 }
 
-namespace {
-
-// Exact node-to-nearest-object distances by one multi-source Dijkstra
-// seeded from both endpoints of every object except `exclude` — the
-// independent oracle the accelerator's Voronoi floors are audited
-// against.
-std::vector<double> NearestObjectOracle(const NetworkView& view,
-                                        PointId exclude,
-                                        TraversalWorkspace* ws) {
-  std::vector<DijkstraSource> sources;
-  std::vector<EdgePoint> pts;
-  view.ForEachPointGroup([&](NodeId u, NodeId v, PointId /*first*/,
-                             uint32_t /*count*/) {
-    view.GetEdgePoints(u, v, &pts);
-    double w = view.EdgeWeight(u, v);
-    for (const EdgePoint& ep : pts) {
-      if (ep.id == exclude) continue;
-      sources.push_back(DijkstraSource{u, ep.offset});
-      sources.push_back(DijkstraSource{v, w - ep.offset});
-    }
-  });
-  std::vector<double> out(view.num_nodes(), kInfDist);
-  if (sources.empty()) return out;
-  DijkstraDistances(view, sources, ws);
-  for (NodeId n = 0; n < view.num_nodes(); ++n) {
-    out[n] = ws->scratch.Get(n);
-  }
-  return out;
-}
-
-}  // namespace
-
 Status ValidateDistanceAccelerator(const NetworkView& view,
                                    const DistanceAccelerator& accel,
                                    const ValidateLimits& limits) {
   const PointId n = view.num_points();
-  const NodeId num_nodes = view.num_nodes();
 
   // Point-pair bounds against the exact point-to-point Dijkstra, on a
   // deterministic sample (two partners per sampled point).
-  NodeScratch scratch(num_nodes);
-  std::vector<double> finite_exact;
+  NodeScratch scratch(view.num_nodes());
   std::vector<PointId> sampled;
   if (n > 0) {
     PointId stride =
@@ -653,7 +619,6 @@ Status ValidateDistanceAccelerator(const NetworkView& view,
                                           std::to_string(q) + ")");
           }
         } else {
-          finite_exact.push_back(exact);
           if (lb > exact + Tolerance(exact)) {
             return Violation("index",
                              "lower bound " + std::to_string(lb) +
@@ -720,68 +685,6 @@ Status ValidateDistanceAccelerator(const NetworkView& view,
     }
   }
 
-  // Nearest-object floors against the multi-source oracle: once with
-  // nothing excluded (every node), then with a few excluded probes.
-  std::vector<PointId> probes;
-  for (size_t i = 0; i < sampled.size() && probes.size() < 4;
-       i += std::max<size_t>(1, sampled.size() / 4)) {
-    probes.push_back(sampled[i]);
-  }
-  std::vector<PointId> excludes = {kInvalidPointId};
-  excludes.insert(excludes.end(), probes.begin(), probes.end());
-  TraversalWorkspace oracle_ws(num_nodes);
-  for (PointId exclude : excludes) {
-    std::vector<double> oracle =
-        NearestObjectOracle(view, exclude, &oracle_ws);
-    for (NodeId node = 0; node < num_nodes; ++node) {
-      double floor = accel.NearestObjectFloor(node, exclude);
-      if (floor > oracle[node] + Tolerance(oracle[node])) {
-        return Violation(
-            "index",
-            "nearest-object floor " + std::to_string(floor) + " at node " +
-                std::to_string(node) + " (excluding " +
-                (exclude == kInvalidPointId ? std::string("nothing")
-                                            : std::to_string(exclude)) +
-                ") exceeds exact nearest-object distance " +
-                std::to_string(oracle[node]));
-      }
-    }
-  }
-
-  // Range expansion bounds must stay within [0, eps] and cover the
-  // farthest in-range point of an unaccelerated eps-range query.
-  if (!sampled.empty() && !finite_exact.empty()) {
-    std::sort(finite_exact.begin(), finite_exact.end());
-    double eps = finite_exact[finite_exact.size() / 2];  // median: non-trivial
-    if (eps > 0.0) {
-      TraversalWorkspace ws(num_nodes);
-      std::vector<RangeResult> reach;
-      size_t audits = std::min<size_t>(sampled.size(), 16);
-      for (size_t i = 0; i < audits; ++i) {
-        PointId p = sampled[i];
-        double bound = accel.RangeExpansionBound(p, eps);
-        if (bound < 0.0 || bound > eps + Tolerance(eps)) {
-          return Violation("index", "range expansion bound " +
-                                        std::to_string(bound) +
-                                        " outside [0, eps = " +
-                                        std::to_string(eps) + "] for point " +
-                                        std::to_string(p));
-        }
-        RangeQuery(view, p, eps, &ws, &reach);
-        double farthest = 0.0;
-        for (const RangeResult& r : reach) {
-          farthest = std::max(farthest, r.dist);
-        }
-        if (bound < farthest - Tolerance(farthest)) {
-          return Violation(
-              "index", "range expansion bound " + std::to_string(bound) +
-                           " for point " + std::to_string(p) +
-                           " misses in-range point at distance " +
-                           std::to_string(farthest));
-        }
-      }
-    }
-  }
   return Status::OK();
 }
 

@@ -112,12 +112,6 @@ Status ValidateFrozenGraph(const NetworkView& view, const FrozenGraph& frozen);
 ///    distance, and a cache hit must equal it.
 ///  - NearestTargetLowerBounds must return exactly the per-pair
 ///    LowerBound minima over its targets, capped by the seeded values.
-///  - NearestObjectFloor(n, exclude) must not exceed the exact
-///    distance from n to its nearest (non-excluded) object, checked for
-///    every node against a multi-source oracle (all objects, and all
-///    objects minus one for a sample of excluded probes).
-///  - RangeExpansionBound(p, eps) must stay within [0, eps] and cover
-///    the farthest point an unaccelerated eps-range query finds.
 Status ValidateDistanceAccelerator(const NetworkView& view,
                                    const DistanceAccelerator& accel,
                                    const ValidateLimits& limits = {});

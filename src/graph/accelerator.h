@@ -1,5 +1,6 @@
-// Read-side acceleration interface consumed by the graph-layer query
-// primitives and the core algorithms.
+// Read-side acceleration interface consumed by the point-to-point
+// distance primitive (graph/network_distance.h) and k-medoids' swap
+// pruning (core/kmedoids.h).
 //
 // The graph layer cannot depend on src/index (layering runs the other
 // way), so queries accept this abstract view of "whatever acceleration
@@ -11,11 +12,7 @@
 // q with exact network distance d(p, q),
 //   LowerBound(p, q)  <=  d(p, q)  <=  UpperBound(p, q)
 // and a LookupDistance hit returns exactly a value previously passed to
-// StoreDistance for that pair. NearestObjectFloor(n, exclude) must
-// never exceed the true distance from node n to the nearest point whose
-// id differs from `exclude`. RangeExpansionBound(center, eps) must be
-// >= the distance from `center` to the farthest point within eps of it
-// (it may be > eps-tight; eps itself is always a valid answer).
+// StoreDistance for that pair.
 #ifndef NETCLUS_GRAPH_ACCELERATOR_H_
 #define NETCLUS_GRAPH_ACCELERATOR_H_
 
@@ -70,21 +67,6 @@ class DistanceAccelerator {
   /// Offers the exact distance d(a, b) for caching.
   virtual void StoreDistance(PointId /*a*/, PointId /*b*/,
                              double /*dist*/) const {}
-
-  /// A value <= the distance from node n to the nearest point whose id
-  /// is not `exclude` (pass kInvalidPointId to exclude nothing). 0 when
-  /// no precompute is available.
-  virtual double NearestObjectFloor(NodeId /*n*/,
-                                    PointId /*exclude*/) const {
-    return 0.0;
-  }
-
-  /// An expansion radius sufficient for RangeQuery(center, eps) to
-  /// reach every point within eps of `center`. Must be in [0, eps];
-  /// returning eps means "no tightening".
-  virtual double RangeExpansionBound(PointId /*center*/, double eps) const {
-    return eps;
-  }
 };
 
 }  // namespace netclus

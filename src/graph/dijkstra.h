@@ -20,7 +20,6 @@
 #include <atomic>
 #include <functional>
 #include <limits>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -51,33 +50,21 @@ struct TraversalCounters {
   uint64_t heap_pushes = 0;
   uint64_t heap_pops = 0;
   uint64_t settled_nodes = 0;
-  /// Nodes whose outgoing relaxation was skipped by an accelerator
-  /// (nearest-object floor pruning in the indexed range query).
-  uint64_t pruned_nodes = 0;
 
   TraversalCounters operator-(const TraversalCounters& other) const {
     return TraversalCounters{heap_pushes - other.heap_pushes,
                              heap_pops - other.heap_pops,
-                             settled_nodes - other.settled_nodes,
-                             pruned_nodes - other.pruned_nodes};
+                             settled_nodes - other.settled_nodes};
   }
   TraversalCounters operator+(const TraversalCounters& other) const {
     return TraversalCounters{heap_pushes + other.heap_pushes,
                              heap_pops + other.heap_pops,
-                             settled_nodes + other.settled_nodes,
-                             pruned_nodes + other.pruned_nodes};
+                             settled_nodes + other.settled_nodes};
   }
 };
 
 /// The calling thread's counters (never reset; diff snapshots instead).
 TraversalCounters& LocalTraversalCounters();
-
-/// What an extended settle callback wants done after visiting a node.
-enum class SettleAction {
-  kContinue,       ///< relax neighbors and keep expanding
-  kSkipNeighbors,  ///< keep the node settled but do not relax through it
-  kStop,           ///< abandon the whole expansion
-};
 
 /// \brief Reusable per-node distance array with O(1) logical reset.
 ///
@@ -196,18 +183,6 @@ inline DijkstraHeapEntry HeapPopEntry(std::vector<DijkstraHeapEntry>* heap) {
   return top;
 }
 
-// Adapts both settle protocols onto SettleAction at compile time: a
-// bool-returning functor means false = stop (the original protocol).
-template <typename SettleFn>
-inline SettleAction InvokeSettle(SettleFn& on_settle, NodeId n, double d) {
-  if constexpr (std::is_same_v<std::invoke_result_t<SettleFn&, NodeId, double>,
-                               bool>) {
-    return on_settle(n, d) ? SettleAction::kContinue : SettleAction::kStop;
-  } else {
-    return on_settle(n, d);
-  }
-}
-
 }  // namespace internal
 
 /// \brief The traversal kernel: bounded multi-source Dijkstra over any
@@ -215,11 +190,10 @@ inline SettleAction InvokeSettle(SettleFn& on_settle, NodeId n, double d) {
 ///
 /// Settled distances land in `scratch` (a fresh epoch is started);
 /// `heap` is cleared but keeps its capacity. `on_settle(node, dist)` is
-/// invoked once per settled node with dist <= `bound` and may return
-/// either bool (false = stop) or SettleAction. Instantiated with a
-/// FrozenGraph and a lambda, the inner loop carries no virtual dispatch
-/// and no type-erased callback — the de-virtualized hot path every
-/// in-memory run takes.
+/// invoked once per settled node with dist <= `bound` and returns false
+/// to abandon the expansion. Instantiated with a FrozenGraph and a
+/// lambda, the inner loop carries no virtual dispatch and no type-erased
+/// callback — the de-virtualized hot path every in-memory run takes.
 ///
 /// `cancel` (optional) is polled every `cancel->check_interval` settled
 /// nodes; when its flag reads true the expansion abandons its remaining
@@ -261,12 +235,7 @@ void DijkstraExpandKernel(const Graph& graph,
         return;
       }
     }
-    SettleAction action = internal::InvokeSettle(on_settle, n, d);
-    if (action == SettleAction::kStop) return;
-    if (action == SettleAction::kSkipNeighbors) {
-      ++tc.pruned_nodes;
-      continue;
-    }
+    if (!on_settle(n, d)) return;
     VisitNeighbors(graph, n, [&](NodeId m, double w) {
       double nd = d + w;
       if (nd <= bound && nd < scratch->Get(m)) {
@@ -279,11 +248,8 @@ void DijkstraExpandKernel(const Graph& graph,
 
 /// Expands the graph from `sources` in distance order, invoking
 /// `on_settle(node, dist)` once per settled node with dist <= `bound`;
-/// the functor returns bool (false = stop) or SettleAction
-/// (kSkipNeighbors keeps the node settled without relaxing through it —
-/// accelerator pruning, counted in TraversalCounters::pruned_nodes).
-/// Settled distances are recorded in `scratch` (a fresh epoch is
-/// started).
+/// the functor returns false to stop. Settled distances are recorded in
+/// `scratch` (a fresh epoch is started).
 template <typename Graph, typename SettleFn>
 void DijkstraExpandBounded(const Graph& graph,
                            const std::vector<DijkstraSource>& sources,
@@ -315,7 +281,7 @@ void DijkstraDistances(const Graph& graph,
                        const std::vector<DijkstraSource>& sources,
                        TraversalWorkspace* ws) {
   DijkstraExpandKernel(graph, sources, kInfDist, &ws->scratch, &ws->heap,
-                       [](NodeId, double) { return SettleAction::kContinue; },
+                       [](NodeId, double) { return true; },
                        &ws->cancel);
 }
 

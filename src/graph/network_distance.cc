@@ -38,6 +38,10 @@ double PointNetworkDistanceImpl(const NetworkView& view, const Graph& graph,
                                 std::vector<DijkstraSource>* sources,
                                 TraversalCancel* cancel) {
   if (p == q) return 0.0;
+  // Traverse from the smaller id, so d(p, q) and d(q, p) are the same
+  // bits: the distance cache keys on the unordered pair, and a hit must
+  // equal what a replay in either direction recomputes.
+  if (q < p) std::swap(p, q);
   PointPos pp = view.PointPosition(p);
   PointPos qq = view.PointPosition(q);
   double wq = view.EdgeWeight(qq.u, qq.v);
@@ -116,9 +120,9 @@ void EmitEdgeRange(const EdgePointSpan& pts, double du, double dv, double we,
   }
 }
 
-// Second phase of RangeQuery, common to all overloads: inspect every
-// edge incident to a node of the settle log `ws->settled` and emit the
-// points within eps. `c` is the center point (its own edge also admits
+// Second phase of the point- and node-sourced range queries: inspect
+// every edge incident to a node of the settle log `ws->settled` and emit
+// the points within eps. `c` is the center point (its own edge also admits
 // the direct distance), or null when the expansion was sourced at a
 // node. Each edge is inspected once: the center edge first, then every
 // other edge from whichever endpoint settled first — the endpoint
@@ -172,48 +176,6 @@ void RangeQueryImpl(const NetworkView& view, const Graph& graph,
   // phase would emit a silently incomplete (and wrong-distance) set.
   if (ws->cancel.triggered) return;
   CollectRangePoints(graph, &c, wc, eps, ws, out);
-}
-
-template <typename Graph>
-void RangeQueryAccelImpl(const NetworkView& view, const Graph& graph,
-                         PointId center, double eps, TraversalWorkspace* ws,
-                         const DistanceAccelerator* accel,
-                         std::vector<RangeResult>* out) {
-  out->clear();
-  PointPos c = view.PointPosition(center);
-  double wc = view.EdgeWeight(c.u, c.v);
-
-  // Landmark prefilter: an expansion radius covering the farthest
-  // in-range candidate is as good as eps (the proof needs every node on
-  // an in-range point's shortest path to stay under the bound, and
-  // those prefixes are <= the point's own distance).
-  double bound = accel->RangeExpansionBound(center, eps);
-  // Slack mirrors Tolerance(): a floor equal to the remaining budget up
-  // to fp rounding must not prune.
-  const double prune_cut = eps * (1.0 + 1e-9);
-  ws->settled.clear();
-  ws->cancel.triggered = false;
-  ws->sources.assign({{c.u, c.offset}, {c.v, wc - c.offset}});
-  DijkstraExpandBounded(
-      graph, ws->sources, bound, ws,
-      [&](NodeId n, double d) {
-        ws->settled.emplace_back(n, d);
-        // Every point != center whose shortest path runs through n is at
-        // least d + floor away; past eps, n's edges still get inspected
-        // (it stays settled) but nothing needs to be reached through it.
-        if (d + accel->NearestObjectFloor(n, center) > prune_cut) {
-          return SettleAction::kSkipNeighbors;
-        }
-        return SettleAction::kContinue;
-      });
-  if (ws->cancel.triggered) return;
-  CollectRangePoints(graph, &c, wc, eps, ws, out);
-  // Pruning changes the settle order, so canonicalize: emitted sets are
-  // provably identical to the unaccelerated query, order is not.
-  std::sort(out->begin(), out->end(),
-            [](const RangeResult& a, const RangeResult& b) {
-              return a.id < b.id;
-            });
 }
 
 template <typename Graph>
@@ -399,27 +361,6 @@ double PointNetworkDistance(const NetworkView& view, const FrozenGraph& frozen,
   double exact = PointNetworkDistance(view, frozen, p, q, scratch);
   accel->StoreDistance(p, q, exact);
   return exact;
-}
-
-void RangeQuery(const NetworkView& view, PointId center, double eps,
-                TraversalWorkspace* ws, const DistanceAccelerator* accel,
-                std::vector<RangeResult>* out) {
-  if (accel == nullptr) {
-    RangeQuery(view, center, eps, ws, out);
-    return;
-  }
-  RangeQueryAccelImpl(view, view, center, eps, ws, accel, out);
-}
-
-void RangeQuery(const NetworkView& view, const FrozenGraph& frozen,
-                PointId center, double eps, TraversalWorkspace* ws,
-                const DistanceAccelerator* accel,
-                std::vector<RangeResult>* out) {
-  if (accel == nullptr) {
-    RangeQuery(view, frozen, center, eps, ws, out);
-    return;
-  }
-  RangeQueryAccelImpl(view, frozen, center, eps, ws, accel, out);
 }
 
 double PointNetworkDistance(const NetworkView& view, PointId p, PointId q,

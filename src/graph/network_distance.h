@@ -5,12 +5,13 @@
 // unified query API in server/query.h: a QueryRequest of each kind
 // (kPointDistance, kRange, kNearestObject) executes by dispatching onto
 // the function below matching the execution context — live view or
-// FrozenGraph snapshot, accelerated or exact. Every frozen/view and
-// accel/plain overload pair is bit-identical in its results, which is
-// what lets ValidateServedBatch replay a served batch through any of
-// them and demand exact payload equality. Existing callers keep using
-// these functions directly; new query-shaped code should prefer the
-// QueryRequest vocabulary.
+// FrozenGraph snapshot, and for point distances accelerated or exact.
+// Every frozen/view overload pair, and every accel/plain
+// PointNetworkDistance pair at the default threshold, is bit-identical
+// in its results, which is what lets ValidateServedBatch replay a served
+// batch through any of them and demand exact payload equality. Existing
+// callers keep using these functions directly; new query-shaped code
+// should prefer the QueryRequest vocabulary.
 #ifndef NETCLUS_GRAPH_NETWORK_DISTANCE_H_
 #define NETCLUS_GRAPH_NETWORK_DISTANCE_H_
 
@@ -133,37 +134,17 @@ void NodeRangeQuery(const NetworkView& view, const FrozenGraph& frozen,
                     NodeId source, double radius, TraversalWorkspace* ws,
                     std::vector<RangeResult>* out);
 
-/// Accelerated variant (`accel` may be null = plain overload above).
-/// Two levers, both result-preserving: the expansion radius is tightened
-/// to accel->RangeExpansionBound(center, eps) (landmark prefilter), and
-/// a settled node n with d(n) + NearestObjectFloor(n, center) > eps has
-/// its relaxation skipped — no point other than `center` reachable
-/// through n can lie within eps. The emitted (id, dist) multiset is
-/// identical to the unaccelerated query; only the internal visit order
-/// differs, so results are sorted by id before returning.
-void RangeQuery(const NetworkView& view, PointId center, double eps,
-                TraversalWorkspace* ws, const DistanceAccelerator* accel,
-                std::vector<RangeResult>* out);
-
-/// Frozen-path accelerated variant; same result-preserving levers, with
-/// the expansion over the snapshot.
-void RangeQuery(const NetworkView& view, const FrozenGraph& frozen,
-                PointId center, double eps, TraversalWorkspace* ws,
-                const DistanceAccelerator* accel,
-                std::vector<RangeResult>* out);
-
-/// The accelerated RangeQuery over a traversal graph (see TraversalGraph):
-/// the snapshot overload for a FrozenGraph, the view's own for the view —
+/// The RangeQuery over a traversal graph (see TraversalGraph): the
+/// snapshot overload for a FrozenGraph, the view's own for the view —
 /// what the graph-generic algorithm entries call.
 template <TraversalGraph Graph>
 void RangeQueryOver(const NetworkView& view, const Graph& graph,
                     PointId center, double eps, TraversalWorkspace* ws,
-                    const DistanceAccelerator* accel,
                     std::vector<RangeResult>* out) {
   if constexpr (std::is_same_v<Graph, FrozenGraph>) {
-    RangeQuery(view, graph, center, eps, ws, accel, out);
+    RangeQuery(view, graph, center, eps, ws, out);
   } else {
-    RangeQuery(view, center, eps, ws, accel, out);
+    RangeQuery(view, center, eps, ws, out);
   }
 }
 

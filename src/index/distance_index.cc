@@ -9,10 +9,10 @@ namespace netclus {
 
 Result<std::unique_ptr<DistanceIndex>> DistanceIndex::Build(
     const NetworkView& view, const IndexOptions& options, ThreadPool* pool) {
-  // The landmark SSSPs and the Voronoi expansion walk the whole graph
-  // several times; for an in-memory view one snapshot up front is cheaper
-  // than virtual dispatch on every walk, and the contents are
-  // bit-identical. A disk-backed view is walked directly.
+  // The landmark SSSPs walk the whole graph several times; for an
+  // in-memory view one snapshot up front is cheaper than virtual dispatch
+  // on every walk, and the contents are bit-identical. A disk-backed view
+  // is walked directly.
   if (const InMemoryNetworkView* mem = view.AsInMemory()) {
     NETCLUS_ASSIGN_OR_RETURN(FrozenGraph frozen, mem->Freeze());
     return Build(view, frozen, options, pool);
@@ -28,14 +28,7 @@ Result<std::unique_ptr<DistanceIndex>> DistanceIndex::Build(
   NETCLUS_ASSIGN_OR_RETURN(
       LandmarkOracle landmarks,
       LandmarkOracle::Build(view, graph, options.num_landmarks, pool));
-  std::optional<VoronoiPrecompute> voronoi;
-  if (options.enable_voronoi) {
-    NETCLUS_ASSIGN_OR_RETURN(VoronoiPrecompute built,
-                             VoronoiPrecompute::Build(view, graph));
-    voronoi = std::move(built);
-  }
-  auto index = std::make_unique<DistanceIndex>(
-      options, view.num_points(), std::move(landmarks), std::move(voronoi));
+  auto index = std::make_unique<DistanceIndex>(options, std::move(landmarks));
   NETCLUS_RETURN_IF_ERROR(view.status());
   return index;
 }
@@ -45,32 +38,9 @@ template Result<std::unique_ptr<DistanceIndex>> DistanceIndex::Build(
 template Result<std::unique_ptr<DistanceIndex>> DistanceIndex::Build(
     const NetworkView&, const NetworkView&, const IndexOptions&, ThreadPool*);
 
-double DistanceIndex::RangeExpansionBound(PointId center, double eps) const {
-  // The prefilter scans all points with O(k) bound checks each; past
-  // the knob it would dominate the query it is meant to accelerate.
-  if (landmarks_.num_landmarks() == 0) return eps;
-  if (num_points_ > options_.prefilter_max_points) return eps;
-  bool any = false;
-  double max_ub = 0.0;
-  for (PointId p = 0; p < num_points_; ++p) {
-    if (p == center) continue;
-    if (landmarks_.LowerBound(center, p) > eps) continue;
-    any = true;
-    double ub = landmarks_.UpperBound(center, p);
-    if (ub == kInfDist) return eps;  // candidate with no finite UB
-    if (ub > max_ub) max_ub = ub;
-  }
-  if (!any) return 0.0;
-  // Slack factor keeps the bound valid under fp rounding differences
-  // between the UB computation and the traversal's accumulated sums.
-  double bound = max_ub * (1.0 + 1e-9);
-  return bound < eps ? bound : eps;
-}
-
 IndexStats DistanceIndex::Stats() const {
   IndexStats stats;
   stats.num_landmarks = landmarks_.num_landmarks();
-  stats.voronoi_built = voronoi_.has_value();
   DistanceCache::Counters c = cache_.counters();
   stats.cache_hits = c.hits;
   stats.cache_misses = c.misses;

@@ -1,15 +1,14 @@
 // DistanceIndex: the facade of the read-side acceleration subsystem.
 //
-// Bundles the three cooperating components behind the graph-layer
+// Bundles the two cooperating components behind the graph-layer
 // DistanceAccelerator interface:
-//   - LandmarkOracle     O(k) ALT lower/upper bounds on d(p, q)
-//   - DistanceCache      sharded LRU of exact point-pair distances
-//   - VoronoiPrecompute  O(1) nearest-object floors per node
+//   - LandmarkOracle  O(k) ALT lower/upper bounds on d(p, q)
+//   - DistanceCache   sharded LRU of exact point-pair distances
 //
 // The index is built once per (network, point set) and is immutable
 // except for the cache, which fills as queries run. Mutating the
 // network invalidates everything: call InvalidateCache() for the cache
-// (O(1), epoch-based) and rebuild the index for the precomputes.
+// (O(1), epoch-based) and rebuild the index for the landmark tables.
 //
 // Every served bound is audited by ValidateDistanceAccelerator in
 // core/validate.cc against exact Dijkstra distances.
@@ -18,7 +17,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 
 #include "common/mutex.h"
 #include "common/stats.h"
@@ -29,15 +27,15 @@
 #include "graph/types.h"
 #include "index/distance_cache.h"
 #include "index/landmark_oracle.h"
-#include "index/voronoi.h"
 
 namespace netclus {
 
 /// \brief Construction knobs for the distance index (ClusterSpec::index).
 struct IndexOptions {
-  /// Master switch: RunClustering builds and threads an index through
-  /// the algorithms only when true. Results are identical either way —
-  /// the index is a pure accelerator (audited under NETCLUS_VALIDATE).
+  /// Master switch: RunClustering builds an index for a k-medoids spec
+  /// (the only algorithm that reads one) only when true. Results are
+  /// identical either way — the index is a pure accelerator (audited
+  /// under NETCLUS_VALIDATE).
   bool enable = false;
   /// ALT landmarks (farthest-point sampled); 0 disables landmark bounds.
   uint32_t num_landmarks = 8;
@@ -45,11 +43,6 @@ struct IndexOptions {
   size_t cache_capacity = 1 << 16;
   /// Shard count for the cache (rounded up to a power of two).
   uint32_t cache_shards = 16;
-  /// Build the per-node nearest-object precompute.
-  bool enable_voronoi = true;
-  /// The O(N·k) landmark prefilter in RangeExpansionBound is skipped on
-  /// point sets larger than this (it would make DBSCAN O(N²·k)).
-  PointId prefilter_max_points = 4096;
   /// Worker threads for the landmark table build (0 = one per core,
   /// 1 = serial). Build results are bit-identical across thread counts.
   uint32_t num_threads = 0;
@@ -58,21 +51,20 @@ struct IndexOptions {
 /// \brief Snapshot of index effectiveness counters for one run.
 struct IndexStats {
   uint32_t num_landmarks = 0;
-  bool voronoi_built = false;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_stores = 0;
   uint64_t cache_evictions = 0;
 };
 
-/// \brief The concrete DistanceAccelerator combining all three components.
+/// \brief The concrete DistanceAccelerator combining both components.
 ///
 /// Not movable (the cache holds mutexes); lives behind a unique_ptr.
 /// All query methods are safe to call concurrently.
 class DistanceIndex : public DistanceAccelerator {
  public:
-  /// Builds the precomputes for `view` per `options` (landmark tables in
-  /// parallel on `pool`; null pool = serial, identical results). An
+  /// Builds the landmark tables for `view` per `options` (in parallel
+  /// on `pool`; null pool = serial, identical results). An
   /// in-memory view is frozen for the build; any other view is traversed
   /// directly. Prefer this over the constructor — it runs the traversals
   /// and surfaces view I/O errors as a Status.
@@ -90,13 +82,9 @@ class DistanceIndex : public DistanceAccelerator {
 
   /// Assembles an index from prebuilt components (Build's back end;
   /// public so tests can inject doctored components).
-  DistanceIndex(const IndexOptions& options, PointId num_points,
-                LandmarkOracle landmarks,
-                std::optional<VoronoiPrecompute> voronoi)
+  DistanceIndex(const IndexOptions& options, LandmarkOracle landmarks)
       : options_(options),
-        num_points_(num_points),
         landmarks_(std::move(landmarks)),
-        voronoi_(std::move(voronoi)),
         cache_(options.cache_capacity, options.cache_shards) {}
 
   double LowerBound(PointId a, PointId b) const override {
@@ -116,14 +104,10 @@ class DistanceIndex : public DistanceAccelerator {
   void StoreDistance(PointId a, PointId b, double dist) const override {
     cache_.Store(a, b, dist);
   }
-  double NearestObjectFloor(NodeId n, PointId exclude) const override {
-    return voronoi_ ? voronoi_->FloorExcluding(n, exclude) : 0.0;
-  }
-  double RangeExpansionBound(PointId center, double eps) const override;
 
-  /// Drops all cached distances (epoch bump; O(1)). The landmark and
-  /// Voronoi precomputes cannot be patched incrementally — rebuild the
-  /// index after a network mutation.
+  /// Drops all cached distances (epoch bump; O(1)). The landmark tables
+  /// cannot be patched incrementally — rebuild the index after a network
+  /// mutation.
   void InvalidateCache() const { cache_.Invalidate(); }
 
   IndexStats Stats() const;
@@ -134,9 +118,6 @@ class DistanceIndex : public DistanceAccelerator {
       NETCLUS_EXCLUDES(publish_mu_);
 
   const LandmarkOracle& landmarks() const { return landmarks_; }
-  const VoronoiPrecompute* voronoi() const {
-    return voronoi_ ? &*voronoi_ : nullptr;
-  }
   const DistanceCache& cache() const { return cache_; }
   const IndexOptions& options() const { return options_; }
 
@@ -146,9 +127,7 @@ class DistanceIndex : public DistanceAccelerator {
 
  private:
   IndexOptions options_;
-  PointId num_points_ = 0;
   LandmarkOracle landmarks_;
-  std::optional<VoronoiPrecompute> voronoi_;
   DistanceCache cache_;
 
   // Rank kStatsPublish: held across the StatsCollector flush, so it

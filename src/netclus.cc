@@ -114,33 +114,25 @@ template <TraversalGraph Graph>
 Result<ClusterOutput> RunOnGraph(const NetworkView& view, const Graph& graph,
                                  const ClusterSpec& spec,
                                  const WallTimer& timer) {
-  // The optional distance index (landmarks + cache + Voronoi floors) is
-  // built up front over the same graph and handed to the algorithms that
-  // accept an accelerator; the others simply ignore it. With
-  // `index.enable` unset `index` stays null and every call below takes
-  // the unindexed path.
+  // The optional distance index (landmarks + cache) is built up front
+  // over the same graph, and only for k-medoids — the one algorithm that
+  // reads it (its swap pruning). With `index.enable` unset, or any other
+  // algorithm, `index` stays null.
   std::unique_ptr<DistanceIndex> index;
-  if (spec.index.enable) {
+  if (spec.index.enable && spec.algorithm == Algorithm::kKMedoids) {
     uint32_t workers = ResolveNumThreads(spec.index.num_threads);
     std::optional<ThreadPool> pool;
     if (workers > 1 && spec.index.num_landmarks > 1) pool.emplace(workers);
-    // k-medoids reads only the landmark bounds; the Voronoi floors would
-    // be built for nothing.
-    IndexOptions index_options = spec.index;
-    if (spec.algorithm == Algorithm::kKMedoids) {
-      index_options.enable_voronoi = false;
-    }
     NETCLUS_ASSIGN_OR_RETURN(
-        index, DistanceIndex::Build(view, graph, index_options,
+        index, DistanceIndex::Build(view, graph, spec.index,
                                     pool ? &*pool : nullptr));
   }
-  const DistanceAccelerator* accel = index.get();
   ClusterOutput out;
   out.algorithm = spec.algorithm;
   switch (spec.algorithm) {
     case Algorithm::kKMedoids: {
       Result<KMedoidsResult> r =
-          KMedoidsCluster(view, graph, spec.kmedoids, accel);
+          KMedoidsCluster(view, graph, spec.kmedoids, index.get());
       if (!r.ok()) return r.status();
       out.clustering = std::move(r.value().clustering);
       out.medoids = std::move(r.value().medoids);
@@ -164,7 +156,7 @@ Result<ClusterOutput> RunOnGraph(const NetworkView& view, const Graph& graph,
       break;
     }
     case Algorithm::kDbscan: {
-      Result<Clustering> r = DbscanCluster(view, graph, spec.dbscan, accel);
+      Result<Clustering> r = DbscanCluster(view, graph, spec.dbscan);
       if (!r.ok()) return r.status();
       out.clustering = std::move(r.value());
       break;

@@ -74,14 +74,13 @@ struct ClusterSpec {
   /// flag.
   bool validate = false;
 
-  /// Network distance index (src/index/): landmark bounds, sharded
-  /// distance cache and nearest-object Voronoi tags. Off by default;
-  /// when `index.enable` is set the index is built before the run and
-  /// passed to the algorithms that accept an accelerator (k-medoids
-  /// swap pruning, DBSCAN range-query pruning). Clustering results are
-  /// identical with the index on or off — it only skips provably
-  /// irrelevant work — and validate mode re-proves the served bounds
-  /// against exact traversals.
+  /// Network distance index (src/index/): landmark bounds and a sharded
+  /// distance cache. Off by default; when `index.enable` is set and the
+  /// spec is k-medoids, the index is built before the run and prunes
+  /// swaps. Other algorithms read no index and build none. Clustering
+  /// results are identical with the index on or off — it only skips
+  /// provably irrelevant work — and validate mode re-proves the served
+  /// bounds against exact traversals.
   IndexOptions index;
 };
 
@@ -99,7 +98,7 @@ struct ClusterOutput {
   double cost = 0.0;              ///< k-medoids: evaluation function R
   KMedoidsStats kmedoids_stats;   ///< k-medoids only
   SingleLinkStats single_link_stats;  ///< Single-Link only
-  IndexStats index_stats;         ///< distance index, when spec.index.enable
+  IndexStats index_stats;  ///< k-medoids with spec.index.enable only
 
   /// Wall time of the whole run (including the flat cut).
   double wall_seconds = 0.0;

@@ -153,9 +153,9 @@ Status ExecuteQueryInto(const NetworkView& view, const FrozenGraph* frozen,
       std::vector<RangeResult>* raw = RawResultScratch();
       raw->clear();
       if (frozen) {
-        RangeQuery(view, *frozen, pa, req.eps, ws, accel, raw);
+        RangeQuery(view, *frozen, pa, req.eps, ws, raw);
       } else {
-        RangeQuery(view, pa, req.eps, ws, accel, raw);
+        RangeQuery(view, pa, req.eps, ws, raw);
       }
       out->results.reserve(raw->size());
       for (const RangeResult& r : *raw) {

@@ -195,12 +195,13 @@ Status ValidateQueryRequest(const NetworkView& view, const QueryRequest& req,
 /// otherwise — results are bit-identical either way. `ws` provides the
 /// reusable traversal state (one per concurrent caller; lease from a
 /// WorkspacePool under parallelism). `accel` may be null (= exact
-/// unaccelerated path); a non-null accelerator never changes the
-/// payload, only the work done. `clusters` is consulted only by
-/// kClusterMembership. `ids` translates request ObjectIds into the
-/// epoch's dense numbering on the way in and result ids back on the way
-/// out (null = identity mapping). `out` is overwritten, reusing its
-/// vector capacity — the zero-allocation steady state for serving loops.
+/// unaccelerated path) and is read only by kPointDistance; a non-null
+/// accelerator never changes the payload, only the work done.
+/// `clusters` is consulted only by kClusterMembership. `ids` translates
+/// request ObjectIds into the epoch's dense numbering on the way in and
+/// result ids back on the way out (null = identity mapping). `out` is
+/// overwritten, reusing its vector capacity — the zero-allocation steady
+/// state for serving loops.
 ///
 /// Cancellation: the run honors `ws->cancel` (resetting its `triggered`
 /// latch first). When the armed flag fires mid-traversal the function

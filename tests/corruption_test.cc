@@ -57,10 +57,12 @@ ClusterSpec DbscanSpec() {
   return spec;
 }
 
-// The round-trip specs. The indexed ones make the distance index read
-// the store too — the landmark SSSPs and position pass for k-medoids,
-// the Voronoi seeding for DBSCAN (no landmarks, so it reads first) — and
-// a failed read there must come back as a Status as well.
+// The round-trip specs. The indexed k-medoids spec makes the distance
+// index read the store too — the landmark SSSPs and position pass — and
+// a failed read there must come back as a Status as well. The indexed
+// DBSCAN spec builds no index (only k-medoids reads one), so it pins
+// that `index.enable` on another algorithm reads the store exactly as
+// the unindexed run does and still surfaces every failed read.
 std::vector<ClusterSpec> RoundTripSpecs() {
   std::vector<ClusterSpec> specs = {KMedoidsSpec(), EpsLinkSpec(),
                                     KMedoidsSpec(), DbscanSpec()};

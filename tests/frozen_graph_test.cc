@@ -29,7 +29,6 @@
 #include "graph/frozen_graph.h"
 #include "graph/network_distance.h"
 #include "graph/network_store.h"
-#include "index/distance_index.h"
 #include "netclus.h"
 
 // Allocation counting for the steady-state test: every global operator
@@ -374,9 +373,8 @@ TEST_F(FrozenRunFixture, DbscanFrozenIdenticalSerialAndParallel) {
   options.min_pts = 3;
   for (uint32_t threads : {1u, 4u}) {
     options.num_threads = threads;
-    Result<Clustering> live = DbscanCluster(view(), view(), options, nullptr);
-    Result<Clustering> frozen =
-        DbscanCluster(view(), s_->frozen, options, nullptr);
+    Result<Clustering> live = DbscanCluster(view(), view(), options);
+    Result<Clustering> frozen = DbscanCluster(view(), s_->frozen, options);
     ASSERT_TRUE(live.ok() && frozen.ok());
     EXPECT_EQ(frozen.value().assignment, live.value().assignment)
         << "threads = " << threads;
@@ -459,12 +457,6 @@ void ExpectKernelsMatchLiveView(const Network& net, const PointSet& points,
   FrozenGraph frozen = std::move(view.Freeze()).value();
   ASSERT_TRUE(frozen.has_point_layer());
 
-  IndexOptions io;
-  io.num_landmarks = 4;
-  io.num_threads = 1;
-  std::unique_ptr<DistanceIndex> index =
-      std::move(DistanceIndex::Build(view, frozen, io, nullptr).value());
-
   TraversalWorkspace ws(view.num_nodes());
   std::vector<RangeResult> live, fast;
   size_t emitted = 0;
@@ -481,13 +473,6 @@ void ExpectKernelsMatchLiveView(const Network& net, const PointSet& points,
                 FullScanRange(view, {{c.u, c.offset}, {c.v, wc - c.offset}},
                               &c, eps));
       emitted += fast.size();
-
-      // Accelerated: id-sorted, identical across substrates.
-      const std::vector<RangeResult> plain = SortedById(fast);
-      RangeQuery(view, p, eps, &ws, index.get(), &live);
-      RangeQuery(view, frozen, p, eps, &ws, index.get(), &fast);
-      EXPECT_EQ(fast, live);
-      EXPECT_EQ(fast, plain);
 
       // Node-sourced, from either endpoint of the center's edge.
       for (NodeId n : {c.u, c.v}) {

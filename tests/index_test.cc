@@ -1,9 +1,8 @@
 // Tests for the distance index subsystem (src/index/): ALT landmark
 // bound sandwiching on randomized and adversarial networks, the sharded
-// LRU cache (semantics + concurrent hammer), Voronoi nearest-object
-// floors against brute force, result-equivalence of the indexed query
-// and clustering paths, and the validator's rejection of seeded bad
-// bounds.
+// LRU cache (semantics + concurrent hammer), result-equivalence of the
+// indexed distance and clustering paths, and the validator's rejection
+// of seeded bad bounds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,7 +23,6 @@
 #include "index/distance_cache.h"
 #include "index/distance_index.h"
 #include "index/landmark_oracle.h"
-#include "index/voronoi.h"
 #include "netclus.h"
 
 namespace netclus {
@@ -197,41 +195,6 @@ TEST(DistanceIndexTest, NearestTargetLowerBoundsMatchPerPairMinima) {
   }
 }
 
-TEST(VoronoiTest, FloorsMatchBruteForceWithAndWithoutExclusion) {
-  Scenario s(60, 25, 31);
-  const VoronoiPrecompute* voronoi = s.index->voronoi();
-  ASSERT_NE(voronoi, nullptr);
-
-  // Brute force: per point, one SSSP from its edge endpoints gives the
-  // exact distance from every node to that point.
-  PointId n = s.points.size();
-  std::vector<std::vector<double>> to_point(n);
-  for (PointId p = 0; p < n; ++p) {
-    PointPos pos = s.view->PointPosition(p);
-    double w = s.view->EdgeWeight(pos.u, pos.v);
-    to_point[p] = DijkstraDistances(
-        *s.view, {{pos.u, pos.offset}, {pos.v, w - pos.offset}});
-  }
-  for (NodeId node = 0; node < s.view->num_nodes(); ++node) {
-    double best_all = kInfDist;
-    for (PointId p = 0; p < n; ++p) {
-      best_all = std::min(best_all, to_point[p][node]);
-    }
-    EXPECT_NEAR(voronoi->FloorExcluding(node, kInvalidPointId), best_all,
-                Tol(best_all))
-        << "node " << node;
-    for (PointId exclude : {PointId{0}, PointId{7}, PointId{n - 1}}) {
-      double best = kInfDist;
-      for (PointId p = 0; p < n; ++p) {
-        if (p != exclude) best = std::min(best, to_point[p][node]);
-      }
-      double floor = voronoi->FloorExcluding(node, exclude);
-      EXPECT_NEAR(floor, best, Tol(best))
-          << "node " << node << " excluding " << exclude;
-    }
-  }
-}
-
 TEST(DistanceCacheTest, LruSemanticsAndEviction) {
   DistanceCache cache(4, 1);  // one shard: deterministic LRU order
   double d = 0.0;
@@ -361,30 +324,6 @@ TEST(DistanceIndexTest, ThresholdedDistanceOnlyDivergesAboveTheCut) {
   }
 }
 
-TEST(DistanceIndexTest, IndexedRangeQueryMatchesPlain) {
-  Scenario s(100, 120, 61);
-  TraversalWorkspace ws(s.view->num_nodes());
-  std::vector<RangeResult> plain, indexed;
-  Rng rng(62);
-  for (double eps : {0.5, 2.0, 8.0}) {
-    for (int i = 0; i < 40; ++i) {
-      PointId p = static_cast<PointId>(rng.NextBounded(s.points.size()));
-      RangeQuery(*s.view, p, eps, &ws, &plain);
-      RangeQuery(*s.view, p, eps, &ws, s.index.get(), &indexed);
-      std::sort(plain.begin(), plain.end(),
-                [](const RangeResult& a, const RangeResult& b) {
-                  return a.id < b.id;
-                });
-      ASSERT_EQ(indexed.size(), plain.size())
-          << "center " << p << " eps " << eps;
-      for (size_t j = 0; j < plain.size(); ++j) {
-        EXPECT_EQ(indexed[j].id, plain[j].id);
-        EXPECT_NEAR(indexed[j].dist, plain[j].dist, Tol(plain[j].dist));
-      }
-    }
-  }
-}
-
 TEST(DistanceIndexTest, ValidatorAcceptsHealthyIndex) {
   Scenario s(80, 90, 71);
   // Warm the cache so the cache-hit audit has entries to check.
@@ -419,7 +358,6 @@ TEST(DistanceIndexTest, StatsPublishDeltasIntoCollector) {
   EXPECT_GE(stats.cache_stores, 1u);
   EXPECT_GE(stats.cache_hits, 1u);
   EXPECT_EQ(stats.num_landmarks, s.index->landmarks().num_landmarks());
-  EXPECT_TRUE(stats.voronoi_built);
 
   StatsCollector collector;
   s.index->PublishStats(&collector);
@@ -455,11 +393,10 @@ class IndexedRunFixture : public ::testing::Test {
               off.value().clustering.num_clusters);
     EXPECT_EQ(on.value().medoids, off.value().medoids);
     EXPECT_EQ(on.value().cost, off.value().cost);
-    EXPECT_EQ(on.value().index_stats.num_landmarks, 4u);
+    // Only k-medoids reads the index, so only k-medoids builds one.
+    EXPECT_EQ(on.value().index_stats.num_landmarks,
+              spec.algorithm == Algorithm::kKMedoids ? 4u : 0u);
     EXPECT_EQ(off.value().index_stats.num_landmarks, 0u);
-    // k-medoids reads only the landmark bounds: no Voronoi floors.
-    EXPECT_EQ(on.value().index_stats.voronoi_built,
-              spec.algorithm != Algorithm::kKMedoids);
   }
 
   GeneratedNetwork gen_;
@@ -530,7 +467,6 @@ KMedoidsOnOff ExpectKMedoidsIndexInvariant(const NetworkView& view,
   EXPECT_EQ(b.kmedoids_stats.committed_swaps, a.kmedoids_stats.committed_swaps);
   EXPECT_EQ(a.kmedoids_stats.pruned_swaps, 0u);
   EXPECT_EQ(a.kmedoids_stats.bound_seconds, 0.0);
-  EXPECT_FALSE(b.index_stats.voronoi_built);
   KMedoidsOnOff r;
   r.pruned = b.kmedoids_stats.pruned_swaps;
   for (int c : b.clustering.assignment) r.noise = r.noise || c == kNoise;

@@ -84,6 +84,18 @@ TEST_F(NetclusApiFixture, MakeSpecSelectsAlgorithmAndCarriesOptions) {
   EXPECT_FALSE(ss.validate);
 }
 
+// Only k-medoids reads the distance index; for any other algorithm
+// `index.enable` builds nothing, so no landmark is reported.
+TEST_F(NetclusApiFixture, IndexIsBuiltOnlyForKMedoids) {
+  EpsLinkOptions eo;
+  eo.eps = 0.8;
+  ClusterSpec spec = MakeSpec(eo);
+  spec.index.enable = true;
+  Result<ClusterOutput> out = RunClustering(*view_, spec);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out.value().index_stats.num_landmarks, 0u);
+}
+
 TEST_F(NetclusApiFixture, SingleLinkCutAtExplicitDistance) {
   ClusterSpec spec;
   spec.algorithm = Algorithm::kSingleLink;

@@ -541,11 +541,9 @@ TEST(IncrementalReclusterTest, OtherSpecsAndDisabledOptionRunFullClustering) {
 // ---------------------------------------------------------------------
 
 // What a client can see of each object: its membership, its distance
-// from the first object, and its three nearest objects. Equal
+// to and from the first object, and its three nearest objects. Equal
 // fingerprints from two servers mean the same ObjectIds sit at the
-// same positions in the same clusters. Each distance is asked in one
-// direction only: the distance cache is keyed on the unordered pair,
-// but a traversal from either end may round differently.
+// same positions in the same clusters.
 std::vector<QueryResponse> Fingerprint(QueryServer* server,
                                        const std::vector<ObjectId>& oids) {
   std::vector<QueryResponse> out;
@@ -553,6 +551,7 @@ std::vector<QueryResponse> Fingerprint(QueryServer* server,
     for (const QueryRequest& req :
          {QueryRequest::ClusterMembership(oid),
           QueryRequest::PointDistance(oid, oids.front()),
+          QueryRequest::PointDistance(oids.front(), oid),
           QueryRequest::NearestObject(oid, 3)}) {
       Result<QueryResponse> r = server->Execute(req);
       EXPECT_TRUE(r.ok()) << "object " << oid << ": " << r.status().ToString();

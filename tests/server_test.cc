@@ -639,6 +639,55 @@ TEST(IncrementalEpochTest, CarriedCacheStaysCorrectAcrossRenumbering) {
   EXPECT_DOUBLE_EQ(again.value().distance, 11.0);
 }
 
+// The distance cache keys on the unordered ObjectId pair, so after
+// d(a, b) is served, d(b, a) is answered from the cache. Replay
+// recomputes d(b, a) on the exact path; the two must be the same bits,
+// also when the entry rode along a points-only publish that renumbered
+// the epoch.
+TEST(IncrementalEpochTest, ReversedPairsReplayBitIdenticallyFromTheCache) {
+  World w(60, 80, 61);
+  const PointPos host = w.points.position(0);
+  const double host_w = w.gen.net.EdgeWeight(host.u, host.v);
+  const ObjectId n = w.points.size();
+
+  QueryServerOptions opts;
+  opts.num_workers = 2;
+  opts.max_queue_depth = n * n;  // one phase is submitted all at once
+  opts.validate_replay = true;
+  Result<std::unique_ptr<QueryServer>> started =
+      QueryServer::Start(w.gen.net, w.points, opts);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  QueryServer& server = *started.value();
+
+  auto serve_all_pairs = [&](bool reversed) {
+    std::vector<std::future<Result<QueryResponse>>> futures;
+    for (ObjectId a = 0; a < n; ++a) {
+      for (ObjectId b = a + 1; b < n; ++b) {
+        futures.push_back(
+            server.Submit(reversed ? QueryRequest::PointDistance(b, a)
+                                   : QueryRequest::PointDistance(a, b)));
+      }
+    }
+    for (auto& f : futures) {
+      Result<QueryResponse> r = f.get();
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+    }
+  };
+  serve_all_pairs(/*reversed=*/false);
+  ASSERT_TRUE(server
+                  .ApplyUpdate(NetworkUpdate::AddPoint(host.u, host.v,
+                                                       0.5 * host_w, -1))
+                  .ok());
+  ASSERT_TRUE(server.Flush().ok());
+  EXPECT_EQ(server.stats().publishes_incremental, 1u);
+  serve_all_pairs(/*reversed=*/true);
+
+  ServerStats stats = server.stats();
+  EXPECT_EQ(stats.completed, static_cast<uint64_t>(n) * (n - 1));
+  EXPECT_GE(stats.replay_batches, 2u);
+  EXPECT_EQ(stats.replay_mismatches, 0u);
+}
+
 TEST(QueryServerTest, RejectedUpdatesPublishNothing) {
   PathWorld w;
   QueryServerOptions opts;
