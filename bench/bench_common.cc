@@ -10,6 +10,9 @@
 #include <ctime>
 #include <string>
 
+#include "common/random.h"
+#include "graph/network_distance.h"
+
 namespace netclus {
 namespace bench {
 
@@ -216,6 +219,20 @@ std::string Fmt(double x, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, x);
   return buf;
+}
+
+double SampledEps(const NetworkView& view) {
+  TraversalWorkspace ws(view.num_nodes());
+  std::vector<double> sample;
+  Rng rng(12);
+  for (int i = 0; i < 64; ++i) {
+    PointId p = static_cast<PointId>(rng.NextBounded(view.num_points()));
+    PointId q = static_cast<PointId>(rng.NextBounded(view.num_points()));
+    double d = PointNetworkDistance(view, view, p, q, &ws);
+    if (d < kInfDist) sample.push_back(d);
+  }
+  std::sort(sample.begin(), sample.end());
+  return 0.25 * sample[sample.size() / 2];
 }
 
 }  // namespace bench

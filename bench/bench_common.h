@@ -156,6 +156,12 @@ double Percentile(std::vector<double> v, double p);
 /// Formats a double with `digits` decimals.
 std::string Fmt(double x, int digits = 3);
 
+/// An eps adapted to the network's scale: a quarter of the median
+/// network distance over 64 sampled point pairs of `view` (a fixed
+/// sample), so a range query covers a real neighborhood on any generator
+/// parameterization.
+double SampledEps(const NetworkView& view);
+
 }  // namespace bench
 }  // namespace netclus
 

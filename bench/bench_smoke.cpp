@@ -49,7 +49,8 @@ int main() {
   GeneratedNetwork gen = GenerateRoadNetwork({3000, 1.3, 0.3, 99});
   PointSet points =
       std::move(GenerateUniformPoints(gen.net, 600, 100)).value();
-  InMemoryNetworkView view(gen.net, points);
+  InMemoryNetworkView mem(gen.net, points);
+  const NetworkView& view = mem;
   std::printf("bench-smoke: %u nodes, %zu edges, %u points\n",
               gen.net.num_nodes(), gen.net.num_edges(), points.size());
 
@@ -59,23 +60,7 @@ int main() {
   std::unique_ptr<DistanceIndex> index =
       std::move(DistanceIndex::Build(view, io, nullptr).value());
 
-  // eps adapted to the network's scale: a fraction of the median sampled
-  // point-pair distance, so the expansion covers a real neighborhood on
-  // any generator parameterization.
-  double eps;
-  {
-    NodeScratch scratch(gen.net.num_nodes());
-    std::vector<double> sample;
-    Rng rng(12);
-    for (int i = 0; i < 64; ++i) {
-      PointId p = static_cast<PointId>(rng.NextBounded(points.size()));
-      PointId q = static_cast<PointId>(rng.NextBounded(points.size()));
-      double d = PointNetworkDistance(view, p, q, &scratch);
-      if (d < kInfDist) sample.push_back(d);
-    }
-    std::sort(sample.begin(), sample.end());
-    eps = 0.25 * sample[sample.size() / 2];
-  }
+  const double eps = SampledEps(view);
   std::printf("eps = %.3f\n", eps);
 
   BenchRecorder rec("smoke");
@@ -122,7 +107,7 @@ int main() {
     for (int i = 0; i < kQueries; ++i) {
       PointId p = static_cast<PointId>(rng.NextBounded(points.size()));
       samples.push_back(
-          Timed(&total, [&] { RangeQuery(view, p, eps, &ws, &out); }));
+          Timed(&total, [&] { RangeQuery(view, view, p, eps, &ws, &out); }));
       results += out.size();
     }
     report("range_query", samples, total,
@@ -134,7 +119,7 @@ int main() {
   // (cache hits + lower-bound cutoffs skip whole expansions).
   Pair point_distance{"point_distance", {}, {}};
   {
-    NodeScratch scratch(gen.net.num_nodes());
+    TraversalWorkspace ws(gen.net.num_nodes());
     for (int pass = 0; pass < 2; ++pass) {
       bool on = pass == 1;
       TraversalCounters total;
@@ -144,10 +129,8 @@ int main() {
         PointId p = static_cast<PointId>(rng.NextBounded(points.size()));
         PointId q = static_cast<PointId>(rng.NextBounded(points.size()));
         samples.push_back(Timed(&total, [&] {
-          double d = on ? PointNetworkDistance(view, p, q, &scratch,
-                                               index.get(), eps)
-                        : PointNetworkDistance(view, p, q, &scratch);
-          (void)d;
+          (void)PointNetworkDistance(view, view, p, q, &ws,
+                                     on ? index.get() : nullptr, eps);
         }));
       }
       IndexStats s = index->Stats();

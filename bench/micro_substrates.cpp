@@ -1,6 +1,6 @@
 // Ablation A4: google-benchmark micro-benchmarks of the substrates the
 // clustering algorithms are built on — Dijkstra traversals, point
-// distance evaluation, range queries, B+-tree operations, and the buffer
+// distance evaluation, range queries, B+-tree lookups, and the buffer
 // manager hit path. The k-medoids micro-benchmark times the engine
 // directly over the live view with a prebuilt accelerator; routing
 // through RunClustering would rebuild the index inside the measured loop.
@@ -88,10 +88,12 @@ struct CounterScope {
 
 void BM_DijkstraFullSSSP(benchmark::State& state) {
   Fixture& f = SharedFixture();
+  const NetworkView& view = *f.view;
+  TraversalWorkspace ws(f.gen.net.num_nodes());
   NodeId src = 0;
   for (auto _ : state) {
-    std::vector<double> d = DijkstraDistances(*f.view, {{src, 0.0}});
-    benchmark::DoNotOptimize(d.data());
+    DijkstraDistances(view, {{src, 0.0}}, &ws);
+    benchmark::DoNotOptimize(ws.scratch.Get(0));
     src = (src + 7919) % f.gen.net.num_nodes();
   }
   state.SetItemsProcessed(state.iterations() * f.gen.net.num_nodes());
@@ -100,25 +102,27 @@ BENCHMARK(BM_DijkstraFullSSSP)->Unit(benchmark::kMillisecond);
 
 void BM_PointNetworkDistance(benchmark::State& state) {
   Fixture& f = SharedFixture();
-  NodeScratch scratch(f.gen.net.num_nodes());
+  const NetworkView& view = *f.view;
+  TraversalWorkspace ws(f.gen.net.num_nodes());
   Rng rng(5);
   for (auto _ : state) {
     PointId p = static_cast<PointId>(rng.NextBounded(f.points.size()));
     PointId q = static_cast<PointId>(rng.NextBounded(f.points.size()));
-    benchmark::DoNotOptimize(PointNetworkDistance(*f.view, p, q, &scratch));
+    benchmark::DoNotOptimize(PointNetworkDistance(view, view, p, q, &ws));
   }
 }
 BENCHMARK(BM_PointNetworkDistance)->Unit(benchmark::kMicrosecond);
 
 void BM_RangeQuery(benchmark::State& state) {
   Fixture& f = SharedFixture();
+  const NetworkView& view = *f.view;
   TraversalWorkspace ws(f.gen.net.num_nodes());
   std::vector<RangeResult> out;
   Rng rng(6);
   double eps = static_cast<double>(state.range(0)) / 10.0;
   for (auto _ : state) {
     PointId p = static_cast<PointId>(rng.NextBounded(f.points.size()));
-    RangeQuery(*f.view, p, eps, &ws, &out);
+    RangeQuery(view, view, p, eps, &ws, &out);
     benchmark::DoNotOptimize(out.data());
   }
 }
@@ -130,15 +134,16 @@ BENCHMARK(BM_RangeQuery)->Arg(5)->Arg(20)->Arg(50)->Unit(
 // lower-bound cutoffs skip entire expansions.
 void BM_PointNetworkDistanceIndexed(benchmark::State& state) {
   Fixture& f = SharedFixture();
+  const NetworkView& view = *f.view;
   const DistanceIndex& index = SharedIndex();
-  NodeScratch scratch(f.gen.net.num_nodes());
+  TraversalWorkspace ws(f.gen.net.num_nodes());
   Rng rng(5);
   CounterScope counters(state);
   for (auto _ : state) {
     PointId p = static_cast<PointId>(rng.NextBounded(f.points.size()));
     PointId q = static_cast<PointId>(rng.NextBounded(f.points.size()));
     benchmark::DoNotOptimize(
-        PointNetworkDistance(*f.view, p, q, &scratch, &index, 5.0));
+        PointNetworkDistance(view, view, p, q, &ws, &index, 5.0));
   }
 }
 BENCHMARK(BM_PointNetworkDistanceIndexed)->Unit(benchmark::kMicrosecond);
@@ -167,23 +172,6 @@ BENCHMARK(BM_KMedoidsSwapEval)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
-
-void BM_BPlusTreeInsert(benchmark::State& state) {
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto file = PagedFile::CreateInMemory(4096);
-    BufferManager bm(1 << 20, 4096);
-    FileId fid = bm.RegisterFile(file.get());
-    auto tree = std::move(BPlusTree::Create(&bm, fid).value());
-    Rng rng(7);
-    state.ResumeTiming();
-    for (int i = 0; i < 20000; ++i) {
-      benchmark::DoNotOptimize(tree->Insert(rng.Next(), i).ok());
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * 20000);
-}
-BENCHMARK(BM_BPlusTreeInsert)->Unit(benchmark::kMillisecond);
 
 void BM_BPlusTreeLookup(benchmark::State& state) {
   static auto file = PagedFile::CreateInMemory(4096);

@@ -10,7 +10,6 @@
 // fails only on correctness problems — a failed query, a corrupt
 // frame, or a refused connection.
 // Wired into `run_all.sh net-smoke`.
-#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -21,7 +20,6 @@
 #include "bench_common.h"
 #include "common/random.h"
 #include "common/timer.h"
-#include "graph/network_distance.h"
 #include "net/client.h"
 #include "net/tcp_server.h"
 #include "server/query_server.h"
@@ -73,21 +71,7 @@ int main() {
               gen.net.num_nodes(), gen.net.num_edges(), points.size(),
               kClients);
 
-  // eps from the network's own scale, as in server_throughput.
-  double eps;
-  {
-    NodeScratch scratch(gen.net.num_nodes());
-    std::vector<double> sample;
-    Rng rng(12);
-    for (int i = 0; i < 64; ++i) {
-      PointId p = static_cast<PointId>(rng.NextBounded(points.size()));
-      PointId q = static_cast<PointId>(rng.NextBounded(points.size()));
-      double d = PointNetworkDistance(view, p, q, &scratch);
-      if (d < kInfDist) sample.push_back(d);
-    }
-    std::sort(sample.begin(), sample.end());
-    eps = 0.25 * sample[sample.size() / 2];
-  }
+  const double eps = SampledEps(view);
 
   QueryServerOptions opts;
   opts.num_workers = 4;

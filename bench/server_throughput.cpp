@@ -34,7 +34,6 @@
 // batch into smaller per-worker chunks whose wakeup/handoff cost is
 // paid per slice, and the single dispatcher thread — which also runs
 // replay validation — competes with its own workers for cycles.
-#include <algorithm>
 #include <cstdio>
 #include <deque>
 #include <future>
@@ -47,7 +46,6 @@
 #include "bench_common.h"
 #include "common/random.h"
 #include "common/timer.h"
-#include "graph/network_distance.h"
 #include "server/query_server.h"
 
 using namespace netclus;
@@ -333,21 +331,7 @@ int main() {
   std::printf("server-throughput: %u nodes, %zu edges, %u points\n",
               gen.net.num_nodes(), gen.net.num_edges(), points.size());
 
-  // eps from the network's own scale, as in bench_smoke.
-  double eps;
-  {
-    NodeScratch scratch(gen.net.num_nodes());
-    std::vector<double> sample;
-    Rng rng(12);
-    for (int i = 0; i < 64; ++i) {
-      PointId p = static_cast<PointId>(rng.NextBounded(points.size()));
-      PointId q = static_cast<PointId>(rng.NextBounded(points.size()));
-      double d = PointNetworkDistance(view, p, q, &scratch);
-      if (d < kInfDist) sample.push_back(d);
-    }
-    std::sort(sample.begin(), sample.end());
-    eps = 0.25 * sample[sample.size() / 2];
-  }
+  const double eps = SampledEps(view);
   std::vector<QueryRequest> reqs = MakeWorkload(points.size(), eps);
 
   BenchRecorder rec("server");

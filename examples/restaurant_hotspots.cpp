@@ -34,7 +34,8 @@ int main() {
   spec.seed = 5;
   GeneratedWorkload town =
       std::move(GenerateClusteredPoints(city.net, spec).value());
-  InMemoryNetworkView view(city.net, town.points);
+  InMemoryNetworkView mem(city.net, town.points);
+  const NetworkView& view = mem;
   std::printf("city: %u intersections, %zu road segments, %u restaurants\n",
               city.net.num_nodes(), city.net.num_edges(),
               town.points.size());
@@ -50,7 +51,7 @@ int main() {
               summary.num_clusters, summary.noise_points);
 
   // --- Representative restaurant per hotspot: the medoid.
-  NodeScratch scratch(city.net.num_nodes());
+  TraversalWorkspace ws(city.net.num_nodes());
   for (int h = 0; h < summary.num_clusters; ++h) {
     std::vector<PointId> members;
     for (PointId p = 0; p < town.points.size(); ++p) {
@@ -62,7 +63,7 @@ int main() {
     for (PointId cand : members) {
       double cost = 0.0;
       for (PointId other : members) {
-        cost += PointNetworkDistance(view, cand, other, &scratch);
+        cost += PointNetworkDistance(view, view, cand, other, &ws);
       }
       if (cost < best_cost) {
         best_cost = cost;

@@ -32,7 +32,10 @@
 #          retries, timeout mapping, and fd lifetimes stay in one place;
 #        - the query vocabulary (src/server/query.h) and the wire layer
 #          (src/net/) speak stable ObjectIds only — a raw PointId there
-#          would leak epoch-local dense indices to clients.
+#          would leak epoch-local dense indices to clients;
+#        - every public src/ function that only tests call is listed,
+#          with its reason, in DESIGN.md's test-only API ledger
+#          (scripts/test_only_api.py; needs python3).
 #
 # Exits non-zero if any layer reports a finding.
 set -u
@@ -151,7 +154,7 @@ $hits"
   hits=$(printf '%s\n' "$stripped" |
     grep -nE 'std::function<bool[[:space:]]*\(' || true)
   if [ -n "$hits" ]; then
-    fail "$f: std::function settle callback outside src/graph/; pass the functor as a template parameter (see DijkstraExpandKernel)
+    fail "$f: std::function settle callback outside src/graph/; pass the functor as a template parameter (see DijkstraExpandBounded)
 $hits"
   fi
 done
@@ -224,6 +227,19 @@ for f in $(find src -name '*.h' | sort); do
     fail "$f: header guard must be ${guard}"
   fi
 done
+
+# Test-only API ledger: a public function of a src/ header that nothing
+# outside tests/ calls is kept only with a reason in DESIGN.md's
+# appendix. A new one must be listed there (or deleted); a listed one
+# that production code now calls must leave the ledger.
+if command -v python3 >/dev/null 2>&1; then
+  if ! ledger=$(python3 scripts/test_only_api.py --ledger DESIGN.md); then
+    fail "DESIGN.md test-only API ledger is out of date (list the function with its reason, or delete it)
+$ledger"
+  fi
+else
+  echo "lint: python3 not installed; skipping the test-only API ledger check"
+fi
 
 # The whole ignored-Status story hangs on these two annotations; make
 # sure a refactor cannot drop them silently.

@@ -127,15 +127,9 @@ inline constexpr int kWorkspacePool = 50;
 inline constexpr int kDistanceCacheShard = 60;
 /// DiskNetworkView sticky-status slot (leaf of the disk read path).
 inline constexpr int kDiskViewStatus = 70;
-/// Stats-delta publication locks (DistanceIndex / QueryServer
-/// PublishStats), held while flushing into the global registry.
-inline constexpr int kStatsPublish = 80;
 /// QueryServer serving-statistics lock (inner to the admission queue:
 /// Submit records rejections while still holding the queue lock).
 inline constexpr int kServerStats = 90;
-/// Process-wide StatsCollector registry — the global leaf: anything may
-/// flush counters into it, so nothing may be acquired beyond it.
-inline constexpr int kStatsRegistry = 100;
 }  // namespace lock_rank
 
 namespace lock_rank_internal {

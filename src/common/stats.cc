@@ -1,6 +1,5 @@
 #include "common/stats.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace netclus {
@@ -34,43 +33,6 @@ void SlidingWindowMean::Add(double x) {
 double SlidingWindowMean::mean() const {
   if (window_.empty()) return 0.0;
   return sum_ / static_cast<double>(window_.size());
-}
-
-void StatsCollector::Add(const std::string& counter, uint64_t delta) {
-  MutexLock lock(&mu_);
-  counters_[counter] += delta;
-}
-
-void StatsCollector::Set(const std::string& counter, uint64_t value) {
-  MutexLock lock(&mu_);
-  counters_[counter] = value;
-}
-
-uint64_t StatsCollector::value(const std::string& counter) const {
-  MutexLock lock(&mu_);
-  auto it = counters_.find(counter);
-  return it == counters_.end() ? 0 : it->second;
-}
-
-std::vector<std::pair<std::string, uint64_t>> StatsCollector::Snapshot()
-    const {
-  std::vector<std::pair<std::string, uint64_t>> out;
-  {
-    MutexLock lock(&mu_);
-    out.assign(counters_.begin(), counters_.end());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-void StatsCollector::Reset() {
-  MutexLock lock(&mu_);
-  counters_.clear();
-}
-
-StatsCollector& StatsCollector::Global() {
-  static StatsCollector collector;
-  return collector;
 }
 
 }  // namespace netclus

@@ -1,19 +1,11 @@
-// Streaming summary statistics used by generators, benches, and the
-// interesting-level detector, plus the process-wide named-counter
-// registry subsystem counters flow into.
+// Streaming summary statistics used by generators, benches, the server's
+// latency means, and the interesting-level detector.
 #ifndef NETCLUS_COMMON_STATS_H_
 #define NETCLUS_COMMON_STATS_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <limits>
-#include <string>
-#include <unordered_map>
-#include <utility>
-#include <vector>
-
-#include "common/mutex.h"
 
 namespace netclus {
 
@@ -58,45 +50,6 @@ class SlidingWindowMean {
   size_t capacity_;
   std::deque<double> window_;
   double sum_ = 0.0;
-};
-
-/// \brief Thread-safe registry of named monotonic counters.
-///
-/// Subsystems publish operational counters here (the distance index's
-/// cache hits/misses/evictions above all) so tools and tests can read
-/// one aggregate view instead of threading per-component stats structs
-/// around. Counters are created on first Add and never removed (except
-/// by Reset). Publishing is coarse — components accumulate locally and
-/// flush once per run — so the mutex is never on a hot path.
-class StatsCollector {
- public:
-  /// Adds `delta` to `counter`, creating it at zero first if needed.
-  void Add(const std::string& counter, uint64_t delta) NETCLUS_EXCLUDES(mu_);
-
-  /// Overwrites `counter` with `value` — gauge semantics for
-  /// point-in-time readings (queue depth) that must not accumulate
-  /// across flushes the way the monotonic counters above do.
-  void Set(const std::string& counter, uint64_t value) NETCLUS_EXCLUDES(mu_);
-
-  /// Current value of `counter`; 0 when it was never added to.
-  uint64_t value(const std::string& counter) const NETCLUS_EXCLUDES(mu_);
-
-  /// All counters as (name, value), sorted by name.
-  std::vector<std::pair<std::string, uint64_t>> Snapshot() const
-      NETCLUS_EXCLUDES(mu_);
-
-  /// Drops every counter (tests only).
-  void Reset() NETCLUS_EXCLUDES(mu_);
-
-  /// The process-wide collector RunClustering publishes into.
-  static StatsCollector& Global();
-
- private:
-  // Rank kStatsRegistry: the global leaf of the lock hierarchy — every
-  // subsystem may flush into the registry while holding its own
-  // publication lock, so nothing may be acquired beyond this one.
-  mutable Mutex mu_{lock_rank::kStatsRegistry, "StatsCollector::mu_"};
-  std::unordered_map<std::string, uint64_t> counters_ NETCLUS_GUARDED_BY(mu_);
 };
 
 }  // namespace netclus

@@ -54,8 +54,8 @@ Result<Clustering> DbscanCluster(const NetworkView& view, const Graph& graph,
     }
     // The snapshot is immutable, so all workers share it.
     pool.ParallelFor(n, [&](size_t p, uint32_t worker) {
-      RangeQueryOver(view, graph, static_cast<PointId>(p), options.eps,
-                     leases[worker].get(), &cache[p]);
+      RangeQuery(view, graph, static_cast<PointId>(p), options.eps,
+                 leases[worker].get(), &cache[p]);
     });
   }
 
@@ -64,7 +64,7 @@ Result<Clustering> DbscanCluster(const NetworkView& view, const Graph& graph,
   std::vector<RangeResult> buffer;
   auto neighborhood = [&](PointId p) -> const std::vector<RangeResult>& {
     if (precomputed) return cache[p];
-    RangeQueryOver(view, graph, p, options.eps, &*serial_ws, &buffer);
+    RangeQuery(view, graph, p, options.eps, &*serial_ws, &buffer);
     return buffer;
   };
 

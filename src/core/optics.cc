@@ -57,7 +57,7 @@ Result<OpticsResult> OpticsOrder(const NetworkView& view, const Graph& graph,
     processed[p] = true;
     res.order.push_back(p);
     res.reachability.push_back(reachability);
-    RangeQueryOver(view, graph, p, options.eps, &ws, &neighborhood);
+    RangeQuery(view, graph, p, options.eps, &ws, &neighborhood);
     double cd = CoreDistance(&neighborhood, options.min_pts);
     res.core_distance[p] = cd;
     if (cd == kInfDist) return;

@@ -45,7 +45,7 @@ Result<double> SuggestEps(const NetworkView& view,
     double radius = radius0;
     double best = kInfDist;
     for (int attempt = 0; attempt < 24; ++attempt) {
-      RangeQuery(view, p, radius, &ws, &found);
+      RangeQuery(view, view, p, radius, &ws, &found);
       for (const RangeResult& r : found) {
         if (r.id != p && r.dist < best) best = r.dist;
       }

@@ -110,12 +110,12 @@ Status ValidateKMedoids(const NetworkView& view, const Clustering& c,
   // scale. Exact mode also re-derives R.
   const bool exact = n <= limits.exact_max_points;
   const PointId stride = exact ? 1 : SampleStride(n, limits);
-  NodeScratch scratch(view.num_nodes());
+  TraversalWorkspace ws(view.num_nodes());
   double recomputed_cost = 0.0;
   for (PointId p = 0; p < n; p += stride) {
     double best = kInfDist;
     for (PointId m : medoids) {
-      best = std::min(best, PointNetworkDistance(view, p, m, &scratch));
+      best = std::min(best, PointNetworkDistance(view, view, p, m, &ws));
     }
     int assigned = c.assignment[p];
     if (assigned == kNoise) {
@@ -128,7 +128,7 @@ Status ValidateKMedoids(const NetworkView& view, const Clustering& c,
       continue;
     }
     double d_assigned =
-        PointNetworkDistance(view, p, medoids[assigned], &scratch);
+        PointNetworkDistance(view, view, p, medoids[assigned], &ws);
     if (d_assigned > best + Tolerance(best)) {
       return Violation(
           "kmedoids",
@@ -168,7 +168,7 @@ Status ValidateEpsLink(const NetworkView& view, const Clustering& c,
     // components of size >= min_sup and cluster ids.
     UnionFind uf(n);
     for (PointId p = 0; p < n; ++p) {
-      RangeQuery(view, p, options.eps, &ws, &reach);
+      RangeQuery(view, view, p, options.eps, &ws, &reach);
       for (const RangeResult& r : reach) {
         if (r.id != p) uf.Union(p, r.id);
       }
@@ -220,7 +220,7 @@ Status ValidateEpsLink(const NetworkView& view, const Clustering& c,
   // ε-neighborhood belongs to its cluster; noise is only ever ε-linked
   // to noise).
   for (PointId p = 0; p < n; p += SampleStride(n, limits)) {
-    RangeQuery(view, p, options.eps, &ws, &reach);
+    RangeQuery(view, view, p, options.eps, &ws, &reach);
     for (const RangeResult& r : reach) {
       if (c.assignment[r.id] != c.assignment[p]) {
         return Violation("epslink",
@@ -253,7 +253,7 @@ Status ValidateDbscan(const NetworkView& view, const Clustering& c,
     // Structural spot check: a point with a core-sized neighborhood can
     // never be noise.
     for (PointId p = 0; p < n; p += SampleStride(n, limits)) {
-      RangeQuery(view, p, options.eps, &ws, &reach);
+      RangeQuery(view, view, p, options.eps, &ws, &reach);
       if (reach.size() >= options.min_pts && c.assignment[p] == kNoise) {
         return Violation("dbscan", "core point " + std::to_string(p) +
                                        " (neighborhood size " +
@@ -269,7 +269,7 @@ Status ValidateDbscan(const NetworkView& view, const Clustering& c,
   std::vector<std::vector<PointId>> nbrs(n);
   std::vector<bool> core(n, false);
   for (PointId p = 0; p < n; ++p) {
-    RangeQuery(view, p, options.eps, &ws, &reach);
+    RangeQuery(view, view, p, options.eps, &ws, &reach);
     nbrs[p].reserve(reach.size());
     for (const RangeResult& r : reach) nbrs[p].push_back(r.id);
     std::sort(nbrs[p].begin(), nbrs[p].end());
@@ -599,7 +599,7 @@ Status ValidateDistanceAccelerator(const NetworkView& view,
 
   // Point-pair bounds against the exact point-to-point Dijkstra, on a
   // deterministic sample (two partners per sampled point).
-  NodeScratch scratch(view.num_nodes());
+  TraversalWorkspace ws(view.num_nodes());
   std::vector<PointId> sampled;
   if (n > 0) {
     PointId stride =
@@ -608,7 +608,7 @@ Status ValidateDistanceAccelerator(const NetworkView& view,
       sampled.push_back(p);
       for (PointId q : {static_cast<PointId>((p + n / 2 + 1) % n),
                         static_cast<PointId>((p * 31 + 7) % n)}) {
-        double exact = PointNetworkDistance(view, p, q, &scratch);
+        double exact = PointNetworkDistance(view, view, p, q, &ws);
         double lb = accel.LowerBound(p, q);
         double ub = accel.UpperBound(p, q);
         if (exact == kInfDist) {

@@ -6,7 +6,7 @@
 // priority-queue mechanics and the epoch-trick scratch space that lets
 // thousands of bounded expansions run without O(|V|) reinitialization.
 //
-// The kernel (DijkstraExpandKernel) is parameterized on the graph type
+// The kernel (DijkstraExpandBounded) is parameterized on the graph type
 // and the settle functor, so over a FrozenGraph with a lambda the inner
 // loop compiles to a plain CSR pointer walk — no virtual dispatch, no
 // type-erased callback. Neighbor iteration is reached through the
@@ -70,7 +70,8 @@ TraversalCounters& LocalTraversalCounters();
 ///
 /// Each NewEpoch() invalidates all stored distances without touching
 /// memory; repeated bounded expansions over a large graph stay
-/// proportional to the region actually visited.
+/// proportional to the region actually visited. The traversal entry
+/// points reach it as TraversalWorkspace::scratch.
 class NodeScratch {
  public:
   explicit NodeScratch(NodeId num_nodes)
@@ -188,88 +189,63 @@ inline DijkstraHeapEntry HeapPopEntry(std::vector<DijkstraHeapEntry>* heap) {
 /// \brief The traversal kernel: bounded multi-source Dijkstra over any
 /// graph type reachable through VisitNeighbors.
 ///
-/// Settled distances land in `scratch` (a fresh epoch is started);
-/// `heap` is cleared but keeps its capacity. `on_settle(node, dist)` is
-/// invoked once per settled node with dist <= `bound` and returns false
-/// to abandon the expansion. Instantiated with a FrozenGraph and a
-/// lambda, the inner loop carries no virtual dispatch and no type-erased
-/// callback — the de-virtualized hot path every in-memory run takes.
+/// Settled distances land in `ws->scratch` (a fresh epoch is started);
+/// `ws->heap` is cleared but keeps its capacity (`ws->settled` is
+/// untouched — it belongs to higher-level callers). `on_settle(node,
+/// dist)` is invoked once per settled node with dist <= `bound` and
+/// returns false to abandon the expansion. Instantiated with a
+/// FrozenGraph and a lambda, the inner loop carries no virtual dispatch
+/// and no type-erased callback — the de-virtualized hot path every
+/// in-memory run takes.
 ///
-/// `cancel` (optional) is polled every `cancel->check_interval` settled
-/// nodes; when its flag reads true the expansion abandons its remaining
-/// work, sets `cancel->triggered`, and returns — partial distances in
-/// `scratch` must then be discarded by the caller. When no cancellation
-/// fires (or `cancel` is null / its flag unset) the traversal, its
-/// settle order, and its counters are bit-identical to an uncancellable
-/// run.
+/// `ws->cancel` is polled every `check_interval` settled nodes; when its
+/// flag reads true the expansion abandons its remaining work, sets
+/// `triggered`, and returns — partial distances in the scratch must then
+/// be discarded by the caller. When no cancellation fires (or the token
+/// is inert, the default) the traversal, its settle order, and its
+/// counters are bit-identical to an uncancellable run.
 template <typename Graph, typename SettleFn>
-void DijkstraExpandKernel(const Graph& graph,
-                          const std::vector<DijkstraSource>& sources,
-                          double bound, NodeScratch* scratch,
-                          std::vector<DijkstraHeapEntry>* heap,
-                          SettleFn&& on_settle,
-                          TraversalCancel* cancel = nullptr) {
-  scratch->NewEpoch();
+void DijkstraExpandBounded(const Graph& graph,
+                           const std::vector<DijkstraSource>& sources,
+                           double bound, TraversalWorkspace* ws,
+                           SettleFn&& on_settle) {
+  NodeScratch& scratch = ws->scratch;
+  std::vector<DijkstraHeapEntry>* heap = &ws->heap;
+  TraversalCancel& cancel = ws->cancel;
+  scratch.NewEpoch();
   heap->clear();
   TraversalCounters& tc = LocalTraversalCounters();
-  const uint32_t poll_interval =
-      cancel != nullptr ? std::max<uint32_t>(1, cancel->check_interval) : 0;
+  const uint32_t poll_interval = std::max<uint32_t>(1, cancel.check_interval);
   uint32_t settles_until_poll = poll_interval;
-  // `scratch` holds tentative distances during the run; a separate settled
-  // mark is unnecessary because a popped entry matching the scratch value
-  // is settled (standard lazy-deletion Dijkstra).
+  // The scratch holds tentative distances during the run; a separate
+  // settled mark is unnecessary because a popped entry matching the
+  // scratch value is settled (standard lazy-deletion Dijkstra).
   for (const DijkstraSource& s : sources) {
-    if (s.dist <= bound && s.dist < scratch->Get(s.node)) {
-      scratch->Set(s.node, s.dist);
+    if (s.dist <= bound && s.dist < scratch.Get(s.node)) {
+      scratch.Set(s.node, s.dist);
       internal::HeapPushEntry(heap, s.dist, s.node);
     }
   }
   while (!heap->empty()) {
     auto [d, n] = internal::HeapPopEntry(heap);
-    if (d > scratch->Get(n)) continue;  // stale entry
+    if (d > scratch.Get(n)) continue;  // stale entry
     ++tc.settled_nodes;
-    if (cancel != nullptr && --settles_until_poll == 0) {
+    if (--settles_until_poll == 0) {
       settles_until_poll = poll_interval;
-      if (cancel->ShouldCancel()) {
-        cancel->triggered = true;
+      if (cancel.ShouldCancel()) {
+        cancel.triggered = true;
         return;
       }
     }
     if (!on_settle(n, d)) return;
     VisitNeighbors(graph, n, [&](NodeId m, double w) {
       double nd = d + w;
-      if (nd <= bound && nd < scratch->Get(m)) {
-        scratch->Set(m, nd);
+      if (nd <= bound && nd < scratch.Get(m)) {
+        scratch.Set(m, nd);
         internal::HeapPushEntry(heap, nd, m);
       }
     });
   }
-}
-
-/// Expands the graph from `sources` in distance order, invoking
-/// `on_settle(node, dist)` once per settled node with dist <= `bound`;
-/// the functor returns false to stop. Settled distances are recorded in
-/// `scratch` (a fresh epoch is started).
-template <typename Graph, typename SettleFn>
-void DijkstraExpandBounded(const Graph& graph,
-                           const std::vector<DijkstraSource>& sources,
-                           double bound, NodeScratch* scratch,
-                           SettleFn&& on_settle) {
-  std::vector<DijkstraHeapEntry> heap;
-  DijkstraExpandKernel(graph, sources, bound, scratch, &heap,
-                       std::forward<SettleFn>(on_settle));
-}
-
-/// As above with the workspace's scratch, reusing its heap storage and
-/// honoring its cancellation token (`ws->cancel`, inert by default).
-/// (`ws->settled` is untouched — it belongs to higher-level callers.)
-template <typename Graph, typename SettleFn>
-void DijkstraExpandBounded(const Graph& graph,
-                           const std::vector<DijkstraSource>& sources,
-                           double bound, TraversalWorkspace* ws,
-                           SettleFn&& on_settle) {
-  DijkstraExpandKernel(graph, sources, bound, &ws->scratch, &ws->heap,
-                       std::forward<SettleFn>(on_settle), &ws->cancel);
 }
 
 /// Computes exact shortest-path distances from `sources` to every
@@ -280,17 +256,9 @@ template <typename Graph>
 void DijkstraDistances(const Graph& graph,
                        const std::vector<DijkstraSource>& sources,
                        TraversalWorkspace* ws) {
-  DijkstraExpandKernel(graph, sources, kInfDist, &ws->scratch, &ws->heap,
-                       [](NodeId, double) { return true; },
-                       &ws->cancel);
+  DijkstraExpandBounded(graph, sources, kInfDist, ws,
+                        [](NodeId, double) { return true; });
 }
-
-/// As above but allocates and returns a fresh |V|-sized distance vector
-/// (kInfDist where unreachable). The allocation makes it unfit for hot
-/// loops — kept for tests and one-shot diagnostics only; production code
-/// uses the TraversalWorkspace overload.
-std::vector<double> DijkstraDistances(const NetworkView& view,
-                                      const std::vector<DijkstraSource>& sources);
 
 }  // namespace netclus
 

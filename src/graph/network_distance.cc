@@ -31,13 +31,10 @@ namespace {
 // (graph/edge_points.h). Both instantiations relax edges in the same
 // order, so results are bit-identical.
 
+// The exact expansion behind PointNetworkDistance (p != q).
 template <typename Graph>
-double PointNetworkDistanceImpl(const NetworkView& view, const Graph& graph,
-                                PointId p, PointId q, NodeScratch* scratch,
-                                std::vector<DijkstraHeapEntry>* heap,
-                                std::vector<DijkstraSource>* sources,
-                                TraversalCancel* cancel) {
-  if (p == q) return 0.0;
+double ExactPointDistance(const NetworkView& view, const Graph& graph,
+                          PointId p, PointId q, TraversalWorkspace* ws) {
   // Traverse from the smaller id, so d(p, q) and d(q, p) are the same
   // bits: the distance cache keys on the unordered pair, and a hit must
   // equal what a replay in either direction recomputes.
@@ -49,24 +46,23 @@ double PointNetworkDistanceImpl(const NetworkView& view, const Graph& graph,
   double best = same_edge ? std::fabs(pp.offset - qq.offset) : kInfDist;
 
   double wp = view.EdgeWeight(pp.u, pp.v);
-  sources->assign({{pp.u, pp.offset}, {pp.v, wp - pp.offset}});
+  ws->sources.assign({{pp.u, pp.offset}, {pp.v, wp - pp.offset}});
   bool settled_u = false, settled_v = false;
-  DijkstraExpandKernel(graph, *sources, kInfDist, scratch, heap,
-                       [&](NodeId n, double d) {
-                         // All later settles have distance >= d, so once d
-                         // reaches `best` no candidate can improve it.
-                         if (d >= best) return false;
-                         if (n == qq.u) {
-                           best = std::min(best, d + qq.offset);
-                           settled_u = true;
-                         }
-                         if (n == qq.v) {
-                           best = std::min(best, d + wq - qq.offset);
-                           settled_v = true;
-                         }
-                         return !(settled_u && settled_v);
-                       },
-                       cancel);
+  DijkstraExpandBounded(graph, ws->sources, kInfDist, ws,
+                        [&](NodeId n, double d) {
+                          // All later settles have distance >= d, so once d
+                          // reaches `best` no candidate can improve it.
+                          if (d >= best) return false;
+                          if (n == qq.u) {
+                            best = std::min(best, d + qq.offset);
+                            settled_u = true;
+                          }
+                          if (n == qq.v) {
+                            best = std::min(best, d + wq - qq.offset);
+                            settled_v = true;
+                          }
+                          return !(settled_u && settled_v);
+                        });
   return best;
 }
 
@@ -157,10 +153,35 @@ void CollectRangePoints(const Graph& graph, const PointPos* c, double wc,
   }
 }
 
-template <typename Graph>
-void RangeQueryImpl(const NetworkView& view, const Graph& graph,
-                    PointId center, double eps, TraversalWorkspace* ws,
-                    std::vector<RangeResult>* out) {
+}  // namespace
+
+template <TraversalGraph Graph>
+double PointNetworkDistance(const NetworkView& view, const Graph& graph,
+                            PointId p, PointId q, TraversalWorkspace* ws,
+                            const DistanceAccelerator* accel,
+                            double threshold) {
+  ws->cancel.triggered = false;
+  if (p == q) return 0.0;
+  if (accel != nullptr) {
+    double cached;
+    if (accel->LookupDistance(p, q, &cached)) return cached;
+    double lb = accel->LowerBound(p, q);
+    if (lb == kInfDist) return kInfDist;  // proven disconnected — exact
+    if (lb > threshold) return lb;        // caller only branches on the cut
+  }
+  double exact = ExactPointDistance(view, graph, p, q, ws);
+  // A cancelled expansion yields a garbage partial value — never let it
+  // poison the cache.
+  if (accel != nullptr && !ws->cancel.triggered) {
+    accel->StoreDistance(p, q, exact);
+  }
+  return exact;
+}
+
+template <TraversalGraph Graph>
+void RangeQuery(const NetworkView& view, const Graph& graph, PointId center,
+                double eps, TraversalWorkspace* ws,
+                std::vector<RangeResult>* out) {
   out->clear();
   PointPos c = view.PointPosition(center);
   double wc = view.EdgeWeight(c.u, c.v);
@@ -178,13 +199,13 @@ void RangeQueryImpl(const NetworkView& view, const Graph& graph,
   CollectRangePoints(graph, &c, wc, eps, ws, out);
 }
 
-template <typename Graph>
-void KNearestNeighborsImpl(const NetworkView& view, const Graph& graph,
-                           PointId center, uint32_t k, NodeScratch* scratch,
-                           TraversalCancel* cancel,
-                           std::vector<RangeResult>* out) {
+template <TraversalGraph Graph>
+void KNearestNeighbors(const NetworkView& view, const Graph& graph,
+                       PointId center, uint32_t k, TraversalWorkspace* ws,
+                       std::vector<RangeResult>* out) {
   out->clear();
-  if (cancel != nullptr) cancel->triggered = false;
+  TraversalCancel& cancel = ws->cancel;
+  cancel.triggered = false;
   if (k == 0) return;
   PointPos c = view.PointPosition(center);
   double wc = view.EdgeWeight(c.u, c.v);
@@ -231,33 +252,33 @@ void KNearestNeighborsImpl(const NetworkView& view, const Graph& graph,
   // INE-style expansion: a point whose best offer has not arrived yet
   // lies behind an unsettled node, so once the settle distance reaches
   // the current k-th candidate no candidate can improve.
-  scratch->NewEpoch();
+  NodeScratch& scratch = ws->scratch;
+  scratch.NewEpoch();
   struct Entry {
     double dist;
     NodeId node;
     bool operator>(const Entry& other) const { return dist > other.dist; }
   };
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  scratch->Set(c.u, c.offset);
+  scratch.Set(c.u, c.offset);
   heap.push(Entry{c.offset, c.u});
-  if (scratch->Get(c.v) > wc - c.offset) {
-    scratch->Set(c.v, wc - c.offset);
+  if (scratch.Get(c.v) > wc - c.offset) {
+    scratch.Set(c.v, wc - c.offset);
     heap.push(Entry{wc - c.offset, c.v});
   }
   // The INE loop is not the shared kernel, so it polls the cancellation
   // token itself, at the same cadence (every check_interval settles).
-  const uint32_t poll_interval =
-      cancel != nullptr ? std::max<uint32_t>(1, cancel->check_interval) : 0;
+  const uint32_t poll_interval = std::max<uint32_t>(1, cancel.check_interval);
   uint32_t settles_until_poll = poll_interval;
   while (!heap.empty()) {
     auto [d, n] = heap.top();
     heap.pop();
-    if (d > scratch->Get(n)) continue;  // stale
+    if (d > scratch.Get(n)) continue;  // stale
     if (d >= bound()) break;
-    if (cancel != nullptr && --settles_until_poll == 0) {
+    if (--settles_until_poll == 0) {
       settles_until_poll = poll_interval;
-      if (cancel->ShouldCancel()) {
-        cancel->triggered = true;
+      if (cancel.ShouldCancel()) {
+        cancel.triggered = true;
         return;  // `out` stays empty — partial candidates are garbage
       }
     }
@@ -266,8 +287,8 @@ void KNearestNeighborsImpl(const NetworkView& view, const Graph& graph,
       // it settles, and per-point minimization keeps the best.
       offer_edge(n, m, we, d);
       double nd = d + we;
-      if (nd < scratch->Get(m)) {
-        scratch->Set(m, nd);
+      if (nd < scratch.Get(m)) {
+        scratch.Set(m, nd);
         heap.push(Entry{nd, m});
       }
     });
@@ -282,24 +303,6 @@ void KNearestNeighborsImpl(const NetworkView& view, const Graph& graph,
             });
   if (results.size() > k) results.resize(k);
   *out = std::move(results);
-}
-
-}  // namespace
-
-double PointNetworkDistance(const NetworkView& view, PointId p, PointId q,
-                            NodeScratch* scratch) {
-  std::vector<DijkstraHeapEntry> heap;
-  std::vector<DijkstraSource> sources;
-  return PointNetworkDistanceImpl(view, view, p, q, scratch, &heap, &sources,
-                                  nullptr);
-}
-
-double PointNetworkDistance(const NetworkView& view, const FrozenGraph& frozen,
-                            PointId p, PointId q, NodeScratch* scratch) {
-  std::vector<DijkstraHeapEntry> heap;
-  std::vector<DijkstraSource> sources;
-  return PointNetworkDistanceImpl(view, frozen, p, q, scratch, &heap,
-                                  &sources, nullptr);
 }
 
 void NodeRangeQuery(const NetworkView& /*view*/, const FrozenGraph& frozen,
@@ -318,117 +321,23 @@ void NodeRangeQuery(const NetworkView& /*view*/, const FrozenGraph& frozen,
   CollectRangePoints(frozen, nullptr, 0.0, radius, ws, out);
 }
 
-void RangeQuery(const NetworkView& view, PointId center, double eps,
-                TraversalWorkspace* ws, std::vector<RangeResult>* out) {
-  RangeQueryImpl(view, view, center, eps, ws, out);
-}
-
-void RangeQuery(const NetworkView& view, const FrozenGraph& frozen,
-                PointId center, double eps, TraversalWorkspace* ws,
-                std::vector<RangeResult>* out) {
-  RangeQueryImpl(view, frozen, center, eps, ws, out);
-}
-
-double PointNetworkDistance(const NetworkView& view, PointId p, PointId q,
-                            NodeScratch* scratch,
-                            const DistanceAccelerator* accel,
-                            double threshold) {
-  if (accel == nullptr) return PointNetworkDistance(view, p, q, scratch);
-  if (p == q) return 0.0;
-  double cached;
-  if (accel->LookupDistance(p, q, &cached)) return cached;
-  double lb = accel->LowerBound(p, q);
-  if (lb == kInfDist) return kInfDist;  // proven disconnected — exact
-  if (lb > threshold) return lb;        // caller only branches on the cut
-  double exact = PointNetworkDistance(view, p, q, scratch);
-  accel->StoreDistance(p, q, exact);
-  return exact;
-}
-
-double PointNetworkDistance(const NetworkView& view, const FrozenGraph& frozen,
-                            PointId p, PointId q, NodeScratch* scratch,
-                            const DistanceAccelerator* accel,
-                            double threshold) {
-  if (accel == nullptr) {
-    return PointNetworkDistance(view, frozen, p, q, scratch);
-  }
-  if (p == q) return 0.0;
-  double cached;
-  if (accel->LookupDistance(p, q, &cached)) return cached;
-  double lb = accel->LowerBound(p, q);
-  if (lb == kInfDist) return kInfDist;  // proven disconnected — exact
-  if (lb > threshold) return lb;        // caller only branches on the cut
-  double exact = PointNetworkDistance(view, frozen, p, q, scratch);
-  accel->StoreDistance(p, q, exact);
-  return exact;
-}
-
-double PointNetworkDistance(const NetworkView& view, PointId p, PointId q,
-                            TraversalWorkspace* ws,
-                            const DistanceAccelerator* accel,
-                            double threshold) {
-  ws->cancel.triggered = false;
-  if (accel == nullptr) {
-    return PointNetworkDistanceImpl(view, view, p, q, &ws->scratch, &ws->heap,
-                                    &ws->sources, &ws->cancel);
-  }
-  if (p == q) return 0.0;
-  double cached;
-  if (accel->LookupDistance(p, q, &cached)) return cached;
-  double lb = accel->LowerBound(p, q);
-  if (lb == kInfDist) return kInfDist;  // proven disconnected — exact
-  if (lb > threshold) return lb;        // caller only branches on the cut
-  double exact = PointNetworkDistanceImpl(view, view, p, q, &ws->scratch,
-                                          &ws->heap, &ws->sources, &ws->cancel);
-  // A cancelled expansion yields a garbage partial value — never let it
-  // poison the cache.
-  if (!ws->cancel.triggered) accel->StoreDistance(p, q, exact);
-  return exact;
-}
-
-double PointNetworkDistance(const NetworkView& view, const FrozenGraph& frozen,
-                            PointId p, PointId q, TraversalWorkspace* ws,
-                            const DistanceAccelerator* accel,
-                            double threshold) {
-  ws->cancel.triggered = false;
-  if (accel == nullptr) {
-    return PointNetworkDistanceImpl(view, frozen, p, q, &ws->scratch,
-                                    &ws->heap, &ws->sources, &ws->cancel);
-  }
-  if (p == q) return 0.0;
-  double cached;
-  if (accel->LookupDistance(p, q, &cached)) return cached;
-  double lb = accel->LowerBound(p, q);
-  if (lb == kInfDist) return kInfDist;  // proven disconnected — exact
-  if (lb > threshold) return lb;        // caller only branches on the cut
-  double exact = PointNetworkDistanceImpl(view, frozen, p, q, &ws->scratch,
-                                          &ws->heap, &ws->sources,
-                                          &ws->cancel);
-  if (!ws->cancel.triggered) accel->StoreDistance(p, q, exact);
-  return exact;
-}
-
-void KNearestNeighbors(const NetworkView& view, PointId center, uint32_t k,
-                       NodeScratch* scratch, std::vector<RangeResult>* out) {
-  KNearestNeighborsImpl(view, view, center, k, scratch, nullptr, out);
-}
-
-void KNearestNeighbors(const NetworkView& view, const FrozenGraph& frozen,
-                       PointId center, uint32_t k, NodeScratch* scratch,
-                       std::vector<RangeResult>* out) {
-  KNearestNeighborsImpl(view, frozen, center, k, scratch, nullptr, out);
-}
-
-void KNearestNeighbors(const NetworkView& view, PointId center, uint32_t k,
-                       TraversalWorkspace* ws, std::vector<RangeResult>* out) {
-  KNearestNeighborsImpl(view, view, center, k, &ws->scratch, &ws->cancel, out);
-}
-
-void KNearestNeighbors(const NetworkView& view, const FrozenGraph& frozen,
-                       PointId center, uint32_t k, TraversalWorkspace* ws,
-                       std::vector<RangeResult>* out) {
-  KNearestNeighborsImpl(view, frozen, center, k, &ws->scratch, &ws->cancel,
-                        out);
-}
+template double PointNetworkDistance(const NetworkView&, const NetworkView&,
+                                     PointId, PointId, TraversalWorkspace*,
+                                     const DistanceAccelerator*, double);
+template double PointNetworkDistance(const NetworkView&, const FrozenGraph&,
+                                     PointId, PointId, TraversalWorkspace*,
+                                     const DistanceAccelerator*, double);
+template void RangeQuery(const NetworkView&, const NetworkView&, PointId,
+                         double, TraversalWorkspace*,
+                         std::vector<RangeResult>*);
+template void RangeQuery(const NetworkView&, const FrozenGraph&, PointId,
+                         double, TraversalWorkspace*,
+                         std::vector<RangeResult>*);
+template void KNearestNeighbors(const NetworkView&, const NetworkView&,
+                                PointId, uint32_t, TraversalWorkspace*,
+                                std::vector<RangeResult>*);
+template void KNearestNeighbors(const NetworkView&, const FrozenGraph&,
+                                PointId, uint32_t, TraversalWorkspace*,
+                                std::vector<RangeResult>*);
 
 }  // namespace netclus

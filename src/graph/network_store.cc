@@ -26,11 +26,9 @@ constexpr uint64_t kAdjMagic = 0x4E43414A464C4154ULL;  // "NCAJFLAT"
 constexpr uint64_t kPtsMagic = 0x4E435054464C4154ULL;  // "NCPTFLAT"
 constexpr size_t kPageHeader = 2;                       // used bytes u16
 
-// On-disk format version written by Build(). Files written before the
-// version field existed read 0 there and are treated as version 1
-// (no page checksums); version 2 adds the CRC32C page footer.
+// On-disk format version written by Build() and the only one Open()
+// reads: every page carries the CRC32C footer.
 constexpr uint32_t kFormatVersion = 2;
-constexpr uint32_t kChecksummedSinceVersion = 2;
 // Version field offsets within the two header pages.
 constexpr size_t kAdjVersionOffset = 16;
 constexpr size_t kPtsVersionOffset = 12;
@@ -45,8 +43,9 @@ uint32_t AddrOffset(uint64_t addr) {
 
 // Validates that flat-file record bytes [offset, offset + len) lie within
 // the used region of the fetched page. Catches garbage addresses/lengths
-// decoded from corrupted (v1, un-checksummed) pages before they cause
-// out-of-bounds reads; the Status names the page and file offset.
+// that pass the page checksum (a record written wrong, not a flipped
+// byte) before they cause out-of-bounds reads; the Status names the page
+// and file offset.
 Status ValidateRecordBounds(const PageHandle& h, uint32_t usable,
                             uint32_t page_size, uint32_t offset, uint64_t len,
                             const char* what) {
@@ -197,7 +196,6 @@ Result<std::unique_ptr<NetworkStore>> NetworkStore::Build(
       std::unique_ptr<NetworkStore>(new NetworkStore(bm, adj_flat, pts_flat));
   store->num_nodes_ = net.num_nodes();
   store->num_points_ = points.size();
-  store->format_version_ = kFormatVersion;
 
   // --- Adjacency flat file: header page, then records in placement order.
   {
@@ -278,9 +276,8 @@ Result<std::unique_ptr<NetworkStore>> NetworkStore::Build(
 Result<std::unique_ptr<NetworkStore>> NetworkStore::Open(
     BufferManager* bm, const NetworkStoreFiles& files) {
   // Sniff the adjacency header straight from the file (bypassing the
-  // pool) to learn the format version before deciding whether the four
-  // files must be registered with checksum verification.
-  uint32_t version;
+  // pool), so a store in any other format version is refused by name
+  // rather than as a page-checksum mismatch.
   {
     if (files.adj_flat->num_pages() == 0) {
       return Status::Corruption("adjacency file: missing header page");
@@ -290,22 +287,20 @@ Result<std::unique_ptr<NetworkStore>> NetworkStore::Open(
     if (Load<uint64_t>(header.data()) != kAdjMagic) {
       return Status::Corruption("adjacency file: bad magic");
     }
-    version = Load<uint32_t>(header.data() + kAdjVersionOffset);
-    if (version == 0) version = 1;  // files predating the version field
-    if (version > kFormatVersion) {
+    const uint32_t version = Load<uint32_t>(header.data() + kAdjVersionOffset);
+    if (version != kFormatVersion) {
       return Status::Corruption("adjacency file: format version " +
                                 std::to_string(version) +
-                                " is newer than this build supports");
+                                " is not supported (expected " +
+                                std::to_string(kFormatVersion) + ")");
     }
   }
-  const bool checksummed = version >= kChecksummedSinceVersion;
-  FileId adj_flat = bm->RegisterFile(files.adj_flat, checksummed);
-  FileId adj_index = bm->RegisterFile(files.adj_index, checksummed);
-  FileId pts_flat = bm->RegisterFile(files.pts_flat, checksummed);
-  FileId pts_index = bm->RegisterFile(files.pts_index, checksummed);
+  FileId adj_flat = bm->RegisterFile(files.adj_flat, /*checksummed=*/true);
+  FileId adj_index = bm->RegisterFile(files.adj_index, /*checksummed=*/true);
+  FileId pts_flat = bm->RegisterFile(files.pts_flat, /*checksummed=*/true);
+  FileId pts_index = bm->RegisterFile(files.pts_index, /*checksummed=*/true);
   auto store =
       std::unique_ptr<NetworkStore>(new NetworkStore(bm, adj_flat, pts_flat));
-  store->format_version_ = version;
   {
     // Re-read through the pool so a checksummed header page is verified.
     Result<PageHandle> h = bm->FetchPage(adj_flat, 0);
@@ -322,14 +317,13 @@ Result<std::unique_ptr<NetworkStore>> NetworkStore::Open(
     if (Load<uint64_t>(h.value().data()) != kPtsMagic) {
       return Status::Corruption("points file: bad magic");
     }
-    uint32_t pts_version =
+    const uint32_t pts_version =
         Load<uint32_t>(h.value().data() + kPtsVersionOffset);
-    if (pts_version == 0) pts_version = 1;
-    if (pts_version != version) {
+    if (pts_version != kFormatVersion) {
       return Status::Corruption("points file: format version " +
                                 std::to_string(pts_version) +
                                 " does not match adjacency file version " +
-                                std::to_string(version));
+                                std::to_string(kFormatVersion));
     }
   }
   Result<std::unique_ptr<BPlusTree>> ai = BPlusTree::Open(bm, adj_index);

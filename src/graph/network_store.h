@@ -16,13 +16,11 @@
 // the CCAM idea of co-locating neighbor nodes — or in random order, the
 // ablation baseline.
 //
-// On-disk format versions (u32 in each flat file's header page; 0 in
-// files written before the field existed):
-//   v1 (or 0): no page checksums; records may use the full page.
-//   v2: every page of all four files carries the BufferManager's CRC32C
-//       footer; records are packed into usable_page_size() bytes.
-// Build() writes v2; Open() sniffs the version and reads either, with
-// checksum verification off for v1 files.
+// On-disk format version: a u32 in each flat file's header page. Build()
+// writes v2, where every page of all four files carries the
+// BufferManager's CRC32C footer and records are packed into
+// usable_page_size() bytes. Open() reads v2 only and refuses any other
+// version (including the unchecksummed v1) as Corruption.
 #ifndef NETCLUS_GRAPH_NETWORK_STORE_H_
 #define NETCLUS_GRAPH_NETWORK_STORE_H_
 
@@ -89,9 +87,6 @@ class NetworkStore {
   Status ScanGroups(
       const std::function<void(NodeId, NodeId, PointId, uint32_t)>& fn) const;
 
-  /// On-disk format version this store was built/opened with.
-  uint32_t format_version() const { return format_version_; }
-
  private:
   NetworkStore(BufferManager* bm, FileId adj_flat, FileId pts_flat)
       : bm_(bm), adj_flat_(adj_flat), pts_flat_(pts_flat) {}
@@ -103,7 +98,6 @@ class NetworkStore {
   std::unique_ptr<BPlusTree> pts_index_;
   NodeId num_nodes_ = 0;
   PointId num_points_ = 0;
-  uint32_t format_version_ = 0;
 };
 
 /// \brief NetworkView over a NetworkStore: the algorithms' disk path.

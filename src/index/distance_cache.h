@@ -15,9 +15,8 @@
 // ever has to visit all shards synchronously.
 //
 // Hit / miss / store / eviction counters are kept per shard (under the
-// shard mutex, so they cost nothing extra) and aggregated on demand;
-// DistanceIndex flushes them into the global StatsCollector once per
-// clustering run.
+// shard mutex, so they cost nothing extra) and aggregated on demand by
+// counters() — DistanceIndex::Stats() reports them per clustering run.
 #ifndef NETCLUS_INDEX_DISTANCE_CACHE_H_
 #define NETCLUS_INDEX_DISTANCE_CACHE_H_
 

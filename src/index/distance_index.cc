@@ -49,15 +49,4 @@ IndexStats DistanceIndex::Stats() const {
   return stats;
 }
 
-void DistanceIndex::PublishStats(StatsCollector* collector) const {
-  DistanceCache::Counters now = cache_.counters();
-  MutexLock lock(&publish_mu_);
-  collector->Add("index.cache.hits", now.hits - published_.hits);
-  collector->Add("index.cache.misses", now.misses - published_.misses);
-  collector->Add("index.cache.stores", now.stores - published_.stores);
-  collector->Add("index.cache.evictions",
-                 now.evictions - published_.evictions);
-  published_ = now;
-}
-
 }  // namespace netclus

@@ -18,8 +18,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "common/mutex.h"
-#include "common/stats.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "graph/accelerator.h"
@@ -112,11 +110,6 @@ class DistanceIndex : public DistanceAccelerator {
 
   IndexStats Stats() const;
 
-  /// Adds the counter deltas since the previous PublishStats call to
-  /// `collector` under "index.cache.*" names.
-  void PublishStats(StatsCollector* collector) const
-      NETCLUS_EXCLUDES(publish_mu_);
-
   const LandmarkOracle& landmarks() const { return landmarks_; }
   const DistanceCache& cache() const { return cache_; }
   const IndexOptions& options() const { return options_; }
@@ -129,14 +122,6 @@ class DistanceIndex : public DistanceAccelerator {
   IndexOptions options_;
   LandmarkOracle landmarks_;
   DistanceCache cache_;
-
-  // Rank kStatsPublish: held across the StatsCollector flush, so it
-  // must rank below the registry lock and above everything the counter
-  // read could touch (the cache shard locks are released before the
-  // flush starts).
-  mutable Mutex publish_mu_{lock_rank::kStatsPublish,
-                            "DistanceIndex::publish_mu_"};
-  mutable DistanceCache::Counters published_ NETCLUS_GUARDED_BY(publish_mu_);
 };
 
 }  // namespace netclus

@@ -273,42 +273,4 @@ TcpServerStats TcpServer::stats() const {
   return out;
 }
 
-void TcpServer::PublishStats(StatsCollector* collector) const {
-  const TcpServerStats now = stats();
-  MutexLock lock(&publish_stats_mu_);
-  auto delta = [](uint64_t cur, uint64_t* prev) {
-    uint64_t d = cur - *prev;
-    *prev = cur;
-    return d;
-  };
-  collector->Add(
-      "net.connections_accepted",
-      delta(now.connections_accepted, &published_stats_.connections_accepted));
-  collector->Add(
-      "net.connections_refused",
-      delta(now.connections_refused, &published_stats_.connections_refused));
-  collector->Add(
-      "net.connections_closed",
-      delta(now.connections_closed, &published_stats_.connections_closed));
-  collector->Add("net.idle_disconnects", delta(now.idle_disconnects,
-                                               &published_stats_.idle_disconnects));
-  collector->Add("net.frames_read",
-                 delta(now.frames_read, &published_stats_.frames_read));
-  collector->Add("net.frames_written",
-                 delta(now.frames_written, &published_stats_.frames_written));
-  collector->Add("net.corrupt_frames",
-                 delta(now.corrupt_frames, &published_stats_.corrupt_frames));
-  collector->Add("net.protocol_errors",
-                 delta(now.protocol_errors, &published_stats_.protocol_errors));
-  collector->Add("net.queries", delta(now.queries, &published_stats_.queries));
-  collector->Add("net.healthz_probes",
-                 delta(now.healthz_probes, &published_stats_.healthz_probes));
-  collector->Add("net.bytes_read",
-                 delta(now.bytes_read, &published_stats_.bytes_read));
-  collector->Add("net.bytes_written",
-                 delta(now.bytes_written, &published_stats_.bytes_written));
-  // Gauge, not a counter: overwritten with the point-in-time count.
-  collector->Set("net.open_connections", now.open_connections);
-}
-
 }  // namespace netclus

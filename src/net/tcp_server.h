@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "common/mutex.h"
-#include "common/stats.h"
 #include "common/status.h"
 #include "net/socket.h"
 #include "net/wire.h"
@@ -104,9 +103,6 @@ class TcpServer {
 
   TcpServerStats stats() const;
 
-  /// Adds the monotonic counters to `collector` under "net.*" names.
-  void PublishStats(StatsCollector* collector) const;
-
  private:
   /// One live connection: its socket plus the reader thread draining it.
   struct Connection {
@@ -146,13 +142,6 @@ class TcpServer {
       NETCLUS_GUARDED_BY(mu_);
   bool stopping_ NETCLUS_GUARDED_BY(mu_) = false;
   TcpServerStats counters_ NETCLUS_GUARDED_BY(mu_);
-
-  // PublishStats delta tracking (same pattern as QueryServer; the two
-  // publication locks are never held together).
-  mutable Mutex publish_stats_mu_{lock_rank::kStatsPublish,
-                                  "TcpServer::publish_stats_mu_"};
-  mutable TcpServerStats published_stats_
-      NETCLUS_GUARDED_BY(publish_stats_mu_);
 
   std::thread acceptor_;
 };

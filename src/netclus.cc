@@ -6,7 +6,6 @@
 #include <optional>
 #include <type_traits>
 
-#include "common/stats.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/validate.h"
@@ -188,10 +187,7 @@ Result<ClusterOutput> RunOnGraph(const NetworkView& view, const Graph& graph,
     // error the algorithm's region never touched.
     NETCLUS_RETURN_IF_ERROR(view.status());
   }
-  if (index != nullptr) {
-    out.index_stats = index->Stats();
-    index->PublishStats(&StatsCollector::Global());
-  }
+  if (index != nullptr) out.index_stats = index->Stats();
   out.wall_seconds = timer.ElapsedSeconds();
   return out;
 }

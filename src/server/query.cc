@@ -137,60 +137,61 @@ Status ExecuteQueryInto(const NetworkView& view, const FrozenGraph* frozen,
 
   // Validation proved both ids resolve; from here the traversal runs on
   // this epoch's dense numbering and only the results translate back.
+  // One body serves both traversal graphs: the snapshot when there is
+  // one, the view itself otherwise (bit-identical results).
   const PointId pa = ResolveObject(ids, req.a, view.num_points());
-  switch (req.kind) {
-    case QueryKind::kPointDistance: {
-      const PointId pb = ResolveObject(ids, req.b, view.num_points());
-      // The accelerated overloads fall back to the exact path on a null
-      // accel; with the default threshold (kInfDist) they always return
-      // the exact distance, so accel on/off cannot change the payload.
-      out->distance = frozen ? PointNetworkDistance(view, *frozen, pa, pb, ws,
-                                                    accel)
-                             : PointNetworkDistance(view, pa, pb, ws, accel);
-      break;
+  auto execute = [&](const auto& graph) {
+    switch (req.kind) {
+      case QueryKind::kPointDistance: {
+        const PointId pb = ResolveObject(ids, req.b, view.num_points());
+        // With the default threshold (kInfDist) the accelerated path
+        // always returns the exact distance, so accel on/off cannot
+        // change the payload.
+        out->distance = PointNetworkDistance(view, graph, pa, pb, ws, accel);
+        break;
+      }
+      case QueryKind::kRange: {
+        std::vector<RangeResult>* raw = RawResultScratch();
+        raw->clear();
+        RangeQuery(view, graph, pa, req.eps, ws, raw);
+        out->results.reserve(raw->size());
+        for (const RangeResult& r : *raw) {
+          out->results.push_back(
+              QueryResult{ObjectOfPoint(ids, r.id), r.dist});
+        }
+        // The graph traversal emits in settle or dense-id order, neither
+        // of which survives renumbering; canonicalize on the durable ids
+        // so every execution style — and every epoch — agrees.
+        std::sort(out->results.begin(), out->results.end(),
+                  [](const QueryResult& a, const QueryResult& b) {
+                    return a.id < b.id;
+                  });
+        break;
+      }
+      case QueryKind::kNearestObject: {
+        std::vector<RangeResult>* raw = RawResultScratch();
+        raw->clear();
+        // Already ordered by (distance, settle order) — that order is the
+        // answer; translation preserves it.
+        KNearestNeighbors(view, graph, pa, req.k, ws, raw);
+        out->results.reserve(raw->size());
+        for (const RangeResult& r : *raw) {
+          out->results.push_back(
+              QueryResult{ObjectOfPoint(ids, r.id), r.dist});
+        }
+        break;
+      }
+      case QueryKind::kClusterMembership:
+        out->cluster_id = clusters->clustering.assignment[pa];
+        break;
+      case QueryKind::kHealthz:
+        break;  // unreachable — rejected by validation
     }
-    case QueryKind::kRange: {
-      std::vector<RangeResult>* raw = RawResultScratch();
-      raw->clear();
-      if (frozen) {
-        RangeQuery(view, *frozen, pa, req.eps, ws, raw);
-      } else {
-        RangeQuery(view, pa, req.eps, ws, raw);
-      }
-      out->results.reserve(raw->size());
-      for (const RangeResult& r : *raw) {
-        out->results.push_back(QueryResult{ObjectOfPoint(ids, r.id), r.dist});
-      }
-      // The graph overloads emit in settle or dense-id order, neither of
-      // which survives renumbering; canonicalize on the durable ids so
-      // every execution style — and every epoch — agrees.
-      std::sort(out->results.begin(), out->results.end(),
-                [](const QueryResult& a, const QueryResult& b) {
-                  return a.id < b.id;
-                });
-      break;
-    }
-    case QueryKind::kNearestObject: {
-      std::vector<RangeResult>* raw = RawResultScratch();
-      raw->clear();
-      // Already ordered by (distance, settle order) — that order is the
-      // answer; translation preserves it.
-      if (frozen) {
-        KNearestNeighbors(view, *frozen, pa, req.k, ws, raw);
-      } else {
-        KNearestNeighbors(view, pa, req.k, ws, raw);
-      }
-      out->results.reserve(raw->size());
-      for (const RangeResult& r : *raw) {
-        out->results.push_back(QueryResult{ObjectOfPoint(ids, r.id), r.dist});
-      }
-      break;
-    }
-    case QueryKind::kClusterMembership:
-      out->cluster_id = clusters->clustering.assignment[pa];
-      break;
-    case QueryKind::kHealthz:
-      break;  // unreachable — rejected by validation
+  };
+  if (frozen != nullptr) {
+    execute(*frozen);
+  } else {
+    execute(view);
   }
   if (ws->cancel.triggered) {
     // The traversal abandoned work mid-expansion; whatever landed in

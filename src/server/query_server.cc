@@ -442,8 +442,8 @@ Status QueryServer::PublishWorld(const std::vector<NetworkUpdate>* batch) {
   // the serving adjacency does not produce.
   if (options_.cache_capacity > 0 &&
       (metric_changed || live_cache_ == nullptr)) {
-    live_cache_ = std::make_shared<const DistanceCache>(
-        options_.cache_capacity, options_.cache_shards);
+    live_cache_ =
+        std::make_shared<const DistanceCache>(options_.cache_capacity);
   }
   prev.reset();
   epochs_.Publish(std::move(graph), std::move(points), std::move(clusters),
@@ -1139,67 +1139,6 @@ ServerStats QueryServer::stats() const {
     s.queue_depth = queue_.size();
   }
   return s;
-}
-
-void QueryServer::PublishStats(StatsCollector* collector) const {
-  ServerStats now = stats();
-  MutexLock lock(&publish_stats_mu_);
-  auto delta = [](uint64_t cur, uint64_t* prev) {
-    uint64_t d = cur - *prev;
-    *prev = cur;
-    return d;
-  };
-  collector->Add("server.accepted",
-                 delta(now.accepted, &published_stats_.accepted));
-  collector->Add("server.rejected",
-                 delta(now.rejected, &published_stats_.rejected));
-  collector->Add("server.completed",
-                 delta(now.completed, &published_stats_.completed));
-  collector->Add("server.batches", delta(now.batches, &published_stats_.batches));
-  collector->Add("server.epochs_published",
-                 delta(now.epochs_published, &published_stats_.epochs_published));
-  collector->Add("server.epochs_drained",
-                 delta(now.epochs_drained, &published_stats_.epochs_drained));
-  collector->Add("server.replay_batches",
-                 delta(now.replay_batches, &published_stats_.replay_batches));
-  collector->Add(
-      "server.replay_mismatches",
-      delta(now.replay_mismatches, &published_stats_.replay_mismatches));
-  collector->Add("server.deadline_expired",
-                 delta(now.deadline_expired, &published_stats_.deadline_expired));
-  collector->Add(
-      "server.cancelled_traversals",
-      delta(now.cancelled_traversals, &published_stats_.cancelled_traversals));
-  collector->Add("server.wal_records",
-                 delta(now.wal_records, &published_stats_.wal_records));
-  collector->Add("server.wal_recoveries",
-                 delta(now.wal_recoveries, &published_stats_.wal_recoveries));
-  collector->Add(
-      "server.publish_failures",
-      delta(now.publish_failures, &published_stats_.publish_failures));
-  collector->Add("server.publishes_full",
-                 delta(now.publishes_full, &published_stats_.publishes_full));
-  collector->Add("server.publishes_incremental",
-                 delta(now.publishes_incremental,
-                       &published_stats_.publishes_incremental));
-  collector->Add(
-      "server.reclusters_full",
-      delta(now.reclusters_full, &published_stats_.reclusters_full));
-  collector->Add("server.reclusters_incremental",
-                 delta(now.reclusters_incremental,
-                       &published_stats_.reclusters_incremental));
-  collector->Add(
-      "server.checkpoints_written",
-      delta(now.checkpoints_written, &published_stats_.checkpoints_written));
-  collector->Add(
-      "server.checkpoint_failures",
-      delta(now.checkpoint_failures, &published_stats_.checkpoint_failures));
-  // Gauges, not counters: overwritten with the point-in-time values.
-  collector->Set("server.queue_depth", now.queue_depth);
-  collector->Set("server.wal_checkpoint_covers", now.wal_checkpoint_covers);
-  const double recluster_us = now.mean_recluster_ms * 1e3;
-  collector->Set("server.mean_recluster_us",
-                 static_cast<uint64_t>(std::llround(recluster_us)));
 }
 
 std::vector<double> QueryServer::QueueWaitSamplesMs() const {

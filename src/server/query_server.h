@@ -118,9 +118,9 @@ struct QueryServerOptions {
   /// ObjectId-keyed point-pair distance cache: each snapshot carries a
   /// cache of this capacity, SHARED with its predecessor across
   /// metric-preserving publishes (warm entries survive) and replaced
-  /// fresh whenever edge weights change; 0 disables caching.
+  /// fresh whenever edge weights change; 0 disables caching. The cache
+  /// keeps DistanceCache's default shard count.
   size_t cache_capacity = 1 << 16;
-  uint32_t cache_shards = 16;
   /// Merge new points into the retiring epoch's PointSet and splice
   /// untouched CSR rows from its snapshot instead of rebuilding both
   /// from scratch on every publish, and (ε-Link specs) keep the
@@ -305,9 +305,6 @@ class QueryServer {
   HealthReport Healthz() const;
 
   ServerStats stats() const;
-
-  /// Adds the monotonic counters to `collector` under "server.*" names.
-  void PublishStats(StatsCollector* collector) const;
 
   /// Queue-wait samples (ms) of the most recent requests (bounded ring;
   /// the raw material for client-side percentiles in the bench).
@@ -548,12 +545,6 @@ class QueryServer {
   size_t outcome_next_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
   bool outcome_full_ NETCLUS_GUARDED_BY(stats_mu_) = false;
   size_t outcome_misses_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
-
-  // PublishStats delta tracking (same pattern as DistanceIndex; same
-  // rank — the two publication locks are never held together).
-  mutable Mutex publish_stats_mu_{lock_rank::kStatsPublish,
-                                  "QueryServer::publish_stats_mu_"};
-  mutable ServerStats published_stats_ NETCLUS_GUARDED_BY(publish_stats_mu_);
 
   std::thread dispatcher_;
   std::thread updater_;

@@ -97,51 +97,6 @@ int LeafLowerBound(const char* p, uint64_t key) {
   return lo;
 }
 
-struct Entry {
-  uint64_t key;
-  uint64_t val;
-};
-
-std::vector<Entry> ReadLeafEntries(const char* p) {
-  int n = NumKeys(p);
-  std::vector<Entry> out(n);
-  for (int i = 0; i < n; ++i) out[i] = {LeafKey(p, i), LeafVal(p, i)};
-  return out;
-}
-
-void WriteLeafEntries(char* p, const std::vector<Entry>& entries, size_t lo,
-                      size_t hi) {
-  SetNumKeys(p, static_cast<uint16_t>(hi - lo));
-  for (size_t i = lo; i < hi; ++i) {
-    SetLeafEntry(p, static_cast<int>(i - lo), entries[i].key, entries[i].val);
-  }
-}
-
-struct InternalContent {
-  std::vector<uint64_t> keys;
-  std::vector<PageId> children;  // keys.size() + 1
-};
-
-InternalContent ReadInternal(const char* p) {
-  InternalContent c;
-  int n = NumKeys(p);
-  c.keys.resize(n);
-  c.children.resize(n + 1);
-  for (int i = 0; i < n; ++i) c.keys[i] = InternalKey(p, i);
-  for (int i = 0; i <= n; ++i) c.children[i] = InternalChild(p, i);
-  return c;
-}
-
-void WriteInternal(char* p, const InternalContent& c, size_t key_lo,
-                   size_t key_hi) {
-  SetNumKeys(p, static_cast<uint16_t>(key_hi - key_lo));
-  SetInternalChild(p, 0, c.children[key_lo]);
-  for (size_t i = key_lo; i < key_hi; ++i) {
-    SetInternalKey(p, static_cast<int>(i - key_lo), c.keys[i]);
-    SetInternalChild(p, static_cast<int>(i - key_lo) + 1, c.children[i + 1]);
-  }
-}
-
 }  // namespace
 
 BPlusTree::BPlusTree(BufferManager* bm, FileId file) : bm_(bm), file_(file) {}
@@ -239,244 +194,6 @@ Result<uint64_t> BPlusTree::Get(uint64_t key) const {
   int i = LeafLowerBound(p, key);
   if (i < NumKeys(p) && LeafKey(p, i) == key) return LeafVal(p, i);
   return Status::NotFound("key not in tree");
-}
-
-Status BPlusTree::InsertRec(PageId node, uint64_t key, uint64_t value,
-                            SplitResult* split, bool* inserted_new) {
-  Result<PageHandle> h = bm_->FetchPage(file_, node);
-  if (!h.ok()) return h.status();
-  char* p = h.value().data();
-
-  if (NodeKind(p) == kLeaf) {
-    int i = LeafLowerBound(p, key);
-    int n = NumKeys(p);
-    if (i < n && LeafKey(p, i) == key) {
-      SetLeafEntry(p, i, key, value);
-      h.value().MarkDirty();
-      *inserted_new = false;
-      return Status::OK();
-    }
-    *inserted_new = true;
-    if (n < static_cast<int>(leaf_capacity())) {
-      std::memmove(p + kLeafHeader + (i + 1) * kLeafEntry,
-                   p + kLeafHeader + i * kLeafEntry, (n - i) * kLeafEntry);
-      SetLeafEntry(p, i, key, value);
-      SetNumKeys(p, static_cast<uint16_t>(n + 1));
-      h.value().MarkDirty();
-      return Status::OK();
-    }
-    // Split the full leaf.
-    std::vector<Entry> entries = ReadLeafEntries(p);
-    entries.insert(entries.begin() + i, Entry{key, value});
-    Result<PageHandle> right = bm_->NewPage(file_);
-    if (!right.ok()) return right.status();
-    char* rp = right.value().data();
-    size_t mid = entries.size() / 2;
-    SetKind(rp, kLeaf);
-    SetLeafNext(rp, LeafNext(p));
-    WriteLeafEntries(rp, entries, mid, entries.size());
-    right.value().MarkDirty();
-    SetLeafNext(p, right.value().page_id());
-    WriteLeafEntries(p, entries, 0, mid);
-    h.value().MarkDirty();
-    split->did_split = true;
-    split->separator = entries[mid].key;
-    split->right = right.value().page_id();
-    return Status::OK();
-  }
-
-  // Internal node.
-  int idx = ChildIndex(p, key);
-  PageId child = InternalChild(p, idx);
-  SplitResult child_split;
-  NETCLUS_RETURN_IF_ERROR(
-      InsertRec(child, key, value, &child_split, inserted_new));
-  if (!child_split.did_split) return Status::OK();
-
-  int n = NumKeys(p);
-  if (n < static_cast<int>(internal_capacity())) {
-    // Shift (key, right-child) pairs one slot to the right.
-    std::memmove(p + kInternalHeader + (idx + 1) * kInternalEntry,
-                 p + kInternalHeader + idx * kInternalEntry,
-                 (n - idx) * kInternalEntry);
-    SetInternalKey(p, idx, child_split.separator);
-    SetInternalChild(p, idx + 1, child_split.right);
-    SetNumKeys(p, static_cast<uint16_t>(n + 1));
-    h.value().MarkDirty();
-    return Status::OK();
-  }
-  // Split the full internal node; the middle key moves up.
-  InternalContent c = ReadInternal(p);
-  c.keys.insert(c.keys.begin() + idx, child_split.separator);
-  c.children.insert(c.children.begin() + idx + 1, child_split.right);
-  size_t mid = c.keys.size() / 2;
-  Result<PageHandle> right = bm_->NewPage(file_);
-  if (!right.ok()) return right.status();
-  char* rp = right.value().data();
-  SetKind(rp, kInternal);
-  WriteInternal(rp, c, mid + 1, c.keys.size());
-  right.value().MarkDirty();
-  WriteInternal(p, c, 0, mid);
-  h.value().MarkDirty();
-  split->did_split = true;
-  split->separator = c.keys[mid];
-  split->right = right.value().page_id();
-  return Status::OK();
-}
-
-Status BPlusTree::Insert(uint64_t key, uint64_t value) {
-  SplitResult split;
-  bool inserted_new = false;
-  NETCLUS_RETURN_IF_ERROR(InsertRec(root_, key, value, &split, &inserted_new));
-  if (split.did_split) {
-    Result<PageHandle> new_root = bm_->NewPage(file_);
-    if (!new_root.ok()) return new_root.status();
-    char* p = new_root.value().data();
-    SetKind(p, kInternal);
-    SetNumKeys(p, 1);
-    SetInternalChild(p, 0, root_);
-    SetInternalKey(p, 0, split.separator);
-    SetInternalChild(p, 1, split.right);
-    new_root.value().MarkDirty();
-    root_ = new_root.value().page_id();
-    ++height_;
-  }
-  if (inserted_new) ++count_;
-  return WriteMeta();
-}
-
-Status BPlusTree::RebalanceChild(PageHandle& parent, int child_idx) {
-  char* pp = parent.data();
-  int n = NumKeys(pp);
-  // Prefer the left sibling; the leftmost child uses its right sibling.
-  int left_idx = child_idx > 0 ? child_idx - 1 : child_idx;
-  int right_idx = left_idx + 1;
-  Result<PageHandle> lh = bm_->FetchPage(file_, InternalChild(pp, left_idx));
-  if (!lh.ok()) return lh.status();
-  Result<PageHandle> rh = bm_->FetchPage(file_, InternalChild(pp, right_idx));
-  if (!rh.ok()) return rh.status();
-  char* lp = lh.value().data();
-  char* rp = rh.value().data();
-  bool leaf = NodeKind(lp) == kLeaf;
-  uint32_t min_keys = (leaf ? leaf_capacity() : internal_capacity()) / 2;
-  // `donor` is the sibling of the underflowing child.
-  bool child_is_left = (left_idx == child_idx);
-  char* donor = child_is_left ? rp : lp;
-
-  if (NumKeys(donor) > min_keys) {
-    // Borrow one entry through the parent separator.
-    if (leaf) {
-      std::vector<Entry> le = ReadLeafEntries(lp);
-      std::vector<Entry> re = ReadLeafEntries(rp);
-      if (child_is_left) {
-        le.push_back(re.front());
-        re.erase(re.begin());
-      } else {
-        re.insert(re.begin(), le.back());
-        le.pop_back();
-      }
-      WriteLeafEntries(lp, le, 0, le.size());
-      WriteLeafEntries(rp, re, 0, re.size());
-      SetInternalKey(pp, left_idx, re.front().key);
-    } else {
-      InternalContent lc = ReadInternal(lp);
-      InternalContent rc = ReadInternal(rp);
-      uint64_t sep = InternalKey(pp, left_idx);
-      if (child_is_left) {
-        lc.keys.push_back(sep);
-        lc.children.push_back(rc.children.front());
-        SetInternalKey(pp, left_idx, rc.keys.front());
-        rc.keys.erase(rc.keys.begin());
-        rc.children.erase(rc.children.begin());
-      } else {
-        rc.keys.insert(rc.keys.begin(), sep);
-        rc.children.insert(rc.children.begin(), lc.children.back());
-        SetInternalKey(pp, left_idx, lc.keys.back());
-        lc.keys.pop_back();
-        lc.children.pop_back();
-      }
-      WriteInternal(lp, lc, 0, lc.keys.size());
-      WriteInternal(rp, rc, 0, rc.keys.size());
-    }
-    lh.value().MarkDirty();
-    rh.value().MarkDirty();
-    parent.MarkDirty();
-    return Status::OK();
-  }
-
-  // Merge right into left, then drop the separator from the parent.
-  if (leaf) {
-    std::vector<Entry> le = ReadLeafEntries(lp);
-    std::vector<Entry> re = ReadLeafEntries(rp);
-    le.insert(le.end(), re.begin(), re.end());
-    SetLeafNext(lp, LeafNext(rp));
-    WriteLeafEntries(lp, le, 0, le.size());
-  } else {
-    InternalContent lc = ReadInternal(lp);
-    InternalContent rc = ReadInternal(rp);
-    lc.keys.push_back(InternalKey(pp, left_idx));
-    lc.keys.insert(lc.keys.end(), rc.keys.begin(), rc.keys.end());
-    lc.children.insert(lc.children.end(), rc.children.begin(),
-                       rc.children.end());
-    WriteInternal(lp, lc, 0, lc.keys.size());
-  }
-  lh.value().MarkDirty();
-  // Remove separator `left_idx` and child `right_idx` from the parent.
-  std::memmove(pp + kInternalHeader + left_idx * kInternalEntry,
-               pp + kInternalHeader + right_idx * kInternalEntry,
-               (n - right_idx) * kInternalEntry);
-  SetNumKeys(pp, static_cast<uint16_t>(n - 1));
-  parent.MarkDirty();
-  // The right page is now orphaned; a production system would return it to
-  // a free list. Space reuse is out of scope for these experiments.
-  return Status::OK();
-}
-
-Status BPlusTree::DeleteRec(PageId node, uint64_t key, bool* underflow) {
-  Result<PageHandle> h = bm_->FetchPage(file_, node);
-  if (!h.ok()) return h.status();
-  char* p = h.value().data();
-
-  if (NodeKind(p) == kLeaf) {
-    int i = LeafLowerBound(p, key);
-    int n = NumKeys(p);
-    if (i >= n || LeafKey(p, i) != key) {
-      return Status::NotFound("key not in tree");
-    }
-    std::memmove(p + kLeafHeader + i * kLeafEntry,
-                 p + kLeafHeader + (i + 1) * kLeafEntry,
-                 (n - i - 1) * kLeafEntry);
-    SetNumKeys(p, static_cast<uint16_t>(n - 1));
-    h.value().MarkDirty();
-    --count_;
-    *underflow = static_cast<uint32_t>(n - 1) < leaf_capacity() / 2;
-    return Status::OK();
-  }
-
-  int idx = ChildIndex(p, key);
-  bool child_underflow = false;
-  NETCLUS_RETURN_IF_ERROR(
-      DeleteRec(InternalChild(p, idx), key, &child_underflow));
-  if (child_underflow) {
-    NETCLUS_RETURN_IF_ERROR(RebalanceChild(h.value(), idx));
-  }
-  *underflow = NumKeys(p) < internal_capacity() / 2;
-  return Status::OK();
-}
-
-Status BPlusTree::Delete(uint64_t key) {
-  bool underflow = false;
-  NETCLUS_RETURN_IF_ERROR(DeleteRec(root_, key, &underflow));
-  // Collapse an empty internal root.
-  if (height_ > 1) {
-    Result<PageHandle> h = bm_->FetchPage(file_, root_);
-    if (!h.ok()) return h.status();
-    if (NumKeys(h.value().data()) == 0) {
-      root_ = InternalChild(h.value().data(), 0);
-      --height_;
-    }
-  }
-  return WriteMeta();
 }
 
 Result<std::pair<uint64_t, uint64_t>> BPlusTree::FloorEntry(

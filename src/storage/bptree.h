@@ -2,7 +2,8 @@
 //
 // The paper's storage architecture (Section 4.1) indexes the adjacency-list
 // flat file by node id and the points flat file by the first point id of
-// each point group, both with sparse B+-trees. FloorEntry() implements the
+// each point group, both with sparse B+-trees. Both files are static, so a
+// tree is bulk-loaded once and then only read. FloorEntry() implements the
 // "sparse" lookup: the greatest indexed key <= the probe (e.g., point id ->
 // containing point group).
 #ifndef NETCLUS_STORAGE_BPTREE_H_
@@ -23,8 +24,8 @@ namespace netclus {
 ///
 /// All nodes live in a dedicated PagedFile accessed through a
 /// BufferManager; page 0 is a metadata page holding the root pointer,
-/// height and entry count. Inserts upsert; deletes rebalance (borrow or
-/// merge) so invariants hold under arbitrary workloads.
+/// height and entry count. The tree is built once by BulkLoad and read
+/// thereafter; there is no insert or delete path.
 class BPlusTree {
  public:
   /// Initializes a fresh tree in `file`, which must be empty.
@@ -35,14 +36,8 @@ class BPlusTree {
   static Result<std::unique_ptr<BPlusTree>> Open(BufferManager* bm,
                                                  FileId file);
 
-  /// Inserts `key` -> `value`, overwriting any existing value.
-  Status Insert(uint64_t key, uint64_t value);
-
   /// Returns the value for `key`, or NotFound.
   Result<uint64_t> Get(uint64_t key) const;
-
-  /// Removes `key`; NotFound if absent.
-  Status Delete(uint64_t key);
 
   /// Returns the entry with the greatest key <= `key`, or NotFound when
   /// every key in the tree is greater than `key`.
@@ -72,19 +67,6 @@ class BPlusTree {
 
   // Descends to the leaf that may contain `key`; returns a pinned handle.
   Result<PageHandle> FindLeaf(uint64_t key) const;
-
-  struct SplitResult {
-    bool did_split = false;
-    uint64_t separator = 0;   // smallest key in the new right sibling
-    PageId right = kInvalidPageId;
-  };
-  Status InsertRec(PageId node, uint64_t key, uint64_t value,
-                   SplitResult* split, bool* inserted_new);
-
-  // Returns true (via *underflow) when `node` dropped below minimum
-  // occupancy and the parent must rebalance it.
-  Status DeleteRec(PageId node, uint64_t key, bool* underflow);
-  Status RebalanceChild(PageHandle& parent, int child_idx);
 
   uint32_t leaf_capacity() const;
   uint32_t internal_capacity() const;

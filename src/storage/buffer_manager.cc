@@ -28,7 +28,6 @@ PageHandle& PageHandle::operator=(PageHandle&& other) noexcept {
     bm_ = other.bm_;
     frame_ = other.frame_;
     data_ = other.data_;
-    file_id_ = other.file_id_;
     page_id_ = other.page_id_;
     other.bm_ = nullptr;
     other.data_ = nullptr;
@@ -176,7 +175,7 @@ Result<PageHandle> BufferManager::InstallPage(FileId file, PageId page,
   f.in_use = true;
   f.in_lru = false;
   page_table_[Key(file, page)] = frame;
-  return PageHandle(this, frame, f.data.get(), file, page);
+  return PageHandle(this, frame, f.data.get(), page);
 }
 
 Result<PageHandle> BufferManager::FetchPage(FileId file, PageId page) {
@@ -193,7 +192,7 @@ Result<PageHandle> BufferManager::FetchPage(FileId file, PageId page) {
       f.in_lru = false;
     }
     ++f.pins;
-    return PageHandle(this, frame, f.data.get(), file, page);
+    return PageHandle(this, frame, f.data.get(), page);
   }
   ++stats_.misses;
   return InstallPage(file, page, /*read_from_disk=*/true);

@@ -74,7 +74,6 @@ class PageHandle {
   bool valid() const { return bm_ != nullptr; }
   char* data() const { return data_; }
   PageId page_id() const { return page_id_; }
-  FileId file_id() const { return file_id_; }
 
   /// Marks the page dirty; it will be written back before eviction/flush.
   void MarkDirty();
@@ -84,14 +83,12 @@ class PageHandle {
 
  private:
   friend class BufferManager;
-  PageHandle(BufferManager* bm, size_t frame, char* data, FileId file,
-             PageId page)
-      : bm_(bm), frame_(frame), data_(data), file_id_(file), page_id_(page) {}
+  PageHandle(BufferManager* bm, size_t frame, char* data, PageId page)
+      : bm_(bm), frame_(frame), data_(data), page_id_(page) {}
 
   BufferManager* bm_ = nullptr;
   size_t frame_ = 0;
   char* data_ = nullptr;
-  FileId file_id_ = 0;
   PageId page_id_ = kInvalidPageId;
 };
 
@@ -144,7 +141,6 @@ class BufferManager {
     sleep_micros_ = std::move(sleep_micros);
   }
 
-  size_t frame_count() const { return frames_.size(); }
   uint32_t page_size() const { return page_size_; }
   const BufferStats& stats() const { return stats_; }
   void ResetStats() { stats_ = BufferStats{}; }

@@ -1,5 +1,5 @@
-// Tests for the paged B+-tree, including randomized equivalence against
-// std::map across page sizes (TEST_P sweep).
+// Tests for the paged, bulk-loaded B+-tree, including randomized
+// equivalence against std::map across page sizes (TEST_P sweep).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -27,46 +27,46 @@ struct TreeFixture {
   std::unique_ptr<BPlusTree> tree;
 };
 
+// Keys 0, step, 2*step, ... (n of them), each mapped to `value(key)`.
+template <typename ValueFn>
+std::vector<std::pair<uint64_t, uint64_t>> Sequence(uint64_t n, uint64_t step,
+                                                   ValueFn value) {
+  std::vector<std::pair<uint64_t, uint64_t>> data;
+  data.reserve(n);
+  for (uint64_t i = 0; i < n; ++i) data.emplace_back(i * step, value(i * step));
+  return data;
+}
+
 TEST(BPlusTreeTest, EmptyTreeBehaviour) {
   TreeFixture f(4096);
   EXPECT_EQ(f.tree->size(), 0u);
   EXPECT_EQ(f.tree->height(), 1u);
   EXPECT_TRUE(f.tree->Get(1).status().IsNotFound());
-  EXPECT_TRUE(f.tree->Delete(1).IsNotFound());
   EXPECT_TRUE(f.tree->FloorEntry(10).status().IsNotFound());
   EXPECT_TRUE(f.tree->CheckInvariants().ok());
 }
 
-TEST(BPlusTreeTest, InsertGetSingle) {
+TEST(BPlusTreeTest, BulkLoadSingleEntry) {
   TreeFixture f(4096);
-  ASSERT_TRUE(f.tree->Insert(42, 99).ok());
+  ASSERT_TRUE(f.tree->BulkLoad({{42, 99}}).ok());
   Result<uint64_t> v = f.tree->Get(42);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v.value(), 99u);
   EXPECT_EQ(f.tree->size(), 1u);
+  EXPECT_EQ(f.tree->height(), 1u);
 }
 
-TEST(BPlusTreeTest, InsertOverwrites) {
-  TreeFixture f(4096);
-  ASSERT_TRUE(f.tree->Insert(7, 1).ok());
-  ASSERT_TRUE(f.tree->Insert(7, 2).ok());
-  EXPECT_EQ(f.tree->Get(7).value(), 2u);
-  EXPECT_EQ(f.tree->size(), 1u);
-}
-
-TEST(BPlusTreeTest, ManyInsertsForceSplits) {
+TEST(BPlusTreeTest, BulkLoadBuildsDeepTree) {
   TreeFixture f(256);  // tiny pages -> deep tree
-  const uint64_t n = 5000;
-  for (uint64_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(f.tree->Insert(i * 7919 % 100000, i).ok());
-  }
+  ASSERT_TRUE(
+      f.tree->BulkLoad(Sequence(5000, 7, [](uint64_t k) { return k; })).ok());
   EXPECT_GT(f.tree->height(), 2u);
   ASSERT_TRUE(f.tree->CheckInvariants().ok());
 }
 
 TEST(BPlusTreeTest, FloorEntrySemantics) {
   TreeFixture f(4096);
-  for (uint64_t k : {10, 20, 30}) ASSERT_TRUE(f.tree->Insert(k, k * 10).ok());
+  ASSERT_TRUE(f.tree->BulkLoad({{10, 100}, {20, 200}, {30, 300}}).ok());
   EXPECT_TRUE(f.tree->FloorEntry(5).status().IsNotFound());
   EXPECT_EQ(f.tree->FloorEntry(10).value().first, 10u);
   EXPECT_EQ(f.tree->FloorEntry(15).value().first, 10u);
@@ -81,7 +81,8 @@ TEST(BPlusTreeTest, FloorEntryAcrossLeafBoundaries) {
   // Dense even keys; floor of odd probes must be probe-1 everywhere,
   // including at leaf boundaries.
   const uint64_t n = 2000;
-  for (uint64_t i = 0; i < n; ++i) ASSERT_TRUE(f.tree->Insert(2 * i, i).ok());
+  ASSERT_TRUE(
+      f.tree->BulkLoad(Sequence(n, 2, [](uint64_t k) { return k / 2; })).ok());
   for (uint64_t probe = 1; probe < 2 * n; probe += 97) {
     auto fl = f.tree->FloorEntry(probe);
     ASSERT_TRUE(fl.ok());
@@ -91,7 +92,8 @@ TEST(BPlusTreeTest, FloorEntryAcrossLeafBoundaries) {
 
 TEST(BPlusTreeTest, ScanRange) {
   TreeFixture f(4096);
-  for (uint64_t i = 0; i < 100; ++i) ASSERT_TRUE(f.tree->Insert(i, i + 1).ok());
+  auto plus_one = [](uint64_t k) { return k + 1; };
+  ASSERT_TRUE(f.tree->BulkLoad(Sequence(100, 1, plus_one)).ok());
   std::vector<uint64_t> keys;
   ASSERT_TRUE(f.tree->Scan(10, 19, [&](uint64_t k, uint64_t v) {
     EXPECT_EQ(v, k + 1);
@@ -105,37 +107,13 @@ TEST(BPlusTreeTest, ScanRange) {
 
 TEST(BPlusTreeTest, ScanEarlyStop) {
   TreeFixture f(4096);
-  for (uint64_t i = 0; i < 100; ++i) ASSERT_TRUE(f.tree->Insert(i, i).ok());
+  ASSERT_TRUE(
+      f.tree->BulkLoad(Sequence(100, 1, [](uint64_t k) { return k; })).ok());
   int seen = 0;
   ASSERT_TRUE(f.tree->Scan(0, 99, [&](uint64_t, uint64_t) {
     return ++seen < 5;
   }).ok());
   EXPECT_EQ(seen, 5);
-}
-
-TEST(BPlusTreeTest, DeleteDownToEmpty) {
-  TreeFixture f(256);
-  const uint64_t n = 3000;
-  for (uint64_t i = 0; i < n; ++i) ASSERT_TRUE(f.tree->Insert(i, i).ok());
-  for (uint64_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(f.tree->Delete(i).ok()) << "key " << i;
-  }
-  EXPECT_EQ(f.tree->size(), 0u);
-  EXPECT_EQ(f.tree->height(), 1u);
-  EXPECT_TRUE(f.tree->CheckInvariants().ok());
-}
-
-TEST(BPlusTreeTest, DeleteReverseOrder) {
-  TreeFixture f(256);
-  const uint64_t n = 3000;
-  for (uint64_t i = 0; i < n; ++i) ASSERT_TRUE(f.tree->Insert(i, i).ok());
-  for (uint64_t i = n; i-- > 0;) {
-    ASSERT_TRUE(f.tree->Delete(i).ok());
-    if (i % 500 == 0) {
-      ASSERT_TRUE(f.tree->CheckInvariants().ok());
-    }
-  }
-  EXPECT_EQ(f.tree->size(), 0u);
 }
 
 TEST(BPlusTreeTest, BulkLoadThenLookups) {
@@ -156,7 +134,7 @@ TEST(BPlusTreeTest, BulkLoadRejectsUnsortedAndNonEmpty) {
   TreeFixture f(4096);
   EXPECT_TRUE(f.tree->BulkLoad({{5, 0}, {5, 1}}).IsInvalidArgument());
   EXPECT_TRUE(f.tree->BulkLoad({{5, 0}, {3, 1}}).IsInvalidArgument());
-  ASSERT_TRUE(f.tree->Insert(1, 1).ok());
+  ASSERT_TRUE(f.tree->BulkLoad({{1, 1}}).ok());
   EXPECT_TRUE(f.tree->BulkLoad({{2, 2}}).IsInvalidArgument());
 }
 
@@ -166,26 +144,15 @@ TEST(BPlusTreeTest, BulkLoadEmptyIsOk) {
   EXPECT_EQ(f.tree->size(), 0u);
 }
 
-TEST(BPlusTreeTest, BulkLoadedTreeSupportsMutation) {
-  TreeFixture f(512);
-  std::vector<std::pair<uint64_t, uint64_t>> data;
-  for (uint64_t i = 0; i < 2000; ++i) data.emplace_back(2 * i, i);
-  ASSERT_TRUE(f.tree->BulkLoad(data).ok());
-  for (uint64_t i = 0; i < 500; ++i) {
-    ASSERT_TRUE(f.tree->Insert(2 * i + 1, i).ok());
-    ASSERT_TRUE(f.tree->Delete(2 * i).ok());
-  }
-  ASSERT_TRUE(f.tree->CheckInvariants().ok());
-  EXPECT_EQ(f.tree->size(), 2000u);
-}
-
 TEST(BPlusTreeTest, PersistsAcrossReopen) {
   auto file = PagedFile::CreateInMemory(512);
   {
     BufferManager bm(64 * 512, 512);
     FileId fid = bm.RegisterFile(file.get());
     auto tree = std::move(BPlusTree::Create(&bm, fid).value());
-    for (uint64_t i = 0; i < 1000; ++i) ASSERT_TRUE(tree->Insert(i, i * i).ok());
+    ASSERT_TRUE(
+        tree->BulkLoad(Sequence(1000, 1, [](uint64_t k) { return k * k; }))
+            .ok());
     ASSERT_TRUE(bm.FlushAll().ok());
   }
   {
@@ -199,63 +166,70 @@ TEST(BPlusTreeTest, PersistsAcrossReopen) {
   }
 }
 
-// ---- Property sweep: random interleaved workloads vs std::map, across
-// page sizes (small pages stress splits/merges; 4096 is the real config).
+// ---- Property sweep: random key sets bulk-loaded and probed with
+// random Get / FloorEntry / Scan calls vs std::map, across page sizes
+// (small pages give deep trees; 4096 is the real config).
 class BPlusTreeParamTest : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(BPlusTreeParamTest, MatchesStdMapUnderRandomWorkload) {
   const uint32_t page_size = GetParam();
-  TreeFixture f(page_size, /*pool_pages=*/128);
-  std::map<uint64_t, uint64_t> shadow;
   Rng rng(page_size);  // distinct workload per page size
-  const int kOps = 6000;
-  for (int op = 0; op < kOps; ++op) {
-    uint64_t key = rng.NextBounded(2000);
-    double dice = rng.NextDouble();
-    if (dice < 0.5) {
-      uint64_t val = rng.Next();
-      ASSERT_TRUE(f.tree->Insert(key, val).ok());
-      shadow[key] = val;
-    } else if (dice < 0.75) {
-      Status st = f.tree->Delete(key);
-      if (shadow.erase(key) > 0) {
-        ASSERT_TRUE(st.ok());
+  for (int round = 0; round < 4; ++round) {
+    TreeFixture f(page_size, /*pool_pages=*/128);
+    std::map<uint64_t, uint64_t> shadow;
+    const uint64_t n = rng.NextBounded(3000);
+    while (shadow.size() < n) shadow[rng.NextBounded(100000)] = rng.Next();
+    ASSERT_TRUE(f.tree
+                    ->BulkLoad(std::vector<std::pair<uint64_t, uint64_t>>(
+                        shadow.begin(), shadow.end()))
+                    .ok());
+    ASSERT_EQ(f.tree->size(), shadow.size());
+    ASSERT_TRUE(f.tree->CheckInvariants().ok());
+    for (int op = 0; op < 1500; ++op) {
+      uint64_t key = rng.NextBounded(100100);
+      double dice = rng.NextDouble();
+      if (dice < 0.4) {
+        Result<uint64_t> got = f.tree->Get(key);
+        auto it = shadow.find(key);
+        if (it == shadow.end()) {
+          ASSERT_TRUE(got.status().IsNotFound());
+        } else {
+          ASSERT_TRUE(got.ok());
+          ASSERT_EQ(got.value(), it->second);
+        }
+      } else if (dice < 0.8) {
+        Result<std::pair<uint64_t, uint64_t>> fl = f.tree->FloorEntry(key);
+        auto it = shadow.upper_bound(key);
+        if (it == shadow.begin()) {
+          ASSERT_TRUE(fl.status().IsNotFound());
+        } else {
+          --it;
+          ASSERT_TRUE(fl.ok());
+          ASSERT_EQ(fl.value().first, it->first);
+          ASSERT_EQ(fl.value().second, it->second);
+        }
       } else {
-        ASSERT_TRUE(st.IsNotFound());
-      }
-    } else if (dice < 0.9) {
-      Result<uint64_t> got = f.tree->Get(key);
-      auto it = shadow.find(key);
-      if (it == shadow.end()) {
-        ASSERT_TRUE(got.status().IsNotFound());
-      } else {
-        ASSERT_TRUE(got.ok());
-        ASSERT_EQ(got.value(), it->second);
-      }
-    } else {
-      Result<std::pair<uint64_t, uint64_t>> fl = f.tree->FloorEntry(key);
-      auto it = shadow.upper_bound(key);
-      if (it == shadow.begin()) {
-        ASSERT_TRUE(fl.status().IsNotFound());
-      } else {
-        --it;
-        ASSERT_TRUE(fl.ok());
-        ASSERT_EQ(fl.value().first, it->first);
-        ASSERT_EQ(fl.value().second, it->second);
+        const uint64_t hi = key + rng.NextBounded(2000);
+        std::vector<std::pair<uint64_t, uint64_t>> scanned;
+        ASSERT_TRUE(f.tree->Scan(key, hi, [&](uint64_t k, uint64_t v) {
+          scanned.emplace_back(k, v);
+          return true;
+        }).ok());
+        std::vector<std::pair<uint64_t, uint64_t>> expect(
+            shadow.lower_bound(key), shadow.upper_bound(hi));
+        ASSERT_EQ(scanned, expect);
       }
     }
-    ASSERT_EQ(f.tree->size(), shadow.size());
+    // Full scan must equal the shadow in order.
+    std::vector<std::pair<uint64_t, uint64_t>> scanned;
+    ASSERT_TRUE(f.tree->Scan(0, UINT64_MAX, [&](uint64_t k, uint64_t v) {
+      scanned.emplace_back(k, v);
+      return true;
+    }).ok());
+    std::vector<std::pair<uint64_t, uint64_t>> expect(shadow.begin(),
+                                                      shadow.end());
+    EXPECT_EQ(scanned, expect);
   }
-  ASSERT_TRUE(f.tree->CheckInvariants().ok());
-  // Full scan must equal the shadow in order.
-  std::vector<std::pair<uint64_t, uint64_t>> scanned;
-  ASSERT_TRUE(f.tree->Scan(0, UINT64_MAX, [&](uint64_t k, uint64_t v) {
-    scanned.emplace_back(k, v);
-    return true;
-  }).ok());
-  std::vector<std::pair<uint64_t, uint64_t>> expect(shadow.begin(),
-                                                    shadow.end());
-  EXPECT_EQ(scanned, expect);
 }
 
 INSTANTIATE_TEST_SUITE_P(PageSizes, BPlusTreeParamTest,

@@ -29,11 +29,21 @@ TEST(NodeScratchTest, EpochInvalidatesWithoutClearing) {
   EXPECT_FALSE(s.Has(3));
 }
 
+// All-node distances from `sources` (kInfDist where unreachable).
+std::vector<double> Distances(const NetworkView& view,
+                              const std::vector<DijkstraSource>& sources) {
+  TraversalWorkspace ws(view.num_nodes());
+  DijkstraDistances(view, sources, &ws);
+  std::vector<double> d(view.num_nodes());
+  for (NodeId n = 0; n < view.num_nodes(); ++n) d[n] = ws.scratch.Get(n);
+  return d;
+}
+
 TEST(DijkstraTest, PathNetworkDistances) {
   Network net = MakePathNetwork(5, 2.0);
   PointSet empty;
   InMemoryNetworkView view(net, empty);
-  std::vector<double> d = DijkstraDistances(view, {{0, 0.0}});
+  std::vector<double> d = Distances(view, {{0, 0.0}});
   for (NodeId i = 0; i < 5; ++i) EXPECT_DOUBLE_EQ(d[i], 2.0 * i);
 }
 
@@ -41,7 +51,7 @@ TEST(DijkstraTest, MultiSourceTakesMinimum) {
   Network net = MakePathNetwork(5, 1.0);
   PointSet empty;
   InMemoryNetworkView view(net, empty);
-  std::vector<double> d = DijkstraDistances(view, {{0, 0.0}, {4, 0.5}});
+  std::vector<double> d = Distances(view, {{0, 0.0}, {4, 0.5}});
   EXPECT_DOUBLE_EQ(d[0], 0.0);
   EXPECT_DOUBLE_EQ(d[4], 0.5);
   EXPECT_DOUBLE_EQ(d[3], 1.5);
@@ -53,7 +63,7 @@ TEST(DijkstraTest, UnreachableIsInfinite) {
   ASSERT_TRUE(net.AddEdge(0, 1, 1.0).ok());
   PointSet empty;
   InMemoryNetworkView view(net, empty);
-  std::vector<double> d = DijkstraDistances(view, {{0, 0.0}});
+  std::vector<double> d = Distances(view, {{0, 0.0}});
   EXPECT_EQ(d[2], kInfDist);
 }
 
@@ -68,7 +78,7 @@ TEST(DijkstraTest, MatchesFloydWarshallOnRandomNetworks) {
     InMemoryNetworkView view(g.net, empty);
     auto brute = BruteNodeDistances(g.net);
     for (NodeId s = 0; s < g.net.num_nodes(); s += 7) {
-      std::vector<double> d = DijkstraDistances(view, {{s, 0.0}});
+      std::vector<double> d = Distances(view, {{s, 0.0}});
       for (NodeId t = 0; t < g.net.num_nodes(); ++t) {
         ASSERT_NEAR(d[t], brute[s][t], 1e-9)
             << "seed " << seed << " s=" << s << " t=" << t;
@@ -81,9 +91,9 @@ TEST(DijkstraTest, BoundedExpansionRespectsBound) {
   Network net = MakePathNetwork(10, 1.0);
   PointSet empty;
   InMemoryNetworkView view(net, empty);
-  NodeScratch scratch(10);
+  TraversalWorkspace ws(10);
   std::vector<NodeId> settled;
-  DijkstraExpandBounded(view, {{0, 0.0}}, 3.5, &scratch,
+  DijkstraExpandBounded(view, {{0, 0.0}}, 3.5, &ws,
                         [&](NodeId n, double d) {
                           EXPECT_LE(d, 3.5);
                           settled.push_back(n);
@@ -96,9 +106,9 @@ TEST(DijkstraTest, BoundedExpansionSettlesInOrder) {
   GeneratedNetwork g = GenerateRoadNetwork({100, 1.3, 0.3, 9});
   PointSet empty;
   InMemoryNetworkView view(g.net, empty);
-  NodeScratch scratch(g.net.num_nodes());
+  TraversalWorkspace ws(g.net.num_nodes());
   double last = 0.0;
-  DijkstraExpandBounded(view, {{0, 0.0}}, kInfDist, &scratch,
+  DijkstraExpandBounded(view, {{0, 0.0}}, kInfDist, &ws,
                         [&](NodeId, double d) {
                           EXPECT_GE(d, last);
                           last = d;
@@ -110,9 +120,9 @@ TEST(DijkstraTest, EarlyStopViaCallback) {
   Network net = MakePathNetwork(100, 1.0);
   PointSet empty;
   InMemoryNetworkView view(net, empty);
-  NodeScratch scratch(100);
+  TraversalWorkspace ws(100);
   int settles = 0;
-  DijkstraExpandBounded(view, {{0, 0.0}}, kInfDist, &scratch,
+  DijkstraExpandBounded(view, {{0, 0.0}}, kInfDist, &ws,
                         [&](NodeId, double) { return ++settles < 5; });
   EXPECT_EQ(settles, 5);
 }
@@ -139,10 +149,11 @@ TEST(PointDistanceTest, SameEdgeCanShortcutThroughNetwork) {
   b.Add(0, 1, 0.5, 0);  // near node 0
   b.Add(0, 1, 9.5, 1);  // near node 1
   PointSet ps = std::move(std::move(b).Build(net)).value();
-  InMemoryNetworkView view(net, ps);
-  NodeScratch scratch(3);
+  InMemoryNetworkView mem(net, ps);
+  const NetworkView& view = mem;
+  TraversalWorkspace ws(3);
   // Direct along the edge: 9.0. Via nodes 0-2-1: 0.5 + 2.0 + 0.5 = 3.0.
-  EXPECT_NEAR(PointNetworkDistance(view, 0, 1, &scratch), 3.0, 1e-12);
+  EXPECT_NEAR(PointNetworkDistance(view, view, 0, 1, &ws), 3.0, 1e-12);
 }
 
 TEST(PointDistanceTest, SelfDistanceIsZero) {
@@ -150,9 +161,10 @@ TEST(PointDistanceTest, SelfDistanceIsZero) {
   PointSetBuilder b;
   b.Add(0, 1, 2.0, 0);
   PointSet ps = std::move(std::move(b).Build(net)).value();
-  InMemoryNetworkView view(net, ps);
-  NodeScratch scratch(2);
-  EXPECT_DOUBLE_EQ(PointNetworkDistance(view, 0, 0, &scratch), 0.0);
+  InMemoryNetworkView mem(net, ps);
+  const NetworkView& view = mem;
+  TraversalWorkspace ws(2);
+  EXPECT_DOUBLE_EQ(PointNetworkDistance(view, view, 0, 0, &ws), 0.0);
 }
 
 class PointDistancePropertyTest : public ::testing::TestWithParam<uint64_t> {};
@@ -163,12 +175,13 @@ TEST_P(PointDistancePropertyTest, MatchesBruteDefinition4) {
   GeneratedNetwork g = GenerateRoadNetwork(spec);
   Result<PointSet> ps = GenerateUniformPoints(g.net, 50, seed + 100);
   ASSERT_TRUE(ps.ok());
-  InMemoryNetworkView view(g.net, ps.value());
-  NodeScratch scratch(g.net.num_nodes());
+  InMemoryNetworkView mem(g.net, ps.value());
+  const NetworkView& view = mem;
+  TraversalWorkspace ws(g.net.num_nodes());
   auto pd = BrutePointDistanceMatrix(g.net, ps.value());
   for (PointId i = 0; i < 50; i += 3) {
     for (PointId j = i; j < 50; j += 5) {
-      ASSERT_NEAR(PointNetworkDistance(view, i, j, &scratch), pd[i][j], 1e-9)
+      ASSERT_NEAR(PointNetworkDistance(view, view, i, j, &ws), pd[i][j], 1e-9)
           << "seed " << seed << " i=" << i << " j=" << j;
     }
   }
@@ -180,13 +193,14 @@ TEST_P(PointDistancePropertyTest, IsAMetric) {
   Result<PointSet> ps = GenerateUniformPoints(g.net, 20, seed + 5);
   ASSERT_TRUE(ps.ok());
   auto pd = BrutePointDistanceMatrix(g.net, ps.value());
-  InMemoryNetworkView view(g.net, ps.value());
-  NodeScratch scratch(g.net.num_nodes());
+  InMemoryNetworkView mem(g.net, ps.value());
+  const NetworkView& view = mem;
+  TraversalWorkspace ws(g.net.num_nodes());
   for (PointId i = 0; i < 20; ++i) {
     for (PointId j = 0; j < 20; ++j) {
       // Symmetry (computed independently in both directions).
-      ASSERT_NEAR(PointNetworkDistance(view, i, j, &scratch),
-                  PointNetworkDistance(view, j, i, &scratch), 1e-9);
+      ASSERT_NEAR(PointNetworkDistance(view, view, i, j, &ws),
+                  PointNetworkDistance(view, view, j, i, &ws), 1e-9);
       for (PointId k = 0; k < 20; ++k) {
         ASSERT_LE(pd[i][k], pd[i][j] + pd[j][k] + 1e-9);  // triangle
       }
@@ -204,13 +218,14 @@ TEST(RangeQueryTest, FindsExactlyPointsWithinEps) {
     GeneratedNetwork g = GenerateRoadNetwork({50, 1.35, 0.3, seed});
     Result<PointSet> ps = GenerateUniformPoints(g.net, 60, seed);
     ASSERT_TRUE(ps.ok());
-    InMemoryNetworkView view(g.net, ps.value());
+    InMemoryNetworkView mem(g.net, ps.value());
+    const NetworkView& view = mem;
     TraversalWorkspace ws(g.net.num_nodes());
     auto pd = BrutePointDistanceMatrix(g.net, ps.value());
     for (PointId center = 0; center < 60; center += 7) {
       for (double eps : {0.5, 1.5, 4.0}) {
         std::vector<RangeResult> got;
-        RangeQuery(view, center, eps, &ws, &got);
+        RangeQuery(view, view, center, eps, &ws, &got);
         std::vector<PointId> got_ids;
         for (const RangeResult& r : got) {
           got_ids.push_back(r.id);
@@ -236,12 +251,13 @@ TEST_P(KnnPropertyTest, MatchesBruteForceTopK) {
     GeneratedNetwork g = GenerateRoadNetwork({50, 1.35, 0.3, seed});
     PointSet ps =
         std::move(GenerateUniformPoints(g.net, 60, seed + 8)).value();
-    InMemoryNetworkView view(g.net, ps);
-    NodeScratch scratch(g.net.num_nodes());
+    InMemoryNetworkView mem(g.net, ps);
+    const NetworkView& view = mem;
+    TraversalWorkspace ws(g.net.num_nodes());
     auto pd = BrutePointDistanceMatrix(g.net, ps);
     for (PointId center = 0; center < 60; center += 11) {
       std::vector<RangeResult> got;
-      KNearestNeighbors(view, center, k, &scratch, &got);
+      KNearestNeighbors(view, view, center, k, &ws, &got);
       // Brute top-k by (distance, id).
       std::vector<RangeResult> want;
       for (PointId q = 0; q < 60; ++q) {
@@ -275,10 +291,11 @@ TEST(KnnTest, FewerReachableThanK) {
   b.Add(0, 1, 0.8, 0);
   b.Add(2, 3, 0.5, 0);
   PointSet ps = std::move(std::move(b).Build(net)).value();
-  InMemoryNetworkView view(net, ps);
-  NodeScratch scratch(4);
+  InMemoryNetworkView mem(net, ps);
+  const NetworkView& view = mem;
+  TraversalWorkspace ws(4);
   std::vector<RangeResult> got;
-  KNearestNeighbors(view, 0, 5, &scratch, &got);
+  KNearestNeighbors(view, view, 0, 5, &ws, &got);
   ASSERT_EQ(got.size(), 1u);  // only point 1 reachable
   EXPECT_EQ(got[0].id, 1u);
   EXPECT_DOUBLE_EQ(got[0].dist, 0.6);
@@ -290,10 +307,11 @@ TEST(KnnTest, ZeroKIsEmpty) {
   b.Add(0, 1, 0.5, 0);
   b.Add(0, 1, 0.7, 0);
   PointSet ps = std::move(std::move(b).Build(net)).value();
-  InMemoryNetworkView view(net, ps);
-  NodeScratch scratch(2);
+  InMemoryNetworkView mem(net, ps);
+  const NetworkView& view = mem;
+  TraversalWorkspace ws(2);
   std::vector<RangeResult> got;
-  KNearestNeighbors(view, 0, 0, &scratch, &got);
+  KNearestNeighbors(view, view, 0, 0, &ws, &got);
   EXPECT_TRUE(got.empty());
 }
 
@@ -348,11 +366,12 @@ TEST(DijkstraCancelTest, InertTokenIsBitIdenticalToNoToken) {
   InMemoryNetworkView view(gen.net, empty);
   const NodeId n = gen.net.num_nodes();
 
-  // Reference: the scratch-based path, which never sees a cancel token.
-  NodeScratch scratch(n);
+  // Reference: a token whose poll interval exceeds the graph, so the
+  // kernel never reads it during the run.
+  TraversalWorkspace ref_ws(n);
+  ref_ws.cancel.check_interval = n + 1;
   TraversalCounters before_ref = LocalTraversalCounters();
-  DijkstraExpandBounded(view, {DijkstraSource{0, 0.0}}, kInfDist, &scratch,
-                        [](NodeId, double) { return true; });
+  DijkstraDistances(view, {{0, 0.0}}, &ref_ws);
   TraversalCounters ref = LocalTraversalCounters() - before_ref;
 
   // Workspace path with the default (inert) token, and again with an
@@ -374,7 +393,7 @@ TEST(DijkstraCancelTest, InertTokenIsBitIdenticalToNoToken) {
     EXPECT_EQ(got.heap_pops, ref.heap_pops) << "arm=" << arm;
     for (NodeId i = 0; i < n; ++i) {
       // Bitwise-exact: == on doubles, not a tolerance.
-      EXPECT_EQ(ws.scratch.Get(i), scratch.Get(i)) << "node " << i;
+      EXPECT_EQ(ws.scratch.Get(i), ref_ws.scratch.Get(i)) << "node " << i;
     }
   }
 }
@@ -397,10 +416,11 @@ TEST(RangeQueryTest, CenterAlwaysIncluded) {
   PointSetBuilder b;
   b.Add(0, 1, 50.0, 0);
   PointSet ps = std::move(std::move(b).Build(net)).value();
-  InMemoryNetworkView view(net, ps);
+  InMemoryNetworkView mem(net, ps);
+  const NetworkView& view = mem;
   TraversalWorkspace ws(3);
   std::vector<RangeResult> got;
-  RangeQuery(view, 0, 0.001, &ws, &got);  // eps smaller than any gap
+  RangeQuery(view, view, 0, 0.001, &ws, &got);  // eps smaller than any gap
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].id, 0u);
   EXPECT_DOUBLE_EQ(got[0].dist, 0.0);

@@ -44,9 +44,10 @@ TEST(MultiNetworkTest, ShortestPathsCrossTransitions) {
       std::move(CombineNetworks(a, b, {{1, 1, 0.25}}).value());
   PointSet empty;
   InMemoryNetworkView view(c.net, empty);
-  std::vector<double> d = DijkstraDistances(view, {{c.MapNodeA(0), 0.0}});
-  EXPECT_DOUBLE_EQ(d[c.MapNodeB(1)], 1.25);       // a0-a1, hop, b1
-  EXPECT_DOUBLE_EQ(d[c.MapNodeB(2)], 2.25);
+  TraversalWorkspace ws(view.num_nodes());
+  DijkstraDistances(view, {{c.MapNodeA(0), 0.0}}, &ws);
+  EXPECT_DOUBLE_EQ(ws.scratch.Get(c.MapNodeB(1)), 1.25);  // a0-a1, hop, b1
+  EXPECT_DOUBLE_EQ(ws.scratch.Get(c.MapNodeB(2)), 2.25);
 }
 
 TEST(MultiNetworkTest, ClustersSpanBothNetworks) {

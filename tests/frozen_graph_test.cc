@@ -453,8 +453,9 @@ std::vector<RangeResult> SortedById(std::vector<RangeResult> v) {
 void ExpectKernelsMatchLiveView(const Network& net, const PointSet& points,
                                 const std::vector<double>& radii,
                                 PointId center_stride) {
-  InMemoryNetworkView view(net, points);
-  FrozenGraph frozen = std::move(view.Freeze()).value();
+  InMemoryNetworkView mem(net, points);
+  const NetworkView& view = mem;
+  FrozenGraph frozen = std::move(mem.Freeze()).value();
   ASSERT_TRUE(frozen.has_point_layer());
 
   TraversalWorkspace ws(view.num_nodes());
@@ -466,7 +467,7 @@ void ExpectKernelsMatchLiveView(const Network& net, const PointSet& points,
     for (double eps : radii) {
       SCOPED_TRACE("center " + std::to_string(p) + " eps " +
                    std::to_string(eps));
-      RangeQuery(view, p, eps, &ws, &live);
+      RangeQuery(view, view, p, eps, &ws, &live);
       RangeQuery(view, frozen, p, eps, &ws, &fast);
       EXPECT_EQ(fast, live);
       EXPECT_EQ(SortedById(fast),
@@ -482,7 +483,7 @@ void ExpectKernelsMatchLiveView(const Network& net, const PointSet& points,
       }
     }
     for (uint32_t k : {1u, 3u, 10u}) {
-      KNearestNeighbors(view, p, k, &ws, &live);
+      KNearestNeighbors(view, view, p, k, &ws, &live);
       KNearestNeighbors(view, frozen, p, k, &ws, &fast);
       EXPECT_EQ(fast, live) << "center " << p << " k " << k;
     }

@@ -158,7 +158,8 @@ TEST(WorkloadGenTest, ClustersAreEpsConnectedAtMaxGap) {
   spec.seed = 15;
   GeneratedWorkload w =
       std::move(GenerateClusteredPoints(g.net, spec).value());
-  InMemoryNetworkView view(g.net, w.points);
+  InMemoryNetworkView mem(g.net, w.points);
+  const NetworkView& view = mem;
   TraversalWorkspace ws(g.net.num_nodes());
   // Check connectivity within each label via a union-find over pairs
   // within max_intra_gap.
@@ -176,7 +177,7 @@ TEST(WorkloadGenTest, ClustersAreEpsConnectedAtMaxGap) {
       PointId p = frontier.back();
       frontier.pop_back();
       std::vector<RangeResult> nbrs;
-      RangeQuery(view, p, w.max_intra_gap * (1.0 + 1e-9), &ws, &nbrs);
+      RangeQuery(view, view, p, w.max_intra_gap * (1.0 + 1e-9), &ws, &nbrs);
       for (const RangeResult& r : nbrs) {
         auto it = remaining.find(r.id);
         if (it != remaining.end()) {

@@ -57,12 +57,12 @@ struct Scenario {
 // Exhaustive (or strided) sandwich check of the ALT bounds against the
 // exact point-to-point Dijkstra.
 void CheckSandwich(const NetworkView& view, const DistanceIndex& index) {
-  NodeScratch scratch(view.num_nodes());
+  TraversalWorkspace ws(view.num_nodes());
   PointId n = view.num_points();
   PointId stride = n > 64 ? n / 64 : 1;
   for (PointId p = 0; p < n; p += stride) {
     for (PointId q = 0; q < n; q += stride) {
-      double exact = PointNetworkDistance(view, p, q, &scratch);
+      double exact = PointNetworkDistance(view, view, p, q, &ws);
       double lb = index.LowerBound(p, q);
       double ub = index.UpperBound(p, q);
       if (exact == kInfDist) {
@@ -127,11 +127,12 @@ TEST(LandmarkOracleTest, BoundsSandwichOnDisconnectedNetworkWithZeroOffsets) {
 
   // FPS places landmarks in both components, so every cross-component
   // pair gets an infinite lower bound (a disconnection proof).
-  NodeScratch scratch(view.num_nodes());
+  const NetworkView& live = view;
+  TraversalWorkspace ws(view.num_nodes());
   bool saw_disconnected = false;
   for (PointId p = 0; p < points.size() && !saw_disconnected; ++p) {
     for (PointId q = p + 1; q < points.size(); ++q) {
-      if (PointNetworkDistance(view, p, q, &scratch) == kInfDist) {
+      if (PointNetworkDistance(live, live, p, q, &ws) == kInfDist) {
         EXPECT_EQ(index->LowerBound(p, q), kInfDist);
         saw_disconnected = true;
         break;
@@ -288,14 +289,14 @@ TEST(DistanceCacheTest, ConcurrentHammerKeepsValuesConsistent) {
 
 TEST(DistanceIndexTest, IndexedPointDistanceMatchesExact) {
   Scenario s(100, 120, 41);
-  NodeScratch scratch(s.view->num_nodes());
+  const NetworkView& view = *s.view;
+  TraversalWorkspace ws(view.num_nodes());
   Rng rng(42);
   for (int i = 0; i < 500; ++i) {
     PointId p = static_cast<PointId>(rng.NextBounded(s.points.size()));
     PointId q = static_cast<PointId>(rng.NextBounded(s.points.size()));
-    double exact = PointNetworkDistance(*s.view, p, q, &scratch);
-    double indexed =
-        PointNetworkDistance(*s.view, p, q, &scratch, s.index.get());
+    double exact = PointNetworkDistance(view, view, p, q, &ws);
+    double indexed = PointNetworkDistance(view, view, p, q, &ws, s.index.get());
     EXPECT_NEAR(indexed, exact, Tol(exact)) << "pair (" << p << ", " << q
                                             << ")";
   }
@@ -305,14 +306,15 @@ TEST(DistanceIndexTest, IndexedPointDistanceMatchesExact) {
 
 TEST(DistanceIndexTest, ThresholdedDistanceOnlyDivergesAboveTheCut) {
   Scenario s(100, 120, 51);
-  NodeScratch scratch(s.view->num_nodes());
+  const NetworkView& view = *s.view;
+  TraversalWorkspace ws(view.num_nodes());
   Rng rng(52);
   const double threshold = 4.0;
   for (int i = 0; i < 500; ++i) {
     PointId p = static_cast<PointId>(rng.NextBounded(s.points.size()));
     PointId q = static_cast<PointId>(rng.NextBounded(s.points.size()));
-    double exact = PointNetworkDistance(*s.view, p, q, &scratch);
-    double cut = PointNetworkDistance(*s.view, p, q, &scratch, s.index.get(),
+    double exact = PointNetworkDistance(view, view, p, q, &ws);
+    double cut = PointNetworkDistance(view, view, p, q, &ws, s.index.get(),
                                       threshold);
     // Below the cut the value is exact; above it any returned value must
     // still be on the same side of the cut as the exact distance.
@@ -327,9 +329,10 @@ TEST(DistanceIndexTest, ThresholdedDistanceOnlyDivergesAboveTheCut) {
 TEST(DistanceIndexTest, ValidatorAcceptsHealthyIndex) {
   Scenario s(80, 90, 71);
   // Warm the cache so the cache-hit audit has entries to check.
-  NodeScratch scratch(s.view->num_nodes());
+  const NetworkView& view = *s.view;
+  TraversalWorkspace ws(view.num_nodes());
   for (PointId p = 0; p + 1 < s.points.size(); p += 7) {
-    (void)PointNetworkDistance(*s.view, p, p + 1, &scratch, s.index.get());
+    (void)PointNetworkDistance(view, view, p, p + 1, &ws, s.index.get());
   }
   EXPECT_TRUE(ValidateDistanceAccelerator(*s.view, *s.index).ok());
 }
@@ -348,24 +351,27 @@ TEST(DistanceIndexTest, ValidatorRejectsSeededBadBound) {
   EXPECT_TRUE(st.IsInternal()) << st.ToString();
 }
 
-TEST(DistanceIndexTest, StatsPublishDeltasIntoCollector) {
+TEST(DistanceIndexTest, StatsCountCacheTrafficMonotonically) {
   Scenario s(60, 60, 91);
-  NodeScratch scratch(s.view->num_nodes());
+  const NetworkView& view = *s.view;
+  TraversalWorkspace ws(view.num_nodes());
   for (int rep = 0; rep < 2; ++rep) {
-    (void)PointNetworkDistance(*s.view, 1, 2, &scratch, s.index.get());
+    (void)PointNetworkDistance(view, view, 1, 2, &ws, s.index.get());
   }
   IndexStats stats = s.index->Stats();
   EXPECT_GE(stats.cache_stores, 1u);
   EXPECT_GE(stats.cache_hits, 1u);
   EXPECT_EQ(stats.num_landmarks, s.index->landmarks().num_landmarks());
 
-  StatsCollector collector;
-  s.index->PublishStats(&collector);
-  EXPECT_EQ(collector.value("index.cache.hits"), stats.cache_hits);
-  EXPECT_EQ(collector.value("index.cache.stores"), stats.cache_stores);
-  // A second publish with no traffic in between adds nothing (deltas).
-  s.index->PublishStats(&collector);
-  EXPECT_EQ(collector.value("index.cache.hits"), stats.cache_hits);
+  // A second read with no traffic in between sees the same counters.
+  IndexStats again = s.index->Stats();
+  EXPECT_EQ(again.cache_hits, stats.cache_hits);
+  EXPECT_EQ(again.cache_stores, stats.cache_stores);
+  // One more cached query adds exactly one hit and no store.
+  (void)PointNetworkDistance(view, view, 1, 2, &ws, s.index.get());
+  IndexStats after = s.index->Stats();
+  EXPECT_EQ(after.cache_hits, stats.cache_hits + 1);
+  EXPECT_EQ(after.cache_stores, stats.cache_stores);
 }
 
 // The headline equivalence: with validation on, every algorithm produces

@@ -225,11 +225,13 @@ TEST(IntegrationTest, DiskAndMemoryQueriesIdentical) {
   Pipeline p = MakePipeline(300, 800, 4, 1010);
   TraversalWorkspace mem_ws(p.gen.net.num_nodes());
   TraversalWorkspace disk_ws(p.gen.net.num_nodes());
+  const NetworkView& mem = *p.mem_view;
+  const NetworkView& disk = p.disk->view();
   double eps = p.workload.max_intra_gap;
   for (PointId q = 0; q < 800; q += 97) {
     std::vector<RangeResult> a, b;
-    RangeQuery(*p.mem_view, q, eps, &mem_ws, &a);
-    RangeQuery(p.disk->view(), q, eps, &disk_ws, &b);
+    RangeQuery(mem, mem, q, eps, &mem_ws, &a);
+    RangeQuery(disk, disk, q, eps, &disk_ws, &b);
     auto by_id = [](const RangeResult& x, const RangeResult& y) {
       return x.id < y.id;
     };
@@ -240,8 +242,8 @@ TEST(IntegrationTest, DiskAndMemoryQueriesIdentical) {
       ASSERT_EQ(a[i].id, b[i].id);
       ASSERT_DOUBLE_EQ(a[i].dist, b[i].dist);
     }
-    KNearestNeighbors(*p.mem_view, q, 7, &mem_ws, &a);
-    KNearestNeighbors(p.disk->view(), q, 7, &disk_ws, &b);
+    KNearestNeighbors(mem, mem, q, 7, &mem_ws, &a);
+    KNearestNeighbors(disk, disk, q, 7, &disk_ws, &b);
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
       ASSERT_EQ(a[i].id, b[i].id);
@@ -252,7 +254,6 @@ TEST(IntegrationTest, DiskAndMemoryQueriesIdentical) {
   oo.eps = eps;
   oo.min_pts = 3;
   FrozenGraph frozen = std::move(p.mem_view->Freeze()).value();
-  const NetworkView& disk = p.disk->view();
   OpticsResult om = std::move(OpticsOrder(*p.mem_view, frozen, oo).value());
   OpticsResult od = std::move(OpticsOrder(disk, disk, oo).value());
   EXPECT_EQ(om.order, od.order);

@@ -201,9 +201,9 @@ TEST(MutexTest, TryLockContention) {
 }
 
 TEST(MutexTest, RankAndNameAccessors) {
-  Mutex mu(lock_rank::kStatsRegistry, "registry");
-  EXPECT_EQ(mu.rank(), 100);
-  EXPECT_STREQ(mu.name(), "registry");
+  Mutex mu(lock_rank::kServerStats, "stats");
+  EXPECT_EQ(mu.rank(), 90);
+  EXPECT_STREQ(mu.name(), "stats");
 }
 
 TEST(CondVarTest, WaitNotifyRoundTrip) {

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "common/stats.h"
 #include "gen/network_gen.h"
 #include "gen/workload_gen.h"
 #include "net/client.h"
@@ -563,7 +562,7 @@ TEST(NetSoak, HeldObjectIdsResolveToTheSameObjectAcrossPublishes) {
   }
 }
 
-TEST(NetStats, CountersFlowIntoTheCollectorWithoutDoubleCounting) {
+TEST(NetStats, CountersTrackTrafficWithoutDoubleCounting) {
   World w(80, 100, 47);
   Loopback loop(w);
   Result<std::unique_ptr<QueryClient>> connected =
@@ -574,22 +573,20 @@ TEST(NetStats, CountersFlowIntoTheCollectorWithoutDoubleCounting) {
         connected.value()->Execute(QueryRequest::PointDistance(0, 1)).ok());
   }
   // The write-side counter bump lands after the response bytes do;
-  // wait for the reader thread to catch up before publishing.
+  // wait for the reader thread to catch up before reading.
   ASSERT_TRUE(Eventually(
       [&] { return loop.tcp->stats().frames_written >= 5; }));
-  StatsCollector collector;
-  loop.tcp->PublishStats(&collector);
-  EXPECT_EQ(collector.value("net.connections_accepted"), 1u);
-  EXPECT_GE(collector.value("net.queries"), 5u);
-  EXPECT_GE(collector.value("net.frames_read"), 5u);
-  EXPECT_GE(collector.value("net.frames_written"), 5u);
-  EXPECT_GT(collector.value("net.bytes_read"), 0u);
-  EXPECT_GT(collector.value("net.bytes_written"), 0u);
-  const uint64_t queries_after_first = collector.value("net.queries");
-  // Publishing again with no traffic in between adds only zeros.
-  loop.tcp->PublishStats(&collector);
-  EXPECT_EQ(collector.value("net.queries"), queries_after_first);
-  EXPECT_EQ(collector.value("net.connections_accepted"), 1u);
+  const TcpServerStats first = loop.tcp->stats();
+  EXPECT_EQ(first.connections_accepted, 1u);
+  EXPECT_GE(first.queries, 5u);
+  EXPECT_GE(first.frames_read, 5u);
+  EXPECT_GE(first.frames_written, 5u);
+  EXPECT_GT(first.bytes_read, 0u);
+  EXPECT_GT(first.bytes_written, 0u);
+  // Reading again with no traffic in between sees the same counts.
+  const TcpServerStats second = loop.tcp->stats();
+  EXPECT_EQ(second.queries, first.queries);
+  EXPECT_EQ(second.connections_accepted, 1u);
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <set>
+#include <string>
 
 #include "gen/network_gen.h"
 #include "gen/workload_gen.h"
@@ -153,6 +155,46 @@ TEST(NetworkStoreTest, OpenAfterBuildReadsSameData) {
     InMemoryNetworkView mem(d.gen.net, d.points);
     ExpectViewsMatch(mem, view);
     ASSERT_TRUE(bm.FlushAll().ok());
+  }
+}
+
+// Open reads the checksummed v2 format only: a store whose headers name
+// any other version (0 and 1 were the unchecksummed format) is refused as
+// Corruption that names the version.
+TEST(NetworkStoreTest, OpenRejectsOtherFormatVersions) {
+  TestData d = MakeData(40, 60, 27);
+  auto f1 = PagedFile::CreateInMemory(4096);
+  auto f2 = PagedFile::CreateInMemory(4096);
+  auto f3 = PagedFile::CreateInMemory(4096);
+  auto f4 = PagedFile::CreateInMemory(4096);
+  NetworkStoreFiles files{f1.get(), f2.get(), f3.get(), f4.get()};
+  {
+    BufferManager bm(1 << 20, 4096);
+    ASSERT_TRUE(NetworkStore::Build(d.gen.net, d.points, &bm, files,
+                                    NodePlacement::kConnectivity, 1)
+                    .ok());
+    ASSERT_TRUE(bm.FlushAll().ok());
+  }
+  // The version is a u32 at byte 16 of the adjacency header page and at
+  // byte 12 of the points header page.
+  auto set_version = [](PagedFile* f, size_t offset, uint32_t version) {
+    std::vector<char> page(f->page_size());
+    ASSERT_TRUE(f->ReadPage(0, page.data()).ok());
+    std::memcpy(page.data() + offset, &version, sizeof(version));
+    ASSERT_TRUE(f->WritePage(0, page.data()).ok());
+  };
+  for (uint32_t version : {0u, 1u, 3u}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    set_version(files.adj_flat, 16, version);
+    set_version(files.pts_flat, 12, version);
+    BufferManager bm(1 << 20, 4096);
+    Result<std::unique_ptr<NetworkStore>> store =
+        NetworkStore::Open(&bm, files);
+    ASSERT_TRUE(store.status().IsCorruption()) << store.status().ToString();
+    EXPECT_NE(store.status().ToString().find("format version " +
+                                             std::to_string(version)),
+              std::string::npos)
+        << store.status().ToString();
   }
 }
 

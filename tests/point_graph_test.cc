@@ -74,11 +74,12 @@ TEST_P(PointGraphPropertyTest, ShortestPathsEqualNetworkDistances) {
   // Dijkstra over G' must reproduce the network distances exactly.
   PointSet empty;
   InMemoryNetworkView gprime(pg.graph, empty);
+  TraversalWorkspace ws(gprime.num_nodes());
   for (PointId s = 0; s < 40; s += 5) {
-    std::vector<double> d = DijkstraDistances(gprime, {{s, 0.0}});
+    DijkstraDistances(gprime, {{s, 0.0}}, &ws);
     for (PointId t = 0; t < 40; ++t) {
-      ASSERT_NEAR(d[t], pd[s][t], 1e-9) << "seed " << seed << " " << s
-                                        << "->" << t;
+      ASSERT_NEAR(ws.scratch.Get(t), pd[s][t], 1e-9)
+          << "seed " << seed << " " << s << "->" << t;
     }
   }
 }

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "common/stats.h"
 #include "gen/network_gen.h"
 #include "gen/workload_gen.h"
 #include "graph/frozen_graph.h"
@@ -869,7 +868,7 @@ TEST(QueryServerTest, StopDrainsAcceptedWorkAndRejectsNewSubmits) {
   server.Stop();  // idempotent
 }
 
-TEST(QueryServerTest, PublishStatsEmitsMonotonicDeltas) {
+TEST(QueryServerTest, StatsCountMonotonically) {
   World w(80, 100, 29);
   QueryServerOptions opts;
   opts.num_workers = 1;
@@ -882,16 +881,16 @@ TEST(QueryServerTest, PublishStatsEmitsMonotonicDeltas) {
   for (PointId p = 0; p < 10; ++p) {
     ASSERT_TRUE(server.Execute(QueryRequest::NearestObject(p, 1)).ok());
   }
-  StatsCollector collector;
-  server.PublishStats(&collector);
-  EXPECT_EQ(collector.value("server.completed"), 10u);
-  EXPECT_EQ(collector.value("server.epochs_published"), 1u);
-  EXPECT_EQ(collector.value("server.replay_mismatches"), 0u);
-  EXPECT_GE(collector.value("server.batches"), 1u);
+  const ServerStats first = server.stats();
+  EXPECT_EQ(first.completed, 10u);
+  EXPECT_EQ(first.epochs_published, 1u);
+  EXPECT_EQ(first.replay_mismatches, 0u);
+  EXPECT_GE(first.batches, 1u);
 
-  // A second flush with no traffic in between publishes zero deltas.
-  server.PublishStats(&collector);
-  EXPECT_EQ(collector.value("server.completed"), 10u);
+  // A second read with no traffic in between sees the same counts.
+  const ServerStats second = server.stats();
+  EXPECT_EQ(second.completed, first.completed);
+  EXPECT_EQ(second.batches, first.batches);
 
   EXPECT_FALSE(server.QueueWaitSamplesMs().empty());
 }
@@ -1108,7 +1107,7 @@ TEST(QueryServerHealthTest, SustainedDeadlineMissesDegradeHealth) {
   EXPECT_EQ(r.value().health, ServerHealth::kDegraded);
 }
 
-TEST(QueryServerHealthTest, PublishStatsCoversResilienceCounters) {
+TEST(QueryServerHealthTest, StatsCoverResilienceCounters) {
   World w(80, 100, 89);
   QueryServerOptions opts;
   opts.num_workers = 1;
@@ -1131,15 +1130,12 @@ TEST(QueryServerHealthTest, PublishStatsCoversResilienceCounters) {
     EXPECT_TRUE(f.get().status().IsDeadlineExceeded());
   }
 
-  StatsCollector collector;
-  server.PublishStats(&collector);
-  EXPECT_EQ(collector.value("server.deadline_expired") +
-                collector.value("server.cancelled_traversals"),
-            4u);
-  EXPECT_EQ(collector.value("server.wal_records"), 0u);
-  EXPECT_EQ(collector.value("server.wal_recoveries"), 0u);
-  EXPECT_EQ(collector.value("server.publish_failures"), 0u);
-  EXPECT_EQ(collector.value("server.queue_depth"), 0u);  // gauge, drained
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.deadline_expired + stats.cancelled_traversals, 4u);
+  EXPECT_EQ(stats.wal_records, 0u);
+  EXPECT_EQ(stats.wal_recoveries, 0u);
+  EXPECT_EQ(stats.publish_failures, 0u);
+  EXPECT_EQ(stats.queue_depth, 0u);  // gauge, drained
 }
 
 }  // namespace

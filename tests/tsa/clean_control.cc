@@ -12,7 +12,7 @@ namespace {
 
 class Account {
  public:
-  Account() : mu_(netclus::lock_rank::kStatsRegistry, "Account::mu_") {}
+  Account() : mu_(netclus::lock_rank::kServerStats, "Account::mu_") {}
 
   // EXCLUDES + MutexLock: the public entry point takes the lock itself.
   void Deposit(long amount) NETCLUS_EXCLUDES(mu_) {

@@ -12,7 +12,7 @@ namespace {
 
 class Account {
  public:
-  Account() : mu_(netclus::lock_rank::kStatsRegistry, "Account::mu_") {}
+  Account() : mu_(netclus::lock_rank::kServerStats, "Account::mu_") {}
 
   void Deposit(long amount) NETCLUS_EXCLUDES(mu_) {
     netclus::MutexLock lock(&mu_);

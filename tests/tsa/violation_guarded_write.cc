@@ -11,7 +11,7 @@ namespace {
 
 class Account {
  public:
-  Account() : mu_(netclus::lock_rank::kStatsRegistry, "Account::mu_") {}
+  Account() : mu_(netclus::lock_rank::kServerStats, "Account::mu_") {}
 
   void Deposit(long amount) {
     balance_ += amount;  // BUG: mu_ not held

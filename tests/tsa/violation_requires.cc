@@ -12,7 +12,7 @@ namespace {
 
 class Account {
  public:
-  Account() : mu_(netclus::lock_rank::kStatsRegistry, "Account::mu_") {}
+  Account() : mu_(netclus::lock_rank::kServerStats, "Account::mu_") {}
 
   long BalanceLocked() const NETCLUS_REQUIRES(mu_) { return balance_; }
 
