@@ -29,11 +29,13 @@
 //
 // On 4 -> 8 workers a qps *dip* is expected rather than a win, and it
 // is annotated, not gated: past the physical core count the extra
-// workers only oversubscribe (on this repo's 1-core CI container, 8
-// workers time-slice one core), ParallelFor slices each <=64-request
-// batch into smaller per-worker chunks whose wakeup/handoff cost is
-// paid per slice, and the single dispatcher thread — which also runs
-// replay validation — competes with its own workers for cycles.
+// workers only oversubscribe (on a 1-core host, 8 workers time-slice
+// one core). Each worker takes its own drain of at most
+// ceil(depth / workers) requests from the admission queue, so with
+// twice the workers each drain is about half as long and the per-drain
+// costs — the queue lock, the condition-variable wakeup, the epoch pin
+// and, with validation on, the replay — are paid twice as often, while
+// the workers contend for the queue lock and the cores.
 #include <cstdio>
 #include <deque>
 #include <future>
@@ -429,9 +431,9 @@ int main() {
   }
 
   // 4 -> 8 workers: annotated, not gated. Past the physical core count
-  // the extra workers oversubscribe, ParallelFor pays per-slice wakeup
-  // cost on smaller chunks, and the dispatcher competes with its own
-  // workers for cycles — a dip here is expected (see header comment).
+  // the extra workers oversubscribe, and shorter drains pay the
+  // per-drain wakeup, lock and pin costs more often — a dip here is
+  // expected (see header comment).
   const double ratio48 =
       results[2].second.accepted_qps / results[1].second.accepted_qps;
   std::printf("scaling 4->8 workers: %.2fx (annotation only: %s on %u "

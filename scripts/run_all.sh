@@ -107,7 +107,7 @@ if [ "${1:-}" = "ubsan" ]; then
   cmake -B build-ubsan -G Ninja -DNETCLUS_SANITIZE=undefined
   cmake --build build-ubsan
   ctest --test-dir build-ubsan --output-on-failure \
-    -R 'KMedoids|EpsLink|Dbscan|SingleLink|Dendrogram|Dijkstra|RangeQuery|Knn|DirectDistance|PointDistance|InterestingLevels|Optics|Hierarchy|Validate|NetclusApi|Integration|Index|DistanceCache|LandmarkOracle|Voronoi|Frozen|Wal|Checkpoint|Incremental|Cancel|Deadline|WireCodec|WireFrame' \
+    -R 'KMedoids|EpsLink|Dbscan|SingleLink|Dendrogram|Dijkstra|RangeQuery|Knn|PointDistance|InterestingLevels|Optics|Hierarchy|Validate|NetclusApi|Integration|Index|DistanceCache|LandmarkOracle|Frozen|Wal|Checkpoint|Incremental|Cancel|Deadline|WireCodec|WireFrame' \
     2>&1 | tee ubsan_output.txt
   exit 0
 fi
@@ -133,7 +133,7 @@ if [ "${1:-}" = "tsan" ]; then
   cmake -B build-tsan -G Ninja -DNETCLUS_SANITIZE=thread
   cmake --build build-tsan
   ctest --test-dir build-tsan --output-on-failure \
-    -R 'ThreadPool|WorkspacePool|Parallel|Determin|Restart|DistanceCache|EpochManager|QueryServer|Wal|Checkpoint|Incremental|Chaos|Deadline|Cancel|Mutex|CondVar|TcpServerLoopback|NetClient|NetSoak|NetStats' \
+    -R 'ThreadPool|Parallel|Determin|Restart|DistanceCache|EpochManager|QueryServer|Wal|Checkpoint|Incremental|Chaos|Deadline|Cancel|Mutex|CondVar|TcpServerLoopback|NetClient|NetSoak|NetStats' \
     2>&1 | tee tsan_output.txt
   exit 0
 fi

@@ -116,13 +116,9 @@ inline constexpr int kNetServer = 25;
 inline constexpr int kQueryServerQueue = 30;
 /// QueryServer mutation queue + flush bookkeeping.
 inline constexpr int kQueryServerUpdate = 31;
-/// QueryServer deadline-watchdog heap.
-inline constexpr int kQueryServerDeadline = 32;
-/// EpochManager publish/pin mutex (see DESIGN.md §14 for why it sits
-/// between the serving queues and the per-worker resource locks).
+/// EpochManager current-snapshot mutex (see DESIGN.md §14 for why it
+/// sits above the serving queues and below the distance cache).
 inline constexpr int kEpochManager = 40;
-/// WorkspacePool free list (leased from inside pool workers).
-inline constexpr int kWorkspacePool = 50;
 /// DistanceCache shard stripes (innermost lock of the query hot path).
 inline constexpr int kDistanceCacheShard = 60;
 /// DiskNetworkView sticky-status slot (leaf of the disk read path).

@@ -9,7 +9,6 @@
 #include "common/thread_pool.h"
 #include "graph/dijkstra.h"
 #include "graph/network_distance.h"
-#include "graph/workspace_pool.h"
 
 namespace netclus {
 
@@ -31,7 +30,7 @@ Result<Clustering> DbscanCluster(const NetworkView& view, const Graph& graph,
   // The serial algorithm issues exactly one eps-range query per point,
   // and each query is an independent bounded expansion — the
   // embarrassingly-parallel hot path. With > 1 worker all N
-  // neighborhoods are computed up front (each worker leasing one
+  // neighborhoods are computed up front (each worker owning one
   // TraversalWorkspace), and the growth phase below consumes the cache;
   // since a neighborhood is a pure function of (view, p, eps), the
   // result is bit-identical to the serial on-the-fly run. Only a
@@ -46,16 +45,15 @@ Result<Clustering> DbscanCluster(const NetworkView& view, const Graph& graph,
   if (precomputed) {
     cache.resize(n);
     ThreadPool pool(threads);
-    WorkspacePool workspaces(view.num_nodes());
-    std::vector<WorkspacePool::Lease> leases;
-    leases.reserve(pool.size());
+    std::vector<TraversalWorkspace> workspaces;
+    workspaces.reserve(pool.size());
     for (uint32_t w = 0; w < pool.size(); ++w) {
-      leases.push_back(workspaces.Acquire());
+      workspaces.emplace_back(view.num_nodes());
     }
     // The snapshot is immutable, so all workers share it.
     pool.ParallelFor(n, [&](size_t p, uint32_t worker) {
       RangeQuery(view, graph, static_cast<PointId>(p), options.eps,
-                 leases[worker].get(), &cache[p]);
+                 &workspaces[worker], &cache[p]);
     });
   }
 

@@ -17,7 +17,7 @@
 #define NETCLUS_GRAPH_DIJKSTRA_H_
 
 #include <algorithm>
-#include <atomic>
+#include <chrono>
 #include <functional>
 #include <limits>
 #include <utility>
@@ -107,26 +107,30 @@ struct DijkstraHeapEntry {
 /// Default settle count between cancellation polls — cheap enough that
 /// an uncancelled traversal is indistinguishable from one run without a
 /// token, frequent enough that an expansion abandons work within
-/// microseconds of the flag flipping.
+/// microseconds of its deadline passing.
 inline constexpr uint32_t kDefaultCancelCheckInterval = 1024;
 
-/// \brief Cooperative cancellation for one traversal.
+/// \brief Cooperative cancellation for one traversal: an absolute
+/// deadline on the steady clock.
 ///
-/// `flag` (owned elsewhere — e.g. a deadline watchdog) is polled by the
-/// kernel every `check_interval` settled nodes; when it reads true the
-/// expansion abandons the rest of its work and sets `triggered`. A null
-/// flag (the default) makes the token inert: the kernel's results,
-/// settle order, and TraversalCounters are bit-identical to a run with
-/// no token at all — polling never perturbs the traversal.
+/// The kernel compares the clock against `deadline` every
+/// `check_interval` settled nodes; once the deadline has passed the
+/// expansion abandons the rest of its work and sets `triggered`. With no
+/// deadline (the default) the token is inert: the clock is never read,
+/// and the kernel's results, settle order, and TraversalCounters are
+/// bit-identical to a run with no token at all.
 struct TraversalCancel {
-  const std::atomic<bool>* flag = nullptr;
+  using Clock = std::chrono::steady_clock;
+  static constexpr Clock::time_point kNoDeadline = Clock::time_point::max();
+
+  Clock::time_point deadline = kNoDeadline;
   uint32_t check_interval = kDefaultCancelCheckInterval;
   /// Set by the kernel when it abandoned the expansion; callers must
   /// treat any distances/results produced by that run as garbage.
   bool triggered = false;
 
   bool ShouldCancel() const {
-    return flag != nullptr && flag->load(std::memory_order_relaxed);
+    return deadline != kNoDeadline && Clock::now() >= deadline;
   }
 };
 
@@ -135,8 +139,8 @@ struct TraversalCancel {
 /// Constructing one is O(|V|); reusing it makes every subsequent
 /// traversal proportional to the region visited, with zero allocation in
 /// the steady state. One workspace serves one traversal at a time —
-/// concurrent algorithms lease one per worker thread (see
-/// graph/workspace_pool.h).
+/// each thread that traverses owns its own (a query server worker, one
+/// per ParallelFor worker in DBSCAN's precompute).
 struct TraversalWorkspace {
   explicit TraversalWorkspace(NodeId num_nodes) : scratch(num_nodes) {}
 
@@ -151,8 +155,8 @@ struct TraversalWorkspace {
   std::vector<uint64_t> stamp;
   uint64_t stamp_epoch = 0;
   /// Cancellation token threaded into the kernel by the workspace-based
-  /// entry points. Inert (null flag) by default; the query server arms
-  /// it per request with the deadline watchdog's flag.
+  /// entry points. Inert (no deadline) by default; the query server arms
+  /// it per request with the request's deadline.
   TraversalCancel cancel;
 };
 
@@ -198,8 +202,8 @@ inline DijkstraHeapEntry HeapPopEntry(std::vector<DijkstraHeapEntry>* heap) {
 /// and no type-erased callback — the de-virtualized hot path every
 /// in-memory run takes.
 ///
-/// `ws->cancel` is polled every `check_interval` settled nodes; when its
-/// flag reads true the expansion abandons its remaining work, sets
+/// `ws->cancel` is polled every `check_interval` settled nodes; once its
+/// deadline has passed the expansion abandons its remaining work, sets
 /// `triggered`, and returns — partial distances in the scratch must then
 /// be discarded by the caller. When no cancellation fires (or the token
 /// is inert, the default) the traversal, its settle order, and its

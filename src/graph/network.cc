@@ -98,57 +98,6 @@ bool Network::IsConnected() const {
   return visited == num_nodes();
 }
 
-Network Network::LargestComponent(const Network& g,
-                                  std::vector<NodeId>* old_to_new) {
-  NodeId n = g.num_nodes();
-  std::vector<int> comp(n, -1);
-  int num_comps = 0;
-  std::vector<NodeId> comp_size;
-  for (NodeId s = 0; s < n; ++s) {
-    if (comp[s] >= 0) continue;
-    int c = num_comps++;
-    comp_size.push_back(0);
-    std::queue<NodeId> q;
-    q.push(s);
-    comp[s] = c;
-    while (!q.empty()) {
-      NodeId x = q.front();
-      q.pop();
-      ++comp_size[c];
-      for (const auto& [y, w] : g.adj_[x]) {
-        (void)w;
-        if (comp[y] < 0) {
-          comp[y] = c;
-          q.push(y);
-        }
-      }
-    }
-  }
-  int best = 0;
-  for (int c = 1; c < num_comps; ++c) {
-    if (comp_size[c] > comp_size[best]) best = c;
-  }
-  std::vector<NodeId> mapping(n, kInvalidNodeId);
-  NodeId next = 0;
-  for (NodeId x = 0; x < n; ++x) {
-    if (comp[x] == best) mapping[x] = next++;
-  }
-  Network out(next);
-  for (NodeId x = 0; x < n; ++x) {
-    for (const auto& [y, w] : g.adj_[x]) {
-      if (x >= y) continue;  // canonical orientation: each edge once
-      NodeId u = mapping[x];
-      NodeId v = mapping[y];
-      if (u != kInvalidNodeId && v != kInvalidNodeId) {
-        Status s = out.AddEdge(u, v, w);
-        (void)s;  // cannot fail: source edges were valid and unique
-      }
-    }
-  }
-  if (old_to_new != nullptr) *old_to_new = std::move(mapping);
-  return out;
-}
-
 std::pair<PointId, uint32_t> PointSet::EdgePointRange(NodeId a,
                                                       NodeId b) const {
   const uint64_t key = EdgeKeyOf(a, b);

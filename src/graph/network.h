@@ -65,12 +65,6 @@ class Network {
   /// True when every node is reachable from node 0 (or the graph is empty).
   bool IsConnected() const;
 
-  /// Extracts the largest connected component as a new network plus the
-  /// mapping old node id -> new node id (kInvalidNodeId for dropped nodes).
-  /// Mirrors the paper's cleanup of the SF / TG datasets.
-  static Network LargestComponent(const Network& g,
-                                  std::vector<NodeId>* old_to_new);
-
  private:
   std::vector<std::vector<std::pair<NodeId, double>>> adj_;
   std::shared_ptr<const FrozenGraph> frozen_;  // EdgeWeight fast path

@@ -11,17 +11,6 @@
 
 namespace netclus {
 
-double DirectDistance(const PointPos& p, const PointPos& q) {
-  if (p.u != q.u || p.v != q.v) return kInfDist;
-  return std::fabs(p.offset - q.offset);
-}
-
-double DirectDistanceToNode(const PointPos& p, double edge_weight, NodeId n) {
-  if (n == p.u) return p.offset;
-  if (n == p.v) return edge_weight - p.offset;
-  return kInfDist;
-}
-
 namespace {
 
 // The implementations below are templated on the traversal graph: the

@@ -22,15 +22,6 @@
 
 namespace netclus {
 
-/// Direct distance d_L(p, q) (Definition 2): |offset difference| when the
-/// points share an edge, +infinity otherwise. Not necessarily the shortest
-/// distance even on a shared edge.
-double DirectDistance(const PointPos& p, const PointPos& q);
-
-/// Direct distance d_L(p, n) from a point to an endpoint of its edge
-/// (`edge_weight` = W(p.u, p.v)); +infinity when `n` is neither endpoint.
-double DirectDistanceToNode(const PointPos& p, double edge_weight, NodeId n);
-
 /// Network distance d(p, q) (Definition 4): length of the shortest path
 /// between the two points. Exact; an early-terminating single-source
 /// Dijkstra seeded at the endpoints of the smaller id's edge, run over
@@ -39,10 +30,10 @@ double DirectDistanceToNode(const PointPos& p, double edge_weight, NodeId n);
 /// come from `view`. Both graphs give bit-identical results.
 ///
 /// The expansion reuses `ws`'s scratch and heap storage and honors its
-/// cancellation token (`ws->cancel`, inert by default). When the token
-/// fires mid-expansion the returned value is garbage: callers must check
-/// `ws->cancel.triggered`, and a cancelled expansion is never offered
-/// back to the accelerator's cache.
+/// cancellation token (`ws->cancel`, no deadline by default). When the
+/// deadline passes mid-expansion the returned value is garbage: callers
+/// must check `ws->cancel.triggered`, and a cancelled expansion is never
+/// offered back to the accelerator's cache.
 ///
 /// `accel` (null = exact expansion only) early-exits on a cache hit and
 /// on a kInfDist lower bound (proven disconnection); exact results are
@@ -90,8 +81,7 @@ inline bool operator!=(const RangeResult& a, const RangeResult& b) {
 /// once they and `out` have grown to the largest region seen, a query
 /// over a snapshot with a point layer allocates nothing — the steady
 /// state for algorithms that issue one range query per point (DBSCAN).
-/// One workspace per concurrent caller; lease them from a WorkspacePool
-/// under parallelism.
+/// One workspace per concurrent caller: each thread owns its own.
 template <TraversalGraph Graph>
 void RangeQuery(const NetworkView& view, const Graph& graph, PointId center,
                 double eps, TraversalWorkspace* ws,

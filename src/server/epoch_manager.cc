@@ -1,21 +1,17 @@
 #include "server/epoch_manager.h"
 
-#include <algorithm>
+#include <utility>
 
 namespace netclus {
 
-EpochManager::EpochManager(uint32_t num_pin_slots)
-    : num_pin_slots_(num_pin_slots > 0 ? num_pin_slots : 1),
-      freed_(std::make_shared<std::atomic<uint64_t>>(0)) {}
+EpochManager::EpochManager()
+    : freed_(std::make_shared<std::atomic<uint64_t>>(0)) {}
 
 EpochManager::~EpochManager() = default;
 
-EpochManager::Pin EpochManager::Acquire(uint32_t slot) {
-  slot %= num_pin_slots_;  // any caller value maps onto a real slot
+std::shared_ptr<const EpochSnapshot> EpochManager::Current() const {
   MutexLock lock(&mu_);
-  if (current_ == nullptr) return Pin();
-  current_->AddPin(slot);
-  return Pin(current_, slot);
+  return current_;
 }
 
 uint64_t EpochManager::Publish(std::shared_ptr<const FrozenGraph> graph,
@@ -23,38 +19,21 @@ uint64_t EpochManager::Publish(std::shared_ptr<const FrozenGraph> graph,
                                std::shared_ptr<const ClusterOutput> clusters,
                                std::shared_ptr<const DistanceCache> cache,
                                std::shared_ptr<const IdentityMap> ids) {
-  MutexLock lock(&mu_);
-  const uint64_t id = published_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  auto snap = std::make_shared<const EpochSnapshot>(
-      id, std::move(graph), std::move(points), std::move(clusters),
-      std::move(cache), num_pin_slots_, freed_, std::move(ids));
-  if (current_ != nullptr) retired_.push_back(std::move(current_));
-  current_ = std::move(snap);
-  SweepRetiredLocked();
+  std::shared_ptr<const EpochSnapshot> outgoing;
+  uint64_t id = 0;
+  {
+    MutexLock lock(&mu_);
+    id = published_.fetch_add(1, std::memory_order_acq_rel) + 1;
+    outgoing = std::exchange(
+        current_, std::make_shared<const EpochSnapshot>(
+                      id, std::move(graph), std::move(points),
+                      std::move(clusters), std::move(cache), freed_,
+                      std::move(ids)));
+  }
+  // Dropped here, after the lock: when no reader holds the predecessor
+  // its teardown runs now, outside the critical section.
+  outgoing.reset();
   return id;
-}
-
-void EpochManager::SweepRetired() {
-  MutexLock lock(&mu_);
-  SweepRetiredLocked();
-}
-
-void EpochManager::SweepRetiredLocked() {
-  // Dropping the manager's reference is the free: readers pin only the
-  // current snapshot, so a retired snapshot observed at zero pins can
-  // never be re-pinned, and any reader still draining holds its own
-  // shared_ptr via the Pin (destruction then happens at its release).
-  retired_.erase(
-      std::remove_if(retired_.begin(), retired_.end(),
-                     [](const std::shared_ptr<const EpochSnapshot>& s) {
-                       return s->TotalPins() == 0;
-                     }),
-      retired_.end());
-}
-
-std::shared_ptr<const EpochSnapshot> EpochManager::CurrentShared() const {
-  MutexLock lock(&mu_);
-  return current_;
 }
 
 uint64_t EpochManager::current_epoch() const {
@@ -64,7 +43,12 @@ uint64_t EpochManager::current_epoch() const {
 
 size_t EpochManager::retired_count() const {
   MutexLock lock(&mu_);
-  return retired_.size();
+  // Under mu_ the published count and the current snapshot agree, and
+  // the current snapshot is alive, so every other published epoch is
+  // either drained or still held by a reader.
+  const uint64_t published = published_.load(std::memory_order_acquire);
+  if (published == 0) return 0;
+  return static_cast<size_t>(published - epochs_drained() - 1);
 }
 
 }  // namespace netclus

@@ -92,8 +92,8 @@ struct QueryRequest {
   /// default) means no deadline. A served request whose deadline passes
   /// before execution starts is shed with kDeadlineExceeded; one whose
   /// deadline passes mid-traversal is cooperatively cancelled and
-  /// resolves the same way. The inline path ignores it (there is no
-  /// watchdog to arm).
+  /// resolves the same way. The inline path ignores it (its workspace
+  /// token carries no deadline).
   double deadline_ms = 0.0;
 
   /// Returns a copy with `deadline_ms` set — submission-site sugar.
@@ -193,8 +193,8 @@ Status ValidateQueryRequest(const NetworkView& view, const QueryRequest& req,
 /// Runs `req` against `view`, traversing `frozen` when non-null (a
 /// snapshot of `view`, see InMemoryNetworkView::Freeze()) and the view
 /// otherwise — results are bit-identical either way. `ws` provides the
-/// reusable traversal state (one per concurrent caller; lease from a
-/// WorkspacePool under parallelism). `accel` may be null (= exact
+/// reusable traversal state (one per concurrent caller; each query
+/// server worker owns one). `accel` may be null (= exact
 /// unaccelerated path) and is read only by kPointDistance; a non-null
 /// accelerator never changes the payload, only the work done.
 /// `clusters` is consulted only by kClusterMembership. `ids` translates
@@ -204,7 +204,7 @@ Status ValidateQueryRequest(const NetworkView& view, const QueryRequest& req,
 /// state for serving loops.
 ///
 /// Cancellation: the run honors `ws->cancel` (resetting its `triggered`
-/// latch first). When the armed flag fires mid-traversal the function
+/// latch first). When its deadline passes mid-traversal the function
 /// returns kDeadlineExceeded and `out` holds no partial payload a
 /// caller could mistake for an answer. With an unarmed token (the
 /// default) behavior and payloads are bit-identical to a run with no
@@ -217,7 +217,7 @@ Status ExecuteQueryInto(const NetworkView& view, const FrozenGraph* frozen,
 
 /// Convenience wrapper over ExecuteQueryInto: allocates the workspace
 /// and returns the response by value. The one-shot inline path; serving
-/// loops and algorithms use ExecuteQueryInto with pooled workspaces.
+/// loops and algorithms use ExecuteQueryInto with a workspace they keep.
 Result<QueryResponse> ExecuteQuery(const NetworkView& view,
                                    const FrozenGraph* frozen,
                                    const QueryRequest& req,

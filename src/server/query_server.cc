@@ -5,8 +5,10 @@
 #include <cmath>
 #include <cstddef>
 #include <string>
+#include <thread>
 #include <utility>
 
+#include "common/thread_pool.h"
 #include "graph/accelerator.h"
 #include "graph/network_distance.h"
 #include "index/distance_cache.h"
@@ -25,11 +27,15 @@ constexpr uint32_t kWalPageSize = 4096;
 // cold server must not read as degradation.
 constexpr size_t kMinHealthSamples = 16;
 
-// Cold-start backpressure model: with no measured batch rate yet,
+// Cold-start backpressure model: with no measured drain time yet,
 // assume roughly this much work per queued request, spread across the
 // workers. Deliberately rough; replaced by the measured mean after the
-// first batch drains.
+// first drain.
 constexpr double kColdStartPerRequestMs = 0.05;
+
+// Deadlines further out than this (~30 years) are clamped, so converting
+// one to the steady clock's integer ticks cannot overflow.
+constexpr double kMaxDeadlineMs = 1e12;
 
 // Whether the publish oracles and served-batch replay run: on request,
 // and always in -DNETCLUS_VALIDATE=ON builds.
@@ -115,9 +121,13 @@ Result<std::unique_ptr<QueryServer>> QueryServer::Start(
   // clustering (or freeze) fails Start instead of leaving a server with
   // nothing to serve.
   NETCLUS_RETURN_IF_ERROR(server->PublishWorld());
-  server->dispatcher_ = std::thread([s = server.get()] { s->DispatcherLoop(); });
+  const NodeId num_nodes = server->net_.num_nodes();
+  server->workers_.reserve(server->num_workers_);
+  for (uint32_t w = 0; w < server->num_workers_; ++w) {
+    server->workers_.emplace_back(
+        [s = server.get(), num_nodes] { s->WorkerLoop(num_nodes); });
+  }
   server->updater_ = std::thread([s = server.get()] { s->UpdaterLoop(); });
-  server->watchdog_ = std::thread([s = server.get()] { s->WatchdogLoop(); });
   return server;
 }
 
@@ -126,12 +136,10 @@ QueryServer::QueryServer(Network net, std::vector<NetworkUpdate> raw_points,
     : options_(options),
       net_(std::move(net)),
       raw_points_(std::move(raw_points)),
-      epochs_(ResolveNumThreads(options.num_workers)),
-      pool_(std::make_unique<ThreadPool>(
-          ResolveNumThreads(options.num_workers))),
-      workspaces_(net_.num_nodes()),
-      chaos_publish_rng_(Rng::DeriveSeed(options.chaos.seed, 1)),
-      chaos_stall_rng_(Rng::DeriveSeed(options.chaos.seed, 2)) {
+      recluster_ws_(net_.num_nodes()),
+      num_workers_(ResolveNumThreads(options.num_workers)),
+      chaos_stall_rng_(Rng::DeriveSeed(options.chaos.seed, 2)),
+      chaos_publish_rng_(Rng::DeriveSeed(options.chaos.seed, 1)) {
   // Boot identity: points take ObjectIds 0..n-1 in their dense boot
   // order (the raws were extracted from the PointSet in group order, so
   // the boot epoch's identity map is exactly the identity permutation),
@@ -362,7 +370,7 @@ Status QueryServer::PublishWorld(const std::vector<NetworkUpdate>* batch) {
   const double start_seconds = clock_.ElapsedSeconds();
   // An incremental publish builds on the last published epoch: its
   // PointSet is the merge base and its CSR rows the splice source.
-  std::shared_ptr<const EpochSnapshot> prev = epochs_.CurrentShared();
+  std::shared_ptr<const EpochSnapshot> prev = epochs_.Current();
   const bool incremental =
       batch != nullptr && options_.incremental_publish && prev != nullptr;
 
@@ -520,8 +528,7 @@ Result<ClusterOutput> QueryServer::Recluster(
   components_.Grow(num_raw);
   std::vector<uint32_t> raw_of_point(num_raw);
   for (uint32_t i = 0; i < num_raw; ++i) raw_of_point[raw_to_final[i]] = i;
-  WorkspacePool::Lease lease = workspaces_.Acquire();
-  TraversalWorkspace* ws = lease.get();
+  TraversalWorkspace* ws = &recluster_ws_;
 
   // A new point links to every point within eps of it, new ones too.
   std::vector<RangeResult> near;
@@ -640,13 +647,12 @@ std::future<Result<QueryResponse>> QueryServer::Submit(
     return fut;
   }
 
-  std::shared_ptr<std::atomic<bool>> arm_flag;
-  double arm_expiry = 0.0;
   if (req.deadline_ms > 0.0 && std::isfinite(req.deadline_ms)) {
-    pq.deadline_seconds = pq.enqueue_seconds + req.deadline_ms * 1e-3;
-    pq.cancel_flag = std::make_shared<std::atomic<bool>>(false);
-    arm_flag = pq.cancel_flag;
-    arm_expiry = pq.deadline_seconds;
+    pq.deadline =
+        TraversalCancel::Clock::now() +
+        std::chrono::duration_cast<TraversalCancel::Clock::duration>(
+            std::chrono::duration<double, std::milli>(
+                std::min(req.deadline_ms, kMaxDeadlineMs)));
   }
 
   MutexLock lock(&queue_mu_);
@@ -659,11 +665,11 @@ std::future<Result<QueryResponse>> QueryServer::Submit(
   }
   if (queue_.size() >= options_.max_queue_depth) {
     // Backpressure: reject now with a retry-after hint. Warm, the hint
-    // is the measured mean batch duration scaled by how many batches
-    // the current backlog represents; cold (nothing drained yet, so no
-    // measured rate) it is a depth- and worker-aware model instead of a
-    // blind constant. Clients read the structured field; the text echo
-    // is for humans and logs.
+    // is the measured mean drain duration times the rounds of full
+    // drains the backlog represents, the workers draining in parallel;
+    // cold (nothing drained yet, so no measured rate) it is a depth- and
+    // worker-aware model instead of a blind constant. Clients read the
+    // structured field; the text echo is for humans and logs.
     const double depth = static_cast<double>(queue_.size());
     double retry_ms;
     {
@@ -671,15 +677,15 @@ std::future<Result<QueryResponse>> QueryServer::Submit(
       // nesting between the serving locks.
       MutexLock slock(&stats_mu_);
       ++rejected_;
+      const double workers = static_cast<double>(num_workers_);
       if (batch_ms_.count() > 0) {
-        const double batches_queued = std::max(
-            1.0, std::ceil(depth /
-                           static_cast<double>(options_.max_batch_size)));
-        retry_ms = batch_ms_.mean() * batches_queued;
+        const double rounds_queued = std::max(
+            1.0,
+            std::ceil(depth / (static_cast<double>(options_.max_batch_size) *
+                               workers)));
+        retry_ms = batch_ms_.mean() * rounds_queued;
       } else {
-        retry_ms = std::max(
-            0.1, kColdStartPerRequestMs * depth /
-                     static_cast<double>(pool_->size()));
+        retry_ms = std::max(0.1, kColdStartPerRequestMs * depth / workers);
       }
     }
     lock.Unlock();
@@ -695,7 +701,6 @@ std::future<Result<QueryResponse>> QueryServer::Submit(
     MutexLock slock(&stats_mu_);
     ++accepted_;
   }
-  if (arm_flag != nullptr) ArmDeadline(arm_expiry, std::move(arm_flag));
   queue_cv_.NotifyOne();
   return fut;
 }
@@ -744,14 +749,10 @@ void QueryServer::Stop() {
     update_stopping_ = true;
   }
   update_cv_.NotifyAll();
-  {
-    MutexLock lock(&deadline_mu_);
-    deadline_stopping_ = true;
+  for (std::thread& worker : workers_) {
+    if (worker.joinable()) worker.join();
   }
-  deadline_cv_.NotifyAll();
-  if (dispatcher_.joinable()) dispatcher_.join();
   if (updater_.joinable()) updater_.join();
-  if (watchdog_.joinable()) watchdog_.join();
 }
 
 ServerHealth QueryServer::CurrentHealth() const {
@@ -813,29 +814,42 @@ double QueryServer::DeadlineMissRateLocked() const {
   return static_cast<double>(outcome_misses_) / static_cast<double>(samples);
 }
 
-void QueryServer::DispatcherLoop() {
+void QueryServer::WorkerLoop(NodeId num_nodes) {
+  TraversalWorkspace ws(num_nodes);
+  ws.cancel.check_interval = options_.cancel_check_interval;
   for (;;) {
     std::vector<PendingQuery> batch;
     std::vector<PendingQuery> shed;
+    double stall_ms = 0.0;
     {
       MutexLock lock(&queue_mu_);
       while (!stopping_ && queue_.empty()) queue_cv_.Wait(&queue_mu_);
-      if (queue_.empty()) {
-        if (stopping_) return;  // drained; accepted work always finishes
-        continue;
-      }
-      // Shed requests whose deadline already passed while they waited:
-      // they resolve with kDeadlineExceeded right here, costing no
-      // worker, and never count against the batch.
-      const double now = clock_.ElapsedSeconds();
-      while (batch.size() < options_.max_batch_size && !queue_.empty()) {
+      // Stopping with nothing queued: drained; accepted work always
+      // finishes.
+      if (queue_.empty()) return;
+      // A shallow queue spreads across idle workers; a deep one is taken
+      // max_batch_size at a time. Shed requests resolve with
+      // kDeadlineExceeded right here, costing no execution, and never
+      // count against the drain.
+      const size_t take = std::min(
+          options_.max_batch_size,
+          (queue_.size() + num_workers_ - 1) / num_workers_);
+      const TraversalCancel::Clock::time_point now =
+          TraversalCancel::Clock::now();
+      while (batch.size() < take && !queue_.empty()) {
         PendingQuery pq = std::move(queue_.front());
         queue_.pop_front();
-        if (pq.deadline_seconds > 0.0 && now >= pq.deadline_seconds) {
+        if (now >= pq.deadline) {
           shed.push_back(std::move(pq));
         } else {
           batch.push_back(std::move(pq));
         }
+      }
+      // Chaos: one draw per drain, in drain order (the queue lock
+      // serializes the draws across workers).
+      if (!batch.empty() && options_.chaos.worker_stall_prob > 0.0 &&
+          chaos_stall_rng_.NextBernoulli(options_.chaos.worker_stall_prob)) {
+        stall_ms = options_.chaos.worker_stall_ms;
       }
     }
     if (!shed.empty()) {
@@ -848,104 +862,52 @@ void QueryServer::DispatcherLoop() {
         for (size_t i = 0; i < shed.size(); ++i) RecordOutcomeLocked(true);
       }
       for (PendingQuery& pq : shed) {
-        const double late_ms =
-            (clock_.ElapsedSeconds() - pq.deadline_seconds) * 1e3;
+        const double late_ms = std::chrono::duration<double, std::milli>(
+                                   TraversalCancel::Clock::now() - pq.deadline)
+                                   .count();
         pq.promise.set_value(Status::DeadlineExceeded(
             "deadline passed " + std::to_string(late_ms) +
             " ms ago while queued; request shed before execution"));
       }
     }
-    if (!batch.empty()) ExecuteBatch(&batch);
+    if (!batch.empty()) ExecuteBatch(&batch, stall_ms, &ws);
   }
 }
 
-void QueryServer::ArmDeadline(double expiry_seconds,
-                              std::shared_ptr<std::atomic<bool>> flag) {
-  auto later = [](const DeadlineEntry& a, const DeadlineEntry& b) {
-    return a.expiry_seconds > b.expiry_seconds;
-  };
-  {
-    MutexLock lock(&deadline_mu_);
-    deadline_heap_.push_back(DeadlineEntry{expiry_seconds, std::move(flag)});
-    std::push_heap(deadline_heap_.begin(), deadline_heap_.end(), later);
-  }
-  deadline_cv_.NotifyOne();
-}
-
-void QueryServer::WatchdogLoop() {
-  auto later = [](const DeadlineEntry& a, const DeadlineEntry& b) {
-    return a.expiry_seconds > b.expiry_seconds;
-  };
-  MutexLock lock(&deadline_mu_);
-  for (;;) {
-    if (deadline_stopping_) return;
-    if (deadline_heap_.empty()) {
-      deadline_cv_.Wait(&deadline_mu_);
-      continue;
-    }
-    const double now = clock_.ElapsedSeconds();
-    if (deadline_heap_.front().expiry_seconds <= now) {
-      // Fire and forget: the flag outlives the request via shared
-      // ownership, so firing after completion is harmless.
-      deadline_heap_.front().flag->store(true, std::memory_order_relaxed);
-      std::pop_heap(deadline_heap_.begin(), deadline_heap_.end(), later);
-      deadline_heap_.pop_back();
-      continue;
-    }
-    deadline_cv_.WaitFor(&deadline_mu_,
-                         deadline_heap_.front().expiry_seconds - now);
-  }
-}
-
-void QueryServer::ExecuteBatch(std::vector<PendingQuery>* batch) {
+void QueryServer::ExecuteBatch(std::vector<PendingQuery>* batch,
+                               double stall_ms, TraversalWorkspace* ws) {
   const double start_seconds = clock_.ElapsedSeconds();
-  EpochManager::Pin pin =
-      epochs_.Acquire(pin_slot_rr_++ % epochs_.num_pin_slots());
-  if (!pin) {
+  // Holding the shared_ptr is the pin: the epoch stays alive for this
+  // drain even if the updater publishes a newer one meanwhile.
+  std::shared_ptr<const EpochSnapshot> pinned = epochs_.Current();
+  if (pinned == nullptr) {
     for (PendingQuery& pq : *batch) {
       pq.promise.set_value(Status::Internal("no epoch published"));
     }
     return;
   }
-  const EpochSnapshot& snap = *pin.snapshot();
+  const EpochSnapshot& snap = *pinned;
   CacheOnlyAccelerator accel(snap.cache(), snap.ids());
-
-  // Chaos: the dispatcher (the only caller) decides per batch whether
-  // one worker stalls, from its own seeded stream — deterministic in
-  // the batch sequence.
-  double stall_ms = 0.0;
-  if (options_.chaos.worker_stall_prob > 0.0 &&
-      chaos_stall_rng_.NextBernoulli(options_.chaos.worker_stall_prob)) {
-    stall_ms = options_.chaos.worker_stall_ms;
+  if (stall_ms > 0.0) {
+    std::this_thread::sleep_for(
+        std::chrono::duration<double, std::milli>(stall_ms));
   }
   const ServerHealth health = CurrentHealth();
 
   const size_t n = batch->size();
   std::vector<QueryResponse> responses(n);
   std::vector<Status> statuses(n, Status::OK());
-  ParallelFor(pool_.get(), n, [&](size_t i, uint32_t worker) {
-    (void)worker;
-    if (i == 0 && stall_ms > 0.0) {
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          stall_ms));
-    }
-    WorkspacePool::Lease lease = workspaces_.Acquire();
-    TraversalWorkspace* ws = lease.get();
+  for (size_t i = 0; i < n; ++i) {
     PendingQuery& pq = (*batch)[i];
-    if (pq.cancel_flag != nullptr) {
-      ws->cancel.flag = pq.cancel_flag.get();
-      ws->cancel.check_interval = options_.cancel_check_interval;
-    }
+    // The workspace is this worker's alone, so the token only has to be
+    // re-armed per request (kNoDeadline leaves it inert).
+    ws->cancel.deadline = pq.deadline;
     statuses[i] = ExecuteQueryInto(snap.view(), &snap.frozen(), pq.req, ws,
                                    &accel, snap.clusters(), &responses[i],
                                    snap.ids());
-    // Disarm before the workspace returns to the pool: leases outlive
-    // requests, and a stale flag pointer must never cancel a stranger.
-    ws->cancel.flag = nullptr;
-    ws->cancel.triggered = false;
     responses[i].epoch = snap.epoch();
     responses[i].health = health;
-  });
+  }
 
   if (ValidationOn(options_)) {
     std::vector<QueryRequest> ok_requests;
@@ -973,7 +935,7 @@ void QueryServer::ExecuteBatch(std::vector<PendingQuery>* batch) {
     }
   }
 
-  // Count the batch before fulfilling its promises: a client holding a
+  // Count the drain before fulfilling its promises: a client holding a
   // response must already be visible in stats().completed.
   const double end_seconds = clock_.ElapsedSeconds();
   {
@@ -999,6 +961,10 @@ void QueryServer::ExecuteBatch(std::vector<PendingQuery>* batch) {
     }
   }
 
+  // Let go of the epoch before fulfilling too: a drain that outlived
+  // its epoch frees it here, so a client holding a response never sees
+  // that epoch counted as retired.
+  pinned.reset();
   for (size_t i = 0; i < n; ++i) {
     if (statuses[i].ok()) {
       (*batch)[i].promise.set_value(std::move(responses[i]));
@@ -1006,11 +972,6 @@ void QueryServer::ExecuteBatch(std::vector<PendingQuery>* batch) {
       (*batch)[i].promise.set_value(statuses[i]);
     }
   }
-
-  // Release the pin before sweeping so a batch that outlived its epoch
-  // frees that epoch now rather than at the next publish.
-  pin.Release();
-  epochs_.SweepRetired();
 }
 
 void QueryServer::UpdaterLoop() {

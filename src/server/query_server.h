@@ -5,16 +5,21 @@
 // vocabulary (server/query.h) from immutable EpochSnapshots published
 // RCU-style through an EpochManager:
 //
-//   clients ──Submit──> bounded queue ──dispatcher──> batch
-//                                          │ pins current epoch once
-//                                          ▼
-//                              ThreadPool::ParallelFor over the batch
-//                              (FrozenGraph traversals, the epoch's
-//                               private DistanceCache as a pure
-//                               accelerator)
-//                                          │
-//                                          ▼ optional replay validation
-//                              promises fulfilled, epoch id stamped
+//   clients ──Submit──> bounded queue <──drain── worker 1 … worker N
+//                                                  │ each takes up to
+//                                                  │ min(max_batch_size,
+//                                                  │ ⌈depth / N⌉) requests
+//                                                  ▼ pins current epoch once
+//                                       serial execution on the worker's
+//                                       own TraversalWorkspace (FrozenGraph
+//                                       traversals, the epoch's DistanceCache
+//                                       as a pure accelerator)
+//                                                  │
+//                                                  ▼ optional replay validation
+//                                       promises fulfilled, epoch id stamped
+//
+//   Workers drain in parallel, so no request waits behind a drain it is
+//   not part of.
 //
 //   ApplyUpdate ──> updater thread: mutate live Network / point list,
 //                   rebuild PointSet + FrozenGraph (+ re-cluster when a
@@ -27,18 +32,19 @@
 //                   DistanceCache is carried forward across publishes
 //                   that leave the metric unchanged (point-only
 //                   batches) and replaced fresh whenever edge weights
-//                   change, so no batch can ever read a distance the
+//                   change, so no drain can ever read a distance the
 //                   current adjacency does not produce.
 //
 // Admission control: when the queue holds max_queue_depth requests, a
 // Submit is rejected immediately with kUnavailable carrying a
-// structured retry-after hint (measured batch rate when warm, a
+// structured retry-after hint (measured drain time when warm, a
 // depth/worker model when cold). The contract is documented in
 // DESIGN.md §12.
 //
 // Resilience (DESIGN.md §13): requests may carry deadlines — expired
-// ones are shed at dequeue and in-flight traversals are cooperatively
-// cancelled via TraversalCancel; mutations are logged to a durable WAL
+// ones are shed at dequeue and in-flight traversals cooperatively cancel
+// themselves once the deadline their TraversalCancel carries has passed;
+// mutations are logged to a durable WAL
 // (server/wal.h) before they apply, and Start replays the log after a
 // crash; a ServerHealth state machine (kHealthz probes bypass
 // admission) reports degradation from publish failures, a broken WAL,
@@ -72,12 +78,10 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "common/stats.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/union_find.h"
 #include "graph/dijkstra.h"
 #include "graph/network.h"
-#include "graph/workspace_pool.h"
 #include "netclus.h"
 #include "server/epoch_manager.h"
 #include "server/query.h"
@@ -89,14 +93,16 @@ namespace netclus {
 
 /// \brief Deterministic failure injection for the serving loop itself
 /// (the chaos harness of DESIGN.md §13). All probabilities are per
-/// decision and drawn from seeded per-thread streams, so a chaotic run
-/// replays bit-identically from the same seed and request sequence.
+/// decision and drawn from seeded streams, one per kind of decision (the
+/// updater draws publish failures; workers draw stalls in drain order
+/// under the queue lock), so a chaotic run replays bit-identically from
+/// the same seed and drain sequence.
 struct ChaosOptions {
   uint64_t seed = 0;
   /// Probability that an updater publish round fails (kInternal) without
   /// touching the epoch manager — exercising serve-last-good-epoch.
   double publish_failure_prob = 0.0;
-  /// Probability that a batch stalls one worker for `worker_stall_ms`
+  /// Probability that a drain stalls its worker for `worker_stall_ms`
   /// before executing — exercising deadline expiry under load.
   double worker_stall_prob = 0.0;
   double worker_stall_ms = 0.0;
@@ -108,12 +114,13 @@ struct ChaosOptions {
 
 /// \brief Serving knobs.
 struct QueryServerOptions {
-  /// Worker threads executing batches (0 = one per hardware core).
+  /// Worker threads draining the queue (0 = one per hardware core).
   uint32_t num_workers = 0;
   /// Admission bound: Submits beyond this many queued requests are
   /// rejected with kUnavailable (backpressure).
   size_t max_queue_depth = 1024;
-  /// Most requests the dispatcher drains into one batch.
+  /// Most requests one worker drains at a time, all served under one
+  /// epoch pin.
   size_t max_batch_size = 64;
   /// ObjectId-keyed point-pair distance cache: each snapshot carries a
   /// cache of this capacity, SHARED with its predecessor across
@@ -184,11 +191,11 @@ struct ServerStats {
   uint64_t accepted = 0;   ///< requests admitted to the queue
   uint64_t rejected = 0;   ///< requests refused with kUnavailable
   uint64_t completed = 0;  ///< requests whose promise was fulfilled
-  uint64_t batches = 0;    ///< dispatcher batches executed
+  uint64_t batches = 0;    ///< worker drains executed
   uint64_t epochs_published = 0;
   uint64_t epochs_drained = 0;   ///< retired snapshots actually freed
   uint64_t retired_epochs = 0;   ///< retired, awaiting last reader
-  uint64_t replay_batches = 0;   ///< batches replay-validated
+  uint64_t replay_batches = 0;   ///< drains replay-validated
   uint64_t replay_mismatches = 0;
   uint64_t deadline_expired = 0;  ///< requests shed at dequeue, past deadline
   uint64_t cancelled_traversals = 0;  ///< cancelled mid-execution
@@ -210,9 +217,9 @@ struct ServerStats {
   size_t queue_depth = 0;  ///< requests waiting right now (gauge)
   double mean_queue_wait_ms = 0.0;
   double max_queue_wait_ms = 0.0;
-  double mean_batch_size = 0.0;
+  double mean_batch_size = 0.0;  ///< requests per drain
   double max_batch_size = 0.0;
-  double mean_batch_ms = 0.0;
+  double mean_batch_ms = 0.0;    ///< wall time per drain
   double mean_publish_full_ms = 0.0;
   double mean_publish_incremental_ms = 0.0;
   /// Mean wall time of a publish's PointSet stage (build or merge, plus
@@ -249,7 +256,7 @@ class QueryServer {
   /// middle fails Start with kCorruption — the server never boots a
   /// guessed world), publishes epoch 1 (running the initial clustering
   /// when `options.cluster_spec` is set — a failure there fails Start),
-  /// and starts the dispatcher, updater, watchdog, and worker threads.
+  /// and starts the worker and updater threads.
   static Result<std::unique_ptr<QueryServer>> Start(
       Network net, PointSet points, const QueryServerOptions& options);
 
@@ -310,26 +317,20 @@ class QueryServer {
   /// the raw material for client-side percentiles in the bench).
   std::vector<double> QueueWaitSamplesMs() const;
 
-  uint32_t num_workers() const { return pool_->size(); }
+  uint32_t num_workers() const { return num_workers_; }
 
  private:
   struct PendingQuery {
     QueryRequest req;
     std::promise<Result<QueryResponse>> promise;
     double enqueue_seconds = 0.0;
-    /// Absolute expiry on the server clock; 0 = no deadline.
-    double deadline_seconds = 0.0;
-    /// Set by the watchdog at expiry; polled by the executing traversal.
-    std::shared_ptr<std::atomic<bool>> cancel_flag;
+    /// Absolute expiry; kNoDeadline when the request has none.
+    TraversalCancel::Clock::time_point deadline = TraversalCancel::kNoDeadline;
   };
   struct PendingUpdate {
     NetworkUpdate update;
     std::promise<Status> promise;
     uint64_t seq = 0;
-  };
-  struct DeadlineEntry {
-    double expiry_seconds = 0.0;
-    std::shared_ptr<std::atomic<bool>> flag;
   };
 
   QueryServer(Network net, std::vector<NetworkUpdate> raw_points,
@@ -390,15 +391,16 @@ class QueryServer {
   /// only.
   Status ApplyToWorld(const NetworkUpdate& update);
 
-  void DispatcherLoop();
+  /// One serving thread: sheds expired requests, takes a drain from the
+  /// queue and serves it on its own workspace; returns once Stop has
+  /// been called and the queue is empty.
+  void WorkerLoop(NodeId num_nodes);
   void UpdaterLoop();
-  void WatchdogLoop();
-  void ExecuteBatch(std::vector<PendingQuery>* batch);
-
-  /// Registers `flag` to be set when the server clock passes
-  /// `expiry_seconds`.
-  void ArmDeadline(double expiry_seconds,
-                   std::shared_ptr<std::atomic<bool>> flag);
+  /// Serves one drain on the calling worker: pins the current epoch
+  /// once, stalls `stall_ms` (chaos), executes each request serially on
+  /// `ws`, replay-validates, counts, then fulfils the promises.
+  void ExecuteBatch(std::vector<PendingQuery>* batch, double stall_ms,
+                    TraversalWorkspace* ws);
 
   /// Records one request outcome in the health window.
   void RecordOutcomeLocked(bool deadline_missed) NETCLUS_REQUIRES(stats_mu_);
@@ -411,6 +413,9 @@ class QueryServer {
   // The live (mutable) world — updater thread only after Start.
   Network net_;
   std::vector<NetworkUpdate> raw_points_;  ///< kAddPoint records, in order
+  /// Recluster's traversal state (updater thread only), kept across
+  /// publishes so a publish allocates no new workspace.
+  TraversalWorkspace recluster_ws_;
 
   // Stable identity (updater thread only after Start): every object
   // ever admitted gets the next watermark value, never reused.
@@ -454,8 +459,7 @@ class QueryServer {
   uint64_t ckpt_generation_ = 0;
 
   EpochManager epochs_;
-  std::unique_ptr<ThreadPool> pool_;
-  WorkspacePool workspaces_;
+  const uint32_t num_workers_;
 
   // Query admission queue. Rank kQueryServerQueue: Submit's rejection
   // path records stats while still holding this lock, which is the only
@@ -465,6 +469,8 @@ class QueryServer {
   CondVar queue_cv_;
   std::deque<PendingQuery> queue_ NETCLUS_GUARDED_BY(queue_mu_);
   bool stopping_ NETCLUS_GUARDED_BY(queue_mu_) = false;
+  /// Chaos stall stream: drawn once per drain, in drain order.
+  Rng chaos_stall_rng_ NETCLUS_GUARDED_BY(queue_mu_);
 
   // Update queue + flush bookkeeping.
   mutable Mutex update_mu_{lock_rank::kQueryServerUpdate,
@@ -479,33 +485,19 @@ class QueryServer {
   uint64_t published_seq_ NETCLUS_GUARDED_BY(update_mu_) = 0;
   Status last_publish_error_ NETCLUS_GUARDED_BY(update_mu_) = Status::OK();
 
-  /// Dispatcher-only: rotates batches across the snapshot's pin slots so
-  /// the multi-slot drain accounting is exercised in normal serving.
-  uint32_t pin_slot_rr_ = 0;
-
-  // Deadline watchdog: a min-heap of pending expiries on the server
-  // clock, drained by its own thread.
-  mutable Mutex deadline_mu_{lock_rank::kQueryServerDeadline,
-                             "QueryServer::deadline_mu_"};
-  CondVar deadline_cv_;
-  std::vector<DeadlineEntry> deadline_heap_ NETCLUS_GUARDED_BY(deadline_mu_);
-  bool deadline_stopping_ NETCLUS_GUARDED_BY(deadline_mu_) = false;
-
   // Health signals readable from any thread without the stats lock.
   std::atomic<bool> stopping_flag_{false};
   std::atomic<bool> wal_broken_{false};
   std::atomic<uint32_t> consecutive_publish_failures_{0};
 
-  // Chaos: independent seeded streams per deciding thread (updater
-  // decides publish failures, dispatcher decides worker stalls), so
-  // neither perturbs the other's sequence.
+  // Chaos: the updater's publish-failure stream, independent of the
+  // workers' stall stream (chaos_stall_rng_), so neither perturbs the
+  // other's sequence.
   Rng chaos_publish_rng_{0};
-  Rng chaos_stall_rng_{0};
 
   // Serving statistics. Rank kServerStats: acquired from Submit while
   // queue_mu_ is still held (the backpressure rejection path) and from
-  // workers/dispatcher with nothing held; only the global registry may
-  // be acquired beyond it.
+  // workers and the updater with nothing held; the innermost lock.
   mutable Mutex stats_mu_{lock_rank::kServerStats, "QueryServer::stats_mu_"};
   uint64_t accepted_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
   uint64_t rejected_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
@@ -546,9 +538,8 @@ class QueryServer {
   bool outcome_full_ NETCLUS_GUARDED_BY(stats_mu_) = false;
   size_t outcome_misses_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
 
-  std::thread dispatcher_;
+  std::vector<std::thread> workers_;
   std::thread updater_;
-  std::thread watchdog_;
 };
 
 }  // namespace netclus

@@ -23,7 +23,7 @@ EpochSnapshot::EpochSnapshot(
     uint64_t epoch, std::shared_ptr<const FrozenGraph> graph,
     std::shared_ptr<const PointSet> points,
     std::shared_ptr<const ClusterOutput> clusters,
-    std::shared_ptr<const DistanceCache> cache, uint32_t num_pin_slots,
+    std::shared_ptr<const DistanceCache> cache,
     std::shared_ptr<std::atomic<uint64_t>> freed_counter,
     std::shared_ptr<const IdentityMap> ids)
     : epoch_(epoch),
@@ -31,7 +31,6 @@ EpochSnapshot::EpochSnapshot(
       cache_(std::move(cache)),
       ids_(std::move(ids)),
       view_(std::move(graph), std::move(points)),
-      pin_slots_(num_pin_slots > 0 ? num_pin_slots : 1),
       freed_counter_(std::move(freed_counter)) {}
 
 EpochSnapshot::~EpochSnapshot() {

@@ -8,7 +8,7 @@
 // against the snapshot's SnapshotView + FrozenGraph pair, which is
 // frozen forever — every byte a query can reach is immutable after
 // construction, so snapshots are shared across worker threads with no
-// synchronization beyond the epoch pin.
+// synchronization beyond the shared_ptr each reader holds.
 #ifndef NETCLUS_SERVER_SNAPSHOT_H_
 #define NETCLUS_SERVER_SNAPSHOT_H_
 
@@ -69,11 +69,9 @@ class SnapshotView final : public NetworkView {
 
 /// \brief One published epoch: id + the immutable world it serves.
 ///
-/// Owned by shared_ptr from the EpochManager and from every in-flight
-/// reader batch; the per-slot pin counts below additionally gate the
-/// manager's retire-and-free sweep (see epoch_manager.h for the
-/// lifecycle). Not copyable or movable — the pin slots are addresses
-/// workers hold across the snapshot's whole life.
+/// Owned by shared_ptr from the EpochManager (while current) and from
+/// every in-flight reader drain; the last owner to let go frees it (see
+/// epoch_manager.h for the lifecycle). Not copyable or movable.
 class EpochSnapshot {
  public:
   /// `clusters` may be null (membership queries then fail NotFound).
@@ -92,7 +90,6 @@ class EpochSnapshot {
                 std::shared_ptr<const PointSet> points,
                 std::shared_ptr<const ClusterOutput> clusters,
                 std::shared_ptr<const DistanceCache> cache,
-                uint32_t num_pin_slots,
                 std::shared_ptr<std::atomic<uint64_t>> freed_counter,
                 std::shared_ptr<const IdentityMap> ids = nullptr);
   ~EpochSnapshot();
@@ -109,47 +106,18 @@ class EpochSnapshot {
   /// This epoch's distance cache; null when caching is disabled. Keys
   /// are ObjectId pairs, so entries stay meaningful across epochs and a
   /// metric-preserving republication may share the cache with its
-  /// predecessor — batches draining an old epoch then read and write
+  /// predecessor — drains still serving an old epoch then read and write
   /// the same (still correct) distances as the new one.
   const DistanceCache* cache() const { return cache_.get(); }
   /// This epoch's ObjectId <-> dense-PointId map; null means identity.
   const IdentityMap* ids() const { return ids_.get(); }
 
-  uint32_t num_pin_slots() const {
-    return static_cast<uint32_t>(pin_slots_.size());
-  }
-
-  /// Reader-side pin bookkeeping. The relaxed add is safe because pins
-  /// are only ever taken under the EpochManager's publish mutex (the
-  /// snapshot is provably alive there); the release/acquire pair makes
-  /// a reader's memory operations visible to the sweep that frees the
-  /// snapshot after observing its pins at zero.
-  void AddPin(uint32_t slot) const {
-    pin_slots_[slot].pins.fetch_add(1, std::memory_order_relaxed);
-  }
-  void ReleasePin(uint32_t slot) const {
-    pin_slots_[slot].pins.fetch_sub(1, std::memory_order_release);
-  }
-  uint64_t TotalPins() const {
-    uint64_t total = 0;
-    for (const PinSlot& s : pin_slots_) {
-      total += s.pins.load(std::memory_order_acquire);
-    }
-    return total;
-  }
-
  private:
-  /// One cache line per worker so concurrent pin/unpin never false-share.
-  struct alignas(64) PinSlot {
-    mutable std::atomic<uint64_t> pins{0};
-  };
-
   uint64_t epoch_;
   std::shared_ptr<const ClusterOutput> clusters_;
   std::shared_ptr<const DistanceCache> cache_;
   std::shared_ptr<const IdentityMap> ids_;
   SnapshotView view_;  ///< co-owns the graph and the point set
-  std::vector<PinSlot> pin_slots_;
   std::shared_ptr<std::atomic<uint64_t>> freed_counter_;
 };
 

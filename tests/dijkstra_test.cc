@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
+#include <chrono>
 #include <cmath>
 
 #include "common/random.h"
@@ -128,16 +128,6 @@ TEST(DijkstraTest, EarlyStopViaCallback) {
 }
 
 // ------------------------------------------------ point-level distances.
-
-TEST(DirectDistanceTest, Definition2) {
-  PointPos p{0, 1, 1.0}, q{0, 1, 3.5}, r{1, 2, 0.5};
-  EXPECT_DOUBLE_EQ(DirectDistance(p, q), 2.5);
-  EXPECT_DOUBLE_EQ(DirectDistance(q, p), 2.5);
-  EXPECT_EQ(DirectDistance(p, r), kInfDist);
-  EXPECT_DOUBLE_EQ(DirectDistanceToNode(p, 4.0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(DirectDistanceToNode(p, 4.0, 1), 3.0);
-  EXPECT_EQ(DirectDistanceToNode(p, 4.0, 2), kInfDist);
-}
 
 TEST(PointDistanceTest, SameEdgeCanShortcutThroughNetwork) {
   // Triangle where going around is shorter than along the edge.
@@ -325,8 +315,8 @@ TEST(DijkstraCancelTest, PresetFlagAbandonsTheExpansion) {
   InMemoryNetworkView view(net, empty);
   TraversalWorkspace ws(64);
 
-  std::atomic<bool> fired{true};  // already expired when the run starts
-  ws.cancel.flag = &fired;
+  // Already expired when the run starts.
+  ws.cancel.deadline = TraversalCancel::Clock::now() - std::chrono::seconds(1);
   ws.cancel.check_interval = 1;  // poll at every settle
   DijkstraDistances(view, {{0, 0.0}}, &ws);
 
@@ -342,16 +332,16 @@ TEST(DijkstraCancelTest, FlagFlippedMidRunStopsWithinTheInterval) {
   InMemoryNetworkView view(net, empty);
   TraversalWorkspace ws(100);
 
-  // The flag flips after the 10th settle; with check_interval=1 the
-  // kernel must notice at the very next poll, long before node 99.
-  std::atomic<bool> fired{false};
-  ws.cancel.flag = &fired;
+  // The deadline moves into the past at the 10th settle; with
+  // check_interval=1 the kernel must notice at the very next poll, long
+  // before node 99.
   ws.cancel.check_interval = 1;
   int settles = 0;
   DijkstraExpandBounded(view, {DijkstraSource{0, 0.0}}, kInfDist, &ws,
                         [&](NodeId, double) {
                           if (++settles == 10) {
-                            fired.store(true, std::memory_order_relaxed);
+                            ws.cancel.deadline = TraversalCancel::Clock::now() -
+                                                 std::chrono::seconds(1);
                           }
                           return true;
                         });
@@ -374,13 +364,14 @@ TEST(DijkstraCancelTest, InertTokenIsBitIdenticalToNoToken) {
   DijkstraDistances(view, {{0, 0.0}}, &ref_ws);
   TraversalCounters ref = LocalTraversalCounters() - before_ref;
 
-  // Workspace path with the default (inert) token, and again with an
-  // armed-but-never-fired flag: distances and counters must not move.
+  // Workspace path with the default (inert) token, and again with a
+  // deadline an hour out polled at every settle: distances and counters
+  // must not move.
   for (bool arm : {false, true}) {
     TraversalWorkspace ws(n);
-    std::atomic<bool> never{false};
     if (arm) {
-      ws.cancel.flag = &never;
+      ws.cancel.deadline =
+          TraversalCancel::Clock::now() + std::chrono::hours(1);
       ws.cancel.check_interval = 1;
     }
     TraversalCounters before = LocalTraversalCounters();
@@ -403,8 +394,7 @@ TEST(DijkstraCancelTest, ZeroCheckIntervalIsClampedNotInfinite) {
   PointSet empty;
   InMemoryNetworkView view(net, empty);
   TraversalWorkspace ws(32);
-  std::atomic<bool> fired{true};
-  ws.cancel.flag = &fired;
+  ws.cancel.deadline = TraversalCancel::Clock::now() - std::chrono::seconds(1);
   ws.cancel.check_interval = 0;  // must clamp to 1, not wrap to 2^32
   DijkstraDistances(view, {{0, 0.0}}, &ws);
   EXPECT_TRUE(ws.cancel.triggered);

@@ -5,7 +5,6 @@
 #include "core/eps_link.h"
 #include "ext/multi_network.h"
 #include "ext/time_dependent.h"
-#include "ext/weight_functions.h"
 #include "gen/network_gen.h"
 #include "graph/dijkstra.h"
 #include "graph/network_distance.h"
@@ -151,77 +150,6 @@ TEST(TimeDependentTest, CongestionChangesClusters) {
   };
   EXPECT_EQ(cluster_at(3.0), 1);   // night: gap ~1.2 <= 1.5
   EXPECT_EQ(cluster_at(8.5), 2);   // rush hour: gap ~3.6 > 1.5
-}
-
-TEST(WeightFunctionsTest, LinearCombinationOfMeasures) {
-  // Distance and travel-time measures over the same 3-node path.
-  Network dist = MakePathNetwork(3, 2.0);
-  Network time(3);
-  ASSERT_TRUE(time.AddEdge(0, 1, 10.0).ok());
-  ASSERT_TRUE(time.AddEdge(1, 2, 30.0).ok());
-  Result<Network> combined = AggregateWeights(
-      {&dist, &time}, LinearCombination({1.0, 0.1}));
-  ASSERT_TRUE(combined.ok());
-  EXPECT_DOUBLE_EQ(combined.value().EdgeWeight(0, 1), 2.0 + 1.0);
-  EXPECT_DOUBLE_EQ(combined.value().EdgeWeight(1, 2), 2.0 + 3.0);
-}
-
-TEST(WeightFunctionsTest, MaxCombination) {
-  Network a = MakePathNetwork(3, 2.0);
-  Network b(3);
-  ASSERT_TRUE(b.AddEdge(0, 1, 1.0).ok());
-  ASSERT_TRUE(b.AddEdge(1, 2, 5.0).ok());
-  Result<Network> combined = AggregateWeights({&a, &b}, MaxCombination());
-  ASSERT_TRUE(combined.ok());
-  EXPECT_DOUBLE_EQ(combined.value().EdgeWeight(0, 1), 2.0);
-  EXPECT_DOUBLE_EQ(combined.value().EdgeWeight(1, 2), 5.0);
-}
-
-TEST(WeightFunctionsTest, RejectsMismatchedTopology) {
-  Network a = MakePathNetwork(3, 1.0);
-  Network b = MakePathNetwork(4, 1.0);
-  EXPECT_TRUE(AggregateWeights({&a, &b}, MaxCombination())
-                  .status()
-                  .IsInvalidArgument());
-  Network c(3);  // same node count, different edges
-  ASSERT_TRUE(c.AddEdge(0, 2, 1.0).ok());
-  ASSERT_TRUE(c.AddEdge(1, 2, 1.0).ok());
-  EXPECT_TRUE(AggregateWeights({&a, &c}, MaxCombination())
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(
-      AggregateWeights({}, MaxCombination()).status().IsInvalidArgument());
-}
-
-TEST(WeightFunctionsTest, RejectsNonPositiveAggregate) {
-  Network a = MakePathNetwork(3, 1.0);
-  Result<Network> bad =
-      AggregateWeights({&a}, LinearCombination({0.0}));
-  EXPECT_TRUE(bad.status().IsInvalidArgument());
-}
-
-TEST(WeightFunctionsTest, DifferentMeasuresYieldDifferentClusterings) {
-  // Two points far apart by distance but close by travel time (a
-  // highway): the clustering layer depends on the chosen measure.
-  Network dist = MakePathNetwork(3, 10.0);
-  Network time(3);
-  ASSERT_TRUE(time.AddEdge(0, 1, 1.0).ok());   // fast segment
-  ASSERT_TRUE(time.AddEdge(1, 2, 50.0).ok());  // congested segment
-  PointSetBuilder b;
-  b.Add(0, 1, 5.0, 0);
-  b.Add(1, 2, 5.0, 1);
-  PointSet by_dist = std::move(std::move(b).Build(dist)).value();
-  // Re-anchor the same fractional positions onto the time network.
-  PointSet by_time =
-      std::move(RescalePoints(dist, time, by_dist).value());
-  EpsLinkOptions opts;
-  opts.eps = 12.0;
-  InMemoryNetworkView dist_view(dist, by_dist);
-  InMemoryNetworkView time_view(time, by_time);
-  EXPECT_EQ(std::move(RunEpsLink(dist_view, opts)).value().num_clusters,
-            1);  // 10 apart by distance
-  EXPECT_EQ(std::move(RunEpsLink(time_view, opts)).value().num_clusters,
-            2);  // 25.5 apart by time
 }
 
 }  // namespace

@@ -76,24 +76,6 @@ TEST(NetworkTest, Connectivity) {
   EXPECT_TRUE(net.IsConnected());
 }
 
-TEST(NetworkTest, LargestComponentExtraction) {
-  Network net(7);
-  // Component A: 0-1-2 (3 nodes), component B: 3-4-5-6 (4 nodes).
-  ASSERT_TRUE(net.AddEdge(0, 1, 1.0).ok());
-  ASSERT_TRUE(net.AddEdge(1, 2, 1.0).ok());
-  ASSERT_TRUE(net.AddEdge(3, 4, 1.0).ok());
-  ASSERT_TRUE(net.AddEdge(4, 5, 1.0).ok());
-  ASSERT_TRUE(net.AddEdge(5, 6, 2.0).ok());
-  std::vector<NodeId> mapping;
-  Network big = Network::LargestComponent(net, &mapping);
-  EXPECT_EQ(big.num_nodes(), 4u);
-  EXPECT_EQ(big.num_edges(), 3u);
-  EXPECT_TRUE(big.IsConnected());
-  EXPECT_EQ(mapping[0], kInvalidNodeId);
-  ASSERT_NE(mapping[5], kInvalidNodeId);
-  EXPECT_DOUBLE_EQ(big.EdgeWeight(mapping[5], mapping[6]), 2.0);
-}
-
 TEST(PointSetTest, IdsAreGroupedAndSortedByOffset) {
   Network net = MakePathNetwork(4, 10.0);
   PointSetBuilder b;

@@ -1,6 +1,6 @@
 // Tests for the clustering-as-a-service stack (src/server/): the
 // unified query vocabulary and its inline execution path, the RCU
-// EpochManager (pin/publish/retire/free lifecycle, including the
+// EpochManager (publish/read/retire/free lifecycle, including the
 // concurrent epoch-swap hammer the tsan mode targets), and the
 // QueryServer — served-vs-inline bit-identity, replay validation,
 // cluster-membership serving, update visibility across epochs,
@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <future>
 #include <limits>
@@ -177,27 +178,27 @@ std::shared_ptr<const FrozenGraph> TinyGraph() {
 }
 
 TEST(EpochManagerTest, PinnedEpochSurvivesPublishAndFreesOnRelease) {
-  EpochManager m(2);
-  EXPECT_FALSE(m.Acquire(0));  // nothing published yet
+  EpochManager m;
+  EXPECT_EQ(m.Current(), nullptr);  // nothing published yet
   EXPECT_EQ(m.current_epoch(), 0u);
+  EXPECT_EQ(m.retired_count(), 0u);
 
   auto points = std::make_shared<const PointSet>();
   EXPECT_EQ(m.Publish(TinyGraph(), points, nullptr), 1u);
-  EpochManager::Pin pin = m.Acquire(0);
-  ASSERT_TRUE(pin);
-  EXPECT_EQ(pin.snapshot()->epoch(), 1u);
+  std::shared_ptr<const EpochSnapshot> pin = m.Current();
+  ASSERT_NE(pin, nullptr);
+  EXPECT_EQ(pin->epoch(), 1u);
 
   // Publishing epoch 2 retires epoch 1 but must not free it while the
-  // pin is held: the reader's world stays byte-stable mid-batch.
+  // pin is held: the reader's world stays byte-stable mid-drain.
   EXPECT_EQ(m.Publish(TinyGraph(), points, nullptr), 2u);
   EXPECT_EQ(m.current_epoch(), 2u);
   EXPECT_EQ(m.retired_count(), 1u);
   EXPECT_EQ(m.epochs_drained(), 0u);
-  EXPECT_EQ(pin.snapshot()->epoch(), 1u);
-  EXPECT_EQ(pin.snapshot()->frozen().num_nodes(), 2u);
+  EXPECT_EQ(pin->epoch(), 1u);
+  EXPECT_EQ(pin->frozen().num_nodes(), 2u);
 
-  pin.Release();
-  m.SweepRetired();
+  pin.reset();
   EXPECT_EQ(m.retired_count(), 0u);
   EXPECT_EQ(m.epochs_drained(), 1u);
 
@@ -207,75 +208,47 @@ TEST(EpochManagerTest, PinnedEpochSurvivesPublishAndFreesOnRelease) {
   EXPECT_EQ(m.epochs_drained(), 2u);
 }
 
-TEST(EpochManagerTest, AcquireClampsOutOfRangeSlots) {
-  EpochManager m(2);
-  auto points = std::make_shared<const PointSet>();
-  m.Publish(TinyGraph(), points, nullptr);
-  // Slot 7 reduces to 7 % 2 = 1: an arbitrary rotation counter is a
-  // valid argument and the drain accounting still balances.
-  EpochManager::Pin pin = m.Acquire(7);
-  ASSERT_TRUE(pin);
-  m.Publish(TinyGraph(), points, nullptr);
-  EXPECT_EQ(m.epochs_drained(), 0u);  // epoch 1 still pinned via slot 1
-  pin.Release();
-  m.SweepRetired();
-  EXPECT_EQ(m.epochs_drained(), 1u);
-}
-
 // The regression behind the per-epoch cache design: distances memoized
-// while a batch drains an old epoch must be invisible to newer epochs
+// while a drain serves an old epoch must be invisible to newer epochs
 // (point ids renumber across epochs, so a shared cache could answer a
 // new-epoch pair with an old-world distance) — and vice versa.
 TEST(EpochManagerTest, EachEpochOwnsItsDistanceCache) {
-  EpochManager m(1);
+  EpochManager m;
   auto points = std::make_shared<const PointSet>();
   m.Publish(TinyGraph(), points, nullptr,
             std::make_shared<const DistanceCache>(64, 1));
-  EpochManager::Pin old_pin = m.Acquire(0);
-  ASSERT_TRUE(old_pin);
-  ASSERT_NE(old_pin.snapshot()->cache(), nullptr);
+  std::shared_ptr<const EpochSnapshot> old_pin = m.Current();
+  ASSERT_NE(old_pin, nullptr);
+  ASSERT_NE(old_pin->cache(), nullptr);
 
   m.Publish(TinyGraph(), points, nullptr,
             std::make_shared<const DistanceCache>(64, 1));
-  EpochManager::Pin new_pin = m.Acquire(0);
-  ASSERT_TRUE(new_pin);
+  std::shared_ptr<const EpochSnapshot> new_pin = m.Current();
+  ASSERT_NE(new_pin, nullptr);
 
-  // A store from the still-draining old batch lands in the old epoch's
+  // A store from the still-running old drain lands in the old epoch's
   // cache only; the new epoch starts cold.
-  old_pin.snapshot()->cache()->Store(0, 1, 5.0);
+  old_pin->cache()->Store(0, 1, 5.0);
   double d = 0.0;
-  EXPECT_FALSE(new_pin.snapshot()->cache()->Lookup(0, 1, &d));
-  EXPECT_TRUE(old_pin.snapshot()->cache()->Lookup(0, 1, &d));
+  EXPECT_FALSE(new_pin->cache()->Lookup(0, 1, &d));
+  EXPECT_TRUE(old_pin->cache()->Lookup(0, 1, &d));
   EXPECT_DOUBLE_EQ(d, 5.0);
 
   // And a publish without a cache serves uncached (null), not shared.
   m.Publish(TinyGraph(), points, nullptr);
-  EXPECT_EQ(m.Acquire(0).snapshot()->cache(), nullptr);
+  EXPECT_EQ(m.Current()->cache(), nullptr);
 }
 
-TEST(EpochManagerTest, MovedPinTransfersTheReference) {
-  EpochManager m(1);
-  auto points = std::make_shared<const PointSet>();
-  m.Publish(TinyGraph(), points, nullptr);
-  EpochManager::Pin a = m.Acquire(0);
-  EpochManager::Pin b = std::move(a);
-  ASSERT_TRUE(b);
-  m.Publish(TinyGraph(), points, nullptr);
-  EXPECT_EQ(m.epochs_drained(), 0u);  // b still pins epoch 1
-  b.Release();
-  m.SweepRetired();
-  EXPECT_EQ(m.epochs_drained(), 1u);
-}
-
-// The concurrent epoch-swap hammer: readers pin/traverse/release in a
-// tight loop while the writer publishes new epochs. Run under tsan
-// (scripts/run_all.sh tsan) this is the proof the pin/publish/sweep
-// protocol is race-free; the assertions below additionally pin down
-// monotone epoch visibility and exact drain accounting.
+// The concurrent epoch-swap hammer: readers take the current epoch,
+// traverse and let go in a tight loop while the writer publishes new
+// epochs. Run under tsan (scripts/run_all.sh tsan) this is the proof the
+// publish/read/free protocol is race-free; the assertions below
+// additionally pin down monotone epoch visibility and exact drain
+// accounting.
 TEST(EpochManagerTest, ConcurrentPinPublishHammer) {
   constexpr uint32_t kReaders = 4;
   constexpr uint64_t kPublishes = 50;
-  EpochManager m(kReaders);
+  EpochManager m;
   auto points = std::make_shared<const PointSet>();
   m.Publish(TinyGraph(), points, nullptr);
 
@@ -283,14 +256,14 @@ TEST(EpochManagerTest, ConcurrentPinPublishHammer) {
   std::atomic<uint64_t> reads{0};
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
-  for (uint32_t slot = 0; slot < kReaders; ++slot) {
-    readers.emplace_back([&, slot] {
+  for (uint32_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
       uint64_t last_epoch = 0;
       while (!stop.load(std::memory_order_acquire)) {
-        EpochManager::Pin pin = m.Acquire(slot);
-        ASSERT_TRUE(pin);
-        const EpochSnapshot& snap = *pin.snapshot();
-        // New pins always see the newest published world; per reader
+        std::shared_ptr<const EpochSnapshot> pin = m.Current();
+        ASSERT_NE(pin, nullptr);
+        const EpochSnapshot& snap = *pin;
+        // New readers always see the newest published world; per reader
         // the observed epoch never goes backwards.
         EXPECT_GE(snap.epoch(), last_epoch);
         last_epoch = snap.epoch();
@@ -313,7 +286,6 @@ TEST(EpochManagerTest, ConcurrentPinPublishHammer) {
   stop.store(true, std::memory_order_release);
   for (std::thread& t : readers) t.join();
 
-  m.SweepRetired();
   EXPECT_EQ(m.current_epoch(), kPublishes);
   EXPECT_EQ(m.epochs_published(), kPublishes);
   // Every retired epoch drained once its last reader left; only the
@@ -332,7 +304,7 @@ TEST(QueryServerTest, ServedBatchesMatchInlineBitIdentically) {
 
   QueryServerOptions opts;
   opts.num_workers = 4;
-  opts.validate_replay = true;  // every batch replays through the inline path
+  opts.validate_replay = true;  // every drain replays through the inline path
   Result<std::unique_ptr<QueryServer>> started =
       QueryServer::Start(w.gen.net, w.points, opts);
   ASSERT_TRUE(started.ok()) << started.status().ToString();
@@ -340,7 +312,7 @@ TEST(QueryServerTest, ServedBatchesMatchInlineBitIdentically) {
   EXPECT_EQ(server.current_epoch(), 1u);
 
   // A deterministic mixed workload, submitted all at once so the
-  // dispatcher actually batches.
+  // workers actually drain several requests at a time.
   std::vector<QueryRequest> requests;
   Rng rng(99);
   for (int i = 0; i < 120; ++i) {
@@ -800,6 +772,39 @@ TEST(QueryServerTest, ConcurrentQueriesAcrossEpochSwaps) {
   EXPECT_EQ(stats.epochs_drained, stats.epochs_published - 1);
 }
 
+// Head-of-line blocking: a request stalled inside its drain must not hold
+// up a request that arrives after it, while another worker is idle.
+TEST(QueryServerTest, IdleWorkerServesPastAStalledRequest) {
+  World w(100, 150, 37);
+  QueryServerOptions opts;
+  opts.num_workers = 2;
+  // Stream 2 of seed 11 draws stall, then no stall, at p = 0.5: the
+  // first drain (S's) stalls for 4 s, the second (F's) does not.
+  opts.chaos.seed = 11;
+  opts.chaos.worker_stall_prob = 0.5;
+  opts.chaos.worker_stall_ms = 4000.0;
+  Result<std::unique_ptr<QueryServer>> started =
+      QueryServer::Start(w.gen.net, w.points, opts);
+  ASSERT_TRUE(started.ok());
+  QueryServer& server = *started.value();
+
+  std::future<Result<QueryResponse>> stalled =
+      server.Submit(QueryRequest::PointDistance(0, 1));
+  // S has left the queue: a worker has taken it and is stalling.
+  while (server.stats().queue_depth != 0) std::this_thread::yield();
+
+  std::future<Result<QueryResponse>> fast =
+      server.Submit(QueryRequest::PointDistance(2, 3));
+  // F needs only the idle worker. S's stall began before F was
+  // submitted and lasts 4 s, so F resolving within 1 s leaves S pending.
+  ASSERT_EQ(fast.wait_for(std::chrono::seconds(1)), std::future_status::ready)
+      << "F waited behind the stalled drain";
+  EXPECT_TRUE(fast.get().ok());
+  EXPECT_EQ(stalled.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  EXPECT_TRUE(stalled.get().ok());
+}
+
 // ---------------------------------------------------------------------
 // QueryServer: admission control and shutdown.
 // ---------------------------------------------------------------------
@@ -950,8 +955,8 @@ TEST(QueryServerDeadlineTest, MidTraversalCancellationResolvesCleanly) {
   opts.max_batch_size = 1;
   opts.validate_replay = true;
   opts.cancel_check_interval = 1;  // poll every settle: cancel promptly
-  // Chaos stalls the batch long past the deadline, so the watchdog
-  // fires while the request sits inside ExecuteBatch — the traversal
+  // Chaos stalls the drain long past the deadline, so the deadline
+  // passes while the request sits inside ExecuteBatch — the traversal
   // itself must notice and abandon.
   opts.chaos.seed = 3;
   opts.chaos.worker_stall_prob = 1.0;
@@ -989,7 +994,11 @@ TEST(QueryServerDeadlineTest, GenerousDeadlinesDoNotPerturbPayloads) {
   QueryServer& server = *started.value();
 
   for (PointId p = 0; p < 20; ++p) {
-    QueryRequest req = QueryRequest::NearestObject(p, 3).WithDeadline(6e4);
+    // Odd points ask for a finite deadline far past the clock's range:
+    // it must behave as a generous one, not overflow into the past.
+    const double deadline_ms = p % 2 == 0 ? 6e4 : 1e300;
+    QueryRequest req =
+        QueryRequest::NearestObject(p, 3).WithDeadline(deadline_ms);
     Result<QueryResponse> served = server.Execute(req);
     ASSERT_TRUE(served.ok()) << served.status().ToString();
     Result<QueryResponse> inline_r = ExecuteQuery(inline_view, nullptr, req);

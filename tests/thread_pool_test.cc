@@ -1,6 +1,6 @@
 // Tests for the shared execution layer: ThreadPool / ParallelFor
 // semantics (coverage, worker-id bounds, exception propagation, inline
-// serial path) and WorkspacePool lease recycling.
+// serial path) and per-worker workspaces addressed by worker id.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "graph/workspace_pool.h"
+#include "graph/dijkstra.h"
 
 namespace netclus {
 namespace {
@@ -140,63 +140,16 @@ TEST(ThreadPoolTest, FreeFunctionNullPoolPropagatesExceptions) {
                std::runtime_error);
 }
 
-TEST(WorkspacePoolTest, LeaseIsSizedForTheNetwork) {
-  WorkspacePool pool(32);
-  WorkspacePool::Lease lease = pool.Acquire();
-  ASSERT_NE(lease.get(), nullptr);
-  EXPECT_EQ(lease->scratch.size(), 32u);
-}
-
-TEST(WorkspacePoolTest, ReleasedWorkspaceIsRecycled) {
-  WorkspacePool pool(16);
-  EXPECT_EQ(pool.idle_count(), 0u);
-  TraversalWorkspace* first = nullptr;
-  {
-    WorkspacePool::Lease lease = pool.Acquire();
-    first = lease.get();
-    EXPECT_EQ(pool.idle_count(), 0u);
-  }
-  EXPECT_EQ(pool.idle_count(), 1u);
-  WorkspacePool::Lease again = pool.Acquire();
-  EXPECT_EQ(again.get(), first);  // same instance, not a new allocation
-  EXPECT_EQ(pool.idle_count(), 0u);
-}
-
-TEST(WorkspacePoolTest, ConcurrentLeasesAreDistinct) {
-  WorkspacePool pool(8);
-  WorkspacePool::Lease a = pool.Acquire();
-  WorkspacePool::Lease b = pool.Acquire();
-  EXPECT_NE(a.get(), b.get());
-}
-
-TEST(WorkspacePoolTest, PoolSizeTracksPeakConcurrencyOnly) {
-  WorkspacePool pool(8);
-  {
-    WorkspacePool::Lease a = pool.Acquire();
-    WorkspacePool::Lease b = pool.Acquire();
-    WorkspacePool::Lease c = pool.Acquire();
-  }
-  EXPECT_EQ(pool.idle_count(), 3u);
-  // Many sequential acquire/release rounds never grow the pool further.
-  for (int i = 0; i < 10; ++i) {
-    WorkspacePool::Lease lease = pool.Acquire();
-  }
-  EXPECT_EQ(pool.idle_count(), 3u);
-}
-
-TEST(WorkspacePoolTest, LeasesUnderParallelForShareNothing) {
-  // The usage pattern from DBSCAN: one lease per worker, addressed by the
-  // worker id ParallelFor reports.
+TEST(ThreadPoolTest, PerWorkerWorkspacesShareNothing) {
+  // The usage pattern from DBSCAN: one workspace per worker, addressed
+  // by the worker id ParallelFor reports.
   ThreadPool exec(4);
-  WorkspacePool workspaces(64);
-  std::vector<WorkspacePool::Lease> leases;
-  leases.reserve(exec.size());
-  for (uint32_t w = 0; w < exec.size(); ++w) {
-    leases.push_back(workspaces.Acquire());
-  }
+  std::vector<TraversalWorkspace> workspaces;
+  workspaces.reserve(exec.size());
+  for (uint32_t w = 0; w < exec.size(); ++w) workspaces.emplace_back(64);
   std::vector<int> out(200, -1);
   exec.ParallelFor(out.size(), [&](size_t i, uint32_t worker) {
-    TraversalWorkspace* ws = leases[worker].get();
+    TraversalWorkspace* ws = &workspaces[worker];
     ws->settled.clear();
     ws->settled.emplace_back(static_cast<NodeId>(i % 64), 1.0);
     out[i] = static_cast<int>(ws->settled.size());
