@@ -146,7 +146,6 @@ int main() {
     KMedoidsOptions ko;
     ko.k = 8;
     ko.seed = 11;
-    index->InvalidateCache();
     for (int pass = 0; pass < 2; ++pass) {
       bool on = pass == 1;
       TraversalCounters total;

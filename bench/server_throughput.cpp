@@ -10,15 +10,16 @@
 // OPEN-LOOP pressure probe floods admission control — that probe alone
 // feeds rejection_rate, reported separately from accepted_qps in
 // BENCH_server.json, alongside deadline_miss_rate (shed + cancelled
-// over completed) per worker count. Three final probes measure mean
-// publish latency with incremental publish off vs on: a sparse-mutation
-// world (incremental/full ratio gated below 0.9), a world serving an
-// ε-Link cluster_spec with about one point per node, where every
-// publish also re-clusters (ratio gated below 0.5), and the same 20k
-// points with no cluster_spec and one AddPoint per publish, where the
-// PointSet merge is the work (ratio gated below 0.5). Each probe also
-// prints the mean PointSet, CSR and re-cluster stage times of both
-// legs. BENCH_server.json is a per-PR history (one {sha, date, entries}
+// over completed) per worker count. Three final probes measure the mean
+// time a World (server/world.h) takes to build the next epoch from
+// scratch vs incrementally, two worlds fed the same mutations: a
+// sparse-mutation world (incremental/full ratio gated below 0.9), a
+// world serving an ε-Link cluster_spec with about one point per node,
+// where every build also re-clusters (ratio gated below 0.5), and the
+// same 20k points with no cluster_spec and one AddPoint per build,
+// where the PointSet merge is the work (ratio gated below 0.5). Each
+// probe also prints the mean PointSet, CSR and re-cluster stage times
+// of both legs. BENCH_server.json is a per-PR history (one {sha, date, entries}
 // row per run), not a snapshot.
 // Wired into `run_all.sh bench-smoke` and `run_all.sh server-smoke`.
 //
@@ -47,8 +48,10 @@
 
 #include "bench_common.h"
 #include "common/random.h"
+#include "common/stats.h"
 #include "common/timer.h"
 #include "server/query_server.h"
+#include "server/world.h"
 
 using namespace netclus;
 using namespace netclus::bench;
@@ -97,35 +100,67 @@ struct RunResult {
   double rejection_rate = 0.0;
 };
 
-// Publish latency, incremental publish off vs on, over a 20k-node
-// network. Edge leg: few points and one AddEdge per publish, so almost
-// every CSR row of the next epoch is untouched — full rebuilds
-// re-materialize the whole graph each time, the incremental path
-// splices the two dirty rows and copies the rest (gated: ratio < 0.9).
-// Re-cluster leg: about one point per node and an ε-Link cluster_spec
-// (eps half the mean edge weight), two AddPoints then one AddEdge per
-// three publishes — the full path re-runs RunClustering every epoch,
-// the incremental one merges only the new links (gated: ratio < 0.5).
-// Point leg: the same 20k points, no cluster_spec, one AddPoint per
-// publish — the full path sorts every point into a fresh PointSet, the
-// incremental one merges the new point into the last epoch's (gated:
-// ratio < 0.5). Reported as publish_full_ms / publish_incremental_ms /
-// publish_ratio plus the per-stage means in BENCH_server.json.
+// Publish latency over a 20k-node network: one World builds every
+// epoch from scratch (BuildFull), another incrementally (Build), both
+// fed the same mutations, one build per mutation. Edge leg: few points
+// and one AddEdge per build, so almost every CSR row of the next epoch
+// is untouched — the full build re-materializes the whole graph each
+// time, the incremental one splices the two dirty rows and copies the
+// rest (gated: ratio < 0.9). Re-cluster leg: about one point per node
+// and an ε-Link cluster_spec (eps half the mean edge weight), two
+// AddPoints then one AddEdge per three builds — the full build re-runs
+// RunClustering every epoch, the incremental one merges only the new
+// links (gated: ratio < 0.5). Point leg: the same 20k points, no
+// cluster_spec, one AddPoint per build — the full build sorts every
+// point into a fresh PointSet, the incremental one merges the new
+// point into the last epoch's (gated: ratio < 0.5). Reported as
+// publish_full_ms / publish_incremental_ms / publish_ratio plus the
+// per-stage means in BENCH_server.json.
 enum class PublishLeg { kEdges, kRecluster, kPoints };
 
-// The stats of the full-publish server and of the incremental one.
-struct PublishLatency {
-  ServerStats full;
-  ServerStats incremental;
+// Mean build and stage times of one leg.
+struct BuildTimes {
+  RunningStats total_ms;
+  RunningStats points_ms;
+  RunningStats splice_ms;
+  RunningStats recluster_ms;
 
-  double full_ms() const { return full.mean_publish_full_ms; }
-  double incremental_ms() const {
-    return incremental.mean_publish_incremental_ms;
+  void Add(double ms, const World::Epoch& epoch) {
+    total_ms.Add(ms);
+    points_ms.Add(epoch.points_ms);
+    splice_ms.Add(epoch.splice_ms);
+    recluster_ms.Add(epoch.recluster_ms);
   }
+};
+
+// The full-build world's times and the incremental world's.
+struct PublishLatency {
+  BuildTimes full;
+  BuildTimes incremental;
+
+  double full_ms() const { return full.total_ms.mean(); }
+  double incremental_ms() const { return incremental.total_ms.mean(); }
   double ratio() const {
     return full_ms() > 0.0 ? incremental_ms() / full_ms() : 1.0;
   }
 };
+
+World::Epoch BuildOrDie(Result<World::Epoch> built) {
+  if (!built.ok()) {
+    std::fprintf(stderr, "world build failed: %s\n",
+                 built.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(built).value();
+}
+
+void ApplyOrDie(World* world, const NetworkUpdate& mutation) {
+  Status applied = world->Apply(mutation);
+  if (!applied.ok()) {
+    std::fprintf(stderr, "mutation failed: %s\n", applied.ToString().c_str());
+    std::exit(1);
+  }
+}
 
 PublishLatency MeasurePublishLatency(PointId num_points, PublishLeg leg) {
   GeneratedNetwork gen = GenerateRoadNetwork({20000, 1.3, 0.3, 91});
@@ -144,75 +179,56 @@ PublishLatency MeasurePublishLatency(PointId num_points, PublishLeg leg) {
               gen.net.num_nodes(), gen.net.num_edges(), points.size(),
               what[static_cast<int>(leg)]);
 
+  WorldOptions opts;
+  if (recluster) opts.cluster_spec = MakeSpec(EpsLinkOptions{eps, 1});
+  World full = World::Boot(gen.net, points, opts);
+  World incremental = World::Boot(gen.net, points, opts);
+  // The boot build is the incremental world's first base.
+  BuildOrDie(incremental.Build());
+
   constexpr int kPublishes = 9;
   PublishLatency out;
-  for (bool incremental : {false, true}) {
-    QueryServerOptions opts;
-    opts.num_workers = 1;
-    opts.incremental_publish = incremental;
-    if (recluster) opts.cluster_spec = MakeSpec(EpsLinkOptions{eps, 1});
-    std::unique_ptr<QueryServer> server =
-        std::move(QueryServer::Start(gen.net, points, opts).value());
-    Rng rng(93);
-    for (int i = 0; i < kPublishes; ++i) {
-      if (leg == PublishLeg::kPoints || (recluster && i % 3 != 2)) {
-        const Edge& e = edges[rng.NextBounded(edges.size())];
-        Status added = server->ApplyUpdate(
-            NetworkUpdate::AddPoint(e.u, e.v, rng.NextDouble() * e.weight));
-        if (!added.ok()) {
-          std::fprintf(stderr, "AddPoint failed: %s\n",
-                       added.ToString().c_str());
-          std::exit(1);
-        }
-      } else {
-        // Random endpoints; a duplicate-edge rejection just redraws.
-        const double weight =
-            recluster ? eps * (0.5 + 0.1 * i) : 1.0 + 0.5 * i;
-        for (;;) {
-          NodeId u =
-              static_cast<NodeId>(rng.NextBounded(gen.net.num_nodes()));
-          NodeId v =
-              static_cast<NodeId>(rng.NextBounded(gen.net.num_nodes()));
-          if (u == v) continue;
-          if (server->ApplyUpdate(NetworkUpdate::AddEdge(u, v, weight))
-                  .ok()) {
-            break;
-          }
-        }
-      }
-      // One publish per mutation: without the flush, queued mutations
-      // would coalesce and the sample count would drift run to run.
-      Status flushed = server->Flush();
-      if (!flushed.ok()) {
-        std::fprintf(stderr, "publish flush failed: %s\n",
-                     flushed.ToString().c_str());
-        std::exit(1);
+  Rng rng(93);
+  for (int i = 0; i < kPublishes; ++i) {
+    NetworkUpdate mutation;
+    if (leg == PublishLeg::kPoints || (recluster && i % 3 != 2)) {
+      const Edge& e = edges[rng.NextBounded(edges.size())];
+      mutation =
+          NetworkUpdate::AddPoint(e.u, e.v, rng.NextDouble() * e.weight);
+      ApplyOrDie(&incremental, mutation);
+    } else {
+      // Random endpoints; a duplicate-edge rejection just redraws.
+      const double weight = recluster ? eps * (0.5 + 0.1 * i) : 1.0 + 0.5 * i;
+      for (;;) {
+        NodeId u = static_cast<NodeId>(rng.NextBounded(gen.net.num_nodes()));
+        NodeId v = static_cast<NodeId>(rng.NextBounded(gen.net.num_nodes()));
+        if (u == v) continue;
+        mutation = NetworkUpdate::AddEdge(u, v, weight);
+        if (incremental.Apply(mutation).ok()) break;
       }
     }
-    ServerStats stats = server->stats();
-    (incremental ? out.incremental : out.full) = stats;
-    if (incremental) {
-      const uint64_t reclusters = recluster ? kPublishes : 0;
-      if (stats.publishes_incremental != kPublishes ||
-          stats.reclusters_incremental != reclusters) {
-        std::fprintf(stderr,
-                     "expected %d incremental publishes and %llu "
-                     "incremental re-clusters, saw %llu and %llu\n",
-                     kPublishes, static_cast<unsigned long long>(reclusters),
-                     static_cast<unsigned long long>(
-                         stats.publishes_incremental),
-                     static_cast<unsigned long long>(
-                         stats.reclusters_incremental));
-        std::exit(1);
-      }
+    ApplyOrDie(&full, mutation);
+    WallTimer timer;
+    const World::Epoch full_epoch = BuildOrDie(full.BuildFull());
+    out.full.Add(timer.ElapsedMillis(), full_epoch);
+    timer.Restart();
+    const World::Epoch epoch = BuildOrDie(incremental.Build());
+    out.incremental.Add(timer.ElapsedMillis(), epoch);
+    if (!epoch.incremental || epoch.recluster_incremental != recluster) {
+      std::fprintf(stderr,
+                   "build %d: expected an incremental build%s, saw "
+                   "incremental=%d recluster_incremental=%d\n",
+                   i, recluster ? " and re-cluster" : "", epoch.incremental,
+                   epoch.recluster_incremental);
+      std::exit(1);
     }
   }
   std::printf(
       "  stages full / incremental: points %.3f / %.3f ms, csr %.3f / "
       "%.3f ms, re-cluster %.3f / %.3f ms\n",
-      out.full.mean_publish_points_ms, out.incremental.mean_publish_points_ms,
-      out.full.mean_publish_splice_ms, out.incremental.mean_publish_splice_ms,
-      out.full.mean_recluster_ms, out.incremental.mean_recluster_ms);
+      out.full.points_ms.mean(), out.incremental.points_ms.mean(),
+      out.full.splice_ms.mean(), out.incremental.splice_ms.mean(),
+      out.full.recluster_ms.mean(), out.incremental.recluster_ms.mean());
   return out;
 }
 
@@ -225,18 +241,19 @@ void ReportPublishLatency(BenchRecorder* rec, const std::string& bench,
       "%s: full %.3f ms, incremental %.3f ms over %llu publishes (ratio "
       "%.2f, gate < %.1f)\n",
       label, pub.full_ms(), pub.incremental_ms(),
-      static_cast<unsigned long long>(pub.incremental.publishes_incremental),
+      static_cast<unsigned long long>(pub.incremental.total_ms.count()),
       pub.ratio(), gate);
   rec->Add(bench, {pub.incremental_ms() * 1e-3}, TraversalCounters{},
            {{"publish_full_ms", pub.full_ms()},
             {"publish_incremental_ms", pub.incremental_ms()},
             {"publish_ratio", pub.ratio()},
-            {"points_full_ms", pub.full.mean_publish_points_ms},
-            {"points_incremental_ms", pub.incremental.mean_publish_points_ms},
-            {"splice_full_ms", pub.full.mean_publish_splice_ms},
-            {"splice_incremental_ms", pub.incremental.mean_publish_splice_ms},
-            {"recluster_full_ms", pub.full.mean_recluster_ms},
-            {"recluster_incremental_ms", pub.incremental.mean_recluster_ms}});
+            {"points_full_ms", pub.full.points_ms.mean()},
+            {"points_incremental_ms", pub.incremental.points_ms.mean()},
+            {"splice_full_ms", pub.full.splice_ms.mean()},
+            {"splice_incremental_ms", pub.incremental.splice_ms.mean()},
+            {"recluster_full_ms", pub.full.recluster_ms.mean()},
+            {"recluster_incremental_ms",
+             pub.incremental.recluster_ms.mean()}});
 }
 
 RunResult RunAtWorkers(const Network& net, const PointSet& points,

@@ -60,7 +60,7 @@ int Usage() {
                "           [--eps E|auto] [--k K] [--minpts M] [--minsup M]\n"
                "           [--delta D] [--cut D] [--seed S]\n"
                "           [--threads T] [--restarts R]\n"
-               "           [--index on|off] [--landmarks K] [--cache-cap N]\n"
+               "           [--index on|off] [--landmarks K]\n"
                "  serve    --in FILE [--workers W] [--clients C]\n"
                "           [--queries N] [--mutations M] [--eps E|auto]\n"
                "           [--validate on|off] [--seed S]\n"
@@ -242,15 +242,12 @@ int RunCluster(int argc, char** argv, const InMemoryNetworkView& view,
       std::strcmp(FlagValue(argc, argv, "--index", "off"), "on") == 0;
   spec.index.num_landmarks = static_cast<uint32_t>(
       std::atol(FlagValue(argc, argv, "--landmarks", "8")));
-  spec.index.cache_capacity = static_cast<size_t>(
-      std::atoll(FlagValue(argc, argv, "--cache-cap", "65536")));
   spec.index.num_threads = threads;
   if (spec.index.enable) {
     // RunClustering builds the index for k-medoids only, the one
     // algorithm that reads it.
     if (spec.algorithm == Algorithm::kKMedoids) {
-      std::printf("index: %u landmarks, cache capacity %zu\n",
-                  spec.index.num_landmarks, spec.index.cache_capacity);
+      std::printf("index: %u landmarks\n", spec.index.num_landmarks);
     } else {
       std::printf("index: not built (only k-medoids reads it)\n");
     }

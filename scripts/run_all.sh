@@ -13,8 +13,9 @@
 # (thread pool, parallel restarts/range queries, determinism) under it.
 #
 # `scripts/run_all.sh asan` builds an AddressSanitizer configuration in
-# build-asan and runs the storage + fault-injection + corruption suites —
-# the paths that chew on deliberately damaged bytes — under it.
+# build-asan and runs the storage + B+-tree + fault-injection +
+# corruption suites — the paths that chew on deliberately damaged
+# bytes — under it.
 #
 # `scripts/run_all.sh ubsan` builds an UndefinedBehaviorSanitizer
 # configuration (-fno-sanitize-recover=all, so any UB is a hard test
@@ -107,7 +108,7 @@ if [ "${1:-}" = "ubsan" ]; then
   cmake -B build-ubsan -G Ninja -DNETCLUS_SANITIZE=undefined
   cmake --build build-ubsan
   ctest --test-dir build-ubsan --output-on-failure \
-    -R 'KMedoids|EpsLink|Dbscan|SingleLink|Dendrogram|Dijkstra|RangeQuery|Knn|PointDistance|InterestingLevels|Optics|Hierarchy|Validate|NetclusApi|Integration|Index|DistanceCache|LandmarkOracle|Frozen|Wal|Checkpoint|Incremental|Cancel|Deadline|WireCodec|WireFrame' \
+    -R 'KMedoids|EpsLink|Dbscan|SingleLink|Dendrogram|Dijkstra|RangeQuery|Knn|PointDistance|InterestingLevels|Optics|Hierarchy|Validate|NetclusApi|Integration|Index|DistanceCache|LandmarkOracle|Frozen|Wal|Checkpoint|Incremental|World|Cancel|Deadline|WireCodec|WireFrame' \
     2>&1 | tee ubsan_output.txt
   exit 0
 fi
@@ -124,7 +125,7 @@ if [ "${1:-}" = "asan" ]; then
   cmake -B build-asan -G Ninja -DNETCLUS_SANITIZE=address
   cmake --build build-asan
   ctest --test-dir build-asan --output-on-failure \
-    -R 'Storage|Buffer|Checksum|Crc32c|FaultInjection|FaultSoak|Corruption|Bptree|NetworkStore|TextIo' \
+    -R 'Storage|Buffer|Checksum|Crc32c|FaultInjection|FaultSoak|Corruption|BPlusTree|NetworkStore|TextIo' \
     2>&1 | tee asan_output.txt
   exit 0
 fi

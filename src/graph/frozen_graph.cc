@@ -26,7 +26,7 @@ double FrozenGraph::EdgeWeight(NodeId a, NodeId b) const {
 
 std::pair<PointId, uint32_t> FrozenGraph::EdgePointRange(NodeId a,
                                                          NodeId b) const {
-  if (!has_point_layer_ || a >= num_nodes() || b >= num_nodes()) {
+  if (a >= num_nodes() || b >= num_nodes()) {
     return {kInvalidPointId, 0};
   }
   size_t slot = SlotOf(a, b);
@@ -69,44 +69,29 @@ void FrozenGraph::AttachPoints(const PointSet& points) {
     groups_[i] = PointGroup{pg.u, pg.v, pg.first, pg.count,
                             su == SIZE_MAX ? -1.0 : weights_[su]};
   }
-  has_point_layer_ = true;
 }
-
-namespace {
-
-// Fills the CSR arrays from `row(i)`, node i's (neighbor, weight) list in
-// iteration order — the order that keeps frozen traversals bit-identical
-// to live ones.
-template <typename RowFn>
-void CopyRows(size_t n, RowFn row, std::vector<uint32_t>* offsets,
-              std::vector<NodeId>* neighbors, std::vector<double>* weights) {
-  offsets->assign(n + 1, 0);
-  for (size_t i = 0; i < n; ++i) {
-    (*offsets)[i + 1] = (*offsets)[i] + static_cast<uint32_t>(row(i).size());
-  }
-  neighbors->resize((*offsets)[n]);
-  weights->resize((*offsets)[n]);
-  for (size_t i = 0; i < n; ++i) {
-    uint32_t slot = (*offsets)[i];
-    for (const auto& [m, w] : row(i)) {
-      (*neighbors)[slot] = m;
-      (*weights)[slot] = w;
-      ++slot;
-    }
-  }
-}
-
-}  // namespace
 
 FrozenGraph FrozenGraph::Materialize(const InMemoryNetworkView& view) {
   const Network& net = view.network();
+  const NodeId n = net.num_nodes();
   FrozenGraph g;
-  CopyRows(
-      net.num_nodes(),
-      [&net](size_t i) -> const auto& {
-        return net.neighbors(static_cast<NodeId>(i));
-      },
-      &g.offsets_, &g.neighbors_, &g.weights_);
+  g.offsets_.assign(static_cast<size_t>(n) + 1, 0);
+  for (NodeId i = 0; i < n; ++i) {
+    g.offsets_[i + 1] =
+        g.offsets_[i] + static_cast<uint32_t>(net.neighbors(i).size());
+  }
+  g.neighbors_.resize(g.offsets_[n]);
+  g.weights_.resize(g.offsets_[n]);
+  // Each row in the network's iteration order — the order that keeps
+  // frozen traversals bit-identical to live ones.
+  for (NodeId i = 0; i < n; ++i) {
+    uint32_t slot = g.offsets_[i];
+    for (const auto& [m, w] : net.neighbors(i)) {
+      g.neighbors_[slot] = m;
+      g.weights_[slot] = w;
+      ++slot;
+    }
+  }
   g.AttachPoints(view.points());
   return g;
 }
@@ -207,19 +192,7 @@ bool FrozenGraph::BitIdenticalTo(const FrozenGraph& other) const {
          SameBits(weights_, other.weights_) &&
          pt_first_ == other.pt_first_ && pt_count_ == other.pt_count_ &&
          SameBits(pt_offset_, other.pt_offset_) &&
-         SamePointGroups(groups_, other.groups_) &&
-         has_point_layer_ == other.has_point_layer_;
-}
-
-FrozenGraph FrozenGraph::FromAdjacency(
-    const std::vector<std::vector<std::pair<NodeId, double>>>& adj) {
-  FrozenGraph g;
-  CopyRows(
-      adj.size(), [&adj](size_t i) -> const auto& { return adj[i]; },
-      &g.offsets_, &g.neighbors_, &g.weights_);
-  // No point information in a bare adjacency; has_point_layer_ stays
-  // false and EdgePointRange reports empty.
-  return g;
+         SamePointGroups(groups_, other.groups_);
 }
 
 Result<FrozenGraph> InMemoryNetworkView::Freeze() const {

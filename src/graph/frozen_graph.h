@@ -84,9 +84,7 @@ class FrozenGraph {
   bool HasEdge(NodeId a, NodeId b) const { return EdgeWeight(a, b) >= 0.0; }
 
   /// Points on edge {a, b} as [first, first + count); count == 0 when
-  /// the edge holds none (or the edge is absent). Only meaningful when
-  /// has_point_layer() — snapshots built from a bare adjacency carry no
-  /// point information.
+  /// the edge holds none (or the edge is absent).
   std::pair<PointId, uint32_t> EdgePointRange(NodeId a, NodeId b) const;
 
   /// One point-bearing edge of the point layer: points
@@ -101,8 +99,9 @@ class FrozenGraph {
   };
 
   /// True when the snapshot carries the point ranges and the point
-  /// layer: every materialized snapshot does, FromAdjacency's does not.
-  bool has_point_layer() const { return has_point_layer_; }
+  /// layer: every materialized snapshot does, only a default-constructed
+  /// one does not.
+  bool has_point_layer() const { return !offsets_.empty(); }
   /// Offset of every point from its edge's smaller-id endpoint, indexed
   /// by point id; ascending within each edge.
   const std::vector<double>& point_offsets() const { return pt_offset_; }
@@ -141,11 +140,6 @@ class FrozenGraph {
   /// spliced correctly.
   bool BitIdenticalTo(const FrozenGraph& other) const;
 
-  /// Builds a snapshot from raw adjacency lists (no point ranges).
-  /// Used by Network to serve EdgeWeight lookups from the CSR arrays.
-  static FrozenGraph FromAdjacency(
-      const std::vector<std::vector<std::pair<NodeId, double>>>& adj);
-
   /// Test-only: overwrites half-edge slot `i` so validator-rejection
   /// paths can be exercised. Never call outside tests.
   void CorruptHalfEdgeForTest(size_t i, NodeId neighbor, double weight) {
@@ -177,7 +171,6 @@ class FrozenGraph {
   std::vector<uint32_t> pt_count_;  // 2|E|
   std::vector<double> pt_offset_;   // N
   std::vector<PointGroup> groups_;  // point groups
-  bool has_point_layer_ = false;
 };
 
 /// Neighbor-iteration adapter the template traversal kernel dispatches

@@ -5,8 +5,6 @@
 #include <cstring>
 #include <queue>
 
-#include "graph/frozen_graph.h"
-
 namespace netclus {
 
 Network::Network(NodeId num_nodes) : adj_(num_nodes) {}
@@ -37,14 +35,11 @@ Status Network::AddEdge(NodeId a, NodeId b, double w) {
   adj_[a].emplace_back(b, w);
   adj_[b].emplace_back(a, w);
   ++num_edges_;
-  frozen_.reset();  // snapshot no longer reflects the adjacency
   return Status::OK();
 }
 
 double Network::EdgeWeight(NodeId a, NodeId b) const {
   if (a >= num_nodes() || b >= num_nodes() || a == b) return -1.0;
-  if (frozen_ != nullptr) return frozen_->EdgeWeight(a, b);
-  // Unfrozen fallback: O(min(deg a, deg b)) adjacency scan.
   const std::vector<std::pair<NodeId, double>>& row =
       adj_[a].size() <= adj_[b].size() ? adj_[a] : adj_[b];
   const NodeId other = adj_[a].size() <= adj_[b].size() ? b : a;
@@ -52,14 +47,6 @@ double Network::EdgeWeight(NodeId a, NodeId b) const {
     if (m == other) return w;
   }
   return -1.0;
-}
-
-std::shared_ptr<const FrozenGraph> Network::Freeze() {
-  if (frozen_ == nullptr) {
-    frozen_ = std::make_shared<const FrozenGraph>(
-        FrozenGraph::FromAdjacency(adj_));
-  }
-  return frozen_;
 }
 
 std::vector<Edge> Network::Edges() const {

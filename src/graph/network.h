@@ -3,7 +3,6 @@
 #ifndef NETCLUS_GRAPH_NETWORK_H_
 #define NETCLUS_GRAPH_NETWORK_H_
 
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -24,35 +23,17 @@ class Network {
 
   /// Adds undirected edge {a, b} with finite weight `w` > 0. Self
   /// loops, duplicate edges, out-of-range endpoints and non-positive,
-  /// infinite or NaN weights are rejected. Invalidates any snapshot
-  /// cached by Freeze().
+  /// infinite or NaN weights are rejected.
   Status AddEdge(NodeId a, NodeId b, double w);
 
   NodeId num_nodes() const { return static_cast<NodeId>(adj_.size()); }
   size_t num_edges() const { return num_edges_; }
 
-  /// Weight of edge {a, b}; negative when absent. Served from the CSR
-  /// snapshot when one has been cached by Freeze(); otherwise an
-  /// O(min(deg a, deg b)) scan of the adjacency list — for road-like
-  /// networks the degree is a small constant, so the fallback only
-  /// matters on star-shaped graphs, and freezing removes even that.
+  /// Weight of edge {a, b}; negative when absent. An O(min(deg a,
+  /// deg b)) scan of the adjacency list — for road-like networks the
+  /// degree is a small constant.
   double EdgeWeight(NodeId a, NodeId b) const;
   bool HasEdge(NodeId a, NodeId b) const { return EdgeWeight(a, b) >= 0.0; }
-
-  /// Builds (or returns the cached) CSR snapshot of this network's
-  /// adjacency and routes subsequent EdgeWeight/HasEdge lookups through
-  /// it.
-  ///
-  /// Ownership rule: the returned shared_ptr co-owns the snapshot, so a
-  /// held snapshot stays valid — and keeps describing the adjacency as
-  /// of this call — across any later AddEdge(). Mutation only drops the
-  /// network's own reference (the next Freeze() builds a fresh
-  /// snapshot); it never frees a snapshot a caller still holds. This is
-  /// what lets the query server keep serving a pinned epoch while the
-  /// updater mutates the live network. Freeze() itself is not
-  /// thread-safe against concurrent AddEdge(); publish the returned
-  /// pointer before sharing.
-  std::shared_ptr<const FrozenGraph> Freeze();
 
   /// Neighbors of `n` as (node, weight) pairs, in insertion order.
   const std::vector<std::pair<NodeId, double>>& neighbors(NodeId n) const {
@@ -67,7 +48,6 @@ class Network {
 
  private:
   std::vector<std::vector<std::pair<NodeId, double>>> adj_;
-  std::shared_ptr<const FrozenGraph> frozen_;  // EdgeWeight fast path
   size_t num_edges_ = 0;
 };
 

@@ -44,21 +44,11 @@ DistanceCache::Shard& DistanceCache::ShardFor(const PairKey& key) const {
   return shards_[PairKeyHash{}(key) & shard_mask_];
 }
 
-void DistanceCache::RefreshEpochLocked(Shard* shard) const {
-  uint64_t current = epoch_.load(std::memory_order_acquire);
-  if (shard->epoch != current) {
-    shard->lru.clear();
-    shard->map.clear();
-    shard->epoch = current;
-  }
-}
-
 bool DistanceCache::Lookup(uint64_t a, uint64_t b, double* out) const {
   if (capacity_ == 0) return false;
   PairKey key = KeyOf(a, b);
   Shard& shard = ShardFor(key);
   MutexLock lock(&shard.mu);
-  RefreshEpochLocked(&shard);
   auto it = shard.map.find(key);
   if (it == shard.map.end()) {
     ++shard.counters.misses;
@@ -76,7 +66,6 @@ void DistanceCache::Store(uint64_t a, uint64_t b, double dist) const {
   PairKey key = KeyOf(a, b);
   Shard& shard = ShardFor(key);
   MutexLock lock(&shard.mu);
-  RefreshEpochLocked(&shard);
   ++shard.counters.stores;
   auto it = shard.map.find(key);
   if (it != shard.map.end()) {
@@ -91,10 +80,6 @@ void DistanceCache::Store(uint64_t a, uint64_t b, double dist) const {
     shard.lru.pop_back();
     ++shard.counters.evictions;
   }
-}
-
-void DistanceCache::Invalidate() const {
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 DistanceCache::Counters DistanceCache::counters() const {
@@ -113,10 +98,7 @@ size_t DistanceCache::size() const {
   size_t total = 0;
   for (const Shard& shard : shards_) {
     MutexLock lock(&shard.mu);
-    // Entries from a stale epoch are logically absent.
-    if (shard.epoch == epoch_.load(std::memory_order_acquire)) {
-      total += shard.map.size();
-    }
+    total += shard.map.size();
   }
   return total;
 }

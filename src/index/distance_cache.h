@@ -9,10 +9,10 @@
 // list under its own mutex, so concurrent readers on different shards
 // never contend (striped locking).
 //
-// Invalidation is epoch-based and lazy: mutating the network bumps a
-// global atomic epoch; a shard discovers the stale epoch on its next
-// access under its own lock and drops its entries then. No mutation
-// ever has to visit all shards synchronously.
+// A cache is never invalidated: its entries are exact for one metric,
+// so whoever changes the metric starts a fresh cache (the query server
+// replaces an epoch's cache when an edge is added; a DistanceIndex and
+// its cache live for one network).
 //
 // Hit / miss / store / eviction counters are kept per shard (under the
 // shard mutex, so they cost nothing extra) and aggregated on demand by
@@ -20,7 +20,6 @@
 #ifndef NETCLUS_INDEX_DISTANCE_CACHE_H_
 #define NETCLUS_INDEX_DISTANCE_CACHE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -61,10 +60,6 @@ class DistanceCache {
   /// shard's least-recently-used entry when over budget.
   void Store(uint64_t a, uint64_t b, double dist) const;
 
-  /// Invalidates every entry (network mutation). O(1): bumps the global
-  /// epoch; shards drop their entries lazily on next access.
-  void Invalidate() const;
-
   /// Sum of all shard counters.
   Counters counters() const;
 
@@ -72,7 +67,6 @@ class DistanceCache {
   size_t size() const;
 
   size_t capacity() const { return capacity_; }
-  uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
  private:
   /// Canonicalized unordered pair of 64-bit ids (lo <= hi). A full
@@ -98,9 +92,6 @@ class DistanceCache {
     // shard at a time (Lookup/Store lock exactly the key's shard;
     // counters()/size() visit shards strictly one after another).
     mutable Mutex mu{lock_rank::kDistanceCacheShard, "DistanceCache::Shard::mu"};
-    /// Epoch the resident entries belong to; on mismatch with the
-    /// cache-wide epoch the shard clears itself before serving.
-    uint64_t epoch NETCLUS_GUARDED_BY(mu) = 0;
     std::list<Entry> lru NETCLUS_GUARDED_BY(mu);  ///< front = most recent
     std::unordered_map<PairKey, std::list<Entry>::iterator, PairKeyHash> map
         NETCLUS_GUARDED_BY(mu);
@@ -112,13 +103,10 @@ class DistanceCache {
   }
 
   Shard& ShardFor(const PairKey& key) const;
-  /// Clears the shard if its resident epoch is stale. Caller holds mu.
-  void RefreshEpochLocked(Shard* shard) const NETCLUS_REQUIRES(shard->mu);
 
   size_t capacity_;
   size_t per_shard_capacity_ = 0;
   uint32_t shard_mask_;
-  mutable std::atomic<uint64_t> epoch_{0};
   mutable std::vector<Shard> shards_;
 };
 

@@ -7,8 +7,7 @@
 //
 // The index is built once per (network, point set) and is immutable
 // except for the cache, which fills as queries run. Mutating the
-// network invalidates everything: call InvalidateCache() for the cache
-// (O(1), epoch-based) and rebuild the index for the landmark tables.
+// network invalidates everything: build a new index.
 //
 // Every served bound is audited by ValidateDistanceAccelerator in
 // core/validate.cc against exact Dijkstra distances.
@@ -37,10 +36,9 @@ struct IndexOptions {
   bool enable = false;
   /// ALT landmarks (farthest-point sampled); 0 disables landmark bounds.
   uint32_t num_landmarks = 8;
-  /// Total point-pair cache entries across shards; 0 disables the cache.
+  /// Total point-pair cache entries across the cache's default 16
+  /// shards; 0 disables the cache.
   size_t cache_capacity = 1 << 16;
-  /// Shard count for the cache (rounded up to a power of two).
-  uint32_t cache_shards = 16;
   /// Worker threads for the landmark table build (0 = one per core,
   /// 1 = serial). Build results are bit-identical across thread counts.
   uint32_t num_threads = 0;
@@ -83,7 +81,7 @@ class DistanceIndex : public DistanceAccelerator {
   DistanceIndex(const IndexOptions& options, LandmarkOracle landmarks)
       : options_(options),
         landmarks_(std::move(landmarks)),
-        cache_(options.cache_capacity, options.cache_shards) {}
+        cache_(options.cache_capacity) {}
 
   double LowerBound(PointId a, PointId b) const override {
     return landmarks_.LowerBound(a, b);
@@ -102,11 +100,6 @@ class DistanceIndex : public DistanceAccelerator {
   void StoreDistance(PointId a, PointId b, double dist) const override {
     cache_.Store(a, b, dist);
   }
-
-  /// Drops all cached distances (epoch bump; O(1)). The landmark tables
-  /// cannot be patched incrementally — rebuild the index after a network
-  /// mutation.
-  void InvalidateCache() const { cache_.Invalidate(); }
 
   IndexStats Stats() const;
 

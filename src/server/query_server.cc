@@ -10,9 +10,9 @@
 
 #include "common/thread_pool.h"
 #include "graph/accelerator.h"
-#include "graph/network_distance.h"
 #include "index/distance_cache.h"
 #include "server/identity_map.h"
+#include "server/world.h"
 
 namespace netclus {
 namespace {
@@ -95,33 +95,17 @@ Result<std::unique_ptr<QueryServer>> QueryServer::Start(
   if (options.max_batch_size == 0) {
     return Status::InvalidArgument("max_batch_size must be >= 1");
   }
-  // The live world keeps point placements in raw (re-buildable) form so
-  // kAddPoint mutations compose with the initial population.
-  std::vector<NetworkUpdate> raws;
-  raws.reserve(points.size());
-  for (size_t g = 0; g < points.num_groups(); ++g) {
-    const PointSet::Group& grp = points.group(g);
-    for (uint32_t i = 0; i < grp.count; ++i) {
-      PointId p = grp.first + i;
-      raws.push_back(
-          NetworkUpdate::AddPoint(grp.u, grp.v, points.offset(p),
-                                  points.label(p)));
-    }
-  }
-  auto server = std::unique_ptr<QueryServer>(new QueryServer(
-      std::move(net), std::move(raws), options));
+  auto server = std::unique_ptr<QueryServer>(new QueryServer(options));
   // Crash recovery happens before the first publish: the recovered
   // mutations are part of the boot world, so epoch 1 already serves
   // them. A corrupt log fails Start — no epoch is ever built from a
   // partially trusted record sequence.
-  if (options.wal_file != nullptr || !options.wal_path.empty()) {
-    NETCLUS_RETURN_IF_ERROR(server->RecoverFromWal());
-  }
+  NETCLUS_RETURN_IF_ERROR(server->BootWorld(std::move(net), points));
   // Epoch 1 publishes before any thread starts; a failing initial
   // clustering (or freeze) fails Start instead of leaving a server with
   // nothing to serve.
   NETCLUS_RETURN_IF_ERROR(server->PublishWorld());
-  const NodeId num_nodes = server->net_.num_nodes();
+  const NodeId num_nodes = server->world_->num_nodes();
   server->workers_.reserve(server->num_workers_);
   for (uint32_t w = 0; w < server->num_workers_; ++w) {
     server->workers_.emplace_back(
@@ -131,50 +115,35 @@ Result<std::unique_ptr<QueryServer>> QueryServer::Start(
   return server;
 }
 
-QueryServer::QueryServer(Network net, std::vector<NetworkUpdate> raw_points,
-                         const QueryServerOptions& options)
+QueryServer::QueryServer(const QueryServerOptions& options)
     : options_(options),
-      net_(std::move(net)),
-      raw_points_(std::move(raw_points)),
-      recluster_ws_(net_.num_nodes()),
       num_workers_(ResolveNumThreads(options.num_workers)),
       chaos_stall_rng_(Rng::DeriveSeed(options.chaos.seed, 2)),
       chaos_publish_rng_(Rng::DeriveSeed(options.chaos.seed, 1)) {
-  // Boot identity: points take ObjectIds 0..n-1 in their dense boot
-  // order (the raws were extracted from the PointSet in group order, so
-  // the boot epoch's identity map is exactly the identity permutation),
-  // then edges take the next ids in canonical Edges() order. WAL replay
-  // re-allocates from here deterministically, so an ObjectId survives a
-  // crash even without a checkpoint.
-  point_object_ids_.reserve(raw_points_.size());
-  for (size_t i = 0; i < raw_points_.size(); ++i) {
-    point_object_ids_.push_back(next_object_id_++);
-  }
-  for (const Edge& e : net_.Edges()) {
-    edge_object_ids_[EdgeKeyOf(e.u, e.v)] = next_object_id_++;
-  }
   wait_ring_.reserve(kWaitRingCapacity);
   outcome_ring_.assign(options_.health_window, 0);
 }
 
 QueryServer::~QueryServer() { Stop(); }
 
-Status QueryServer::RecoverFromWal() {
-  PagedFile* file = options_.wal_file;
-  if (file == nullptr) {
-    NETCLUS_ASSIGN_OR_RETURN(
-        owned_wal_file_,
-        PagedFile::Open(options_.wal_path, kWalPageSize, /*truncate=*/false));
-    file = owned_wal_file_.get();
+Status QueryServer::BootWorld(Network net, const PointSet& points) {
+  if (options_.wal_file != nullptr || !options_.wal_path.empty()) {
+    PagedFile* file = options_.wal_file;
+    if (file == nullptr) {
+      NETCLUS_ASSIGN_OR_RETURN(owned_wal_file_,
+                               PagedFile::Open(options_.wal_path, kWalPageSize,
+                                               /*truncate=*/false));
+      file = owned_wal_file_.get();
+    }
+    NETCLUS_ASSIGN_OR_RETURN(wal_, MutationWal::Open(file));
   }
-  NETCLUS_ASSIGN_OR_RETURN(wal_, MutationWal::Open(file));
 
   // The checkpoint store opens whenever one can exist: injected slot
   // files, or a path-backed WAL (a previous run may have checkpointed
   // even if this run's wal_checkpoint_every is 0 — a compacted log is
   // unusable without its checkpoint).
-  if (options_.checkpoint_file_a != nullptr ||
-      options_.checkpoint_file_b != nullptr) {
+  if (wal_ != nullptr && (options_.checkpoint_file_a != nullptr ||
+                          options_.checkpoint_file_b != nullptr)) {
     if (options_.checkpoint_file_a == nullptr ||
         options_.checkpoint_file_b == nullptr) {
       return Status::InvalidArgument(
@@ -187,111 +156,70 @@ Status QueryServer::RecoverFromWal() {
         checkpoints_, CheckpointStore::Open(options_.wal_path, kWalPageSize));
   }
 
-  // Recovery order: newest durable checkpoint first (it replaces the
-  // caller-provided base world), then the uncovered log suffix on top.
-  uint64_t skip = 0;
+  // Recovery order: the newest durable checkpoint's world replaces the
+  // caller-provided one, then the uncovered log suffix goes on top.
+  WorldOptions world_options;
+  world_options.cluster_spec = options_.cluster_spec;
+  world_options.cache_capacity = options_.cache_capacity;
+  world_options.validate = ValidationOn(options_);
+  CheckpointState state;
   bool from_checkpoint = false;
   if (checkpoints_ != nullptr) {
-    CheckpointState state;
-    bool found = false;
-    NETCLUS_RETURN_IF_ERROR(checkpoints_->ReadLatest(&state, &found));
-    if (found) {
-      if (state.covers_seq < wal_->start_seq()) {
-        // The log was compacted past what this checkpoint covers — a
-        // newer checkpoint must have existed and is gone. Refuse to
-        // guess the gap.
-        return Status::Corruption(
-            "wal: log starts at seq " + std::to_string(wal_->start_seq()) +
-            " but the newest checkpoint only covers seq " +
-            std::to_string(state.covers_seq));
-      }
-      NETCLUS_RETURN_IF_ERROR(RestoreFromCheckpoint(state));
-      ckpt_generation_ = state.generation;
-      skip = state.covers_seq - wal_->start_seq();
-      if (skip > wal_->recovery().records.size()) {
-        skip = wal_->recovery().records.size();
-      }
-      from_checkpoint = true;
-      MutexLock lock(&stats_mu_);
-      wal_checkpoint_covers_ = state.covers_seq;
+    NETCLUS_RETURN_IF_ERROR(checkpoints_->ReadLatest(&state, &from_checkpoint));
+  }
+  uint64_t skip = 0;
+  if (from_checkpoint) {
+    if (state.covers_seq < wal_->start_seq()) {
+      // The log was compacted past what this checkpoint covers — a
+      // newer checkpoint must have existed and is gone. Refuse to guess
+      // the gap.
+      return Status::Corruption(
+          "wal: log starts at seq " + std::to_string(wal_->start_seq()) +
+          " but the newest checkpoint only covers seq " +
+          std::to_string(state.covers_seq));
     }
+    if (state.num_nodes != net.num_nodes()) {
+      return Status::Corruption(
+          "checkpoint names " + std::to_string(state.num_nodes) +
+          " nodes but the boot network has " +
+          std::to_string(net.num_nodes()) +
+          " (node count is fixed at Start)");
+    }
+    NETCLUS_ASSIGN_OR_RETURN(World restored,
+                             World::Restore(state, std::move(world_options)));
+    world_ = std::make_unique<World>(std::move(restored));
+    ckpt_generation_ = state.generation;
+    skip = std::min<uint64_t>(state.covers_seq - wal_->start_seq(),
+                              wal_->recovery().records.size());
+  } else {
+    if (wal_ != nullptr && wal_->start_seq() > 0) {
+      return Status::Corruption(
+          "wal: log was compacted (starts at seq " +
+          std::to_string(wal_->start_seq()) +
+          ") but no valid covering checkpoint exists");
+    }
+    world_ = std::make_unique<World>(
+        World::Boot(std::move(net), points, std::move(world_options)));
   }
-  if (!from_checkpoint && wal_->start_seq() > 0) {
-    return Status::Corruption(
-        "wal: log was compacted (starts at seq " +
-        std::to_string(wal_->start_seq()) +
-        ") but no valid covering checkpoint exists");
-  }
+  if (wal_ == nullptr) return Status::OK();
 
   const std::vector<NetworkUpdate>& records = wal_->recovery().records;
   for (size_t i = static_cast<size_t>(skip); i < records.size(); ++i) {
-    Status applied = ApplyToWorld(records[i]);
+    Status applied = world_->Apply(records[i]);
     // Records are logged before they are applied, so a mutation the
     // live server rejected (kInvalidArgument) is in the log too — and
     // replaying it fails identically, reproducing the same world. Any
     // other failure is a real recovery error.
     if (!applied.ok() && !applied.IsInvalidArgument()) return applied;
   }
-  {
-    // Start is single-threaded here, but wal_recovered_ lives with the
-    // serving statistics, so it is written under their lock like
-    // everything else the analysis guards.
-    MutexLock lock(&stats_mu_);
-    wal_recovered_ = records.size() - static_cast<size_t>(skip);
-    wal_recovered_from_checkpoint_ = from_checkpoint;
-  }
+  // Start is single-threaded here, but these live with the serving
+  // statistics, so they are written under their lock like everything
+  // else the analysis guards.
+  MutexLock lock(&stats_mu_);
+  wal_recovered_ = records.size() - static_cast<size_t>(skip);
+  wal_recovered_from_checkpoint_ = from_checkpoint;
+  if (from_checkpoint) wal_checkpoint_covers_ = state.covers_seq;
   return Status::OK();
-}
-
-Status QueryServer::RestoreFromCheckpoint(const CheckpointState& state) {
-  if (state.num_nodes != net_.num_nodes()) {
-    return Status::Corruption(
-        "checkpoint names " + std::to_string(state.num_nodes) +
-        " nodes but the boot network has " +
-        std::to_string(net_.num_nodes()) +
-        " (node count is fixed at Start)");
-  }
-  Network restored(state.num_nodes);
-  edge_object_ids_.clear();
-  edge_object_ids_.reserve(state.edges.size());
-  for (const CheckpointEdge& e : state.edges) {
-    NETCLUS_RETURN_IF_ERROR(restored.AddEdge(e.u, e.v, e.weight));
-    edge_object_ids_[EdgeKeyOf(e.u, e.v)] = e.oid;
-  }
-  net_ = std::move(restored);
-  raw_points_.clear();
-  raw_points_.reserve(state.points.size());
-  point_object_ids_.clear();
-  point_object_ids_.reserve(state.points.size());
-  for (const CheckpointPoint& p : state.points) {
-    raw_points_.push_back(NetworkUpdate::AddPoint(p.u, p.v, p.offset,
-                                                  p.label));
-    point_object_ids_.push_back(p.oid);
-  }
-  next_object_id_ = state.next_object_id;
-  return Status::OK();
-}
-
-CheckpointState QueryServer::BuildCheckpointState() const {
-  CheckpointState state;
-  state.covers_seq = wal_->next_seq();
-  state.next_object_id = next_object_id_;
-  state.num_nodes = net_.num_nodes();
-  std::vector<Edge> edges = net_.Edges();
-  state.edges.reserve(edges.size());
-  for (const Edge& e : edges) {
-    auto it = edge_object_ids_.find(EdgeKeyOf(e.u, e.v));
-    const ObjectId oid =
-        it != edge_object_ids_.end() ? it->second : kInvalidObjectId;
-    state.edges.push_back(CheckpointEdge{e.u, e.v, e.weight, oid});
-  }
-  state.points.reserve(raw_points_.size());
-  for (size_t i = 0; i < raw_points_.size(); ++i) {
-    const NetworkUpdate& p = raw_points_[i];
-    state.points.push_back(CheckpointPoint{p.u, p.v, p.value, p.label,
-                                           point_object_ids_[i]});
-  }
-  return state;
 }
 
 void QueryServer::MaybeCheckpoint() {
@@ -304,7 +232,8 @@ void QueryServer::MaybeCheckpoint() {
   // BEFORE the log shrinks. A crash after Write but before TruncateTo
   // just replays records the checkpoint already covers (replay is
   // idempotent: it skips the covered prefix).
-  CheckpointState state = BuildCheckpointState();
+  CheckpointState state = world_->Checkpoint();
+  state.covers_seq = wal_->next_seq();
   state.generation = ckpt_generation_ + 1;
   Status written = checkpoints_->Write(state);
   if (!written.ok()) {
@@ -327,305 +256,29 @@ void QueryServer::MaybeCheckpoint() {
   wal_checkpoint_covers_ = state.covers_seq;
 }
 
-Result<PointSet> QueryServer::BuildPoints(
-    const PointSet* base, std::vector<PointId>* raw_to_final) const {
-  const size_t known = base != nullptr ? base->size() : 0;
-  PointSetBuilder builder;
-  for (size_t i = known; i < raw_points_.size(); ++i) {
-    const NetworkUpdate& p = raw_points_[i];
-    builder.Add(p.u, p.v, p.value, p.label);
-  }
-  if (base == nullptr) return std::move(builder).Build(net_, raw_to_final);
-
-  // raw_points_ only grows, so the base holds exactly raw points
-  // [0, known), and the last publish's mapping says where each landed.
-  NETCLUS_DCHECK(published_raw_to_final_.size() == known)
-      << "merge base out of step with the published mapping";
-  std::vector<PointId> base_to_final;
-  std::vector<PointId> added_to_final;
-  NETCLUS_ASSIGN_OR_RETURN(
-      PointSet merged,
-      std::move(builder).Merge(net_, *base, &base_to_final, &added_to_final));
-  raw_to_final->resize(raw_points_.size());
-  for (size_t i = 0; i < known; ++i) {
-    (*raw_to_final)[i] = base_to_final[published_raw_to_final_[i]];
-  }
-  std::copy(added_to_final.begin(), added_to_final.end(),
-            raw_to_final->begin() + static_cast<std::ptrdiff_t>(known));
-  if (ValidationOn(options_)) {
-    // The oracle: a from-scratch build over every raw point must be
-    // byte-for-byte the merged set, and map every raw point alike. A
-    // divergence fails the publish; the base does not advance.
-    std::vector<PointId> full_raw_to_final;
-    NETCLUS_ASSIGN_OR_RETURN(PointSet full,
-                             BuildPoints(nullptr, &full_raw_to_final));
-    if (!merged.BitIdenticalTo(full) || *raw_to_final != full_raw_to_final) {
-      return Status::Internal("merged PointSet diverged from full build");
-    }
-  }
-  return merged;
-}
-
-Status QueryServer::PublishWorld(const std::vector<NetworkUpdate>* batch) {
-  const double start_seconds = clock_.ElapsedSeconds();
-  // An incremental publish builds on the last published epoch: its
-  // PointSet is the merge base and its CSR rows the splice source.
-  std::shared_ptr<const EpochSnapshot> prev = epochs_.Current();
-  const bool incremental =
-      batch != nullptr && options_.incremental_publish && prev != nullptr;
-
-  std::vector<PointId> raw_to_final;
-  NETCLUS_ASSIGN_OR_RETURN(
-      PointSet ps,
-      BuildPoints(incremental ? &prev->points() : nullptr, &raw_to_final));
-  auto points = std::make_shared<const PointSet>(std::move(ps));
-
-  // The epoch's identity map: dense point p was raw point i, so it
-  // carries raw point i's stable ObjectId.
-  std::vector<ObjectId> object_of_point(point_object_ids_.size(),
-                                        kInvalidObjectId);
-  for (size_t i = 0; i < raw_to_final.size(); ++i) {
-    object_of_point[raw_to_final[i]] = point_object_ids_[i];
-  }
-  auto ids = std::make_shared<const IdentityMap>(std::move(object_of_point));
-  const double points_end_seconds = clock_.ElapsedSeconds();
-
-  InMemoryNetworkView live_view(net_, *points);
-
-  // Incremental splice: only the rows of nodes an AddEdge touched are
-  // re-materialized — every other CSR row is copied verbatim from the
-  // retiring snapshot.
-  bool metric_changed = batch == nullptr;
-  std::vector<char> dirty;
-  if (incremental) dirty.assign(net_.num_nodes(), 0);
-  if (batch != nullptr) {
-    for (const NetworkUpdate& upd : *batch) {
-      if (upd.kind != NetworkUpdate::Kind::kAddEdge) continue;
-      metric_changed = true;
-      if (incremental) {
-        if (upd.u < net_.num_nodes()) dirty[upd.u] = 1;
-        if (upd.v < net_.num_nodes()) dirty[upd.v] = 1;
-      }
-    }
-  }
-  FrozenGraph fg;
-  if (incremental) {
-    fg = FrozenGraph::MaterializeIncremental(live_view, prev->frozen(), dirty);
-    NETCLUS_RETURN_IF_ERROR(live_view.status());
-    if (ValidationOn(options_)) {
-      // The oracle: a from-scratch rebuild must be byte-for-byte the
-      // spliced one. A divergence fails the publish — queries keep
-      // serving the last good epoch, never a mis-spliced one.
-      FrozenGraph full = FrozenGraph::Materialize(live_view);
-      NETCLUS_RETURN_IF_ERROR(live_view.status());
-      if (!fg.BitIdenticalTo(full)) {
-        return Status::Internal(
-            "incremental publish diverged from full rebuild");
-      }
-    }
+Status QueryServer::PublishWorld() {
+  WallTimer timer;
+  NETCLUS_ASSIGN_OR_RETURN(World::Epoch epoch, world_->Build());
+  epochs_.Publish(std::move(epoch.graph), std::move(epoch.points),
+                  std::move(epoch.clusters), std::move(epoch.cache),
+                  std::move(epoch.ids));
+  const double publish_ms = timer.ElapsedMillis();
+  MutexLock lock(&stats_mu_);
+  if (epoch.incremental) {
+    ++publishes_incremental_;
+    publish_incremental_ms_.Add(publish_ms);
   } else {
-    NETCLUS_ASSIGN_OR_RETURN(fg, live_view.Freeze());
+    ++publishes_full_;
+    publish_full_ms_.Add(publish_ms);
   }
-  auto graph = std::make_shared<const FrozenGraph>(std::move(fg));
-  const double splice_end_seconds = clock_.ElapsedSeconds();
-
-  std::shared_ptr<const ClusterOutput> clusters;
-  bool recluster_incremental = false;
-  double recluster_ms = 0.0;
+  publish_points_ms_.Add(epoch.points_ms);
+  publish_splice_ms_.Add(epoch.splice_ms);
   if (options_.cluster_spec.has_value()) {
-    const double recluster_start = clock_.ElapsedSeconds();
-    NETCLUS_ASSIGN_OR_RETURN(
-        ClusterOutput out, Recluster(live_view, *graph, raw_to_final, batch,
-                                     &recluster_incremental));
-    recluster_ms = (clock_.ElapsedSeconds() - recluster_start) * 1e3;
-    clusters = std::make_shared<const ClusterOutput>(std::move(out));
-  }
-
-  // Distance cache carry-over: the cache keys on ObjectId pairs, so its
-  // entries stay correct for as long as the metric (edge set + weights)
-  // is unchanged. A point-only batch therefore hands the SAME cache to
-  // the new epoch — warm entries survive republication of untouched
-  // regions — while any edge mutation (or a publish with no batch
-  // provenance) replaces it fresh, so no batch can ever read a distance
-  // the serving adjacency does not produce.
-  if (options_.cache_capacity > 0 &&
-      (metric_changed || live_cache_ == nullptr)) {
-    live_cache_ =
-        std::make_shared<const DistanceCache>(options_.cache_capacity);
-  }
-  prev.reset();
-  epochs_.Publish(std::move(graph), std::move(points), std::move(clusters),
-                  live_cache_, std::move(ids));
-  // The merge base advances only here, with the epoch it describes; a
-  // failed publish leaves both in place, so its points merge next time.
-  published_raw_to_final_ = std::move(raw_to_final);
-
-  const double publish_ms =
-      (clock_.ElapsedSeconds() - start_seconds) * 1e3;
-  {
-    MutexLock lock(&stats_mu_);
-    if (incremental) {
-      ++publishes_incremental_;
-      publish_incremental_ms_.Add(publish_ms);
-    } else {
-      ++publishes_full_;
-      publish_full_ms_.Add(publish_ms);
-    }
-    publish_points_ms_.Add((points_end_seconds - start_seconds) * 1e3);
-    publish_splice_ms_.Add((splice_end_seconds - points_end_seconds) * 1e3);
-    if (options_.cluster_spec.has_value()) {
-      ++(recluster_incremental ? reclusters_incremental_ : reclusters_full_);
-      recluster_ms_.Add(recluster_ms);
-    }
+    ++(epoch.recluster_incremental ? reclusters_incremental_
+                                   : reclusters_full_);
+    recluster_ms_.Add(epoch.recluster_ms);
   }
   return Status::OK();
-}
-
-Result<ClusterOutput> QueryServer::Recluster(
-    const NetworkView& view, const FrozenGraph& graph,
-    const std::vector<PointId>& raw_to_final,
-    const std::vector<NetworkUpdate>* batch, bool* incremental) {
-  const ClusterSpec& spec = *options_.cluster_spec;
-  *incremental = false;
-  if (spec.algorithm != Algorithm::kEpsLink ||
-      !options_.incremental_publish) {
-    return RunClustering(view, spec);
-  }
-  const uint32_t min_sup = spec.eps_link.min_sup;
-  const uint32_t num_raw = static_cast<uint32_t>(raw_to_final.size());
-  if (batch == nullptr || !components_seeded_) {
-    // Seed the forest from one full run at min_sup 1, so components
-    // still too small to publish are kept: insert-only mutations can
-    // grow them past min_sup later. Re-normalizing at the real min_sup
-    // gives exactly what a run at that min_sup returns.
-    ClusterSpec seed_spec = spec;
-    seed_spec.eps_link.min_sup = 1;
-    NETCLUS_ASSIGN_OR_RETURN(ClusterOutput out,
-                             RunClustering(view, seed_spec));
-    components_ = UnionFind(num_raw);
-    std::vector<uint32_t> first_raw(
-        static_cast<size_t>(out.clustering.num_clusters), num_raw);
-    for (uint32_t i = 0; i < num_raw; ++i) {
-      const int label = out.clustering.assignment[raw_to_final[i]];
-      uint32_t& first = first_raw[static_cast<size_t>(label)];
-      if (first == num_raw) {
-        first = i;
-      } else {
-        components_.Union(first, i);
-      }
-    }
-    components_seeded_ = true;
-    NormalizeClustering(&out.clustering, min_sup);
-    return out;
-  }
-
-  // Mutations only add links, so components only merge, and every new
-  // link touches a new point or runs through a new edge. Both kinds
-  // are found on the final graph, which already holds the whole batch.
-  WallTimer timer;
-  const double eps = spec.eps_link.eps;
-  const uint32_t known = components_.num_elements();
-  components_.Grow(num_raw);
-  std::vector<uint32_t> raw_of_point(num_raw);
-  for (uint32_t i = 0; i < num_raw; ++i) raw_of_point[raw_to_final[i]] = i;
-  TraversalWorkspace* ws = &recluster_ws_;
-
-  // A new point links to every point within eps of it, new ones too.
-  std::vector<RangeResult> near;
-  for (uint32_t i = known; i < num_raw; ++i) {
-    RangeQuery(view, graph, raw_to_final[i], eps, ws, &near);
-    for (const RangeResult& r : near) {
-      components_.Union(i, raw_of_point[r.id]);
-    }
-  }
-
-  // A new edge (u, v, w) links a within eps of u to b within eps of v
-  // when dA(a) + w + dB(b) <= eps. With a* nearest u and b* nearest v,
-  // every such pair is chained a - b* - a* - b through links that pass
-  // the same test, so joining each b to a* and each a to b* suffices.
-  std::vector<RangeResult> from_u;
-  std::vector<RangeResult> from_v;
-  auto nearest = [](const std::vector<RangeResult>& rs) {
-    return *std::min_element(rs.begin(), rs.end(),
-                             [](const RangeResult& x, const RangeResult& y) {
-                               return x.dist < y.dist;
-                             });
-  };
-  for (const NetworkUpdate& upd : *batch) {
-    if (upd.kind != NetworkUpdate::Kind::kAddEdge || upd.value > eps) {
-      continue;
-    }
-    NodeRangeQuery(view, graph, upd.u, eps, ws, &from_u);
-    NodeRangeQuery(view, graph, upd.v, eps, ws, &from_v);
-    if (from_u.empty() || from_v.empty()) continue;
-    const RangeResult a_star = nearest(from_u);
-    const RangeResult b_star = nearest(from_v);
-    for (const RangeResult& b : from_v) {
-      if (a_star.dist + upd.value + b.dist <= eps) {
-        components_.Union(raw_of_point[a_star.id], raw_of_point[b.id]);
-      }
-    }
-    for (const RangeResult& a : from_u) {
-      if (a.dist + upd.value + b_star.dist <= eps) {
-        components_.Union(raw_of_point[a.id], raw_of_point[b_star.id]);
-      }
-    }
-  }
-
-  // ε-Link numbers clusters by their smallest dense id and noise is a
-  // matter of component size, so labelling each point by its root in
-  // dense order and normalizing reproduces the full run's labels.
-  ClusterOutput out;
-  out.algorithm = Algorithm::kEpsLink;
-  out.clustering.assignment.resize(num_raw);
-  for (uint32_t i = 0; i < num_raw; ++i) {
-    out.clustering.assignment[raw_to_final[i]] =
-        static_cast<int>(components_.Find(i));
-  }
-  NormalizeClustering(&out.clustering, min_sup);
-  out.wall_seconds = timer.ElapsedSeconds();
-  *incremental = true;
-
-  if (ValidationOn(options_) || spec.validate) {
-    // The oracle: a full run must agree label for label. A divergence
-    // fails the publish (the last good epoch keeps serving) and drops
-    // the forest, so the next publish reseeds it from a full run.
-    NETCLUS_ASSIGN_OR_RETURN(ClusterOutput full, RunClustering(view, spec));
-    if (full.clustering.num_clusters != out.clustering.num_clusters ||
-        full.clustering.assignment != out.clustering.assignment) {
-      components_seeded_ = false;
-      return Status::Internal(
-          "incremental re-cluster diverged from full RunClustering");
-    }
-  }
-  return out;
-}
-
-Status QueryServer::ApplyToWorld(const NetworkUpdate& update) {
-  // Every successful apply allocates the object's stable ObjectId from
-  // the monotone watermark. WAL replay runs the same single-threaded
-  // sequence, so a crash/recover re-derives identical ids.
-  switch (update.kind) {
-    case NetworkUpdate::Kind::kAddEdge: {
-      NETCLUS_RETURN_IF_ERROR(net_.AddEdge(update.u, update.v, update.value));
-      edge_object_ids_[EdgeKeyOf(update.u, update.v)] = next_object_id_++;
-      return Status::OK();
-    }
-    case NetworkUpdate::Kind::kAddPoint: {
-      double w = net_.EdgeWeight(update.u, update.v);
-      if (w < 0.0) {
-        return Status::InvalidArgument("AddPoint: edge does not exist");
-      }
-      // Written so NaN fails the test: it compares false both ways.
-      if (!(update.value >= 0.0 && update.value <= w)) {
-        return Status::InvalidArgument("AddPoint: offset outside edge");
-      }
-      raw_points_.push_back(update);
-      point_object_ids_.push_back(next_object_id_++);
-      return Status::OK();
-    }
-  }
-  return Status::InvalidArgument("unknown update kind");
 }
 
 std::future<Result<QueryResponse>> QueryServer::Submit(
@@ -1013,11 +666,8 @@ void QueryServer::UpdaterLoop() {
         }
         ++logged;
       }
-      Status applied = ApplyToWorld(pu.update);
-      if (applied.ok()) {
-        mutated = true;
-        unpublished_.push_back(pu.update);
-      }
+      Status applied = world_->Apply(pu.update);
+      if (applied.ok()) mutated = true;
       pu.promise.set_value(std::move(applied));
     }
     if (logged > 0) {
@@ -1031,16 +681,15 @@ void QueryServer::UpdaterLoop() {
               options_.chaos.publish_failure_prob)) {
         publish = Status::Internal("chaos: injected publish failure");
       } else {
-        publish = PublishWorld(&unpublished_);
+        publish = PublishWorld();
       }
       if (publish.ok()) {
-        unpublished_.clear();
         consecutive_publish_failures_.store(0, std::memory_order_relaxed);
         MaybeCheckpoint();
       } else {
         // The epoch manager was not touched: queries keep serving the
-        // last good epoch, and the applied mutations stay in
-        // unpublished_ to ride along with the next successful publish.
+        // last good epoch, and the world keeps the applied mutations to
+        // ride along with the next successful publish.
         consecutive_publish_failures_.fetch_add(1, std::memory_order_relaxed);
         MutexLock lock(&stats_mu_);
         ++publish_failures_;

@@ -1,9 +1,9 @@
 // QueryServer: the long-lived clustering-as-a-service front end.
 //
-// One server owns a live Network + point placements (the mutable world,
-// touched only by its updater thread) and serves the unified query
-// vocabulary (server/query.h) from immutable EpochSnapshots published
-// RCU-style through an EpochManager:
+// One server owns a World (server/world.h: the live network, the points
+// on it and their ObjectIds, touched only by its updater thread) and
+// serves the unified query vocabulary (server/query.h) from immutable
+// EpochSnapshots published RCU-style through an EpochManager:
 //
 //   clients ──Submit──> bounded queue <──drain── worker 1 … worker N
 //                                                  │ each takes up to
@@ -21,14 +21,14 @@
 //   Workers drain in parallel, so no request waits behind a drain it is
 //   not part of.
 //
-//   ApplyUpdate ──> updater thread: mutate live Network / point list,
-//                   rebuild PointSet + FrozenGraph (+ re-cluster when a
-//                   cluster_spec is configured), publish the new epoch.
-//                   New points are merged into the retiring epoch's
-//                   PointSet, untouched CSR rows are spliced from its
-//                   snapshot, and an ε-Link spec's components are merged
-//                   only where the new mutations link them (incremental
-//                   publish); the ObjectId-keyed
+//   ApplyUpdate ──> updater thread: World::Apply, then World::Build
+//                   the next PointSet + FrozenGraph (+ clustering when
+//                   a cluster_spec is configured) and publish it. After
+//                   the boot epoch every build is incremental: new
+//                   points merge into the last build's PointSet,
+//                   untouched CSR rows are spliced from its graph, and
+//                   an ε-Link spec's components merge only where the
+//                   new mutations link them; the ObjectId-keyed
 //                   DistanceCache is carried forward across publishes
 //                   that leave the metric unchanged (point-only
 //                   batches) and replaced fresh whenever edge weights
@@ -71,7 +71,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.h"
@@ -79,7 +78,6 @@
 #include "common/status.h"
 #include "common/stats.h"
 #include "common/timer.h"
-#include "core/union_find.h"
 #include "graph/dijkstra.h"
 #include "graph/network.h"
 #include "netclus.h"
@@ -90,6 +88,8 @@
 #include "storage/paged_file.h"
 
 namespace netclus {
+
+class World;
 
 /// \brief Deterministic failure injection for the serving loop itself
 /// (the chaos harness of DESIGN.md §13). All probabilities are per
@@ -128,14 +128,6 @@ struct QueryServerOptions {
   /// fresh whenever edge weights change; 0 disables caching. The cache
   /// keeps DistanceCache's default shard count.
   size_t cache_capacity = 1 << 16;
-  /// Merge new points into the retiring epoch's PointSet and splice
-  /// untouched CSR rows from its snapshot instead of rebuilding both
-  /// from scratch on every publish, and (ε-Link specs) keep the
-  /// clustering's components across epochs, merging only what the new
-  /// mutations link instead of re-running RunClustering. Off = every
-  /// publish is a full rebuild and a full re-cluster (the
-  /// NETCLUS_VALIDATE oracle path).
-  bool incremental_publish = true;
   /// Replay every served batch through the direct inline path and fail
   /// the batch kInternal on any payload divergence; also check every
   /// incremental publish (PointSet merge, CSR splice, ε-Link
@@ -145,9 +137,9 @@ struct QueryServerOptions {
   /// When set, every epoch carries a ClusterOutput of this spec,
   /// enabling kClusterMembership queries. The boot epoch runs
   /// RunClustering; later epochs re-run it, except that an ε-Link spec
-  /// under `incremental_publish` updates its components in place (the
-  /// result is identical to a full run, which the publish oracle
-  /// re-checks when validate_replay or the spec's `validate` is set).
+  /// updates its components in place (the result is identical to a
+  /// full run, which the publish oracle re-checks when validate_replay
+  /// or the spec's `validate` is set).
   std::optional<ClusterSpec> cluster_spec;
 
   /// Durable mutation log (server/wal.h). When `wal_path` is non-empty
@@ -333,22 +325,13 @@ class QueryServer {
     uint64_t seq = 0;
   };
 
-  QueryServer(Network net, std::vector<NetworkUpdate> raw_points,
-              const QueryServerOptions& options);
+  explicit QueryServer(const QueryServerOptions& options);
 
-  /// Opens the configured WAL (and checkpoint store), restores the
-  /// newest durable checkpoint when one exists — replacing the
-  /// caller-provided base world — and replays the uncovered log suffix.
-  /// Start only, before the first publish.
-  Status RecoverFromWal();
-
-  /// Rebuilds the boot world (network, points, object ids, allocator
-  /// watermark) from a parsed checkpoint. Start only.
-  Status RestoreFromCheckpoint(const CheckpointState& state);
-
-  /// Serializes the live world for a checkpoint covering every WAL
-  /// record appended so far. Updater thread (and Start) only.
-  CheckpointState BuildCheckpointState() const;
+  /// Creates the boot world: the caller's (net, points), or — when the
+  /// configured WAL has a durable checkpoint — the checkpoint's world,
+  /// plus the uncovered log suffix replayed on top. Start only, before
+  /// the first publish.
+  Status BootWorld(Network net, const PointSet& points);
 
   /// Runs one checkpoint + log-truncate cycle when the WAL has
   /// accumulated options_.wal_checkpoint_every records. Failures are
@@ -356,40 +339,11 @@ class QueryServer {
   /// succeeds. Updater thread only.
   void MaybeCheckpoint();
 
-  /// Rebuilds the immutable world from the live one and publishes it as
-  /// the next epoch. `batch` holds every mutation applied since the
-  /// last successful publish: with it the raw points beyond the last
-  /// epoch's PointSet are merged into that set, its kAddEdge endpoints
-  /// form the dirty-node set for the incremental CSR splice and its
-  /// kAddEdge records the new ε-Link links to merge, and a batch with
-  /// no kAddEdge carries the predecessor's ObjectId-keyed distance
-  /// cache forward. nullptr (boot) forces a full rebuild, a fresh cache
-  /// and a full re-cluster.
-  /// Updater thread (and Start) only.
-  Status PublishWorld(const std::vector<NetworkUpdate>* batch = nullptr);
-  /// The PointSet over raw_points_, with the raw index -> dense id
-  /// mapping in `raw_to_final`. With a `base` — the last published
-  /// epoch's set, which holds raw points [0, base->size()) as placed by
-  /// published_raw_to_final_ — only the newer raw points are sorted and
-  /// merged into it, and under ValidationOn the result is checked
-  /// against the from-scratch build; with none every raw point is built
-  /// from scratch. Updater thread (and Start) only.
-  Result<PointSet> BuildPoints(const PointSet* base,
-                               std::vector<PointId>* raw_to_final) const;
-  /// The epoch's clustering over `view` / `graph`. ε-Link specs under
-  /// incremental_publish merge the links `batch` and the raw points
-  /// beyond the component forest add (`*incremental` = true), seeding
-  /// the forest from one full run first when there is none; every
-  /// other case runs RunClustering. Updater thread (and Start) only.
-  Result<ClusterOutput> Recluster(const NetworkView& view,
-                                  const FrozenGraph& graph,
-                                  const std::vector<PointId>& raw_to_final,
-                                  const std::vector<NetworkUpdate>* batch,
-                                  bool* incremental);
-  /// Applies one mutation to the live world, allocating the new
-  /// object's stable ObjectId on success. Updater thread (and Start)
+  /// Builds the world's next epoch (World::Build) and publishes it,
+  /// counting the build in the publish statistics. A failed build
+  /// leaves the epoch manager untouched. Updater thread (and Start)
   /// only.
-  Status ApplyToWorld(const NetworkUpdate& update);
+  Status PublishWorld();
 
   /// One serving thread: sheds expired requests, takes a drain from the
   /// queue and serves it on its own workspace; returns once Stop has
@@ -410,44 +364,8 @@ class QueryServer {
   const QueryServerOptions options_;
   WallTimer clock_;  ///< server-lifetime clock for queue-wait stamps
 
-  // The live (mutable) world — updater thread only after Start.
-  Network net_;
-  std::vector<NetworkUpdate> raw_points_;  ///< kAddPoint records, in order
-  /// Recluster's traversal state (updater thread only), kept across
-  /// publishes so a publish allocates no new workspace.
-  TraversalWorkspace recluster_ws_;
-
-  // Stable identity (updater thread only after Start): every object
-  // ever admitted gets the next watermark value, never reused.
-  // point_object_ids_[i] is raw_points_[i]'s id; edge ids are keyed by
-  // the canonical packed endpoint pair (min << 32 | max).
-  uint64_t next_object_id_ = 0;
-  std::vector<ObjectId> point_object_ids_;
-  std::unordered_map<uint64_t, ObjectId> edge_object_ids_;
-
-  /// Mutations applied to the live world but not yet in a published
-  /// epoch (updater thread only). A failed publish leaves them here, so
-  /// the next publish still splices their rows and links their objects.
-  std::vector<NetworkUpdate> unpublished_;
-
-  /// Where each raw point sits in the current epoch's PointSet
-  /// (updater thread only): the merge base's mapping, replaced only by
-  /// a successful publish.
-  std::vector<PointId> published_raw_to_final_;
-
-  // ε-Link components across epochs (updater thread only): a forest
-  // over raw point indices, which stay stable across dense renumbering
-  // because raw_points_ only grows. Its sets are exactly the connected
-  // components of the "within eps" graph over the last published world,
-  // components below min_sup included.
-  UnionFind components_{0};
-  bool components_seeded_ = false;
-
-  /// The most recently published epoch's distance cache (updater thread
-  /// only): a metric-preserving publish hands the SAME cache to the next
-  /// epoch so warm ObjectId-keyed entries survive; any edge mutation
-  /// replaces it fresh.
-  std::shared_ptr<const DistanceCache> live_cache_;
+  /// The live (mutable) world — updater thread only after Start.
+  std::unique_ptr<World> world_;
 
   // Durability: the mutation log and the alternating checkpoint slots
   // (updater thread only after Start; the owned files back them unless

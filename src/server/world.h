@@ -1,0 +1,166 @@
+// World: the served world of a QueryServer and the builder of its
+// epochs.
+//
+// The world is the paper's Definition 1 — a network plus the objects on
+// its edges — with the durable identity of every object: each point and
+// edge takes the next ObjectId from a monotone watermark when admitted.
+// Mutations (Apply) only add edges, or points on existing edges. Build
+// turns the world into the immutable pieces of the next epoch, which
+// the server wraps in an EpochSnapshot and publishes.
+//
+// Every Build after the first is incremental: it merges the new points
+// into the last successful Build's PointSet, splices the CSR rows no new
+// edge touched out of its graph, and (ε-Link specs) merges only the
+// components the new mutations link, in a union-find kept across builds
+// (DESIGN.md §16). The result is bit for bit what BuildFull returns;
+// with `validate` set every incremental stage is checked against it.
+//
+// A World is single-threaded: no locks, no threads. In a QueryServer
+// only the updater thread (and Start, before it) touches it.
+#ifndef NETCLUS_SERVER_WORLD_H_
+#define NETCLUS_SERVER_WORLD_H_
+
+#include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <optional>
+#include <unordered_map>
+#include <vector>
+
+#include "common/status.h"
+#include "core/union_find.h"
+#include "graph/dijkstra.h"
+#include "graph/frozen_graph.h"
+#include "graph/network.h"
+#include "index/distance_cache.h"
+#include "netclus.h"
+#include "server/identity_map.h"
+#include "server/update.h"
+#include "server/wal.h"
+
+namespace netclus {
+
+/// \brief What every epoch of a World carries.
+struct WorldOptions {
+  /// When set, every epoch carries a ClusterOutput of this spec.
+  std::optional<ClusterSpec> cluster_spec;
+  /// Capacity of the ObjectId-keyed distance cache each epoch carries;
+  /// 0 = no cache.
+  size_t cache_capacity = 1 << 16;
+  /// Check every incremental stage (PointSet merge, CSR splice, ε-Link
+  /// re-cluster) against its full build and fail the Build on any
+  /// divergence. The spec's own `validate` also turns on the re-cluster
+  /// check.
+  bool validate = false;
+};
+
+/// \brief The mutable served world; see the file comment.
+class World {
+ public:
+  /// The immutable pieces of one epoch, plus how they were built.
+  struct Epoch {
+    std::shared_ptr<const FrozenGraph> graph;
+    std::shared_ptr<const PointSet> points;
+    std::shared_ptr<const IdentityMap> ids;
+    /// Null without a cluster_spec.
+    std::shared_ptr<const ClusterOutput> clusters;
+    /// Null when cache_capacity is 0. Shared with the previous epoch
+    /// when no edge was added since it was built, fresh otherwise.
+    std::shared_ptr<const DistanceCache> cache;
+    /// Merged and spliced onto the previous build (false: full build).
+    bool incremental = false;
+    /// The ε-Link clustering merged only the new links.
+    bool recluster_incremental = false;
+    /// Stage wall times: PointSet plus identity map, CSR, clustering.
+    double points_ms = 0.0;
+    double splice_ms = 0.0;
+    double recluster_ms = 0.0;
+  };
+
+  /// The world of `net` and `points`, installed as the checkpoint state
+  /// that describes it: points take ObjectIds 0..n-1 in dense order (the
+  /// first epoch's identity map is the identity), edges the next ids in
+  /// Edges() order. `net` is kept as is, adjacency order included.
+  static World Boot(Network net, const PointSet& points,
+                    WorldOptions options);
+
+  /// The world a checkpoint holds: its network rebuilt from the edge
+  /// list, its points, ids and watermark.
+  static Result<World> Restore(const CheckpointState& state,
+                               WorldOptions options);
+
+  /// Applies one mutation, allocating the new object's ObjectId on
+  /// success; a rejected mutation (kInvalidArgument) allocates none and
+  /// changes nothing. Visible from the next Build on.
+  Status Apply(const NetworkUpdate& update);
+
+  /// The next epoch: a full build the first time, incremental onto the
+  /// last successful Build afterwards. A failed Build changes nothing,
+  /// so its mutations ride along with the next one.
+  Result<Epoch> Build();
+
+  /// The next epoch built from scratch (RunClustering for the spec),
+  /// leaving the base, the ε-Link forest and the distance cache alone:
+  /// what every incremental Build must equal.
+  Result<Epoch> BuildFull() const;
+
+  /// The world as a checkpoint stores it; `generation` and `covers_seq`
+  /// are the caller's to fill in.
+  CheckpointState Checkpoint() const;
+
+  NodeId num_nodes() const { return net_.num_nodes(); }
+
+ private:
+  World(Network net, CheckpointState state, WorldOptions options);
+
+  /// The PointSet over every point record, each record's dense id in
+  /// `record_to_final`. With `merge` only the records beyond the base
+  /// are merged into the base's set.
+  Result<PointSet> BuildPoints(bool merge,
+                               std::vector<PointId>* record_to_final) const;
+  /// The points, identity map and CSR graph of the next epoch, merged
+  /// and spliced onto the base when `incremental`.
+  Result<Epoch> BuildPointsAndGraph(
+      bool incremental, std::vector<PointId>* record_to_final) const;
+  /// The epoch's clustering. ε-Link specs merge the links the
+  /// unpublished mutations add into a seeded forest when `incremental`,
+  /// and seed it from one full run otherwise; others run RunClustering.
+  Result<ClusterOutput> Recluster(const NetworkView& view,
+                                  const FrozenGraph& graph,
+                                  const std::vector<PointId>& record_to_final,
+                                  bool incremental, bool* merged);
+
+  WorldOptions options_;
+  Network net_;
+  /// Every point ever admitted, in admission order, with its ObjectId.
+  std::vector<CheckpointPoint> points_;
+  /// Edge ObjectIds keyed by the canonical packed endpoint pair.
+  std::unordered_map<uint64_t, ObjectId> edge_ids_;
+  uint64_t next_object_id_ = 0;
+
+  /// Mutations applied since the last successful Build.
+  std::vector<NetworkUpdate> unpublished_;
+
+  // The merge base: the last successful Build's graph and points, and
+  // where each point record landed in them. Null before the first.
+  std::shared_ptr<const FrozenGraph> base_graph_;
+  std::shared_ptr<const PointSet> base_points_;
+  std::vector<PointId> base_record_to_final_;
+
+  // ε-Link components across builds: a forest over point record
+  // indices, which stay stable across dense renumbering because records
+  // only grow. Its sets are exactly the connected components of the
+  // "within eps" graph over the base, components below min_sup
+  // included.
+  UnionFind components_{0};
+  bool components_seeded_ = false;
+  /// Recluster's traversal state, kept so a Build allocates none.
+  TraversalWorkspace recluster_ws_;
+
+  /// The last Build's distance cache, handed on while the metric holds.
+  std::shared_ptr<const DistanceCache> live_cache_;
+};
+
+}  // namespace netclus
+
+#endif  // NETCLUS_SERVER_WORLD_H_

@@ -158,19 +158,6 @@ TEST(FrozenGraphTest, EdgePointRangesMatchViewPointGroups) {
   }
 }
 
-TEST(FrozenGraphTest, FromAdjacencyCarriesNoPointRanges) {
-  std::vector<std::vector<std::pair<NodeId, double>>> adj(3);
-  adj[0] = {{1, 2.0}, {2, 5.0}};
-  adj[1] = {{0, 2.0}};
-  adj[2] = {{0, 5.0}};
-  FrozenGraph g = FrozenGraph::FromAdjacency(adj);
-  EXPECT_EQ(g.num_nodes(), 3u);
-  EXPECT_EQ(g.num_half_edges(), 4u);
-  EXPECT_EQ(g.EdgeWeight(0, 2), 5.0);
-  EXPECT_FALSE(g.has_point_layer());
-  EXPECT_EQ(g.EdgePointRange(0, 1).second, 0u);
-}
-
 // Disk runs traverse the DiskNetworkView directly while in-memory runs
 // traverse the snapshot, so identical disk and memory results rest on
 // the disk view yielding each node's neighbors in the snapshot's order.
@@ -251,40 +238,15 @@ TEST(FrozenGraphTest, ValidatorRejectsCorruptedWeight) {
 }
 
 TEST(FrozenGraphTest, NetworkEdgeWeightSurvivesMutation) {
-  // Network::EdgeWeight serves from a cached FromAdjacency snapshot;
-  // AddEdge must invalidate it so lookups never go stale.
+  // Network::EdgeWeight reads the live adjacency, so a lookup never
+  // goes stale across AddEdge.
   Network net(4);
   ASSERT_TRUE(net.AddEdge(0, 1, 1.5).ok());
-  net.Freeze();
   EXPECT_EQ(net.EdgeWeight(0, 1), 1.5);
-  ASSERT_TRUE(net.AddEdge(1, 2, 2.5).ok());  // invalidates the snapshot
+  ASSERT_TRUE(net.AddEdge(1, 2, 2.5).ok());
   EXPECT_EQ(net.EdgeWeight(1, 2), 2.5);
   EXPECT_EQ(net.EdgeWeight(0, 1), 1.5);
   EXPECT_LT(net.EdgeWeight(0, 2), 0.0);
-}
-
-TEST(FrozenGraphTest, HeldSnapshotSurvivesAddEdge) {
-  // The ownership rule behind RCU epochs: AddEdge drops only the
-  // network's own reference to the cached snapshot. A caller-held
-  // shared_ptr keeps the old CSR alive and unchanged, while the next
-  // Freeze() builds a fresh snapshot reflecting the mutation.
-  Network net(4);
-  ASSERT_TRUE(net.AddEdge(0, 1, 1.5).ok());
-  std::shared_ptr<const FrozenGraph> old_snap = net.Freeze();
-  ASSERT_NE(old_snap, nullptr);
-  EXPECT_EQ(old_snap->EdgeWeight(0, 1), 1.5);
-
-  ASSERT_TRUE(net.AddEdge(1, 2, 2.5).ok());
-  // The held snapshot still describes the pre-mutation adjacency.
-  EXPECT_EQ(old_snap->EdgeWeight(0, 1), 1.5);
-  EXPECT_LT(old_snap->EdgeWeight(1, 2), 0.0);
-  EXPECT_EQ(old_snap.use_count(), 1);  // network dropped its reference
-
-  std::shared_ptr<const FrozenGraph> new_snap = net.Freeze();
-  ASSERT_NE(new_snap, nullptr);
-  EXPECT_NE(new_snap, old_snap);
-  EXPECT_EQ(new_snap->EdgeWeight(1, 2), 2.5);
-  EXPECT_EQ(old_snap->EdgeWeight(0, 1), 1.5);
 }
 
 // Multi-source SSSP over the snapshot settles the same nodes in the

@@ -231,24 +231,9 @@ TEST(DistanceCacheTest, ZeroCapacityDropsEverything) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST(DistanceCacheTest, EpochInvalidationDropsEntriesLazily) {
-  DistanceCache cache(64, 4);
-  for (PointId p = 0; p < 10; ++p) cache.Store(p, p + 100, 1.0 * p);
-  EXPECT_EQ(cache.size(), 10u);
-  uint64_t epoch_before = cache.epoch();
-  cache.Invalidate();
-  EXPECT_EQ(cache.epoch(), epoch_before + 1);
-  EXPECT_EQ(cache.size(), 0u);
-  double d = 0.0;
-  EXPECT_FALSE(cache.Lookup(3, 103, &d));
-  cache.Store(3, 103, 9.0);
-  ASSERT_TRUE(cache.Lookup(3, 103, &d));
-  EXPECT_EQ(d, 9.0);
-}
-
-// Matched by the tsan suite filter (run_all.sh tsan): concurrent writers,
-// readers, and invalidators on a small cache force constant shard
-// contention, eviction, and epoch-refresh races.
+// Matched by the tsan suite filter (run_all.sh tsan): concurrent writers
+// and readers on a small cache force constant shard contention and
+// eviction.
 TEST(DistanceCacheTest, ConcurrentHammerKeepsValuesConsistent) {
   DistanceCache cache(128, 4);
   std::atomic<bool> bad_value{false};
@@ -276,7 +261,6 @@ TEST(DistanceCacheTest, ConcurrentHammerKeepsValuesConsistent) {
             break;
           }
           default:
-            if (i % 4096 == 3) cache.Invalidate();
             break;
         }
       }

@@ -495,35 +495,30 @@ TEST(IncrementalReclusterTest, KillRecoverAndCheckpointRestoreKeepMembership) {
   }
 }
 
-// The incremental path is ε-Link under incremental_publish only: with
-// the option off, or for another algorithm, every publish re-runs
-// RunClustering.
-TEST(IncrementalReclusterTest, OtherSpecsAndDisabledOptionRunFullClustering) {
+// The incremental re-cluster is ε-Link only: for another algorithm
+// every publish re-runs RunClustering.
+TEST(IncrementalReclusterTest, OtherSpecsRunFullClustering) {
   GenWorld w(50, 60, 51);
-  std::vector<QueryServerOptions> configs(2, EpsLinkServing(w.eps, 1));
-  configs[0].incremental_publish = false;
+  QueryServerOptions opts = EpsLinkServing(w.eps, 1);
   DbscanOptions dbscan;
   dbscan.eps = w.eps;
   dbscan.min_pts = 2;
-  configs[1].cluster_spec = MakeSpec(dbscan);
-  for (const QueryServerOptions& opts : configs) {
-    ReferenceWorld ref(w.gen.net, w.points);
-    std::unique_ptr<QueryServer> server =
-        StartOrDie(w.gen.net, w.points, opts);
-    ASSERT_NE(server, nullptr);
-    Rng rng(51);
-    for (int m = 0; m < 4; ++m) {
-      const NetworkUpdate u = ref.RandomMutation(&rng, w.eps);
-      ASSERT_TRUE(ref.Apply(u));
-      ASSERT_TRUE(server->ApplyUpdate(u).ok());
-      ASSERT_TRUE(server->Flush().ok());
-    }
-    ExpectMatchesFullRun(server.get(), ref, *opts.cluster_spec);
-    const ServerStats stats = server->stats();
-    EXPECT_EQ(stats.reclusters_full, 5u);
-    EXPECT_EQ(stats.reclusters_incremental, 0u);
-    EXPECT_GE(stats.mean_recluster_ms, 0.0);
+  opts.cluster_spec = MakeSpec(dbscan);
+  ReferenceWorld ref(w.gen.net, w.points);
+  std::unique_ptr<QueryServer> server = StartOrDie(w.gen.net, w.points, opts);
+  ASSERT_NE(server, nullptr);
+  Rng rng(51);
+  for (int m = 0; m < 4; ++m) {
+    const NetworkUpdate u = ref.RandomMutation(&rng, w.eps);
+    ASSERT_TRUE(ref.Apply(u));
+    ASSERT_TRUE(server->ApplyUpdate(u).ok());
+    ASSERT_TRUE(server->Flush().ok());
   }
+  ExpectMatchesFullRun(server.get(), ref, *opts.cluster_spec);
+  const ServerStats stats = server->stats();
+  EXPECT_EQ(stats.reclusters_full, 5u);
+  EXPECT_EQ(stats.reclusters_incremental, 0u);
+  EXPECT_GE(stats.mean_recluster_ms, 0.0);
 }
 
 // ---------------------------------------------------------------------
@@ -563,38 +558,34 @@ void ExpectSameFingerprints(const std::vector<QueryResponse>& got,
 }
 
 // AddPoint-only and mixed AddPoint/AddEdge sequences, one mutation per
-// publish, with incremental publish on (every publish after boot is a
-// merge) and off (every publish is a full build).
+// publish: every publish after boot is a merge. The full build of each
+// epoch is checked bit for bit in tests/world_test.cc.
 TEST(PointSetMergePublishTest, PublishesMatchTheFullRun) {
   GenWorld w(60, 80, 61);
   for (double point_share : {1.0, 0.6}) {
-    for (bool incremental : {true, false}) {
-      SCOPED_TRACE("point share " + std::to_string(point_share) +
-                   (incremental ? " incremental" : " full"));
-      ReferenceWorld ref(w.gen.net, w.points);
-      QueryServerOptions opts = EpsLinkServing(w.eps, 2);
-      opts.validate_replay = true;
-      opts.incremental_publish = incremental;
-      std::unique_ptr<QueryServer> server =
-          StartOrDie(w.gen.net, w.points, opts);
-      ASSERT_NE(server, nullptr);
-      Rng rng(61);
-      constexpr int kMutations = 16;
-      for (int m = 0; m < kMutations; ++m) {
-        const NetworkUpdate u = ref.RandomMutation(&rng, w.eps, point_share);
-        ASSERT_TRUE(ref.Apply(u));
-        ASSERT_TRUE(server->ApplyUpdate(u).ok());
-        ASSERT_TRUE(server->Flush().ok());
-        ExpectMatchesFullRun(server.get(), ref, *opts.cluster_spec);
-        if (HasFailure()) return;
-      }
-      const ServerStats stats = server->stats();
-      EXPECT_EQ(stats.publish_failures, 0u);
-      EXPECT_EQ(stats.publishes_full, incremental ? 1u : kMutations + 1u);
-      EXPECT_EQ(stats.publishes_incremental, incremental ? kMutations : 0u);
-      EXPECT_GT(stats.mean_publish_points_ms, 0.0);
-      EXPECT_GT(stats.mean_publish_splice_ms, 0.0);
+    SCOPED_TRACE("point share " + std::to_string(point_share));
+    ReferenceWorld ref(w.gen.net, w.points);
+    QueryServerOptions opts = EpsLinkServing(w.eps, 2);
+    opts.validate_replay = true;
+    std::unique_ptr<QueryServer> server =
+        StartOrDie(w.gen.net, w.points, opts);
+    ASSERT_NE(server, nullptr);
+    Rng rng(61);
+    constexpr int kMutations = 16;
+    for (int m = 0; m < kMutations; ++m) {
+      const NetworkUpdate u = ref.RandomMutation(&rng, w.eps, point_share);
+      ASSERT_TRUE(ref.Apply(u));
+      ASSERT_TRUE(server->ApplyUpdate(u).ok());
+      ASSERT_TRUE(server->Flush().ok());
+      ExpectMatchesFullRun(server.get(), ref, *opts.cluster_spec);
+      if (HasFailure()) return;
     }
+    const ServerStats stats = server->stats();
+    EXPECT_EQ(stats.publish_failures, 0u);
+    EXPECT_EQ(stats.publishes_full, 1u);
+    EXPECT_EQ(stats.publishes_incremental, static_cast<uint64_t>(kMutations));
+    EXPECT_GT(stats.mean_publish_points_ms, 0.0);
+    EXPECT_GT(stats.mean_publish_splice_ms, 0.0);
   }
 }
 

@@ -171,10 +171,11 @@ TEST(QueryVocabularyTest, DeadlineValidationAndHealthzRejection) {
 // ---------------------------------------------------------------------
 
 std::shared_ptr<const FrozenGraph> TinyGraph() {
-  std::vector<std::vector<std::pair<NodeId, double>>> adj(2);
-  adj[0] = {{1, 1.0}};
-  adj[1] = {{0, 1.0}};
-  return std::make_shared<const FrozenGraph>(FrozenGraph::FromAdjacency(adj));
+  Network net(2);
+  EXPECT_TRUE(net.AddEdge(0, 1, 1.0).ok());
+  const PointSet no_points;
+  return std::make_shared<const FrozenGraph>(
+      FrozenGraph::Materialize(InMemoryNetworkView(net, no_points)));
 }
 
 TEST(EpochManagerTest, PinnedEpochSurvivesPublishAndFreesOnRelease) {
@@ -542,22 +543,6 @@ TEST(IncrementalEpochTest, ServerPublishesIncrementallyUnderValidation) {
   Result<QueryResponse> d = server.Execute(QueryRequest::PointDistance(0, 1));
   ASSERT_TRUE(d.ok()) << d.status().ToString();
   EXPECT_DOUBLE_EQ(d.value().distance, 6.0);
-}
-
-TEST(IncrementalEpochTest, IncrementalDisabledForcesFullPublishes) {
-  PathWorld w;
-  QueryServerOptions opts;
-  opts.num_workers = 1;
-  opts.incremental_publish = false;
-  Result<std::unique_ptr<QueryServer>> started =
-      QueryServer::Start(w.net, w.points, opts);
-  ASSERT_TRUE(started.ok());
-  QueryServer& server = *started.value();
-  ASSERT_TRUE(server.ApplyUpdate(NetworkUpdate::AddEdge(0, 3, 1.0)).ok());
-  ASSERT_TRUE(server.Flush().ok());
-  ServerStats stats = server.stats();
-  EXPECT_EQ(stats.publishes_full, 2u);
-  EXPECT_EQ(stats.publishes_incremental, 0u);
 }
 
 // A point-only batch leaves the metric untouched, so the retiring

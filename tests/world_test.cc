@@ -1,0 +1,299 @@
+// World: the served world and the builder of its epochs, tested on one
+// thread with no QueryServer. Every incremental Build must equal the
+// full build of the same world bit for bit; a checkpoint must restore
+// the world it was taken from; a rejected mutation must leave the world,
+// its ObjectId watermark included, untouched.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/random.h"
+#include "gen/network_gen.h"
+#include "gen/workload_gen.h"
+#include "graph/frozen_graph.h"
+#include "graph/network.h"
+#include "netclus.h"
+#include "server/update.h"
+#include "server/wal.h"
+#include "server/world.h"
+
+namespace netclus {
+namespace {
+
+struct Scenario {
+  GeneratedNetwork gen;
+  PointSet points;
+  double eps = 0.0;
+
+  Scenario(NodeId nodes, PointId n_points, uint64_t seed) {
+    gen = GenerateRoadNetwork({nodes, 1.3, 0.3, seed});
+    points =
+        std::move(GenerateUniformPoints(gen.net, n_points, seed + 1)).value();
+    double sum = 0.0;
+    for (const Edge& e : gen.net.Edges()) sum += e.weight;
+    eps = 0.6 * sum / static_cast<double>(gen.net.num_edges());
+  }
+};
+
+// Random insert-only mutations over a mirror of the world's network: an
+// AddPoint on an existing edge, or an AddEdge between two nodes not yet
+// adjacent, with a weight around eps so some new edges link clusters.
+class Mutator {
+ public:
+  Mutator(const Network& net, double eps, uint64_t seed)
+      : net_(net), eps_(eps), rng_(seed) {}
+
+  NetworkUpdate Next(double point_share) {
+    if (rng_.NextDouble() < point_share) {
+      const std::vector<Edge> edges = net_.Edges();
+      const Edge& e = edges[rng_.NextBounded(edges.size())];
+      return NetworkUpdate::AddPoint(e.u, e.v, rng_.NextDouble() * e.weight);
+    }
+    for (;;) {
+      const NodeId u = static_cast<NodeId>(rng_.NextBounded(net_.num_nodes()));
+      const NodeId v = static_cast<NodeId>(rng_.NextBounded(net_.num_nodes()));
+      if (u == v || net_.HasEdge(u, v)) continue;
+      const double w = eps_ * (0.1 + 1.4 * rng_.NextDouble());
+      EXPECT_TRUE(net_.AddEdge(u, v, w).ok());
+      return NetworkUpdate::AddEdge(u, v, w);
+    }
+  }
+
+ private:
+  Network net_;
+  double eps_;
+  Rng rng_;
+};
+
+World::Epoch BuildOrDie(Result<World::Epoch> built) {
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  return built.ok() ? std::move(built).value() : World::Epoch{};
+}
+
+void ExpectSameIdsAndClusters(const World::Epoch& got,
+                              const World::Epoch& want) {
+  ASSERT_NE(got.ids, nullptr);
+  ASSERT_NE(want.ids, nullptr);
+  ASSERT_EQ(got.ids->num_points(), want.ids->num_points());
+  for (PointId p = 0; p < got.ids->num_points(); ++p) {
+    ASSERT_EQ(got.ids->ObjectOf(p), want.ids->ObjectOf(p)) << "point " << p;
+  }
+  ASSERT_EQ(got.clusters == nullptr, want.clusters == nullptr);
+  if (got.clusters != nullptr) {
+    EXPECT_EQ(got.clusters->clustering.num_clusters,
+              want.clusters->clustering.num_clusters);
+    EXPECT_EQ(got.clusters->clustering.assignment,
+              want.clusters->clustering.assignment);
+  }
+}
+
+// Graph, PointSet, identity map and clustering, bit for bit.
+void ExpectSameEpoch(const World::Epoch& got, const World::Epoch& want) {
+  ASSERT_NE(got.graph, nullptr);
+  ASSERT_NE(want.graph, nullptr);
+  EXPECT_TRUE(got.graph->BitIdenticalTo(*want.graph));
+  EXPECT_TRUE(got.points->BitIdenticalTo(*want.points));
+  ExpectSameIdsAndClusters(got, want);
+}
+
+// Each node's (neighbor, weight) row as a sorted list: a restored
+// network holds the same edges as the live one, but its rows list them
+// in Edges() order rather than in the order they were added.
+std::vector<std::vector<std::pair<NodeId, double>>> SortedRows(
+    const FrozenGraph& g) {
+  std::vector<std::vector<std::pair<NodeId, double>>> rows(g.num_nodes());
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    g.ForEachNeighbor(n,
+                      [&](NodeId m, double w) { rows[n].emplace_back(m, w); });
+    std::sort(rows[n].begin(), rows[n].end());
+  }
+  return rows;
+}
+
+void ExpectSameCheckpoint(const CheckpointState& got,
+                          const CheckpointState& want) {
+  EXPECT_EQ(got.next_object_id, want.next_object_id);
+  EXPECT_EQ(got.num_nodes, want.num_nodes);
+  ASSERT_EQ(got.edges.size(), want.edges.size());
+  for (size_t i = 0; i < got.edges.size(); ++i) {
+    const CheckpointEdge& a = got.edges[i];
+    const CheckpointEdge& b = want.edges[i];
+    EXPECT_TRUE(a.u == b.u && a.v == b.v && a.oid == b.oid &&
+                std::memcmp(&a.weight, &b.weight, sizeof(double)) == 0)
+        << "edge " << i;
+  }
+  ASSERT_EQ(got.points.size(), want.points.size());
+  for (size_t i = 0; i < got.points.size(); ++i) {
+    const CheckpointPoint& a = got.points[i];
+    const CheckpointPoint& b = want.points[i];
+    EXPECT_TRUE(a.u == b.u && a.v == b.v && a.label == b.label &&
+                a.oid == b.oid &&
+                std::memcmp(&a.offset, &b.offset, sizeof(double)) == 0)
+        << "point " << i;
+  }
+}
+
+std::vector<std::pair<std::string, std::optional<ClusterSpec>>> Specs(
+    double eps) {
+  DbscanOptions dbscan;
+  dbscan.eps = eps;
+  dbscan.min_pts = 3;
+  return {{"no spec", std::nullopt},
+          {"eps-link", MakeSpec(EpsLinkOptions{eps, 2})},
+          {"dbscan", MakeSpec(dbscan)}};
+}
+
+// One mutation per build and batches of three, point-heavy and mixed:
+// every Build after the first is incremental and equals BuildFull of
+// the same world. An ε-Link spec merges its forest every time.
+TEST(WorldTest, IncrementalBuildsMatchTheFullBuild) {
+  Scenario s(80, 120, 7);
+  for (const auto& [name, spec] : Specs(s.eps)) {
+    for (int batch : {1, 3}) {
+      SCOPED_TRACE(name + ", batches of " + std::to_string(batch));
+      WorldOptions options;
+      options.cluster_spec = spec;
+      World world = World::Boot(s.gen.net, s.points, options);
+      const World::Epoch boot_full = BuildOrDie(world.BuildFull());
+      const World::Epoch boot = BuildOrDie(world.Build());
+      EXPECT_FALSE(boot.incremental);
+      ExpectSameEpoch(boot, boot_full);
+      Mutator mutator(s.gen.net, s.eps, 11 + batch);
+      for (int round = 0; round < 10; ++round) {
+        for (int m = 0; m < batch; ++m) {
+          ASSERT_TRUE(world.Apply(mutator.Next(round < 5 ? 0.9 : 0.5)).ok());
+        }
+        const World::Epoch full = BuildOrDie(world.BuildFull());
+        const World::Epoch epoch = BuildOrDie(world.Build());
+        EXPECT_FALSE(full.incremental);
+        EXPECT_TRUE(epoch.incremental);
+        EXPECT_EQ(epoch.recluster_incremental,
+                  spec.has_value() &&
+                      spec->algorithm == Algorithm::kEpsLink);
+        ExpectSameEpoch(epoch, full);
+        if (HasFailure()) return;
+      }
+    }
+  }
+}
+
+// The cache rides along while no edge is added and is replaced by the
+// first build after an AddEdge, and only by that one.
+TEST(WorldTest, CacheIsSharedUntilAnEdgeIsAdded) {
+  Scenario s(40, 60, 17);
+  World world = World::Boot(s.gen.net, s.points, WorldOptions{});
+  const World::Epoch boot = BuildOrDie(world.Build());
+  ASSERT_NE(boot.cache, nullptr);
+  const std::vector<Edge> edges = s.gen.net.Edges();
+  ASSERT_TRUE(world
+                  .Apply(NetworkUpdate::AddPoint(edges[0].u, edges[0].v,
+                                                 0.5 * edges[0].weight))
+                  .ok());
+  const World::Epoch points_only = BuildOrDie(world.Build());
+  EXPECT_EQ(points_only.cache, boot.cache);
+  NodeId v = 1;
+  while (s.gen.net.HasEdge(0, v)) ++v;
+  ASSERT_TRUE(world.Apply(NetworkUpdate::AddEdge(0, v, 1.0)).ok());
+  const World::Epoch with_edge = BuildOrDie(world.Build());
+  ASSERT_NE(with_edge.cache, nullptr);
+  EXPECT_NE(with_edge.cache, boot.cache);
+  // The edge is published now; the next point-only build keeps its cache.
+  ASSERT_TRUE(world
+                  .Apply(NetworkUpdate::AddPoint(edges[1].u, edges[1].v,
+                                                 0.5 * edges[1].weight))
+                  .ok());
+  EXPECT_EQ(BuildOrDie(world.Build()).cache, with_edge.cache);
+
+  WorldOptions no_cache;
+  no_cache.cache_capacity = 0;
+  World uncached = World::Boot(s.gen.net, s.points, no_cache);
+  EXPECT_EQ(BuildOrDie(uncached.Build()).cache, nullptr);
+}
+
+// Checkpoint -> Restore -> Checkpoint is the identity, and the restored
+// world builds the epoch the original builds, and keeps doing so under
+// the same further mutations.
+TEST(WorldTest, CheckpointRestoresTheSameWorld) {
+  Scenario s(60, 80, 23);
+  WorldOptions options;
+  options.cluster_spec = MakeSpec(EpsLinkOptions{s.eps, 2});
+  World world = World::Boot(s.gen.net, s.points, options);
+  BuildOrDie(world.Build());
+  Mutator mutator(s.gen.net, s.eps, 29);
+  size_t added_points = 0;
+  for (int m = 0; m < 12; ++m) {
+    const NetworkUpdate u = mutator.Next(0.6);
+    if (u.kind == NetworkUpdate::Kind::kAddPoint) ++added_points;
+    ASSERT_TRUE(world.Apply(u).ok());
+    if (m % 4 == 3) BuildOrDie(world.Build());
+  }
+  const CheckpointState state = world.Checkpoint();
+  EXPECT_EQ(state.num_nodes, s.gen.net.num_nodes());
+  EXPECT_EQ(state.points.size(), s.points.size() + added_points);
+  EXPECT_EQ(state.edges.size(), s.gen.net.num_edges() + 12 - added_points);
+  EXPECT_EQ(state.next_object_id, state.points.size() + state.edges.size());
+
+  Result<World> restored_or = World::Restore(state, options);
+  ASSERT_TRUE(restored_or.ok()) << restored_or.status().ToString();
+  World restored = std::move(restored_or).value();
+  ExpectSameCheckpoint(restored.Checkpoint(), state);
+
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const World::Epoch want = BuildOrDie(world.Build());
+    const World::Epoch got = BuildOrDie(restored.Build());
+    EXPECT_EQ(got.incremental, round > 0);
+    EXPECT_TRUE(got.points->BitIdenticalTo(*want.points));
+    EXPECT_EQ(SortedRows(*got.graph), SortedRows(*want.graph));
+    EXPECT_EQ(got.graph->point_groups().size(),
+              want.graph->point_groups().size());
+    ExpectSameIdsAndClusters(got, want);
+    for (int m = 0; m < 3; ++m) {
+      const NetworkUpdate u = mutator.Next(0.6);
+      ASSERT_TRUE(world.Apply(u).ok());
+      ASSERT_TRUE(restored.Apply(u).ok());
+    }
+  }
+  ExpectSameCheckpoint(restored.Checkpoint(), world.Checkpoint());
+}
+
+// A rejected mutation allocates no ObjectId and changes nothing: the
+// next admitted object takes the id the rejected one would have.
+TEST(WorldTest, RejectedMutationAllocatesNoObjectId) {
+  Scenario s(30, 20, 31);
+  World world = World::Boot(s.gen.net, s.points, WorldOptions{});
+  const CheckpointState before = world.Checkpoint();
+  EXPECT_EQ(before.next_object_id,
+            s.points.size() + s.gen.net.num_edges());
+  const Edge e = s.gen.net.Edges().front();
+  NodeId far = 0;
+  while (far == e.u || s.gen.net.HasEdge(e.u, far)) ++far;
+  for (const NetworkUpdate& bad :
+       {NetworkUpdate::AddEdge(e.u, e.v, 1.0),         // duplicate
+        NetworkUpdate::AddEdge(e.u, e.u, 1.0),         // self loop
+        NetworkUpdate::AddEdge(e.u, far, -1.0),        // bad weight
+        NetworkUpdate::AddEdge(e.u, 1000000, 1.0),     // no such node
+        NetworkUpdate::AddPoint(e.u, far, 0.0),        // no such edge
+        NetworkUpdate::AddPoint(e.u, e.v, e.weight * 2),  // off the edge
+        NetworkUpdate::AddPoint(e.u, e.v, -0.5)}) {
+    EXPECT_TRUE(world.Apply(bad).IsInvalidArgument());
+  }
+  ExpectSameCheckpoint(world.Checkpoint(), before);
+
+  ASSERT_TRUE(world.Apply(NetworkUpdate::AddPoint(e.u, e.v, 0.0)).ok());
+  const CheckpointState after = world.Checkpoint();
+  ASSERT_EQ(after.points.size(), before.points.size() + 1);
+  EXPECT_EQ(after.points.back().oid, before.next_object_id);
+  EXPECT_EQ(after.next_object_id, before.next_object_id + 1);
+  // The rejected mutations never reach a build either: the first build
+  // holds the boot points plus the one admitted.
+  EXPECT_EQ(BuildOrDie(world.Build()).points->size(), s.points.size() + 1);
+}
+
+}  // namespace
+}  // namespace netclus
