@@ -1,18 +1,21 @@
 // Bench smoke: a minutes-scale micro pass over the traversal substrates
 // on a small generated network — the `run_all.sh bench-smoke` target.
-// The plain range query runs once; the two consumers of the distance
-// index (the thresholded point distance and k-medoids) run index-off and
-// index-on and print the settled-node / heap-pop reduction. The whole
-// table is emitted as machine-readable BENCH_smoke.json via
-// BenchRecorder so CI can diff substrate work across revisions. Each
-// off/on pair is a gate: the harness prints FAIL and exits 1 unless the
-// `_on` row settles fewer nodes and has a lower median wall time than
-// its `_off` twin — every kept accelerator must pay for itself. The
-// k-medoids contrast times the engine directly over the live view with a
-// prebuilt accelerator; routing through RunClustering would rebuild the
-// index inside the measured section.
+// The plain range query runs once; the served point distance runs cold
+// and warm through the query layer's distance cache, and k-medoids runs
+// landmark index off and on; each pair prints its settled-node /
+// heap-pop reduction. The whole table is emitted as machine-readable
+// BENCH_smoke.json via BenchRecorder so CI can diff substrate work
+// across revisions. Each pair is a gate: the harness prints FAIL and
+// exits 1 unless the second row settles fewer nodes and has a lower
+// median wall time than the first — the cache and the landmark index
+// must each pay for themselves — and unless every warm served distance
+// equals its cold payload bit for bit. The k-medoids contrast times the
+// engine directly over the live view with a prebuilt index; routing
+// through RunClustering would rebuild the index inside the measured
+// section.
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -24,6 +27,8 @@
 #include "core/kmedoids.h"
 #include "graph/network_distance.h"
 #include "index/distance_index.h"
+#include "server/distance_cache.h"
+#include "server/query.h"
 
 using namespace netclus;
 using namespace netclus::bench;
@@ -78,20 +83,22 @@ int main() {
              22);
   };
 
-  // The off/on pairs' totals and median seconds, for the gates below.
+  // The pairs' totals and median seconds, for the gates below. Row
+  // `name_<row[1]>` must beat row `name_<row[0]>`.
   struct Pair {
     const char* name;
+    const char* row[2];
     TraversalCounters work[2];
     double median_s[2] = {0.0, 0.0};
   };
-  auto record = [&](Pair* pair, bool on, std::vector<double> samples,
+  auto record = [&](Pair* pair, int i, std::vector<double> samples,
                     const TraversalCounters& t,
                     const std::vector<std::pair<std::string, double>>& extra) {
-    report((std::string(pair->name) + (on ? "_on" : "_off")).c_str(), samples,
-           t, extra);
+    report((std::string(pair->name) + "_" + pair->row[i]).c_str(), samples, t,
+           extra);
     std::sort(samples.begin(), samples.end());
-    pair->work[on] = t;
-    pair->median_s[on] = samples[samples.size() / 2];
+    pair->work[i] = t;
+    pair->median_s[i] = samples[samples.size() / 2];
   };
 
   // Range queries over a deterministic center set (the DBSCAN / ε-Link
@@ -114,34 +121,47 @@ int main() {
            {{"avg_results", static_cast<double>(results) / kQueries}});
   }
 
-  // Point-to-point distances under a threshold cut (the k-medoids inner
-  // question "is d(p, m) below the current best"), index off vs on
-  // (cache hits + lower-bound cutoffs skip whole expansions).
-  Pair point_distance{"point_distance", {}, {}};
+  // Served point-to-point distances through the query layer, with one
+  // fresh distance cache: cold (every pair a miss, computed and stored),
+  // then the same pairs warm (every pair a hit). The warm payloads must
+  // equal the cold ones bit for bit.
+  Pair served_distance{"served_distance", {"cold", "warm"}, {}, {}};
+  uint32_t payload_mismatches = 0;
   {
     TraversalWorkspace ws(gen.net.num_nodes());
+    DistanceCache cache(1 << 16);
+    std::vector<QueryRequest> requests;
+    Rng rng(7);
+    for (int i = 0; i < 2000; ++i) {
+      ObjectId a = rng.NextBounded(points.size());
+      ObjectId b = rng.NextBounded(points.size());
+      requests.push_back(QueryRequest::PointDistance(a, b));
+    }
+    std::vector<double> cold(requests.size());
+    QueryResponse out;
     for (int pass = 0; pass < 2; ++pass) {
-      bool on = pass == 1;
       TraversalCounters total;
       std::vector<double> samples;
-      Rng rng(7);
-      for (int i = 0; i < 2000; ++i) {
-        PointId p = static_cast<PointId>(rng.NextBounded(points.size()));
-        PointId q = static_cast<PointId>(rng.NextBounded(points.size()));
+      for (size_t i = 0; i < requests.size(); ++i) {
+        Status st;
         samples.push_back(Timed(&total, [&] {
-          (void)PointNetworkDistance(view, view, p, q, &ws,
-                                     on ? index.get() : nullptr, eps);
+          st = ExecuteQueryInto(view, nullptr, requests[i], &ws, &cache,
+                                nullptr, &out);
         }));
+        if (pass == 0) cold[i] = out.distance;
+        if (!st.ok() ||
+            std::memcmp(&out.distance, &cold[i], sizeof(double)) != 0) {
+          ++payload_mismatches;
+        }
       }
-      IndexStats s = index->Stats();
-      record(&point_distance, on, std::move(samples), total,
-             {{"cache_hits", static_cast<double>(s.cache_hits)}});
+      record(&served_distance, pass, std::move(samples), total,
+             {{"cache_hits", static_cast<double>(cache.counters().hits)}});
     }
   }
 
   // Full k-medoids runs, index off vs on (ALT lower bounds prune
   // provably non-improving swap evaluations; trajectories identical).
-  Pair kmedoids{"kmedoids", {}, {}};
+  Pair kmedoids{"kmedoids", {"off", "on"}, {}, {}};
   {
     KMedoidsOptions ko;
     ko.k = 8;
@@ -157,7 +177,8 @@ int main() {
         samples.push_back(Timed(&total, [&] {
           KMedoidsResult r =
               std::move(KMedoidsCluster<NetworkView>(
-                            view, view, ko, on ? index.get() : nullptr)
+                            view, view, ko,
+                            on ? &index->landmarks() : nullptr)
                             .value());
           pruned = r.stats.pruned_swaps;
           cost = r.cost;
@@ -165,7 +186,7 @@ int main() {
         }));
       }
       std::sort(bound_s.begin(), bound_s.end());
-      record(&kmedoids, on, std::move(samples), total,
+      record(&kmedoids, pass, std::move(samples), total,
              {{"pruned_swaps", static_cast<double>(pruned)},
               {"bound_seconds", bound_s[bound_s.size() / 2]},
               {"cost", cost}});
@@ -177,24 +198,31 @@ int main() {
                                            : path.c_str());
   if (path.empty()) return 1;
   int failed = 0;
-  for (const Pair* pair : {&point_distance, &kmedoids}) {
-    const uint64_t off = pair->work[0].settled_nodes;
-    const uint64_t on = pair->work[1].settled_nodes;
-    if (on >= off) {
-      std::printf("FAIL: %s_on settles %llu nodes, %s_off %llu\n", pair->name,
-                  static_cast<unsigned long long>(on), pair->name,
-                  static_cast<unsigned long long>(off));
+  if (payload_mismatches > 0) {
+    std::printf("FAIL: %u served distances failed or differ warm from cold\n",
+                payload_mismatches);
+    ++failed;
+  }
+  for (const Pair* pair : {&served_distance, &kmedoids}) {
+    const uint64_t first = pair->work[0].settled_nodes;
+    const uint64_t second = pair->work[1].settled_nodes;
+    if (second >= first) {
+      std::printf("FAIL: %s_%s settles %llu nodes, %s_%s %llu\n", pair->name,
+                  pair->row[1], static_cast<unsigned long long>(second),
+                  pair->name, pair->row[0],
+                  static_cast<unsigned long long>(first));
       ++failed;
     } else if (pair->median_s[1] >= pair->median_s[0]) {
-      std::printf("FAIL: %s_on median %.4f ms is not below %s_off %.4f ms\n",
-                  pair->name, pair->median_s[1] * 1e3, pair->name,
-                  pair->median_s[0] * 1e3);
+      std::printf("FAIL: %s_%s median %.4f ms is not below %s_%s %.4f ms\n",
+                  pair->name, pair->row[1], pair->median_s[1] * 1e3,
+                  pair->name, pair->row[0], pair->median_s[0] * 1e3);
       ++failed;
     } else {
-      std::printf("OK: %s_on settles fewer nodes and runs %.2fx faster than "
-                  "%s_off\n",
-                  pair->name, pair->median_s[0] / pair->median_s[1],
-                  pair->name);
+      std::printf("OK: %s_%s settles fewer nodes and runs %.2fx faster than "
+                  "%s_%s\n",
+                  pair->name, pair->row[1],
+                  pair->median_s[0] / pair->median_s[1], pair->name,
+                  pair->row[0]);
     }
   }
   return failed == 0 ? 0 : 1;

@@ -2,7 +2,7 @@
 // clustering algorithms are built on — Dijkstra traversals, point
 // distance evaluation, range queries, B+-tree lookups, and the buffer
 // manager hit path. The k-medoids micro-benchmark times the engine
-// directly over the live view with a prebuilt accelerator; routing
+// directly over the live view with a prebuilt landmark index; routing
 // through RunClustering would rebuild the index inside the measured loop.
 #include <benchmark/benchmark.h>
 
@@ -36,18 +36,6 @@ struct Fixture {
 Fixture& SharedFixture() {
   static Fixture f(20000, 60000);
   return f;
-}
-
-// The distance index over the shared fixture, built once on first use.
-const DistanceIndex& SharedIndex() {
-  static std::unique_ptr<DistanceIndex> index = [] {
-    IndexOptions io;
-    io.enable = true;
-    io.num_landmarks = 8;
-    return std::move(
-        DistanceIndex::Build(*SharedFixture().view, io, nullptr).value());
-  }();
-  return *index;
 }
 
 // A sparser fixture (~0.25 points per node) for the indexed-vs-plain
@@ -129,31 +117,13 @@ void BM_RangeQuery(benchmark::State& state) {
 BENCHMARK(BM_RangeQuery)->Arg(5)->Arg(20)->Arg(50)->Unit(
     benchmark::kMicrosecond);
 
-// Indexed point-to-point distance under a threshold cut (the question
-// the k-medoids swap evaluation asks per point): cache hits and
-// lower-bound cutoffs skip entire expansions.
-void BM_PointNetworkDistanceIndexed(benchmark::State& state) {
-  Fixture& f = SharedFixture();
-  const NetworkView& view = *f.view;
-  const DistanceIndex& index = SharedIndex();
-  TraversalWorkspace ws(f.gen.net.num_nodes());
-  Rng rng(5);
-  CounterScope counters(state);
-  for (auto _ : state) {
-    PointId p = static_cast<PointId>(rng.NextBounded(f.points.size()));
-    PointId q = static_cast<PointId>(rng.NextBounded(f.points.size()));
-    benchmark::DoNotOptimize(
-        PointNetworkDistance(view, view, p, q, &ws, &index, 5.0));
-  }
-}
-BENCHMARK(BM_PointNetworkDistanceIndexed)->Unit(benchmark::kMicrosecond);
-
 // Full k-medoids runs on the sparse fixture, index off (arg 0) vs on
 // (arg 1): identical trajectories and results, with ALT lower bounds
 // pruning provably non-improving swap evaluations in the `on` rows.
 void BM_KMedoidsSwapEval(benchmark::State& state) {
   Fixture& f = SparseFixture();
-  const DistanceIndex* index = state.range(0) != 0 ? &SparseIndex() : nullptr;
+  const LandmarkOracle* landmarks =
+      state.range(0) != 0 ? &SparseIndex().landmarks() : nullptr;
   KMedoidsOptions ko;
   ko.k = 8;
   ko.seed = 11;
@@ -161,7 +131,7 @@ void BM_KMedoidsSwapEval(benchmark::State& state) {
   uint32_t pruned = 0;
   for (auto _ : state) {
     KMedoidsResult r = std::move(
-        KMedoidsCluster<NetworkView>(*f.view, *f.view, ko, index).value());
+        KMedoidsCluster<NetworkView>(*f.view, *f.view, ko, landmarks).value());
     pruned = r.stats.pruned_swaps;
     benchmark::DoNotOptimize(r.cost);
   }

@@ -30,6 +30,9 @@
 #        - raw POSIX socket syscalls/headers are confined to src/net/ —
 #          everything else uses the net/socket.h RAII wrappers so EINTR
 #          retries, timeout mapping, and fd lifetimes stay in one place;
+#        - each src/ directory includes headers only from the
+#          directories its layering entry allows (graph never reaches
+#          up into index/, core/, server/ or net/);
 #        - the query vocabulary (src/server/query.h) and the wire layer
 #          (src/net/) speak stable ObjectIds only — a raw PointId there
 #          would leak epoch-local dense indices to clients;
@@ -122,17 +125,51 @@ $hits"
   fi
 done
 
+# Directory layering tripwire: each src/ directory may include headers
+# from itself and from the directories listed for it below, and nothing
+# else. The table is the include graph as it stands: storage sits on
+# common; graph on storage; gen, ext and index on graph; core on index
+# (k-medoids reads the landmark oracle); eval and server on core; net on
+# server. A header reaching up a layer (say, server/ from graph/) fails
+# here instead of growing a cycle. A new directory needs a row.
+layer_deps() {
+  case "$1" in
+    common) echo "" ;;
+    storage) echo "common" ;;
+    graph) echo "common storage" ;;
+    gen|ext|index) echo "common graph" ;;
+    core) echo "common graph index" ;;
+    eval) echo "common graph core" ;;
+    server) echo "common storage graph core" ;;
+    net) echo "common server" ;;
+    *) return 1 ;;
+  esac
+}
+for f in $(find src -mindepth 2 \( -name '*.h' -o -name '*.cc' \) | sort); do
+  dir=${f#src/}
+  dir=${dir%%/*}
+  if ! deps=$(layer_deps "$dir"); then
+    fail "$f: src/$dir/ has no row in lint.sh's layering table"
+    continue
+  fi
+  for inc in $(sed -n 's@^[[:space:]]*#[[:space:]]*include[[:space:]]*"\([a-z_]*\)/.*@\1@p' "$f" | sort -u); do
+    case " $dir $deps " in
+      *" $inc "*) ;;
+      *) fail "$f: includes a $inc/ header; src/$dir/ may include only from: $dir $deps" ;;
+    esac
+  done
+done
+
 # Traversal layering tripwire: the clustering algorithms in src/core/
 # must reach the Dijkstra substrate only through the graph-layer entry
-# points (PointNetworkDistance / RangeQuery) or a DistanceAccelerator —
-# a direct expansion call would bypass the accelerator hooks and the
-# traversal counters.
+# points (PointNetworkDistance / RangeQuery), so each point query has
+# one implementation.
 for f in $(find src/core -name '*.h' -o -name '*.cc' | sort); do
   stripped=$(sed 's@//.*@@' "$f")
   hits=$(printf '%s\n' "$stripped" |
     grep -nE 'DijkstraExpandBounded[[:space:]]*\(|DijkstraDistances[[:space:]]*\(' || true)
   if [ -n "$hits" ]; then
-    fail "$f: direct Dijkstra expansion from src/core/; go through PointNetworkDistance/RangeQuery (or a DistanceAccelerator) so index hooks and traversal counters stay wired
+    fail "$f: direct Dijkstra expansion from src/core/; go through PointNetworkDistance/RangeQuery so traversal counters stay wired
 $hits"
   fi
 done

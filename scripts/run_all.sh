@@ -36,8 +36,9 @@
 # no clang is installed (gcc has no thread-safety analysis).
 #
 # `scripts/run_all.sh bench-smoke` builds the default configuration and
-# runs the minutes-scale bench_smoke harness (distance-index on/off
-# contrasts on a small generated network) plus the frozen_traversal
+# runs the minutes-scale bench_smoke harness (served-distance cache
+# cold/warm and k-medoids landmark index off/on contrasts on a small
+# generated network) plus the frozen_traversal
 # contrast (FrozenGraph snapshot vs live view: identical counters,
 # >= 1.3x speedup) and the server_throughput harness (queries/sec at
 # 1/4/8 workers + p99 queue wait, with a hardware-aware 1->4 worker

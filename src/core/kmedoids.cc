@@ -168,7 +168,7 @@ class KMedoidsEngine {
   double SwapCostLowerBound(int med_idx, PointId candidate,
                             const std::vector<std::vector<PointId>>& members,
                             const std::vector<double>& point_cost,
-                            const DistanceAccelerator& accel, double cut) {
+                            const LandmarkOracle& landmarks, double cut) {
     std::vector<PointId> new_medoids = medoids_;
     new_medoids[med_idx] = candidate;
     const std::vector<PointId> target = {candidate};
@@ -177,13 +177,13 @@ class KMedoidsEngine {
       const std::vector<PointId>& pts = members[j];
       if (j == static_cast<size_t>(med_idx)) {
         bound_lb_.assign(pts.size(), kInfDist);
-        accel.NearestTargetLowerBounds(pts, new_medoids, bound_lb_.data());
+        landmarks.NearestTargetLowerBounds(pts, new_medoids, bound_lb_.data());
         for (size_t t = 0; t < pts.size(); ++t) {
           // A zero bound adds nothing; an infinite one proves every new
           // medoid disconnected, so the point would become noise.
           if (bound_lb_[t] == 0.0 || bound_lb_[t] == kInfDist) continue;
           for (PointId m : new_medoids) {
-            if (accel.UpperBound(pts[t], m) < kInfDist) {
+            if (landmarks.UpperBound(pts[t], m) < kInfDist) {
               lb_sum += bound_lb_[t];
               break;
             }
@@ -195,7 +195,7 @@ class KMedoidsEngine {
         for (size_t t = 0; t < pts.size(); ++t) {
           bound_lb_[t] = point_cost[pts[t]];
         }
-        accel.NearestTargetLowerBounds(pts, target, bound_lb_.data());
+        landmarks.NearestTargetLowerBounds(pts, target, bound_lb_.data());
         for (double v : bound_lb_) lb_sum += v;
       }
       if (lb_sum > cut) return lb_sum;
@@ -300,7 +300,7 @@ template <typename Graph>
 Result<KMedoidsResult> RunOnce(const NetworkView& view, const Graph& graph,
                                const KMedoidsOptions& options,
                                std::vector<PointId> initial, Rng* rng,
-                               const DistanceAccelerator* accel) {
+                               const LandmarkOracle* landmarks) {
   uint32_t k = static_cast<uint32_t>(initial.size());
   WallTimer total_timer;
   KMedoidsEngine<Graph> engine(view, graph);
@@ -313,10 +313,10 @@ Result<KMedoidsResult> RunOnce(const NetworkView& view, const Graph& graph,
   // assignment) only when the swap bound reads them.
   std::vector<int> assignment;
   std::vector<double> point_cost;
-  std::vector<double>* cost_out = accel != nullptr ? &point_cost : nullptr;
+  std::vector<double>* cost_out = landmarks != nullptr ? &point_cost : nullptr;
   double cost = engine.AssignPoints(&assignment, cost_out);
   std::vector<std::vector<PointId>> members;
-  if (accel != nullptr) GroupBySlot(assignment, k, &members);
+  if (landmarks != nullptr) GroupBySlot(assignment, k, &members);
   result.stats.first_iteration_seconds = timer.ElapsedSeconds();
 
   uint32_t unsuccessful = 0;
@@ -324,7 +324,7 @@ Result<KMedoidsResult> RunOnce(const NetworkView& view, const Graph& graph,
   std::vector<int> tentative;
   std::vector<double> tentative_cost;
   std::vector<double>* tentative_cost_out =
-      accel != nullptr ? &tentative_cost : nullptr;
+      landmarks != nullptr ? &tentative_cost : nullptr;
   // With k == N every point is a medoid and no swap candidate exists.
   while (k < view.num_points() &&
          unsuccessful < options.max_unsuccessful_swaps &&
@@ -337,14 +337,14 @@ Result<KMedoidsResult> RunOnce(const NetworkView& view, const Graph& graph,
     } while (engine.IsMedoid(candidate));
 
     timer.Restart();
-    if (accel != nullptr) {
+    if (landmarks != nullptr) {
       // Prune decisions must match the evaluated decision bit-for-bit:
       // the evaluation rejects when new_cost >= cost, so only prune when
       // the lower bound clears `cost` by more than the fp slack its own
       // summation could have introduced.
       double cut = cost + 1e-9 * std::max(1.0, cost);
       double bound = engine.SwapCostLowerBound(med_idx, candidate, members,
-                                               point_cost, *accel, cut);
+                                               point_cost, *landmarks, cut);
       result.stats.bound_seconds += timer.ElapsedSeconds();
       if (bound > cut) {
         swap_seconds_sum += timer.ElapsedSeconds();
@@ -367,7 +367,7 @@ Result<KMedoidsResult> RunOnce(const NetworkView& view, const Graph& graph,
       cost = new_cost;
       assignment.swap(tentative);
       point_cost.swap(tentative_cost);
-      if (accel != nullptr) GroupBySlot(assignment, k, &members);
+      if (landmarks != nullptr) GroupBySlot(assignment, k, &members);
       unsuccessful = 0;
       ++result.stats.committed_swaps;
     } else {
@@ -393,7 +393,7 @@ template <TraversalGraph Graph>
 Result<KMedoidsResult> KMedoidsCluster(const NetworkView& view,
                                        const Graph& graph,
                                        const KMedoidsOptions& options,
-                                       const DistanceAccelerator* accel) {
+                                       const LandmarkOracle* landmarks) {
   const bool fixed_initial = !options.initial_medoids.empty();
   if (fixed_initial) {
     if (options.initial_medoids.size() > view.num_points()) {
@@ -439,7 +439,8 @@ Result<KMedoidsResult> KMedoidsCluster(const NetworkView& view,
           rng.SampleWithoutReplacement(view.num_points(), options.k);
       initial.assign(sample.begin(), sample.end());
     }
-    runs[r] = RunOnce(view, graph, options, std::move(initial), &rng, accel);
+    runs[r] = RunOnce(view, graph, options, std::move(initial), &rng,
+                      landmarks);
   });
 
   // Deterministic reduction: lowest cost wins, ties broken by lowest
@@ -480,11 +481,11 @@ Result<KMedoidsResult> AssignToMedoids(const NetworkView& view,
 template Result<KMedoidsResult> KMedoidsCluster(const NetworkView&,
                                                 const FrozenGraph&,
                                                 const KMedoidsOptions&,
-                                                const DistanceAccelerator*);
+                                                const LandmarkOracle*);
 template Result<KMedoidsResult> KMedoidsCluster(const NetworkView&,
                                                 const NetworkView&,
                                                 const KMedoidsOptions&,
-                                                const DistanceAccelerator*);
+                                                const LandmarkOracle*);
 template Result<KMedoidsResult> AssignToMedoids(const NetworkView&,
                                                 const FrozenGraph&,
                                                 const std::vector<PointId>&);

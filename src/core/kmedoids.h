@@ -20,8 +20,8 @@
 
 #include "common/status.h"
 #include "core/clustering.h"
-#include "graph/accelerator.h"
 #include "graph/network_view.h"
+#include "index/landmark_oracle.h"
 
 namespace netclus {
 
@@ -57,17 +57,17 @@ struct KMedoidsStats {
   /// Committed improving swaps (excluding the initial assignment).
   uint32_t committed_swaps = 0;
   uint32_t attempted_swaps = 0;
-  /// Attempted swaps rejected by the accelerator's cost lower bound
-  /// before any traversal ran (always 0 without an accelerator). A
-  /// pruned swap is provably non-improving, so the search trajectory is
-  /// identical to the unaccelerated run.
+  /// Attempted swaps rejected by the landmark cost lower bound before
+  /// any traversal ran (always 0 without landmarks). A pruned swap is
+  /// provably non-improving, so the search trajectory is identical to
+  /// the unpruned run.
   uint32_t pruned_swaps = 0;
   /// Wall time of the initial full assignment ("first iteration").
   double first_iteration_seconds = 0.0;
   /// Mean wall time of one subsequent swap evaluation ("next ones").
   double avg_swap_seconds = 0.0;
-  /// Wall time spent assembling swap lower bounds (always 0 without an
-  /// accelerator); included in avg_swap_seconds. Like total_seconds it
+  /// Wall time spent assembling swap lower bounds (always 0 without
+  /// landmarks); included in avg_swap_seconds. Like total_seconds it
   /// sums over every restart.
   double bound_seconds = 0.0;
   double total_seconds = 0.0;
@@ -93,7 +93,7 @@ struct KMedoidsResult {
 /// itself (possibly disk-backed, whose buffer is not thread-safe) they
 /// run serially.
 ///
-/// `accel` is an optional distance accelerator (null = none). Before a
+/// `landmarks` is an optional landmark oracle (null = none). Before a
 /// tentative swap of medoid slot i for candidate c is evaluated, a sound
 /// lower bound on the post-swap cost is assembled against the exact
 /// current assignment: a point of another slot keeps its medoid, so it
@@ -102,16 +102,15 @@ struct KMedoidsResult {
 /// whose bound already exceeds the current cost are rejected without
 /// running Inc_Medoid_Update or the assignment scan. Pruning never
 /// changes the result: the rng draws and the accept/reject sequence are
-/// identical with the index on or off. Only the accelerator's lower and
-/// upper bounds are read.
+/// identical with the landmarks on or off.
 ///
 /// Callers normally go through RunClustering(view, MakeSpec(options))
-/// (netclus.h), which picks the graph and builds the accelerator.
+/// (netclus.h), which picks the graph and builds the landmark index.
 template <TraversalGraph Graph>
 Result<KMedoidsResult> KMedoidsCluster(const NetworkView& view,
                                        const Graph& graph,
                                        const KMedoidsOptions& options,
-                                       const DistanceAccelerator* accel);
+                                       const LandmarkOracle* landmarks);
 
 /// Evaluates R for an arbitrary medoid set (no search), assigning every
 /// point to its nearest medoid over `graph` (as above). Exposed for tests

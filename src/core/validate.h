@@ -26,9 +26,9 @@
 #include "core/dendrogram.h"
 #include "core/eps_link.h"
 #include "core/single_link.h"
-#include "graph/accelerator.h"
 #include "graph/dijkstra.h"
 #include "graph/network_view.h"
+#include "index/landmark_oracle.h"
 
 namespace netclus {
 
@@ -105,16 +105,16 @@ Status ValidateWorkspace(const TraversalWorkspace& ws, NodeId num_nodes);
 /// takes one.
 Status ValidateFrozenGraph(const NetworkView& view, const FrozenGraph& frozen);
 
-/// Distance-accelerator (index) consistency audit, against independent
-/// exact traversals:
+/// Landmark index consistency audit, against independent exact
+/// traversals:
 ///  - On a deterministic sample of point pairs, LowerBound and
 ///    UpperBound must sandwich the exact point-to-point Dijkstra
-///    distance, and a cache hit must equal it.
+///    distance.
 ///  - NearestTargetLowerBounds must return exactly the per-pair
 ///    LowerBound minima over its targets, capped by the seeded values.
-Status ValidateDistanceAccelerator(const NetworkView& view,
-                                   const DistanceAccelerator& accel,
-                                   const ValidateLimits& limits = {});
+Status ValidateLandmarkOracle(const NetworkView& view,
+                              const LandmarkOracle& landmarks,
+                              const ValidateLimits& limits = {});
 
 }  // namespace netclus
 

@@ -20,41 +20,6 @@ namespace {
 // (graph/edge_points.h). Both instantiations relax edges in the same
 // order, so results are bit-identical.
 
-// The exact expansion behind PointNetworkDistance (p != q).
-template <typename Graph>
-double ExactPointDistance(const NetworkView& view, const Graph& graph,
-                          PointId p, PointId q, TraversalWorkspace* ws) {
-  // Traverse from the smaller id, so d(p, q) and d(q, p) are the same
-  // bits: the distance cache keys on the unordered pair, and a hit must
-  // equal what a replay in either direction recomputes.
-  if (q < p) std::swap(p, q);
-  PointPos pp = view.PointPosition(p);
-  PointPos qq = view.PointPosition(q);
-  double wq = view.EdgeWeight(qq.u, qq.v);
-  bool same_edge = pp.u == qq.u && pp.v == qq.v;
-  double best = same_edge ? std::fabs(pp.offset - qq.offset) : kInfDist;
-
-  double wp = view.EdgeWeight(pp.u, pp.v);
-  ws->sources.assign({{pp.u, pp.offset}, {pp.v, wp - pp.offset}});
-  bool settled_u = false, settled_v = false;
-  DijkstraExpandBounded(graph, ws->sources, kInfDist, ws,
-                        [&](NodeId n, double d) {
-                          // All later settles have distance >= d, so once d
-                          // reaches `best` no candidate can improve it.
-                          if (d >= best) return false;
-                          if (n == qq.u) {
-                            best = std::min(best, d + qq.offset);
-                            settled_u = true;
-                          }
-                          if (n == qq.v) {
-                            best = std::min(best, d + wq - qq.offset);
-                            settled_v = true;
-                          }
-                          return !(settled_u && settled_v);
-                        });
-  return best;
-}
-
 // Emits the points of one edge that lie within eps, in ascending id
 // order, each with the distance
 //   min(du + off, dv + (we - off))    [, |off - c.off| on c's own edge]
@@ -146,25 +111,38 @@ void CollectRangePoints(const Graph& graph, const PointPos* c, double wc,
 
 template <TraversalGraph Graph>
 double PointNetworkDistance(const NetworkView& view, const Graph& graph,
-                            PointId p, PointId q, TraversalWorkspace* ws,
-                            const DistanceAccelerator* accel,
-                            double threshold) {
+                            PointId p, PointId q, TraversalWorkspace* ws) {
   ws->cancel.triggered = false;
   if (p == q) return 0.0;
-  if (accel != nullptr) {
-    double cached;
-    if (accel->LookupDistance(p, q, &cached)) return cached;
-    double lb = accel->LowerBound(p, q);
-    if (lb == kInfDist) return kInfDist;  // proven disconnected — exact
-    if (lb > threshold) return lb;        // caller only branches on the cut
-  }
-  double exact = ExactPointDistance(view, graph, p, q, ws);
-  // A cancelled expansion yields a garbage partial value — never let it
-  // poison the cache.
-  if (accel != nullptr && !ws->cancel.triggered) {
-    accel->StoreDistance(p, q, exact);
-  }
-  return exact;
+  // Traverse from the smaller id, so d(p, q) and d(q, p) are the same
+  // bits: the served distance cache keys on the unordered pair, and a hit
+  // must equal what a replay in either direction recomputes.
+  if (q < p) std::swap(p, q);
+  PointPos pp = view.PointPosition(p);
+  PointPos qq = view.PointPosition(q);
+  double wq = view.EdgeWeight(qq.u, qq.v);
+  bool same_edge = pp.u == qq.u && pp.v == qq.v;
+  double best = same_edge ? std::fabs(pp.offset - qq.offset) : kInfDist;
+
+  double wp = view.EdgeWeight(pp.u, pp.v);
+  ws->sources.assign({{pp.u, pp.offset}, {pp.v, wp - pp.offset}});
+  bool settled_u = false, settled_v = false;
+  DijkstraExpandBounded(graph, ws->sources, kInfDist, ws,
+                        [&](NodeId n, double d) {
+                          // All later settles have distance >= d, so once d
+                          // reaches `best` no candidate can improve it.
+                          if (d >= best) return false;
+                          if (n == qq.u) {
+                            best = std::min(best, d + qq.offset);
+                            settled_u = true;
+                          }
+                          if (n == qq.v) {
+                            best = std::min(best, d + wq - qq.offset);
+                            settled_v = true;
+                          }
+                          return !(settled_u && settled_v);
+                        });
+  return best;
 }
 
 template <TraversalGraph Graph>
@@ -311,11 +289,9 @@ void NodeRangeQuery(const NetworkView& /*view*/, const FrozenGraph& frozen,
 }
 
 template double PointNetworkDistance(const NetworkView&, const NetworkView&,
-                                     PointId, PointId, TraversalWorkspace*,
-                                     const DistanceAccelerator*, double);
+                                     PointId, PointId, TraversalWorkspace*);
 template double PointNetworkDistance(const NetworkView&, const FrozenGraph&,
-                                     PointId, PointId, TraversalWorkspace*,
-                                     const DistanceAccelerator*, double);
+                                     PointId, PointId, TraversalWorkspace*);
 template void RangeQuery(const NetworkView&, const NetworkView&, PointId,
                          double, TraversalWorkspace*,
                          std::vector<RangeResult>*);

@@ -14,7 +14,6 @@
 
 #include <vector>
 
-#include "graph/accelerator.h"
 #include "graph/dijkstra.h"
 #include "graph/frozen_graph.h"
 #include "graph/network_view.h"
@@ -32,21 +31,14 @@ namespace netclus {
 /// The expansion reuses `ws`'s scratch and heap storage and honors its
 /// cancellation token (`ws->cancel`, no deadline by default). When the
 /// deadline passes mid-expansion the returned value is garbage: callers
-/// must check `ws->cancel.triggered`, and a cancelled expansion is never
-/// offered back to the accelerator's cache.
+/// must check `ws->cancel.triggered` before using or caching it.
 ///
-/// `accel` (null = exact expansion only) early-exits on a cache hit and
-/// on a kInfDist lower bound (proven disconnection); exact results are
-/// offered back to its cache. Callers that only branch on
-/// "d(p, q) <= threshold" may pass `threshold`: when the accelerator's
-/// lower bound already exceeds it, the expansion is skipped and that
-/// lower bound — some value > threshold, not the exact distance — is
-/// returned. At the default threshold the result is always exact.
+/// The expansion always starts from the smaller id, so d(p, q) and
+/// d(q, p) are the same bits — what lets a cache keyed on the unordered
+/// pair (server/distance_cache.h) serve either direction.
 template <TraversalGraph Graph>
 double PointNetworkDistance(const NetworkView& view, const Graph& graph,
-                            PointId p, PointId q, TraversalWorkspace* ws,
-                            const DistanceAccelerator* accel = nullptr,
-                            double threshold = kInfDist);
+                            PointId p, PointId q, TraversalWorkspace* ws);
 
 /// A point found by RangeQuery, with its exact network distance from the
 /// query point.

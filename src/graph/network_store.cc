@@ -186,12 +186,11 @@ Result<std::unique_ptr<NetworkStore>> NetworkStore::Build(
       return Status::InvalidArgument("page size mismatch");
     }
   }
-  // New stores are written in the checksummed format (v2): every page of
-  // all four files carries the CRC32C footer.
-  FileId adj_flat = bm->RegisterFile(files.adj_flat, /*checksummed=*/true);
-  FileId adj_index = bm->RegisterFile(files.adj_index, /*checksummed=*/true);
-  FileId pts_flat = bm->RegisterFile(files.pts_flat, /*checksummed=*/true);
-  FileId pts_index = bm->RegisterFile(files.pts_index, /*checksummed=*/true);
+  // Every page of all four files carries the CRC32C footer (format v2).
+  FileId adj_flat = bm->RegisterFile(files.adj_flat);
+  FileId adj_index = bm->RegisterFile(files.adj_index);
+  FileId pts_flat = bm->RegisterFile(files.pts_flat);
+  FileId pts_index = bm->RegisterFile(files.pts_index);
   auto store =
       std::unique_ptr<NetworkStore>(new NetworkStore(bm, adj_flat, pts_flat));
   store->num_nodes_ = net.num_nodes();
@@ -210,7 +209,7 @@ Result<std::unique_ptr<NetworkStore>> NetworkStore::Build(
   std::vector<std::pair<uint64_t, uint64_t>> adj_entries;  // node -> addr
   adj_entries.reserve(net.num_nodes());
   {
-    FlatWriter writer(bm, adj_flat, bm->usable_page_size(adj_flat));
+    FlatWriter writer(bm, adj_flat, bm->usable_page_size());
     for (NodeId n : PlacementOrder(net, placement, seed)) {
       std::vector<char> rec =
           EncodeAdjRecord(net.neighbors(n), [&](NodeId m) -> PointId {
@@ -241,10 +240,10 @@ Result<std::unique_ptr<NetworkStore>> NetworkStore::Build(
     h.value().MarkDirty();
   }
   const uint32_t max_chunk = static_cast<uint32_t>(
-      (bm->usable_page_size(pts_flat) - kPageHeader - 12) / 8);
+      (bm->usable_page_size() - kPageHeader - 12) / 8);
   std::vector<std::pair<uint64_t, uint64_t>> pts_entries;  // first pt -> addr
   {
-    FlatWriter writer(bm, pts_flat, bm->usable_page_size(pts_flat));
+    FlatWriter writer(bm, pts_flat, bm->usable_page_size());
     std::vector<double> offsets;
     for (size_t gi = 0; gi < points.num_groups(); ++gi) {
       const PointSet::Group& g = points.group(gi);
@@ -295,14 +294,14 @@ Result<std::unique_ptr<NetworkStore>> NetworkStore::Open(
                                 std::to_string(kFormatVersion) + ")");
     }
   }
-  FileId adj_flat = bm->RegisterFile(files.adj_flat, /*checksummed=*/true);
-  FileId adj_index = bm->RegisterFile(files.adj_index, /*checksummed=*/true);
-  FileId pts_flat = bm->RegisterFile(files.pts_flat, /*checksummed=*/true);
-  FileId pts_index = bm->RegisterFile(files.pts_index, /*checksummed=*/true);
+  FileId adj_flat = bm->RegisterFile(files.adj_flat);
+  FileId adj_index = bm->RegisterFile(files.adj_index);
+  FileId pts_flat = bm->RegisterFile(files.pts_flat);
+  FileId pts_index = bm->RegisterFile(files.pts_index);
   auto store =
       std::unique_ptr<NetworkStore>(new NetworkStore(bm, adj_flat, pts_flat));
   {
-    // Re-read through the pool so a checksummed header page is verified.
+    // Re-read through the pool so the header page's checksum is verified.
     Result<PageHandle> h = bm->FetchPage(adj_flat, 0);
     if (!h.ok()) return h.status();
     if (Load<uint64_t>(h.value().data()) != kAdjMagic) {
@@ -341,7 +340,7 @@ Status NetworkStore::ReadAdjacency(
   NETCLUS_ASSIGN_OR_RETURN(addr, adj_index_->Get(n));
   PageHandle h;
   NETCLUS_ASSIGN_OR_RETURN(h, bm_->FetchPage(adj_flat_, AddrPage(addr)));
-  const uint32_t usable = bm_->usable_page_size(adj_flat_);
+  const uint32_t usable = bm_->usable_page_size();
   const uint32_t offset = AddrOffset(addr);
   NETCLUS_RETURN_IF_ERROR(ValidateRecordBounds(
       h, usable, bm_->page_size(), offset, 4, "adjacency record"));
@@ -373,7 +372,7 @@ Status NetworkStore::ReadGroup(PointId first, NodeId* u, NodeId* v,
     uint64_t addr = addr_or.value();
     PageHandle h;
     NETCLUS_ASSIGN_OR_RETURN(h, bm_->FetchPage(pts_flat_, AddrPage(addr)));
-    const uint32_t usable = bm_->usable_page_size(pts_flat_);
+    const uint32_t usable = bm_->usable_page_size();
     const uint32_t offset = AddrOffset(addr);
     NETCLUS_RETURN_IF_ERROR(ValidateRecordBounds(
         h, usable, bm_->page_size(), offset, 12, "point chunk"));
@@ -409,7 +408,7 @@ Result<PointPos> NetworkStore::ReadPointPosition(PointId p) const {
   auto [chunk_first, addr] = entry.value();
   PageHandle h;
   NETCLUS_ASSIGN_OR_RETURN(h, bm_->FetchPage(pts_flat_, AddrPage(addr)));
-  const uint32_t usable = bm_->usable_page_size(pts_flat_);
+  const uint32_t usable = bm_->usable_page_size();
   const uint32_t offset = AddrOffset(addr);
   NETCLUS_RETURN_IF_ERROR(ValidateRecordBounds(
       h, usable, bm_->page_size(), offset, 12, "point chunk"));
@@ -447,7 +446,7 @@ Status NetworkStore::ScanGroups(
     NETCLUS_ASSIGN_OR_RETURN(h, bm_->FetchPage(pts_flat_, AddrPage(addr)));
     const uint32_t offset = AddrOffset(addr);
     NETCLUS_RETURN_IF_ERROR(ValidateRecordBounds(
-        h, bm_->usable_page_size(pts_flat_), bm_->page_size(), offset, 12,
+        h, bm_->usable_page_size(), bm_->page_size(), offset, 12,
         "point chunk"));
     const char* p = h.data() + offset;
     NodeId u = Load<NodeId>(p);

@@ -10,9 +10,9 @@ namespace netclus {
 Result<std::unique_ptr<DistanceIndex>> DistanceIndex::Build(
     const NetworkView& view, const IndexOptions& options, ThreadPool* pool) {
   // The landmark SSSPs walk the whole graph several times; for an
-  // in-memory view one snapshot up front is cheaper than virtual dispatch
-  // on every walk, and the contents are bit-identical. A disk-backed view
-  // is walked directly.
+  // in-memory view one snapshot up front is cheaper than calling through
+  // the view for every neighbor, and the contents are bit-identical. A
+  // disk-backed view is walked directly.
   if (const InMemoryNetworkView* mem = view.AsInMemory()) {
     NETCLUS_ASSIGN_OR_RETURN(FrozenGraph frozen, mem->Freeze());
     return Build(view, frozen, options, pool);
@@ -28,7 +28,7 @@ Result<std::unique_ptr<DistanceIndex>> DistanceIndex::Build(
   NETCLUS_ASSIGN_OR_RETURN(
       LandmarkOracle landmarks,
       LandmarkOracle::Build(view, graph, options.num_landmarks, pool));
-  auto index = std::make_unique<DistanceIndex>(options, std::move(landmarks));
+  auto index = std::make_unique<DistanceIndex>(std::move(landmarks));
   NETCLUS_RETURN_IF_ERROR(view.status());
   return index;
 }
@@ -41,11 +41,6 @@ template Result<std::unique_ptr<DistanceIndex>> DistanceIndex::Build(
 IndexStats DistanceIndex::Stats() const {
   IndexStats stats;
   stats.num_landmarks = landmarks_.num_landmarks();
-  DistanceCache::Counters c = cache_.counters();
-  stats.cache_hits = c.hits;
-  stats.cache_misses = c.misses;
-  stats.cache_stores = c.stores;
-  stats.cache_evictions = c.evictions;
   return stats;
 }
 

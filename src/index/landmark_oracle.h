@@ -58,9 +58,11 @@ class LandmarkOracle {
   /// A value >= d(a, b); kInfDist with no landmarks (vacuous).
   double UpperBound(PointId a, PointId b) const;
 
-  /// DistanceAccelerator::NearestTargetLowerBounds over these tables:
-  /// the same values as the per-pair minima, with each target's
-  /// landmark distances gathered once per call.
+  /// Batch lower bounds on the distance from each of `points` to its
+  /// nearest member of `targets`: lowers lb[j] to
+  /// min(lb[j], min_t LowerBound(points[j], t)). Callers seed lb[j] with
+  /// a cap (kInfDist for none). The values equal the per-pair minima;
+  /// each target's landmark distances are gathered once per call.
   void NearestTargetLowerBounds(const std::vector<PointId>& points,
                                 const std::vector<PointId>& targets,
                                 double* lb) const;

@@ -113,10 +113,10 @@ template <TraversalGraph Graph>
 Result<ClusterOutput> RunOnGraph(const NetworkView& view, const Graph& graph,
                                  const ClusterSpec& spec,
                                  const WallTimer& timer) {
-  // The optional distance index (landmarks + cache) is built up front
-  // over the same graph, and only for k-medoids — the one algorithm that
-  // reads it (its swap pruning). With `index.enable` unset, or any other
-  // algorithm, `index` stays null.
+  // The optional landmark index is built up front over the same graph,
+  // and only for k-medoids — the one algorithm that reads it (its swap
+  // pruning). With `index.enable` unset, or any other algorithm, `index`
+  // stays null.
   std::unique_ptr<DistanceIndex> index;
   if (spec.index.enable && spec.algorithm == Algorithm::kKMedoids) {
     uint32_t workers = ResolveNumThreads(spec.index.num_threads);
@@ -131,7 +131,8 @@ Result<ClusterOutput> RunOnGraph(const NetworkView& view, const Graph& graph,
   switch (spec.algorithm) {
     case Algorithm::kKMedoids: {
       Result<KMedoidsResult> r =
-          KMedoidsCluster(view, graph, spec.kmedoids, index.get());
+          KMedoidsCluster(view, graph, spec.kmedoids,
+                          index != nullptr ? &index->landmarks() : nullptr);
       if (!r.ok()) return r.status();
       out.clustering = std::move(r.value().clustering);
       out.medoids = std::move(r.value().medoids);
@@ -181,7 +182,7 @@ Result<ClusterOutput> RunOnGraph(const NetworkView& view, const Graph& graph,
     // Re-prove every class of bound the index served during the run
     // against independent exact traversals.
     if (index != nullptr) {
-      NETCLUS_RETURN_IF_ERROR(ValidateDistanceAccelerator(view, *index));
+      NETCLUS_RETURN_IF_ERROR(ValidateLandmarkOracle(view, index->landmarks()));
     }
     // The validators' own traversals may also have tripped a storage
     // error the algorithm's region never touched.

@@ -74,8 +74,8 @@ struct ClusterSpec {
   /// flag.
   bool validate = false;
 
-  /// Network distance index (src/index/): landmark bounds and a sharded
-  /// distance cache. Off by default; when `index.enable` is set and the
+  /// Network distance index (src/index/): landmark lower and upper
+  /// bounds. Off by default; when `index.enable` is set and the
   /// spec is k-medoids, the index is built before the run and prunes
   /// swaps. Other algorithms read no index and build none. Clustering
   /// results are identical with the index on or off — it only skips

@@ -123,7 +123,7 @@ Status ValidateQueryRequest(const NetworkView& view, const QueryRequest& req,
 
 Status ExecuteQueryInto(const NetworkView& view, const FrozenGraph* frozen,
                         const QueryRequest& req, TraversalWorkspace* ws,
-                        const DistanceAccelerator* accel,
+                        const DistanceCache* cache,
                         const ClusterOutput* clusters, QueryResponse* out,
                         const IdentityMap* ids) {
   NETCLUS_RETURN_IF_ERROR(ValidateQueryRequest(view, req, clusters, ids));
@@ -143,11 +143,20 @@ Status ExecuteQueryInto(const NetworkView& view, const FrozenGraph* frozen,
   auto execute = [&](const auto& graph) {
     switch (req.kind) {
       case QueryKind::kPointDistance: {
+        // The cache keys on the durable ids, so a hit names the same
+        // objects in every epoch that shares the cache; a == b is 0 and
+        // never touches it.
+        if (cache != nullptr && req.a != req.b &&
+            cache->Lookup(req.a, req.b, &out->distance)) {
+          break;
+        }
         const PointId pb = ResolveObject(ids, req.b, view.num_points());
-        // With the default threshold (kInfDist) the accelerated path
-        // always returns the exact distance, so accel on/off cannot
-        // change the payload.
-        out->distance = PointNetworkDistance(view, graph, pa, pb, ws, accel);
+        out->distance = PointNetworkDistance(view, graph, pa, pb, ws);
+        // A cancelled expansion yields a garbage partial value: never let
+        // it poison the cache.
+        if (cache != nullptr && req.a != req.b && !ws->cancel.triggered) {
+          cache->Store(req.a, req.b, out->distance);
+        }
         break;
       }
       case QueryKind::kRange: {
@@ -209,13 +218,13 @@ Status ExecuteQueryInto(const NetworkView& view, const FrozenGraph* frozen,
 Result<QueryResponse> ExecuteQuery(const NetworkView& view,
                                    const FrozenGraph* frozen,
                                    const QueryRequest& req,
-                                   const DistanceAccelerator* accel,
+                                   const DistanceCache* cache,
                                    const ClusterOutput* clusters,
                                    const IdentityMap* ids) {
   TraversalWorkspace ws(view.num_nodes());
   QueryResponse out;
   NETCLUS_RETURN_IF_ERROR(
-      ExecuteQueryInto(view, frozen, req, &ws, accel, clusters, &out, ids));
+      ExecuteQueryInto(view, frozen, req, &ws, cache, clusters, &out, ids));
   return out;
 }
 
@@ -233,7 +242,7 @@ Status ValidateServedBatch(const NetworkView& view, const FrozenGraph* frozen,
   QueryResponse replay;
   for (size_t i = 0; i < requests.size(); ++i) {
     NETCLUS_RETURN_IF_ERROR(ExecuteQueryInto(view, frozen, requests[i], &ws,
-                                             /*accel=*/nullptr, clusters,
+                                             /*cache=*/nullptr, clusters,
                                              &replay, ids));
     if (!ResponsePayloadsEqual(replay, responses[i])) {
       return Status::Internal(

@@ -35,11 +35,11 @@
 #include <vector>
 
 #include "common/status.h"
-#include "graph/accelerator.h"
 #include "graph/network_distance.h"
 #include "graph/network_view.h"
 #include "graph/types.h"
 #include "netclus.h"
+#include "server/distance_cache.h"
 #include "server/identity_map.h"
 
 namespace netclus {
@@ -194,9 +194,11 @@ Status ValidateQueryRequest(const NetworkView& view, const QueryRequest& req,
 /// snapshot of `view`, see InMemoryNetworkView::Freeze()) and the view
 /// otherwise — results are bit-identical either way. `ws` provides the
 /// reusable traversal state (one per concurrent caller; each query
-/// server worker owns one). `accel` may be null (= exact
-/// unaccelerated path) and is read only by kPointDistance; a non-null
-/// accelerator never changes the payload, only the work done.
+/// server worker owns one). `cache` may be null (= no memo) and is read
+/// only by kPointDistance: a pair a != b is looked up by its ObjectIds,
+/// and on a miss the exact distance is computed and stored unless the
+/// expansion was cancelled. The cache never changes the payload, only
+/// the work done.
 /// `clusters` is consulted only by kClusterMembership. `ids` translates
 /// request ObjectIds into the epoch's dense numbering on the way in and
 /// result ids back on the way out (null = identity mapping). `out` is
@@ -211,7 +213,7 @@ Status ValidateQueryRequest(const NetworkView& view, const QueryRequest& req,
 /// token at all.
 Status ExecuteQueryInto(const NetworkView& view, const FrozenGraph* frozen,
                         const QueryRequest& req, TraversalWorkspace* ws,
-                        const DistanceAccelerator* accel,
+                        const DistanceCache* cache,
                         const ClusterOutput* clusters, QueryResponse* out,
                         const IdentityMap* ids = nullptr);
 
@@ -221,14 +223,14 @@ Status ExecuteQueryInto(const NetworkView& view, const FrozenGraph* frozen,
 Result<QueryResponse> ExecuteQuery(const NetworkView& view,
                                    const FrozenGraph* frozen,
                                    const QueryRequest& req,
-                                   const DistanceAccelerator* accel = nullptr,
+                                   const DistanceCache* cache = nullptr,
                                    const ClusterOutput* clusters = nullptr,
                                    const IdentityMap* ids = nullptr);
 
 /// \brief The served-batch replay validator.
 ///
 /// Re-executes every request of a served batch through the inline path
-/// (ExecuteQueryInto, no accelerator) against the same `view`/`frozen`/
+/// (ExecuteQueryInto, no cache) against the same `view`/`frozen`/
 /// `ids` the batch was pinned to, and returns Internal on the first
 /// response whose payload is not bit-identical. This is the contract
 /// that makes "inline or served, same answer" enforceable rather than

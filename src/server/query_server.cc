@@ -9,9 +9,6 @@
 #include <utility>
 
 #include "common/thread_pool.h"
-#include "graph/accelerator.h"
-#include "index/distance_cache.h"
-#include "server/identity_map.h"
 #include "server/world.h"
 
 namespace netclus {
@@ -47,43 +44,6 @@ bool ValidationOn(const QueryServerOptions& options) {
   return options.validate_replay;
 #endif
 }
-
-// The server-side accelerator: vacuous bounds plus the pinned epoch's
-// exact point-pair cache, keyed on durable ObjectIds. The traversal
-// hands over the epoch's dense point ids, so the accelerator translates
-// through the epoch's IdentityMap before touching the cache — which is
-// exactly what lets warm entries survive republication: the keys name
-// physical objects, not epoch-relative slots. An entry is only reused
-// across epochs when the publisher shared the cache (metric-preserving,
-// point-only batches); any edge mutation publishes a fresh cache, so a
-// hit can never return a distance the serving adjacency does not
-// produce. Accelerated serving stays bit-identical to the pure
-// unaccelerated replay — the cache only skips repeated work. `cache`
-// may be null (caching disabled); `ids` null means identity.
-class CacheOnlyAccelerator final : public DistanceAccelerator {
- public:
-  CacheOnlyAccelerator(const DistanceCache* cache, const IdentityMap* ids)
-      : cache_(cache), ids_(ids) {}
-
-  bool LookupDistance(PointId a, PointId b, double* out) const override {
-    if (cache_ == nullptr) return false;
-    const ObjectId oa = ObjectOfPoint(ids_, a);
-    const ObjectId ob = ObjectOfPoint(ids_, b);
-    if (oa == kInvalidObjectId || ob == kInvalidObjectId) return false;
-    return cache_->Lookup(oa, ob, out);
-  }
-  void StoreDistance(PointId a, PointId b, double dist) const override {
-    if (cache_ == nullptr) return;
-    const ObjectId oa = ObjectOfPoint(ids_, a);
-    const ObjectId ob = ObjectOfPoint(ids_, b);
-    if (oa == kInvalidObjectId || ob == kInvalidObjectId) return;
-    cache_->Store(oa, ob, dist);
-  }
-
- private:
-  const DistanceCache* cache_;
-  const IdentityMap* ids_;
-};
 
 }  // namespace
 
@@ -540,7 +500,6 @@ void QueryServer::ExecuteBatch(std::vector<PendingQuery>* batch,
     return;
   }
   const EpochSnapshot& snap = *pinned;
-  CacheOnlyAccelerator accel(snap.cache(), snap.ids());
   if (stall_ms > 0.0) {
     std::this_thread::sleep_for(
         std::chrono::duration<double, std::milli>(stall_ms));
@@ -556,7 +515,7 @@ void QueryServer::ExecuteBatch(std::vector<PendingQuery>* batch,
     // re-armed per request (kNoDeadline leaves it inert).
     ws->cancel.deadline = pq.deadline;
     statuses[i] = ExecuteQueryInto(snap.view(), &snap.frozen(), pq.req, ws,
-                                   &accel, snap.clusters(), &responses[i],
+                                   snap.cache(), snap.clusters(), &responses[i],
                                    snap.ids());
     responses[i].epoch = snap.epoch();
     responses[i].health = health;

@@ -13,7 +13,7 @@
 //                                       serial execution on the worker's
 //                                       own TraversalWorkspace (FrozenGraph
 //                                       traversals, the epoch's DistanceCache
-//                                       as a pure accelerator)
+//                                       as a memo of exact distances)
 //                                                  │
 //                                                  ▼ optional replay validation
 //                                       promises fulfilled, epoch id stamped

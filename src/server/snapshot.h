@@ -20,8 +20,8 @@
 #include "graph/frozen_graph.h"
 #include "graph/network.h"
 #include "graph/network_view.h"
-#include "index/distance_cache.h"
 #include "netclus.h"
+#include "server/distance_cache.h"
 #include "server/identity_map.h"
 
 namespace netclus {

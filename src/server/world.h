@@ -32,8 +32,8 @@
 #include "graph/dijkstra.h"
 #include "graph/frozen_graph.h"
 #include "graph/network.h"
-#include "index/distance_cache.h"
 #include "netclus.h"
+#include "server/distance_cache.h"
 #include "server/identity_map.h"
 #include "server/update.h"
 #include "server/wal.h"

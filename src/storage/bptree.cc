@@ -101,13 +101,13 @@ int LeafLowerBound(const char* p, uint64_t key) {
 
 BPlusTree::BPlusTree(BufferManager* bm, FileId file) : bm_(bm), file_(file) {}
 
-// Node capacities derive from the usable page area, so trees in
-// checksummed files transparently leave room for the page footer.
+// Node capacities derive from the usable page area, which leaves room
+// for the page footer.
 uint32_t BPlusTree::leaf_capacity() const {
-  return (bm_->usable_page_size(file_) - kLeafHeader) / kLeafEntry;
+  return (bm_->usable_page_size() - kLeafHeader) / kLeafEntry;
 }
 uint32_t BPlusTree::internal_capacity() const {
-  return (bm_->usable_page_size(file_) - kInternalHeader) / kInternalEntry;
+  return (bm_->usable_page_size() - kInternalHeader) / kInternalEntry;
 }
 
 Status BPlusTree::WriteMeta() {
@@ -138,7 +138,7 @@ Status BPlusTree::ReadMeta() {
 Result<std::unique_ptr<BPlusTree>> BPlusTree::Create(BufferManager* bm,
                                                      FileId file) {
   auto tree = std::unique_ptr<BPlusTree>(new BPlusTree(bm, file));
-  if (bm->usable_page_size(file) < 64) {
+  if (bm->usable_page_size() < 64) {
     return Status::InvalidArgument("BPlusTree: page size too small");
   }
   {

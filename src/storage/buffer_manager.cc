@@ -12,7 +12,7 @@ namespace netclus {
 
 namespace {
 
-// Footer of a checksummed page: [crc32c u32][page id u32], where the crc
+// Page footer: [crc32c u32][page id u32], where the crc
 // covers the payload plus the page id, so a structurally valid page read
 // from the wrong offset (misdirected I/O) also fails verification.
 uint32_t PageCrc(const char* data, uint32_t payload_bytes, PageId page) {
@@ -64,13 +64,12 @@ BufferManager::~BufferManager() {
   (void)s;  // destructor cannot propagate errors; tests call FlushAll().
 }
 
-FileId BufferManager::RegisterFile(PagedFile* file, bool checksummed) {
+FileId BufferManager::RegisterFile(PagedFile* file) {
   // A mismatched page size would corrupt every frame swap; this is a
   // caller bug, kept fatal in release builds.
   NETCLUS_CHECK_EQ(file->page_size(), page_size_)
       << "RegisterFile: file page size does not match the buffer pool";
   files_.push_back(file);
-  checksummed_.push_back(checksummed);
   return static_cast<FileId>(files_.size() - 1);
 }
 
@@ -92,7 +91,6 @@ Status BufferManager::ReadPageChecked(FileId file, PageId page, char* out) {
     backoff = static_cast<uint64_t>(
         static_cast<double>(backoff) * retry_policy_.backoff_multiplier);
   }
-  if (!checksummed_[file]) return Status::OK();
   const uint32_t payload = page_size_ - kPageFooterBytes;
   uint32_t stored_crc, stored_page;
   std::memcpy(&stored_crc, out + payload, sizeof(stored_crc));
@@ -108,12 +106,10 @@ Status BufferManager::ReadPageChecked(FileId file, PageId page, char* out) {
 }
 
 Status BufferManager::WritePageChecked(FileId file, PageId page, char* data) {
-  if (checksummed_[file]) {
-    const uint32_t payload = page_size_ - kPageFooterBytes;
-    uint32_t crc = PageCrc(data, payload, page);
-    std::memcpy(data + payload, &crc, sizeof(crc));
-    std::memcpy(data + payload + 4, &page, sizeof(page));
-  }
+  const uint32_t payload = page_size_ - kPageFooterBytes;
+  uint32_t crc = PageCrc(data, payload, page);
+  std::memcpy(data + payload, &crc, sizeof(crc));
+  std::memcpy(data + payload + 4, &page, sizeof(page));
   return files_[file]->WritePage(page, data);
 }
 

@@ -6,12 +6,12 @@
 // physical I/O split that the paper's cost discussion relies on.
 //
 // The pool is also the integrity boundary of the storage stack:
-//  - Files registered with `checksummed = true` carry a per-page CRC32C
-//    footer (kPageFooterBytes at the end of every page, covering the
-//    payload and the page id). The footer is written on write-back and
-//    verified on every physical read; a mismatch surfaces as
-//    Status::Corruption naming the page and file offset. Callers must pack
-//    records into usable_page_size(file) bytes, not page_size().
+//  - Every registered file carries a per-page CRC32C footer
+//    (kPageFooterBytes at the end of every page, covering the payload and
+//    the page id). The footer is written on write-back and verified on
+//    every physical read; a mismatch surfaces as Status::Corruption
+//    naming the page and file offset. Callers must pack records into
+//    usable_page_size() bytes, not page_size().
 //  - Transient read errors (Status::Unavailable, e.g. short reads or
 //    injected faults) are retried with bounded exponential backoff per
 //    RetryPolicy; the sleep hook is injectable so tests run instantly.
@@ -98,8 +98,8 @@ class PageHandle {
 /// (the clustering algorithms are single-threaded, as in the paper).
 class BufferManager {
  public:
-  /// Bytes of every page reserved for the integrity footer of checksummed
-  /// files: [crc32c u32][page id u32].
+  /// Bytes of every page reserved for the integrity footer:
+  /// [crc32c u32][page id u32].
   static constexpr uint32_t kPageFooterBytes = 8;
 
   /// A pool of `pool_bytes / page_size` frames.
@@ -110,16 +110,14 @@ class BufferManager {
   BufferManager& operator=(const BufferManager&) = delete;
 
   /// Registers `file` (not owned; must outlive the manager) and returns its
-  /// FileId for use with FetchPage/NewPage. When `checksummed` is true the
-  /// pool maintains and verifies the per-page CRC32C footer; callers then
-  /// own only the first usable_page_size(id) bytes of each page.
-  FileId RegisterFile(PagedFile* file, bool checksummed = false);
+  /// FileId for use with FetchPage/NewPage. The pool maintains and
+  /// verifies the per-page CRC32C footer; callers own only the first
+  /// usable_page_size() bytes of each page.
+  FileId RegisterFile(PagedFile* file);
 
-  /// Bytes of a page of `file` available to callers: the page size, minus
-  /// the footer when the file is checksummed.
-  uint32_t usable_page_size(FileId file) const {
-    return page_size_ - (checksummed_[file] ? kPageFooterBytes : 0);
-  }
+  /// Bytes of a page available to callers: the page size minus the
+  /// footer.
+  uint32_t usable_page_size() const { return page_size_ - kPageFooterBytes; }
 
   /// Pins page (`file`, `page`), reading it from disk on a miss.
   Result<PageHandle> FetchPage(FileId file, PageId page);
@@ -181,7 +179,6 @@ class BufferManager {
   std::list<size_t> lru_;  // front = least recently used unpinned frame
   std::unordered_map<uint64_t, size_t> page_table_;
   std::vector<PagedFile*> files_;
-  std::vector<bool> checksummed_;  // parallel to files_
   RetryPolicy retry_policy_;
   std::function<void(uint64_t)> sleep_micros_;  // empty = real sleep
   BufferStats stats_;

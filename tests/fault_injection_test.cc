@@ -181,7 +181,7 @@ TEST(BufferRetryTest, TransientReadErrorsAreRetriedWithBackoff) {
   {
     auto h = bm.NewPage(fid);
     ASSERT_TRUE(h.ok());
-    std::memset(h.value().data(), 'x', kPage);
+    std::memset(h.value().data(), 'x', bm.usable_page_size());
     h.value().MarkDirty();
   }
   ASSERT_TRUE(bm.FlushAll().ok());
@@ -266,22 +266,11 @@ TEST(BufferRetryTest, PermanentIoErrorsAreNotRetried) {
 
 // --- Checksummed pages ----------------------------------------------------
 
-TEST(ChecksumTest, UsablePageSizeShrinksForChecksummedFiles) {
-  auto plain = PagedFile::CreateInMemory(kPage);
-  auto checked = PagedFile::CreateInMemory(kPage);
-  BufferManager bm(4 * kPage, kPage);
-  FileId plain_id = bm.RegisterFile(plain.get());
-  FileId checked_id = bm.RegisterFile(checked.get(), /*checksummed=*/true);
-  EXPECT_EQ(bm.usable_page_size(plain_id), kPage);
-  EXPECT_EQ(bm.usable_page_size(checked_id),
-            kPage - BufferManager::kPageFooterBytes);
-}
-
 TEST(ChecksumTest, RoundTripThroughEvictionVerifies) {
   auto file = PagedFile::CreateInMemory(kPage);
   BufferManager bm(2 * kPage, kPage);
-  FileId fid = bm.RegisterFile(file.get(), /*checksummed=*/true);
-  const uint32_t usable = bm.usable_page_size(fid);
+  FileId fid = bm.RegisterFile(file.get());
+  const uint32_t usable = bm.usable_page_size();
   for (int i = 0; i < 4; ++i) {
     auto h = bm.NewPage(fid);
     ASSERT_TRUE(h.ok());
@@ -300,11 +289,11 @@ TEST(ChecksumTest, RoundTripThroughEvictionVerifies) {
 TEST(ChecksumTest, BitFlipOnDiskSurfacesAsCorruption) {
   auto file = PagedFile::CreateInMemory(kPage);
   BufferManager bm(kPage, kPage);  // one frame
-  FileId fid = bm.RegisterFile(file.get(), /*checksummed=*/true);
+  FileId fid = bm.RegisterFile(file.get());
   {
     auto h = bm.NewPage(fid);
     ASSERT_TRUE(h.ok());
-    std::memset(h.value().data(), 'z', bm.usable_page_size(fid));
+    std::memset(h.value().data(), 'z', bm.usable_page_size());
     h.value().MarkDirty();
   }
   ASSERT_TRUE(bm.FlushAll().ok());
@@ -327,11 +316,11 @@ TEST(ChecksumTest, SilentReadBitFlipFromInjectorIsCaught) {
   auto base = PagedFile::CreateInMemory(kPage);
   FaultInjectionFile faulty(base.get());
   BufferManager bm(kPage, kPage);
-  FileId fid = bm.RegisterFile(&faulty, /*checksummed=*/true);
+  FileId fid = bm.RegisterFile(&faulty);
   {
     auto h = bm.NewPage(fid);
     ASSERT_TRUE(h.ok());
-    std::memset(h.value().data(), 1, bm.usable_page_size(fid));
+    std::memset(h.value().data(), 1, bm.usable_page_size());
     h.value().MarkDirty();
   }
   ASSERT_TRUE(bm.FlushAll().ok());
@@ -354,11 +343,11 @@ TEST(ChecksumTest, TornWriteIsDetectedOnNextRead) {
   auto base = PagedFile::CreateInMemory(kPage);
   FaultInjectionFile faulty(base.get());
   BufferManager bm(kPage, kPage);
-  FileId fid = bm.RegisterFile(&faulty, /*checksummed=*/true);
+  FileId fid = bm.RegisterFile(&faulty);
   {
     auto h = bm.NewPage(fid);
     ASSERT_TRUE(h.ok());
-    std::memset(h.value().data(), 2, bm.usable_page_size(fid));
+    std::memset(h.value().data(), 2, bm.usable_page_size());
     h.value().MarkDirty();
   }
   ASSERT_TRUE(bm.FlushAll().ok());
@@ -372,14 +361,14 @@ TEST(ChecksumTest, TornWriteIsDetectedOnNextRead) {
   {
     auto h = bm.FetchPage(fid, 0);
     ASSERT_TRUE(h.ok());
-    std::memset(h.value().data(), 3, bm.usable_page_size(fid));
+    std::memset(h.value().data(), 3, bm.usable_page_size());
     h.value().MarkDirty();
   }
   EXPECT_FALSE(bm.FlushAll().ok());  // the torn write reports IOError
 
   // A fresh pool reading the torn page must see Corruption, not garbage.
   BufferManager bm2(kPage, kPage);
-  FileId fid2 = bm2.RegisterFile(base.get(), /*checksummed=*/true);
+  FileId fid2 = bm2.RegisterFile(base.get());
   Result<PageHandle> h = bm2.FetchPage(fid2, 0);
   ASSERT_FALSE(h.ok());
   EXPECT_TRUE(h.status().IsCorruption());
@@ -389,11 +378,11 @@ TEST(ChecksumTest, WrongPageIdInFooterIsCorruption) {
   // Simulate misdirected I/O: page 1's bytes written over page 0.
   auto file = PagedFile::CreateInMemory(kPage);
   BufferManager bm(4 * kPage, kPage);
-  FileId fid = bm.RegisterFile(file.get(), /*checksummed=*/true);
+  FileId fid = bm.RegisterFile(file.get());
   for (int i = 0; i < 2; ++i) {
     auto h = bm.NewPage(fid);
     ASSERT_TRUE(h.ok());
-    std::memset(h.value().data(), 10 + i, bm.usable_page_size(fid));
+    std::memset(h.value().data(), 10 + i, bm.usable_page_size());
     h.value().MarkDirty();
   }
   ASSERT_TRUE(bm.FlushAll().ok());
@@ -402,7 +391,7 @@ TEST(ChecksumTest, WrongPageIdInFooterIsCorruption) {
   ASSERT_TRUE(file->WritePage(0, page1.data()).ok());
 
   BufferManager bm2(kPage, kPage);
-  FileId fid2 = bm2.RegisterFile(file.get(), /*checksummed=*/true);
+  FileId fid2 = bm2.RegisterFile(file.get());
   Result<PageHandle> h = bm2.FetchPage(fid2, 0);
   ASSERT_FALSE(h.ok());
   EXPECT_TRUE(h.status().IsCorruption());

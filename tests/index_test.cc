@@ -1,16 +1,13 @@
-// Tests for the distance index subsystem (src/index/): ALT landmark
-// bound sandwiching on randomized and adversarial networks, the sharded
-// LRU cache (semantics + concurrent hammer), result-equivalence of the
-// indexed distance and clustering paths, and the validator's rejection
-// of seeded bad bounds.
+// Tests for the distance index (src/index/): ALT landmark bound
+// sandwiching on randomized and adversarial networks, result-equivalence
+// of the indexed clustering paths, and the validator's rejection of
+// seeded bad bounds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -20,7 +17,6 @@
 #include "gen/workload_gen.h"
 #include "graph/frozen_graph.h"
 #include "graph/network_distance.h"
-#include "index/distance_cache.h"
 #include "index/distance_index.h"
 #include "index/landmark_oracle.h"
 #include "netclus.h"
@@ -56,15 +52,15 @@ struct Scenario {
 
 // Exhaustive (or strided) sandwich check of the ALT bounds against the
 // exact point-to-point Dijkstra.
-void CheckSandwich(const NetworkView& view, const DistanceIndex& index) {
+void CheckSandwich(const NetworkView& view, const LandmarkOracle& oracle) {
   TraversalWorkspace ws(view.num_nodes());
   PointId n = view.num_points();
   PointId stride = n > 64 ? n / 64 : 1;
   for (PointId p = 0; p < n; p += stride) {
     for (PointId q = 0; q < n; q += stride) {
       double exact = PointNetworkDistance(view, view, p, q, &ws);
-      double lb = index.LowerBound(p, q);
-      double ub = index.UpperBound(p, q);
+      double lb = oracle.LowerBound(p, q);
+      double ub = oracle.UpperBound(p, q);
       if (exact == kInfDist) {
         EXPECT_EQ(ub, kInfDist) << "pair (" << p << ", " << q << ")";
       } else {
@@ -79,7 +75,7 @@ TEST(LandmarkOracleTest, BoundsSandwichExactDistancesOnRandomGraphs) {
   for (uint64_t seed : {11u, 12u, 13u}) {
     Scenario s(120, 150, seed);
     ASSERT_GT(s.index->landmarks().num_landmarks(), 0u);
-    CheckSandwich(*s.view, *s.index);
+    CheckSandwich(*s.view, s.index->landmarks());
   }
 }
 
@@ -123,7 +119,7 @@ TEST(LandmarkOracleTest, BoundsSandwichOnDisconnectedNetworkWithZeroOffsets) {
   IndexOptions io = Scenario::DefaultOptions();
   std::unique_ptr<DistanceIndex> index =
       std::move(DistanceIndex::Build(view, io, nullptr).value());
-  CheckSandwich(view, *index);
+  CheckSandwich(view, index->landmarks());
 
   // FPS places landmarks in both components, so every cross-component
   // pair gets an infinite lower bound (a disconnection proof).
@@ -133,7 +129,7 @@ TEST(LandmarkOracleTest, BoundsSandwichOnDisconnectedNetworkWithZeroOffsets) {
   for (PointId p = 0; p < points.size() && !saw_disconnected; ++p) {
     for (PointId q = p + 1; q < points.size(); ++q) {
       if (PointNetworkDistance(live, live, p, q, &ws) == kInfDist) {
-        EXPECT_EQ(index->LowerBound(p, q), kInfDist);
+        EXPECT_EQ(index->landmarks().LowerBound(p, q), kInfDist);
         saw_disconnected = true;
         break;
       }
@@ -166,13 +162,14 @@ TEST(LandmarkOracleTest, TablesBitIdenticalWithAndWithoutFrozenGraph) {
 
 TEST(DistanceIndexTest, NearestTargetLowerBoundsMatchPerPairMinima) {
   // On a disconnected network (infinite bounds, landmarks that see only
-  // one side), the landmark override must return exactly what the
-  // interface's per-pair default computes, with and without caps.
+  // one side), the batch bounds must equal the per-pair LowerBound
+  // minima, with and without caps.
   Network net = TwoComponents(60, 25, 41);
   PointSet points = std::move(GenerateUniformPoints(net, 150, 43)).value();
   InMemoryNetworkView view(net, points);
   std::unique_ptr<DistanceIndex> index = std::move(
       DistanceIndex::Build(view, Scenario::DefaultOptions(), nullptr).value());
+  const LandmarkOracle& oracle = index->landmarks();
   std::vector<PointId> all(points.size());
   for (PointId p = 0; p < points.size(); ++p) all[p] = p;
   Rng rng(45);
@@ -188,142 +185,25 @@ TEST(DistanceIndexTest, NearestTargetLowerBoundsMatchPerPairMinima) {
       }
       std::vector<double> fast = caps;
       std::vector<double> slow = caps;
-      index->NearestTargetLowerBounds(all, targets, fast.data());
-      index->DistanceAccelerator::NearestTargetLowerBounds(all, targets,
-                                                           slow.data());
-      EXPECT_EQ(fast, slow) << num_targets << " targets, capped " << capped;
-    }
-  }
-}
-
-TEST(DistanceCacheTest, LruSemanticsAndEviction) {
-  DistanceCache cache(4, 1);  // one shard: deterministic LRU order
-  double d = 0.0;
-  EXPECT_FALSE(cache.Lookup(1, 2, &d));
-  cache.Store(1, 2, 1.5);
-  cache.Store(2, 1, 2.5);  // same unordered pair: refresh, not insert
-  EXPECT_EQ(cache.size(), 1u);
-  ASSERT_TRUE(cache.Lookup(2, 1, &d));
-  EXPECT_EQ(d, 2.5);
-
-  cache.Store(3, 4, 3.0);
-  cache.Store(5, 6, 4.0);
-  cache.Store(7, 8, 5.0);
-  EXPECT_EQ(cache.size(), 4u);
-  ASSERT_TRUE(cache.Lookup(1, 2, &d));  // refresh {1,2}: now {3,4} is LRU
-  cache.Store(9, 10, 6.0);              // evicts {3,4}
-  EXPECT_EQ(cache.size(), 4u);
-  EXPECT_FALSE(cache.Lookup(3, 4, &d));
-  EXPECT_TRUE(cache.Lookup(1, 2, &d));
-
-  DistanceCache::Counters c = cache.counters();
-  EXPECT_EQ(c.stores, 6u);
-  EXPECT_EQ(c.evictions, 1u);
-  EXPECT_GE(c.hits, 3u);
-  EXPECT_GE(c.misses, 2u);
-}
-
-TEST(DistanceCacheTest, ZeroCapacityDropsEverything) {
-  DistanceCache cache(0);
-  cache.Store(1, 2, 1.0);
-  double d = 0.0;
-  EXPECT_FALSE(cache.Lookup(1, 2, &d));
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-// Matched by the tsan suite filter (run_all.sh tsan): concurrent writers
-// and readers on a small cache force constant shard contention and
-// eviction.
-TEST(DistanceCacheTest, ConcurrentHammerKeepsValuesConsistent) {
-  DistanceCache cache(128, 4);
-  std::atomic<bool> bad_value{false};
-  auto value_for = [](PointId a, PointId b) {
-    return static_cast<double>(a < b ? a : b) * 1000.0 +
-           static_cast<double>(a < b ? b : a);
-  };
-  std::vector<std::thread> threads;
-  for (uint32_t t = 0; t < 6; ++t) {
-    threads.emplace_back([&, t] {
-      Rng rng(t + 1);
-      for (int i = 0; i < 20000; ++i) {
-        PointId a = static_cast<PointId>(rng.NextBounded(300));
-        PointId b = static_cast<PointId>(rng.NextBounded(300));
-        switch (i % 4) {
-          case 0:
-          case 1:
-            cache.Store(a, b, value_for(a, b));
-            break;
-          case 2: {
-            double d = 0.0;
-            if (cache.Lookup(a, b, &d) && d != value_for(a, b)) {
-              bad_value.store(true);
-            }
-            break;
-          }
-          default:
-            break;
+      oracle.NearestTargetLowerBounds(all, targets, fast.data());
+      for (size_t j = 0; j < all.size(); ++j) {
+        for (PointId t : targets) {
+          slow[j] = std::min(slow[j], oracle.LowerBound(all[j], t));
         }
       }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  EXPECT_FALSE(bad_value.load());
-  EXPECT_LE(cache.size(), cache.capacity());
-}
-
-TEST(DistanceIndexTest, IndexedPointDistanceMatchesExact) {
-  Scenario s(100, 120, 41);
-  const NetworkView& view = *s.view;
-  TraversalWorkspace ws(view.num_nodes());
-  Rng rng(42);
-  for (int i = 0; i < 500; ++i) {
-    PointId p = static_cast<PointId>(rng.NextBounded(s.points.size()));
-    PointId q = static_cast<PointId>(rng.NextBounded(s.points.size()));
-    double exact = PointNetworkDistance(view, view, p, q, &ws);
-    double indexed = PointNetworkDistance(view, view, p, q, &ws, s.index.get());
-    EXPECT_NEAR(indexed, exact, Tol(exact)) << "pair (" << p << ", " << q
-                                            << ")";
-  }
-  IndexStats stats = s.index->Stats();
-  EXPECT_GT(stats.cache_hits + stats.cache_stores, 0u);
-}
-
-TEST(DistanceIndexTest, ThresholdedDistanceOnlyDivergesAboveTheCut) {
-  Scenario s(100, 120, 51);
-  const NetworkView& view = *s.view;
-  TraversalWorkspace ws(view.num_nodes());
-  Rng rng(52);
-  const double threshold = 4.0;
-  for (int i = 0; i < 500; ++i) {
-    PointId p = static_cast<PointId>(rng.NextBounded(s.points.size()));
-    PointId q = static_cast<PointId>(rng.NextBounded(s.points.size()));
-    double exact = PointNetworkDistance(view, view, p, q, &ws);
-    double cut = PointNetworkDistance(view, view, p, q, &ws, s.index.get(),
-                                      threshold);
-    // Below the cut the value is exact; above it any returned value must
-    // still be on the same side of the cut as the exact distance.
-    if (exact <= threshold) {
-      EXPECT_NEAR(cut, exact, Tol(exact));
-    } else {
-      EXPECT_GT(cut, threshold);
+      EXPECT_EQ(fast, slow) << num_targets << " targets, capped " << capped;
     }
   }
 }
 
 TEST(DistanceIndexTest, ValidatorAcceptsHealthyIndex) {
   Scenario s(80, 90, 71);
-  // Warm the cache so the cache-hit audit has entries to check.
-  const NetworkView& view = *s.view;
-  TraversalWorkspace ws(view.num_nodes());
-  for (PointId p = 0; p + 1 < s.points.size(); p += 7) {
-    (void)PointNetworkDistance(view, view, p, p + 1, &ws, s.index.get());
-  }
-  EXPECT_TRUE(ValidateDistanceAccelerator(*s.view, *s.index).ok());
+  EXPECT_TRUE(ValidateLandmarkOracle(*s.view, s.index->landmarks()).ok());
 }
 
 TEST(DistanceIndexTest, ValidatorRejectsSeededBadBound) {
   Scenario s(80, 90, 81);
-  ASSERT_TRUE(ValidateDistanceAccelerator(*s.view, *s.index).ok());
+  ASSERT_TRUE(ValidateLandmarkOracle(*s.view, s.index->landmarks()).ok());
   // Corrupt landmark 0's distance to every point: all lower bounds
   // involving a sampled pair explode past the exact distance.
   LandmarkOracle* oracle = s.index->mutable_landmarks_for_testing();
@@ -331,31 +211,8 @@ TEST(DistanceIndexTest, ValidatorRejectsSeededBadBound) {
   for (PointId p = 0; p < s.points.size(); ++p) {
     oracle->CorruptEntryForTesting(0, p, p % 2 == 0 ? 1e9 : 0.0);
   }
-  Status st = ValidateDistanceAccelerator(*s.view, *s.index);
+  Status st = ValidateLandmarkOracle(*s.view, *oracle);
   EXPECT_TRUE(st.IsInternal()) << st.ToString();
-}
-
-TEST(DistanceIndexTest, StatsCountCacheTrafficMonotonically) {
-  Scenario s(60, 60, 91);
-  const NetworkView& view = *s.view;
-  TraversalWorkspace ws(view.num_nodes());
-  for (int rep = 0; rep < 2; ++rep) {
-    (void)PointNetworkDistance(view, view, 1, 2, &ws, s.index.get());
-  }
-  IndexStats stats = s.index->Stats();
-  EXPECT_GE(stats.cache_stores, 1u);
-  EXPECT_GE(stats.cache_hits, 1u);
-  EXPECT_EQ(stats.num_landmarks, s.index->landmarks().num_landmarks());
-
-  // A second read with no traffic in between sees the same counters.
-  IndexStats again = s.index->Stats();
-  EXPECT_EQ(again.cache_hits, stats.cache_hits);
-  EXPECT_EQ(again.cache_stores, stats.cache_stores);
-  // One more cached query adds exactly one hit and no store.
-  (void)PointNetworkDistance(view, view, 1, 2, &ws, s.index.get());
-  IndexStats after = s.index->Stats();
-  EXPECT_EQ(after.cache_hits, stats.cache_hits + 1);
-  EXPECT_EQ(after.cache_stores, stats.cache_stores);
 }
 
 // The headline equivalence: with validation on, every algorithm produces

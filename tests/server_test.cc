@@ -4,12 +4,15 @@
 // concurrent epoch-swap hammer the tsan mode targets), and the
 // QueryServer — served-vs-inline bit-identity, replay validation,
 // cluster-membership serving, update visibility across epochs,
-// backpressure, and serving statistics.
+// backpressure, and serving statistics — plus the served distance
+// cache: LRU semantics, concurrency, and how ExecuteQueryInto reads and
+// fills it.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <future>
 #include <limits>
 #include <memory>
@@ -24,8 +27,8 @@
 #include "graph/frozen_graph.h"
 #include "graph/network.h"
 #include "graph/network_distance.h"
-#include "index/distance_cache.h"
 #include "netclus.h"
+#include "server/distance_cache.h"
 #include "server/epoch_manager.h"
 #include "server/query.h"
 #include "server/query_server.h"
@@ -164,6 +167,193 @@ TEST(QueryVocabularyTest, DeadlineValidationAndHealthzRejection) {
       view, nullptr, QueryRequest::PointDistance(0, 1).WithDeadline(1e4));
   ASSERT_TRUE(plain.ok() && bounded.ok());
   EXPECT_TRUE(ResponsePayloadsEqual(plain.value(), bounded.value()));
+}
+
+// ---------------------------------------------------------------------
+// The served distance cache.
+// ---------------------------------------------------------------------
+
+TEST(DistanceCacheTest, LruSemanticsAndEviction) {
+  DistanceCache cache(4, 1);  // one shard: deterministic LRU order
+  double d = 0.0;
+  EXPECT_FALSE(cache.Lookup(1, 2, &d));
+  cache.Store(1, 2, 1.5);
+  cache.Store(2, 1, 2.5);  // same unordered pair: refresh, not insert
+  EXPECT_EQ(cache.size(), 1u);
+  ASSERT_TRUE(cache.Lookup(2, 1, &d));
+  EXPECT_EQ(d, 2.5);
+
+  cache.Store(3, 4, 3.0);
+  cache.Store(5, 6, 4.0);
+  cache.Store(7, 8, 5.0);
+  EXPECT_EQ(cache.size(), 4u);
+  ASSERT_TRUE(cache.Lookup(1, 2, &d));  // refresh {1,2}: now {3,4} is LRU
+  cache.Store(9, 10, 6.0);              // evicts {3,4}
+  EXPECT_EQ(cache.size(), 4u);
+  EXPECT_FALSE(cache.Lookup(3, 4, &d));
+  EXPECT_TRUE(cache.Lookup(1, 2, &d));
+
+  DistanceCache::Counters c = cache.counters();
+  EXPECT_EQ(c.stores, 6u);
+  EXPECT_EQ(c.evictions, 1u);
+  EXPECT_GE(c.hits, 3u);
+  EXPECT_GE(c.misses, 2u);
+}
+
+TEST(DistanceCacheTest, ZeroCapacityDropsEverything) {
+  DistanceCache cache(0);
+  cache.Store(1, 2, 1.0);
+  double d = 0.0;
+  EXPECT_FALSE(cache.Lookup(1, 2, &d));
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+// Matched by the tsan suite filter (run_all.sh tsan): concurrent writers
+// and readers on a small cache force constant shard contention and
+// eviction.
+TEST(DistanceCacheTest, ConcurrentHammerKeepsValuesConsistent) {
+  DistanceCache cache(128, 4);
+  std::atomic<bool> bad_value{false};
+  auto value_for = [](PointId a, PointId b) {
+    return static_cast<double>(a < b ? a : b) * 1000.0 +
+           static_cast<double>(a < b ? b : a);
+  };
+  std::vector<std::thread> threads;
+  for (uint32_t t = 0; t < 6; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(t + 1);
+      for (int i = 0; i < 20000; ++i) {
+        PointId a = static_cast<PointId>(rng.NextBounded(300));
+        PointId b = static_cast<PointId>(rng.NextBounded(300));
+        switch (i % 4) {
+          case 0:
+          case 1:
+            cache.Store(a, b, value_for(a, b));
+            break;
+          case 2: {
+            double d = 0.0;
+            if (cache.Lookup(a, b, &d) && d != value_for(a, b)) {
+              bad_value.store(true);
+            }
+            break;
+          }
+          default:
+            break;
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_FALSE(bad_value.load());
+  EXPECT_LE(cache.size(), cache.capacity());
+}
+
+// kPointDistance through ExecuteQueryInto with a cache: the settled
+// nodes and the cache counters each query leaves behind.
+struct CachedDistanceRun {
+  Status status;
+  double distance = 0.0;
+  uint64_t settled = 0;
+};
+
+CachedDistanceRun RunCachedDistance(const NetworkView& view,
+                                    const FrozenGraph& frozen,
+                                    TraversalWorkspace* ws,
+                                    const DistanceCache* cache, ObjectId a,
+                                    ObjectId b) {
+  CachedDistanceRun run;
+  QueryResponse out;
+  const uint64_t before = LocalTraversalCounters().settled_nodes;
+  run.status = ExecuteQueryInto(view, &frozen, QueryRequest::PointDistance(a, b),
+                                ws, cache, nullptr, &out);
+  run.settled = LocalTraversalCounters().settled_nodes - before;
+  run.distance = out.distance;
+  return run;
+}
+
+class DistanceCacheQueryTest : public ::testing::Test {
+ protected:
+  DistanceCacheQueryTest()
+      : world_(300, 120, 61),
+        view_(world_.gen.net, world_.points),
+        frozen_(std::move(view_.Freeze()).value()),
+        ws_(view_.num_nodes()) {}
+
+  World world_;
+  InMemoryNetworkView view_;
+  FrozenGraph frozen_;
+  TraversalWorkspace ws_;
+};
+
+TEST_F(DistanceCacheQueryTest, RepeatedAndReversedPairsHitWithoutSettling) {
+  DistanceCache cache(1024);
+  CachedDistanceRun cold =
+      RunCachedDistance(view_, frozen_, &ws_, &cache, 3, 97);
+  ASSERT_TRUE(cold.status.ok()) << cold.status.ToString();
+  EXPECT_GT(cold.settled, 0u);
+  EXPECT_EQ(cache.counters().misses, 1u);
+  EXPECT_EQ(cache.counters().stores, 1u);
+
+  for (auto [a, b] : {std::pair<ObjectId, ObjectId>{3, 97}, {97, 3}}) {
+    CachedDistanceRun warm =
+        RunCachedDistance(view_, frozen_, &ws_, &cache, a, b);
+    ASSERT_TRUE(warm.status.ok());
+    EXPECT_EQ(warm.settled, 0u) << a << " -> " << b;
+    EXPECT_EQ(std::memcmp(&warm.distance, &cold.distance, sizeof(double)), 0)
+        << a << " -> " << b;
+  }
+  EXPECT_EQ(cache.counters().hits, 2u);
+  EXPECT_EQ(cache.counters().stores, 1u);
+}
+
+TEST_F(DistanceCacheQueryTest, SelfPairLeavesTheCacheUntouched) {
+  DistanceCache cache(1024);
+  CachedDistanceRun self = RunCachedDistance(view_, frozen_, &ws_, &cache, 5, 5);
+  ASSERT_TRUE(self.status.ok());
+  EXPECT_EQ(self.distance, 0.0);
+  DistanceCache::Counters c = cache.counters();
+  EXPECT_EQ(c.hits + c.misses + c.stores + c.evictions, 0u);
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST_F(DistanceCacheQueryTest, CancelledExpansionIsNotStored) {
+  DistanceCache cache(1024);
+  // A deadline already in the past, polled on every settle: the first
+  // poll cancels the expansion.
+  ws_.cancel.deadline = TraversalCancel::Clock::now() - std::chrono::seconds(1);
+  ws_.cancel.check_interval = 1;
+  CachedDistanceRun cancelled =
+      RunCachedDistance(view_, frozen_, &ws_, &cache, 3, 97);
+  EXPECT_TRUE(cancelled.status.IsDeadlineExceeded())
+      << cancelled.status.ToString();
+  EXPECT_EQ(cache.counters().stores, 0u);
+  EXPECT_EQ(cache.size(), 0u);
+
+  // Disarmed, the same pair misses, computes and stores the exact value.
+  ws_.cancel.deadline = TraversalCancel::kNoDeadline;
+  CachedDistanceRun exact =
+      RunCachedDistance(view_, frozen_, &ws_, &cache, 3, 97);
+  ASSERT_TRUE(exact.status.ok());
+  EXPECT_EQ(cache.counters().stores, 1u);
+  double stored = 0.0;
+  ASSERT_TRUE(cache.Lookup(97, 3, &stored));
+  EXPECT_EQ(stored, exact.distance);
+}
+
+TEST_F(DistanceCacheQueryTest, NullCacheGivesTheExactDistance) {
+  const NetworkView& view = view_;
+  Rng rng(62);
+  for (int i = 0; i < 50; ++i) {
+    PointId a = static_cast<PointId>(rng.NextBounded(world_.points.size()));
+    PointId b = static_cast<PointId>(rng.NextBounded(world_.points.size()));
+    CachedDistanceRun run =
+        RunCachedDistance(view_, frozen_, &ws_, nullptr, a, b);
+    ASSERT_TRUE(run.status.ok());
+    TraversalWorkspace ws(view.num_nodes());
+    double exact = PointNetworkDistance(view, view, a, b, &ws);
+    EXPECT_EQ(std::memcmp(&run.distance, &exact, sizeof(double)), 0)
+        << a << " -> " << b;
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -120,32 +120,6 @@ TEST(PagedFileTest, OutOfRangeOpsCountNothing) {
   EXPECT_EQ(f->stats().failed_writes, 0u);
 }
 
-TEST(PagedFileTest, V1CompatUnchecksummedRegistrationUsesFullPage) {
-  // Files registered without checksums (the v1 on-disk format path) keep
-  // the full page for payload and never report Corruption for raw bytes.
-  auto f = PagedFile::CreateInMemory(kPage);
-  BufferManager bm(2 * kPage, kPage);
-  FileId fid = bm.RegisterFile(f.get());  // checksummed defaults to false
-  EXPECT_EQ(bm.usable_page_size(fid), kPage);
-  {
-    Result<PageHandle> h = bm.NewPage(fid);
-    ASSERT_TRUE(h.ok());
-    std::memset(h.value().data(), 'v', kPage);  // full page is writable
-    h.value().MarkDirty();
-  }
-  ASSERT_TRUE(bm.FlushAll().ok());
-  std::vector<char> raw(kPage);
-  ASSERT_TRUE(f->ReadPage(0, raw.data()).ok());
-  EXPECT_EQ(raw[kPage - 1], 'v');  // no footer was stamped
-  raw[10] ^= 0x40;
-  ASSERT_TRUE(f->WritePage(0, raw.data()).ok());
-  (void)bm.NewPage(fid);  // evict page 0 from the 2-frame pool
-  (void)bm.NewPage(fid);
-  Result<PageHandle> h = bm.FetchPage(fid, 0);
-  ASSERT_TRUE(h.ok());  // unverified: v1 reads never fail the CRC
-  EXPECT_EQ(bm.stats().checksum_failures, 0u);
-}
-
 // ---------------------------------------------------------------- Buffer.
 
 class BufferManagerTest : public ::testing::Test {
@@ -301,23 +275,25 @@ TEST(BufferManagerPropertyTest, RandomWorkloadMatchesShadow) {
   auto file = PagedFile::CreateInMemory(kPage);
   BufferManager bm(8 * kPage, kPage);  // small pool forces evictions
   FileId fid = bm.RegisterFile(file.get());
+  // Callers own the payload only; the footer is the pool's.
+  const uint32_t usable = bm.usable_page_size();
   Rng rng(77);
   std::vector<std::vector<char>> shadow;
   for (int op = 0; op < 3000; ++op) {
     if (shadow.empty() || rng.NextBernoulli(0.05)) {
       Result<PageHandle> h = bm.NewPage(fid);
       ASSERT_TRUE(h.ok());
-      shadow.emplace_back(kPage, 0);
+      shadow.emplace_back(usable, 0);
       continue;
     }
     PageId id = static_cast<PageId>(rng.NextBounded(shadow.size()));
     Result<PageHandle> h = bm.FetchPage(fid, id);
     ASSERT_TRUE(h.ok());
-    ASSERT_EQ(std::memcmp(h.value().data(), shadow[id].data(), kPage), 0)
+    ASSERT_EQ(std::memcmp(h.value().data(), shadow[id].data(), usable), 0)
         << "page " << id << " diverged at op " << op;
     if (rng.NextBernoulli(0.5)) {
       char val = static_cast<char>(rng.NextBounded(256));
-      size_t off = rng.NextBounded(kPage);
+      size_t off = rng.NextBounded(usable);
       h.value().data()[off] = val;
       shadow[id][off] = val;
       h.value().MarkDirty();
