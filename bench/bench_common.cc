@@ -54,57 +54,6 @@ double BenchScale() {
   return v > 1.0 ? 1.0 : v;
 }
 
-uint32_t BenchThreads() {
-  const char* env = std::getenv("NETCLUS_BENCH_THREADS");
-  if (env == nullptr) return 1;
-  long v = std::atol(env);
-  if (v < 1) return 1;
-  return v > 64 ? 64u : static_cast<uint32_t>(v);
-}
-
-double DefaultSInit(const Network& net, PointId clustered_points) {
-  double total = 0.0;
-  for (const Edge& e : net.Edges()) total += e.weight;
-  // Mean spacing over a cluster's life is s_init * (1 + F) / 2 = 3 s_init
-  // (F = 5); target occupancy 6% of the total edge length, compact enough
-  // that 10 random cluster seeds rarely overlap.
-  return 0.06 * total / (3.0 * static_cast<double>(clustered_points));
-}
-
-Dataset MakeDataset(const std::string& name, double scale,
-                    double points_per_node, uint32_t k, uint64_t seed) {
-  Dataset d;
-  d.name = name;
-  RoadNetworkSpec netspec;
-  if (name == "NA") {
-    netspec = SpecNA(scale);
-  } else if (name == "SF") {
-    netspec = SpecSF(scale);
-  } else if (name == "TG") {
-    netspec = SpecTG(scale);
-  } else {
-    netspec = SpecOL(scale);
-  }
-  d.gen = GenerateRoadNetwork(netspec);
-
-  d.spec.total_points = static_cast<PointId>(
-      points_per_node * d.gen.net.num_nodes());
-  d.spec.num_clusters = k;
-  d.spec.outlier_fraction = 0.01;
-  d.spec.magnification = 5.0;
-  d.spec.s_init = DefaultSInit(
-      d.gen.net, static_cast<PointId>(0.99 * d.spec.total_points));
-  d.spec.seed = seed;
-  Result<GeneratedWorkload> w = GenerateClusteredPoints(d.gen.net, d.spec);
-  if (!w.ok()) {
-    std::fprintf(stderr, "workload generation failed: %s\n",
-                 w.status().ToString().c_str());
-    std::abort();
-  }
-  d.workload = std::move(w.value());
-  return d;
-}
-
 void BenchRecorder::Add(
     const std::string& bench, std::vector<double> wall_seconds,
     const TraversalCounters& traversal,

@@ -1,11 +1,11 @@
-// Shared setup for the experiment harnesses: dataset construction at a
-// configurable scale and small table-printing helpers.
+// Shared helpers for the bench harnesses: the experiment scale, the
+// BENCH_<name>.json recorder and small table-printing helpers.
 //
-// Every harness honors NETCLUS_BENCH_SCALE (default 0.1): it scales the
-// network sizes and point counts of the paper's experiments so the whole
-// suite runs in minutes on one core. All reported effects are ratios or
-// asymptotic shapes, which are preserved at any scale; set
-// NETCLUS_BENCH_SCALE=1 to run the published sizes.
+// NETCLUS_BENCH_SCALE (default 0.1) scales the network sizes and point
+// counts of the paper's experiments (bench/paper.cpp) so the whole
+// suite runs in seconds. All reported effects are ratios or asymptotic
+// shapes, which are preserved at any scale; set NETCLUS_BENCH_SCALE=1 to
+// run the published sizes.
 #ifndef NETCLUS_BENCH_BENCH_COMMON_H_
 #define NETCLUS_BENCH_BENCH_COMMON_H_
 
@@ -23,78 +23,8 @@
 namespace netclus {
 namespace bench {
 
-// --- unified-entry adapters --------------------------------------------
-// Harnesses time RunClustering(view, MakeSpec(options)) — the path users
-// actually run, including the one-time Freeze() of an in-memory view —
-// and unpack the ClusterOutput back into the per-algorithm result shapes
-// the tables read.
-
-inline Result<KMedoidsResult> RunKMedoids(const NetworkView& view,
-                                          const KMedoidsOptions& options) {
-  NETCLUS_ASSIGN_OR_RETURN(ClusterOutput out,
-                           RunClustering(view, MakeSpec(options)));
-  KMedoidsResult r;
-  r.clustering = std::move(out.clustering);
-  r.medoids = std::move(out.medoids);
-  r.cost = out.cost;
-  r.stats = out.kmedoids_stats;
-  return r;
-}
-
-inline Result<Clustering> RunEpsLink(const NetworkView& view,
-                                     const EpsLinkOptions& options) {
-  NETCLUS_ASSIGN_OR_RETURN(ClusterOutput out,
-                           RunClustering(view, MakeSpec(options)));
-  return std::move(out.clustering);
-}
-
-inline Result<Clustering> RunDbscan(const NetworkView& view,
-                                    const DbscanOptions& options) {
-  NETCLUS_ASSIGN_OR_RETURN(ClusterOutput out,
-                           RunClustering(view, MakeSpec(options)));
-  return std::move(out.clustering);
-}
-
-inline Result<SingleLinkResult> RunSingleLink(
-    const NetworkView& view, const SingleLinkOptions& options) {
-  NETCLUS_ASSIGN_OR_RETURN(ClusterOutput out,
-                           RunClustering(view, MakeSpec(options)));
-  if (!out.dendrogram.has_value()) {
-    return Status::Internal("single-link run produced no dendrogram");
-  }
-  SingleLinkResult r(0);
-  r.dendrogram = std::move(*out.dendrogram);
-  r.stats = out.single_link_stats;
-  return r;
-}
-
 /// Scale factor from NETCLUS_BENCH_SCALE (clamped to (0, 1]).
 double BenchScale();
-
-/// Worker-thread count from NETCLUS_BENCH_THREADS (default 1 so timing
-/// columns stay comparable to the paper's single-core setup; clamped to
-/// [1, 64]). Harnesses pass it to the algorithms' num_threads knobs and
-/// to their own sweep-setup ParallelFor loops.
-uint32_t BenchThreads();
-
-/// One of the paper's four datasets, scaled.
-struct Dataset {
-  std::string name;
-  GeneratedNetwork gen;
-  GeneratedWorkload workload;
-  ClusterWorkloadSpec spec;
-};
-
-/// Builds dataset `name` in {"NA","SF","TG","OL"} with N ~= points_per_node
-/// * |V| points in k clusters (paper: N ~= 3 |V|, k = 10, 1% outliers).
-Dataset MakeDataset(const std::string& name, double scale,
-                    double points_per_node = 3.0, uint32_t k = 10,
-                    uint64_t seed = 7);
-
-/// An s_init under which the k clusters occupy ~6% of the total edge
-/// length, keeping them compact and well separated (the generator's mean
-/// point spacing over a cluster's growth is 3 * s_init for F = 5).
-double DefaultSInit(const Network& net, PointId clustered_points);
 
 /// \brief Machine-readable counterpart of the printed tables.
 ///

@@ -4,18 +4,16 @@
 # the repository root.
 #
 # NETCLUS_BENCH_SCALE (default 0.1) selects the fraction of the paper's
-# published dataset sizes the harnesses run at. NETCLUS_BENCH_THREADS
-# (default 1) sets the worker count the harnesses hand to the execution
-# engine.
+# published dataset sizes the harnesses run at.
 #
 # `scripts/run_all.sh tsan` instead builds a ThreadSanitizer
 # configuration in build-tsan and runs the concurrency-sensitive tests
 # (thread pool, parallel restarts/range queries, determinism) under it.
 #
 # `scripts/run_all.sh asan` builds an AddressSanitizer configuration in
-# build-asan and runs the storage + B+-tree + fault-injection +
-# corruption suites — the paths that chew on deliberately damaged
-# bytes — under it.
+# build-asan and runs the storage + paged-file + B+-tree +
+# fault-injection + corruption suites — the paths that chew on
+# deliberately damaged bytes — under it.
 #
 # `scripts/run_all.sh ubsan` builds an UndefinedBehaviorSanitizer
 # configuration (-fno-sanitize-recover=all, so any UB is a hard test
@@ -44,9 +42,10 @@
 # 1/4/8 workers + p99 queue wait, with a hardware-aware 1->4 worker
 # scaling gate, and incremental/full publish-latency ratios gated below
 # 0.9 for the CSR splice, below 0.5 with ε-Link re-clustering and below
-# 0.5 for point-only publishes) and the two disk-I/O ablations
-# (ablation_method_io, ablation_storage, each gated on its page-count
-# shape), leaving machine-readable BENCH_*.json files at the repository
+# 0.5 for point-only publishes) and the paper driver (bench/paper: every
+# paper table/figure and ablation, each shape gated on settled nodes,
+# page reads or partitions; it prints FAIL and exits 1 when a gated shape
+# breaks), leaving machine-readable BENCH_*.json files at the repository
 # root.
 #
 # `scripts/run_all.sh server-smoke` builds the default configuration,
@@ -126,7 +125,7 @@ if [ "${1:-}" = "asan" ]; then
   cmake -B build-asan -G Ninja -DNETCLUS_SANITIZE=address
   cmake --build build-asan
   ctest --test-dir build-asan --output-on-failure \
-    -R 'Storage|Buffer|Checksum|Crc32c|FaultInjection|FaultSoak|Corruption|BPlusTree|NetworkStore|TextIo' \
+    -R 'Storage|Buffer|PagedFile|Checksum|Crc32c|FaultInjection|FaultSoak|Corruption|BPlusTree|NetworkStore|TextIo' \
     2>&1 | tee asan_output.txt
   exit 0
 fi
@@ -262,22 +261,20 @@ if [ "${1:-}" = "bench-smoke" ]; then
   # vs full ε-Link re-cluster with about one point per node; PointSet
   # merge vs full build with one AddPoint per publish).
   ./build/bench/server_throughput 2>&1 | tee -a bench_smoke_output.txt
-  # The Section 5.2 disk-I/O experiments over the paged store: per-method
-  # page reads, and placement / buffer / page-size sweeps. Both gate the
-  # deterministic page-count shapes EXPERIMENTS.md records.
-  ./build/bench/ablation_method_io 2>&1 | tee -a bench_smoke_output.txt
-  ./build/bench/ablation_storage 2>&1 | tee -a bench_smoke_output.txt
+  # Every paper table/figure and ablation from one table, each shape
+  # gated on hardware-independent counts (settles, page reads,
+  # partitions) as EXPERIMENTS.md records them.
+  ./build/bench/paper 2>&1 | tee -a bench_smoke_output.txt
   # Plain sh has no pipefail, so the tee above swallows the harnesses'
   # exit codes — re-assert their gates from the captured output: all
-  # three publish-latency rows and both I/O shape summaries must be
+  # three publish-latency rows and the paper driver's summary must be
   # present and no harness printed FAIL.
   grep -q 'publish latency: full .* (ratio' bench_smoke_output.txt
   grep -q 'publish latency with re-cluster: full .* (ratio' \
     bench_smoke_output.txt
   grep -q 'publish latency, points only: full .* (ratio' \
     bench_smoke_output.txt
-  grep -q 'method-io shape: ' bench_smoke_output.txt
-  grep -q 'storage shape: ' bench_smoke_output.txt
+  grep -q '^paper summary: .* 0 failed' bench_smoke_output.txt
   if grep -q 'FAIL' bench_smoke_output.txt; then
     echo "run_all: a bench gate failed (see bench_smoke_output.txt)" >&2
     exit 1

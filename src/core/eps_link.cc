@@ -24,7 +24,10 @@ using MinHeap = std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>>
 // the traversal graph (the view itself, or a FrozenGraph snapshot for
 // the de-virtualized path, whose point layer also serves the edge-point
 // reads); both instantiations visit edges in the same order, so
-// clusterings are bit-identical.
+// clusterings are bit-identical. The expansion bumps the calling thread's
+// TraversalCounters like every other traversal: a push per enqueue, a pop
+// per dequeue, and a settle per node expansion (a node re-expanded at an
+// improved distance counts again).
 template <typename Graph>
 class EpsLinkRunner {
  public:
@@ -35,7 +38,8 @@ class EpsLinkRunner {
         eps_(eps),
         out_(out),
         nndist_(view.num_nodes()),
-        reader_(graph) {}
+        reader_(graph),
+        tc_(LocalTraversalCounters()) {}
 
   void GrowCluster(PointId seed, int cluster_id) {
     nndist_.NewEpoch();
@@ -76,7 +80,9 @@ class EpsLinkRunner {
     while (!q.empty()) {
       QEntry b = q.top();
       q.pop();
+      ++tc_.heap_pops;
       if (b.dist >= nndist_.Get(b.node)) continue;
+      ++tc_.settled_nodes;
       nndist_.Set(b.node, b.dist);
       VisitNeighbors(graph_, b.node, [&](NodeId nz, double we) {
         TraverseEdge(&q, b, nz, we, cluster_id);
@@ -94,6 +100,7 @@ class EpsLinkRunner {
   void MaybeEnqueue(MinHeap* q, NodeId n, double dist) {
     if (dist <= eps_ && dist < nndist_.Get(n)) {
       q->push(QEntry{dist, n});
+      ++tc_.heap_pushes;
     }
   }
 
@@ -142,6 +149,7 @@ class EpsLinkRunner {
   Clustering* out_;
   NodeScratch nndist_;
   EdgePointReader<Graph> reader_;
+  TraversalCounters& tc_;
 };
 
 }  // namespace

@@ -34,6 +34,9 @@ using MinHeap = std::priority_queue<T, std::vector<T>, std::greater<>>;
 // disk-backed run, a FrozenGraph snapshot on the de-virtualized path).
 // Point scans stay on the view; the expansion and edge weights go
 // through the graph. Same visit order either way → identical dendrogram.
+// The node heap Q bumps the calling thread's TraversalCounters like every
+// other traversal; a node expansion is a settle, so the run's settles
+// equal `stats.nodes_expanded`.
 template <TraversalGraph Graph>
 Result<SingleLinkResult> SingleLinkCluster(const NetworkView& view,
                                            const Graph& graph,
@@ -70,8 +73,10 @@ Result<SingleLinkResult> SingleLinkCluster(const NetworkView& view,
     result.stats.max_pair_heap =
         std::max(result.stats.max_pair_heap, pair_heap.size());
   };
+  TraversalCounters& tc = LocalTraversalCounters();
   auto push_node = [&](NodeId node, double dist) {
     node_heap.push(NodeEntry{dist, node});
+    ++tc.heap_pushes;
     result.stats.max_node_heap =
         std::max(result.stats.max_node_heap, node_heap.size());
   };
@@ -126,6 +131,7 @@ Result<SingleLinkResult> SingleLinkCluster(const NetworkView& view,
   while (uf.num_sets() > options.stop_cluster_count && !node_heap.empty()) {
     NodeEntry b = node_heap.top();
     node_heap.pop();
+    ++tc.heap_pops;
     // Any pair not yet discovered must connect through some unexpanded
     // node, i.e. has distance >= 2 * b.dist: safe to merge up to that.
     gate_merges(2.0 * b.dist);
@@ -134,6 +140,7 @@ Result<SingleLinkResult> SingleLinkCluster(const NetworkView& view,
     if (expanded[b.node]) continue;  // stale or duplicate queue entry
     expanded[b.node] = true;
     ++result.stats.nodes_expanded;
+    ++tc.settled_nodes;
 
     VisitNeighbors(graph, b.node, [&](NodeId nz, double w) {
       double via = nndist[b.node] + w;

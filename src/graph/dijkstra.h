@@ -40,12 +40,13 @@ struct DijkstraSource {
 /// \brief Per-thread monotonic traversal counters.
 ///
 /// Every expansion in the library (the primitives below, the range
-/// queries built on them, the k-medoids concurrent expansion, the index
-/// precomputes) bumps these, so benches can report settled-node and
-/// heap-op counts as first-class metrics next to wall time. Counters are
-/// thread-local: a caller snapshots LocalTraversalCounters() before and
-/// after a measured section and diffs; multi-threaded sections must sum
-/// per-worker snapshots themselves.
+/// queries built on them, the k-medoids concurrent expansion, the ε-Link
+/// and Single-Link expansions, the index precomputes) bumps these, so
+/// benches can report settled-node and heap-op counts as first-class
+/// metrics next to wall time. Counters are thread-local: a caller
+/// snapshots LocalTraversalCounters() before and after a measured
+/// section and diffs; multi-threaded sections must sum per-worker
+/// snapshots themselves.
 struct TraversalCounters {
   uint64_t heap_pushes = 0;
   uint64_t heap_pops = 0;

@@ -11,6 +11,7 @@
 #include "eval/metrics.h"
 #include "gen/network_gen.h"
 #include "gen/workload_gen.h"
+#include "graph/dijkstra.h"
 #include "run_helpers.h"
 
 namespace netclus {
@@ -239,6 +240,33 @@ TEST(SingleLinkTest, CutAtEpsEqualsEpsLink) {
     Clustering el = std::move(RunEpsLink(view, eo)).value();
     EXPECT_TRUE(SamePartition(cut.assignment, el.assignment)) << seed;
   }
+}
+
+TEST(SingleLinkTest, EpsLinkAndSingleLinkCountTheirTraversals) {
+  // Both expansions bump the calling thread's TraversalCounters, so the
+  // paper benches can compare their work with the other methods'.
+  GeneratedNetwork g = GenerateRoadNetwork({70, 1.3, 0.3, 345});
+  PointSet ps = std::move(GenerateUniformPoints(g.net, 100, 346)).value();
+  InMemoryNetworkView view(g.net, ps);
+
+  EpsLinkOptions eo;
+  eo.eps = 0.8;
+  TraversalCounters before = LocalTraversalCounters();
+  ASSERT_TRUE(RunEpsLink(view, eo).ok());
+  TraversalCounters eps_link = LocalTraversalCounters() - before;
+  EXPECT_GT(eps_link.settled_nodes, 0u);
+  EXPECT_GE(eps_link.heap_pops, eps_link.settled_nodes);
+  // Every cluster's expansion drains its heap.
+  EXPECT_EQ(eps_link.heap_pushes, eps_link.heap_pops);
+
+  before = LocalTraversalCounters();
+  Result<SingleLinkResult> sl = RunSingleLink(view, SingleLinkOptions{});
+  ASSERT_TRUE(sl.ok());
+  TraversalCounters single_link = LocalTraversalCounters() - before;
+  EXPECT_GT(single_link.settled_nodes, 0u);
+  EXPECT_EQ(single_link.settled_nodes, sl.value().stats.nodes_expanded);
+  EXPECT_GE(single_link.heap_pops, single_link.settled_nodes);
+  EXPECT_GE(single_link.heap_pushes, single_link.heap_pops);
 }
 
 TEST(SingleLinkTest, StopDistanceTruncatesDendrogram) {
