@@ -1,22 +1,18 @@
 // Bench smoke: a minutes-scale micro pass over the traversal substrates
 // on a small generated network — the `run_all.sh bench-smoke` target.
-// The plain range query runs once; the served point distance runs cold
-// and warm through the query layer's distance cache, and k-medoids runs
-// landmark index off and on; each pair prints its settled-node /
+// The plain range query and a k-medoids search through RunClustering
+// are ungated rows; the served point distance runs cold and warm through
+// the query layer's distance cache and prints its settled-node /
 // heap-pop reduction. The whole table is emitted as machine-readable
 // BENCH_smoke.json via BenchRecorder so CI can diff substrate work
-// across revisions. Each pair is a gate: the harness prints FAIL and
-// exits 1 unless the second row settles fewer nodes and has a lower
-// median wall time than the first — the cache and the landmark index
-// must each pay for themselves — and unless every warm served distance
-// equals its cold payload bit for bit. The k-medoids contrast times the
-// engine directly over the live view with a prebuilt index; routing
-// through RunClustering would rebuild the index inside the measured
-// section.
+// across revisions. The cold/warm pair is a gate: the harness prints
+// FAIL and exits 1 unless the warm row settles fewer nodes and has a
+// lower median wall time than the cold one — the cache must pay for
+// itself — and unless every warm served distance equals its cold
+// payload bit for bit.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,9 +20,8 @@
 #include "bench_common.h"
 #include "common/random.h"
 #include "common/timer.h"
-#include "core/kmedoids.h"
 #include "graph/network_distance.h"
-#include "index/distance_index.h"
+#include "netclus.h"
 #include "server/distance_cache.h"
 #include "server/query.h"
 
@@ -49,7 +44,7 @@ double Timed(TraversalCounters* total, const Fn& fn) {
 }  // namespace
 
 int main() {
-  // Small on purpose: the smoke pass proves the index reduces traversal
+  // Small on purpose: the smoke pass proves the cache reduces traversal
   // work and time and the JSON plumbing works, not absolute throughput.
   GeneratedNetwork gen = GenerateRoadNetwork({3000, 1.3, 0.3, 99});
   PointSet points =
@@ -58,12 +53,6 @@ int main() {
   const NetworkView& view = mem;
   std::printf("bench-smoke: %u nodes, %zu edges, %u points\n",
               gen.net.num_nodes(), gen.net.num_edges(), points.size());
-
-  IndexOptions io;
-  io.enable = true;
-  io.num_landmarks = 8;
-  std::unique_ptr<DistanceIndex> index =
-      std::move(DistanceIndex::Build(view, io, nullptr).value());
 
   const double eps = SampledEps(view);
   std::printf("eps = %.3f\n", eps);
@@ -83,7 +72,7 @@ int main() {
              22);
   };
 
-  // The pairs' totals and median seconds, for the gates below. Row
+  // The pair's totals and median seconds, for the gate below. Row
   // `name_<row[1]>` must beat row `name_<row[0]>`.
   struct Pair {
     const char* name;
@@ -102,7 +91,7 @@ int main() {
   };
 
   // Range queries over a deterministic center set (the DBSCAN / ε-Link
-  // primitive; no index reads it).
+  // primitive).
   const int kQueries = 200;
   {
     TraversalWorkspace ws(gen.net.num_nodes());
@@ -159,38 +148,27 @@ int main() {
     }
   }
 
-  // Full k-medoids runs, index off vs on (ALT lower bounds prune
-  // provably non-improving swap evaluations; trajectories identical).
-  Pair kmedoids{"kmedoids", {"off", "on"}, {}, {}};
+  // Full k-medoids runs through RunClustering (ungated; the row records
+  // the search's settles and heap pops).
   {
     KMedoidsOptions ko;
     ko.k = 8;
     ko.seed = 11;
-    for (int pass = 0; pass < 2; ++pass) {
-      bool on = pass == 1;
-      TraversalCounters total;
-      std::vector<double> samples;
-      std::vector<double> bound_s;
-      uint32_t pruned = 0;
-      double cost = 0.0;
-      for (int rep = 0; rep < 3; ++rep) {
-        samples.push_back(Timed(&total, [&] {
-          KMedoidsResult r =
-              std::move(KMedoidsCluster<NetworkView>(
-                            view, view, ko,
-                            on ? &index->landmarks() : nullptr)
-                            .value());
-          pruned = r.stats.pruned_swaps;
-          cost = r.cost;
-          bound_s.push_back(r.stats.bound_seconds);
-        }));
-      }
-      std::sort(bound_s.begin(), bound_s.end());
-      record(&kmedoids, pass, std::move(samples), total,
-             {{"pruned_swaps", static_cast<double>(pruned)},
-              {"bound_seconds", bound_s[bound_s.size() / 2]},
-              {"cost", cost}});
+    TraversalCounters total;
+    std::vector<double> samples;
+    double cost = 0.0;
+    uint32_t attempted = 0;
+    for (int rep = 0; rep < 3; ++rep) {
+      samples.push_back(Timed(&total, [&] {
+        ClusterOutput out =
+            std::move(RunClustering(view, MakeSpec(ko)).value());
+        cost = out.cost;
+        attempted = out.kmedoids_stats.attempted_swaps;
+      }));
     }
+    report("kmedoids", samples, total,
+           {{"attempted_swaps", static_cast<double>(attempted)},
+            {"cost", cost}});
   }
 
   std::string path = rec.Write();
@@ -203,27 +181,25 @@ int main() {
                 payload_mismatches);
     ++failed;
   }
-  for (const Pair* pair : {&served_distance, &kmedoids}) {
-    const uint64_t first = pair->work[0].settled_nodes;
-    const uint64_t second = pair->work[1].settled_nodes;
-    if (second >= first) {
-      std::printf("FAIL: %s_%s settles %llu nodes, %s_%s %llu\n", pair->name,
-                  pair->row[1], static_cast<unsigned long long>(second),
-                  pair->name, pair->row[0],
-                  static_cast<unsigned long long>(first));
-      ++failed;
-    } else if (pair->median_s[1] >= pair->median_s[0]) {
-      std::printf("FAIL: %s_%s median %.4f ms is not below %s_%s %.4f ms\n",
-                  pair->name, pair->row[1], pair->median_s[1] * 1e3,
-                  pair->name, pair->row[0], pair->median_s[0] * 1e3);
-      ++failed;
-    } else {
-      std::printf("OK: %s_%s settles fewer nodes and runs %.2fx faster than "
-                  "%s_%s\n",
-                  pair->name, pair->row[1],
-                  pair->median_s[0] / pair->median_s[1], pair->name,
-                  pair->row[0]);
-    }
+  const Pair& pair = served_distance;
+  const uint64_t first = pair.work[0].settled_nodes;
+  const uint64_t second = pair.work[1].settled_nodes;
+  if (second >= first) {
+    std::printf("FAIL: %s_%s settles %llu nodes, %s_%s %llu\n", pair.name,
+                pair.row[1], static_cast<unsigned long long>(second),
+                pair.name, pair.row[0],
+                static_cast<unsigned long long>(first));
+    ++failed;
+  } else if (pair.median_s[1] >= pair.median_s[0]) {
+    std::printf("FAIL: %s_%s median %.4f ms is not below %s_%s %.4f ms\n",
+                pair.name, pair.row[1], pair.median_s[1] * 1e3, pair.name,
+                pair.row[0], pair.median_s[0] * 1e3);
+    ++failed;
+  } else {
+    std::printf("OK: %s_%s settles fewer nodes and runs %.2fx faster than "
+                "%s_%s\n",
+                pair.name, pair.row[1], pair.median_s[0] / pair.median_s[1],
+                pair.name, pair.row[0]);
   }
   return failed == 0 ? 0 : 1;
 }

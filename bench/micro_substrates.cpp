@@ -1,9 +1,7 @@
 // Ablation A4: google-benchmark micro-benchmarks of the substrates the
 // clustering algorithms are built on — Dijkstra traversals, point
 // distance evaluation, range queries, B+-tree lookups, and the buffer
-// manager hit path. The k-medoids micro-benchmark times the engine
-// directly over the live view with a prebuilt landmark index; routing
-// through RunClustering would rebuild the index inside the measured loop.
+// manager hit path, and one full k-medoids search over the live view.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -15,7 +13,6 @@
 #include "graph/dijkstra.h"
 #include "graph/network_distance.h"
 #include "graph/network_store.h"
-#include "index/distance_index.h"
 #include "storage/bptree.h"
 
 namespace netclus {
@@ -38,27 +35,14 @@ Fixture& SharedFixture() {
   return f;
 }
 
-// A sparser fixture (~0.25 points per node) for the indexed-vs-plain
-// k-medoids comparison.
+// A sparser fixture (~0.25 points per node) for the k-medoids search.
 Fixture& SparseFixture() {
   static Fixture f(8000, 2000);
   return f;
 }
 
-const DistanceIndex& SparseIndex() {
-  static std::unique_ptr<DistanceIndex> index = [] {
-    IndexOptions io;
-    io.enable = true;
-    io.num_landmarks = 8;
-    return std::move(
-        DistanceIndex::Build(*SparseFixture().view, io, nullptr).value());
-  }();
-  return *index;
-}
-
 // Exports the settled-node / heap-pop deltas of the benchmark's whole
-// run as per-iteration google-benchmark counters, so `index on` rows are
-// directly comparable to their `index off` twins.
+// run as per-iteration google-benchmark counters.
 struct CounterScope {
   benchmark::State& state;
   TraversalCounters before;
@@ -117,31 +101,23 @@ void BM_RangeQuery(benchmark::State& state) {
 BENCHMARK(BM_RangeQuery)->Arg(5)->Arg(20)->Arg(50)->Unit(
     benchmark::kMicrosecond);
 
-// Full k-medoids runs on the sparse fixture, index off (arg 0) vs on
-// (arg 1): identical trajectories and results, with ALT lower bounds
-// pruning provably non-improving swap evaluations in the `on` rows.
+// Full k-medoids runs on the sparse fixture, every swap evaluated.
 void BM_KMedoidsSwapEval(benchmark::State& state) {
   Fixture& f = SparseFixture();
-  const LandmarkOracle* landmarks =
-      state.range(0) != 0 ? &SparseIndex().landmarks() : nullptr;
   KMedoidsOptions ko;
   ko.k = 8;
   ko.seed = 11;
   CounterScope counters(state);
-  uint32_t pruned = 0;
+  uint32_t attempted = 0;
   for (auto _ : state) {
     KMedoidsResult r = std::move(
-        KMedoidsCluster<NetworkView>(*f.view, *f.view, ko, landmarks).value());
-    pruned = r.stats.pruned_swaps;
+        KMedoidsCluster<NetworkView>(*f.view, *f.view, ko).value());
+    attempted = r.stats.attempted_swaps;
     benchmark::DoNotOptimize(r.cost);
   }
-  state.counters["pruned_swaps"] = pruned;
+  state.counters["attempted_swaps"] = attempted;
 }
-BENCHMARK(BM_KMedoidsSwapEval)
-    ->ArgNames({"index"})
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KMedoidsSwapEval)->Unit(benchmark::kMillisecond);
 
 void BM_BPlusTreeLookup(benchmark::State& state) {
   static auto file = PagedFile::CreateInMemory(4096);

@@ -60,7 +60,6 @@ int Usage() {
                "           [--eps E|auto] [--k K] [--minpts M] [--minsup M]\n"
                "           [--delta D] [--cut D] [--seed S]\n"
                "           [--threads T] [--restarts R]\n"
-               "           [--index on|off] [--landmarks K]\n"
                "  serve    --in FILE [--workers W] [--clients C]\n"
                "           [--queries N] [--mutations M] [--eps E|auto]\n"
                "           [--validate on|off] [--seed S]\n"
@@ -235,23 +234,6 @@ int RunCluster(int argc, char** argv, const InMemoryNetworkView& view,
   double cut = std::atof(FlagValue(argc, argv, "--cut", "0"));
   spec.cut_distance = cut > 0.0 ? cut : eps;
   spec.cut_min_size = 2;
-
-  // Distance index knobs (see IndexOptions in index/distance_index.h);
-  // results are identical with the index on or off.
-  spec.index.enable =
-      std::strcmp(FlagValue(argc, argv, "--index", "off"), "on") == 0;
-  spec.index.num_landmarks = static_cast<uint32_t>(
-      std::atol(FlagValue(argc, argv, "--landmarks", "8")));
-  spec.index.num_threads = threads;
-  if (spec.index.enable) {
-    // RunClustering builds the index for k-medoids only, the one
-    // algorithm that reads it.
-    if (spec.algorithm == Algorithm::kKMedoids) {
-      std::printf("index: %u landmarks\n", spec.index.num_landmarks);
-    } else {
-      std::printf("index: not built (only k-medoids reads it)\n");
-    }
-  }
 
   Result<EvaluationReport> report =
       EvaluateClustering(view, spec, points.labels());

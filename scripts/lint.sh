@@ -128,9 +128,8 @@ done
 # Directory layering tripwire: each src/ directory may include headers
 # from itself and from the directories listed for it below, and nothing
 # else. The table is the include graph as it stands: storage sits on
-# common; graph on storage; gen, ext and index on graph; core on index
-# (k-medoids reads the landmark oracle); eval and server on core; net on
-# server. A header reaching up a layer (say, server/ from graph/) fails
+# common; graph on storage; gen, ext, index and core on graph; eval and
+# server on core; net on server. A header reaching up a layer (say, server/ from graph/) fails
 # here instead of growing a cycle. A new directory needs a row.
 layer_deps() {
   case "$1" in
@@ -138,7 +137,7 @@ layer_deps() {
     storage) echo "common" ;;
     graph) echo "common storage" ;;
     gen|ext|index) echo "common graph" ;;
-    core) echo "common graph index" ;;
+    core) echo "common graph" ;;
     eval) echo "common graph core" ;;
     server) echo "common storage graph core" ;;
     net) echo "common server" ;;
@@ -204,8 +203,7 @@ done
 # files would silently put the per-point virtual call back. The independent
 # oracles in core/validate.cc read through the view on purpose and are
 # not listed.
-for f in src/core/kmedoids.cc src/core/eps_link.cc src/core/dbscan.cc \
-         src/index/landmark_oracle.cc; do
+for f in src/core/kmedoids.cc src/core/eps_link.cc src/core/dbscan.cc; do
   stripped=$(sed 's@//.*@@' "$f")
   hits=$(printf '%s\n' "$stripped" |
     grep -nE '(GetEdgePoints|ForEachPointGroup)[[:space:]]*\(' || true)

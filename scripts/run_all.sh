@@ -34,9 +34,9 @@
 # no clang is installed (gcc has no thread-safety analysis).
 #
 # `scripts/run_all.sh bench-smoke` builds the default configuration and
-# runs the minutes-scale bench_smoke harness (served-distance cache
-# cold/warm and k-medoids landmark index off/on contrasts on a small
-# generated network) plus the frozen_traversal
+# runs the minutes-scale bench_smoke harness (a range-query row, the
+# served-distance cache cold/warm contrast and an ungated k-medoids row
+# on a small generated network) plus the frozen_traversal
 # contrast (FrozenGraph snapshot vs live view: identical counters,
 # >= 1.3x speedup) and the server_throughput harness (queries/sec at
 # 1/4/8 workers + p99 queue wait, with a hardware-aware 1->4 worker
@@ -108,7 +108,7 @@ if [ "${1:-}" = "ubsan" ]; then
   cmake -B build-ubsan -G Ninja -DNETCLUS_SANITIZE=undefined
   cmake --build build-ubsan
   ctest --test-dir build-ubsan --output-on-failure \
-    -R 'KMedoids|EpsLink|Dbscan|SingleLink|Dendrogram|Dijkstra|RangeQuery|Knn|PointDistance|InterestingLevels|Optics|Hierarchy|Validate|NetclusApi|Integration|Index|DistanceCache|LandmarkOracle|Frozen|Wal|Checkpoint|Incremental|World|Cancel|Deadline|WireCodec|WireFrame' \
+    -R 'KMedoids|EpsLink|Dbscan|SingleLink|Dendrogram|Dijkstra|RangeQuery|Knn|PointDistance|InterestingLevels|Optics|Hierarchy|Validate|NetclusApi|Integration|Index|DistanceCache|Frozen|Wal|Checkpoint|Incremental|World|Cancel|Deadline|WireCodec|WireFrame' \
     2>&1 | tee ubsan_output.txt
   exit 0
 fi

@@ -50,11 +50,19 @@ Result<Clustering> DbscanCluster(const NetworkView& view, const Graph& graph,
     for (uint32_t w = 0; w < pool.size(); ++w) {
       workspaces.emplace_back(view.num_nodes());
     }
-    // The snapshot is immutable, so all workers share it.
+    // The snapshot is immutable, so all workers share it. Each worker
+    // sums its queries' counter deltas into its own slot, and the
+    // calling thread is credited with the total, so a caller's diff
+    // counts every range query at any thread count.
+    std::vector<TraversalCounters> work(pool.size());
     pool.ParallelFor(n, [&](size_t p, uint32_t worker) {
+      const TraversalCounters before = LocalTraversalCounters();
       RangeQuery(view, graph, static_cast<PointId>(p), options.eps,
                  &workspaces[worker], &cache[p]);
+      work[worker] = work[worker] + (LocalTraversalCounters() - before);
     });
+    TraversalCounters& tc = LocalTraversalCounters();
+    for (const TraversalCounters& w : work) tc = tc + w;
   }
 
   std::optional<TraversalWorkspace> serial_ws;

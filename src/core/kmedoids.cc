@@ -105,12 +105,9 @@ class KMedoidsEngine {
 
   /// Equation (1): assigns every point to its nearest medoid via either
   /// endpoint of its edge or directly along the edge; returns the
-  /// evaluation function R. When `point_cost` is non-null it receives
-  /// each point's exact distance to its assigned medoid (0 for noise).
-  double AssignPoints(std::vector<int>* assignment,
-                      std::vector<double>* point_cost) {
+  /// evaluation function R.
+  double AssignPoints(std::vector<int>* assignment) {
     assignment->assign(view_.num_points(), kNoise);
-    if (point_cost != nullptr) point_cost->assign(view_.num_points(), 0.0);
     double cost = 0.0;
     reader_.ForEachGroup([&](NodeId u, NodeId v, double w,
                              const EdgePointSpan& pts) {
@@ -140,67 +137,10 @@ class KMedoidsEngine {
           }
         }
         (*assignment)[id] = best_med;
-        if (best_med != kNoise) {
-          cost += best;
-          if (point_cost != nullptr) (*point_cost)[id] = best;
-        }
+        if (best_med != kNoise) cost += best;
       }
     });
     return cost;
-  }
-
-  /// A sound lower bound on the evaluation function after replacing
-  /// medoid slot `med_idx` with `candidate`, assembled against the
-  /// committed assignment (`members[j]` lists slot j's points; noise
-  /// points are in no list) and its exact per-point costs:
-  ///  - a point of another slot keeps its medoid, so its new distance is
-  ///    exactly min(point_cost[p], d(p, candidate)); it contributes
-  ///    min(point_cost[p], LB(p, candidate));
-  ///  - a noise point reaches no current medoid; it may reach the
-  ///    candidate, but at a distance >= 0, so it contributes 0;
-  ///  - a point of slot `med_idx` loses its medoid: if some new medoid
-  ///    provably reaches it (finite upper bound) it contributes its
-  ///    smallest lower bound over the new medoid set, otherwise it may
-  ///    become noise, which AssignPoints charges nothing, so it
-  ///    contributes 0.
-  /// Returns early (with a value > `cut`) once the accumulated bound
-  /// proves the swap non-improving.
-  double SwapCostLowerBound(int med_idx, PointId candidate,
-                            const std::vector<std::vector<PointId>>& members,
-                            const std::vector<double>& point_cost,
-                            const LandmarkOracle& landmarks, double cut) {
-    std::vector<PointId> new_medoids = medoids_;
-    new_medoids[med_idx] = candidate;
-    const std::vector<PointId> target = {candidate};
-    double lb_sum = 0.0;
-    for (size_t j = 0; j < members.size(); ++j) {
-      const std::vector<PointId>& pts = members[j];
-      if (j == static_cast<size_t>(med_idx)) {
-        bound_lb_.assign(pts.size(), kInfDist);
-        landmarks.NearestTargetLowerBounds(pts, new_medoids, bound_lb_.data());
-        for (size_t t = 0; t < pts.size(); ++t) {
-          // A zero bound adds nothing; an infinite one proves every new
-          // medoid disconnected, so the point would become noise.
-          if (bound_lb_[t] == 0.0 || bound_lb_[t] == kInfDist) continue;
-          for (PointId m : new_medoids) {
-            if (landmarks.UpperBound(pts[t], m) < kInfDist) {
-              lb_sum += bound_lb_[t];
-              break;
-            }
-          }
-        }
-      } else {
-        // Capped at the current cost: min(point_cost[p], LB(p, candidate)).
-        bound_lb_.resize(pts.size());
-        for (size_t t = 0; t < pts.size(); ++t) {
-          bound_lb_[t] = point_cost[pts[t]];
-        }
-        landmarks.NearestTargetLowerBounds(pts, target, bound_lb_.data());
-        for (double v : bound_lb_) lb_sum += v;
-      }
-      if (lb_sum > cut) return lb_sum;
-    }
-    return lb_sum;
   }
 
   // Swap bookkeeping: snapshot before a tentative swap, restore on reject.
@@ -283,24 +223,13 @@ class KMedoidsEngine {
   std::vector<int> snap_med_;
   std::vector<double> snap_dist_;
   std::vector<PointId> snap_medoids_;
-  std::vector<double> bound_lb_;  // SwapCostLowerBound scratch
   EdgePointReader<Graph> reader_;
 };
-
-// Slot j's points, ascending, in (*members)[j]; noise points in none.
-void GroupBySlot(const std::vector<int>& assignment, uint32_t k,
-                 std::vector<std::vector<PointId>>* members) {
-  members->assign(k, {});
-  for (PointId p = 0; p < assignment.size(); ++p) {
-    if (assignment[p] != kNoise) (*members)[assignment[p]].push_back(p);
-  }
-}
 
 template <typename Graph>
 Result<KMedoidsResult> RunOnce(const NetworkView& view, const Graph& graph,
                                const KMedoidsOptions& options,
-                               std::vector<PointId> initial, Rng* rng,
-                               const LandmarkOracle* landmarks) {
+                               std::vector<PointId> initial, Rng* rng) {
   uint32_t k = static_cast<uint32_t>(initial.size());
   WallTimer total_timer;
   KMedoidsEngine<Graph> engine(view, graph);
@@ -309,22 +238,13 @@ Result<KMedoidsResult> RunOnce(const NetworkView& view, const Graph& graph,
   KMedoidsResult result;
   WallTimer timer;
   engine.MedoidDistFind();
-  // Per-point costs are kept (and swapped on commit together with the
-  // assignment) only when the swap bound reads them.
   std::vector<int> assignment;
-  std::vector<double> point_cost;
-  std::vector<double>* cost_out = landmarks != nullptr ? &point_cost : nullptr;
-  double cost = engine.AssignPoints(&assignment, cost_out);
-  std::vector<std::vector<PointId>> members;
-  if (landmarks != nullptr) GroupBySlot(assignment, k, &members);
+  double cost = engine.AssignPoints(&assignment);
   result.stats.first_iteration_seconds = timer.ElapsedSeconds();
 
   uint32_t unsuccessful = 0;
   double swap_seconds_sum = 0.0;
   std::vector<int> tentative;
-  std::vector<double> tentative_cost;
-  std::vector<double>* tentative_cost_out =
-      landmarks != nullptr ? &tentative_cost : nullptr;
   // With k == N every point is a medoid and no swap candidate exists.
   while (k < view.num_points() &&
          unsuccessful < options.max_unsuccessful_swaps &&
@@ -337,22 +257,6 @@ Result<KMedoidsResult> RunOnce(const NetworkView& view, const Graph& graph,
     } while (engine.IsMedoid(candidate));
 
     timer.Restart();
-    if (landmarks != nullptr) {
-      // Prune decisions must match the evaluated decision bit-for-bit:
-      // the evaluation rejects when new_cost >= cost, so only prune when
-      // the lower bound clears `cost` by more than the fp slack its own
-      // summation could have introduced.
-      double cut = cost + 1e-9 * std::max(1.0, cost);
-      double bound = engine.SwapCostLowerBound(med_idx, candidate, members,
-                                               point_cost, *landmarks, cut);
-      result.stats.bound_seconds += timer.ElapsedSeconds();
-      if (bound > cut) {
-        swap_seconds_sum += timer.ElapsedSeconds();
-        ++result.stats.pruned_swaps;
-        ++unsuccessful;
-        continue;
-      }
-    }
     engine.Snapshot();
     engine.ReplaceMedoid(med_idx, candidate);
     if (options.incremental_updates) {
@@ -360,14 +264,12 @@ Result<KMedoidsResult> RunOnce(const NetworkView& view, const Graph& graph,
     } else {
       engine.MedoidDistFind();
     }
-    double new_cost = engine.AssignPoints(&tentative, tentative_cost_out);
+    double new_cost = engine.AssignPoints(&tentative);
     swap_seconds_sum += timer.ElapsedSeconds();
 
     if (new_cost < cost) {
       cost = new_cost;
       assignment.swap(tentative);
-      point_cost.swap(tentative_cost);
-      if (landmarks != nullptr) GroupBySlot(assignment, k, &members);
       unsuccessful = 0;
       ++result.stats.committed_swaps;
     } else {
@@ -392,8 +294,7 @@ Result<KMedoidsResult> RunOnce(const NetworkView& view, const Graph& graph,
 template <TraversalGraph Graph>
 Result<KMedoidsResult> KMedoidsCluster(const NetworkView& view,
                                        const Graph& graph,
-                                       const KMedoidsOptions& options,
-                                       const LandmarkOracle* landmarks) {
+                                       const KMedoidsOptions& options) {
   const bool fixed_initial = !options.initial_medoids.empty();
   if (fixed_initial) {
     if (options.initial_medoids.size() > view.num_points()) {
@@ -424,12 +325,14 @@ Result<KMedoidsResult> KMedoidsCluster(const NetworkView& view,
   // run serially.
   std::vector<Result<KMedoidsResult>> runs(
       restarts, Status::Internal("restart did not run"));
+  std::vector<TraversalCounters> work(restarts);
   uint32_t threads =
       std::min<uint32_t>(ResolveNumThreads(options.num_threads), restarts);
   if constexpr (!std::is_same_v<Graph, FrozenGraph>) threads = 1;
   std::optional<ThreadPool> pool;
   if (threads > 1) pool.emplace(threads);
   ParallelFor(pool ? &*pool : nullptr, restarts, [&](size_t r, uint32_t) {
+    const TraversalCounters before = LocalTraversalCounters();
     Rng rng(Rng::DeriveSeed(options.seed, r));
     std::vector<PointId> initial;
     if (fixed_initial) {
@@ -439,25 +342,29 @@ Result<KMedoidsResult> KMedoidsCluster(const NetworkView& view,
           rng.SampleWithoutReplacement(view.num_points(), options.k);
       initial.assign(sample.begin(), sample.end());
     }
-    runs[r] = RunOnce(view, graph, options, std::move(initial), &rng,
-                      landmarks);
+    runs[r] = RunOnce(view, graph, options, std::move(initial), &rng);
+    work[r] = LocalTraversalCounters() - before;
   });
+  // Pool workers bumped their own thread-local counters; credit the
+  // calling thread with them, so a caller's diff counts every restart at
+  // any thread count (a serial run already counted them here).
+  if (pool) {
+    TraversalCounters& tc = LocalTraversalCounters();
+    for (const TraversalCounters& w : work) tc = tc + w;
+  }
 
   // Deterministic reduction: lowest cost wins, ties broken by lowest
   // restart index; total_seconds aggregates every restart's work.
   Result<KMedoidsResult> best = Status::Internal("no restart ran");
   double total_seconds = 0.0;
-  double bound_seconds = 0.0;
   for (uint32_t r = 0; r < restarts; ++r) {
     if (!runs[r].ok()) return runs[r];
     total_seconds += runs[r].value().stats.total_seconds;
-    bound_seconds += runs[r].value().stats.bound_seconds;
     if (!best.ok() || runs[r].value().cost < best.value().cost) {
       best = std::move(runs[r]);
     }
   }
   best.value().stats.total_seconds = total_seconds;
-  best.value().stats.bound_seconds = bound_seconds;
   return best;
 }
 
@@ -472,7 +379,7 @@ Result<KMedoidsResult> AssignToMedoids(const NetworkView& view,
   engine.SetMedoids(medoids);
   engine.MedoidDistFind();
   KMedoidsResult result;
-  result.cost = engine.AssignPoints(&result.clustering.assignment, nullptr);
+  result.cost = engine.AssignPoints(&result.clustering.assignment);
   result.medoids = medoids;
   result.clustering.num_clusters = static_cast<int>(medoids.size());
   return result;
@@ -480,12 +387,10 @@ Result<KMedoidsResult> AssignToMedoids(const NetworkView& view,
 
 template Result<KMedoidsResult> KMedoidsCluster(const NetworkView&,
                                                 const FrozenGraph&,
-                                                const KMedoidsOptions&,
-                                                const LandmarkOracle*);
+                                                const KMedoidsOptions&);
 template Result<KMedoidsResult> KMedoidsCluster(const NetworkView&,
                                                 const NetworkView&,
-                                                const KMedoidsOptions&,
-                                                const LandmarkOracle*);
+                                                const KMedoidsOptions&);
 template Result<KMedoidsResult> AssignToMedoids(const NetworkView&,
                                                 const FrozenGraph&,
                                                 const std::vector<PointId>&);

@@ -21,7 +21,6 @@
 #include "common/status.h"
 #include "core/clustering.h"
 #include "graph/network_view.h"
-#include "index/landmark_oracle.h"
 
 namespace netclus {
 
@@ -57,19 +56,13 @@ struct KMedoidsStats {
   /// Committed improving swaps (excluding the initial assignment).
   uint32_t committed_swaps = 0;
   uint32_t attempted_swaps = 0;
-  /// Attempted swaps rejected by the landmark cost lower bound before
-  /// any traversal ran (always 0 without landmarks). A pruned swap is
-  /// provably non-improving, so the search trajectory is identical to
-  /// the unpruned run.
+  /// Always 0: every attempted swap is evaluated. Inert, kept only
+  /// because perfbench reads it.
   uint32_t pruned_swaps = 0;
   /// Wall time of the initial full assignment ("first iteration").
   double first_iteration_seconds = 0.0;
   /// Mean wall time of one subsequent swap evaluation ("next ones").
   double avg_swap_seconds = 0.0;
-  /// Wall time spent assembling swap lower bounds (always 0 without
-  /// landmarks); included in avg_swap_seconds. Like total_seconds it
-  /// sums over every restart.
-  double bound_seconds = 0.0;
   double total_seconds = 0.0;
 };
 
@@ -91,26 +84,15 @@ struct KMedoidsResult {
 /// derived seeds; the winning run (lowest cost, ties broken by lowest
 /// restart index) is bit-identical to a serial execution. Over the view
 /// itself (possibly disk-backed, whose buffer is not thread-safe) they
-/// run serially.
-///
-/// `landmarks` is an optional landmark oracle (null = none). Before a
-/// tentative swap of medoid slot i for candidate c is evaluated, a sound
-/// lower bound on the post-swap cost is assembled against the exact
-/// current assignment: a point of another slot keeps its medoid, so it
-/// is charged min(its current cost, LB(p, c)); only slot i's points are
-/// bounded against all k new medoids; noise points are charged 0. Swaps
-/// whose bound already exceeds the current cost are rejected without
-/// running Inc_Medoid_Update or the assignment scan. Pruning never
-/// changes the result: the rng draws and the accept/reject sequence are
-/// identical with the landmarks on or off.
+/// run serially. Every attempted swap is evaluated: Inc_Medoid_Update
+/// (or Medoid_Dist_Find) plus the Equation (1) assignment scan.
 ///
 /// Callers normally go through RunClustering(view, MakeSpec(options))
-/// (netclus.h), which picks the graph and builds the landmark index.
+/// (netclus.h), which picks the graph.
 template <TraversalGraph Graph>
 Result<KMedoidsResult> KMedoidsCluster(const NetworkView& view,
                                        const Graph& graph,
-                                       const KMedoidsOptions& options,
-                                       const LandmarkOracle* landmarks);
+                                       const KMedoidsOptions& options);
 
 /// Evaluates R for an arbitrary medoid set (no search), assigning every
 /// point to its nearest medoid over `graph` (as above). Exposed for tests

@@ -592,91 +592,4 @@ Status ValidateFrozenGraph(const NetworkView& view,
   return view.status();
 }
 
-Status ValidateLandmarkOracle(const NetworkView& view,
-                              const LandmarkOracle& landmarks,
-                              const ValidateLimits& limits) {
-  const PointId n = view.num_points();
-
-  // Point-pair bounds against the exact point-to-point Dijkstra, on a
-  // deterministic sample (two partners per sampled point).
-  TraversalWorkspace ws(view.num_nodes());
-  std::vector<PointId> sampled;
-  if (n > 0) {
-    PointId stride =
-        n <= limits.exact_max_points ? 1 : SampleStride(n, limits);
-    for (PointId p = 0; p < n; p += stride) {
-      sampled.push_back(p);
-      for (PointId q : {static_cast<PointId>((p + n / 2 + 1) % n),
-                        static_cast<PointId>((p * 31 + 7) % n)}) {
-        double exact = PointNetworkDistance(view, view, p, q, &ws);
-        double lb = landmarks.LowerBound(p, q);
-        double ub = landmarks.UpperBound(p, q);
-        if (exact == kInfDist) {
-          if (ub != kInfDist) {
-            return Violation("index", "upper bound " + std::to_string(ub) +
-                                          " for disconnected pair (" +
-                                          std::to_string(p) + ", " +
-                                          std::to_string(q) + ")");
-          }
-        } else {
-          if (lb > exact + Tolerance(exact)) {
-            return Violation("index",
-                             "lower bound " + std::to_string(lb) +
-                                 " exceeds exact distance " +
-                                 std::to_string(exact) + " for pair (" +
-                                 std::to_string(p) + ", " +
-                                 std::to_string(q) + ")");
-          }
-          if (ub < exact - Tolerance(exact)) {
-            return Violation("index",
-                             "upper bound " + std::to_string(ub) +
-                                 " below exact distance " +
-                                 std::to_string(exact) + " for pair (" +
-                                 std::to_string(p) + ", " +
-                                 std::to_string(q) + ")");
-          }
-        }
-      }
-    }
-  }
-
-  // Batch nearest-target lower bounds must equal the per-pair minima
-  // they stand for (k-medoids prunes swaps on them), uncapped and capped
-  // at half the per-pair value.
-  if (!sampled.empty()) {
-    std::vector<PointId> targets;
-    for (size_t i = 0; i < sampled.size() && targets.size() < 3;
-         i += std::max<size_t>(1, sampled.size() / 3)) {
-      targets.push_back(sampled[i]);
-    }
-    std::vector<double> want(sampled.size(), kInfDist);
-    for (size_t j = 0; j < sampled.size(); ++j) {
-      for (PointId t : targets) {
-        want[j] = std::min(want[j], landmarks.LowerBound(sampled[j], t));
-      }
-    }
-    for (bool capped : {false, true}) {
-      // min(want, cap): the cap itself when capped, since cap <= want.
-      std::vector<double> expect(sampled.size());
-      for (size_t j = 0; j < sampled.size(); ++j) {
-        expect[j] = capped ? 0.5 * want[j] : want[j];
-      }
-      std::vector<double> got =
-          capped ? expect : std::vector<double>(sampled.size(), kInfDist);
-      landmarks.NearestTargetLowerBounds(sampled, targets, got.data());
-      for (size_t j = 0; j < sampled.size(); ++j) {
-        if (got[j] != expect[j]) {
-          return Violation("index",
-                           "batch nearest-target lower bound " +
-                               std::to_string(got[j]) + " != " +
-                               std::to_string(expect[j]) + " for point " +
-                               std::to_string(sampled[j]));
-        }
-      }
-    }
-  }
-
-  return Status::OK();
-}
-
 }  // namespace netclus

@@ -28,7 +28,6 @@
 #include "core/single_link.h"
 #include "graph/dijkstra.h"
 #include "graph/network_view.h"
-#include "index/landmark_oracle.h"
 
 namespace netclus {
 
@@ -104,17 +103,6 @@ Status ValidateWorkspace(const TraversalWorkspace& ws, NodeId num_nodes);
 /// -DNETCLUS_VALIDATE=ON builds re-prove the snapshot on every run that
 /// takes one.
 Status ValidateFrozenGraph(const NetworkView& view, const FrozenGraph& frozen);
-
-/// Landmark index consistency audit, against independent exact
-/// traversals:
-///  - On a deterministic sample of point pairs, LowerBound and
-///    UpperBound must sandwich the exact point-to-point Dijkstra
-///    distance.
-///  - NearestTargetLowerBounds must return exactly the per-pair
-///    LowerBound minima over its targets, capped by the seeded values.
-Status ValidateLandmarkOracle(const NetworkView& view,
-                              const LandmarkOracle& landmarks,
-                              const ValidateLimits& limits = {});
 
 }  // namespace netclus
 

@@ -41,12 +41,13 @@ struct DijkstraSource {
 ///
 /// Every expansion in the library (the primitives below, the range
 /// queries built on them, the k-medoids concurrent expansion, the ε-Link
-/// and Single-Link expansions, the index precomputes) bumps these, so
+/// and Single-Link expansions) bumps these, so
 /// benches can report settled-node and heap-op counts as first-class
 /// metrics next to wall time. Counters are thread-local: a caller
 /// snapshots LocalTraversalCounters() before and after a measured
-/// section and diffs; multi-threaded sections must sum per-worker
-/// snapshots themselves.
+/// section and diffs. The parallel phases of core/ (k-medoids restarts,
+/// DBSCAN's range precompute) add their workers' deltas to the calling
+/// thread's counters, so such a diff covers them too.
 struct TraversalCounters {
   uint64_t heap_pushes = 0;
   uint64_t heap_pops = 0;

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
-#include <optional>
 #include <type_traits>
 
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/validate.h"
 #include "graph/frozen_graph.h"
@@ -113,26 +110,12 @@ template <TraversalGraph Graph>
 Result<ClusterOutput> RunOnGraph(const NetworkView& view, const Graph& graph,
                                  const ClusterSpec& spec,
                                  const WallTimer& timer) {
-  // The optional landmark index is built up front over the same graph,
-  // and only for k-medoids — the one algorithm that reads it (its swap
-  // pruning). With `index.enable` unset, or any other algorithm, `index`
-  // stays null.
-  std::unique_ptr<DistanceIndex> index;
-  if (spec.index.enable && spec.algorithm == Algorithm::kKMedoids) {
-    uint32_t workers = ResolveNumThreads(spec.index.num_threads);
-    std::optional<ThreadPool> pool;
-    if (workers > 1 && spec.index.num_landmarks > 1) pool.emplace(workers);
-    NETCLUS_ASSIGN_OR_RETURN(
-        index, DistanceIndex::Build(view, graph, spec.index,
-                                    pool ? &*pool : nullptr));
-  }
   ClusterOutput out;
   out.algorithm = spec.algorithm;
   switch (spec.algorithm) {
     case Algorithm::kKMedoids: {
       Result<KMedoidsResult> r =
-          KMedoidsCluster(view, graph, spec.kmedoids,
-                          index != nullptr ? &index->landmarks() : nullptr);
+          KMedoidsCluster(view, graph, spec.kmedoids);
       if (!r.ok()) return r.status();
       out.clustering = std::move(r.value().clustering);
       out.medoids = std::move(r.value().medoids);
@@ -179,16 +162,10 @@ Result<ClusterOutput> RunOnGraph(const NetworkView& view, const Graph& graph,
       NETCLUS_RETURN_IF_ERROR(ValidateFrozenGraph(view, graph));
     }
     NETCLUS_RETURN_IF_ERROR(ValidateOutput(view, spec, out));
-    // Re-prove every class of bound the index served during the run
-    // against independent exact traversals.
-    if (index != nullptr) {
-      NETCLUS_RETURN_IF_ERROR(ValidateLandmarkOracle(view, index->landmarks()));
-    }
     // The validators' own traversals may also have tripped a storage
     // error the algorithm's region never touched.
     NETCLUS_RETURN_IF_ERROR(view.status());
   }
-  if (index != nullptr) out.index_stats = index->Stats();
   out.wall_seconds = timer.ElapsedSeconds();
   return out;
 }
@@ -201,13 +178,13 @@ Result<ClusterOutput> RunClustering(const NetworkView& view,
   // partial data; refuse up front.
   NETCLUS_RETURN_IF_ERROR(view.status());
   WallTimer timer;
-  // An in-memory view is frozen once per run: every traversal — index
-  // builds and the algorithms themselves — expands over the immutable
-  // CSR snapshot, shared read-only across the thread pool, instead of
-  // paying virtual dispatch per neighbor. Trajectories are bit-identical
-  // to the live-view path (ValidateFrozenGraph re-proves the snapshot
-  // under validate mode). Any other view is traversed directly, so a
-  // disk-backed run reads only the pages its algorithm asks for.
+  // An in-memory view is frozen once per run: every traversal of the
+  // algorithm expands over the immutable CSR snapshot, shared read-only
+  // across the thread pool, instead of paying virtual dispatch per
+  // neighbor. Trajectories are bit-identical to the live-view path
+  // (ValidateFrozenGraph re-proves the snapshot under validate mode). Any
+  // other view is traversed directly, so a disk-backed run reads only the
+  // pages its algorithm asks for.
   if (const InMemoryNetworkView* mem = view.AsInMemory()) {
     NETCLUS_ASSIGN_OR_RETURN(FrozenGraph frozen, mem->Freeze());
     return RunOnGraph(view, frozen, spec, timer);

@@ -10,8 +10,7 @@
 // one-algorithm spec. The per-algorithm engines (KMedoidsCluster,
 // EpsLinkCluster, DbscanCluster, SingleLinkCluster) each take the
 // traversal graph explicitly; RunClustering picks it — a FrozenGraph
-// snapshot of an in-memory view, or the view itself — and builds the
-// optional distance index over it.
+// snapshot of an in-memory view, or the view itself.
 #ifndef NETCLUS_NETCLUS_H_
 #define NETCLUS_NETCLUS_H_
 
@@ -74,13 +73,8 @@ struct ClusterSpec {
   /// flag.
   bool validate = false;
 
-  /// Network distance index (src/index/): landmark lower and upper
-  /// bounds. Off by default; when `index.enable` is set and the
-  /// spec is k-medoids, the index is built before the run and prunes
-  /// swaps. Other algorithms read no index and build none. Clustering
-  /// results are identical with the index on or off — it only skips
-  /// provably irrelevant work — and validate mode re-proves the served
-  /// bounds against exact traversals.
+  /// Inert: RunClustering reads no field of it and builds no index for
+  /// any spec. Kept only because perfbench sets it.
   IndexOptions index;
 };
 
@@ -98,7 +92,7 @@ struct ClusterOutput {
   double cost = 0.0;              ///< k-medoids: evaluation function R
   KMedoidsStats kmedoids_stats;   ///< k-medoids only
   SingleLinkStats single_link_stats;  ///< Single-Link only
-  IndexStats index_stats;  ///< k-medoids with spec.index.enable only
+  IndexStats index_stats;  ///< inert, always zero; kept only for perfbench
 
   /// Wall time of the whole run (including the flat cut).
   double wall_seconds = 0.0;
@@ -106,7 +100,7 @@ struct ClusterOutput {
 
 /// One-algorithm ClusterSpec from an options struct, for
 /// RunClustering(view, MakeSpec(opts)). Every other spec field keeps its
-/// default (no index, no validate).
+/// default (no validate).
 ClusterSpec MakeSpec(const KMedoidsOptions& options);
 ClusterSpec MakeSpec(const EpsLinkOptions& options);
 ClusterSpec MakeSpec(const DbscanOptions& options);

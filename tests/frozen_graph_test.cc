@@ -291,9 +291,9 @@ TEST_F(FrozenRunFixture, KMedoidsFrozenIdentical) {
   options.k = 5;
   options.seed = 72;
   Result<KMedoidsResult> live =
-      KMedoidsCluster(view(), view(), options, nullptr);
+      KMedoidsCluster(view(), view(), options);
   Result<KMedoidsResult> frozen =
-      KMedoidsCluster(view(), s_->frozen, options, nullptr);
+      KMedoidsCluster(view(), s_->frozen, options);
   ASSERT_TRUE(live.ok() && frozen.ok());
   EXPECT_EQ(frozen.value().clustering.assignment,
             live.value().clustering.assignment);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "common/random.h"
 #include "core/brute_force.h"
@@ -305,6 +306,66 @@ TEST(KMedoidsTest, StatsArePopulated) {
   std::set<PointId> distinct(r.value().medoids.begin(),
                              r.value().medoids.end());
   EXPECT_EQ(distinct.size(), 3u);
+}
+
+
+// Validated k-medoids from fixed initial medoids, two of them on one edge
+// (the same-edge branch of the Equation (1) scan) plus one elsewhere.
+TEST(KMedoidsTest, FixedInitialMedoidsSharingAnEdge) {
+  GeneratedNetwork g = GenerateRoadNetwork({90, 1.3, 0.3, 201});
+  PointSet ps = std::move(GenerateUniformPoints(g.net, 160, 202)).value();
+  InMemoryNetworkView view(g.net, ps);
+  std::vector<PointId> shared;
+  view.ForEachPointGroup([&](NodeId, NodeId, PointId first, uint32_t count) {
+    if (shared.empty() && count >= 2) shared = {first, first + 1};
+  });
+  ASSERT_EQ(shared.size(), 2u);
+  for (uint64_t seed : {10u, 11u, 12u}) {
+    KMedoidsOptions opts;
+    opts.initial_medoids = {shared[0], shared[1],
+                            (shared[0] + ps.size() / 2) % ps.size()};
+    opts.seed = seed;
+    ClusterSpec spec = MakeSpec(opts);
+    spec.validate = true;
+    Result<ClusterOutput> out = RunClustering(view, spec);
+    ASSERT_TRUE(out.ok()) << "seed " << seed << ": "
+                          << out.status().ToString();
+  }
+}
+
+// Validated k-medoids on a network of two components: the small
+// component's points become noise while every medoid sits in the large
+// one (they cost nothing, so the search tends to leave them there), and
+// swap candidates drawn from it reach no other medoid.
+TEST(KMedoidsTest, DisconnectedNetworkLeavesUnreachablePointsNoise) {
+  GeneratedNetwork a = GenerateRoadNetwork({70, 1.3, 0.3, 51});
+  GeneratedNetwork b = GenerateRoadNetwork({12, 1.3, 0.3, 52});
+  const NodeId na = a.net.num_nodes();
+  Network net(na + b.net.num_nodes());
+  for (const Edge& e : a.net.Edges()) {
+    ASSERT_TRUE(net.AddEdge(e.u, e.v, e.weight).ok());
+  }
+  for (const Edge& e : b.net.Edges()) {
+    ASSERT_TRUE(net.AddEdge(na + e.u, na + e.v, e.weight).ok());
+  }
+  ASSERT_FALSE(net.IsConnected());
+  PointSet ps = std::move(GenerateUniformPoints(net, 150, 53)).value();
+  InMemoryNetworkView view(net, ps);
+  bool noise = false;
+  for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    KMedoidsOptions opts;
+    opts.k = 3;
+    opts.seed = seed;
+    ClusterSpec spec = MakeSpec(opts);
+    spec.validate = true;
+    Result<ClusterOutput> out = RunClustering(view, spec);
+    ASSERT_TRUE(out.ok()) << "seed " << seed << ": "
+                          << out.status().ToString();
+    for (int c : out.value().clustering.assignment) {
+      noise = noise || c == kNoise;
+    }
+  }
+  EXPECT_TRUE(noise);
 }
 
 }  // namespace

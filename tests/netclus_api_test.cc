@@ -10,6 +10,7 @@
 #include "eval/evaluation.h"
 #include "gen/network_gen.h"
 #include "gen/workload_gen.h"
+#include "graph/dijkstra.h"
 #include "graph/network_store.h"
 #include "netclus.h"
 #include "storage/fault_injection.h"
@@ -79,21 +80,38 @@ TEST_F(NetclusApiFixture, MakeSpecSelectsAlgorithmAndCarriesOptions) {
   EXPECT_EQ(ss.single_link.delta, 0.2);
   EXPECT_EQ(ss.cut_distance, 0.9);
   EXPECT_EQ(ss.cut_min_size, 3u);
-  // The spec defaults stay untouched: no index, no validate.
-  EXPECT_FALSE(ss.index.enable);
+  // The spec defaults stay untouched: no validate.
   EXPECT_FALSE(ss.validate);
 }
 
-// Only k-medoids reads the distance index; for any other algorithm
-// `index.enable` builds nothing, so no landmark is reported.
-TEST_F(NetclusApiFixture, IndexIsBuiltOnlyForKMedoids) {
-  EpsLinkOptions eo;
-  eo.eps = 0.8;
-  ClusterSpec spec = MakeSpec(eo);
-  spec.index.enable = true;
-  Result<ClusterOutput> out = RunClustering(*view_, spec);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_EQ(out.value().index_stats.num_landmarks, 0u);
+// A parallel run's traversals happen on pool workers; RunClustering
+// credits them to the calling thread, so a caller diffing its own
+// counters around the run sees the same settles and heap pops at any
+// thread count (8 k-medoids restarts, DBSCAN's range precompute).
+TEST_F(NetclusApiFixture, ParallelRunsCountWorkerTraversals) {
+  KMedoidsOptions ko;
+  ko.k = 4;
+  ko.seed = 134;
+  ko.num_restarts = 8;
+  DbscanOptions dbo;
+  dbo.eps = 0.8;
+  dbo.min_pts = 2;
+  for (ClusterSpec spec : {MakeSpec(ko), MakeSpec(dbo)}) {
+    TraversalCounters work[2];
+    const uint32_t threads[2] = {1, 4};
+    for (int i = 0; i < 2; ++i) {
+      spec.kmedoids.num_threads = threads[i];
+      spec.dbscan.num_threads = threads[i];
+      const TraversalCounters before = LocalTraversalCounters();
+      Result<ClusterOutput> out = RunClustering(*view_, spec);
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      work[i] = LocalTraversalCounters() - before;
+    }
+    SCOPED_TRACE(AlgorithmName(spec.algorithm));
+    EXPECT_GT(work[0].settled_nodes, 0u);
+    EXPECT_EQ(work[1].settled_nodes, work[0].settled_nodes);
+    EXPECT_EQ(work[1].heap_pops, work[0].heap_pops);
+  }
 }
 
 TEST_F(NetclusApiFixture, SingleLinkCutAtExplicitDistance) {
