@@ -465,7 +465,7 @@ int RunServe(int argc, char** argv, const Network& net,
               stats.mean_publish_full_ms,
               static_cast<unsigned long long>(stats.publishes_incremental),
               stats.mean_publish_incremental_ms,
-              stats.mean_publish_points_ms, stats.mean_publish_splice_ms,
+              stats.mean_publish_points_ms, stats.mean_publish_csr_ms,
               static_cast<unsigned long long>(stats.reclusters_full),
               static_cast<unsigned long long>(stats.reclusters_incremental),
               stats.mean_recluster_ms);

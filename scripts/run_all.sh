@@ -40,9 +40,10 @@
 # contrast (FrozenGraph snapshot vs live view: identical counters,
 # >= 1.3x speedup) and the server_throughput harness (queries/sec at
 # 1/4/8 workers + p99 queue wait, with a hardware-aware 1->4 worker
-# scaling gate, and incremental/full publish-latency ratios gated below
-# 0.9 for the CSR splice, below 0.5 with ε-Link re-clustering and below
-# 0.5 for point-only publishes) and the paper driver (bench/paper: every
+# scaling gate, an ungated edge-per-publish record, incremental/full
+# publish-latency ratios gated below 0.5 with ε-Link re-clustering and
+# below 0.5 for point-only publishes, and every point-only publish
+# sharing its predecessor's CSR adjacency) and the paper driver (bench/paper: every
 # paper table/figure and ablation, each shape gated on settled nodes,
 # page reads or partitions; it prints FAIL and exits 1 when a gated shape
 # breaks), leaving machine-readable BENCH_*.json files at the repository
@@ -256,10 +257,11 @@ if [ "${1:-}" = "bench-smoke" ]; then
   # counters match exactly and the snapshot path is >= 1.3x faster.
   ./build/bench/frozen_traversal 2>&1 | tee -a bench_smoke_output.txt
   # Query-server throughput at 1/4/8 workers with the hardware-aware
-  # 1->4 scaling gate, plus the publish-latency contrasts (incremental
-  # splice vs full rebuild on a sparse-mutation workload; incremental
-  # vs full ε-Link re-cluster with about one point per node; PointSet
-  # merge vs full build with one AddPoint per publish).
+  # 1->4 scaling gate, plus the publish-latency contrasts (one AddEdge
+  # per publish, an ungated record: both builds rebuild the adjacency;
+  # incremental vs full ε-Link re-cluster with about one point per
+  # node; PointSet merge over a shared adjacency vs full build with one
+  # AddPoint per publish).
   ./build/bench/server_throughput 2>&1 | tee -a bench_smoke_output.txt
   # Every paper table/figure and ablation from one table, each shape
   # gated on hardware-independent counts (settles, page reads,
@@ -268,11 +270,12 @@ if [ "${1:-}" = "bench-smoke" ]; then
   # Plain sh has no pipefail, so the tee above swallows the harnesses'
   # exit codes — re-assert their gates from the captured output: all
   # three publish-latency rows and the paper driver's summary must be
-  # present and no harness printed FAIL.
+  # present, every point-only build must have shared its predecessor's
+  # adjacency (n/n), and no harness printed FAIL.
   grep -q 'publish latency: full .* (ratio' bench_smoke_output.txt
   grep -q 'publish latency with re-cluster: full .* (ratio' \
     bench_smoke_output.txt
-  grep -q 'publish latency, points only: full .* (ratio' \
+  grep -q 'publish latency, points only: full .* (ratio .*adjacency shared \([0-9]*\)/\1$' \
     bench_smoke_output.txt
   grep -q '^paper summary: .* 0 failed' bench_smoke_output.txt
   if grep -q 'FAIL' bench_smoke_output.txt; then

@@ -1,16 +1,17 @@
 #include "graph/frozen_graph.h"
 
 #include <cstring>
+#include <memory>
 
 #include "graph/network.h"
 
 namespace netclus {
 
 size_t FrozenGraph::SlotOf(NodeId a, NodeId b) const {
-  const uint32_t first = offsets_[a];
-  const uint32_t last = offsets_[a + 1];
+  const uint32_t first = adj_->offsets[a];
+  const uint32_t last = adj_->offsets[a + 1];
   for (uint32_t i = first; i < last; ++i) {
-    if (neighbors_[i] == b) return i;
+    if (adj_->neighbors[i] == b) return i;
   }
   return SIZE_MAX;
 }
@@ -21,7 +22,7 @@ double FrozenGraph::EdgeWeight(NodeId a, NodeId b) const {
   // same weight.
   if (degree(b) < degree(a)) std::swap(a, b);
   size_t slot = SlotOf(a, b);
-  return slot == SIZE_MAX ? -1.0 : weights_[slot];
+  return slot == SIZE_MAX ? -1.0 : adj_->weights[slot];
 }
 
 std::pair<PointId, uint32_t> FrozenGraph::EdgePointRange(NodeId a,
@@ -52,7 +53,7 @@ size_t FrozenGraph::SetEdgePoints(NodeId u, NodeId v, PointId first,
 }
 
 void FrozenGraph::AttachPoints(const PointSet& points) {
-  const size_t half_edges = neighbors_.size();
+  const size_t half_edges = num_half_edges();
   pt_first_.assign(half_edges, kInvalidPointId);
   pt_count_.assign(half_edges, 0);
   // Offsets and the group table copied straight from the PointSet; each
@@ -67,97 +68,41 @@ void FrozenGraph::AttachPoints(const PointSet& points) {
     const PointSet::Group& pg = points.group(i);
     size_t su = SetEdgePoints(pg.u, pg.v, pg.first, pg.count);
     groups_[i] = PointGroup{pg.u, pg.v, pg.first, pg.count,
-                            su == SIZE_MAX ? -1.0 : weights_[su]};
+                            su == SIZE_MAX ? -1.0 : adj_->weights[su]};
   }
 }
 
 FrozenGraph FrozenGraph::Materialize(const InMemoryNetworkView& view) {
   const Network& net = view.network();
   const NodeId n = net.num_nodes();
-  FrozenGraph g;
-  g.offsets_.assign(static_cast<size_t>(n) + 1, 0);
+  auto adj = std::make_shared<Adjacency>();
+  adj->offsets.assign(static_cast<size_t>(n) + 1, 0);
   for (NodeId i = 0; i < n; ++i) {
-    g.offsets_[i + 1] =
-        g.offsets_[i] + static_cast<uint32_t>(net.neighbors(i).size());
+    adj->offsets[i + 1] =
+        adj->offsets[i] + static_cast<uint32_t>(net.neighbors(i).size());
   }
-  g.neighbors_.resize(g.offsets_[n]);
-  g.weights_.resize(g.offsets_[n]);
+  adj->neighbors.resize(adj->offsets[n]);
+  adj->weights.resize(adj->offsets[n]);
   // Each row in the network's iteration order — the order that keeps
   // frozen traversals bit-identical to live ones.
   for (NodeId i = 0; i < n; ++i) {
-    uint32_t slot = g.offsets_[i];
+    uint32_t slot = adj->offsets[i];
     for (const auto& [m, w] : net.neighbors(i)) {
-      g.neighbors_[slot] = m;
-      g.weights_[slot] = w;
+      adj->neighbors[slot] = m;
+      adj->weights[slot] = w;
       ++slot;
     }
   }
+  FrozenGraph g;
+  g.adj_ = std::move(adj);
   g.AttachPoints(view.points());
   return g;
 }
 
-FrozenGraph FrozenGraph::MaterializeIncremental(
-    const InMemoryNetworkView& view, const FrozenGraph& prev,
-    const std::vector<char>& dirty) {
-  const Network& net = view.network();
-  const NodeId n = net.num_nodes();
-  if (prev.num_nodes() != n || dirty.size() != static_cast<size_t>(n)) {
-    // Nothing safe to splice from: the node space itself moved (or the
-    // dirty set does not describe it). Full rebuild.
-    return Materialize(view);
-  }
+FrozenGraph FrozenGraph::WithPoints(const PointSet& points) const {
   FrozenGraph g;
-  g.offsets_.assign(static_cast<size_t>(n) + 1, 0);
-
-  // Pass 1: degrees. A clean row's degree is already known from prev;
-  // only dirty rows read the network.
-  for (NodeId i = 0; i < n; ++i) {
-    const uint32_t deg =
-        dirty[i] != 0 ? static_cast<uint32_t>(net.neighbors(i).size())
-                      : prev.degree(i);
-    g.offsets_[i + 1] = g.offsets_[i] + deg;
-  }
-
-  const size_t half_edges = g.offsets_[n];
-  g.neighbors_.resize(half_edges);
-  g.weights_.resize(half_edges);
-
-  // Pass 2: each maximal run of clean rows splices its (neighbor,
-  // weight) spans verbatim out of the retiring snapshot with one
-  // memcpy per array (one in all when no row is dirty) — unchanged
-  // rows keep their iteration order in the view and sit contiguously
-  // in both snapshots, so the bytes are identical to what a full
-  // Materialize would produce. Dirty rows refill from the network.
-  for (NodeId i = 0; i < n;) {
-    if (dirty[i] == 0) {
-      NodeId run_end = i + 1;
-      while (run_end < n && dirty[run_end] == 0) ++run_end;
-      const uint32_t slot = g.offsets_[i];
-      const uint32_t prev_first = prev.offsets_[i];
-      const size_t count = prev.offsets_[run_end] - prev_first;
-      if (count > 0) {
-        std::memcpy(g.neighbors_.data() + slot,
-                    prev.neighbors_.data() + prev_first,
-                    count * sizeof(NodeId));
-        std::memcpy(g.weights_.data() + slot,
-                    prev.weights_.data() + prev_first,
-                    count * sizeof(double));
-      }
-      i = run_end;
-      continue;
-    }
-    uint32_t slot = g.offsets_[i];
-    for (const auto& [m, w] : net.neighbors(i)) {
-      g.neighbors_[slot] = m;
-      g.weights_[slot] = w;
-      ++slot;
-    }
-    ++i;
-  }
-
-  // Point ranges and the point layer always rebuild: every publish
-  // renumbers dense point ids, so no prior epoch's ranges can be reused.
-  g.AttachPoints(view.points());
+  g.adj_ = adj_;
+  g.AttachPoints(points);
   return g;
 }
 
@@ -186,11 +131,16 @@ bool SamePointGroups(const std::vector<FrozenGraph::PointGroup>& a,
 
 bool FrozenGraph::BitIdenticalTo(const FrozenGraph& other) const {
   // Weights compare by bit pattern (memcmp), not operator== — the whole
-  // point is that the spliced arrays are byte-for-byte the full
-  // rebuild's arrays.
-  return offsets_ == other.offsets_ && neighbors_ == other.neighbors_ &&
-         SameBits(weights_, other.weights_) &&
-         pt_first_ == other.pt_first_ && pt_count_ == other.pt_count_ &&
+  // point is that a shared adjacency is byte-for-byte the one a full
+  // rebuild would produce.
+  const bool same_adjacency =
+      adj_ == other.adj_ ||
+      (adj_ != nullptr && other.adj_ != nullptr &&
+       adj_->offsets == other.adj_->offsets &&
+       adj_->neighbors == other.adj_->neighbors &&
+       SameBits(adj_->weights, other.adj_->weights));
+  return same_adjacency && pt_first_ == other.pt_first_ &&
+         pt_count_ == other.pt_count_ &&
          SameBits(pt_offset_, other.pt_offset_) &&
          SamePointGroups(groups_, other.groups_);
 }

@@ -9,9 +9,9 @@
 // adjacency; FrozenGraph replaces it with a contiguous pointer walk
 // the compiler can inline. The snapshot stores, per half-edge slot:
 //
-//   offsets_[n] .. offsets_[n+1]   slots of node n's neighbors
-//   neighbors_[i]                  the neighbor id
-//   weights_[i]                    the edge weight
+//   offsets[n] .. offsets[n+1]     slots of node n's neighbors
+//   neighbors[i]                   the neighbor id
+//   weights[i]                     the edge weight
 //   pt_first_[i], pt_count_[i]     points on that edge (id range), or
 //                                  (kInvalidPointId, 0) when none
 //
@@ -22,6 +22,10 @@
 //   groups_[g]                     (u, v, first, count, weight) of the
 //                                  g-th point-bearing edge, in PointSet
 //                                  group order
+//
+// The first three arrays form one immutable adjacency block behind a
+// shared_ptr: a snapshot of the same network with other points on it
+// (WithPoints) shares the block instead of copying it.
 //
 // The traversal algorithms read edge points from the layer in place
 // (graph/edge_points.h). Only an InMemoryNetworkView is ever frozen: a
@@ -38,6 +42,7 @@
 #define NETCLUS_GRAPH_FROZEN_GRAPH_H_
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -57,23 +62,29 @@ class FrozenGraph {
   FrozenGraph() = default;
 
   NodeId num_nodes() const {
-    return offsets_.empty() ? 0 : static_cast<NodeId>(offsets_.size() - 1);
+    return adj_ == nullptr ? 0
+                           : static_cast<NodeId>(adj_->offsets.size() - 1);
   }
 
   /// Number of half-edges (2x the undirected edge count).
-  size_t num_half_edges() const { return neighbors_.size(); }
+  size_t num_half_edges() const {
+    return adj_ == nullptr ? 0 : adj_->neighbors.size();
+  }
 
-  uint32_t degree(NodeId n) const { return offsets_[n + 1] - offsets_[n]; }
+  uint32_t degree(NodeId n) const {
+    return adj_->offsets[n + 1] - adj_->offsets[n];
+  }
 
   /// Invokes `fn(neighbor, weight)` for every edge incident to `n`, in
   /// the source view's iteration order. This is the de-virtualized hot
   /// loop: a plain pointer walk over two parallel arrays.
   template <typename Fn>
   void ForEachNeighbor(NodeId n, Fn&& fn) const {
-    const uint32_t first = offsets_[n];
-    const uint32_t last = offsets_[n + 1];
-    const NodeId* nb = neighbors_.data();
-    const double* w = weights_.data();
+    const Adjacency& a = *adj_;
+    const uint32_t first = a.offsets[n];
+    const uint32_t last = a.offsets[n + 1];
+    const NodeId* nb = a.neighbors.data();
+    const double* w = a.weights.data();
     for (uint32_t i = first; i < last; ++i) fn(nb[i], w[i]);
   }
 
@@ -101,7 +112,7 @@ class FrozenGraph {
   /// True when the snapshot carries the point ranges and the point
   /// layer: every materialized snapshot does, only a default-constructed
   /// one does not.
-  bool has_point_layer() const { return !offsets_.empty(); }
+  bool has_point_layer() const { return adj_ != nullptr; }
   /// Offset of every point from its edge's smaller-id endpoint, indexed
   /// by point id; ascending within each edge.
   const std::vector<double>& point_offsets() const { return pt_offset_; }
@@ -119,32 +130,32 @@ class FrozenGraph {
   /// fail.
   static FrozenGraph Materialize(const InMemoryNetworkView& view);
 
-  /// Incremental rebuild: produces the same snapshot Materialize(view)
-  /// would, but copies the CSR rows of nodes NOT flagged in `dirty`
-  /// straight out of `prev` (the retiring epoch's snapshot) instead of
-  /// re-reading the network — one memcpy per array for each maximal run
-  /// of clean rows, so the whole arrays when no row is flagged. Callers
-  /// flag exactly the nodes whose adjacency changed since `prev` was
-  /// built; a clean row's neighbor order must be unchanged in the view
-  /// (Network::AddEdge appends, so rows it does not touch keep their
-  /// order). Point ranges and the point layer are always rebuilt —
-  /// dense point ids shift on every publish. Falls back to a full
-  /// Materialize when the node count changed or `dirty` is malformed.
-  static FrozenGraph MaterializeIncremental(const InMemoryNetworkView& view,
-                                            const FrozenGraph& prev,
-                                            const std::vector<char>& dirty);
+  /// The snapshot of `points` over this materialized snapshot's
+  /// adjacency, which it shares instead of copying: what Materialize
+  /// returns for a view whose network still has exactly this adjacency,
+  /// row order included (no edge added since). Point ranges and the
+  /// point layer are rebuilt — dense point ids shift on every publish.
+  FrozenGraph WithPoints(const PointSet& points) const;
+
+  /// True when both snapshots hold the very same adjacency block.
+  bool SharesAdjacencyWith(const FrozenGraph& other) const {
+    return adj_ == other.adj_;
+  }
 
   /// True when every array (offsets, neighbors, weight bit patterns,
   /// point ranges, the point layer's offsets and group table) matches
-  /// exactly — the NETCLUS_VALIDATE oracle that an incremental rebuild
-  /// spliced correctly.
+  /// exactly — the NETCLUS_VALIDATE oracle that a shared adjacency is
+  /// still the network's.
   bool BitIdenticalTo(const FrozenGraph& other) const;
 
-  /// Test-only: overwrites half-edge slot `i` so validator-rejection
-  /// paths can be exercised. Never call outside tests.
+  /// Test-only: overwrites half-edge slot `i` of a private copy of the
+  /// adjacency so validator-rejection paths can be exercised. Never call
+  /// outside tests.
   void CorruptHalfEdgeForTest(size_t i, NodeId neighbor, double weight) {
-    neighbors_[i] = neighbor;
-    weights_[i] = weight;
+    auto copy = std::make_shared<Adjacency>(*adj_);
+    copy->neighbors[i] = neighbor;
+    copy->weights[i] = weight;
+    adj_ = std::move(copy);
   }
 
   /// Test-only: overwrites point `p`'s offset in the point layer.
@@ -164,9 +175,16 @@ class FrozenGraph {
   // Point ranges for every group of `points`, plus the point layer.
   void AttachPoints(const PointSet& points);
 
-  std::vector<uint32_t> offsets_;   // |V| + 1
-  std::vector<NodeId> neighbors_;   // 2|E|
-  std::vector<double> weights_;     // 2|E|
+  // The CSR rows. Immutable once built, so the snapshots of epochs that
+  // added no edge share one block; null only in a default-constructed
+  // snapshot.
+  struct Adjacency {
+    std::vector<uint32_t> offsets;  // |V| + 1
+    std::vector<NodeId> neighbors;  // 2|E|
+    std::vector<double> weights;    // 2|E|
+  };
+
+  std::shared_ptr<const Adjacency> adj_;
   std::vector<PointId> pt_first_;   // 2|E|, kInvalidPointId when no points
   std::vector<uint32_t> pt_count_;  // 2|E|
   std::vector<double> pt_offset_;   // N

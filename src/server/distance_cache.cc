@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/check.h"
+
 namespace netclus {
 
 namespace {
@@ -36,8 +38,9 @@ DistanceCache::DistanceCache(size_t capacity, uint32_t num_shards)
     : capacity_(capacity),
       shard_mask_(RoundUpPow2(num_shards) - 1),
       shards_(RoundUpPow2(num_shards)) {
-  per_shard_capacity_ = capacity_ / shards_.size();
-  if (capacity_ > 0 && per_shard_capacity_ == 0) per_shard_capacity_ = 1;
+  NETCLUS_CHECK(capacity_ > 0)
+      << "a DistanceCache needs a positive capacity";
+  per_shard_capacity_ = std::max<size_t>(capacity_ / shards_.size(), 1);
 }
 
 DistanceCache::Shard& DistanceCache::ShardFor(const PairKey& key) const {
@@ -45,7 +48,6 @@ DistanceCache::Shard& DistanceCache::ShardFor(const PairKey& key) const {
 }
 
 bool DistanceCache::Lookup(uint64_t a, uint64_t b, double* out) const {
-  if (capacity_ == 0) return false;
   PairKey key = KeyOf(a, b);
   Shard& shard = ShardFor(key);
   MutexLock lock(&shard.mu);
@@ -62,7 +64,6 @@ bool DistanceCache::Lookup(uint64_t a, uint64_t b, double* out) const {
 }
 
 void DistanceCache::Store(uint64_t a, uint64_t b, double dist) const {
-  if (capacity_ == 0) return;
   PairKey key = KeyOf(a, b);
   Shard& shard = ShardFor(key);
   MutexLock lock(&shard.mu);

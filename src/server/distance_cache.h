@@ -40,8 +40,8 @@ class DistanceCache {
     uint64_t evictions = 0;
   };
 
-  /// `capacity` is the total entry budget across all shards (0 disables
-  /// the cache: every Lookup misses, every Store is dropped).
+  /// `capacity` is the total entry budget across all shards and must be
+  /// positive: "no cache" is a null cache pointer, not an empty cache.
   /// `num_shards` is rounded up to a power of two.
   explicit DistanceCache(size_t capacity, uint32_t num_shards = 16);
 

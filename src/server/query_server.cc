@@ -232,7 +232,7 @@ Status QueryServer::PublishWorld() {
     publish_full_ms_.Add(publish_ms);
   }
   publish_points_ms_.Add(epoch.points_ms);
-  publish_splice_ms_.Add(epoch.splice_ms);
+  publish_csr_ms_.Add(epoch.csr_ms);
   if (options_.cluster_spec.has_value()) {
     ++(epoch.recluster_incremental ? reclusters_incremental_
                                    : reclusters_full_);
@@ -692,7 +692,7 @@ ServerStats QueryServer::stats() const {
     s.mean_publish_full_ms = publish_full_ms_.mean();
     s.mean_publish_incremental_ms = publish_incremental_ms_.mean();
     s.mean_publish_points_ms = publish_points_ms_.mean();
-    s.mean_publish_splice_ms = publish_splice_ms_.mean();
+    s.mean_publish_csr_ms = publish_csr_ms_.mean();
     s.mean_recluster_ms = recluster_ms_.mean();
     s.mean_queue_wait_ms = queue_wait_ms_.mean();
     s.max_queue_wait_ms = queue_wait_ms_.max();

@@ -26,7 +26,8 @@
 //                   a cluster_spec is configured) and publish it. After
 //                   the boot epoch every build is incremental: new
 //                   points merge into the last build's PointSet,
-//                   untouched CSR rows are spliced from its graph, and
+//                   its CSR adjacency is shared until an edge is
+//                   added (and rebuilt by the build after one), and
 //                   an ε-Link spec's components merge only where the
 //                   new mutations link them; the ObjectId-keyed
 //                   DistanceCache is carried forward across publishes
@@ -130,7 +131,7 @@ struct QueryServerOptions {
   size_t cache_capacity = 1 << 16;
   /// Replay every served batch through the direct inline path and fail
   /// the batch kInternal on any payload divergence; also check every
-  /// incremental publish (PointSet merge, CSR splice, ε-Link
+  /// incremental publish (PointSet merge, shared CSR, ε-Link
   /// re-cluster) against a full rebuild and fail the publish on
   /// divergence. Forced on by -DNETCLUS_VALIDATE=ON builds.
   bool validate_replay = false;
@@ -195,7 +196,9 @@ struct ServerStats {
   uint64_t wal_recoveries = 0;  ///< records replayed from the WAL at Start
   uint64_t publish_failures = 0;  ///< failed publish rounds since Start
   uint64_t publishes_full = 0;  ///< epochs built by full materialization
-  uint64_t publishes_incremental = 0;  ///< epochs built by CSR row splice
+  /// Epochs built onto the previous one: PointSet merged, CSR shared
+  /// or (after an AddEdge) rebuilt.
+  uint64_t publishes_incremental = 0;
   uint64_t reclusters_full = 0;  ///< epochs clustered by RunClustering
   /// Epochs whose ε-Link clustering merged only the new links.
   uint64_t reclusters_incremental = 0;
@@ -217,10 +220,10 @@ struct ServerStats {
   /// Mean wall time of a publish's PointSet stage (build or merge, plus
   /// the epoch's identity map), full and incremental together.
   double mean_publish_points_ms = 0.0;
-  /// Mean wall time of a publish's CSR stage (row splice or full
-  /// freeze), full and incremental together. Both stage means include
-  /// the stage's oracle when validation is on.
-  double mean_publish_splice_ms = 0.0;
+  /// Mean wall time of a publish's CSR stage (point ranges over a
+  /// shared adjacency, or a full freeze), full and incremental together.
+  /// Both stage means include the stage's oracle when validation is on.
+  double mean_publish_csr_ms = 0.0;
   /// Mean wall time of one re-cluster, full and incremental together.
   double mean_recluster_ms = 0.0;
 };
@@ -439,7 +442,7 @@ class QueryServer {
   RunningStats publish_full_ms_ NETCLUS_GUARDED_BY(stats_mu_);
   RunningStats publish_incremental_ms_ NETCLUS_GUARDED_BY(stats_mu_);
   RunningStats publish_points_ms_ NETCLUS_GUARDED_BY(stats_mu_);
-  RunningStats publish_splice_ms_ NETCLUS_GUARDED_BY(stats_mu_);
+  RunningStats publish_csr_ms_ NETCLUS_GUARDED_BY(stats_mu_);
   uint64_t reclusters_full_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
   uint64_t reclusters_incremental_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
   RunningStats recluster_ms_ NETCLUS_GUARDED_BY(stats_mu_);

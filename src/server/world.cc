@@ -134,7 +134,8 @@ Result<PointSet> World::BuildPoints(
 }
 
 Result<World::Epoch> World::BuildPointsAndGraph(
-    bool incremental, std::vector<PointId>* record_to_final) const {
+    bool incremental, const FrozenGraph* adjacency_base,
+    std::vector<PointId>* record_to_final) const {
   WallTimer timer;
   Epoch epoch;
   epoch.incremental = incremental;
@@ -152,42 +153,45 @@ Result<World::Epoch> World::BuildPointsAndGraph(
 
   timer.Restart();
   InMemoryNetworkView view(net_, *epoch.points);
-  FrozenGraph fg;
-  if (incremental) {
-    // Only the rows of nodes an AddEdge touched are re-materialized;
-    // every other CSR row is copied verbatim from the base.
-    std::vector<char> dirty(net_.num_nodes(), 0);
-    for (const NetworkUpdate& upd : unpublished_) {
-      if (upd.kind != NetworkUpdate::Kind::kAddEdge) continue;
-      dirty[upd.u] = 1;
-      dirty[upd.v] = 1;
-    }
-    fg = FrozenGraph::MaterializeIncremental(view, *base_graph_, dirty);
-    NETCLUS_RETURN_IF_ERROR(view.status());
-    if (options_.validate) {
-      // The oracle: a from-scratch rebuild must be byte-for-byte the
-      // spliced one. A divergence fails the Build, so queries keep
-      // serving the last good epoch, never a mis-spliced one.
-      FrozenGraph full = FrozenGraph::Materialize(view);
-      NETCLUS_RETURN_IF_ERROR(view.status());
-      if (!fg.BitIdenticalTo(full)) {
-        return Status::Internal(
-            "incremental publish diverged from full rebuild");
-      }
-    }
+  if (adjacency_base == nullptr) {
+    epoch.graph =
+        std::make_shared<const FrozenGraph>(FrozenGraph::Materialize(view));
   } else {
-    NETCLUS_ASSIGN_OR_RETURN(fg, view.Freeze());
+    // No edge since `adjacency_base` was built, so its rows are still
+    // the network's: share them and rebuild only the point ranges.
+    FrozenGraph fg = adjacency_base->WithPoints(*epoch.points);
+    if (options_.validate &&
+        !fg.BitIdenticalTo(FrozenGraph::Materialize(view))) {
+      // The oracle: a from-scratch rebuild must be byte-for-byte the
+      // shared one. A divergence fails the Build, so queries keep
+      // serving the last good epoch, never a stale adjacency.
+      return Status::Internal(
+          "incremental publish diverged from full rebuild");
+    }
+    epoch.graph = std::make_shared<const FrozenGraph>(std::move(fg));
   }
-  epoch.graph = std::make_shared<const FrozenGraph>(std::move(fg));
-  epoch.splice_ms = timer.ElapsedMillis();
+  epoch.csr_ms = timer.ElapsedMillis();
   return epoch;
 }
 
 Result<World::Epoch> World::Build() {
   const bool incremental = base_graph_ != nullptr;
+  // The metric (edge set + weights) changes only with an AddEdge. While
+  // it holds, the base's adjacency and distance cache stay exact and
+  // ride along into the new epoch; an edge (or the first build)
+  // replaces both.
+  const bool metric_changed =
+      !incremental ||
+      std::any_of(unpublished_.begin(), unpublished_.end(),
+                  [](const NetworkUpdate& u) {
+                    return u.kind == NetworkUpdate::Kind::kAddEdge;
+                  });
   std::vector<PointId> record_to_final;
   NETCLUS_ASSIGN_OR_RETURN(
-      Epoch epoch, BuildPointsAndGraph(incremental, &record_to_final));
+      Epoch epoch,
+      BuildPointsAndGraph(incremental,
+                          metric_changed ? nullptr : base_graph_.get(),
+                          &record_to_final));
   if (options_.cluster_spec.has_value()) {
     WallTimer timer;
     InMemoryNetworkView view(net_, *epoch.points);
@@ -199,18 +203,10 @@ Result<World::Epoch> World::Build() {
     epoch.recluster_ms = timer.ElapsedMillis();
   }
 
-  // Distance cache carry-over: the cache keys on ObjectId pairs, so its
-  // entries stay correct for as long as the metric (edge set + weights)
-  // is unchanged. A point-only batch hands the SAME cache to the next
-  // epoch — warm entries survive republication — while any edge
-  // mutation (or the first build) replaces it, so no epoch can ever
-  // read a distance its adjacency does not produce.
-  const bool metric_changed =
-      !incremental ||
-      std::any_of(unpublished_.begin(), unpublished_.end(),
-                  [](const NetworkUpdate& u) {
-                    return u.kind == NetworkUpdate::Kind::kAddEdge;
-                  });
+  // The cache keys on ObjectId pairs, so a point-only batch hands the
+  // SAME cache to the next epoch — warm entries survive republication —
+  // and no epoch can ever read a distance its adjacency does not
+  // produce.
   if (options_.cache_capacity > 0 && metric_changed) {
     live_cache_ =
         std::make_shared<const DistanceCache>(options_.cache_capacity);
@@ -230,7 +226,8 @@ Result<World::Epoch> World::BuildFull() const {
   std::vector<PointId> record_to_final;
   NETCLUS_ASSIGN_OR_RETURN(
       Epoch epoch,
-      BuildPointsAndGraph(/*incremental=*/false, &record_to_final));
+      BuildPointsAndGraph(/*incremental=*/false, /*adjacency_base=*/nullptr,
+                          &record_to_final));
   if (options_.cluster_spec.has_value()) {
     WallTimer timer;
     InMemoryNetworkView view(net_, *epoch.points);

@@ -9,11 +9,12 @@
 // the server wraps in an EpochSnapshot and publishes.
 //
 // Every Build after the first is incremental: it merges the new points
-// into the last successful Build's PointSet, splices the CSR rows no new
-// edge touched out of its graph, and (ε-Link specs) merges only the
-// components the new mutations link, in a union-find kept across builds
-// (DESIGN.md §16). The result is bit for bit what BuildFull returns;
-// with `validate` set every incremental stage is checked against it.
+// into the last successful Build's PointSet, shares that Build's CSR
+// adjacency when no edge was added since (and rebuilds it when one
+// was), and (ε-Link specs) merges only the components the new mutations
+// link, in a union-find kept across builds (DESIGN.md §16). The result
+// is bit for bit what BuildFull returns; with `validate` set every
+// incremental stage is checked against it.
 //
 // A World is single-threaded: no locks, no threads. In a QueryServer
 // only the updater thread (and Start, before it) touches it.
@@ -47,7 +48,7 @@ struct WorldOptions {
   /// Capacity of the ObjectId-keyed distance cache each epoch carries;
   /// 0 = no cache.
   size_t cache_capacity = 1 << 16;
-  /// Check every incremental stage (PointSet merge, CSR splice, ε-Link
+  /// Check every incremental stage (PointSet merge, shared CSR, ε-Link
   /// re-cluster) against its full build and fail the Build on any
   /// divergence. The spec's own `validate` also turns on the re-cluster
   /// check.
@@ -59,6 +60,8 @@ class World {
  public:
   /// The immutable pieces of one epoch, plus how they were built.
   struct Epoch {
+    /// Shares the previous epoch's adjacency when no edge was added
+    /// since it was built.
     std::shared_ptr<const FrozenGraph> graph;
     std::shared_ptr<const PointSet> points;
     std::shared_ptr<const IdentityMap> ids;
@@ -67,13 +70,13 @@ class World {
     /// Null when cache_capacity is 0. Shared with the previous epoch
     /// when no edge was added since it was built, fresh otherwise.
     std::shared_ptr<const DistanceCache> cache;
-    /// Merged and spliced onto the previous build (false: full build).
+    /// Built onto the previous build (false: full build).
     bool incremental = false;
     /// The ε-Link clustering merged only the new links.
     bool recluster_incremental = false;
     /// Stage wall times: PointSet plus identity map, CSR, clustering.
     double points_ms = 0.0;
-    double splice_ms = 0.0;
+    double csr_ms = 0.0;
     double recluster_ms = 0.0;
   };
 
@@ -118,10 +121,12 @@ class World {
   /// are merged into the base's set.
   Result<PointSet> BuildPoints(bool merge,
                                std::vector<PointId>* record_to_final) const;
-  /// The points, identity map and CSR graph of the next epoch, merged
-  /// and spliced onto the base when `incremental`.
+  /// The points, identity map and CSR graph of the next epoch: points
+  /// merged onto the base when `incremental`, and the adjacency of
+  /// `adjacency_base` shared when it is not null.
   Result<Epoch> BuildPointsAndGraph(
-      bool incremental, std::vector<PointId>* record_to_final) const;
+      bool incremental, const FrozenGraph* adjacency_base,
+      std::vector<PointId>* record_to_final) const;
   /// The epoch's clustering. ε-Link specs merge the links the
   /// unpublished mutations add into a seeded forest when `incremental`,
   /// and seed it from one full run otherwise; others run RunClustering.

@@ -402,7 +402,8 @@ TEST(IncrementalReclusterTest, RandomMultiMutationBatches) {
 }
 
 // A failed publish leaves its mutations applied but unpublished; the
-// next publish must still splice their CSR rows and link their objects.
+// next publish must still rebuild the CSR for their edges and link their
+// objects.
 // The oracles (validate_replay) fail every later publish otherwise, so
 // the server must come back to a published world equal to the full run.
 TEST(IncrementalReclusterTest, FailedPublishesCarryTheirMutationsForward) {
@@ -585,7 +586,7 @@ TEST(PointSetMergePublishTest, PublishesMatchTheFullRun) {
     EXPECT_EQ(stats.publishes_full, 1u);
     EXPECT_EQ(stats.publishes_incremental, static_cast<uint64_t>(kMutations));
     EXPECT_GT(stats.mean_publish_points_ms, 0.0);
-    EXPECT_GT(stats.mean_publish_splice_ms, 0.0);
+    EXPECT_GT(stats.mean_publish_csr_ms, 0.0);
   }
 }
 

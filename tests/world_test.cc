@@ -182,8 +182,9 @@ TEST(WorldTest, IncrementalBuildsMatchTheFullBuild) {
   }
 }
 
-// The cache rides along while no edge is added and is replaced by the
-// first build after an AddEdge, and only by that one.
+// The cache and the CSR adjacency ride along while no edge is added and
+// are replaced by the first build after an AddEdge, and only by that
+// one.
 TEST(WorldTest, CacheIsSharedUntilAnEdgeIsAdded) {
   Scenario s(40, 60, 17);
   World world = World::Boot(s.gen.net, s.points, WorldOptions{});
@@ -196,18 +197,24 @@ TEST(WorldTest, CacheIsSharedUntilAnEdgeIsAdded) {
                   .ok());
   const World::Epoch points_only = BuildOrDie(world.Build());
   EXPECT_EQ(points_only.cache, boot.cache);
+  EXPECT_TRUE(points_only.graph->SharesAdjacencyWith(*boot.graph));
   NodeId v = 1;
   while (s.gen.net.HasEdge(0, v)) ++v;
   ASSERT_TRUE(world.Apply(NetworkUpdate::AddEdge(0, v, 1.0)).ok());
   const World::Epoch with_edge = BuildOrDie(world.Build());
   ASSERT_NE(with_edge.cache, nullptr);
   EXPECT_NE(with_edge.cache, boot.cache);
-  // The edge is published now; the next point-only build keeps its cache.
+  EXPECT_FALSE(with_edge.graph->SharesAdjacencyWith(*points_only.graph));
+  EXPECT_TRUE(with_edge.graph->HasEdge(0, v));
+  // The edge is published now; the next point-only build keeps its cache
+  // and its adjacency.
   ASSERT_TRUE(world
                   .Apply(NetworkUpdate::AddPoint(edges[1].u, edges[1].v,
                                                  0.5 * edges[1].weight))
                   .ok());
-  EXPECT_EQ(BuildOrDie(world.Build()).cache, with_edge.cache);
+  const World::Epoch after_edge = BuildOrDie(world.Build());
+  EXPECT_EQ(after_edge.cache, with_edge.cache);
+  EXPECT_TRUE(after_edge.graph->SharesAdjacencyWith(*with_edge.graph));
 
   WorldOptions no_cache;
   no_cache.cache_capacity = 0;
