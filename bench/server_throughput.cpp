@@ -26,10 +26,12 @@
 // row per run), not a snapshot.
 // Wired into `run_all.sh bench-smoke` and `run_all.sh server-smoke`.
 //
-// Gate: throughput must scale from 1 to 4 workers. The bar is
-// hardware-aware — on a multi-core host 4 workers must beat 1 by 5%;
-// on a single core they only have to stay within 2x (the batching
-// overhead bound), since there is no parallelism to win.
+// Gate: throughput must scale from 1 to 4 workers. The 1- and 4-worker
+// legs run three times, alternating, and the median of the three 1->4
+// ratios is gated (all three are printed). The bar is hardware-aware —
+// on a multi-core host 4 workers must beat 1 by 5%; on a single core
+// they only have to stay within 2x (the batching overhead bound), since
+// there is no parallelism to win.
 //
 // On 4 -> 8 workers a qps *dip* is expected rather than a win, and it
 // is annotated, not gated: past the physical core count the extra
@@ -40,6 +42,7 @@
 // costs — the queue lock, the condition-variable wakeup, the epoch pin
 // and, with validation on, the replay — are paid twice as often, while
 // the workers contend for the queue lock and the cores.
+#include <algorithm>
 #include <cstdio>
 #include <deque>
 #include <future>
@@ -63,6 +66,7 @@ namespace {
 
 constexpr int kRequests = 1500;
 constexpr int kReps = 3;
+constexpr int kScalingRounds = 3;
 
 std::vector<QueryRequest> MakeWorkload(PointId n_points, double eps) {
   std::vector<QueryRequest> reqs;
@@ -365,14 +369,34 @@ int main() {
   const double eps = SampledEps(view);
   std::vector<QueryRequest> reqs = MakeWorkload(points.size(), eps);
 
+  // The 1- and 4-worker legs run kScalingRounds times, alternating, and
+  // the scaling gate reads the median of the rounds' 1->4 ratios: one
+  // leg lasts tens of milliseconds, so a single pair sits inside the
+  // host's run-to-run spread. The median round's legs are the ones
+  // reported.
+  std::vector<std::pair<RunResult, RunResult>> rounds;
+  std::vector<double> ratios;
+  for (int round = 0; round < kScalingRounds; ++round) {
+    RunResult one = RunAtWorkers(gen.net, points, 1, reqs);
+    RunResult four = RunAtWorkers(gen.net, points, 4, reqs);
+    rounds.emplace_back(one, four);
+    ratios.push_back(four.accepted_qps / one.accepted_qps);
+  }
+  std::vector<size_t> order(kScalingRounds);
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(),
+            [&](size_t a, size_t b) { return ratios[a] < ratios[b]; });
+  const size_t median = order[kScalingRounds / 2];
+
   BenchRecorder rec("server");
   PrintRow({"workers", "accepted_qps", "p99_wait_ms", "miss_rate",
             "reject_rate"},
            16);
-  std::vector<std::pair<uint32_t, RunResult>> results;
-  for (uint32_t workers : {1u, 4u, 8u}) {
-    RunResult r = RunAtWorkers(gen.net, points, workers, reqs);
-    results.emplace_back(workers, r);
+  std::vector<std::pair<uint32_t, RunResult>> results = {
+      {1u, rounds[median].first},
+      {4u, rounds[median].second},
+      {8u, RunAtWorkers(gen.net, points, 8, reqs)}};
+  for (const auto& [workers, r] : results) {
     PrintRow({std::to_string(workers), Fmt(r.accepted_qps, 0),
               Fmt(r.p99_wait_ms), Fmt(r.deadline_miss_rate, 4),
               Fmt(r.rejection_rate, 4)},
@@ -442,9 +466,9 @@ int main() {
     return 1;
   }
 
-  // Hardware-aware scaling gate on ACCEPTED work: 1 -> 4 workers.
-  const double ratio =
-      results[1].second.accepted_qps / results[0].second.accepted_qps;
+  // Hardware-aware scaling gate on ACCEPTED work: 1 -> 4 workers, the
+  // median of the alternating rounds.
+  const double ratio = ratios[median];
   const unsigned cores = std::thread::hardware_concurrency();
   double floor = 0.5;  // single core: batching overhead bounded by 2x
   if (cores >= 4) {
@@ -452,8 +476,10 @@ int main() {
   } else if (cores >= 2) {
     floor = 1.0;
   }
-  std::printf("scaling 1->4 workers: %.2fx (floor %.2fx on %u cores)\n",
-              ratio, floor, cores);
+  std::printf("scaling 1->4 workers:");
+  for (double r : ratios) std::printf(" %.2fx", r);
+  std::printf(", median %.2fx (floor %.2fx on %u cores)\n", ratio, floor,
+              cores);
   if (ratio <= floor) {
     std::fprintf(stderr,
                  "FAIL: 4-worker throughput did not clear the scaling "

@@ -257,11 +257,12 @@ if [ "${1:-}" = "bench-smoke" ]; then
   # counters match exactly and the snapshot path is >= 1.3x faster.
   ./build/bench/frozen_traversal 2>&1 | tee -a bench_smoke_output.txt
   # Query-server throughput at 1/4/8 workers with the hardware-aware
-  # 1->4 scaling gate, plus the publish-latency contrasts (one AddEdge
-  # per publish, an ungated record: both builds rebuild the adjacency;
-  # incremental vs full ε-Link re-cluster with about one point per
-  # node; PointSet merge over a shared adjacency vs full build with one
-  # AddPoint per publish).
+  # 1->4 scaling gate (the median of three alternating 1- and 4-worker
+  # rounds, all three ratios printed), plus the publish-latency
+  # contrasts (one AddEdge per publish, an ungated record: both builds
+  # rebuild the adjacency; incremental vs full ε-Link re-cluster with
+  # about one point per node; PointSet merge over a shared adjacency vs
+  # full build with one AddPoint per publish).
   ./build/bench/server_throughput 2>&1 | tee -a bench_smoke_output.txt
   # Every paper table/figure and ablation from one table, each shape
   # gated on hardware-independent counts (settles, page reads,
@@ -269,13 +270,16 @@ if [ "${1:-}" = "bench-smoke" ]; then
   ./build/bench/paper 2>&1 | tee -a bench_smoke_output.txt
   # Plain sh has no pipefail, so the tee above swallows the harnesses'
   # exit codes — re-assert their gates from the captured output: all
-  # three publish-latency rows and the paper driver's summary must be
-  # present, every point-only build must have shared its predecessor's
-  # adjacency (n/n), and no harness printed FAIL.
+  # three publish-latency rows, the three scaling ratios with their
+  # median and the paper driver's summary must be present, every
+  # point-only build must have shared its predecessor's adjacency (n/n),
+  # and no harness printed FAIL.
   grep -q 'publish latency: full .* (ratio' bench_smoke_output.txt
   grep -q 'publish latency with re-cluster: full .* (ratio' \
     bench_smoke_output.txt
   grep -q 'publish latency, points only: full .* (ratio .*adjacency shared \([0-9]*\)/\1$' \
+    bench_smoke_output.txt
+  grep -q '^scaling 1->4 workers: .*x .*x .*x, median .*x' \
     bench_smoke_output.txt
   grep -q '^paper summary: .* 0 failed' bench_smoke_output.txt
   if grep -q 'FAIL' bench_smoke_output.txt; then

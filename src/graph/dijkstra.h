@@ -76,8 +76,10 @@ TraversalCounters& LocalTraversalCounters();
 /// points reach it as TraversalWorkspace::scratch.
 class NodeScratch {
  public:
+  /// An empty scratch (size 0), for one that is sized on first use.
+  NodeScratch() = default;
   explicit NodeScratch(NodeId num_nodes)
-      : dist_(num_nodes, 0.0), epoch_(num_nodes, 0), current_(0) {}
+      : dist_(num_nodes, 0.0), epoch_(num_nodes, 0) {}
 
   /// Invalidates all distances.
   void NewEpoch() { ++current_; }
@@ -93,7 +95,7 @@ class NodeScratch {
  private:
   std::vector<double> dist_;
   std::vector<uint64_t> epoch_;
-  uint64_t current_;
+  uint64_t current_ = 0;
 };
 
 /// A (distance, node) min-heap element of a Dijkstra traversal; exposed so
@@ -156,6 +158,12 @@ struct TraversalWorkspace {
   /// Sized on first use.
   std::vector<uint64_t> stamp;
   uint64_t stamp_epoch = 0;
+  /// The backward frontier of the bidirectional point-to-point search
+  /// (PointNetworkDistance): its labels and heap storage. Sized on first
+  /// use, so a workspace that never computes a distance stays O(|V|) in
+  /// one scratch.
+  NodeScratch backward;
+  std::vector<DijkstraHeapEntry> backward_heap;
   /// Cancellation token threaded into the kernel by the workspace-based
   /// entry points. Inert (no deadline) by default; the query server arms
   /// it per request with the request's deadline.
@@ -175,18 +183,21 @@ namespace internal {
 
 // Min-heap primitives over the reusable vector storage (std::greater
 // turns the max-heap of push_heap/pop_heap into a min-heap on dist).
+// `tc` is the caller's LocalTraversalCounters(), fetched once per
+// traversal rather than once per heap operation.
 inline void HeapPushEntry(std::vector<DijkstraHeapEntry>* heap, double dist,
-                          NodeId node) {
+                          NodeId node, TraversalCounters& tc) {
   heap->push_back(DijkstraHeapEntry{dist, node});
   std::push_heap(heap->begin(), heap->end(), std::greater<>());
-  ++LocalTraversalCounters().heap_pushes;
+  ++tc.heap_pushes;
 }
 
-inline DijkstraHeapEntry HeapPopEntry(std::vector<DijkstraHeapEntry>* heap) {
+inline DijkstraHeapEntry HeapPopEntry(std::vector<DijkstraHeapEntry>* heap,
+                                      TraversalCounters& tc) {
   std::pop_heap(heap->begin(), heap->end(), std::greater<>());
   DijkstraHeapEntry top = heap->back();
   heap->pop_back();
-  ++LocalTraversalCounters().heap_pops;
+  ++tc.heap_pops;
   return top;
 }
 
@@ -229,11 +240,11 @@ void DijkstraExpandBounded(const Graph& graph,
   for (const DijkstraSource& s : sources) {
     if (s.dist <= bound && s.dist < scratch.Get(s.node)) {
       scratch.Set(s.node, s.dist);
-      internal::HeapPushEntry(heap, s.dist, s.node);
+      internal::HeapPushEntry(heap, s.dist, s.node, tc);
     }
   }
   while (!heap->empty()) {
-    auto [d, n] = internal::HeapPopEntry(heap);
+    auto [d, n] = internal::HeapPopEntry(heap, tc);
     if (d > scratch.Get(n)) continue;  // stale entry
     ++tc.settled_nodes;
     if (--settles_until_poll == 0) {
@@ -248,7 +259,7 @@ void DijkstraExpandBounded(const Graph& graph,
       double nd = d + w;
       if (nd <= bound && nd < scratch.Get(m)) {
         scratch.Set(m, nd);
-        internal::HeapPushEntry(heap, nd, m);
+        internal::HeapPushEntry(heap, nd, m, tc);
       }
     });
   }

@@ -112,36 +112,80 @@ void CollectRangePoints(const Graph& graph, const PointPos* c, double wc,
 template <TraversalGraph Graph>
 double PointNetworkDistance(const NetworkView& view, const Graph& graph,
                             PointId p, PointId q, TraversalWorkspace* ws) {
-  ws->cancel.triggered = false;
+  TraversalCancel& cancel = ws->cancel;
+  cancel.triggered = false;
   if (p == q) return 0.0;
-  // Traverse from the smaller id, so d(p, q) and d(q, p) are the same
-  // bits: the served distance cache keys on the unordered pair, and a hit
-  // must equal what a replay in either direction recomputes.
+  // Search forward from the smaller id, so d(p, q) and d(q, p) are the
+  // same bits: the served distance cache keys on the unordered pair, and
+  // a hit must equal what a replay in either direction recomputes.
   if (q < p) std::swap(p, q);
-  PointPos pp = view.PointPosition(p);
-  PointPos qq = view.PointPosition(q);
-  double wq = view.EdgeWeight(qq.u, qq.v);
-  bool same_edge = pp.u == qq.u && pp.v == qq.v;
-  double best = same_edge ? std::fabs(pp.offset - qq.offset) : kInfDist;
+  const PointPos pp = view.PointPosition(p);
+  const PointPos qq = view.PointPosition(q);
+  const double wp = graph.EdgeWeight(pp.u, pp.v);
+  const double wq = graph.EdgeWeight(qq.u, qq.v);
+  double best = pp.u == qq.u && pp.v == qq.v
+                    ? std::fabs(pp.offset - qq.offset)
+                    : kInfDist;
 
-  double wp = view.EdgeWeight(pp.u, pp.v);
-  ws->sources.assign({{pp.u, pp.offset}, {pp.v, wp - pp.offset}});
-  bool settled_u = false, settled_v = false;
-  DijkstraExpandBounded(graph, ws->sources, kInfDist, ws,
-                        [&](NodeId n, double d) {
-                          // All later settles have distance >= d, so once d
-                          // reaches `best` no candidate can improve it.
-                          if (d >= best) return false;
-                          if (n == qq.u) {
-                            best = std::min(best, d + qq.offset);
-                            settled_u = true;
-                          }
-                          if (n == qq.v) {
-                            best = std::min(best, d + wq - qq.offset);
-                            settled_v = true;
-                          }
-                          return !(settled_u && settled_v);
-                        });
+  // Bidirectional Dijkstra: a forward frontier from p's edge endpoints
+  // and a backward one from q's, each seeded with its point's offsets.
+  // `best` is the shortest p-q path seen so far: whenever a node's label
+  // improves on one side and the other side has labelled it too, the
+  // two labels join into a path. Every unsettled label on a side is at
+  // least its heap top, so once the tops sum to `best` no path through
+  // an unsettled node can be shorter; and once a side's heap empties,
+  // every node it reaches is settled and joined.
+  if (ws->backward.size() < ws->scratch.size()) {
+    ws->backward = NodeScratch(ws->scratch.size());
+  }
+  struct Frontier {
+    NodeScratch* labels;
+    std::vector<DijkstraHeapEntry>* heap;
+  };
+  Frontier fwd{&ws->scratch, &ws->heap};
+  Frontier bwd{&ws->backward, &ws->backward_heap};
+  for (Frontier* f : {&fwd, &bwd}) {
+    f->labels->NewEpoch();
+    f->heap->clear();
+  }
+  TraversalCounters& tc = LocalTraversalCounters();
+  auto label = [&](Frontier& self, const NodeScratch& other, NodeId n,
+                   double d) {
+    if (d < self.labels->Get(n)) {
+      self.labels->Set(n, d);
+      internal::HeapPushEntry(self.heap, d, n, tc);
+      best = std::min(best, d + other.Get(n));
+    }
+  };
+  // The backward seeds go second, so a node seeded on both sides is
+  // joined once, there.
+  label(fwd, *bwd.labels, pp.u, pp.offset);
+  label(fwd, *bwd.labels, pp.v, wp - pp.offset);
+  label(bwd, *fwd.labels, qq.u, qq.offset);
+  label(bwd, *fwd.labels, qq.v, wq - qq.offset);
+
+  // Both sides share one settle count for the cancellation poll.
+  const uint32_t poll_interval = std::max<uint32_t>(1, cancel.check_interval);
+  uint32_t settles_until_poll = poll_interval;
+  while (!fwd.heap->empty() && !bwd.heap->empty() &&
+         fwd.heap->front().dist + bwd.heap->front().dist < best) {
+    // The side with the smaller heap advances; ties go forward.
+    const bool forward = fwd.heap->size() <= bwd.heap->size();
+    Frontier& self = forward ? fwd : bwd;
+    const NodeScratch& other = forward ? *bwd.labels : *fwd.labels;
+    auto [d, n] = internal::HeapPopEntry(self.heap, tc);
+    if (d > self.labels->Get(n)) continue;  // stale entry
+    ++tc.settled_nodes;
+    if (--settles_until_poll == 0) {
+      settles_until_poll = poll_interval;
+      if (cancel.ShouldCancel()) {
+        cancel.triggered = true;
+        return best;  // garbage: the caller checks `triggered`
+      }
+    }
+    VisitNeighbors(graph, n,
+                   [&](NodeId m, double w) { label(self, other, m, d + w); });
+  }
   return best;
 }
 
@@ -151,7 +195,7 @@ void RangeQuery(const NetworkView& view, const Graph& graph, PointId center,
                 std::vector<RangeResult>* out) {
   out->clear();
   PointPos c = view.PointPosition(center);
-  double wc = view.EdgeWeight(c.u, c.v);
+  double wc = graph.EdgeWeight(c.u, c.v);
 
   ws->settled.clear();
   ws->cancel.triggered = false;
@@ -175,7 +219,7 @@ void KNearestNeighbors(const NetworkView& view, const Graph& graph,
   cancel.triggered = false;
   if (k == 0) return;
   PointPos c = view.PointPosition(center);
-  double wc = view.EdgeWeight(c.u, c.v);
+  double wc = graph.EdgeWeight(c.u, c.v);
 
   // Candidate bookkeeping: per-point best distance found so far (offers
   // via a settled endpoint are upper bounds that only improve), plus a

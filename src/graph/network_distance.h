@@ -22,20 +22,23 @@
 namespace netclus {
 
 /// Network distance d(p, q) (Definition 4): length of the shortest path
-/// between the two points. Exact; an early-terminating single-source
-/// Dijkstra seeded at the endpoints of the smaller id's edge, run over
-/// `graph` — a FrozenGraph snapshot of `view` (see
-/// InMemoryNetworkView::Freeze()) or the view itself; point positions
-/// come from `view`. Both graphs give bit-identical results.
+/// between the two points. Exact; a bidirectional Dijkstra, forward from
+/// the endpoints of the smaller id's edge and backward from the other
+/// point's, that stops once the two heap tops sum to the best path
+/// joined so far. It runs over `graph` — a FrozenGraph snapshot of
+/// `view` (see InMemoryNetworkView::Freeze()) or the view itself; point
+/// positions come from `view`. Both graphs give bit-identical results.
 ///
-/// The expansion reuses `ws`'s scratch and heap storage and honors its
-/// cancellation token (`ws->cancel`, no deadline by default). When the
-/// deadline passes mid-expansion the returned value is garbage: callers
-/// must check `ws->cancel.triggered` before using or caching it.
+/// The search reuses `ws`'s scratch and heap storage for the forward
+/// frontier and `ws->backward` / `ws->backward_heap` (sized on first
+/// use) for the backward one, and honors its cancellation token
+/// (`ws->cancel`, no deadline by default). When the deadline passes
+/// mid-search the returned value is garbage: callers must check
+/// `ws->cancel.triggered` before using or caching it.
 ///
-/// The expansion always starts from the smaller id, so d(p, q) and
-/// d(q, p) are the same bits — what lets a cache keyed on the unordered
-/// pair (server/distance_cache.h) serve either direction.
+/// The forward side is always the smaller id, so d(p, q) and d(q, p)
+/// are the same bits — what lets a cache keyed on the unordered pair
+/// (server/distance_cache.h) serve either direction.
 template <TraversalGraph Graph>
 double PointNetworkDistance(const NetworkView& view, const Graph& graph,
                             PointId p, PointId q, TraversalWorkspace* ws);

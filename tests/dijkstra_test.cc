@@ -6,13 +6,17 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 
 #include "common/random.h"
 #include "core/brute_force.h"
 #include "gen/network_gen.h"
 #include "gen/workload_gen.h"
 #include "graph/dijkstra.h"
+#include "graph/frozen_graph.h"
 #include "graph/network_distance.h"
+#include "server/distance_cache.h"
+#include "server/query.h"
 
 namespace netclus {
 namespace {
@@ -130,20 +134,35 @@ TEST(DijkstraTest, EarlyStopViaCallback) {
 // ------------------------------------------------ point-level distances.
 
 TEST(PointDistanceTest, SameEdgeCanShortcutThroughNetwork) {
-  // Triangle where going around is shorter than along the edge.
+  // Triangle where going around is shorter than along the edge: 0-1 is
+  // 10 long, 0-2-1 is 2.
   Network net(3);
   ASSERT_TRUE(net.AddEdge(0, 1, 10.0).ok());
   ASSERT_TRUE(net.AddEdge(1, 2, 1.0).ok());
   ASSERT_TRUE(net.AddEdge(0, 2, 1.0).ok());
   PointSetBuilder b;
-  b.Add(0, 1, 0.5, 0);  // near node 0
-  b.Add(0, 1, 9.5, 1);  // near node 1
+  b.Add(0, 1, 0.0, 0);   // on node 0
+  b.Add(0, 1, 0.5, 0);   // near node 0
+  b.Add(0, 1, 9.5, 0);   // near node 1
+  b.Add(0, 1, 10.0, 0);  // on node 1
   PointSet ps = std::move(std::move(b).Build(net)).value();
   InMemoryNetworkView mem(net, ps);
   const NetworkView& view = mem;
+  FrozenGraph frozen = std::move(mem.Freeze()).value();
   TraversalWorkspace ws(3);
-  // Direct along the edge: 9.0. Via nodes 0-2-1: 0.5 + 2.0 + 0.5 = 3.0.
-  EXPECT_NEAR(PointNetworkDistance(view, view, 0, 1, &ws), 3.0, 1e-12);
+  // E.g. 1 -> 2: along the edge 9.0, via nodes 0-2-1 0.5 + 2.0 + 0.5.
+  const double want[4][4] = {{0.0, 0.5, 2.5, 2.0},
+                             {0.5, 0.0, 3.0, 2.5},
+                             {2.5, 3.0, 0.0, 0.5},
+                             {2.0, 2.5, 0.5, 0.0}};
+  for (PointId p = 0; p < 4; ++p) {
+    for (PointId q = 0; q < 4; ++q) {
+      double d = PointNetworkDistance(view, view, p, q, &ws);
+      EXPECT_NEAR(d, want[p][q], 1e-12) << p << " -> " << q;
+      double f = PointNetworkDistance(view, frozen, p, q, &ws);
+      EXPECT_EQ(std::memcmp(&d, &f, sizeof(double)), 0) << p << " -> " << q;
+    }
+  }
 }
 
 TEST(PointDistanceTest, SelfDistanceIsZero) {
@@ -200,6 +219,160 @@ TEST_P(PointDistancePropertyTest, IsAMetric) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PointDistancePropertyTest,
                          ::testing::Values(1u, 2u, 3u, 4u));
+
+// ------------------------------------ the bidirectional distance search.
+
+// d(p, q) by the one-sided definition: an exhaustive Dijkstra from p's
+// edge endpoints, joined at q's, with the direct distance on a shared
+// edge.
+double OneSidedDistance(const NetworkView& view, PointId p, PointId q) {
+  if (p == q) return 0.0;
+  PointPos pp = view.PointPosition(p);
+  PointPos qq = view.PointPosition(q);
+  double wp = view.EdgeWeight(pp.u, pp.v);
+  double wq = view.EdgeWeight(qq.u, qq.v);
+  std::vector<double> d =
+      Distances(view, {{pp.u, pp.offset}, {pp.v, wp - pp.offset}});
+  double best = std::min(d[qq.u] + qq.offset, d[qq.v] + (wq - qq.offset));
+  if (pp.u == qq.u && pp.v == qq.v) {
+    best = std::min(best, std::fabs(pp.offset - qq.offset));
+  }
+  return best;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// About two points per edge on random edges, plus a point at offset 0
+// and one at offset w on every 7th edge.
+PointSet PointsWithEndpointOffsets(const Network& net, uint64_t seed) {
+  std::vector<Edge> edges = net.Edges();
+  Rng rng(seed);
+  PointSetBuilder b;
+  for (size_t i = 0; i < 2 * edges.size(); ++i) {
+    const Edge& e = edges[rng.NextBounded(edges.size())];
+    b.Add(e.u, e.v, rng.NextUniform(0.0, e.weight), 0);
+  }
+  for (size_t i = 0; i < edges.size(); i += 7) {
+    b.Add(edges[i].u, edges[i].v, 0.0, 0);
+    b.Add(edges[i].u, edges[i].v, edges[i].weight, 0);
+  }
+  return std::move(std::move(b).Build(net)).value();
+}
+
+// Generated networks at edge ratios from tree-like to dense.
+class PointDistanceBidirectionalTest
+    : public ::testing::TestWithParam<double> {};
+
+TEST_P(PointDistanceBidirectionalTest, RandomPairsMatchOneSidedReference) {
+  const double ratio = GetParam();
+  GeneratedNetwork g = GenerateRoadNetwork({500, ratio, 0.3, 23});
+  PointSet ps = PointsWithEndpointOffsets(g.net, 24);
+  InMemoryNetworkView mem(g.net, ps);
+  const NetworkView& view = mem;
+  FrozenGraph frozen = std::move(mem.Freeze()).value();
+  TraversalWorkspace ws(view.num_nodes());
+  Rng rng(25);
+  int same_edge = 0, at_end = 0;
+  for (int i = 0; i < 400; ++i) {
+    PointId p = static_cast<PointId>(rng.NextBounded(ps.size()));
+    PointId q = static_cast<PointId>(rng.NextBounded(ps.size()));
+    if (i % 10 == 0) q = p;
+    // Ids are sorted by (edge, offset): a neighbor id is often on p's
+    // edge.
+    if (i % 10 == 1 && p + 1 < ps.size()) q = p + 1;
+    PointPos pp = view.PointPosition(p);
+    PointPos qq = view.PointPosition(q);
+    same_edge += p != q && pp.u == qq.u && pp.v == qq.v;
+    at_end += qq.offset == 0.0 || qq.offset == view.EdgeWeight(qq.u, qq.v);
+
+    const double want = OneSidedDistance(view, p, q);
+    const double got = PointNetworkDistance(view, view, p, q, &ws);
+    ASSERT_FALSE(ws.cancel.triggered);
+    ASSERT_NEAR(got, want, 1e-12 * want)
+        << "ratio " << ratio << " p=" << p << " q=" << q;
+    EXPECT_TRUE(SameBits(got, PointNetworkDistance(view, view, q, p, &ws)))
+        << "d(q, p) != d(p, q): p=" << p << " q=" << q;
+    EXPECT_TRUE(SameBits(got, PointNetworkDistance(view, frozen, p, q, &ws)))
+        << "snapshot != view: p=" << p << " q=" << q;
+  }
+  EXPECT_GT(same_edge, 10);
+  EXPECT_GT(at_end, 5);
+}
+
+INSTANTIATE_TEST_SUITE_P(EdgeRatios, PointDistanceBidirectionalTest,
+                         ::testing::Values(1.0, 1.3, 1.8));
+
+TEST(PointDistanceSearchTest, DisconnectedPairStopsOnTheSmallSide) {
+  // A generated network plus a separate two-node component.
+  GeneratedNetwork g = GenerateRoadNetwork({400, 1.3, 0.3, 5});
+  const NodeId n = g.net.num_nodes();
+  Network net(n + 2);
+  for (const Edge& e : g.net.Edges()) {
+    ASSERT_TRUE(net.AddEdge(e.u, e.v, e.weight).ok());
+  }
+  ASSERT_TRUE(net.AddEdge(n, n + 1, 3.0).ok());
+  PointSetBuilder b;
+  const Edge big = g.net.Edges().front();
+  b.Add(big.u, big.v, big.weight / 2, 0);
+  b.Add(n, n + 1, 1.0, 0);
+  PointSet ps = std::move(std::move(b).Build(net)).value();
+  InMemoryNetworkView mem(net, ps);
+  const NetworkView& view = mem;
+  FrozenGraph frozen = std::move(mem.Freeze()).value();
+  TraversalWorkspace ws(n + 2);
+  for (auto [p, q] : {std::pair<PointId, PointId>{0, 1}, {1, 0}}) {
+    const uint64_t before = LocalTraversalCounters().settled_nodes;
+    EXPECT_EQ(PointNetworkDistance(view, view, p, q, &ws), kInfDist);
+    const uint64_t settled = LocalTraversalCounters().settled_nodes - before;
+    EXPECT_FALSE(ws.cancel.triggered);
+    // The small side empties its heap after its two nodes; the large
+    // side stops with it instead of exhausting its component.
+    EXPECT_LT(settled, n / 10) << p << " -> " << q;
+    EXPECT_EQ(PointNetworkDistance(view, frozen, p, q, &ws), kInfDist);
+  }
+}
+
+TEST(PointDistanceSearchTest, DeadlineMidSearchCachesNothing) {
+  GeneratedNetwork g = GenerateRoadNetwork({400, 1.3, 0.3, 8});
+  Result<PointSet> ps = GenerateUniformPoints(g.net, 200, 9);
+  ASSERT_TRUE(ps.ok());
+  InMemoryNetworkView mem(g.net, ps.value());
+  const NetworkView& view = mem;
+  FrozenGraph frozen = std::move(mem.Freeze()).value();
+  TraversalWorkspace ws(view.num_nodes());
+
+  // Pick a pair whose search settles well past the poll interval.
+  constexpr uint32_t kInterval = 8;
+  PointId a = 0, b = 1;
+  for (PointId q = 1; q < ps.value().size(); ++q) {
+    const uint64_t before = LocalTraversalCounters().settled_nodes;
+    PointNetworkDistance(view, frozen, 0, q, &ws);
+    if (LocalTraversalCounters().settled_nodes - before > 4 * kInterval) {
+      b = q;
+      break;
+    }
+  }
+  ASSERT_NE(b, 1u);
+
+  // An expired deadline, first polled at the 8th settle: both frontiers
+  // have advanced by then, and the search abandons there.
+  DistanceCache cache(64);
+  ws.cancel.deadline = TraversalCancel::Clock::now() - std::chrono::seconds(1);
+  ws.cancel.check_interval = kInterval;
+  const uint64_t before = LocalTraversalCounters().settled_nodes;
+  QueryResponse out;
+  Status st = ExecuteQueryInto(view, &frozen, QueryRequest::PointDistance(a, b),
+                               &ws, &cache, nullptr, &out);
+  EXPECT_EQ(LocalTraversalCounters().settled_nodes - before, kInterval);
+  EXPECT_TRUE(ws.cancel.triggered);
+  EXPECT_TRUE(st.IsDeadlineExceeded()) << st.ToString();
+  EXPECT_EQ(cache.counters().stores, 0u);
+  EXPECT_EQ(cache.size(), 0u);
+  double cached = 0.0;
+  EXPECT_FALSE(cache.Lookup(a, b, &cached));
+}
 
 // ------------------------------------------------------- range queries.
 
