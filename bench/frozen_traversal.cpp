@@ -9,7 +9,9 @@
 //   - the snapshot path must be >= 1.3x faster (best of interleaved
 //     reps) — the de-virtualization payoff the PR claims.
 // It also records what the snapshot costs per run: the freeze time
-// (best of reps) and the bytes of its point layer.
+// (best of reps) and the bytes the snapshot holds alone — 2|E| slot
+// point ranges plus one weight per point group; the adjacency block and
+// the PointSet are co-owned.
 // Emitted as BENCH_frozen_traversal.json for CI diffing; wired into
 // `run_all.sh bench-smoke`.
 #include <algorithm>
@@ -56,10 +58,10 @@ int main() {
   std::printf("frozen-traversal: %u nodes, %zu edges, %zu half-edge slots\n",
               gen.net.num_nodes(), gen.net.num_edges(),
               frozen.num_half_edges());
-  std::printf("freeze: best %.3f ms; point layer: %zu bytes (%u points, "
-              "%zu groups)\n",
-              Best(freeze_s) * 1e3, frozen.point_layer_bytes(), points.size(),
-              frozen.point_groups().size());
+  std::printf("freeze: best %.3f ms; snapshot's own bytes: %zu (%zu slot "
+              "ranges, %zu group weights; %u points co-owned)\n",
+              Best(freeze_s) * 1e3, frozen.own_bytes(),
+              frozen.num_half_edges(), points.num_groups(), points.size());
 
   // k multi-source seeds, as in the concurrent-expansion assignment
   // phase: every node is settled by its nearest seed.
@@ -117,8 +119,7 @@ int main() {
 
   BenchRecorder rec("frozen_traversal");
   rec.Add("freeze", freeze_s, {},
-          {{"point_layer_bytes",
-            static_cast<double>(frozen.point_layer_bytes())}});
+          {{"snapshot_own_bytes", static_cast<double>(frozen.own_bytes())}});
   rec.Add("assign_view", view_s, view_total, {});
   rec.Add("assign_frozen", frozen_s, frozen_total,
           {{"speedup_vs_view", speedup}});

@@ -197,7 +197,7 @@ done
 
 # Point-layer tripwire: the algorithms' hot loops read edge points
 # through graph/edge_points.h's EdgePointReader, which serves them from
-# the FrozenGraph point layer in place — no virtual call, no hash
+# the FrozenGraph's co-owned PointSet in place — no virtual call, no hash
 # lookup, no copy — and reads through the view only when the view itself
 # is the traversal graph (disk-backed runs). A direct view read in these
 # files would silently put the per-point virtual call back. The independent

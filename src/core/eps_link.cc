@@ -22,7 +22,7 @@ using MinHeap = std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>>
 // cluster distances (NNdist) live in an epoch-reset NodeScratch so a run
 // over many clusters never pays O(|V|) re-initialization. Templated on
 // the traversal graph (the view itself, or a FrozenGraph snapshot for
-// the de-virtualized path, whose point layer also serves the edge-point
+// the de-virtualized path, whose PointSet also serves the edge-point
 // reads); both instantiations visit edges in the same order, so
 // clusterings are bit-identical. The expansion bumps the calling thread's
 // TraversalCounters like every other traversal: a push per enqueue, a pop

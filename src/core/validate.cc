@@ -9,6 +9,7 @@
 
 #include "core/union_find.h"
 #include "graph/frozen_graph.h"
+#include "graph/network.h"
 #include "graph/network_distance.h"
 
 namespace netclus {
@@ -449,19 +450,19 @@ Status ValidateWorkspace(const TraversalWorkspace& ws, NodeId num_nodes) {
 
 namespace {
 
-// The snapshot's point layer against the view: the group table must
-// replay ForEachPointGroup exactly (same edges, ranges and order, each
-// weight the view's EdgeWeight), and every point's offset must equal the
-// one GetEdgePoints reports for it.
+// The snapshot's PointSet, point-range handles and group weights
+// against the view: the groups must replay ForEachPointGroup exactly
+// (same edges, ranges and order), every point-bearing edge must map to
+// the identical (first, count) range in the CSR slots, each group's
+// weight must be the view's EdgeWeight, and every point's offset must
+// equal the one GetEdgePoints reports for it.
 Status ValidatePointLayer(const NetworkView& view, const FrozenGraph& frozen) {
-  const std::vector<double>& offsets = frozen.point_offsets();
-  const std::vector<FrozenGraph::PointGroup>& groups = frozen.point_groups();
-  if (offsets.size() != view.num_points()) {
-    return Violation("frozen", "point layer holds " +
-                                   std::to_string(offsets.size()) +
-                                   " offsets for a view of " +
-                                   std::to_string(view.num_points()) +
-                                   " points");
+  const PointSet& points = frozen.points();
+  if (points.size() != view.num_points()) {
+    return Violation("frozen", "snapshot PointSet holds " +
+                                   std::to_string(points.size()) +
+                                   " points for a view of " +
+                                   std::to_string(view.num_points()));
   }
   std::string mismatch;
   size_t g = 0;
@@ -471,14 +472,15 @@ Status ValidatePointLayer(const NetworkView& view, const FrozenGraph& frozen) {
         if (!mismatch.empty()) return;
         const std::string edge =
             "edge {" + std::to_string(u) + ", " + std::to_string(v) + "}";
-        if (g >= groups.size()) {
-          mismatch = "point layer has no group for " + edge;
+        if (g >= points.num_groups()) {
+          mismatch = "snapshot PointSet has no group for " + edge;
           return;
         }
-        const FrozenGraph::PointGroup& pg = groups[g++];
+        const PointSet::Group& pg = points.group(g);
+        const double weight = frozen.group_weight(g++);
         if (pg.u != u || pg.v != v || pg.first != first ||
             pg.count != count) {
-          mismatch = "point layer group " + std::to_string(g - 1) +
+          mismatch = "snapshot group " + std::to_string(g - 1) +
                      " is edge {" + std::to_string(pg.u) + ", " +
                      std::to_string(pg.v) + "} range (" +
                      std::to_string(pg.first) + ", " +
@@ -487,24 +489,33 @@ Status ValidatePointLayer(const NetworkView& view, const FrozenGraph& frozen) {
                      std::to_string(count) + ")";
           return;
         }
-        if (pg.weight != view.EdgeWeight(u, v)) {
-          mismatch = "point layer weight of " + edge + " is " +
-                     std::to_string(pg.weight) + ", view has " +
+        auto [got_first, got_count] = frozen.EdgePointRange(u, v);
+        if (got_first != first || got_count != count) {
+          mismatch = edge + ": CSR point range (" +
+                     std::to_string(got_first) + ", " +
+                     std::to_string(got_count) + ") != view range (" +
+                     std::to_string(first) + ", " + std::to_string(count) +
+                     ")";
+          return;
+        }
+        if (weight != view.EdgeWeight(u, v)) {
+          mismatch = "snapshot group weight of " + edge + " is " +
+                     std::to_string(weight) + ", view has " +
                      std::to_string(view.EdgeWeight(u, v));
           return;
         }
         view.GetEdgePoints(u, v, &pts);
         for (const EdgePoint& ep : pts) {
-          if (ep.id >= offsets.size() || offsets[ep.id] != ep.offset) {
+          if (ep.id >= points.size() || points.offset(ep.id) != ep.offset) {
             mismatch = "point " + std::to_string(ep.id) + " on " + edge +
-                       ": point layer offset differs from the view's " +
+                       ": snapshot offset differs from the view's " +
                        std::to_string(ep.offset);
             return;
           }
         }
       });
-  if (mismatch.empty() && g != groups.size()) {
-    mismatch = "point layer has " + std::to_string(groups.size()) +
+  if (mismatch.empty() && g != points.num_groups()) {
+    mismatch = "snapshot PointSet has " + std::to_string(points.num_groups()) +
                " groups but the view scans " + std::to_string(g);
   }
   if (!mismatch.empty()) return Violation("frozen", std::move(mismatch));
@@ -566,28 +577,11 @@ Status ValidateFrozenGraph(const NetworkView& view,
                          std::to_string(half_edges));
   }
 
-  // Point-range handles: every point-bearing edge of the view must map
-  // to the identical (first, count) range in the snapshot.
   if (!frozen.has_point_layer()) {
     return Violation("frozen",
-                     "snapshot built without a point layer cannot serve "
+                     "snapshot built without a PointSet cannot serve "
                      "traversal clients of a point-bearing view");
   }
-  std::string pt_mismatch;
-  view.ForEachPointGroup(
-      [&](NodeId u, NodeId v, PointId first, uint32_t count) {
-        if (!pt_mismatch.empty()) return;
-        auto [got_first, got_count] = frozen.EdgePointRange(u, v);
-        if (got_first != first || got_count != count) {
-          pt_mismatch = "edge {" + std::to_string(u) + ", " +
-                        std::to_string(v) + "}: CSR point range (" +
-                        std::to_string(got_first) + ", " +
-                        std::to_string(got_count) + ") != view range (" +
-                        std::to_string(first) + ", " + std::to_string(count) +
-                        ")";
-        }
-      });
-  if (!pt_mismatch.empty()) return Violation("frozen", std::move(pt_mismatch));
   NETCLUS_RETURN_IF_ERROR(ValidatePointLayer(view, frozen));
   return view.status();
 }

@@ -97,8 +97,9 @@ Status ValidateWorkspace(const TraversalWorkspace& ws, NodeId num_nodes);
 /// node's neighbor sequence (ids AND weights, in the view's iteration
 /// order — the order bit-identical trajectories rest on), and every
 /// point-bearing edge's point-range handles must match the live view
-/// exactly; so must the point layer (group table in ForEachPointGroup
-/// order with the view's edge weights, and every point's offset).
+/// exactly; so must the co-owned PointSet and group weights (groups in
+/// ForEachPointGroup order with the view's edge weights, and every
+/// point's offset).
 /// O(V + E + N). Wired into RunClustering's validate block so
 /// -DNETCLUS_VALIDATE=ON builds re-prove the snapshot on every run that
 /// takes one.

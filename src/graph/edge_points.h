@@ -3,8 +3,9 @@
 // Every algorithm of the paper reads the points on each edge it crosses
 // (Section 4.1 stores them together, sorted by offset). The reader
 // serves those reads from the traversal graph: over a FrozenGraph
-// snapshot, from its point layer — a slice of the flat per-point offset
-// array, no copy, no virtual call, no hash lookup; over a NetworkView,
+// snapshot, from the PointSet it co-owns — a slice of the flat
+// per-point offset array, no copy, no virtual call, no hash lookup; the
+// range comes from the snapshot's per-slot handle. Over a NetworkView,
 // through GetEdgePoints / ForEachPointGroup — for a disk-backed view
 // these are the paged point-file reads the Section 5.2 experiments
 // count. The graph type picks the source at compile time, and both
@@ -17,6 +18,7 @@
 
 #include "common/check.h"
 #include "graph/frozen_graph.h"
+#include "graph/network.h"
 #include "graph/network_view.h"
 #include "graph/types.h"
 
@@ -32,8 +34,8 @@ struct EdgePointSpan {
   bool empty() const { return count == 0; }
 };
 
-/// \brief Reads edge points from the traversal graph: the point layer of
-/// a FrozenGraph, or GetEdgePoints / ForEachPointGroup of a NetworkView.
+/// \brief Reads edge points from the traversal graph: the PointSet of a
+/// FrozenGraph, or GetEdgePoints / ForEachPointGroup of a NetworkView.
 ///
 /// A span returned by Get() stays valid until the next Get() on the
 /// same reader. Not thread-safe: one reader per traversal.
@@ -45,7 +47,8 @@ class EdgePointReader {
   explicit EdgePointReader(const Graph& graph) : graph_(graph) {
     if constexpr (kSnapshot) {
       NETCLUS_DCHECK(graph.has_point_layer())
-          << "traversal snapshot carries no point layer";
+          << "traversal snapshot carries no points";
+      offsets_base_ = graph.points().offsets().data();
     }
   }
 
@@ -54,8 +57,7 @@ class EdgePointReader {
     if constexpr (kSnapshot) {
       auto [first, count] = graph_.EdgePointRange(a, b);
       return count == 0 ? EdgePointSpan{}
-                        : EdgePointSpan{first, count,
-                                        graph_.point_offsets().data() + first};
+                        : EdgePointSpan{first, count, offsets_base_ + first};
     } else {
       graph_.GetEdgePoints(a, b, &pts_);
       return FromBuffer();
@@ -69,10 +71,11 @@ class EdgePointReader {
   template <typename Fn>
   void ForEachGroup(Fn&& fn) {
     if constexpr (kSnapshot) {
-      const double* layer = graph_.point_offsets().data();
-      for (const FrozenGraph::PointGroup& g : graph_.point_groups()) {
-        fn(g.u, g.v, g.weight,
-           EdgePointSpan{g.first, g.count, layer + g.first});
+      const PointSet& points = graph_.points();
+      for (size_t i = 0; i < points.num_groups(); ++i) {
+        const PointSet::Group& g = points.group(i);
+        fn(g.u, g.v, graph_.group_weight(i),
+           EdgePointSpan{g.first, g.count, offsets_base_ + g.first});
       }
     } else {
       graph_.ForEachPointGroup([&](NodeId u, NodeId v, PointId, uint32_t) {
@@ -97,7 +100,8 @@ class EdgePointReader {
   }
 
   const Graph& graph_;
-  std::vector<EdgePoint> pts_;  // view path only
+  const double* offsets_base_ = nullptr;  // snapshot path only
+  std::vector<EdgePoint> pts_;            // view path only
   std::vector<double> offsets_;
 };
 

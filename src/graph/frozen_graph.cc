@@ -2,7 +2,9 @@
 
 #include <cstring>
 #include <memory>
+#include <utility>
 
+#include "common/check.h"
 #include "graph/network.h"
 
 namespace netclus {
@@ -52,28 +54,24 @@ size_t FrozenGraph::SetEdgePoints(NodeId u, NodeId v, PointId first,
   return su;
 }
 
-void FrozenGraph::AttachPoints(const PointSet& points) {
+void FrozenGraph::AttachPoints(std::shared_ptr<const PointSet> points) {
+  NETCLUS_CHECK(points != nullptr) << "a snapshot needs its PointSet";
+  points_ = std::move(points);
   const size_t half_edges = num_half_edges();
   pt_first_.assign(half_edges, kInvalidPointId);
   pt_count_.assign(half_edges, 0);
-  // Offsets and the group table copied straight from the PointSet; each
-  // group's weight is its CSR slot's weight, the very double
+  // Each group's weight is its CSR slot's weight, the very double
   // EdgeWeight(u, v) returns.
-  pt_offset_.resize(points.size());
-  for (PointId p = 0; p < points.size(); ++p) {
-    pt_offset_[p] = points.offset(p);
-  }
-  groups_.resize(points.num_groups());
-  for (size_t i = 0; i < points.num_groups(); ++i) {
-    const PointSet::Group& pg = points.group(i);
+  group_weight_.resize(points_->num_groups());
+  for (size_t i = 0; i < points_->num_groups(); ++i) {
+    const PointSet::Group& pg = points_->group(i);
     size_t su = SetEdgePoints(pg.u, pg.v, pg.first, pg.count);
-    groups_[i] = PointGroup{pg.u, pg.v, pg.first, pg.count,
-                            su == SIZE_MAX ? -1.0 : adj_->weights[su]};
+    group_weight_[i] = su == SIZE_MAX ? -1.0 : adj_->weights[su];
   }
 }
 
-FrozenGraph FrozenGraph::Materialize(const InMemoryNetworkView& view) {
-  const Network& net = view.network();
+FrozenGraph FrozenGraph::Materialize(const Network& net,
+                                     std::shared_ptr<const PointSet> points) {
   const NodeId n = net.num_nodes();
   auto adj = std::make_shared<Adjacency>();
   adj->offsets.assign(static_cast<size_t>(n) + 1, 0);
@@ -95,14 +93,15 @@ FrozenGraph FrozenGraph::Materialize(const InMemoryNetworkView& view) {
   }
   FrozenGraph g;
   g.adj_ = std::move(adj);
-  g.AttachPoints(view.points());
+  g.AttachPoints(std::move(points));
   return g;
 }
 
-FrozenGraph FrozenGraph::WithPoints(const PointSet& points) const {
+FrozenGraph FrozenGraph::WithPoints(
+    std::shared_ptr<const PointSet> points) const {
   FrozenGraph g;
   g.adj_ = adj_;
-  g.AttachPoints(points);
+  g.AttachPoints(std::move(points));
   return g;
 }
 
@@ -112,19 +111,6 @@ bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&
          (a.empty() ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
-}
-
-bool SamePointGroups(const std::vector<FrozenGraph::PointGroup>& a,
-                     const std::vector<FrozenGraph::PointGroup>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].u != b[i].u || a[i].v != b[i].v || a[i].first != b[i].first ||
-        a[i].count != b[i].count ||
-        std::memcmp(&a[i].weight, &b[i].weight, sizeof(double)) != 0) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace
@@ -139,14 +125,19 @@ bool FrozenGraph::BitIdenticalTo(const FrozenGraph& other) const {
        adj_->offsets == other.adj_->offsets &&
        adj_->neighbors == other.adj_->neighbors &&
        SameBits(adj_->weights, other.adj_->weights));
-  return same_adjacency && pt_first_ == other.pt_first_ &&
+  const bool same_points =
+      points_ == other.points_ ||
+      (points_ != nullptr && other.points_ != nullptr &&
+       points_->BitIdenticalTo(*other.points_));
+  return same_adjacency && same_points && pt_first_ == other.pt_first_ &&
          pt_count_ == other.pt_count_ &&
-         SameBits(pt_offset_, other.pt_offset_) &&
-         SamePointGroups(groups_, other.groups_);
+         SameBits(group_weight_, other.group_weight_);
 }
 
 Result<FrozenGraph> InMemoryNetworkView::Freeze() const {
-  return FrozenGraph::Materialize(*this);
+  // A copy of the view's points, so the snapshot outlives the view.
+  return FrozenGraph::Materialize(net_,
+                                  std::make_shared<const PointSet>(points_));
 }
 
 }  // namespace netclus

@@ -1,6 +1,6 @@
 // FrozenGraph: an immutable struct-of-arrays CSR snapshot of an
-// in-memory network's adjacency structure, plus a flat copy of the
-// points lying on it.
+// in-memory network's adjacency structure, over the PointSet it was
+// built for.
 //
 // Every algorithm in the paper is a Dijkstra traversal, and the
 // traversal inner loop is exactly "for each neighbor of the popped
@@ -15,23 +15,18 @@
 //   pt_first_[i], pt_count_[i]     points on that edge (id range), or
 //                                  (kInvalidPointId, 0) when none
 //
-// and, as the point layer:
-//
-//   pt_offset_[p]                  offset of point p from its edge's
-//                                  smaller-id endpoint
-//   groups_[g]                     (u, v, first, count, weight) of the
-//                                  g-th point-bearing edge, in PointSet
-//                                  group order
+// and, per PointSet group g, group_weight_[g]: the weight of the g-th
+// point-bearing edge, so a group scan reads no CSR row.
 //
 // The first three arrays form one immutable adjacency block behind a
 // shared_ptr: a snapshot of the same network with other points on it
-// (WithPoints) shares the block instead of copying it.
-//
-// The traversal algorithms read edge points from the layer in place
-// (graph/edge_points.h). Only an InMemoryNetworkView is ever frozen: a
-// disk-backed view is traversed directly, so the Section 5.2 experiments
-// count the algorithms' own page reads rather than one copy of the
-// whole adjacency file.
+// (WithPoints) shares the block instead of copying it. The points
+// themselves are not copied either: the snapshot co-owns the PointSet
+// (paper Section 4.1's points file) and the traversal algorithms read
+// its offsets in place (graph/edge_points.h). Only an
+// InMemoryNetworkView is ever frozen: a disk-backed view is traversed
+// directly, so the Section 5.2 experiments count the algorithms' own
+// page reads rather than one copy of the whole adjacency file.
 //
 // The neighbor order of each node matches the source view's iteration
 // order exactly, so a traversal over the snapshot settles nodes, pushes
@@ -51,7 +46,7 @@
 
 namespace netclus {
 
-class InMemoryNetworkView;
+class Network;
 class PointSet;
 
 /// \brief Immutable CSR adjacency snapshot; cheap to share read-only
@@ -98,44 +93,34 @@ class FrozenGraph {
   /// the edge holds none (or the edge is absent).
   std::pair<PointId, uint32_t> EdgePointRange(NodeId a, NodeId b) const;
 
-  /// One point-bearing edge of the point layer: points
-  /// [first, first + count) lie on edge (u, v), u < v, of weight
-  /// `weight`.
-  struct PointGroup {
-    NodeId u = kInvalidNodeId;
-    NodeId v = kInvalidNodeId;
-    PointId first = kInvalidPointId;
-    uint32_t count = 0;
-    double weight = 0.0;
-  };
-
-  /// True when the snapshot carries the point ranges and the point
-  /// layer: every materialized snapshot does, only a default-constructed
-  /// one does not.
-  bool has_point_layer() const { return adj_ != nullptr; }
-  /// Offset of every point from its edge's smaller-id endpoint, indexed
-  /// by point id; ascending within each edge.
-  const std::vector<double>& point_offsets() const { return pt_offset_; }
-  /// The point-bearing edges in PointSet group order (ascending first
-  /// point id).
-  const std::vector<PointGroup>& point_groups() const { return groups_; }
-  /// Heap bytes held by the point layer.
-  size_t point_layer_bytes() const {
-    return pt_offset_.size() * sizeof(double) +
-           groups_.size() * sizeof(PointGroup);
+  /// True when the snapshot carries its points: every materialized
+  /// snapshot does, only a default-constructed one does not.
+  bool has_point_layer() const { return points_ != nullptr; }
+  /// The PointSet the snapshot was built over, which it co-owns.
+  const PointSet& points() const { return *points_; }
+  /// Weight of the PointSet's g-th group's edge: the very double
+  /// EdgeWeight(u, v) returns.
+  double group_weight(size_t g) const { return group_weight_[g]; }
+  /// Heap bytes this snapshot holds alone: the slot point ranges and
+  /// the group weights. The adjacency block and the PointSet are
+  /// co-owned.
+  size_t own_bytes() const {
+    return pt_first_.size() * sizeof(PointId) +
+           pt_count_.size() * sizeof(uint32_t) +
+           group_weight_.size() * sizeof(double);
   }
 
-  /// Builds a snapshot of an in-memory view, copied straight out of its
-  /// Network adjacency rows and PointSet, point layer included. Cannot
-  /// fail.
-  static FrozenGraph Materialize(const InMemoryNetworkView& view);
+  /// Builds a snapshot of `net`'s adjacency rows over `points` (not
+  /// null), whose edges must all be `net`'s. Cannot fail.
+  static FrozenGraph Materialize(const Network& net,
+                                 std::shared_ptr<const PointSet> points);
 
   /// The snapshot of `points` over this materialized snapshot's
   /// adjacency, which it shares instead of copying: what Materialize
-  /// returns for a view whose network still has exactly this adjacency,
-  /// row order included (no edge added since). Point ranges and the
-  /// point layer are rebuilt — dense point ids shift on every publish.
-  FrozenGraph WithPoints(const PointSet& points) const;
+  /// returns for a network that still has exactly this adjacency, row
+  /// order included (no edge added since). Only the point ranges and
+  /// group weights are rebuilt — dense point ids shift on every publish.
+  FrozenGraph WithPoints(std::shared_ptr<const PointSet> points) const;
 
   /// True when both snapshots hold the very same adjacency block.
   bool SharesAdjacencyWith(const FrozenGraph& other) const {
@@ -143,7 +128,7 @@ class FrozenGraph {
   }
 
   /// True when every array (offsets, neighbors, weight bit patterns,
-  /// point ranges, the point layer's offsets and group table) matches
+  /// point ranges, group weight bit patterns) and the PointSet match
   /// exactly — the NETCLUS_VALIDATE oracle that a shared adjacency is
   /// still the network's.
   bool BitIdenticalTo(const FrozenGraph& other) const;
@@ -158,11 +143,6 @@ class FrozenGraph {
     adj_ = std::move(copy);
   }
 
-  /// Test-only: overwrites point `p`'s offset in the point layer.
-  void CorruptPointOffsetForTest(PointId p, double offset) {
-    pt_offset_[p] = offset;
-  }
-
  private:
   // Slot index of neighbor `b` in `a`'s CSR row; SIZE_MAX when absent.
   size_t SlotOf(NodeId a, NodeId b) const;
@@ -172,8 +152,8 @@ class FrozenGraph {
   // absent).
   size_t SetEdgePoints(NodeId u, NodeId v, PointId first, uint32_t count);
 
-  // Point ranges for every group of `points`, plus the point layer.
-  void AttachPoints(const PointSet& points);
+  // Co-owns `points`; fills the point ranges and group weights.
+  void AttachPoints(std::shared_ptr<const PointSet> points);
 
   // The CSR rows. Immutable once built, so the snapshots of epochs that
   // added no edge share one block; null only in a default-constructed
@@ -185,10 +165,10 @@ class FrozenGraph {
   };
 
   std::shared_ptr<const Adjacency> adj_;
-  std::vector<PointId> pt_first_;   // 2|E|, kInvalidPointId when no points
-  std::vector<uint32_t> pt_count_;  // 2|E|
-  std::vector<double> pt_offset_;   // N
-  std::vector<PointGroup> groups_;  // point groups
+  std::shared_ptr<const PointSet> points_;
+  std::vector<PointId> pt_first_;     // 2|E|, kInvalidPointId when no points
+  std::vector<uint32_t> pt_count_;    // 2|E|
+  std::vector<double> group_weight_;  // per PointSet group
 };
 
 /// Neighbor-iteration adapter the template traversal kernel dispatches

@@ -77,6 +77,9 @@ class PointSet {
     return PointPos{g.u, g.v, offsets_[p]};
   }
   double offset(PointId p) const { return offsets_[p]; }
+  /// Every point's offset, indexed by point id: ascending within each
+  /// group, so a group's offsets are one contiguous run.
+  const std::vector<double>& offsets() const { return offsets_; }
   int label(PointId p) const { return labels_[p]; }
 
   size_t num_groups() const { return groups_.size(); }
@@ -166,10 +169,11 @@ class InMemoryNetworkView : public NetworkView {
   const InMemoryNetworkView* AsInMemory() const override { return this; }
 
   /// Materializes an immutable CSR snapshot of the network's adjacency
-  /// plus the point layer (see graph/frozen_graph.h). Neighbor order
-  /// matches this view's iteration order, so traversals over the
-  /// snapshot are bit-identical to traversals over the view. Defined in
-  /// frozen_graph.cc; callers include graph/frozen_graph.h.
+  /// over a copy of the view's PointSet, so the snapshot outlives the
+  /// view (see graph/frozen_graph.h). Neighbor order matches this view's
+  /// iteration order, so traversals over the snapshot are bit-identical
+  /// to traversals over the view. Defined in frozen_graph.cc; callers
+  /// include graph/frozen_graph.h.
   Result<FrozenGraph> Freeze() const;
 
   const Network& network() const { return net_; }

@@ -16,7 +16,7 @@ namespace {
 // The implementations below are templated on the traversal graph: the
 // live NetworkView (virtual dispatch per node) or a FrozenGraph CSR
 // snapshot (inlined pointer walk). Point positions come from the view;
-// edge points come from the snapshot's point layer or through the view
+// edge points come from the snapshot's PointSet or through the view
 // (graph/edge_points.h). Both instantiations relax edges in the same
 // order, so results are bit-identical.
 

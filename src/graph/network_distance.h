@@ -74,7 +74,7 @@ inline bool operator!=(const RangeResult& a, const RangeResult& b) {
 ///
 /// The workspace's heap, settle log, seed list and stamps are reused, so
 /// once they and `out` have grown to the largest region seen, a query
-/// over a snapshot with a point layer allocates nothing — the steady
+/// over a snapshot allocates nothing — the steady
 /// state for algorithms that issue one range query per point (DBSCAN).
 /// One workspace per concurrent caller: each thread owns its own.
 template <TraversalGraph Graph>

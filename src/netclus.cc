@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <type_traits>
 
 #include "common/timer.h"
@@ -186,10 +187,23 @@ Result<ClusterOutput> RunClustering(const NetworkView& view,
   // other view is traversed directly, so a disk-backed run reads only the
   // pages its algorithm asks for.
   if (const InMemoryNetworkView* mem = view.AsInMemory()) {
-    NETCLUS_ASSIGN_OR_RETURN(FrozenGraph frozen, mem->Freeze());
+    // The snapshot lives only within this call, so it borrows the view's
+    // PointSet (an owner-less aliasing pointer) instead of copying it as
+    // Freeze() does.
+    const FrozenGraph frozen = FrozenGraph::Materialize(
+        mem->network(), std::shared_ptr<const PointSet>(
+                            std::shared_ptr<const PointSet>(), &mem->points()));
     return RunOnGraph(view, frozen, spec, timer);
   }
   return RunOnGraph(view, view, spec, timer);
+}
+
+Result<ClusterOutput> RunClustering(const NetworkView& view,
+                                    const FrozenGraph& graph,
+                                    const ClusterSpec& spec) {
+  NETCLUS_RETURN_IF_ERROR(view.status());
+  WallTimer timer;
+  return RunOnGraph(view, graph, spec, timer);
 }
 
 }  // namespace netclus

@@ -122,6 +122,14 @@ ClusterSpec MakeSpec(const SingleLinkOptions& options,
 Result<ClusterOutput> RunClustering(const NetworkView& view,
                                     const ClusterSpec& spec);
 
+/// The same run over `graph`, a snapshot the caller already holds of the
+/// in-memory `view` (what Freeze() returns for it): no second freeze.
+/// The output is bit for bit what RunClustering(view, spec) returns;
+/// validate mode re-proves the snapshot against the view first.
+Result<ClusterOutput> RunClustering(const NetworkView& view,
+                                    const FrozenGraph& graph,
+                                    const ClusterSpec& spec);
+
 }  // namespace netclus
 
 #endif  // NETCLUS_NETCLUS_H_

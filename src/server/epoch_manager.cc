@@ -15,7 +15,6 @@ std::shared_ptr<const EpochSnapshot> EpochManager::Current() const {
 }
 
 uint64_t EpochManager::Publish(std::shared_ptr<const FrozenGraph> graph,
-                               std::shared_ptr<const PointSet> points,
                                std::shared_ptr<const ClusterOutput> clusters,
                                std::shared_ptr<const DistanceCache> cache,
                                std::shared_ptr<const IdentityMap> ids) {
@@ -26,9 +25,8 @@ uint64_t EpochManager::Publish(std::shared_ptr<const FrozenGraph> graph,
     id = published_.fetch_add(1, std::memory_order_acq_rel) + 1;
     outgoing = std::exchange(
         current_, std::make_shared<const EpochSnapshot>(
-                      id, std::move(graph), std::move(points),
-                      std::move(clusters), std::move(cache), freed_,
-                      std::move(ids)));
+                      id, std::move(graph), std::move(clusters),
+                      std::move(cache), freed_, std::move(ids)));
   }
   // Dropped here, after the lock: when no reader holds the predecessor
   // its teardown runs now, outside the critical section.

@@ -57,7 +57,6 @@ class EpochManager {
   /// `ids` is the epoch's ObjectId <-> dense-PointId map (null =
   /// identity).
   uint64_t Publish(std::shared_ptr<const FrozenGraph> graph,
-                   std::shared_ptr<const PointSet> points,
                    std::shared_ptr<const ClusterOutput> clusters,
                    std::shared_ptr<const DistanceCache> cache = nullptr,
                    std::shared_ptr<const IdentityMap> ids = nullptr)

@@ -219,9 +219,8 @@ void QueryServer::MaybeCheckpoint() {
 Status QueryServer::PublishWorld() {
   WallTimer timer;
   NETCLUS_ASSIGN_OR_RETURN(World::Epoch epoch, world_->Build());
-  epochs_.Publish(std::move(epoch.graph), std::move(epoch.points),
-                  std::move(epoch.clusters), std::move(epoch.cache),
-                  std::move(epoch.ids));
+  epochs_.Publish(std::move(epoch.graph), std::move(epoch.clusters),
+                  std::move(epoch.cache), std::move(epoch.ids));
   const double publish_ms = timer.ElapsedMillis();
   MutexLock lock(&stats_mu_);
   if (epoch.incremental) {

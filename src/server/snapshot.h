@@ -1,6 +1,6 @@
 // EpochSnapshot: one immutable, self-owning epoch of the served world —
-// the CSR graph, the point set, the optional cached clustering, and a
-// NetworkView stitched over them.
+// the CSR graph with the point set it co-owns, the optional cached
+// clustering, and a NetworkView stitched over them.
 //
 // The query server never lets a query touch the live (mutating) Network.
 // Instead the updater thread materializes these snapshots and publishes
@@ -26,22 +26,21 @@
 
 namespace netclus {
 
-/// \brief NetworkView over a frozen (graph, point set) pair.
+/// \brief NetworkView over a frozen graph and the point set it co-owns.
 ///
 /// Unlike InMemoryNetworkView, which reads through a live Network that
 /// may be mutating underneath it, every accessor here resolves against
 /// the immutable snapshot: adjacency and edge weights from the
-/// FrozenGraph CSR, positions / edge points / groups from the PointSet.
-/// The view co-owns both, so it remains valid for as long as any copy
-/// of it (or its EpochSnapshot) lives.
+/// FrozenGraph CSR, positions / edge points / groups from its PointSet.
+/// The view co-owns the graph, so it remains valid for as long as any
+/// copy of it (or its EpochSnapshot) lives.
 class SnapshotView final : public NetworkView {
  public:
-  SnapshotView(std::shared_ptr<const FrozenGraph> graph,
-               std::shared_ptr<const PointSet> points)
-      : graph_(std::move(graph)), points_(std::move(points)) {}
+  explicit SnapshotView(std::shared_ptr<const FrozenGraph> graph)
+      : graph_(std::move(graph)) {}
 
   NodeId num_nodes() const override { return graph_->num_nodes(); }
-  PointId num_points() const override { return points_->size(); }
+  PointId num_points() const override { return points().size(); }
   void ForEachNeighbor(
       NodeId n,
       const std::function<void(NodeId, double)>& fn) const override {
@@ -51,7 +50,7 @@ class SnapshotView final : public NetworkView {
     return graph_->EdgeWeight(a, b);
   }
   PointPos PointPosition(PointId p) const override {
-    return points_->position(p);
+    return points().position(p);
   }
   void GetEdgePoints(NodeId a, NodeId b,
                      std::vector<EdgePoint>* out) const override;
@@ -60,11 +59,10 @@ class SnapshotView final : public NetworkView {
       const override;
 
   const FrozenGraph& frozen() const { return *graph_; }
-  const PointSet& points() const { return *points_; }
+  const PointSet& points() const { return graph_->points(); }
 
  private:
   std::shared_ptr<const FrozenGraph> graph_;
-  std::shared_ptr<const PointSet> points_;
 };
 
 /// \brief One published epoch: id + the immutable world it serves.
@@ -87,7 +85,6 @@ class EpochSnapshot {
   /// the destructor — the observable "drained epoch actually freed"
   /// signal the epoch-swap tests assert on.
   EpochSnapshot(uint64_t epoch, std::shared_ptr<const FrozenGraph> graph,
-                std::shared_ptr<const PointSet> points,
                 std::shared_ptr<const ClusterOutput> clusters,
                 std::shared_ptr<const DistanceCache> cache,
                 std::shared_ptr<std::atomic<uint64_t>> freed_counter,
@@ -100,7 +97,6 @@ class EpochSnapshot {
   uint64_t epoch() const { return epoch_; }
   const SnapshotView& view() const { return view_; }
   const FrozenGraph& frozen() const { return view_.frozen(); }
-  const PointSet& points() const { return view_.points(); }
   /// Null when the server runs without a cluster_spec.
   const ClusterOutput* clusters() const { return clusters_.get(); }
   /// This epoch's distance cache; null when caching is disabled. Keys
@@ -117,7 +113,7 @@ class EpochSnapshot {
   std::shared_ptr<const ClusterOutput> clusters_;
   std::shared_ptr<const DistanceCache> cache_;
   std::shared_ptr<const IdentityMap> ids_;
-  SnapshotView view_;  ///< co-owns the graph and the point set
+  SnapshotView view_;  ///< co-owns the graph, and through it the points
   std::shared_ptr<std::atomic<uint64_t>> freed_counter_;
 };
 

@@ -94,7 +94,7 @@ Status World::Apply(const NetworkUpdate& update) {
 
 Result<PointSet> World::BuildPoints(
     bool merge, std::vector<PointId>* record_to_final) const {
-  const size_t known = merge ? base_points_->size() : 0;
+  const size_t known = merge ? base_graph_->points().size() : 0;
   PointSetBuilder builder;
   for (size_t i = known; i < points_.size(); ++i) {
     const CheckpointPoint& p = points_[i];
@@ -109,7 +109,7 @@ Result<PointSet> World::BuildPoints(
   std::vector<PointId> base_to_final;
   std::vector<PointId> added_to_final;
   NETCLUS_ASSIGN_OR_RETURN(
-      PointSet merged, std::move(builder).Merge(net_, *base_points_,
+      PointSet merged, std::move(builder).Merge(net_, base_graph_->points(),
                                                 &base_to_final,
                                                 &added_to_final));
   record_to_final->resize(points_.size());
@@ -141,7 +141,8 @@ Result<World::Epoch> World::BuildPointsAndGraph(
   epoch.incremental = incremental;
   NETCLUS_ASSIGN_OR_RETURN(PointSet ps,
                            BuildPoints(incremental, record_to_final));
-  epoch.points = std::make_shared<const PointSet>(std::move(ps));
+  // The one copy of the epoch's points: its graph co-owns it.
+  auto points = std::make_shared<const PointSet>(std::move(ps));
   // The epoch's identity map: dense point p was record i, so it carries
   // record i's ObjectId.
   std::vector<ObjectId> object_of_point(points_.size(), kInvalidObjectId);
@@ -152,16 +153,15 @@ Result<World::Epoch> World::BuildPointsAndGraph(
   epoch.points_ms = timer.ElapsedMillis();
 
   timer.Restart();
-  InMemoryNetworkView view(net_, *epoch.points);
   if (adjacency_base == nullptr) {
-    epoch.graph =
-        std::make_shared<const FrozenGraph>(FrozenGraph::Materialize(view));
+    epoch.graph = std::make_shared<const FrozenGraph>(
+        FrozenGraph::Materialize(net_, std::move(points)));
   } else {
     // No edge since `adjacency_base` was built, so its rows are still
     // the network's: share them and rebuild only the point ranges.
-    FrozenGraph fg = adjacency_base->WithPoints(*epoch.points);
+    FrozenGraph fg = adjacency_base->WithPoints(points);
     if (options_.validate &&
-        !fg.BitIdenticalTo(FrozenGraph::Materialize(view))) {
+        !fg.BitIdenticalTo(FrozenGraph::Materialize(net_, points))) {
       // The oracle: a from-scratch rebuild must be byte-for-byte the
       // shared one. A divergence fails the Build, so queries keep
       // serving the last good epoch, never a stale adjacency.
@@ -194,7 +194,7 @@ Result<World::Epoch> World::Build() {
                           &record_to_final));
   if (options_.cluster_spec.has_value()) {
     WallTimer timer;
-    InMemoryNetworkView view(net_, *epoch.points);
+    InMemoryNetworkView view(net_, epoch.graph->points());
     NETCLUS_ASSIGN_OR_RETURN(
         ClusterOutput out,
         Recluster(view, *epoch.graph, record_to_final, incremental,
@@ -216,7 +216,6 @@ Result<World::Epoch> World::Build() {
   // The base advances only here, with the epoch it describes; a failed
   // Build leaves it in place, so its mutations merge next time.
   base_graph_ = epoch.graph;
-  base_points_ = epoch.points;
   base_record_to_final_ = std::move(record_to_final);
   unpublished_.clear();
   return epoch;
@@ -230,7 +229,8 @@ Result<World::Epoch> World::BuildFull() const {
                           &record_to_final));
   if (options_.cluster_spec.has_value()) {
     WallTimer timer;
-    InMemoryNetworkView view(net_, *epoch.points);
+    // The independent reference: RunClustering freezes its own snapshot.
+    InMemoryNetworkView view(net_, epoch.graph->points());
     NETCLUS_ASSIGN_OR_RETURN(ClusterOutput out,
                              RunClustering(view, *options_.cluster_spec));
     epoch.clusters = std::make_shared<const ClusterOutput>(std::move(out));
@@ -249,7 +249,9 @@ Result<ClusterOutput> World::Recluster(
     bool* merged) {
   const ClusterSpec& spec = *options_.cluster_spec;
   *merged = false;
-  if (spec.algorithm != Algorithm::kEpsLink) return RunClustering(view, spec);
+  if (spec.algorithm != Algorithm::kEpsLink) {
+    return RunClustering(view, graph, spec);
+  }
   const uint32_t min_sup = spec.eps_link.min_sup;
   const uint32_t num_records = static_cast<uint32_t>(record_to_final.size());
   if (!incremental || !components_seeded_) {
@@ -260,7 +262,7 @@ Result<ClusterOutput> World::Recluster(
     ClusterSpec seed_spec = spec;
     seed_spec.eps_link.min_sup = 1;
     NETCLUS_ASSIGN_OR_RETURN(ClusterOutput out,
-                             RunClustering(view, seed_spec));
+                             RunClustering(view, graph, seed_spec));
     components_ = UnionFind(num_records);
     std::vector<uint32_t> first_record(
         static_cast<size_t>(out.clustering.num_clusters), num_records);
@@ -351,7 +353,8 @@ Result<ClusterOutput> World::Recluster(
     // The oracle: a full run must agree label for label. A divergence
     // fails the Build (the last good epoch keeps serving) and drops the
     // forest, so the next Build reseeds it from a full run.
-    NETCLUS_ASSIGN_OR_RETURN(ClusterOutput full, RunClustering(view, spec));
+    NETCLUS_ASSIGN_OR_RETURN(ClusterOutput full,
+                             RunClustering(view, graph, spec));
     if (full.clustering.num_clusters != out.clustering.num_clusters ||
         full.clustering.assignment != out.clustering.assignment) {
       components_seeded_ = false;

@@ -61,9 +61,8 @@ class World {
   /// The immutable pieces of one epoch, plus how they were built.
   struct Epoch {
     /// Shares the previous epoch's adjacency when no edge was added
-    /// since it was built.
+    /// since it was built; co-owns the epoch's PointSet (points()).
     std::shared_ptr<const FrozenGraph> graph;
-    std::shared_ptr<const PointSet> points;
     std::shared_ptr<const IdentityMap> ids;
     /// Null without a cluster_spec.
     std::shared_ptr<const ClusterOutput> clusters;
@@ -127,9 +126,10 @@ class World {
   Result<Epoch> BuildPointsAndGraph(
       bool incremental, const FrozenGraph* adjacency_base,
       std::vector<PointId>* record_to_final) const;
-  /// The epoch's clustering. ε-Link specs merge the links the
-  /// unpublished mutations add into a seeded forest when `incremental`,
-  /// and seed it from one full run otherwise; others run RunClustering.
+  /// The epoch's clustering over `graph`, the snapshot of `view`.
+  /// ε-Link specs merge the links the unpublished mutations add into a
+  /// seeded forest when `incremental`, and seed it from one full run
+  /// otherwise; others run RunClustering.
   Result<ClusterOutput> Recluster(const NetworkView& view,
                                   const FrozenGraph& graph,
                                   const std::vector<PointId>& record_to_final,
@@ -146,10 +146,9 @@ class World {
   /// Mutations applied since the last successful Build.
   std::vector<NetworkUpdate> unpublished_;
 
-  // The merge base: the last successful Build's graph and points, and
+  // The merge base: the last successful Build's graph, its points, and
   // where each point record landed in them. Null before the first.
   std::shared_ptr<const FrozenGraph> base_graph_;
-  std::shared_ptr<const PointSet> base_points_;
   std::vector<PointId> base_record_to_final_;
 
   // ε-Link components across builds: a forest over point record

@@ -1,13 +1,13 @@
 // Tests for the FrozenGraph CSR snapshot (src/graph/frozen_graph.*):
 // neighbor-sequence equality with the source view on random networks,
-// edge-weight and point-range lookups, the point layer (a faithful copy
-// of the PointSet, audited by the validator and BitIdenticalTo), the
+// edge-weight and point-range lookups, the co-owned PointSet and group
+// weights (audited by the validator and BitIdenticalTo), the
 // validator's rejection of a corrupted snapshot, identical Dijkstra
 // traversal counters over view and snapshot, snapshot ownership across
 // Network mutation, the per-algorithm frozen-vs-live bit-identity of
 // each graph-generic entry (graph = view vs graph = snapshot), and the
 // point kernels (range, accelerated range, node range, k-NN) over the
-// point layer against the live view and a full-scan reference —
+// snapshot's points against the live view and a full-scan reference —
 // including a steady-state allocation count.
 #include <gtest/gtest.h>
 
@@ -172,36 +172,62 @@ TEST(FrozenGraphTest, DiskViewMatchesInMemorySnapshot) {
   EXPECT_TRUE(bundle->view().status().ok());
 }
 
+// `points` rebuilt with point p's offset moved halfway to the next
+// offset on its edge (or to the edge's end): the same ids and groups
+// with one offset nudged.
+std::shared_ptr<const PointSet> NudgeOffset(const Network& net,
+                                            const PointSet& points,
+                                            PointId p) {
+  PointSetBuilder builder;
+  for (PointId q = 0; q < points.size(); ++q) {
+    const PointPos pos = points.position(q);
+    double offset = pos.offset;
+    if (q == p) {
+      const bool next_on_edge = q + 1 < points.size() &&
+                                points.position(q + 1).u == pos.u &&
+                                points.position(q + 1).v == pos.v;
+      const double bound = next_on_edge ? points.offset(q + 1)
+                                        : net.EdgeWeight(pos.u, pos.v);
+      offset += 0.5 * (bound - offset);
+    }
+    builder.Add(pos.u, pos.v, offset, points.label(q));
+  }
+  return std::make_shared<const PointSet>(
+      std::move(std::move(builder).Build(net)).value());
+}
+
 TEST(FrozenGraphTest, PointLayerCopiesPointSet) {
   Scenario s(100, 260, 33);
   ASSERT_TRUE(s.frozen.has_point_layer());
-  const std::vector<double>& offsets = s.frozen.point_offsets();
-  ASSERT_EQ(offsets.size(), s.points.size());
-  for (PointId p = 0; p < s.points.size(); ++p) {
-    EXPECT_EQ(offsets[p], s.points.offset(p)) << "point " << p;
-  }
-  const std::vector<FrozenGraph::PointGroup>& groups =
-      s.frozen.point_groups();
-  ASSERT_EQ(groups.size(), s.points.num_groups());
-  for (size_t i = 0; i < groups.size(); ++i) {
+  // Freeze() copies the view's PointSet once; the snapshot owns the copy.
+  EXPECT_NE(&s.frozen.points(), &s.points);
+  EXPECT_TRUE(s.frozen.points().BitIdenticalTo(s.points));
+  for (size_t i = 0; i < s.points.num_groups(); ++i) {
     const PointSet::Group& g = s.points.group(i);
-    EXPECT_EQ(groups[i].u, g.u);
-    EXPECT_EQ(groups[i].v, g.v);
-    EXPECT_EQ(groups[i].first, g.first);
-    EXPECT_EQ(groups[i].count, g.count);
-    EXPECT_EQ(groups[i].weight, s.gen.net.EdgeWeight(g.u, g.v));
+    EXPECT_EQ(s.frozen.group_weight(i), s.gen.net.EdgeWeight(g.u, g.v))
+        << "group " << i;
   }
-  EXPECT_EQ(s.frozen.point_layer_bytes(),
-            offsets.size() * sizeof(double) +
-                groups.size() * sizeof(FrozenGraph::PointGroup));
+  // Its own bytes: the slot ranges and one weight per group.
+  EXPECT_EQ(s.frozen.own_bytes(),
+            s.frozen.num_half_edges() * (sizeof(PointId) + sizeof(uint32_t)) +
+                s.points.num_groups() * sizeof(double));
+  // The copy outlives the PointSet the view was over.
+  FrozenGraph outlives;
+  {
+    const PointSet copy = s.points;
+    outlives =
+        std::move(InMemoryNetworkView(s.gen.net, copy).Freeze()).value();
+  }
+  EXPECT_TRUE(outlives.points().BitIdenticalTo(s.points));
 }
 
 TEST(FrozenGraphTest, ValidatorRejectsCorruptedPointOffset) {
   Scenario s(110, 130, 53);
-  ASSERT_TRUE(s.frozen.has_point_layer());
   const PointId p = s.points.size() / 2;
-  s.frozen.CorruptPointOffsetForTest(p, s.points.offset(p) + 0.125);
-  Status st = ValidateFrozenGraph(*s.view, s.frozen);
+  const FrozenGraph tampered =
+      s.frozen.WithPoints(NudgeOffset(s.gen.net, s.points, p));
+  ASSERT_NE(tampered.points().offset(p), s.points.offset(p));
+  Status st = ValidateFrozenGraph(*s.view, tampered);
   EXPECT_FALSE(st.ok());
   EXPECT_TRUE(st.IsInternal()) << st.ToString();
   EXPECT_NE(st.ToString().find("point " + std::to_string(p)),
@@ -210,18 +236,22 @@ TEST(FrozenGraphTest, ValidatorRejectsCorruptedPointOffset) {
 }
 
 // The incremental-publish oracle compares snapshots with BitIdenticalTo;
-// a mis-copied point layer must fail it.
+// a snapshot over other points must fail it.
 TEST(FrozenGraphTest, BitIdenticalToComparesPointLayer) {
   Scenario s(90, 150, 54);
-  FrozenGraph again = FrozenGraph::Materialize(*s.view);
+  const FrozenGraph again = FrozenGraph::Materialize(
+      s.gen.net, std::make_shared<const PointSet>(s.points));
   EXPECT_TRUE(again.BitIdenticalTo(s.frozen));
-  // Re-attaching the same points over the shared adjacency re-copies
-  // the layer identically.
-  const FrozenGraph shared = again.WithPoints(s.points);
+  // Equal points over the shared adjacency rebuild the same ranges and
+  // group weights.
+  const FrozenGraph shared =
+      again.WithPoints(std::make_shared<const PointSet>(s.points));
   EXPECT_TRUE(shared.SharesAdjacencyWith(again));
   EXPECT_TRUE(shared.BitIdenticalTo(s.frozen));
-  again.CorruptPointOffsetForTest(0, s.points.offset(0) + 1.0);
-  EXPECT_FALSE(again.BitIdenticalTo(s.frozen));
+  const FrozenGraph tampered =
+      again.WithPoints(NudgeOffset(s.gen.net, s.points, 0));
+  EXPECT_TRUE(tampered.SharesAdjacencyWith(again));
+  EXPECT_FALSE(tampered.BitIdenticalTo(s.frozen));
 }
 
 TEST(FrozenGraphTest, ValidatorAcceptsFaithfulSnapshot) {
@@ -377,7 +407,7 @@ TEST_F(FrozenRunFixture, RunClusteringValidatesSnapshotForAllAlgorithms) {
 }
 
 // ---------------------------------------------------------------------
-// Point kernels over the point layer vs the live view.
+// Point kernels over the snapshot's points vs the live view.
 
 // The range-query semantics spelled out point by point: exact distances
 // from `sources` to every node, then every point of the network tested
@@ -410,7 +440,7 @@ std::vector<RangeResult> SortedById(std::vector<RangeResult> v) {
 }
 
 // One world, two substrates' worth of kernels: the live view and the
-// snapshot with its point layer. Every kernel must emit the identical
+// snapshot over its PointSet. Every kernel must emit the identical
 // (id, dist) sequence — same order, distances compared bitwise — and
 // match the full-scan reference.
 void ExpectKernelsMatchLiveView(const Network& net, const PointSet& points,
@@ -542,8 +572,7 @@ TEST(FrozenKernelTest, MatchesLiveViewOnDenseClusteredEdges) {
 }
 
 // Once the workspace and the output vector have grown to the largest
-// region seen, a range query over a snapshot with a point layer
-// allocates nothing.
+// region seen, a range query over a snapshot allocates nothing.
 TEST(FrozenKernelTest, RangeQuerySteadyStateAllocatesNothing) {
   Scenario s(200, 600, 91);
   ASSERT_TRUE(s.frozen.has_point_layer());

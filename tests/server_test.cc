@@ -355,9 +355,8 @@ TEST_F(DistanceCacheQueryTest, NullCacheGivesTheExactDistance) {
 std::shared_ptr<const FrozenGraph> TinyGraph() {
   Network net(2);
   EXPECT_TRUE(net.AddEdge(0, 1, 1.0).ok());
-  const PointSet no_points;
   return std::make_shared<const FrozenGraph>(
-      FrozenGraph::Materialize(InMemoryNetworkView(net, no_points)));
+      FrozenGraph::Materialize(net, std::make_shared<const PointSet>()));
 }
 
 TEST(EpochManagerTest, PinnedEpochSurvivesPublishAndFreesOnRelease) {
@@ -366,15 +365,14 @@ TEST(EpochManagerTest, PinnedEpochSurvivesPublishAndFreesOnRelease) {
   EXPECT_EQ(m.current_epoch(), 0u);
   EXPECT_EQ(m.retired_count(), 0u);
 
-  auto points = std::make_shared<const PointSet>();
-  EXPECT_EQ(m.Publish(TinyGraph(), points, nullptr), 1u);
+  EXPECT_EQ(m.Publish(TinyGraph(), nullptr), 1u);
   std::shared_ptr<const EpochSnapshot> pin = m.Current();
   ASSERT_NE(pin, nullptr);
   EXPECT_EQ(pin->epoch(), 1u);
 
   // Publishing epoch 2 retires epoch 1 but must not free it while the
   // pin is held: the reader's world stays byte-stable mid-drain.
-  EXPECT_EQ(m.Publish(TinyGraph(), points, nullptr), 2u);
+  EXPECT_EQ(m.Publish(TinyGraph(), nullptr), 2u);
   EXPECT_EQ(m.current_epoch(), 2u);
   EXPECT_EQ(m.retired_count(), 1u);
   EXPECT_EQ(m.epochs_drained(), 0u);
@@ -386,7 +384,7 @@ TEST(EpochManagerTest, PinnedEpochSurvivesPublishAndFreesOnRelease) {
   EXPECT_EQ(m.epochs_drained(), 1u);
 
   // An unpinned predecessor is freed by the publish itself.
-  EXPECT_EQ(m.Publish(TinyGraph(), points, nullptr), 3u);
+  EXPECT_EQ(m.Publish(TinyGraph(), nullptr), 3u);
   EXPECT_EQ(m.retired_count(), 0u);
   EXPECT_EQ(m.epochs_drained(), 2u);
 }
@@ -397,14 +395,13 @@ TEST(EpochManagerTest, PinnedEpochSurvivesPublishAndFreesOnRelease) {
 // new-epoch pair with an old-world distance) — and vice versa.
 TEST(EpochManagerTest, EachEpochOwnsItsDistanceCache) {
   EpochManager m;
-  auto points = std::make_shared<const PointSet>();
-  m.Publish(TinyGraph(), points, nullptr,
+  m.Publish(TinyGraph(), nullptr,
             std::make_shared<const DistanceCache>(64, 1));
   std::shared_ptr<const EpochSnapshot> old_pin = m.Current();
   ASSERT_NE(old_pin, nullptr);
   ASSERT_NE(old_pin->cache(), nullptr);
 
-  m.Publish(TinyGraph(), points, nullptr,
+  m.Publish(TinyGraph(), nullptr,
             std::make_shared<const DistanceCache>(64, 1));
   std::shared_ptr<const EpochSnapshot> new_pin = m.Current();
   ASSERT_NE(new_pin, nullptr);
@@ -418,7 +415,7 @@ TEST(EpochManagerTest, EachEpochOwnsItsDistanceCache) {
   EXPECT_DOUBLE_EQ(d, 5.0);
 
   // And a publish without a cache serves uncached (null), not shared.
-  m.Publish(TinyGraph(), points, nullptr);
+  m.Publish(TinyGraph(), nullptr);
   EXPECT_EQ(m.Current()->cache(), nullptr);
 }
 
@@ -432,8 +429,7 @@ TEST(EpochManagerTest, ConcurrentPinPublishHammer) {
   constexpr uint32_t kReaders = 4;
   constexpr uint64_t kPublishes = 50;
   EpochManager m;
-  auto points = std::make_shared<const PointSet>();
-  m.Publish(TinyGraph(), points, nullptr);
+  m.Publish(TinyGraph(), nullptr);
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> reads{0};
@@ -459,7 +455,7 @@ TEST(EpochManagerTest, ConcurrentPinPublishHammer) {
   }
 
   for (uint64_t i = 1; i < kPublishes; ++i) {
-    m.Publish(TinyGraph(), points, nullptr);
+    m.Publish(TinyGraph(), nullptr);
     std::this_thread::yield();
   }
   // Let the readers observe the final epoch before stopping.

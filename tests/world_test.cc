@@ -1,8 +1,10 @@
 // World: the served world and the builder of its epochs, tested on one
 // thread with no QueryServer. Every incremental Build must equal the
-// full build of the same world bit for bit; a checkpoint must restore
-// the world it was taken from; a rejected mutation must leave the world,
-// its ObjectId watermark included, untouched.
+// full build of the same world bit for bit; an epoch's PointSet is the
+// one its graph co-owns and is never copied on publish; a clustering run
+// over an epoch's graph equals one that freezes its own; a checkpoint
+// must restore the world it was taken from; a rejected mutation must
+// leave the world, its ObjectId watermark included, untouched.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +20,7 @@
 #include "graph/frozen_graph.h"
 #include "graph/network.h"
 #include "netclus.h"
+#include "server/epoch_manager.h"
 #include "server/update.h"
 #include "server/wal.h"
 #include "server/world.h"
@@ -97,7 +100,7 @@ void ExpectSameEpoch(const World::Epoch& got, const World::Epoch& want) {
   ASSERT_NE(got.graph, nullptr);
   ASSERT_NE(want.graph, nullptr);
   EXPECT_TRUE(got.graph->BitIdenticalTo(*want.graph));
-  EXPECT_TRUE(got.points->BitIdenticalTo(*want.points));
+  EXPECT_TRUE(got.graph->points().BitIdenticalTo(want.graph->points()));
   ExpectSameIdsAndClusters(got, want);
 }
 
@@ -222,6 +225,90 @@ TEST(WorldTest, CacheIsSharedUntilAnEdgeIsAdded) {
   EXPECT_EQ(BuildOrDie(uncached.Build()).cache, nullptr);
 }
 
+// An epoch's PointSet exists once: Build merges it, the epoch's graph
+// co-owns it and the published snapshot serves that very object. Each
+// points-only epoch shares its predecessor's adjacency but merges a
+// PointSet of its own, and leaves the predecessor's untouched.
+TEST(WorldTest, PublishedEpochServesTheMergedPointSet) {
+  Scenario s(40, 60, 19);
+  World world = World::Boot(s.gen.net, s.points, WorldOptions{});
+  const World::Epoch boot = BuildOrDie(world.Build());
+  const Edge e = s.gen.net.Edges().front();
+  ASSERT_TRUE(world.Apply(NetworkUpdate::AddPoint(e.u, e.v, 0.0)).ok());
+  const World::Epoch first = BuildOrDie(world.Build());
+  ASSERT_TRUE(first.incremental);
+  const PointSet* merged = &first.graph->points();
+
+  EpochManager epochs;
+  epochs.Publish(first.graph, first.clusters, first.cache, first.ids);
+  const std::shared_ptr<const EpochSnapshot> pin = epochs.Current();
+  ASSERT_NE(pin, nullptr);
+  EXPECT_EQ(&pin->view().points(), merged);
+  EXPECT_EQ(&pin->frozen().points(), merged);
+
+  ASSERT_TRUE(world.Apply(NetworkUpdate::AddPoint(e.u, e.v, e.weight)).ok());
+  const World::Epoch second = BuildOrDie(world.Build());
+  EXPECT_TRUE(first.graph->SharesAdjacencyWith(*boot.graph));
+  EXPECT_TRUE(second.graph->SharesAdjacencyWith(*first.graph));
+  EXPECT_NE(&first.graph->points(), &boot.graph->points());
+  EXPECT_NE(&second.graph->points(), merged);
+  EXPECT_EQ(first.graph->points().size(), s.points.size() + 1);
+  EXPECT_EQ(second.graph->points().size(), s.points.size() + 2);
+  EXPECT_EQ(&pin->view().points(), merged);
+}
+
+// RunClustering over an epoch's graph (no second freeze) returns bit for
+// bit what RunClustering over the same view returns, for every
+// algorithm: assignment, medoids, cost and dendrogram.
+TEST(WorldTest, RunClusteringOverTheEpochGraphMatchesAFreshFreeze) {
+  Scenario s(60, 90, 37);
+  World world = World::Boot(s.gen.net, s.points, WorldOptions{});
+  BuildOrDie(world.Build());
+  // A points-only epoch, so its graph is a shared-adjacency snapshot.
+  const Edge e = s.gen.net.Edges().back();
+  ASSERT_TRUE(
+      world.Apply(NetworkUpdate::AddPoint(e.u, e.v, 0.5 * e.weight)).ok());
+  const World::Epoch epoch = BuildOrDie(world.Build());
+  const InMemoryNetworkView view(s.gen.net, epoch.graph->points());
+
+  KMedoidsOptions kmedoids;
+  kmedoids.k = 4;
+  kmedoids.seed = 5;
+  DbscanOptions dbscan;
+  dbscan.eps = s.eps;
+  dbscan.min_pts = 3;
+  SingleLinkOptions single_link;
+  single_link.stop_cluster_count = 3;
+  for (const ClusterSpec& spec :
+       {MakeSpec(kmedoids), MakeSpec(EpsLinkOptions{s.eps, 2}),
+        MakeSpec(dbscan), MakeSpec(single_link)}) {
+    SCOPED_TRACE(AlgorithmName(spec.algorithm));
+    Result<ClusterOutput> got = RunClustering(view, *epoch.graph, spec);
+    Result<ClusterOutput> want = RunClustering(view, spec);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    const ClusterOutput& g = got.value();
+    const ClusterOutput& w = want.value();
+    EXPECT_EQ(g.clustering.num_clusters, w.clustering.num_clusters);
+    EXPECT_EQ(g.clustering.assignment, w.clustering.assignment);
+    EXPECT_EQ(g.medoids, w.medoids);
+    EXPECT_EQ(std::memcmp(&g.cost, &w.cost, sizeof(double)), 0);
+    ASSERT_EQ(g.dendrogram.has_value(), w.dendrogram.has_value());
+    if (g.dendrogram.has_value()) {
+      const std::vector<Merge>& gm = g.dendrogram->merges();
+      const std::vector<Merge>& wm = w.dendrogram->merges();
+      ASSERT_EQ(gm.size(), wm.size());
+      ASSERT_FALSE(gm.empty());
+      for (size_t i = 0; i < gm.size(); ++i) {
+        EXPECT_TRUE(gm[i].a == wm[i].a && gm[i].b == wm[i].b &&
+                    std::memcmp(&gm[i].distance, &wm[i].distance,
+                                sizeof(double)) == 0)
+            << "merge " << i;
+      }
+    }
+  }
+}
+
 // Checkpoint -> Restore -> Checkpoint is the identity, and the restored
 // world builds the epoch the original builds, and keeps doing so under
 // the same further mutations.
@@ -255,10 +342,8 @@ TEST(WorldTest, CheckpointRestoresTheSameWorld) {
     const World::Epoch want = BuildOrDie(world.Build());
     const World::Epoch got = BuildOrDie(restored.Build());
     EXPECT_EQ(got.incremental, round > 0);
-    EXPECT_TRUE(got.points->BitIdenticalTo(*want.points));
+    EXPECT_TRUE(got.graph->points().BitIdenticalTo(want.graph->points()));
     EXPECT_EQ(SortedRows(*got.graph), SortedRows(*want.graph));
-    EXPECT_EQ(got.graph->point_groups().size(),
-              want.graph->point_groups().size());
     ExpectSameIdsAndClusters(got, want);
     for (int m = 0; m < 3; ++m) {
       const NetworkUpdate u = mutator.Next(0.6);
@@ -299,7 +384,8 @@ TEST(WorldTest, RejectedMutationAllocatesNoObjectId) {
   EXPECT_EQ(after.next_object_id, before.next_object_id + 1);
   // The rejected mutations never reach a build either: the first build
   // holds the boot points plus the one admitted.
-  EXPECT_EQ(BuildOrDie(world.Build()).points->size(), s.points.size() + 1);
+  EXPECT_EQ(BuildOrDie(world.Build()).graph->points().size(),
+            s.points.size() + 1);
 }
 
 }  // namespace
