@@ -9,9 +9,10 @@
 //   - the snapshot path must be >= 1.3x faster (best of interleaved
 //     reps) — the de-virtualization payoff the PR claims.
 // It also records what the snapshot costs per run: the freeze time
-// (best of reps) and the bytes the snapshot holds alone — 2|E| slot
-// point ranges plus one weight per point group; the adjacency block and
-// the PointSet are co-owned.
+// (best of reps) and the bytes of its point handle — one group number
+// per half-edge slot plus one weight per point group, which points-only
+// successors that open no group co-own; the adjacency block and the
+// PointSet are co-owned too.
 // Emitted as BENCH_frozen_traversal.json for CI diffing; wired into
 // `run_all.sh bench-smoke`.
 #include <algorithm>
@@ -59,7 +60,7 @@ int main() {
               gen.net.num_nodes(), gen.net.num_edges(),
               frozen.num_half_edges());
   std::printf("freeze: best %.3f ms; snapshot's own bytes: %zu (%zu slot "
-              "ranges, %zu group weights; %u points co-owned)\n",
+              "groups, %zu group weights; %u points co-owned)\n",
               Best(freeze_s) * 1e3, frozen.own_bytes(),
               frozen.num_half_edges(), points.num_groups(), points.size());
 

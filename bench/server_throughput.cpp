@@ -18,10 +18,14 @@
 // ε-Link cluster_spec with about one point per node, where every build
 // also re-clusters (ratio gated below 0.5), and the same 20k points
 // with no cluster_spec and one AddPoint per build, where the PointSet
-// merge is the work (ratio gated below 0.5, and every build must share
-// its predecessor's adjacency). Each probe also prints the mean
-// PointSet, CSR and re-cluster stage times of both legs and how many
-// incremental builds shared their predecessor's adjacency.
+// merge is the work (ratio gated below 0.5, every build must share its
+// predecessor's adjacency, and the median CSR stage, over every build
+// and over those that renumbered the point handle, must stay below
+// 0.2 ms). Each probe also prints the mean PointSet, CSR and re-cluster
+// stage times of both legs and how many incremental builds shared their
+// predecessor's adjacency and point handle; the two incremental legs
+// build hundreds of epochs, so a sub-0.2 ms stage is timed over enough
+// builds to gate it.
 // BENCH_server.json is a per-revision history (one {sha, date, entries}
 // row per run), not a snapshot.
 // Wired into `run_all.sh bench-smoke` and `run_all.sh server-smoke`.
@@ -121,27 +125,45 @@ struct RunResult {
 // cluster_spec (eps half the mean edge weight), two
 // AddPoints then one AddEdge per three builds — the full build re-runs
 // RunClustering every epoch, the incremental one merges only the new
-// links (gated: ratio < 0.5). Point leg: the same 20k points, no
-// cluster_spec, one AddPoint per build — the full build sorts every
-// point into a fresh PointSet, the incremental one merges the new
-// point into the last epoch's and shares its adjacency (gated: ratio <
-// 0.5, and every build shares). Reported as
+// links (gated: ratio < 0.5; the median incremental re-cluster stage is
+// recorded). Point leg: the same 20k points, no cluster_spec, one
+// AddPoint per build — the full build sorts every point into a fresh
+// PointSet, the incremental one merges the new point into the last
+// epoch's, shares its adjacency and carries its point handle (gated:
+// ratio < 0.5, every build shares the adjacency, median CSR stage
+// < 0.2 ms over all builds and over the renumbering ones). The edge leg
+// builds 9 epochs; the other two build kIncrementalBuilds each and time
+// BuildFull, which leaves its world as it is, on kFullBuilds of them
+// spread evenly. Reported as
 // publish_full_ms / publish_incremental_ms / publish_ratio plus the
-// per-stage means in BENCH_server.json.
+// per-stage means and medians in BENCH_server.json.
 enum class PublishLeg { kEdges, kRecluster, kPoints };
 
-// Mean build and stage times of one leg.
+constexpr int kEdgeBuilds = 9;
+constexpr int kIncrementalBuilds = 240;
+constexpr int kFullBuilds = 9;
+
+// Mean build and stage times of one leg, and the CSR and re-cluster
+// stage samples for their medians.
 struct BuildTimes {
   RunningStats total_ms;
   RunningStats points_ms;
   RunningStats csr_ms;
   RunningStats recluster_ms;
+  std::vector<double> csr_samples;
+  std::vector<double> recluster_samples;
 
   void Add(double ms, const World::Epoch& epoch) {
     total_ms.Add(ms);
     points_ms.Add(epoch.points_ms);
     csr_ms.Add(epoch.csr_ms);
     recluster_ms.Add(epoch.recluster_ms);
+    csr_samples.push_back(epoch.csr_ms);
+    recluster_samples.push_back(epoch.recluster_ms);
+  }
+  double csr_median() const { return Percentile(csr_samples, 0.5); }
+  double recluster_median() const {
+    return Percentile(recluster_samples, 0.5);
   }
 };
 
@@ -149,8 +171,13 @@ struct BuildTimes {
 struct PublishLatency {
   BuildTimes full;
   BuildTimes incremental;
-  /// Incremental builds whose graph shares its predecessor's adjacency.
+  /// Incremental builds whose graph shares its predecessor's adjacency,
+  /// and its point handle.
   uint64_t shared_adjacency = 0;
+  uint64_t shared_handle = 0;
+  /// CSR stage times of the incremental builds that renumbered their
+  /// predecessor's point handle instead of sharing it.
+  std::vector<double> renumbered_csr;
 
   double full_ms() const { return full.total_ms.mean(); }
   double incremental_ms() const { return incremental.total_ms.mean(); }
@@ -201,10 +228,11 @@ PublishLatency MeasurePublishLatency(PointId num_points, PublishLeg leg) {
   std::shared_ptr<const FrozenGraph> prev_graph =
       BuildOrDie(incremental.Build()).graph;
 
-  constexpr int kPublishes = 9;
+  const int builds =
+      leg == PublishLeg::kEdges ? kEdgeBuilds : kIncrementalBuilds;
   PublishLatency out;
   Rng rng(93);
-  for (int i = 0; i < kPublishes; ++i) {
+  for (int i = 0; i < builds; ++i) {
     NetworkUpdate mutation;
     if (leg == PublishLeg::kPoints || (recluster && i % 3 != 2)) {
       const Edge& e = edges[rng.NextBounded(edges.size())];
@@ -213,7 +241,8 @@ PublishLatency MeasurePublishLatency(PointId num_points, PublishLeg leg) {
       ApplyOrDie(&incremental, mutation);
     } else {
       // Random endpoints; a duplicate-edge rejection just redraws.
-      const double weight = recluster ? eps * (0.5 + 0.1 * i) : 1.0 + 0.5 * i;
+      const double weight =
+          recluster ? eps * (0.5 + 0.1 * (i % 9)) : 1.0 + 0.5 * i;
       for (;;) {
         NodeId u = static_cast<NodeId>(rng.NextBounded(gen.net.num_nodes()));
         NodeId v = static_cast<NodeId>(rng.NextBounded(gen.net.num_nodes()));
@@ -224,12 +253,21 @@ PublishLatency MeasurePublishLatency(PointId num_points, PublishLeg leg) {
     }
     ApplyOrDie(&full, mutation);
     WallTimer timer;
-    const World::Epoch full_epoch = BuildOrDie(full.BuildFull());
-    out.full.Add(timer.ElapsedMillis(), full_epoch);
+    // Builds i where i * kFullBuilds / builds steps up: kFullBuilds of
+    // them, evenly spaced (every build when builds == kFullBuilds).
+    if ((i + 1) * kFullBuilds / builds != i * kFullBuilds / builds) {
+      const World::Epoch full_epoch = BuildOrDie(full.BuildFull());
+      out.full.Add(timer.ElapsedMillis(), full_epoch);
+    }
     timer.Restart();
     const World::Epoch epoch = BuildOrDie(incremental.Build());
     out.incremental.Add(timer.ElapsedMillis(), epoch);
     if (epoch.graph->SharesAdjacencyWith(*prev_graph)) ++out.shared_adjacency;
+    if (epoch.graph->SharesPointHandleWith(*prev_graph)) {
+      ++out.shared_handle;
+    } else if (epoch.graph->SharesAdjacencyWith(*prev_graph)) {
+      out.renumbered_csr.push_back(epoch.csr_ms);
+    }
     prev_graph = epoch.graph;
     if (!epoch.incremental || epoch.recluster_incremental != recluster) {
       std::fprintf(stderr,
@@ -257,11 +295,14 @@ void ReportPublishLatency(BenchRecorder* rec, const std::string& bench,
   const auto publishes =
       static_cast<unsigned long long>(pub.incremental.total_ms.count());
   std::printf(
-      "%s: full %.3f ms, incremental %.3f ms over %llu publishes (ratio "
-      "%.2f, %s); adjacency shared %llu/%llu\n",
-      label, pub.full_ms(), pub.incremental_ms(), publishes, pub.ratio(),
-      gate, static_cast<unsigned long long>(pub.shared_adjacency),
-      publishes);
+      "%s: full %.3f ms over %llu, incremental %.3f ms over %llu publishes "
+      "(ratio %.2f, %s); point handle shared %llu/%llu; adjacency shared "
+      "%llu/%llu\n",
+      label, pub.full_ms(),
+      static_cast<unsigned long long>(pub.full.total_ms.count()),
+      pub.incremental_ms(), publishes, pub.ratio(), gate,
+      static_cast<unsigned long long>(pub.shared_handle), publishes,
+      static_cast<unsigned long long>(pub.shared_adjacency), publishes);
   rec->Add(bench, {pub.incremental_ms() * 1e-3}, TraversalCounters{},
            {{"publish_full_ms", pub.full_ms()},
             {"publish_incremental_ms", pub.incremental_ms()},
@@ -270,11 +311,15 @@ void ReportPublishLatency(BenchRecorder* rec, const std::string& bench,
             {"points_incremental_ms", pub.incremental.points_ms.mean()},
             {"csr_full_ms", pub.full.csr_ms.mean()},
             {"csr_incremental_ms", pub.incremental.csr_ms.mean()},
+            {"csr_incremental_median_ms", pub.incremental.csr_median()},
             {"adjacency_shared",
              static_cast<double>(pub.shared_adjacency)},
             {"recluster_full_ms", pub.full.recluster_ms.mean()},
             {"recluster_incremental_ms",
-             pub.incremental.recluster_ms.mean()}});
+             pub.incremental.recluster_ms.mean()},
+            {"recluster_incremental_median_ms",
+             pub.incremental.recluster_median()},
+            {"point_handle_shared", static_cast<double>(pub.shared_handle)}});
 }
 
 RunResult RunAtWorkers(const Network& net, const PointSet& points,
@@ -431,6 +476,22 @@ int main() {
                        "publish latency, points only", pt, "gate < 0.5");
   const double rc_ratio = rc.ratio();
   const double pt_ratio = pt.ratio();
+  std::printf("re-cluster stage: incremental median %.3f ms (mean %.3f ms) "
+              "over %llu builds (ungated)\n",
+              rc.incremental.recluster_median(),
+              rc.incremental.recluster_ms.mean(),
+              static_cast<unsigned long long>(
+                  rc.incremental.recluster_ms.count()));
+  // Over half the points-only builds share the handle and spend next to
+  // nothing, so the builds that renumbered it are gated on their own.
+  const double pt_csr = pt.incremental.csr_median();
+  const double pt_renumbered_csr = Percentile(pt.renumbered_csr, 0.5);
+  std::printf("points-only csr stage: median %.3f ms over %llu builds, "
+              "%.3f ms over the %zu that renumbered the point handle "
+              "(gate < 0.2 ms)\n",
+              pt_csr,
+              static_cast<unsigned long long>(pt.incremental.csr_ms.count()),
+              pt_renumbered_csr, pt.renumbered_csr.size());
 
   // Per-PR history: BENCH_server.json accumulates one {sha, date,
   // entries} row per run instead of being overwritten, so the perf
@@ -468,6 +529,18 @@ int main() {
                  static_cast<unsigned long long>(pt.shared_adjacency),
                  static_cast<unsigned long long>(
                      pt.incremental.total_ms.count()));
+    return 1;
+  }
+
+  // A points-only publish carries the last epoch's point handle: shared
+  // when the point joins an edge that already holds some, renumbered in
+  // one pass over the slots otherwise. Either way its CSR stage is a
+  // small fraction of a freeze.
+  if (pt_csr >= 0.2 || pt_renumbered_csr >= 0.2) {
+    std::fprintf(stderr,
+                 "FAIL: points-only csr stage median %.3f ms (renumbered "
+                 "%.3f ms) >= 0.2 ms\n",
+                 pt_csr, pt_renumbered_csr);
     return 1;
   }
 

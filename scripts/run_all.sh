@@ -42,8 +42,9 @@
 # 1/4/8 workers + p99 queue wait, with a hardware-aware 1->4 worker
 # scaling gate, an ungated edge-per-publish record, incremental/full
 # publish-latency ratios gated below 0.5 with ε-Link re-clustering and
-# below 0.5 for point-only publishes, and every point-only publish
-# sharing its predecessor's CSR adjacency) and the paper driver (bench/paper: every
+# below 0.5 for point-only publishes, every point-only publish
+# sharing its predecessor's CSR adjacency, and the point-only CSR stage
+# median below 0.2 ms) and the paper driver (bench/paper: every
 # paper table/figure and ablation, each shape gated on settled nodes,
 # page reads or partitions; it prints FAIL and exits 1 when a gated shape
 # breaks), leaving machine-readable BENCH_*.json files at the repository
@@ -109,7 +110,7 @@ if [ "${1:-}" = "ubsan" ]; then
   cmake -B build-ubsan -G Ninja -DNETCLUS_SANITIZE=undefined
   cmake --build build-ubsan
   ctest --test-dir build-ubsan --output-on-failure \
-    -R 'KMedoids|EpsLink|Dbscan|SingleLink|Dendrogram|Dijkstra|RangeQuery|Knn|PointDistance|InterestingLevels|Optics|Hierarchy|Validate|NetclusApi|Integration|Index|DistanceCache|Frozen|Wal|Checkpoint|Incremental|World|Cancel|Deadline|WireCodec|WireFrame' \
+    -R 'KMedoids|EpsLink|Dbscan|SingleLink|Dendrogram|Dijkstra|RangeQuery|Knn|PointDistance|InterestingLevels|Optics|Hierarchy|Validate|NetclusApi|Integration|Index|DistanceCache|Frozen|Wal|Checkpoint|Incremental|World|Cancel|Deadline|WireCodec|WireFrame|Crc32c' \
     2>&1 | tee ubsan_output.txt
   exit 0
 fi
@@ -262,7 +263,8 @@ if [ "${1:-}" = "bench-smoke" ]; then
   # contrasts (one AddEdge per publish, an ungated record: both builds
   # rebuild the adjacency; incremental vs full ε-Link re-cluster with
   # about one point per node; PointSet merge over a shared adjacency vs
-  # full build with one AddPoint per publish).
+  # full build with one AddPoint per publish, its CSR stage median gated
+  # below 0.2 ms).
   ./build/bench/server_throughput 2>&1 | tee -a bench_smoke_output.txt
   # Every paper table/figure and ablation from one table, each shape
   # gated on hardware-independent counts (settles, page reads,
@@ -270,15 +272,19 @@ if [ "${1:-}" = "bench-smoke" ]; then
   ./build/bench/paper 2>&1 | tee -a bench_smoke_output.txt
   # Plain sh has no pipefail, so the tee above swallows the harnesses'
   # exit codes — re-assert their gates from the captured output: all
-  # three publish-latency rows, the three scaling ratios with their
-  # median and the paper driver's summary must be present, every
-  # point-only build must have shared its predecessor's adjacency (n/n),
-  # and no harness printed FAIL.
+  # three publish-latency rows, the points-only CSR stage and re-cluster
+  # stage lines, the three scaling ratios with their median and the
+  # paper driver's summary must be present, every point-only build must
+  # have shared its predecessor's adjacency (n/n), and no harness
+  # printed FAIL.
   grep -q 'publish latency: full .* (ratio' bench_smoke_output.txt
   grep -q 'publish latency with re-cluster: full .* (ratio' \
     bench_smoke_output.txt
   grep -q 'publish latency, points only: full .* (ratio .*adjacency shared \([0-9]*\)/\1$' \
     bench_smoke_output.txt
+  grep -q '^points-only csr stage: median .* ms over [0-9]* builds, .* (gate < 0.2 ms)$' \
+    bench_smoke_output.txt
+  grep -q '^re-cluster stage: incremental median .* ms' bench_smoke_output.txt
   grep -q '^scaling 1->4 workers: .*x .*x .*x, median .*x' \
     bench_smoke_output.txt
   grep -q '^paper summary: .* 0 failed' bench_smoke_output.txt

@@ -1,6 +1,7 @@
 // CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected 0x82F63B78): the
 // checksum guarding on-disk pages against bit rot, torn writes and
-// misdirected I/O. Software table-driven implementation; the polynomial
+// misdirected I/O. Portable slice-by-8 table implementation (eight bytes
+// per step; no CPU-specific instructions); the polynomial
 // matches what SSE4.2 `crc32` instructions and RocksDB/LevelDB compute,
 // so files stay verifiable by standard tooling.
 #ifndef NETCLUS_COMMON_CRC32C_H_

@@ -15,7 +15,7 @@ void UnionFind::Grow(uint32_t n) {
   }
 }
 
-uint32_t UnionFind::Find(uint32_t x) {
+uint32_t UnionFind::FindAndCompress(uint32_t x) {
   uint32_t root = x;
   while (parent_[root] != root) root = parent_[root];
   while (parent_[x] != root) {

@@ -15,7 +15,12 @@ class UnionFind {
   explicit UnionFind(uint32_t n);
 
   /// Representative of the set containing `x` (with path compression).
-  uint32_t Find(uint32_t x);
+  /// Inline for the common case after compression: `x` is a root or a
+  /// root's child.
+  uint32_t Find(uint32_t x) {
+    const uint32_t up = parent_[x];
+    return parent_[up] == up ? up : FindAndCompress(x);
+  }
 
   /// Merges the sets of `a` and `b`; returns false when already merged.
   bool Union(uint32_t a, uint32_t b);
@@ -31,6 +36,8 @@ class UnionFind {
   uint32_t num_elements() const { return static_cast<uint32_t>(parent_.size()); }
 
  private:
+  uint32_t FindAndCompress(uint32_t x);
+
   std::vector<uint32_t> parent_;
   std::vector<uint32_t> size_;
   uint32_t num_sets_;

@@ -5,7 +5,8 @@
 // serves those reads from the traversal graph: over a FrozenGraph
 // snapshot, from the PointSet it co-owns — a slice of the flat
 // per-point offset array, no copy, no virtual call, no hash lookup; the
-// range comes from the snapshot's per-slot handle. Over a NetworkView,
+// snapshot's per-slot handle names the edge's group, and the group
+// gives the range. Over a NetworkView,
 // through GetEdgePoints / ForEachPointGroup — for a disk-backed view
 // these are the paged point-file reads the Section 5.2 experiments
 // count. The graph type picks the source at compile time, and both

@@ -33,45 +33,27 @@ std::pair<PointId, uint32_t> FrozenGraph::EdgePointRange(NodeId a,
     return {kInvalidPointId, 0};
   }
   size_t slot = SlotOf(a, b);
-  if (slot == SIZE_MAX || pt_first_[slot] == kInvalidPointId) {
+  if (slot == SIZE_MAX || handle_->slot_group[slot] == 0) {
     return {kInvalidPointId, 0};
   }
-  return {pt_first_[slot], pt_count_[slot]};
+  const PointSet::Group& g = points_->group(handle_->slot_group[slot] - 1);
+  return {g.first, g.count};
 }
 
-size_t FrozenGraph::SetEdgePoints(NodeId u, NodeId v, PointId first,
-                                  uint32_t count) {
-  size_t su = SlotOf(u, v);
-  size_t sv = SlotOf(v, u);
-  if (su != SIZE_MAX) {
-    pt_first_[su] = first;
-    pt_count_[su] = count;
-  }
-  if (sv != SIZE_MAX) {
-    pt_first_[sv] = first;
-    pt_count_[sv] = count;
-  }
-  return su;
-}
-
-void FrozenGraph::AttachPoints(std::shared_ptr<const PointSet> points) {
-  NETCLUS_CHECK(points != nullptr) << "a snapshot needs its PointSet";
-  points_ = std::move(points);
-  const size_t half_edges = num_half_edges();
-  pt_first_.assign(half_edges, kInvalidPointId);
-  pt_count_.assign(half_edges, 0);
-  // Each group's weight is its CSR slot's weight, the very double
+void FrozenGraph::AttachGroup(uint32_t g, PointHandle* handle) const {
+  const PointSet::Group& pg = points_->group(g);
+  const size_t su = SlotOf(pg.u, pg.v);
+  const size_t sv = SlotOf(pg.v, pg.u);
+  if (su != SIZE_MAX) handle->slot_group[su] = g + 1;
+  if (sv != SIZE_MAX) handle->slot_group[sv] = g + 1;
+  // The group's weight is its CSR slot's weight, the very double
   // EdgeWeight(u, v) returns.
-  group_weight_.resize(points_->num_groups());
-  for (size_t i = 0; i < points_->num_groups(); ++i) {
-    const PointSet::Group& pg = points_->group(i);
-    size_t su = SetEdgePoints(pg.u, pg.v, pg.first, pg.count);
-    group_weight_[i] = su == SIZE_MAX ? -1.0 : adj_->weights[su];
-  }
+  handle->group_weight[g] = su == SIZE_MAX ? -1.0 : adj_->weights[su];
 }
 
 FrozenGraph FrozenGraph::Materialize(const Network& net,
                                      std::shared_ptr<const PointSet> points) {
+  NETCLUS_CHECK(points != nullptr) << "a snapshot needs its PointSet";
   const NodeId n = net.num_nodes();
   auto adj = std::make_shared<Adjacency>();
   adj->offsets.assign(static_cast<size_t>(n) + 1, 0);
@@ -93,15 +75,69 @@ FrozenGraph FrozenGraph::Materialize(const Network& net,
   }
   FrozenGraph g;
   g.adj_ = std::move(adj);
-  g.AttachPoints(std::move(points));
+  g.points_ = std::move(points);
+  auto handle = std::make_shared<PointHandle>();
+  handle->slot_group.assign(g.num_half_edges(), 0);
+  handle->group_weight.resize(g.points_->num_groups());
+  for (size_t i = 0; i < g.points_->num_groups(); ++i) {
+    g.AttachGroup(static_cast<uint32_t>(i), handle.get());
+  }
+  g.handle_ = std::move(handle);
   return g;
 }
 
 FrozenGraph FrozenGraph::WithPoints(
     std::shared_ptr<const PointSet> points) const {
+  NETCLUS_CHECK(points != nullptr) << "a snapshot needs its PointSet";
   FrozenGraph g;
   g.adj_ = adj_;
-  g.AttachPoints(std::move(points));
+  g.points_ = std::move(points);
+  const PointSet& base = *points_;
+  const PointSet& next = *g.points_;
+  const size_t base_groups = base.num_groups();
+  if (next.num_groups() == base_groups) {
+    // Groups only ever gain points, never vanish, so the same number of
+    // groups means the same groups in the same order: every slot names
+    // the group it named before.
+#if NETCLUS_DCHECK_IS_ON()
+    for (size_t i = 0; i < base_groups; ++i) {
+      NETCLUS_DCHECK(base.group(i).u == next.group(i).u &&
+                     base.group(i).v == next.group(i).v)
+          << "WithPoints: the merged PointSet lacks a group of the snapshot's";
+    }
+#endif
+    g.handle_ = handle_;
+    return g;
+  }
+
+  // One pass over both group tables in edge-key order: base group b is
+  // the next group now at renumber[b + 1] - 1, every other one is new.
+  // renumber[0] = 0 keeps the slots without points at 0.
+  std::vector<uint32_t> renumber(base_groups + 1, 0);
+  std::vector<uint32_t> opened;
+  auto handle = std::make_shared<PointHandle>();
+  handle->group_weight.resize(next.num_groups());
+  size_t b = 0;
+  for (size_t i = 0; i < next.num_groups(); ++i) {
+    const PointSet::Group& ng = next.group(i);
+    if (b < base_groups && base.group(b).u == ng.u &&
+        base.group(b).v == ng.v) {
+      renumber[b + 1] = static_cast<uint32_t>(i + 1);
+      handle->group_weight[i] = handle_->group_weight[b];
+      ++b;
+    } else {
+      opened.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  NETCLUS_CHECK(b == base_groups)
+      << "WithPoints: the merged PointSet lacks a group of the snapshot's";
+  const size_t half_edges = num_half_edges();
+  handle->slot_group.resize(half_edges);
+  const uint32_t* from = handle_->slot_group.data();
+  uint32_t* to = handle->slot_group.data();
+  for (size_t s = 0; s < half_edges; ++s) to[s] = renumber[from[s]];
+  for (uint32_t i : opened) g.AttachGroup(i, handle.get());
+  g.handle_ = std::move(handle);
   return g;
 }
 
@@ -129,9 +165,12 @@ bool FrozenGraph::BitIdenticalTo(const FrozenGraph& other) const {
       points_ == other.points_ ||
       (points_ != nullptr && other.points_ != nullptr &&
        points_->BitIdenticalTo(*other.points_));
-  return same_adjacency && same_points && pt_first_ == other.pt_first_ &&
-         pt_count_ == other.pt_count_ &&
-         SameBits(group_weight_, other.group_weight_);
+  const bool same_handle =
+      handle_ == other.handle_ ||
+      (handle_ != nullptr && other.handle_ != nullptr &&
+       handle_->slot_group == other.handle_->slot_group &&
+       SameBits(handle_->group_weight, other.handle_->group_weight));
+  return same_adjacency && same_points && same_handle;
 }
 
 Result<FrozenGraph> InMemoryNetworkView::Freeze() const {

@@ -12,21 +12,25 @@
 //   offsets[n] .. offsets[n+1]     slots of node n's neighbors
 //   neighbors[i]                   the neighbor id
 //   weights[i]                     the edge weight
-//   pt_first_[i], pt_count_[i]     points on that edge (id range), or
-//                                  (kInvalidPointId, 0) when none
+//   slot_group[i]                  1 + the index of the PointSet group
+//                                  on that edge, or 0 when it holds none
 //
-// and, per PointSet group g, group_weight_[g]: the weight of the g-th
+// and, per PointSet group g, group_weight[g]: the weight of the g-th
 // point-bearing edge, so a group scan reads no CSR row.
 //
 // The first three arrays form one immutable adjacency block behind a
 // shared_ptr: a snapshot of the same network with other points on it
-// (WithPoints) shares the block instead of copying it. The points
-// themselves are not copied either: the snapshot co-owns the PointSet
-// (paper Section 4.1's points file) and the traversal algorithms read
-// its offsets in place (graph/edge_points.h). Only an
-// InMemoryNetworkView is ever frozen: a disk-backed view is traversed
-// directly, so the Section 5.2 experiments count the algorithms' own
-// page reads rather than one copy of the whole adjacency file.
+// (WithPoints) shares the block instead of copying it. The last two
+// form the point handle, also immutable and shared: the handle names
+// groups, not point ids, so a batch that only adds points to edges that
+// already hold some leaves it as it is, and a batch that opens groups
+// renumbers it in one linear pass. The points themselves are not copied
+// either: the snapshot co-owns the PointSet (paper Section 4.1's points
+// file) and the traversal algorithms read its offsets in place
+// (graph/edge_points.h). Only an InMemoryNetworkView is ever frozen: a
+// disk-backed view is traversed directly, so the Section 5.2
+// experiments count the algorithms' own page reads rather than one copy
+// of the whole adjacency file.
 //
 // The neighbor order of each node matches the source view's iteration
 // order exactly, so a traversal over the snapshot settles nodes, pushes
@@ -100,14 +104,16 @@ class FrozenGraph {
   const PointSet& points() const { return *points_; }
   /// Weight of the PointSet's g-th group's edge: the very double
   /// EdgeWeight(u, v) returns.
-  double group_weight(size_t g) const { return group_weight_[g]; }
-  /// Heap bytes this snapshot holds alone: the slot point ranges and
-  /// the group weights. The adjacency block and the PointSet are
-  /// co-owned.
+  double group_weight(size_t g) const { return handle_->group_weight[g]; }
+  /// Heap bytes of the point handle: one uint32 per half-edge slot and
+  /// one weight per group. A points-only successor that opened no group
+  /// co-owns the same handle; the adjacency block and the PointSet are
+  /// co-owned too and not counted.
   size_t own_bytes() const {
-    return pt_first_.size() * sizeof(PointId) +
-           pt_count_.size() * sizeof(uint32_t) +
-           group_weight_.size() * sizeof(double);
+    return handle_ == nullptr
+               ? 0
+               : handle_->slot_group.size() * sizeof(uint32_t) +
+                     handle_->group_weight.size() * sizeof(double);
   }
 
   /// Builds a snapshot of `net`'s adjacency rows over `points` (not
@@ -118,8 +124,13 @@ class FrozenGraph {
   /// The snapshot of `points` over this materialized snapshot's
   /// adjacency, which it shares instead of copying: what Materialize
   /// returns for a network that still has exactly this adjacency, row
-  /// order included (no edge added since). Only the point ranges and
-  /// group weights are rebuilt — dense point ids shift on every publish.
+  /// order included (no edge added since). `points` must hold every
+  /// group of this snapshot's PointSet (a PointSetBuilder::Merge onto
+  /// it); a set that adds groups is checked against that, and one with
+  /// as many groups only in debug and validate builds. When it opened no
+  /// group the point handle is shared too; otherwise the base groups are
+  /// renumbered in one pass over the slots and only the new groups'
+  /// edges are looked up in their rows.
   FrozenGraph WithPoints(std::shared_ptr<const PointSet> points) const;
 
   /// True when both snapshots hold the very same adjacency block.
@@ -127,10 +138,15 @@ class FrozenGraph {
     return adj_ == other.adj_;
   }
 
+  /// True when both snapshots hold the very same point handle.
+  bool SharesPointHandleWith(const FrozenGraph& other) const {
+    return handle_ == other.handle_;
+  }
+
   /// True when every array (offsets, neighbors, weight bit patterns,
-  /// point ranges, group weight bit patterns) and the PointSet match
-  /// exactly — the NETCLUS_VALIDATE oracle that a shared adjacency is
-  /// still the network's.
+  /// slot groups, group weight bit patterns) and the PointSet match
+  /// exactly — the NETCLUS_VALIDATE oracle that a shared adjacency and
+  /// a carried point handle are still the network's.
   bool BitIdenticalTo(const FrozenGraph& other) const;
 
   /// Test-only: overwrites half-edge slot `i` of a private copy of the
@@ -144,17 +160,6 @@ class FrozenGraph {
   }
 
  private:
-  // Slot index of neighbor `b` in `a`'s CSR row; SIZE_MAX when absent.
-  size_t SlotOf(NodeId a, NodeId b) const;
-
-  // Records points [first, first + count) on edge {u, v} in both
-  // half-edge slots; returns u's slot (SIZE_MAX when the edge is
-  // absent).
-  size_t SetEdgePoints(NodeId u, NodeId v, PointId first, uint32_t count);
-
-  // Co-owns `points`; fills the point ranges and group weights.
-  void AttachPoints(std::shared_ptr<const PointSet> points);
-
   // The CSR rows. Immutable once built, so the snapshots of epochs that
   // added no edge share one block; null only in a default-constructed
   // snapshot.
@@ -164,11 +169,24 @@ class FrozenGraph {
     std::vector<double> weights;    // 2|E|
   };
 
+  // Where each slot's points are. Immutable once built, so the snapshots
+  // of epochs that opened no group share one; null only in a
+  // default-constructed snapshot.
+  struct PointHandle {
+    std::vector<uint32_t> slot_group;  // 2|E|: 1 + group index, 0 = none
+    std::vector<double> group_weight;  // per PointSet group
+  };
+
+  // Slot index of neighbor `b` in `a`'s CSR row; SIZE_MAX when absent.
+  size_t SlotOf(NodeId a, NodeId b) const;
+
+  // Records group g of points_ in both half-edge slots of its edge and
+  // its weight in `handle`.
+  void AttachGroup(uint32_t g, PointHandle* handle) const;
+
   std::shared_ptr<const Adjacency> adj_;
   std::shared_ptr<const PointSet> points_;
-  std::vector<PointId> pt_first_;     // 2|E|, kInvalidPointId when no points
-  std::vector<uint32_t> pt_count_;    // 2|E|
-  std::vector<double> group_weight_;  // per PointSet group
+  std::shared_ptr<const PointHandle> handle_;
 };
 
 /// Neighbor-iteration adapter the template traversal kernel dispatches

@@ -196,9 +196,15 @@ Result<PointSet> PointSetBuilder::Merge(const Network& net,
                        base.offsets_.begin() + p1);
     ps.labels_.insert(ps.labels_.end(), base.labels_.begin() + p0,
                       base.labels_.begin() + p1);
+    const size_t at = ps.group_of_.size();
+    ps.group_of_.resize(at + (p1 - p0));
+    uint32_t* group_of = ps.group_of_.data() + at;
     for (PointId p = p0; p < p1; ++p) {
-      ps.group_of_.push_back(base.group_of_[p] + group_shift);
-      if (base_to_final != nullptr) (*base_to_final)[p] = p + point_shift;
+      group_of[p - p0] = base.group_of_[p] + group_shift;
+    }
+    if (base_to_final != nullptr) {
+      PointId* to_final = base_to_final->data();
+      for (PointId p = p0; p < p1; ++p) to_final[p] = p + point_shift;
     }
     for (size_t g = g0; g < g1; ++g) {
       PointSet::Group moved = base.groups_[g];

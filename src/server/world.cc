@@ -93,40 +93,52 @@ Status World::Apply(const NetworkUpdate& update) {
 }
 
 Result<PointSet> World::BuildPoints(
-    bool merge, std::vector<PointId>* record_to_final) const {
+    bool merge, std::vector<uint32_t>* record_of_point,
+    std::vector<PointId>* added_points) const {
   const size_t known = merge ? base_graph_->points().size() : 0;
   PointSetBuilder builder;
   for (size_t i = known; i < points_.size(); ++i) {
     const CheckpointPoint& p = points_[i];
     builder.Add(p.u, p.v, p.offset, p.label);
   }
-  if (!merge) return std::move(builder).Build(net_, record_to_final);
+  if (!merge) {
+    std::vector<PointId> record_to_final;
+    NETCLUS_ASSIGN_OR_RETURN(PointSet built,
+                             std::move(builder).Build(net_, &record_to_final));
+    record_of_point->resize(record_to_final.size());
+    for (size_t i = 0; i < record_to_final.size(); ++i) {
+      (*record_of_point)[record_to_final[i]] = static_cast<uint32_t>(i);
+    }
+    added_points->clear();
+    return built;
+  }
 
-  // Records only grow, so the base holds exactly records [0, known),
-  // and the base's mapping says where each landed.
-  NETCLUS_DCHECK(base_record_to_final_.size() == known)
+  // Records only grow, so the base holds exactly records [0, known).
+  // The merge keeps the base points in order, so carrying each one's
+  // record to its final id is one pass of ascending writes.
+  NETCLUS_DCHECK(base_record_of_point_.size() == known)
       << "merge base out of step with its mapping";
   std::vector<PointId> base_to_final;
-  std::vector<PointId> added_to_final;
   NETCLUS_ASSIGN_OR_RETURN(
       PointSet merged, std::move(builder).Merge(net_, base_graph_->points(),
-                                                &base_to_final,
-                                                &added_to_final));
-  record_to_final->resize(points_.size());
-  for (size_t i = 0; i < known; ++i) {
-    (*record_to_final)[i] = base_to_final[base_record_to_final_[i]];
+                                                &base_to_final, added_points));
+  record_of_point->resize(points_.size());
+  for (size_t q = 0; q < known; ++q) {
+    (*record_of_point)[base_to_final[q]] = base_record_of_point_[q];
   }
-  std::copy(added_to_final.begin(), added_to_final.end(),
-            record_to_final->begin() + static_cast<std::ptrdiff_t>(known));
+  for (size_t j = 0; j < added_points->size(); ++j) {
+    (*record_of_point)[(*added_points)[j]] = static_cast<uint32_t>(known + j);
+  }
   if (options_.validate) {
     // The oracle: a from-scratch build over every record must be
-    // byte-for-byte the merged set, and map every record alike. A
+    // byte-for-byte the merged set, and map every point alike. A
     // divergence fails the Build; the base does not advance.
-    std::vector<PointId> full_record_to_final;
-    NETCLUS_ASSIGN_OR_RETURN(PointSet full,
-                             BuildPoints(false, &full_record_to_final));
+    std::vector<uint32_t> full_record_of_point;
+    std::vector<PointId> none;
+    NETCLUS_ASSIGN_OR_RETURN(
+        PointSet full, BuildPoints(false, &full_record_of_point, &none));
     if (!merged.BitIdenticalTo(full) ||
-        *record_to_final != full_record_to_final) {
+        *record_of_point != full_record_of_point) {
       return Status::Internal("merged PointSet diverged from full build");
     }
   }
@@ -135,19 +147,20 @@ Result<PointSet> World::BuildPoints(
 
 Result<World::Epoch> World::BuildPointsAndGraph(
     bool incremental, const FrozenGraph* adjacency_base,
-    std::vector<PointId>* record_to_final) const {
+    std::vector<uint32_t>* record_of_point,
+    std::vector<PointId>* added_points) const {
   WallTimer timer;
   Epoch epoch;
   epoch.incremental = incremental;
-  NETCLUS_ASSIGN_OR_RETURN(PointSet ps,
-                           BuildPoints(incremental, record_to_final));
+  NETCLUS_ASSIGN_OR_RETURN(
+      PointSet ps, BuildPoints(incremental, record_of_point, added_points));
   // The one copy of the epoch's points: its graph co-owns it.
   auto points = std::make_shared<const PointSet>(std::move(ps));
-  // The epoch's identity map: dense point p was record i, so it carries
-  // record i's ObjectId.
-  std::vector<ObjectId> object_of_point(points_.size(), kInvalidObjectId);
-  for (size_t i = 0; i < record_to_final->size(); ++i) {
-    object_of_point[(*record_to_final)[i]] = points_[i].oid;
+  // The epoch's identity map: dense point p carries its record's
+  // ObjectId.
+  std::vector<ObjectId> object_of_point(record_of_point->size());
+  for (size_t p = 0; p < object_of_point.size(); ++p) {
+    object_of_point[p] = points_[(*record_of_point)[p]].oid;
   }
   epoch.ids = std::make_shared<const IdentityMap>(std::move(object_of_point));
   epoch.points_ms = timer.ElapsedMillis();
@@ -158,7 +171,8 @@ Result<World::Epoch> World::BuildPointsAndGraph(
         FrozenGraph::Materialize(net_, std::move(points)));
   } else {
     // No edge since `adjacency_base` was built, so its rows are still
-    // the network's: share them and rebuild only the point ranges.
+    // the network's: share them, and carry its point handle over to the
+    // merged points.
     FrozenGraph fg = adjacency_base->WithPoints(points);
     if (options_.validate &&
         !fg.BitIdenticalTo(FrozenGraph::Materialize(net_, points))) {
@@ -186,19 +200,20 @@ Result<World::Epoch> World::Build() {
                   [](const NetworkUpdate& u) {
                     return u.kind == NetworkUpdate::Kind::kAddEdge;
                   });
-  std::vector<PointId> record_to_final;
+  std::vector<uint32_t> record_of_point;
+  std::vector<PointId> added_points;
   NETCLUS_ASSIGN_OR_RETURN(
       Epoch epoch,
       BuildPointsAndGraph(incremental,
                           metric_changed ? nullptr : base_graph_.get(),
-                          &record_to_final));
+                          &record_of_point, &added_points));
   if (options_.cluster_spec.has_value()) {
     WallTimer timer;
     InMemoryNetworkView view(net_, epoch.graph->points());
     NETCLUS_ASSIGN_OR_RETURN(
         ClusterOutput out,
-        Recluster(view, *epoch.graph, record_to_final, incremental,
-                  &epoch.recluster_incremental));
+        Recluster(view, *epoch.graph, record_of_point, added_points,
+                  incremental, &epoch.recluster_incremental));
     epoch.clusters = std::make_shared<const ClusterOutput>(std::move(out));
     epoch.recluster_ms = timer.ElapsedMillis();
   }
@@ -216,17 +231,18 @@ Result<World::Epoch> World::Build() {
   // The base advances only here, with the epoch it describes; a failed
   // Build leaves it in place, so its mutations merge next time.
   base_graph_ = epoch.graph;
-  base_record_to_final_ = std::move(record_to_final);
+  base_record_of_point_ = std::move(record_of_point);
   unpublished_.clear();
   return epoch;
 }
 
 Result<World::Epoch> World::BuildFull() const {
-  std::vector<PointId> record_to_final;
+  std::vector<uint32_t> record_of_point;
+  std::vector<PointId> added_points;
   NETCLUS_ASSIGN_OR_RETURN(
       Epoch epoch,
       BuildPointsAndGraph(/*incremental=*/false, /*adjacency_base=*/nullptr,
-                          &record_to_final));
+                          &record_of_point, &added_points));
   if (options_.cluster_spec.has_value()) {
     WallTimer timer;
     // The independent reference: RunClustering freezes its own snapshot.
@@ -245,7 +261,8 @@ Result<World::Epoch> World::BuildFull() const {
 
 Result<ClusterOutput> World::Recluster(
     const NetworkView& view, const FrozenGraph& graph,
-    const std::vector<PointId>& record_to_final, bool incremental,
+    const std::vector<uint32_t>& record_of_point,
+    const std::vector<PointId>& added_points, bool incremental,
     bool* merged) {
   const ClusterSpec& spec = *options_.cluster_spec;
   *merged = false;
@@ -253,12 +270,12 @@ Result<ClusterOutput> World::Recluster(
     return RunClustering(view, graph, spec);
   }
   const uint32_t min_sup = spec.eps_link.min_sup;
-  const uint32_t num_records = static_cast<uint32_t>(record_to_final.size());
+  const uint32_t num_records = static_cast<uint32_t>(record_of_point.size());
   if (!incremental || !components_seeded_) {
     // Seed the forest from one full run at min_sup 1, so components
     // still too small to publish are kept: insert-only mutations can
-    // grow them past min_sup later. Re-normalizing at the real min_sup
-    // gives exactly what a run at that min_sup returns.
+    // grow them past min_sup later. Labelling the forest at the real
+    // min_sup gives exactly what a run at that min_sup returns.
     ClusterSpec seed_spec = spec;
     seed_spec.eps_link.min_sup = 1;
     NETCLUS_ASSIGN_OR_RETURN(ClusterOutput out,
@@ -266,17 +283,17 @@ Result<ClusterOutput> World::Recluster(
     components_ = UnionFind(num_records);
     std::vector<uint32_t> first_record(
         static_cast<size_t>(out.clustering.num_clusters), num_records);
-    for (uint32_t i = 0; i < num_records; ++i) {
-      const int label = out.clustering.assignment[record_to_final[i]];
+    for (uint32_t p = 0; p < num_records; ++p) {
+      const int label = out.clustering.assignment[p];
       uint32_t& first = first_record[static_cast<size_t>(label)];
       if (first == num_records) {
-        first = i;
+        first = record_of_point[p];
       } else {
-        components_.Union(first, i);
+        components_.Union(first, record_of_point[p]);
       }
     }
     components_seeded_ = true;
-    NormalizeClustering(&out.clustering, min_sup);
+    LabelComponents(record_of_point, min_sup, &out.clustering);
     return out;
   }
 
@@ -287,18 +304,15 @@ Result<ClusterOutput> World::Recluster(
   const double eps = spec.eps_link.eps;
   const uint32_t known = components_.num_elements();
   components_.Grow(num_records);
-  std::vector<uint32_t> record_of_point(num_records);
-  for (uint32_t i = 0; i < num_records; ++i) {
-    record_of_point[record_to_final[i]] = i;
-  }
   TraversalWorkspace* ws = &recluster_ws_;
 
   // A new point links to every point within eps of it, new ones too.
   std::vector<RangeResult> near;
-  for (uint32_t i = known; i < num_records; ++i) {
-    RangeQuery(view, graph, record_to_final[i], eps, ws, &near);
+  for (size_t j = 0; j < added_points.size(); ++j) {
+    RangeQuery(view, graph, added_points[j], eps, ws, &near);
     for (const RangeResult& r : near) {
-      components_.Union(i, record_of_point[r.id]);
+      components_.Union(known + static_cast<uint32_t>(j),
+                        record_of_point[r.id]);
     }
   }
 
@@ -335,17 +349,9 @@ Result<ClusterOutput> World::Recluster(
     }
   }
 
-  // ε-Link numbers clusters by their smallest dense id and noise is a
-  // matter of component size, so labelling each point by its root in
-  // dense order and normalizing reproduces the full run's labels.
   ClusterOutput out;
   out.algorithm = Algorithm::kEpsLink;
-  out.clustering.assignment.resize(num_records);
-  for (uint32_t i = 0; i < num_records; ++i) {
-    out.clustering.assignment[record_to_final[i]] =
-        static_cast<int>(components_.Find(i));
-  }
-  NormalizeClustering(&out.clustering, min_sup);
+  LabelComponents(record_of_point, min_sup, &out.clustering);
   out.wall_seconds = timer.ElapsedSeconds();
   *merged = true;
 
@@ -363,6 +369,44 @@ Result<ClusterOutput> World::Recluster(
     }
   }
   return out;
+}
+
+void World::LabelComponents(const std::vector<uint32_t>& record_of_point,
+                            uint32_t min_sup, Clustering* out) {
+  // ε-Link numbers clusters by their smallest dense id, and a component
+  // below min_sup is noise. Three passes in dense order, none of which
+  // carries a dependence through memory from one point to the next, as
+  // numbering clusters in a table on the fly would: each point's root
+  // and each root's first point (running backwards, the first point
+  // writes last); the count of clusters opened before each point, which
+  // is its cluster's number when it is the first point; and each
+  // point's number read off its cluster's first point.
+  const size_t n = record_of_point.size();
+  std::vector<int>& label = out->assignment;
+  label.resize(n);
+  root_of_point_.resize(n);
+  if (first_point_of_root_.size() < n) first_point_of_root_.resize(n);
+  for (size_t p = n; p-- > 0;) {
+    const uint32_t root = components_.Find(record_of_point[p]);
+    root_of_point_[p] = root;
+    first_point_of_root_[root] = static_cast<uint32_t>(p);
+  }
+  int next = 0;
+  for (size_t p = 0; p < n; ++p) {
+    const uint32_t root = root_of_point_[p];
+    if (min_sup > 1 && components_.SizeOf(root) < min_sup) {
+      label[p] = kNoise;
+      continue;
+    }
+    label[p] = next;
+    next += first_point_of_root_[root] == p ? 1 : 0;
+  }
+  for (size_t p = 0; p < n; ++p) {
+    if (label[p] != kNoise) {
+      label[p] = label[first_point_of_root_[root_of_point_[p]]];
+    }
+  }
+  out->num_clusters = next;
 }
 
 }  // namespace netclus

@@ -115,25 +115,35 @@ class World {
  private:
   World(Network net, CheckpointState state, WorldOptions options);
 
-  /// The PointSet over every point record, each record's dense id in
-  /// `record_to_final`. With `merge` only the records beyond the base
-  /// are merged into the base's set.
+  /// The PointSet over every point record, and the record each of its
+  /// dense points came from in `record_of_point`. With `merge` only the
+  /// records beyond the base are merged into the base's set, and
+  /// `added_points` receives their dense ids in record order; the base
+  /// points' records are carried over from the base's.
   Result<PointSet> BuildPoints(bool merge,
-                               std::vector<PointId>* record_to_final) const;
+                               std::vector<uint32_t>* record_of_point,
+                               std::vector<PointId>* added_points) const;
   /// The points, identity map and CSR graph of the next epoch: points
   /// merged onto the base when `incremental`, and the adjacency of
   /// `adjacency_base` shared when it is not null.
-  Result<Epoch> BuildPointsAndGraph(
-      bool incremental, const FrozenGraph* adjacency_base,
-      std::vector<PointId>* record_to_final) const;
+  Result<Epoch> BuildPointsAndGraph(bool incremental,
+                                    const FrozenGraph* adjacency_base,
+                                    std::vector<uint32_t>* record_of_point,
+                                    std::vector<PointId>* added_points) const;
   /// The epoch's clustering over `graph`, the snapshot of `view`.
-  /// ε-Link specs merge the links the unpublished mutations add into a
-  /// seeded forest when `incremental`, and seed it from one full run
-  /// otherwise; others run RunClustering.
+  /// ε-Link specs merge the links the unpublished mutations add (the new
+  /// points are `added_points`) into a seeded forest when `incremental`,
+  /// and seed it from one full run otherwise; others run RunClustering.
   Result<ClusterOutput> Recluster(const NetworkView& view,
                                   const FrozenGraph& graph,
-                                  const std::vector<PointId>& record_to_final,
+                                  const std::vector<uint32_t>& record_of_point,
+                                  const std::vector<PointId>& added_points,
                                   bool incremental, bool* merged);
+  /// Labels every dense point with its forest component, numbered in
+  /// order of first appearance, or kNoise below `min_sup` points: what
+  /// ε-Link returns for the components the forest holds.
+  void LabelComponents(const std::vector<uint32_t>& record_of_point,
+                       uint32_t min_sup, Clustering* out);
 
   WorldOptions options_;
   Network net_;
@@ -147,9 +157,9 @@ class World {
   std::vector<NetworkUpdate> unpublished_;
 
   // The merge base: the last successful Build's graph, its points, and
-  // where each point record landed in them. Null before the first.
+  // the record each of its points came from. Null before the first.
   std::shared_ptr<const FrozenGraph> base_graph_;
-  std::vector<PointId> base_record_to_final_;
+  std::vector<uint32_t> base_record_of_point_;
 
   // ε-Link components across builds: a forest over point record
   // indices, which stay stable across dense renumbering because records
@@ -158,6 +168,11 @@ class World {
   // included.
   UnionFind components_{0};
   bool components_seeded_ = false;
+  /// LabelComponents' tables, kept across builds so labelling allocates
+  /// none: each dense point's forest root, and each root's first dense
+  /// point.
+  std::vector<uint32_t> root_of_point_;
+  std::vector<uint32_t> first_point_of_root_;
   /// Recluster's traversal state, kept so a Build allocates none.
   TraversalWorkspace recluster_ws_;
 

@@ -22,14 +22,49 @@ std::vector<char> MakePage(char fill) {
   return std::vector<char>(kPage, fill);
 }
 
+// The bit-at-a-time CRC32C the table-driven one must equal.
+uint32_t BitwiseCrc32c(uint32_t crc, const unsigned char* data, size_t n) {
+  crc = ~crc;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
 TEST(Crc32cTest, KnownVectors) {
   // RFC 3720 test vectors for CRC32C.
   std::vector<char> zeros(32, 0);
   EXPECT_EQ(Crc32c(zeros.data(), zeros.size()), 0x8A9136AAu);
   std::vector<unsigned char> ones(32, 0xFF);
   EXPECT_EQ(Crc32c(ones.data(), ones.size()), 0x62A8AB43u);
+  std::vector<unsigned char> ascending(32);
+  for (size_t i = 0; i < ascending.size(); ++i) {
+    ascending[i] = static_cast<unsigned char>(i);
+  }
+  EXPECT_EQ(Crc32c(ascending.data(), ascending.size()), 0x46DD794Eu);
   const char* str = "123456789";
   EXPECT_EQ(Crc32c(str, 9), 0xE3069283u);
+}
+
+// Every length across the 8-byte word loop and its byte tail, at every
+// alignment of the start.
+TEST(Crc32cTest, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  std::vector<unsigned char> buf(300 + 8);
+  uint32_t x = 12345;
+  for (unsigned char& b : buf) {
+    x = x * 1103515245u + 12345u;
+    b = static_cast<unsigned char>(x >> 24);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n = 0; n <= 300; ++n) {
+      ASSERT_EQ(Crc32c(buf.data() + offset, n),
+                BitwiseCrc32c(0, buf.data() + offset, n))
+          << "offset " << offset << ", length " << n;
+    }
+  }
 }
 
 TEST(Crc32cTest, ExtendMatchesOneShot) {
@@ -39,6 +74,15 @@ TEST(Crc32cTest, ExtendMatchesOneShot) {
                                 data.size() - 10);
   EXPECT_EQ(one_shot, split);
   EXPECT_NE(one_shot, Crc32c(data.data(), data.size() - 1));
+  // Chained over three pieces, at every pair of cut points.
+  for (size_t a = 0; a <= data.size(); ++a) {
+    for (size_t b = a; b <= data.size(); ++b) {
+      uint32_t crc = Crc32cExtend(0, data.data(), a);
+      crc = Crc32cExtend(crc, data.data() + a, b - a);
+      crc = Crc32cExtend(crc, data.data() + b, data.size() - b);
+      ASSERT_EQ(crc, one_shot) << "cuts at " << a << " and " << b;
+    }
+  }
 }
 
 TEST(FaultInjectionFileTest, TransparentWithoutSchedule) {

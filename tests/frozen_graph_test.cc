@@ -1,9 +1,11 @@
 // Tests for the FrozenGraph CSR snapshot (src/graph/frozen_graph.*):
 // neighbor-sequence equality with the source view on random networks,
 // edge-weight and point-range lookups, the co-owned PointSet and group
-// weights (audited by the validator and BitIdenticalTo), the
-// validator's rejection of a corrupted snapshot, identical Dijkstra
-// traversal counters over view and snapshot, snapshot ownership across
+// weights (audited by the validator and BitIdenticalTo), the point
+// handle WithPoints carries onto merged points (equal to a fresh
+// Materialize for every kind of batch), the validator's rejection of a
+// corrupted snapshot, identical Dijkstra traversal counters over view
+// and snapshot, snapshot ownership across
 // Network mutation, the per-algorithm frozen-vs-live bit-identity of
 // each graph-generic entry (graph = view vs graph = snapshot), and the
 // point kernels (range, accelerated range, node range, k-NN) over the
@@ -207,9 +209,10 @@ TEST(FrozenGraphTest, PointLayerCopiesPointSet) {
     EXPECT_EQ(s.frozen.group_weight(i), s.gen.net.EdgeWeight(g.u, g.v))
         << "group " << i;
   }
-  // Its own bytes: the slot ranges and one weight per group.
+  // The point handle's bytes: one group number per slot and one weight
+  // per group.
   EXPECT_EQ(s.frozen.own_bytes(),
-            s.frozen.num_half_edges() * (sizeof(PointId) + sizeof(uint32_t)) +
+            s.frozen.num_half_edges() * sizeof(uint32_t) +
                 s.points.num_groups() * sizeof(double));
   // The copy outlives the PointSet the view was over.
   FrozenGraph outlives;
@@ -252,6 +255,141 @@ TEST(FrozenGraphTest, BitIdenticalToComparesPointLayer) {
       again.WithPoints(NudgeOffset(s.gen.net, s.points, 0));
   EXPECT_TRUE(tampered.SharesAdjacencyWith(again));
   EXPECT_FALSE(tampered.BitIdenticalTo(s.frozen));
+}
+
+// A network whose point groups sit on every other edge in key order,
+// from the third edge to the third-last, two points each: there are
+// empty edges before the first group, between groups and after the
+// last.
+struct CarryWorld {
+  Network net;
+  std::vector<Edge> edges;  // Edges() order: the group key order
+  FrozenGraph base;
+
+  explicit CarryWorld(uint64_t seed) {
+    net = GenerateRoadNetwork({60, 1.3, 0.3, seed}).net;
+    edges = net.Edges();
+    PointSetBuilder builder;
+    for (size_t i = 2; i + 2 < edges.size(); i += 2) {
+      builder.Add(edges[i].u, edges[i].v, 0.25 * edges[i].weight, 0);
+      builder.Add(edges[i].u, edges[i].v, 0.75 * edges[i].weight, 0);
+    }
+    base = FrozenGraph::Materialize(
+        net, std::make_shared<const PointSet>(
+                 std::move(std::move(builder).Build(net)).value()));
+  }
+};
+
+// A placement of one point: edge index into Edges() and the fraction of
+// its weight from the smaller-id endpoint.
+struct Placement {
+  size_t edge;
+  double at;
+};
+
+// `base`'s points with `batch` merged in, the way World merges a
+// publish's new points.
+std::shared_ptr<const PointSet> MergeBatch(
+    const Network& net, const std::vector<Edge>& edges,
+    const FrozenGraph& base, const std::vector<Placement>& batch) {
+  PointSetBuilder builder;
+  for (const Placement& p : batch) {
+    const Edge& e = edges[p.edge];
+    builder.Add(e.u, e.v, p.at * e.weight, 1);
+  }
+  return std::make_shared<const PointSet>(
+      std::move(std::move(builder).Merge(net, base.points(), nullptr,
+                                         nullptr))
+          .value());
+}
+
+// WithPoints over `base` must be what Materialize builds from scratch,
+// share the adjacency, and share the point handle exactly when the batch
+// opened no group.
+FrozenGraph ExpectCarriedHandle(const Network& net,
+                                const std::vector<Edge>& edges,
+                                const FrozenGraph& base,
+                                const std::vector<Placement>& batch) {
+  const std::shared_ptr<const PointSet> points =
+      MergeBatch(net, edges, base, batch);
+  const FrozenGraph carried = base.WithPoints(points);
+  EXPECT_TRUE(carried.BitIdenticalTo(FrozenGraph::Materialize(net, points)));
+  EXPECT_TRUE(carried.SharesAdjacencyWith(base));
+  EXPECT_EQ(carried.SharesPointHandleWith(base),
+            points->num_groups() == base.points().num_groups());
+  return carried;
+}
+
+TEST(FrozenGraphTest, CarriedHandleSharedWhenNoGroupOpens) {
+  CarryWorld w(71);
+  // Points on edges that already hold some: before, between and after
+  // the existing points of their groups.
+  const FrozenGraph carried = ExpectCarriedHandle(
+      w.net, w.edges, w.base, {{2, 0.1}, {4, 0.5}, {6, 0.9}, {4, 0.5}});
+  EXPECT_TRUE(carried.SharesPointHandleWith(w.base));
+  EXPECT_EQ(carried.points().size(), w.base.points().size() + 4);
+}
+
+TEST(FrozenGraphTest, CarriedHandleRenumbersAroundNewGroups) {
+  CarryWorld w(72);
+  const size_t last = w.edges.size() - 1;
+  ASSERT_GE(w.edges.size(), 12u);
+  const std::vector<std::pair<const char*, std::vector<Placement>>> cases = {
+      {"before the first group", {{0, 0.5}}},
+      {"between groups", {{5, 0.5}}},
+      {"after the last group", {{last, 0.5}}},
+      {"all three at once", {{last, 0.5}, {0, 0.5}, {5, 0.5}}}};
+  for (const auto& [where, batch] : cases) {
+    SCOPED_TRACE(where);
+    const FrozenGraph carried =
+        ExpectCarriedHandle(w.net, w.edges, w.base, batch);
+    EXPECT_FALSE(carried.SharesPointHandleWith(w.base));
+  }
+}
+
+TEST(FrozenGraphTest, CarriedHandleOverMultiPointBatches) {
+  CarryWorld w(73);
+  const size_t last = w.edges.size() - 1;
+  // Several points per edge, on old and new edges alike, in no order.
+  ExpectCarriedHandle(w.net, w.edges, w.base,
+                      {{7, 0.3}, {1, 0.2}, {7, 0.6}, {4, 0.4}, {1, 0.8},
+                       {last, 0.1}, {3, 0.5}, {last, 0.9}, {2, 0.5}});
+  // A batch that opens a group on every empty edge.
+  std::vector<Placement> everywhere;
+  for (size_t i = 0; i < w.edges.size(); ++i) everywhere.push_back({i, 0.5});
+  ExpectCarriedHandle(w.net, w.edges, w.base, everywhere);
+}
+
+TEST(FrozenGraphTest, CarriedHandleWithPointsAtEdgeEnds) {
+  CarryWorld w(74);
+  const size_t last = w.edges.size() - 1;
+  // Offsets 0 and w exactly, on a new edge and on an old one (ties with
+  // nothing: the old points sit at a quarter and three quarters).
+  ExpectCarriedHandle(w.net, w.edges, w.base,
+                      {{3, 0.0}, {3, 1.0}, {2, 0.0}, {2, 1.0}, {last, 1.0}});
+}
+
+// Two points-only epochs carry the handle; an AddEdge epoch rebuilds it
+// with the adjacency, and the next points-only epoch carries from that.
+TEST(FrozenGraphTest, CarriedHandleAcrossAnAddEdgeEpoch) {
+  CarryWorld w(75);
+  const FrozenGraph first =
+      ExpectCarriedHandle(w.net, w.edges, w.base, {{4, 0.6}});
+  EXPECT_TRUE(first.SharesPointHandleWith(w.base));
+  const FrozenGraph second =
+      ExpectCarriedHandle(w.net, w.edges, first, {{1, 0.4}, {9, 0.3}});
+  EXPECT_FALSE(second.SharesPointHandleWith(first));
+
+  NodeId v = 1;
+  while (w.net.HasEdge(0, v)) ++v;
+  ASSERT_TRUE(w.net.AddEdge(0, v, 2.0).ok());
+  const std::vector<Edge> edges = w.net.Edges();
+  const FrozenGraph with_edge = FrozenGraph::Materialize(
+      w.net, std::make_shared<const PointSet>(second.points()));
+  EXPECT_FALSE(with_edge.SharesAdjacencyWith(second));
+  size_t added = 0;
+  while (edges[added].u != 0 || edges[added].v != v) ++added;
+  ExpectCarriedHandle(w.net, edges, with_edge, {{added, 0.5}, {4, 0.1}});
 }
 
 TEST(FrozenGraphTest, ValidatorAcceptsFaithfulSnapshot) {

@@ -185,6 +185,57 @@ TEST(WorldTest, IncrementalBuildsMatchTheFullBuild) {
   }
 }
 
+// Mixed publishes over several seeds with every oracle on: each
+// incremental Build checks its PointSet merge, its carried point handle
+// and its ε-Link stage against the full builds (a divergence fails the
+// Build), and each epoch's clustering must equal BuildFull's full
+// RunClustering label for label. At min_sup 3 components below it are
+// noise, and the sweep must see noise points cross into clusters.
+TEST(WorldTest, EpsLinkSweepMatchesFullRunClustering) {
+  for (uint32_t min_sup : {1u, 3u}) {
+    SCOPED_TRACE("min_sup " + std::to_string(min_sup));
+    int publishes = 0;
+    bool saw_noise = false;
+    bool saw_noise_join = false;
+    for (uint64_t seed : {101u, 102u, 103u, 104u}) {
+      SCOPED_TRACE("seed " + std::to_string(seed));
+      Scenario s(70, 90, seed);
+      WorldOptions options;
+      options.cluster_spec = MakeSpec(EpsLinkOptions{s.eps, min_sup});
+      options.validate = true;
+      World world = World::Boot(s.gen.net, s.points, options);
+      BuildOrDie(world.Build());
+      Mutator mutator(s.gen.net, s.eps, seed * 7);
+      Rng rng(seed);
+      std::vector<ObjectId> was_noise;
+      for (int round = 0; round < 30; ++round) {
+        const uint64_t batch = 1 + rng.NextBounded(3);
+        for (uint64_t m = 0; m < batch; ++m) {
+          ASSERT_TRUE(world.Apply(mutator.Next(0.7)).ok());
+        }
+        const World::Epoch epoch = BuildOrDie(world.Build());
+        const World::Epoch full = BuildOrDie(world.BuildFull());
+        ASSERT_TRUE(epoch.recluster_incremental);
+        ExpectSameIdsAndClusters(epoch, full);
+        if (HasFailure()) return;
+        ++publishes;
+        const std::vector<int>& labels = epoch.clusters->clustering.assignment;
+        for (ObjectId oid : was_noise) {
+          if (labels[epoch.ids->PointOf(oid)] != kNoise) saw_noise_join = true;
+        }
+        was_noise.clear();
+        for (PointId p = 0; p < labels.size(); ++p) {
+          if (labels[p] == kNoise) was_noise.push_back(epoch.ids->ObjectOf(p));
+        }
+        saw_noise = saw_noise || !was_noise.empty();
+      }
+    }
+    EXPECT_EQ(publishes, 120);
+    EXPECT_EQ(saw_noise, min_sup > 1);
+    EXPECT_EQ(saw_noise_join, min_sup > 1);
+  }
+}
+
 // The cache and the CSR adjacency ride along while no edge is added and
 // are replaced by the first build after an AddEdge, and only by that
 // one.
