@@ -1,15 +1,19 @@
 // Bench smoke: a minutes-scale micro pass over the traversal substrates
 // on a small generated network — the `run_all.sh bench-smoke` target.
 // The plain range query and a k-medoids search through RunClustering
-// are ungated rows; the served point distance runs cold and warm through
-// the query layer's distance cache and prints its settled-node /
-// heap-pop reduction. The whole table is emitted as machine-readable
-// BENCH_smoke.json via BenchRecorder so CI can diff substrate work
-// across revisions. The cold/warm pair is a gate: the harness prints
-// FAIL and exits 1 unless the warm row settles fewer nodes and has a
-// lower median wall time than the cold one — the cache must pay for
-// itself — and unless every warm served distance equals its cold
-// payload bit for bit.
+// are ungated rows; the served point distance runs the way the query
+// server serves it — over a frozen snapshot carrying landmark tables,
+// whose build is its own `landmark_build` row — cold and warm through
+// the query layer's distance cache, and once more over the view, which
+// has no tables (`served_distance_view`). The whole table is emitted as
+// machine-readable BENCH_smoke.json via BenchRecorder so CI can diff
+// substrate work across revisions. Two gates: the harness prints FAIL
+// and exits 1 unless the warm row settles fewer nodes and has a lower
+// median wall time than the cold one — the cache must pay for itself —
+// and every warm served distance equals its cold payload bit for bit;
+// and unless every view payload equals its cold one bit for bit and the
+// cold pass settles at most a fifth of the view pass's nodes — the
+// landmark bounds must pay for themselves without changing an answer.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -20,6 +24,8 @@
 #include "bench_common.h"
 #include "common/random.h"
 #include "common/timer.h"
+#include "graph/frozen_graph.h"
+#include "graph/landmarks.h"
 #include "graph/network_distance.h"
 #include "netclus.h"
 #include "server/distance_cache.h"
@@ -110,12 +116,34 @@ int main() {
            {{"avg_results", static_cast<double>(results) / kQueries}});
   }
 
-  // Served point-to-point distances through the query layer, with one
-  // fresh distance cache: cold (every pair a miss, computed and stored),
-  // then the same pairs warm (every pair a hit). The warm payloads must
-  // equal the cold ones bit for bit.
+  // The served snapshot: the view frozen, carrying landmark tables like
+  // every epoch a query server serves distances from. Building the
+  // tables bumps no traversal counter.
+  FrozenGraph plain = std::move(mem.Freeze()).value();
+  std::shared_ptr<const LandmarkTables> tables;
+  {
+    TraversalCounters total;
+    std::vector<double> samples;
+    for (int rep = 0; rep < 3; ++rep) {
+      samples.push_back(
+          Timed(&total, [&] { tables = LandmarkTables::Build(plain); }));
+    }
+    report("landmark_build", samples, total,
+           {{"landmarks", static_cast<double>(LandmarkTables::kCount)},
+            {"bytes", static_cast<double>(tables->bytes())}});
+  }
+  const FrozenGraph served = plain.WithLandmarks(tables);
+
+  // Served point-to-point distances through the query layer over the
+  // snapshot, with one fresh distance cache: cold (every pair a miss,
+  // computed and stored), then the same pairs warm (every pair a hit).
+  // The warm payloads must equal the cold ones bit for bit. Then the
+  // same pairs over the view, without tables or cache: the payloads must
+  // equal the cold ones bit for bit too.
   Pair served_distance{"served_distance", {"cold", "warm"}, {}, {}};
   uint32_t payload_mismatches = 0;
+  uint32_t view_mismatches = 0;
+  TraversalCounters view_work;
   {
     TraversalWorkspace ws(gen.net.num_nodes());
     DistanceCache cache(1 << 16);
@@ -128,23 +156,30 @@ int main() {
     }
     std::vector<double> cold(requests.size());
     QueryResponse out;
-    for (int pass = 0; pass < 2; ++pass) {
+    for (int pass = 0; pass < 3; ++pass) {
       TraversalCounters total;
       std::vector<double> samples;
       for (size_t i = 0; i < requests.size(); ++i) {
         Status st;
         samples.push_back(Timed(&total, [&] {
-          st = ExecuteQueryInto(view, nullptr, requests[i], &ws, &cache,
-                                nullptr, &out);
+          st = pass < 2 ? ExecuteQueryInto(view, &served, requests[i], &ws,
+                                           &cache, nullptr, &out)
+                        : ExecuteQueryInto(view, nullptr, requests[i], &ws,
+                                           nullptr, nullptr, &out);
         }));
         if (pass == 0) cold[i] = out.distance;
         if (!st.ok() ||
             std::memcmp(&out.distance, &cold[i], sizeof(double)) != 0) {
-          ++payload_mismatches;
+          ++(pass < 2 ? payload_mismatches : view_mismatches);
         }
       }
-      record(&served_distance, pass, std::move(samples), total,
-             {{"cache_hits", static_cast<double>(cache.counters().hits)}});
+      if (pass < 2) {
+        record(&served_distance, pass, std::move(samples), total,
+               {{"cache_hits", static_cast<double>(cache.counters().hits)}});
+      } else {
+        report("served_distance_view", samples, total);
+        view_work = total;
+      }
     }
   }
 
@@ -180,6 +215,24 @@ int main() {
     std::printf("FAIL: %u served distances failed or differ warm from cold\n",
                 payload_mismatches);
     ++failed;
+  }
+  const uint64_t cold_settled = served_distance.work[0].settled_nodes;
+  if (view_mismatches > 0) {
+    std::printf("FAIL: %u served distances differ between the snapshot "
+                "with landmarks and the view without\n",
+                view_mismatches);
+    ++failed;
+  } else if (5 * cold_settled > view_work.settled_nodes) {
+    std::printf("FAIL: served_distance_cold settles %llu nodes, more than "
+                "a fifth of served_distance_view's %llu\n",
+                static_cast<unsigned long long>(cold_settled),
+                static_cast<unsigned long long>(view_work.settled_nodes));
+    ++failed;
+  } else {
+    std::printf("OK: served_distance_cold settles %.1fx fewer nodes than "
+                "served_distance_view, every payload bit-identical\n",
+                static_cast<double>(view_work.settled_nodes) /
+                    static_cast<double>(cold_settled));
   }
   const Pair& pair = served_distance;
   const uint64_t first = pair.work[0].settled_nodes;

@@ -134,7 +134,12 @@ struct RunResult {
 // < 0.2 ms over all builds and over the renumbering ones). The edge leg
 // builds 9 epochs; the other two build kIncrementalBuilds each and time
 // BuildFull, which leaves its world as it is, on kFullBuilds of them
-// spread evenly. Reported as
+// spread evenly. The edge and point legs' incremental worlds carry
+// landmark tables, built once on their boot epoch as a query server
+// builds them after its first distance: the point leg must share them
+// on every build (gated, exact), the edge leg records how many builds
+// shared or repaired them and the median carry stage (ungated). Reported
+// as
 // publish_full_ms / publish_incremental_ms / publish_ratio plus the
 // per-stage means and medians in BENCH_server.json.
 enum class PublishLeg { kEdges, kRecluster, kPoints };
@@ -178,6 +183,13 @@ struct PublishLatency {
   /// CSR stage times of the incremental builds that renumbered their
   /// predecessor's point handle instead of sharing it.
   std::vector<double> renumbered_csr;
+  /// Landmark legs only: the tables' build time on the boot epoch, the
+  /// incremental builds that carried tables and those that shared their
+  /// predecessor's, and each build's landmark stage time.
+  double landmark_build_ms = 0.0;
+  uint64_t landmarks_carried = 0;
+  uint64_t landmarks_shared = 0;
+  std::vector<double> landmark_stage_ms;
 
   double full_ms() const { return full.total_ms.mean(); }
   double incremental_ms() const { return incremental.total_ms.mean(); }
@@ -227,10 +239,15 @@ PublishLatency MeasurePublishLatency(PointId num_points, PublishLeg leg) {
   // The boot build is the incremental world's first base.
   std::shared_ptr<const FrozenGraph> prev_graph =
       BuildOrDie(incremental.Build()).graph;
+  PublishLatency out;
+  if (!recluster) {
+    WallTimer timer;
+    prev_graph = incremental.BuildLandmarks();
+    out.landmark_build_ms = timer.ElapsedMillis();
+  }
 
   const int builds =
       leg == PublishLeg::kEdges ? kEdgeBuilds : kIncrementalBuilds;
-  PublishLatency out;
   Rng rng(93);
   for (int i = 0; i < builds; ++i) {
     NetworkUpdate mutation;
@@ -263,6 +280,13 @@ PublishLatency MeasurePublishLatency(PointId num_points, PublishLeg leg) {
     const World::Epoch epoch = BuildOrDie(incremental.Build());
     out.incremental.Add(timer.ElapsedMillis(), epoch);
     if (epoch.graph->SharesAdjacencyWith(*prev_graph)) ++out.shared_adjacency;
+    if (epoch.graph->landmarks() != nullptr) {
+      ++out.landmarks_carried;
+      if (epoch.graph->landmarks() == prev_graph->landmarks()) {
+        ++out.landmarks_shared;
+      }
+      out.landmark_stage_ms.push_back(epoch.landmarks_ms);
+    }
     if (epoch.graph->SharesPointHandleWith(*prev_graph)) {
       ++out.shared_handle;
     } else if (epoch.graph->SharesAdjacencyWith(*prev_graph)) {
@@ -484,6 +508,26 @@ int main() {
                   rc.incremental.recluster_ms.count()));
   // Over half the points-only builds share the handle and spend next to
   // nothing, so the builds that renumbered it are gated on their own.
+  std::printf("edge landmarks: carried %llu/%llu (%llu shared, %llu "
+              "repaired); landmark stage median %.3f ms; build %.1f ms at "
+              "20000 nodes (ungated)\n",
+              static_cast<unsigned long long>(pub.landmarks_carried),
+              static_cast<unsigned long long>(
+                  pub.incremental.total_ms.count()),
+              static_cast<unsigned long long>(pub.landmarks_shared),
+              static_cast<unsigned long long>(pub.landmarks_carried -
+                                              pub.landmarks_shared),
+              Percentile(pub.landmark_stage_ms, 0.5), pub.landmark_build_ms);
+  std::printf("points-only landmarks: shared %llu/%llu (gate: all)\n",
+              static_cast<unsigned long long>(pt.landmarks_shared),
+              static_cast<unsigned long long>(
+                  pt.incremental.total_ms.count()));
+  rec.Add("landmarks_edges", {pub.landmark_build_ms * 1e-3},
+          TraversalCounters{},
+          {{"build_ms", pub.landmark_build_ms},
+           {"carried", static_cast<double>(pub.landmarks_carried)},
+           {"shared", static_cast<double>(pub.landmarks_shared)},
+           {"stage_median_ms", Percentile(pub.landmark_stage_ms, 0.5)}});
   const double pt_csr = pt.incremental.csr_median();
   const double pt_renumbered_csr = Percentile(pt.renumbered_csr, 0.5);
   std::printf("points-only csr stage: median %.3f ms over %llu builds, "
@@ -527,6 +571,18 @@ int main() {
                  "FAIL: %llu of %llu point-only builds shared their "
                  "predecessor's adjacency\n",
                  static_cast<unsigned long long>(pt.shared_adjacency),
+                 static_cast<unsigned long long>(
+                     pt.incremental.total_ms.count()));
+    return 1;
+  }
+
+  // No edge was added, so every point-only build shares its
+  // predecessor's landmark tables with the adjacency: exact.
+  if (pt.landmarks_shared != pt.incremental.total_ms.count()) {
+    std::fprintf(stderr,
+                 "FAIL: %llu of %llu point-only builds shared their "
+                 "predecessor's landmark tables\n",
+                 static_cast<unsigned long long>(pt.landmarks_shared),
                  static_cast<unsigned long long>(
                      pt.incremental.total_ms.count()));
     return 1;

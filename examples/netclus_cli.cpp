@@ -469,6 +469,10 @@ int RunServe(int argc, char** argv, const Network& net,
               static_cast<unsigned long long>(stats.reclusters_full),
               static_cast<unsigned long long>(stats.reclusters_incremental),
               stats.mean_recluster_ms);
+  std::printf("landmark tables: %llu built (%.1f ms), carried by every "
+              "later epoch\n",
+              static_cast<unsigned long long>(stats.landmark_builds),
+              stats.landmark_build_ms);
   std::printf("batches %llu (mean size %.1f, mean %.2f ms); queue wait mean "
               "%.2f ms, max %.2f ms\n",
               static_cast<unsigned long long>(stats.batches),

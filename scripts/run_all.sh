@@ -110,7 +110,7 @@ if [ "${1:-}" = "ubsan" ]; then
   cmake -B build-ubsan -G Ninja -DNETCLUS_SANITIZE=undefined
   cmake --build build-ubsan
   ctest --test-dir build-ubsan --output-on-failure \
-    -R 'KMedoids|EpsLink|Dbscan|SingleLink|Dendrogram|Dijkstra|RangeQuery|Knn|PointDistance|InterestingLevels|Optics|Hierarchy|Validate|NetclusApi|Integration|Index|DistanceCache|Frozen|Wal|Checkpoint|Incremental|World|Cancel|Deadline|WireCodec|WireFrame|Crc32c' \
+    -R 'KMedoids|EpsLink|Dbscan|SingleLink|Dendrogram|Dijkstra|RangeQuery|Knn|PointDistance|ExactLength|Landmark|InterestingLevels|Optics|Hierarchy|Validate|NetclusApi|Integration|Index|DistanceCache|Frozen|Wal|Checkpoint|Incremental|World|Cancel|Deadline|WireCodec|WireFrame|Crc32c' \
     2>&1 | tee ubsan_output.txt
   exit 0
 fi
@@ -136,7 +136,7 @@ if [ "${1:-}" = "tsan" ]; then
   cmake -B build-tsan -G Ninja -DNETCLUS_SANITIZE=thread
   cmake --build build-tsan
   ctest --test-dir build-tsan --output-on-failure \
-    -R 'ThreadPool|Parallel|Determin|Restart|DistanceCache|EpochManager|QueryServer|Wal|Checkpoint|Incremental|Chaos|Deadline|Cancel|Mutex|CondVar|TcpServerLoopback|NetClient|NetSoak|NetStats' \
+    -R 'ThreadPool|Parallel|Determin|Restart|DistanceCache|EpochManager|QueryServer|Landmark|Wal|Checkpoint|Incremental|Chaos|Deadline|Cancel|Mutex|CondVar|TcpServerLoopback|NetClient|NetSoak|NetStats' \
     2>&1 | tee tsan_output.txt
   exit 0
 fi
@@ -253,6 +253,10 @@ fi
 if [ "${1:-}" = "bench-smoke" ]; then
   configure_build
   cmake --build build
+  # The served distances run over a snapshot with landmark tables: cold
+  # vs warm through the cache, and the same pairs over the view without
+  # tables, which must return the same bits with at least 5x the
+  # settles.
   ./build/bench/bench_smoke 2>&1 | tee bench_smoke_output.txt
   # Frozen-vs-view traversal contrast: exits non-zero unless the
   # counters match exactly and the snapshot path is >= 1.3x faster.
@@ -264,7 +268,8 @@ if [ "${1:-}" = "bench-smoke" ]; then
   # rebuild the adjacency; incremental vs full ε-Link re-cluster with
   # about one point per node; PointSet merge over a shared adjacency vs
   # full build with one AddPoint per publish, its CSR stage median gated
-  # below 0.2 ms).
+  # below 0.2 ms, sharing its landmark tables on every build), and the
+  # edge leg's landmark carry record.
   ./build/bench/server_throughput 2>&1 | tee -a bench_smoke_output.txt
   # Every paper table/figure and ablation from one table, each shape
   # gated on hardware-independent counts (settles, page reads,
@@ -275,8 +280,9 @@ if [ "${1:-}" = "bench-smoke" ]; then
   # three publish-latency rows, the points-only CSR stage and re-cluster
   # stage lines, the three scaling ratios with their median and the
   # paper driver's summary must be present, every point-only build must
-  # have shared its predecessor's adjacency (n/n), and no harness
-  # printed FAIL.
+  # have shared its predecessor's adjacency and landmark tables (n/n),
+  # bench_smoke's landmark_build row and its served-distance landmark
+  # verdict must be present, and no harness printed FAIL.
   grep -q 'publish latency: full .* (ratio' bench_smoke_output.txt
   grep -q 'publish latency with re-cluster: full .* (ratio' \
     bench_smoke_output.txt
@@ -285,6 +291,12 @@ if [ "${1:-}" = "bench-smoke" ]; then
   grep -q '^points-only csr stage: median .* ms over [0-9]* builds, .* (gate < 0.2 ms)$' \
     bench_smoke_output.txt
   grep -q '^re-cluster stage: incremental median .* ms' bench_smoke_output.txt
+  grep -q '^points-only landmarks: shared \([0-9]*\)/\1 ' \
+    bench_smoke_output.txt
+  grep -q '^edge landmarks: carried [0-9]*/[0-9]* ' bench_smoke_output.txt
+  grep -q '^landmark_build ' bench_smoke_output.txt
+  grep -q '^OK: served_distance_cold settles .*x fewer nodes than served_distance_view' \
+    bench_smoke_output.txt
   grep -q '^scaling 1->4 workers: .*x .*x .*x, median .*x' \
     bench_smoke_output.txt
   grep -q '^paper summary: .* 0 failed' bench_smoke_output.txt

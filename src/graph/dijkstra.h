@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "graph/exact_length.h"
 #include "graph/network_view.h"
 #include "graph/types.h"
 
@@ -98,6 +99,55 @@ class NodeScratch {
   uint64_t current_ = 0;
 };
 
+/// \brief One frontier of the exact point-to-point search
+/// (PointNetworkDistance): per-node exact labels with O(1) logical reset
+/// and a settled mark, plus the frontier's heap storage.
+///
+/// A node is unlabelled, labelled or settled in the current search; its
+/// stamp equals `current_` once labelled and `current_ + 1` once
+/// settled, and NewEpoch steps `current_` by two, past both.
+class ExactFrontier {
+ public:
+  /// A (heap key, node) element: the key is 2g ± (π_t − π_s), the
+  /// doubled label plus the landmark potential (graph/landmarks.h).
+  struct Entry {
+    ExactLength key;
+    NodeId node;
+    bool operator>(const Entry& other) const { return key > other.key; }
+  };
+
+  /// Sizes the label arrays to `num_nodes` on first use.
+  void Reserve(NodeId num_nodes) {
+    if (label_.size() < num_nodes) {
+      label_.assign(num_nodes, 0);
+      stamp_.assign(num_nodes, 0);
+      current_ = 2;
+    }
+  }
+  /// Starts a search: every node unlabelled, the heap empty.
+  void NewEpoch() {
+    current_ += 2;
+    heap.clear();
+  }
+  /// The node's label, kUnreachedLength while unlabelled.
+  ExactLength Get(NodeId n) const {
+    return stamp_[n] >= current_ ? label_[n] : kUnreachedLength;
+  }
+  void Set(NodeId n, ExactLength g) {
+    label_[n] = g;
+    stamp_[n] = current_;
+  }
+  bool Settled(NodeId n) const { return stamp_[n] == current_ + 1; }
+  void Settle(NodeId n) { stamp_[n] = current_ + 1; }
+
+  std::vector<Entry> heap;  ///< binary-heap storage, reused
+
+ private:
+  std::vector<ExactLength> label_;
+  std::vector<uint64_t> stamp_;
+  uint64_t current_ = 2;
+};
+
 /// A (distance, node) min-heap element of a Dijkstra traversal; exposed so
 /// TraversalWorkspace can own the reusable heap storage.
 struct DijkstraHeapEntry {
@@ -158,12 +208,11 @@ struct TraversalWorkspace {
   /// Sized on first use.
   std::vector<uint64_t> stamp;
   uint64_t stamp_epoch = 0;
-  /// The backward frontier of the bidirectional point-to-point search
-  /// (PointNetworkDistance): its labels and heap storage. Sized on first
-  /// use, so a workspace that never computes a distance stays O(|V|) in
-  /// one scratch.
-  NodeScratch backward;
-  std::vector<DijkstraHeapEntry> backward_heap;
+  /// The forward and backward frontiers of the exact point-to-point
+  /// search (PointNetworkDistance). Sized on first use, so a workspace
+  /// that never computes a distance stays O(|V|) in one scratch.
+  ExactFrontier forward;
+  ExactFrontier backward;
   /// Cancellation token threaded into the kernel by the workspace-based
   /// entry points. Inert (no deadline) by default; the query server arms
   /// it per request with the request's deadline.

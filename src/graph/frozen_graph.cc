@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "graph/landmarks.h"
 #include "graph/network.h"
 
 namespace netclus {
@@ -91,6 +92,7 @@ FrozenGraph FrozenGraph::WithPoints(
   NETCLUS_CHECK(points != nullptr) << "a snapshot needs its PointSet";
   FrozenGraph g;
   g.adj_ = adj_;
+  g.landmarks_ = landmarks_;
   g.points_ = std::move(points);
   const PointSet& base = *points_;
   const PointSet& next = *g.points_;
@@ -138,6 +140,15 @@ FrozenGraph FrozenGraph::WithPoints(
   for (size_t s = 0; s < half_edges; ++s) to[s] = renumber[from[s]];
   for (uint32_t i : opened) g.AttachGroup(i, handle.get());
   g.handle_ = std::move(handle);
+  return g;
+}
+
+FrozenGraph FrozenGraph::WithLandmarks(
+    std::shared_ptr<const LandmarkTables> tables) const {
+  NETCLUS_CHECK(tables == nullptr || tables->num_nodes() == num_nodes())
+      << "landmark tables of another graph";
+  FrozenGraph g = *this;
+  g.landmarks_ = std::move(tables);
   return g;
 }
 

@@ -50,6 +50,7 @@
 
 namespace netclus {
 
+class LandmarkTables;
 class Network;
 class PointSet;
 
@@ -130,8 +131,22 @@ class FrozenGraph {
   /// as many groups only in debug and validate builds. When it opened no
   /// group the point handle is shared too; otherwise the base groups are
   /// renumbered in one pass over the slots and only the new groups'
-  /// edges are looked up in their rows.
+  /// edges are looked up in their rows. The landmark tables ride along:
+  /// the adjacency they describe is the same.
   FrozenGraph WithPoints(std::shared_ptr<const PointSet> points) const;
+
+  /// The landmark tables the point-to-point search prunes with
+  /// (graph/landmarks.h); null when the snapshot carries none.
+  const LandmarkTables* landmarks() const { return landmarks_.get(); }
+  const std::shared_ptr<const LandmarkTables>& shared_landmarks() const {
+    return landmarks_;
+  }
+
+  /// This snapshot carrying `tables`, which must be exact for its
+  /// adjacency (built or carried for it): a new immutable value that
+  /// shares the adjacency, points and point handle. Answers do not
+  /// change; the point-to-point search only settles fewer nodes.
+  FrozenGraph WithLandmarks(std::shared_ptr<const LandmarkTables> tables) const;
 
   /// True when both snapshots hold the very same adjacency block.
   bool SharesAdjacencyWith(const FrozenGraph& other) const {
@@ -146,7 +161,9 @@ class FrozenGraph {
   /// True when every array (offsets, neighbors, weight bit patterns,
   /// slot groups, group weight bit patterns) and the PointSet match
   /// exactly — the NETCLUS_VALIDATE oracle that a shared adjacency and
-  /// a carried point handle are still the network's.
+  /// a carried point handle are still the network's. Landmark tables are
+  /// not compared: they change no answer, and World checks carried ones
+  /// against fresh searches.
   bool BitIdenticalTo(const FrozenGraph& other) const;
 
   /// Test-only: overwrites half-edge slot `i` of a private copy of the
@@ -187,6 +204,7 @@ class FrozenGraph {
   std::shared_ptr<const Adjacency> adj_;
   std::shared_ptr<const PointSet> points_;
   std::shared_ptr<const PointHandle> handle_;
+  std::shared_ptr<const LandmarkTables> landmarks_;
 };
 
 /// Neighbor-iteration adapter the template traversal kernel dispatches

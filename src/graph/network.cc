@@ -1,7 +1,6 @@
 #include "graph/network.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <queue>
 
@@ -16,9 +15,9 @@ Status Network::AddEdge(NodeId a, NodeId b, double w) {
   if (a == b) {
     return Status::InvalidArgument("AddEdge: self loops are not allowed");
   }
-  if (!(w > 0.0) || !std::isfinite(w)) {
+  if (!IsEdgeWeightInDomain(w)) {
     return Status::InvalidArgument(
-        "AddEdge: weight must be positive and finite");
+        "AddEdge: weight must be positive and below 2^28");
   }
   // Duplicate detection scans the sparser endpoint's adjacency row —
   // O(min degree), matching the lookup path now that the edge-weight

@@ -21,9 +21,10 @@ class Network {
   Network() = default;
   explicit Network(NodeId num_nodes);
 
-  /// Adds undirected edge {a, b} with finite weight `w` > 0. Self
-  /// loops, duplicate edges, out-of-range endpoints and non-positive,
-  /// infinite or NaN weights are rejected.
+  /// Adds undirected edge {a, b} with weight `w` in the domain (0,
+  /// kMaxEdgeWeight) (graph/types.h). Self loops, duplicate edges,
+  /// out-of-range endpoints and non-positive, too large, infinite or NaN
+  /// weights are rejected.
   Status AddEdge(NodeId a, NodeId b, double w);
 
   NodeId num_nodes() const { return static_cast<NodeId>(adj_.size()); }

@@ -8,6 +8,7 @@
 
 #include "graph/edge_points.h"
 #include "graph/frozen_graph.h"
+#include "graph/landmarks.h"
 
 namespace netclus {
 
@@ -107,6 +108,15 @@ void CollectRangePoints(const Graph& graph, const PointPos* c, double wc,
   }
 }
 
+// The landmark tables a search over `graph` prunes with: a snapshot's,
+// or none over the view itself.
+const LandmarkTables* LandmarksOf(const NetworkView& /*view*/) {
+  return nullptr;
+}
+const LandmarkTables* LandmarksOf(const FrozenGraph& graph) {
+  return graph.landmarks();
+}
+
 }  // namespace
 
 template <TraversalGraph Graph>
@@ -115,78 +125,140 @@ double PointNetworkDistance(const NetworkView& view, const Graph& graph,
   TraversalCancel& cancel = ws->cancel;
   cancel.triggered = false;
   if (p == q) return 0.0;
-  // Search forward from the smaller id, so d(p, q) and d(q, p) are the
-  // same bits: the served distance cache keys on the unordered pair, and
-  // a hit must equal what a replay in either direction recomputes.
+  // Search forward from the smaller id, so the settle count is a
+  // function of the unordered pair, like the answer.
   if (q < p) std::swap(p, q);
   const PointPos pp = view.PointPosition(p);
   const PointPos qq = view.PointPosition(q);
-  const double wp = graph.EdgeWeight(pp.u, pp.v);
-  const double wq = graph.EdgeWeight(qq.u, qq.v);
-  double best = pp.u == qq.u && pp.v == qq.v
-                    ? std::fabs(pp.offset - qq.offset)
-                    : kInfDist;
+  // Every length below is exact (graph/exact_length.h): a seed is an
+  // offset or the edge weight minus it, a step adds an edge weight, all
+  // converted once to integer units.
+  const ExactLength wp = ToExact(graph.EdgeWeight(pp.u, pp.v));
+  const ExactLength wq = ToExact(graph.EdgeWeight(qq.u, qq.v));
+  const ExactLength op = ToExact(pp.offset);
+  const ExactLength oq = ToExact(qq.offset);
+  // The shortest p-q length joined so far; kUnreachedLength for none.
+  ExactLength best = kUnreachedLength;
+  if (pp.u == qq.u && pp.v == qq.v) best = op < oq ? oq - op : op - oq;
 
-  // Bidirectional Dijkstra: a forward frontier from p's edge endpoints
-  // and a backward one from q's, each seeded with its point's offsets.
-  // `best` is the shortest p-q path seen so far: whenever a node's label
-  // improves on one side and the other side has labelled it too, the
-  // two labels join into a path. Every unsettled label on a side is at
-  // least its heap top, so once the tops sum to `best` no path through
-  // an unsettled node can be shorter; and once a side's heap empties,
-  // every node it reaches is settled and joined.
-  if (ws->backward.size() < ws->scratch.size()) {
-    ws->backward = NodeScratch(ws->scratch.size());
+  // Landmark potentials (graph/landmarks.h). π_s(n) and π_t(n) bound
+  // d(p, n) and d(n, q) from below, max over the landmarks of
+  // |d(L, n) − d(L, x)|; a landmark that misses either side bounds
+  // nothing. d(L, x) for a point x is the nearer of its edge's ends. The
+  // forward key is 2g + Δ(n) and the backward key 2g − Δ(n), with
+  // Δ = π_t − π_s: the averaged potentials, doubled so they stay
+  // integers. Exact potentials are consistent, so a node's first pop is
+  // its final label, and a path through n has doubled length
+  // key_f(n) + key_b(n). Without tables Δ is 0: plain bidirectional
+  // Dijkstra.
+  const LandmarkTables* tables = LandmarksOf(graph);
+  constexpr uint32_t kCount = LandmarkTables::kCount;
+  ExactLength from_p[kCount];
+  ExactLength to_q[kCount];
+  if (tables != nullptr) {
+    auto point_row = [&](const PointPos& x, ExactLength w, ExactLength off,
+                         ExactLength* out) {
+      const ExactLength* ru = tables->row(x.u);
+      const ExactLength* rv = tables->row(x.v);
+      for (uint32_t i = 0; i < kCount; ++i) {
+        out[i] = std::min(std::min(ru[i] + off, rv[i] + (w - off)),
+                          kUnreachedLength);
+      }
+    };
+    point_row(pp, wp, op, from_p);
+    point_row(qq, wq, oq, to_q);
+    // The lower bound is infinite when a landmark reaches one point and
+    // not the other: they lie in different components.
+    for (uint32_t i = 0; i < kCount; ++i) {
+      if ((from_p[i] == kUnreachedLength) != (to_q[i] == kUnreachedLength)) {
+        return kInfDist;
+      }
+    }
   }
-  struct Frontier {
-    NodeScratch* labels;
-    std::vector<DijkstraHeapEntry>* heap;
+  auto delta = [&](NodeId n) -> ExactLength {
+    if (tables == nullptr) return 0;
+    const ExactLength* row = tables->row(n);
+    ExactLength pi_s = 0;
+    ExactLength pi_t = 0;
+    for (uint32_t i = 0; i < kCount; ++i) {
+      if (row[i] == kUnreachedLength) continue;
+      if (from_p[i] != kUnreachedLength) {
+        const ExactLength d = row[i] - from_p[i];
+        pi_s = std::max(pi_s, d < 0 ? -d : d);
+      }
+      if (to_q[i] != kUnreachedLength) {
+        const ExactLength d = row[i] - to_q[i];
+        pi_t = std::max(pi_t, d < 0 ? -d : d);
+      }
+    }
+    return pi_t - pi_s;
   };
-  Frontier fwd{&ws->scratch, &ws->heap};
-  Frontier bwd{&ws->backward, &ws->backward_heap};
-  for (Frontier* f : {&fwd, &bwd}) {
-    f->labels->NewEpoch();
-    f->heap->clear();
+
+  // Bidirectional search: a forward frontier from p's edge endpoints and
+  // a backward one from q's, each seeded with its point's offsets.
+  // Whenever a node's label improves on one side and the other side has
+  // labelled it too, the two labels join into a path. Every unsettled
+  // label on a side has a key of at least its heap top, so once the
+  // tops sum to 2 * best no path through an unsettled node can be
+  // shorter; and once a side's heap empties, every node it reaches is
+  // settled and joined.
+  ExactFrontier& fwd = ws->forward;
+  ExactFrontier& bwd = ws->backward;
+  for (ExactFrontier* f : {&fwd, &bwd}) {
+    f->Reserve(ws->scratch.size());
+    f->NewEpoch();
   }
   TraversalCounters& tc = LocalTraversalCounters();
-  auto label = [&](Frontier& self, const NodeScratch& other, NodeId n,
-                   double d) {
-    if (d < self.labels->Get(n)) {
-      self.labels->Set(n, d);
-      internal::HeapPushEntry(self.heap, d, n, tc);
-      best = std::min(best, d + other.Get(n));
+  auto label = [&](ExactFrontier& self, const ExactFrontier& other,
+                   bool forward, NodeId n, ExactLength g) {
+    if (g < self.Get(n)) {
+      self.Set(n, g);
+      const ExactLength d = delta(n);
+      self.heap.push_back(ExactFrontier::Entry{2 * g + (forward ? d : -d), n});
+      std::push_heap(self.heap.begin(), self.heap.end(), std::greater<>());
+      ++tc.heap_pushes;
+      best = std::min(best, g + other.Get(n));
     }
   };
   // The backward seeds go second, so a node seeded on both sides is
   // joined once, there.
-  label(fwd, *bwd.labels, pp.u, pp.offset);
-  label(fwd, *bwd.labels, pp.v, wp - pp.offset);
-  label(bwd, *fwd.labels, qq.u, qq.offset);
-  label(bwd, *fwd.labels, qq.v, wq - qq.offset);
+  label(fwd, bwd, true, pp.u, op);
+  label(fwd, bwd, true, pp.v, wp - op);
+  label(bwd, fwd, false, qq.u, oq);
+  label(bwd, fwd, false, qq.v, wq - oq);
 
   // Both sides share one settle count for the cancellation poll.
   const uint32_t poll_interval = std::max<uint32_t>(1, cancel.check_interval);
   uint32_t settles_until_poll = poll_interval;
-  while (!fwd.heap->empty() && !bwd.heap->empty() &&
-         fwd.heap->front().dist + bwd.heap->front().dist < best) {
+  while (!fwd.heap.empty() && !bwd.heap.empty() &&
+         (best == kUnreachedLength ||
+          fwd.heap.front().key + bwd.heap.front().key < 2 * best)) {
     // The side with the smaller heap advances; ties go forward.
-    const bool forward = fwd.heap->size() <= bwd.heap->size();
-    Frontier& self = forward ? fwd : bwd;
-    const NodeScratch& other = forward ? *bwd.labels : *fwd.labels;
-    auto [d, n] = internal::HeapPopEntry(self.heap, tc);
-    if (d > self.labels->Get(n)) continue;  // stale entry
+    const bool forward = fwd.heap.size() <= bwd.heap.size();
+    ExactFrontier& self = forward ? fwd : bwd;
+    const ExactFrontier& other = forward ? bwd : fwd;
+    std::pop_heap(self.heap.begin(), self.heap.end(), std::greater<>());
+    const NodeId n = self.heap.back().node;
+    self.heap.pop_back();
+    ++tc.heap_pops;
+    // A node's first pop carries its final label; any later entry for it
+    // is stale.
+    if (self.Settled(n)) continue;
+    self.Settle(n);
     ++tc.settled_nodes;
     if (--settles_until_poll == 0) {
       settles_until_poll = poll_interval;
       if (cancel.ShouldCancel()) {
         cancel.triggered = true;
-        return best;  // garbage: the caller checks `triggered`
+        return kInfDist;  // garbage: the caller checks `triggered`
       }
     }
-    VisitNeighbors(graph, n,
-                   [&](NodeId m, double w) { label(self, other, m, d + w); });
+    const ExactLength g = self.Get(n);
+    VisitNeighbors(graph, n, [&](NodeId m, double w) {
+      label(self, other, forward, m, g + ToExact(w));
+    });
   }
-  return best;
+  return best == kUnreachedLength ? kInfDist : FromExact(best);
 }
 
 template <TraversalGraph Graph>

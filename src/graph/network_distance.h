@@ -22,23 +22,31 @@
 namespace netclus {
 
 /// Network distance d(p, q) (Definition 4): length of the shortest path
-/// between the two points. Exact; a bidirectional Dijkstra, forward from
-/// the endpoints of the smaller id's edge and backward from the other
-/// point's, that stops once the two heap tops sum to the best path
-/// joined so far. It runs over `graph` — a FrozenGraph snapshot of
-/// `view` (see InMemoryNetworkView::Freeze()) or the view itself; point
-/// positions come from `view`. Both graphs give bit-identical results.
+/// between the two points. It runs over `graph` — a FrozenGraph snapshot
+/// of `view` (see InMemoryNetworkView::Freeze()) or the view itself;
+/// point positions come from `view`.
 ///
-/// The search reuses `ws`'s scratch and heap storage for the forward
-/// frontier and `ws->backward` / `ws->backward_heap` (sized on first
-/// use) for the backward one, and honors its cancellation token
-/// (`ws->cancel`, no deadline by default). When the deadline passes
-/// mid-search the returned value is garbage: callers must check
-/// `ws->cancel.triggered` before using or caching it.
+/// Exact: the search adds lengths as integers in units of 2^-64
+/// (graph/exact_length.h) and rounds the shortest one to a double once,
+/// so the answer is the unique shortest fixed-point length whatever the
+/// search explores. A bidirectional Dijkstra, forward from the endpoints
+/// of the smaller id's edge and backward from the other point's, that
+/// stops once the two heap tops sum to the best path joined so far. Over
+/// a snapshot that carries landmark tables (FrozenGraph::WithLandmarks)
+/// it keys both heaps with the tables' lower bounds (ALT) and settles far
+/// fewer nodes; over the view or a snapshot without tables it runs the
+/// plain search. All of them return the same bits.
 ///
-/// The forward side is always the smaller id, so d(p, q) and d(q, p)
-/// are the same bits — what lets a cache keyed on the unordered pair
-/// (server/distance_cache.h) serve either direction.
+/// The search reuses `ws->forward` and `ws->backward` (sized on first
+/// use) and honors its cancellation token (`ws->cancel`, no deadline by
+/// default). When the deadline passes mid-search the returned value is
+/// garbage: callers must check `ws->cancel.triggered` before using or
+/// caching it.
+///
+/// d(p, q) and d(q, p) are the same bits, since the answer is — what
+/// lets a cache keyed on the unordered pair (server/distance_cache.h)
+/// serve either direction; the forward side is always the smaller id, so
+/// the settle count is the same both ways too.
 template <TraversalGraph Graph>
 double PointNetworkDistance(const NetworkView& view, const Graph& graph,
                             PointId p, PointId q, TraversalWorkspace* ws);

@@ -350,6 +350,18 @@ Status NetworkStore::ReadAdjacency(
       h, usable, bm_->page_size(), offset,
       4 + static_cast<uint64_t>(degree) * kAdjEntryBytes, "adjacency record"));
   p += 4;
+  // A weight outside the domain (graph/types.h) was never written: the
+  // store is built from a Network, which rejects one. Check the whole
+  // record before handing any entry out, so no traversal sees it.
+  for (uint32_t i = 0; i < degree; ++i) {
+    const double w = Load<double>(p + i * kAdjEntryBytes + 8);
+    if (!IsEdgeWeightInDomain(w)) {
+      return Status::Corruption(
+          "adjacency record: edge weight " + std::to_string(w) +
+          " outside (0, 2^28): node " + std::to_string(n) + ", page " +
+          std::to_string(h.page_id()) + ", offset " + std::to_string(offset));
+    }
+  }
   for (uint32_t i = 0; i < degree; ++i) {
     fn(Load<NodeId>(p), Load<double>(p + 8), Load<PointId>(p + 4));
     p += kAdjEntryBytes;

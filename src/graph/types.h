@@ -55,6 +55,20 @@ struct EdgePoint {
   double offset = 0.0;
 };
 
+/// Edge weights lie in (0, kMaxEdgeWeight). The bound keeps exact path
+/// lengths, integer counts of 2^-64 units, and the point-to-point
+/// search's heap keys inside an __int128 (graph/exact_length.h); at
+/// 2^28 (268,435,456) it is far above any road-network length.
+/// Network::AddEdge rejects a weight outside the domain, and the disk
+/// store reports one as Corruption.
+inline constexpr double kMaxEdgeWeight = 0x1p28;
+
+/// True when `w` is a valid edge weight: positive and below
+/// kMaxEdgeWeight (NaN fails both tests).
+inline bool IsEdgeWeightInDomain(double w) {
+  return w > 0.0 && w < kMaxEdgeWeight;
+}
+
 /// An undirected weighted edge (canonical orientation u < v).
 struct Edge {
   NodeId u = kInvalidNodeId;

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "common/check.h"
+
 namespace netclus {
 
 EpochManager::EpochManager()
@@ -22,7 +24,8 @@ uint64_t EpochManager::Publish(std::shared_ptr<const FrozenGraph> graph,
   uint64_t id = 0;
   {
     MutexLock lock(&mu_);
-    id = published_.fetch_add(1, std::memory_order_acq_rel) + 1;
+    id = ++last_epoch_;
+    published_.fetch_add(1, std::memory_order_acq_rel);
     outgoing = std::exchange(
         current_, std::make_shared<const EpochSnapshot>(
                       id, std::move(graph), std::move(clusters),
@@ -32,6 +35,24 @@ uint64_t EpochManager::Publish(std::shared_ptr<const FrozenGraph> graph,
   // its teardown runs now, outside the critical section.
   outgoing.reset();
   return id;
+}
+
+void EpochManager::Republish(std::shared_ptr<const FrozenGraph> graph) {
+  std::shared_ptr<const EpochSnapshot> outgoing;
+  {
+    MutexLock lock(&mu_);
+    NETCLUS_CHECK(current_ != nullptr &&
+                  graph->SharesAdjacencyWith(current_->frozen()) &&
+                  &graph->points() == &current_->frozen().points())
+        << "Republish: not the current epoch's world";
+    const EpochSnapshot& cur = *current_;
+    published_.fetch_add(1, std::memory_order_acq_rel);
+    outgoing = std::exchange(
+        current_, std::make_shared<const EpochSnapshot>(
+                      cur.epoch(), std::move(graph), cur.clusters_,
+                      cur.cache_, freed_, cur.ids_));
+  }
+  outgoing.reset();
 }
 
 uint64_t EpochManager::current_epoch() const {

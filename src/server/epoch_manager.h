@@ -62,8 +62,17 @@ class EpochManager {
                    std::shared_ptr<const IdentityMap> ids = nullptr)
       NETCLUS_EXCLUDES(mu_);
 
+  /// Replaces the current snapshot by one serving `graph` under the
+  /// same epoch id, with the same clusters, cache and identity map, and
+  /// retires the old one like Publish does. `graph` must share the
+  /// current graph's adjacency and points (the same world, e.g. now
+  /// carrying landmark tables), so every answer stays the same bits.
+  void Republish(std::shared_ptr<const FrozenGraph> graph)
+      NETCLUS_EXCLUDES(mu_);
+
   /// Current epoch id; 0 before the first Publish.
   uint64_t current_epoch() const NETCLUS_EXCLUDES(mu_);
+  /// Snapshots made current, by Publish and Republish both.
   uint64_t epochs_published() const {
     return published_.load(std::memory_order_acquire);
   }
@@ -81,6 +90,8 @@ class EpochManager {
   // DESIGN.md §14.
   mutable Mutex mu_{lock_rank::kEpochManager, "EpochManager::mu_"};
   std::shared_ptr<const EpochSnapshot> current_ NETCLUS_GUARDED_BY(mu_);
+  /// The last epoch id Publish handed out.
+  uint64_t last_epoch_ NETCLUS_GUARDED_BY(mu_) = 0;
   std::atomic<uint64_t> published_{0};
   /// Shared with every snapshot so destruction after the manager dies
   /// still has somewhere to record itself.

@@ -188,10 +188,12 @@ void QueryServer::MaybeCheckpoint() {
     return;
   }
   if (wal_->num_records() < options_.wal_checkpoint_every) return;
-  // Order is the crash-safety argument: the checkpoint is durable
-  // BEFORE the log shrinks. A crash after Write but before TruncateTo
-  // just replays records the checkpoint already covers (replay is
-  // idempotent: it skips the covered prefix).
+  // Order is the crash-safety argument: the checkpoint is written
+  // BEFORE the log shrinks. A process crash after Write but before
+  // TruncateTo just replays records the checkpoint already covers
+  // (replay is idempotent: it skips the covered prefix). Nothing is
+  // synced, so this holds for a process crash, not for an OS crash or a
+  // power cut, which can persist the truncation without the checkpoint.
   CheckpointState state = world_->Checkpoint();
   state.covers_seq = wal_->next_seq();
   state.generation = ckpt_generation_ + 1;
@@ -205,7 +207,7 @@ void QueryServer::MaybeCheckpoint() {
   Status truncated = wal_->TruncateTo(state.covers_seq);
   if (wal_->broken()) wal_broken_.store(true, std::memory_order_relaxed);
   if (!truncated.ok()) {
-    // The checkpoint is durable; only the log is still long. The next
+    // The checkpoint is written; only the log is still long. The next
     // cycle retries the truncate (via a fresh checkpoint generation).
     MutexLock lock(&stats_mu_);
     ++checkpoint_failures_;
@@ -510,6 +512,12 @@ void QueryServer::ExecuteBatch(std::vector<PendingQuery>* batch,
   std::vector<Status> statuses(n, Status::OK());
   for (size_t i = 0; i < n; ++i) {
     PendingQuery& pq = (*batch)[i];
+    // A distance served without landmark tables asks the updater for
+    // them; this one runs the plain search, which gives the same bits.
+    if (pq.req.kind == QueryKind::kPointDistance &&
+        snap.frozen().landmarks() == nullptr) {
+      RequestLandmarks();
+    }
     // The workspace is this worker's alone, so the token only has to be
     // re-armed per request (kNoDeadline leaves it inert).
     ws->cancel.deadline = pq.deadline;
@@ -588,81 +596,114 @@ void QueryServer::ExecuteBatch(std::vector<PendingQuery>* batch,
 void QueryServer::UpdaterLoop() {
   for (;;) {
     std::vector<PendingUpdate> batch;
+    bool build_landmarks = false;
     {
       MutexLock lock(&update_mu_);
-      while (!update_stopping_ && update_queue_.empty()) {
+      while (!update_stopping_ && update_queue_.empty() && !landmarks_due_) {
         update_cv_.Wait(&update_mu_);
       }
-      if (update_queue_.empty()) {
-        if (update_stopping_) return;
-        continue;
-      }
+      // Stopping with nothing queued: done, a pending landmark build
+      // with it — nothing would serve from its epoch.
+      if (update_stopping_ && update_queue_.empty()) return;
+      build_landmarks = std::exchange(landmarks_due_, false);
       batch.reserve(update_queue_.size());
       while (!update_queue_.empty()) {
         batch.push_back(std::move(update_queue_.front()));
         update_queue_.pop_front();
       }
     }
-    // Apply every queued mutation, then publish once: bursts of updates
-    // coalesce into a single epoch swap. With a WAL configured each
-    // mutation is logged durably *before* it touches the live world —
-    // the recovery invariant is "everything applied is in the log".
-    uint64_t max_seq = 0;
-    bool mutated = false;
-    uint64_t logged = 0;
-    for (PendingUpdate& pu : batch) {
-      max_seq = pu.seq;
-      if (wal_ != nullptr) {
-        Status durable = wal_->Append(pu.update);
-        if (wal_->broken()) wal_broken_.store(true, std::memory_order_relaxed);
-        if (!durable.ok()) {
-          // Not durable → not applied. The caller sees the storage
-          // error; the server keeps serving (degraded when the log is
-          // broken) but refuses to advance the world past the log.
-          pu.promise.set_value(std::move(durable));
-          continue;
-        }
-        ++logged;
-      }
-      Status applied = world_->Apply(pu.update);
-      if (applied.ok()) mutated = true;
-      pu.promise.set_value(std::move(applied));
-    }
-    if (logged > 0) {
-      MutexLock lock(&stats_mu_);
-      wal_records_ += logged;
-    }
-    Status publish = Status::OK();
-    if (mutated) {
-      if (options_.chaos.publish_failure_prob > 0.0 &&
-          chaos_publish_rng_.NextBernoulli(
-              options_.chaos.publish_failure_prob)) {
-        publish = Status::Internal("chaos: injected publish failure");
-      } else {
-        publish = PublishWorld();
-      }
-      if (publish.ok()) {
-        consecutive_publish_failures_.store(0, std::memory_order_relaxed);
-        MaybeCheckpoint();
-      } else {
-        // The epoch manager was not touched: queries keep serving the
-        // last good epoch, and the world keeps the applied mutations to
-        // ride along with the next successful publish.
-        consecutive_publish_failures_.fetch_add(1, std::memory_order_relaxed);
-        MutexLock lock(&stats_mu_);
-        ++publish_failures_;
-      }
-    }
-    {
-      MutexLock lock(&update_mu_);
-      published_seq_ = max_seq;
-      // Record the outcome of every publish attempt — a success clears a
-      // previous failure so Flush() stops reporting it once the world is
-      // re-published. Rounds that publish nothing leave it untouched.
-      if (mutated) last_publish_error_ = publish;
-    }
-    flush_cv_.NotifyAll();
+    if (!batch.empty()) ApplyBatch(&batch);
+    // After the batch, so the tables describe the newest base.
+    if (build_landmarks) PublishLandmarks();
   }
+}
+
+void QueryServer::ApplyBatch(std::vector<PendingUpdate>* batch) {
+  // Apply every queued mutation, then publish once: bursts of updates
+  // coalesce into a single epoch swap. With a WAL configured each
+  // mutation is appended to the log *before* it touches the live world
+  // — the recovery invariant is "everything applied is in the log". The
+  // log is not synced, so that holds across a process crash, not an OS
+  // crash or a power cut.
+  uint64_t max_seq = 0;
+  bool mutated = false;
+  uint64_t logged = 0;
+  for (PendingUpdate& pu : *batch) {
+    max_seq = pu.seq;
+    if (wal_ != nullptr) {
+      Status durable = wal_->Append(pu.update);
+      if (wal_->broken()) wal_broken_.store(true, std::memory_order_relaxed);
+      if (!durable.ok()) {
+        // Not logged → not applied. The caller sees the storage error;
+        // the server keeps serving (degraded when the log is broken)
+        // but refuses to advance the world past the log.
+        pu.promise.set_value(std::move(durable));
+        continue;
+      }
+      ++logged;
+    }
+    Status applied = world_->Apply(pu.update);
+    if (applied.ok()) mutated = true;
+    pu.promise.set_value(std::move(applied));
+  }
+  if (logged > 0) {
+    MutexLock lock(&stats_mu_);
+    wal_records_ += logged;
+  }
+  Status publish = Status::OK();
+  if (mutated) {
+    if (options_.chaos.publish_failure_prob > 0.0 &&
+        chaos_publish_rng_.NextBernoulli(options_.chaos.publish_failure_prob)) {
+      publish = Status::Internal("chaos: injected publish failure");
+    } else {
+      publish = PublishWorld();
+    }
+    if (publish.ok()) {
+      consecutive_publish_failures_.store(0, std::memory_order_relaxed);
+      MaybeCheckpoint();
+    } else {
+      // The epoch manager was not touched: queries keep serving the
+      // last good epoch, and the world keeps the applied mutations to
+      // ride along with the next successful publish.
+      consecutive_publish_failures_.fetch_add(1, std::memory_order_relaxed);
+      MutexLock lock(&stats_mu_);
+      ++publish_failures_;
+    }
+  }
+  {
+    MutexLock lock(&update_mu_);
+    published_seq_ = max_seq;
+    // Record the outcome of every publish attempt — a success clears a
+    // previous failure so Flush() stops reporting it once the world is
+    // re-published. Rounds that publish nothing leave it untouched.
+    if (mutated) last_publish_error_ = publish;
+  }
+  flush_cv_.NotifyAll();
+}
+
+void QueryServer::RequestLandmarks() {
+  if (landmarks_requested_.load(std::memory_order_relaxed) ||
+      landmarks_requested_.exchange(true, std::memory_order_relaxed)) {
+    return;
+  }
+  {
+    MutexLock lock(&update_mu_);
+    landmarks_due_ = true;
+  }
+  update_cv_.NotifyOne();
+}
+
+void QueryServer::PublishLandmarks() {
+  WallTimer timer;
+  // The world's base graph is the served epoch's: a failed or injected
+  // publish failure leaves both at the last good epoch.
+  std::shared_ptr<const FrozenGraph> graph = world_->BuildLandmarks();
+  if (graph == nullptr) return;
+  epochs_.Republish(std::move(graph));
+  const double ms = timer.ElapsedMillis();
+  MutexLock lock(&stats_mu_);
+  ++landmark_builds_;
+  landmark_build_ms_ = ms;
 }
 
 ServerStats QueryServer::stats() const {
@@ -684,6 +725,8 @@ ServerStats QueryServer::stats() const {
     s.publishes_incremental = publishes_incremental_;
     s.reclusters_full = reclusters_full_;
     s.reclusters_incremental = reclusters_incremental_;
+    s.landmark_builds = landmark_builds_;
+    s.landmark_build_ms = landmark_build_ms_;
     s.checkpoints_written = checkpoints_written_;
     s.checkpoint_failures = checkpoint_failures_;
     s.wal_recovered_from_checkpoint = wal_recovered_from_checkpoint_ ? 1 : 0;

@@ -36,6 +36,13 @@
 //                   change, so no drain can ever read a distance the
 //                   current adjacency does not produce.
 //
+//   first distance ──> updater thread: World::BuildLandmarks, then the
+//                   current epoch republished over the same graph
+//                   carrying the tables (same epoch id, ids, clusters
+//                   and cache); later builds carry them on. Nothing
+//                   waits: until it lands, distances run the plain
+//                   search, which gives the same bits (DESIGN.md §16).
+//
 // Admission control: when the queue holds max_queue_depth requests, a
 // Submit is rejected immediately with kUnavailable carrying a
 // structured retry-after hint (measured drain time when warm, a
@@ -45,9 +52,9 @@
 // Resilience (DESIGN.md §13): requests may carry deadlines — expired
 // ones are shed at dequeue and in-flight traversals cooperatively cancel
 // themselves once the deadline their TraversalCancel carries has passed;
-// mutations are logged to a durable WAL
-// (server/wal.h) before they apply, and Start replays the log after a
-// crash; a ServerHealth state machine (kHealthz probes bypass
+// mutations are appended to a WAL (server/wal.h) before they apply, and
+// Start replays the log after a process crash (the log is not synced,
+// so an OS crash or power cut can lose its tail); a ServerHealth state machine (kHealthz probes bypass
 // admission) reports degradation from publish failures, a broken WAL,
 // or a sustained deadline-miss rate, while serving continues from the
 // last good epoch.
@@ -202,6 +209,11 @@ struct ServerStats {
   uint64_t reclusters_full = 0;  ///< epochs clustered by RunClustering
   /// Epochs whose ε-Link clustering merged only the new links.
   uint64_t reclusters_incremental = 0;
+  /// Landmark tables built (at most one per server: once built they are
+  /// carried across every later publish) and the build's wall time,
+  /// republish included.
+  uint64_t landmark_builds = 0;
+  double landmark_build_ms = 0.0;
   uint64_t checkpoints_written = 0;  ///< completed checkpoint+truncate cycles
   uint64_t checkpoint_failures = 0;  ///< cycles that failed (write or trunc)
   /// 1 when Start rebuilt the boot world from a checkpoint (plus a log
@@ -353,6 +365,17 @@ class QueryServer {
   /// been called and the queue is empty.
   void WorkerLoop(NodeId num_nodes);
   void UpdaterLoop();
+  /// Logs and applies one drained batch of mutations, publishes the
+  /// result once, and resolves the batch. Updater thread only.
+  void ApplyBatch(std::vector<PendingUpdate>* batch);
+  /// Asks the updater, once per server, for landmark tables: called
+  /// when a distance is served from an epoch without them. Cheap after
+  /// the first call; never waits for the build.
+  void RequestLandmarks();
+  /// Builds the world's landmark tables and republishes the current
+  /// epoch carrying them (EpochManager::Republish): same epoch id,
+  /// answers and cache. Updater thread only.
+  void PublishLandmarks();
   /// Serves one drain on the calling worker: pins the current epoch
   /// once, stalls `stall_ms` (chaos), executes each request serially on
   /// `ws`, replay-validates, counts, then fulfils the promises.
@@ -405,6 +428,10 @@ class QueryServer {
   /// Last sequence visible in an epoch.
   uint64_t published_seq_ NETCLUS_GUARDED_BY(update_mu_) = 0;
   Status last_publish_error_ NETCLUS_GUARDED_BY(update_mu_) = Status::OK();
+  /// A landmark build is asked for and not yet taken up by the updater.
+  bool landmarks_due_ NETCLUS_GUARDED_BY(update_mu_) = false;
+  /// Set by the first RequestLandmarks; later ones return at once.
+  std::atomic<bool> landmarks_requested_{false};
 
   // Health signals readable from any thread without the stats lock.
   std::atomic<bool> stopping_flag_{false};
@@ -434,6 +461,8 @@ class QueryServer {
   uint64_t publish_failures_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
   uint64_t publishes_full_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
   uint64_t publishes_incremental_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
+  uint64_t landmark_builds_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
+  double landmark_build_ms_ NETCLUS_GUARDED_BY(stats_mu_) = 0.0;
   uint64_t checkpoints_written_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
   uint64_t checkpoint_failures_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
   /// Fixed after Start.

@@ -109,6 +109,9 @@ class EpochSnapshot {
   const IdentityMap* ids() const { return ids_.get(); }
 
  private:
+  // Republish builds the same epoch over another graph from these.
+  friend class EpochManager;
+
   uint64_t epoch_;
   std::shared_ptr<const ClusterOutput> clusters_;
   std::shared_ptr<const DistanceCache> cache_;

@@ -207,6 +207,16 @@ Result<World::Epoch> World::Build() {
       BuildPointsAndGraph(incremental,
                           metric_changed ? nullptr : base_graph_.get(),
                           &record_of_point, &added_points));
+  // A shared adjacency brought the base's tables along (WithPoints); a
+  // rebuilt one needs them carried over the new edges.
+  if (metric_changed && incremental && base_graph_->landmarks() != nullptr) {
+    WallTimer timer;
+    NETCLUS_ASSIGN_OR_RETURN(std::shared_ptr<const LandmarkTables> tables,
+                             CarryLandmarks(*epoch.graph));
+    epoch.graph = std::make_shared<const FrozenGraph>(
+        epoch.graph->WithLandmarks(std::move(tables)));
+    epoch.landmarks_ms = timer.ElapsedMillis();
+  }
   if (options_.cluster_spec.has_value()) {
     WallTimer timer;
     InMemoryNetworkView view(net_, epoch.graph->points());
@@ -257,6 +267,36 @@ Result<World::Epoch> World::BuildFull() const {
         std::make_shared<const DistanceCache>(options_.cache_capacity);
   }
   return epoch;
+}
+
+std::shared_ptr<const FrozenGraph> World::BuildLandmarks() {
+  if (base_graph_ == nullptr || base_graph_->landmarks() != nullptr) {
+    return nullptr;
+  }
+  base_graph_ = std::make_shared<const FrozenGraph>(
+      base_graph_->WithLandmarks(LandmarkTables::Build(*base_graph_)));
+  return base_graph_;
+}
+
+Result<std::shared_ptr<const LandmarkTables>> World::CarryLandmarks(
+    const FrozenGraph& graph) const {
+  std::vector<Edge> added;
+  for (const NetworkUpdate& u : unpublished_) {
+    if (u.kind == NetworkUpdate::Kind::kAddEdge) {
+      added.push_back(Edge{u.u, u.v, u.value});
+    }
+  }
+  std::shared_ptr<const LandmarkTables> tables =
+      LandmarkTables::Carry(base_graph_->shared_landmarks(), graph, added);
+  // The oracle: fresh searches from the same landmarks over the new
+  // graph must give the very same integers. Stale tables would not be
+  // lower bounds, so a divergence fails the Build.
+  if (options_.validate &&
+      *tables != *LandmarkTables::FromLandmarks(graph, tables->landmarks())) {
+    return Status::Internal(
+        "carried landmark tables diverged from fresh searches");
+  }
+  return tables;
 }
 
 Result<ClusterOutput> World::Recluster(

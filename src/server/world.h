@@ -32,6 +32,7 @@
 #include "core/union_find.h"
 #include "graph/dijkstra.h"
 #include "graph/frozen_graph.h"
+#include "graph/landmarks.h"
 #include "graph/network.h"
 #include "netclus.h"
 #include "server/distance_cache.h"
@@ -73,10 +74,13 @@ class World {
     bool incremental = false;
     /// The ε-Link clustering merged only the new links.
     bool recluster_incremental = false;
-    /// Stage wall times: PointSet plus identity map, CSR, clustering.
+    /// Stage wall times: PointSet plus identity map, CSR, clustering,
+    /// and the landmark carry (0 unless an edge was added onto a base
+    /// with tables; its oracle included when validating).
     double points_ms = 0.0;
     double csr_ms = 0.0;
     double recluster_ms = 0.0;
+    double landmarks_ms = 0.0;
   };
 
   /// The world of `net` and `points`, installed as the checkpoint state
@@ -103,8 +107,19 @@ class World {
 
   /// The next epoch built from scratch (RunClustering for the spec),
   /// leaving the base, the ε-Link forest and the distance cache alone:
-  /// what every incremental Build must equal.
+  /// what every incremental Build must equal. Its graph carries no
+  /// landmark tables.
   Result<Epoch> BuildFull() const;
+
+  /// Builds landmark tables (graph/landmarks.h) for the last successful
+  /// Build's graph and makes that graph, now carrying them, the base:
+  /// every later Build carries them on, sharing them across points-only
+  /// builds and checking (and, where an added edge shortened a label,
+  /// repairing) them on AddEdge builds. Returns the base graph with the
+  /// tables, to republish in place of the one without: same points,
+  /// adjacency and answers. Null before the first Build, or when the
+  /// base already carries tables. No Build builds tables by itself.
+  std::shared_ptr<const FrozenGraph> BuildLandmarks();
 
   /// The world as a checkpoint stores it; `generation` and `covers_seq`
   /// are the caller's to fill in.
@@ -139,6 +154,11 @@ class World {
                                   const std::vector<uint32_t>& record_of_point,
                                   const std::vector<PointId>& added_points,
                                   bool incremental, bool* merged);
+  /// The base's landmark tables carried onto `graph`, the next epoch's
+  /// graph, which adds this Build's unpublished edges to the base's
+  /// adjacency; checked against fresh tables when validating.
+  Result<std::shared_ptr<const LandmarkTables>> CarryLandmarks(
+      const FrozenGraph& graph) const;
   /// Labels every dense point with its forest component, numbered in
   /// order of first appearance, or kNoise below `min_sup` points: what
   /// ε-Link returns for the components the forest holds.
@@ -157,7 +177,9 @@ class World {
   std::vector<NetworkUpdate> unpublished_;
 
   // The merge base: the last successful Build's graph, its points, and
-  // the record each of its points came from. Null before the first.
+  // the record each of its points came from. Null before the first. Its
+  // landmark tables, once BuildLandmarks made them, are the world's: a
+  // Build hands them on with the adjacency.
   std::shared_ptr<const FrozenGraph> base_graph_;
   std::vector<uint32_t> base_record_of_point_;
 

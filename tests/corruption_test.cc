@@ -4,8 +4,10 @@
 // pipeline must either fail loudly or produce bit-identical results.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,7 +16,9 @@
 #include "gen/workload_gen.h"
 #include "graph/network_store.h"
 #include "netclus.h"
+#include "storage/buffer_manager.h"
 #include "storage/fault_injection.h"
+#include "storage/paged_file.h"
 
 namespace netclus {
 namespace {
@@ -176,6 +180,57 @@ TEST_F(CorruptionRoundTripTest, FooterByteFlipIsDetected) {
   FlipByteOnDisk(PathOf("pts.dat"), 4096 + 4089);  // restore
   FlipByteOnDisk(PathOf("pts.dat"), 4096 + 4093);
   ReopenAndCheck(/*expect_failure=*/true);
+}
+
+// A record written wrong rather than a flipped byte: an adjacency weight
+// outside the domain (0, 2^28) under a valid page checksum. Reading the
+// record is Corruption that names the weight, so no traversal ever runs
+// over it; restored, the store clusters exactly as before.
+TEST_F(CorruptionRoundTripTest, WeightOutsideTheDomainIsCorruption) {
+  // Rewrites every 8-byte run equal to `from` in the adjacency file's
+  // data pages to `to` through the buffer pool, which checksums the
+  // pages it writes back; returns how many it rewrote.
+  auto rewrite = [&](double from, double to) {
+    Result<std::unique_ptr<PagedFile>> file =
+        PagedFile::Open(PathOf("adj.dat"), 4096, /*truncate=*/false);
+    EXPECT_TRUE(file.ok()) << file.status().ToString();
+    if (!file.ok()) return 0;
+    BufferManager bm(1 << 20, 4096);
+    const FileId id = bm.RegisterFile(file.value().get());
+    int rewritten = 0;
+    for (PageId page = 1; page < file.value()->num_pages(); ++page) {
+      Result<PageHandle> h = bm.FetchPage(id, page);
+      EXPECT_TRUE(h.ok()) << h.status().ToString();
+      if (!h.ok()) return rewritten;
+      char* data = h.value().data();
+      for (uint32_t at = 0; at + 8 <= bm.usable_page_size(); ++at) {
+        if (std::memcmp(data + at, &from, 8) != 0) continue;
+        std::memcpy(data + at, &to, 8);
+        h.value().MarkDirty();
+        ++rewritten;
+      }
+    }
+    EXPECT_TRUE(bm.FlushAll().ok());
+    return rewritten;
+  };
+  const Edge e = data_.gen.net.Edges().front();
+  for (double bad : {kMaxEdgeWeight, -1.0,
+                     std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE("weight " + std::to_string(bad));
+    ASSERT_EQ(rewrite(e.weight, bad), 2);  // the edge's two half-edges
+    ReopenAndCheck(/*expect_failure=*/true);
+    auto bundle = DiskNetworkBundle::OpenOnDisk(dir_, 1 << 20, 4096);
+    ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+    const DiskNetworkView& view = bundle.value()->view();
+    view.ForEachNeighbor(e.u, [](NodeId, double) {
+      ADD_FAILURE() << "a neighbor of a corrupt record was handed out";
+    });
+    EXPECT_TRUE(view.status().IsCorruption()) << view.status().ToString();
+    EXPECT_NE(view.status().ToString().find("edge weight"), std::string::npos)
+        << view.status().ToString();
+    ASSERT_EQ(rewrite(bad, e.weight), 2);
+  }
+  ReopenAndCheck(/*expect_failure=*/false);  // restored store still clean
 }
 
 TEST_F(CorruptionRoundTripTest, SweepManyOffsetsNeverCrashesOrLies) {

@@ -13,7 +13,9 @@
 #include "gen/network_gen.h"
 #include "gen/workload_gen.h"
 #include "graph/dijkstra.h"
+#include "graph/exact_length.h"
 #include "graph/frozen_graph.h"
+#include "graph/landmarks.h"
 #include "graph/network_distance.h"
 #include "server/distance_cache.h"
 #include "server/query.h"
@@ -261,49 +263,6 @@ PointSet PointsWithEndpointOffsets(const Network& net, uint64_t seed) {
   return std::move(std::move(b).Build(net)).value();
 }
 
-// Generated networks at edge ratios from tree-like to dense.
-class PointDistanceBidirectionalTest
-    : public ::testing::TestWithParam<double> {};
-
-TEST_P(PointDistanceBidirectionalTest, RandomPairsMatchOneSidedReference) {
-  const double ratio = GetParam();
-  GeneratedNetwork g = GenerateRoadNetwork({500, ratio, 0.3, 23});
-  PointSet ps = PointsWithEndpointOffsets(g.net, 24);
-  InMemoryNetworkView mem(g.net, ps);
-  const NetworkView& view = mem;
-  FrozenGraph frozen = std::move(mem.Freeze()).value();
-  TraversalWorkspace ws(view.num_nodes());
-  Rng rng(25);
-  int same_edge = 0, at_end = 0;
-  for (int i = 0; i < 400; ++i) {
-    PointId p = static_cast<PointId>(rng.NextBounded(ps.size()));
-    PointId q = static_cast<PointId>(rng.NextBounded(ps.size()));
-    if (i % 10 == 0) q = p;
-    // Ids are sorted by (edge, offset): a neighbor id is often on p's
-    // edge.
-    if (i % 10 == 1 && p + 1 < ps.size()) q = p + 1;
-    PointPos pp = view.PointPosition(p);
-    PointPos qq = view.PointPosition(q);
-    same_edge += p != q && pp.u == qq.u && pp.v == qq.v;
-    at_end += qq.offset == 0.0 || qq.offset == view.EdgeWeight(qq.u, qq.v);
-
-    const double want = OneSidedDistance(view, p, q);
-    const double got = PointNetworkDistance(view, view, p, q, &ws);
-    ASSERT_FALSE(ws.cancel.triggered);
-    ASSERT_NEAR(got, want, 1e-12 * want)
-        << "ratio " << ratio << " p=" << p << " q=" << q;
-    EXPECT_TRUE(SameBits(got, PointNetworkDistance(view, view, q, p, &ws)))
-        << "d(q, p) != d(p, q): p=" << p << " q=" << q;
-    EXPECT_TRUE(SameBits(got, PointNetworkDistance(view, frozen, p, q, &ws)))
-        << "snapshot != view: p=" << p << " q=" << q;
-  }
-  EXPECT_GT(same_edge, 10);
-  EXPECT_GT(at_end, 5);
-}
-
-INSTANTIATE_TEST_SUITE_P(EdgeRatios, PointDistanceBidirectionalTest,
-                         ::testing::Values(1.0, 1.3, 1.8));
-
 TEST(PointDistanceSearchTest, DisconnectedPairStopsOnTheSmallSide) {
   // A generated network plus a separate two-node component.
   GeneratedNetwork g = GenerateRoadNetwork({400, 1.3, 0.3, 5});
@@ -372,6 +331,167 @@ TEST(PointDistanceSearchTest, DeadlineMidSearchCachesNothing) {
   EXPECT_EQ(cache.size(), 0u);
   double cached = 0.0;
   EXPECT_FALSE(cache.Lookup(a, b, &cached));
+}
+
+// ------------------------------------- exact labels and landmark bounds.
+
+TEST(ExactLengthTest, ConvertsInUnitsOfTwoToTheMinus64) {
+  const ExactLength one = static_cast<ExactLength>(1) << 64;
+  EXPECT_TRUE(ToExact(0.0) == 0);
+  EXPECT_TRUE(ToExact(1.0) == one);
+  EXPECT_TRUE(ToExact(0.5) == one / 2);
+  EXPECT_TRUE(ToExact(3.25) == one * 13 / 4);
+  EXPECT_TRUE(ToExact(0x1p-64) == 1);
+  EXPECT_TRUE(ToExact(0x1p-65) == 0);  // below one unit
+  EXPECT_TRUE(ToExact(1e-300) == 0);
+  // The largest weight in the domain converts below 2^92 units.
+  const double top = std::nextafter(kMaxEdgeWeight, 0.0);
+  EXPECT_TRUE(ToExact(top) < (static_cast<ExactLength>(1) << 92));
+  // Every double of at least 2^-11 is a whole number of units, so the
+  // round trip is exact for road lengths.
+  Rng rng(3);
+  for (int i = 0; i < 1000; ++i) {
+    const double x = std::ldexp(rng.NextDouble() + 0.5, -10 + i % 38);
+    EXPECT_EQ(FromExact(ToExact(x)), x) << x;
+  }
+  // Rounding down is monotone: an offset never converts past its edge.
+  for (int i = 0; i < 1000; ++i) {
+    const double w = rng.NextUniform(1e-6, 100.0);
+    const double off = rng.NextDouble() * w;
+    EXPECT_TRUE(ToExact(off) <= ToExact(w));
+  }
+}
+
+// The landmark snapshot, the plain snapshot and the view give the same
+// bits for every pair, both directions, and stay within 1e-12 of the
+// exhaustive one-sided reference; the tables cut the settles.
+void ExpectExactAgreement(const Network& net, const PointSet& ps,
+                          uint64_t seed, int pairs) {
+  InMemoryNetworkView mem(net, ps);
+  const NetworkView& view = mem;
+  FrozenGraph plain = std::move(mem.Freeze()).value();
+  std::shared_ptr<const LandmarkTables> tables = LandmarkTables::Build(plain);
+  ASSERT_NE(tables, nullptr);
+  FrozenGraph landmarked = plain.WithLandmarks(tables);
+  ASSERT_EQ(landmarked.landmarks(), tables.get());
+  TraversalWorkspace ws(view.num_nodes());
+  Rng rng(seed);
+  int same_edge = 0, at_end = 0;
+  uint64_t settled_plain = 0, settled_alt = 0;
+  for (int i = 0; i < pairs; ++i) {
+    PointId p = static_cast<PointId>(rng.NextBounded(ps.size()));
+    PointId q = static_cast<PointId>(rng.NextBounded(ps.size()));
+    if (i % 10 == 0) q = p;
+    if (i % 10 == 1 && p + 1 < ps.size()) q = p + 1;
+    const PointPos pp = view.PointPosition(p);
+    const PointPos qq = view.PointPosition(q);
+    same_edge += p != q && pp.u == qq.u && pp.v == qq.v;
+    at_end += qq.offset == 0.0 || qq.offset == view.EdgeWeight(qq.u, qq.v);
+
+    const double want = OneSidedDistance(view, p, q);
+    uint64_t before = LocalTraversalCounters().settled_nodes;
+    const double got = PointNetworkDistance(view, view, p, q, &ws);
+    settled_plain += LocalTraversalCounters().settled_nodes - before;
+    ASSERT_FALSE(ws.cancel.triggered);
+    if (want == kInfDist) {
+      EXPECT_EQ(got, kInfDist) << "p=" << p << " q=" << q;
+    } else {
+      ASSERT_NEAR(got, want, 1e-12 * want) << "p=" << p << " q=" << q;
+    }
+    before = LocalTraversalCounters().settled_nodes;
+    const double alt = PointNetworkDistance(view, landmarked, p, q, &ws);
+    settled_alt += LocalTraversalCounters().settled_nodes - before;
+    EXPECT_TRUE(SameBits(got, alt)) << "landmarks changed d: p=" << p
+                                    << " q=" << q;
+    EXPECT_TRUE(SameBits(got, PointNetworkDistance(view, plain, p, q, &ws)))
+        << "snapshot != view: p=" << p << " q=" << q;
+    EXPECT_TRUE(
+        SameBits(alt, PointNetworkDistance(view, landmarked, q, p, &ws)))
+        << "d(q, p) != d(p, q): p=" << p << " q=" << q;
+    EXPECT_TRUE(SameBits(got, PointNetworkDistance(view, view, q, p, &ws)))
+        << "d(q, p) != d(p, q) over the view: p=" << p << " q=" << q;
+  }
+  EXPECT_GT(same_edge, 10);
+  EXPECT_GT(at_end, 5);
+  EXPECT_LT(2 * settled_alt, settled_plain)
+      << "landmarks settled " << settled_alt << ", plain " << settled_plain;
+}
+
+// Generated networks at edge ratios from tree-like to dense.
+class PointDistanceExactTest : public ::testing::TestWithParam<double> {};
+
+TEST_P(PointDistanceExactTest, LandmarksChangeNoBitOnGeneratedNetworks) {
+  GeneratedNetwork g = GenerateRoadNetwork({500, GetParam(), 0.3, 23});
+  ExpectExactAgreement(g.net, PointsWithEndpointOffsets(g.net, 24), 25, 400);
+}
+
+INSTANTIATE_TEST_SUITE_P(EdgeRatios, PointDistanceExactTest,
+                         ::testing::Values(1.0, 1.3, 1.8));
+
+// A grid with weights of 1, 2 or 3 units and points at whole-unit
+// offsets: many shortest paths tie exactly, so a potential that is off
+// anywhere stops some search on a longer path. At a unit of 2^-64 every
+// length is a small count of units that a double holds exactly, so even
+// a one-unit error shows in the answer.
+class PointDistanceExactTieTest : public ::testing::TestWithParam<double> {};
+
+TEST_P(PointDistanceExactTieTest, LandmarksChangeNoBitOnTiedGrids) {
+  const double unit = GetParam();
+  constexpr NodeId kRows = 20, kCols = 25;
+  Network net(kRows * kCols);
+  Rng rng(61);
+  auto weight = [&] {
+    return unit * static_cast<double>(1 + rng.NextBounded(3));
+  };
+  for (NodeId r = 0; r < kRows; ++r) {
+    for (NodeId c = 0; c < kCols; ++c) {
+      const NodeId n = r * kCols + c;
+      if (c + 1 < kCols) {
+        ASSERT_TRUE(net.AddEdge(n, n + 1, weight()).ok());
+      }
+      if (r + 1 < kRows) {
+        ASSERT_TRUE(net.AddEdge(n, n + kCols, weight()).ok());
+      }
+    }
+  }
+  std::vector<Edge> edges = net.Edges();
+  PointSetBuilder b;
+  for (size_t i = 0; i < 2 * edges.size(); ++i) {
+    const Edge& e = edges[rng.NextBounded(edges.size())];
+    const uint64_t steps = static_cast<uint64_t>(e.weight / unit);
+    b.Add(e.u, e.v, unit * static_cast<double>(rng.NextBounded(steps + 1)),
+          0);
+  }
+  ExpectExactAgreement(net, std::move(std::move(b).Build(net)).value(), 62,
+                       600);
+}
+
+INSTANTIATE_TEST_SUITE_P(Units, PointDistanceExactTieTest,
+                         ::testing::Values(1.0, 0x1p-64));
+
+TEST(PointDistanceExactDisconnectedTest, LandmarksChangeNoBitAcrossParts) {
+  // Two generated networks side by side: half the pairs are disconnected
+  // (kInfDist both ways), and farthest-point sampling puts landmarks in
+  // both parts.
+  GeneratedNetwork a = GenerateRoadNetwork({250, 1.3, 0.3, 41});
+  GeneratedNetwork b = GenerateRoadNetwork({250, 1.3, 0.3, 42});
+  const NodeId shift = a.net.num_nodes();
+  Network net(shift + b.net.num_nodes());
+  for (const Edge& e : a.net.Edges()) {
+    ASSERT_TRUE(net.AddEdge(e.u, e.v, e.weight).ok());
+  }
+  for (const Edge& e : b.net.Edges()) {
+    ASSERT_TRUE(net.AddEdge(e.u + shift, e.v + shift, e.weight).ok());
+  }
+  ExpectExactAgreement(net, PointsWithEndpointOffsets(net, 43), 44, 400);
+  PointSet empty;
+  InMemoryNetworkView mem(net, empty);
+  FrozenGraph plain = std::move(mem.Freeze()).value();
+  std::shared_ptr<const LandmarkTables> tables = LandmarkTables::Build(plain);
+  int in_a = 0;
+  for (NodeId l : tables->landmarks()) in_a += l < shift;
+  EXPECT_GT(in_a, 0);
+  EXPECT_LT(in_a, static_cast<int>(LandmarkTables::kCount));
 }
 
 // ------------------------------------------------------- range queries.

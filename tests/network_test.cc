@@ -36,6 +36,23 @@ TEST(NetworkTest, AddEdgeRejectsNonFiniteWeights) {
   EXPECT_EQ(net.num_edges(), 0u);
 }
 
+TEST(NetworkTest, AddEdgeEnforcesTheWeightDomain) {
+  // Weights lie in (0, 2^28): the exact path lengths of the distance
+  // search (graph/exact_length.h) cannot overflow below that.
+  Network net(4);
+  EXPECT_TRUE(net.AddEdge(0, 1, kMaxEdgeWeight).IsInvalidArgument());
+  EXPECT_TRUE(net.AddEdge(0, 1, 1e300).IsInvalidArgument());
+  EXPECT_TRUE(net.AddEdge(0, 1, 0.0).IsInvalidArgument());
+  EXPECT_EQ(net.num_edges(), 0u);
+  const double top = std::nextafter(kMaxEdgeWeight, 0.0);
+  EXPECT_TRUE(net.AddEdge(0, 1, top).ok());
+  EXPECT_TRUE(net.AddEdge(1, 2, 1e-300).ok());
+  EXPECT_EQ(net.EdgeWeight(0, 1), top);
+  EXPECT_FALSE(IsEdgeWeightInDomain(kMaxEdgeWeight));
+  EXPECT_FALSE(IsEdgeWeightInDomain(std::numeric_limits<double>::quiet_NaN()));
+  EXPECT_TRUE(IsEdgeWeightInDomain(top));
+}
+
 TEST(NetworkTest, EdgeWeightIsSymmetric) {
   Network net(3);
   ASSERT_TRUE(net.AddEdge(2, 1, 3.5).ok());

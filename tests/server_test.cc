@@ -25,6 +25,7 @@
 #include "gen/network_gen.h"
 #include "gen/workload_gen.h"
 #include "graph/frozen_graph.h"
+#include "graph/landmarks.h"
 #include "graph/network.h"
 #include "graph/network_distance.h"
 #include "netclus.h"
@@ -32,6 +33,7 @@
 #include "server/epoch_manager.h"
 #include "server/query.h"
 #include "server/query_server.h"
+#include "storage/paged_file.h"
 
 namespace netclus {
 namespace {
@@ -389,6 +391,32 @@ TEST(EpochManagerTest, PinnedEpochSurvivesPublishAndFreesOnRelease) {
   EXPECT_EQ(m.epochs_drained(), 2u);
 }
 
+// Republish swaps in the same epoch over another graph of the same
+// world: the id, clusters, cache and identity map stay, the old snapshot
+// retires and frees like a published one.
+TEST(EpochManagerTest, RepublishKeepsTheEpochAndRetiresTheOldSnapshot) {
+  EpochManager m;
+  std::shared_ptr<const FrozenGraph> graph = TinyGraph();
+  auto cache = std::make_shared<const DistanceCache>(16);
+  EXPECT_EQ(m.Publish(graph, nullptr, cache), 1u);
+  std::shared_ptr<const EpochSnapshot> pin = m.Current();
+  m.Republish(std::make_shared<const FrozenGraph>(
+      graph->WithLandmarks(LandmarkTables::Build(*graph))));
+  EXPECT_EQ(m.current_epoch(), 1u);
+  EXPECT_EQ(m.epochs_published(), 2u);
+  EXPECT_EQ(m.retired_count(), 1u);
+  std::shared_ptr<const EpochSnapshot> now = m.Current();
+  EXPECT_EQ(now->epoch(), 1u);
+  EXPECT_EQ(now->cache(), cache.get());
+  EXPECT_NE(now->frozen().landmarks(), nullptr);
+  EXPECT_EQ(pin->frozen().landmarks(), nullptr);
+  pin.reset();
+  EXPECT_EQ(m.epochs_drained(), 1u);
+  EXPECT_EQ(m.retired_count(), 0u);
+  // The next publish takes the next epoch id, not one past the swap.
+  EXPECT_EQ(m.Publish(TinyGraph(), nullptr), 2u);
+}
+
 // The regression behind the per-epoch cache design: distances memoized
 // while a drain serves an old epoch must be invisible to newer epochs
 // (point ids renumber across epochs, so a shared cache could answer a
@@ -648,6 +676,160 @@ TEST(QueryServerTest, ObjectIdsStayStableWhenNewPointsRenumberTheEpoch) {
   // through the shortcut, addressed exactly as before the republication.
   Result<QueryResponse> d =
       server.Execute(QueryRequest::PointDistance(0, 1));
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  EXPECT_DOUBLE_EQ(d.value().distance, 2.0);
+}
+
+// ---------------------------------------------------------------------
+// Landmark tables: built on demand by the updater, never in Start.
+// ---------------------------------------------------------------------
+
+// Waits (bounded) until the updater has built `want` landmark tables.
+bool WaitForLandmarkBuilds(QueryServer& server, uint64_t want) {
+  for (int i = 0; i < 10000; ++i) {
+    if (server.stats().landmark_builds >= want) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
+
+std::vector<QueryRequest> DistanceRequests(PointId n_points, int count,
+                                           uint64_t seed) {
+  std::vector<QueryRequest> out;
+  Rng rng(seed);
+  for (int i = 0; i < count; ++i) {
+    out.push_back(QueryRequest::PointDistance(rng.NextBounded(n_points),
+                                              rng.NextBounded(n_points)));
+  }
+  return out;
+}
+
+// The first distance asks the updater for tables; the answers before
+// and after the tables-only republish are the same bits (and the inline
+// path's, which has no tables), the epoch id stays, and later distances
+// and publishes never build again.
+TEST(QueryServerLandmarkTest, FirstDistanceBuildsOnceAndAnswersKeepTheirBits) {
+  World w(400, 300, 47);
+  InMemoryNetworkView inline_view(w.gen.net, w.points);
+  QueryServerOptions opts;
+  opts.num_workers = 2;
+  opts.cache_capacity = 0;  // every answer is a fresh search
+  opts.validate_replay = true;
+  Result<std::unique_ptr<QueryServer>> started =
+      QueryServer::Start(w.gen.net, w.points, opts);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  QueryServer& server = *started.value();
+
+  // Reads that are not distances build nothing.
+  ASSERT_TRUE(server.Execute(QueryRequest::NearestObject(0, 3)).ok());
+  ASSERT_TRUE(server.Execute(QueryRequest::Range(1, 2.0)).ok());
+  EXPECT_EQ(server.stats().landmark_builds, 0u);
+
+  const std::vector<QueryRequest> requests =
+      DistanceRequests(w.points.size(), 40, 48);
+  std::vector<double> before;
+  for (const QueryRequest& req : requests) {
+    Result<QueryResponse> r = server.Execute(req);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.value().epoch, 1u);
+    before.push_back(r.value().distance);
+  }
+  ASSERT_TRUE(WaitForLandmarkBuilds(server, 1));
+  EXPECT_EQ(server.current_epoch(), 1u);
+  EXPECT_EQ(server.stats().epochs_published, 2u);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    Result<QueryResponse> r = server.Execute(requests[i]);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.value().epoch, 1u);
+    EXPECT_EQ(std::memcmp(&r.value().distance, &before[i], sizeof(double)),
+              0)
+        << "request " << i;
+    Result<QueryResponse> inline_r =
+        ExecuteQuery(inline_view, nullptr, requests[i]);
+    ASSERT_TRUE(inline_r.ok());
+    EXPECT_TRUE(ResponsePayloadsEqual(r.value(), inline_r.value()));
+  }
+
+  // A publish carries the tables on; nothing builds them again.
+  NodeId far = 1;
+  while (w.gen.net.HasEdge(0, far)) ++far;
+  ASSERT_TRUE(server.ApplyUpdate(NetworkUpdate::AddEdge(0, far, 0.5)).ok());
+  ASSERT_TRUE(server.Flush().ok());
+  EXPECT_EQ(server.current_epoch(), 2u);
+  for (const QueryRequest& req : DistanceRequests(w.points.size(), 40, 49)) {
+    ASSERT_TRUE(server.Execute(req).ok());
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.landmark_builds, 1u);
+  EXPECT_GT(stats.landmark_build_ms, 0.0);
+  EXPECT_EQ(stats.replay_mismatches, 0u);
+}
+
+// Four clients issue first distances at once: one build, every answer
+// served.
+TEST(QueryServerLandmarkTest, ConcurrentFirstDistancesBuildOnce) {
+  World w(400, 300, 53);
+  QueryServerOptions opts;
+  opts.num_workers = 4;
+  opts.validate_replay = true;
+  Result<std::unique_ptr<QueryServer>> started =
+      QueryServer::Start(w.gen.net, w.points, opts);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  QueryServer& server = *started.value();
+  std::atomic<bool> go{false};
+  std::atomic<int> failed{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 4; ++c) {
+    clients.emplace_back([&, c] {
+      while (!go.load()) std::this_thread::yield();
+      for (const QueryRequest& req :
+           DistanceRequests(w.points.size(), 25, 60 + c)) {
+        if (!server.Execute(req).ok()) failed.fetch_add(1);
+      }
+    });
+  }
+  go.store(true);
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(failed.load(), 0);
+  ASSERT_TRUE(WaitForLandmarkBuilds(server, 1));
+  for (const QueryRequest& req : DistanceRequests(w.points.size(), 20, 70)) {
+    ASSERT_TRUE(server.Execute(req).ok());
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.landmark_builds, 1u);
+  EXPECT_EQ(stats.replay_mismatches, 0u);
+  EXPECT_EQ(server.current_epoch(), 1u);
+}
+
+// A logged AddEdge outside the weight domain is rejected live and again
+// at replay, so the recovered world is the one that served.
+TEST(QueryServerTest, WalReplayRejectsAWeightOutsideTheDomainAlike) {
+  PathWorld w;
+  std::unique_ptr<PagedFile> wal_file = PagedFile::CreateInMemory(4096);
+  QueryServerOptions opts;
+  opts.num_workers = 1;
+  opts.wal_file = wal_file.get();
+  {
+    Result<std::unique_ptr<QueryServer>> started =
+        QueryServer::Start(w.net, w.points, opts);
+    ASSERT_TRUE(started.ok()) << started.status().ToString();
+    Status s = started.value()->ApplyUpdate(
+        NetworkUpdate::AddEdge(0, 3, kMaxEdgeWeight));
+    EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+    ASSERT_TRUE(started.value()->ApplyUpdate(
+        NetworkUpdate::AddEdge(0, 3, 1.0)).ok());
+    // The log count is updated once the batch is applied; Flush waits
+    // for that round.
+    ASSERT_TRUE(started.value()->Flush().ok());
+    EXPECT_EQ(started.value()->stats().wal_records, 2u);
+  }
+  Result<std::unique_ptr<QueryServer>> recovered =
+      QueryServer::Start(w.net, w.points, opts);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered.value()->stats().wal_recoveries, 2u);
+  // p0 -> n0 (0.5) -> the admitted shortcut (1.0) -> n3 -> p1 (0.5).
+  Result<QueryResponse> d =
+      recovered.value()->Execute(QueryRequest::PointDistance(0, 1));
   ASSERT_TRUE(d.ok()) << d.status().ToString();
   EXPECT_DOUBLE_EQ(d.value().distance, 2.0);
 }

@@ -105,6 +105,7 @@ TEST(TextIoTest, RejectsInvalidEdgeAndPointData) {
   check("network 2\nedge 0 1 inf\n", "line 2");
   check("network 2\nedge 0 1 -3.5\n", "line 2");
   check("network 2\nedge 0 1 0\n", "line 2");
+  check("network 2\nedge 0 1 268435456\n", "line 2");  // 2^28: too long
   check("network 2\nedge 0 0 1.0\n", "line 2");  // self loop
   check("network 2\nedge 0 1 1.0\nedge 1 0 2.0\n", "line 3");  // duplicate
   check("network 2\nedge 0 1 1.0\npoint 0 1 -0.5 0\n", "line 3");

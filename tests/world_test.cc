@@ -4,10 +4,13 @@
 // one its graph co-owns and is never copied on publish; a clustering run
 // over an epoch's graph equals one that freezes its own; a checkpoint
 // must restore the world it was taken from; a rejected mutation must
-// leave the world, its ObjectId watermark included, untouched.
+// leave the world, its ObjectId watermark included, untouched; landmark
+// tables, once built, ride on every later epoch, shared while no label
+// improves and repaired to fresh searches' values when one does.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -18,6 +21,7 @@
 #include "gen/network_gen.h"
 #include "gen/workload_gen.h"
 #include "graph/frozen_graph.h"
+#include "graph/landmarks.h"
 #include "graph/network.h"
 #include "netclus.h"
 #include "server/epoch_manager.h"
@@ -437,6 +441,109 @@ TEST(WorldTest, RejectedMutationAllocatesNoObjectId) {
   // holds the boot points plus the one admitted.
   EXPECT_EQ(BuildOrDie(world.Build()).graph->points().size(),
             s.points.size() + 1);
+}
+
+// The weight domain holds at Apply and at Restore: both reach
+// Network::AddEdge, which rejects a weight of 2^28 or more.
+TEST(WorldTest, WeightOutsideTheDomainIsRejectedAtApplyAndRestore) {
+  Scenario s(30, 20, 37);
+  World world = World::Boot(s.gen.net, s.points, WorldOptions{});
+  const CheckpointState before = world.Checkpoint();
+  NodeId far = 1;
+  while (s.gen.net.HasEdge(0, far)) ++far;
+  for (double w : {kMaxEdgeWeight, 2 * kMaxEdgeWeight, 1e300}) {
+    EXPECT_TRUE(world.Apply(NetworkUpdate::AddEdge(0, far, w))
+                    .IsInvalidArgument())
+        << w;
+  }
+  ExpectSameCheckpoint(world.Checkpoint(), before);
+  const double top = std::nextafter(kMaxEdgeWeight, 0.0);
+  ASSERT_TRUE(world.Apply(NetworkUpdate::AddEdge(0, far, top)).ok());
+
+  CheckpointState bad = world.Checkpoint();
+  for (CheckpointEdge& e : bad.edges) {
+    if (e.weight == top) e.weight = kMaxEdgeWeight;
+  }
+  Result<World> restored = World::Restore(bad, WorldOptions{});
+  ASSERT_FALSE(restored.ok());
+  EXPECT_TRUE(restored.status().IsInvalidArgument())
+      << restored.status().ToString();
+  EXPECT_TRUE(World::Restore(world.Checkpoint(), WorldOptions{}).ok());
+}
+
+// Tables are built on request only, for the base epoch; every later
+// epoch carries them: points-only builds share them with the adjacency,
+// an AddEdge that shortens no label shares them across the rebuilt
+// adjacency, and one that does gets a repaired copy equal to fresh
+// searches from the same landmarks (the validate oracle checks that
+// too, on every carry). BuildFull carries none.
+TEST(WorldLandmarkTest, AddEdgeRepairsTablesOnlyWhenALabelImproves) {
+  Scenario s(300, 200, 43);
+  WorldOptions options;
+  options.validate = true;
+  options.cluster_spec = MakeSpec(EpsLinkOptions{s.eps, 2});
+  World world = World::Boot(s.gen.net, s.points, options);
+  EXPECT_EQ(world.BuildLandmarks(), nullptr);  // no base yet
+  const World::Epoch boot = BuildOrDie(world.Build());
+  EXPECT_EQ(boot.graph->landmarks(), nullptr);  // Build builds none
+  const TraversalCounters before = LocalTraversalCounters();
+  std::shared_ptr<const FrozenGraph> base = world.BuildLandmarks();
+  EXPECT_EQ((LocalTraversalCounters() - before).settled_nodes, 0u);
+  ASSERT_NE(base, nullptr);
+  ASSERT_NE(base->landmarks(), nullptr);
+  EXPECT_TRUE(base->SharesAdjacencyWith(*boot.graph));
+  EXPECT_EQ(&base->points(), &boot.graph->points());
+  EXPECT_EQ(world.BuildLandmarks(), nullptr);  // built once
+  const LandmarkTables* tables = base->landmarks();
+
+  // Points only: the adjacency and its tables are shared.
+  const Edge e0 = s.gen.net.Edges().front();
+  ASSERT_TRUE(
+      world.Apply(NetworkUpdate::AddPoint(e0.u, e0.v, 0.5 * e0.weight)).ok());
+  const World::Epoch points_only = BuildOrDie(world.Build());
+  EXPECT_EQ(points_only.graph->landmarks(), tables);
+  EXPECT_EQ(points_only.landmarks_ms, 0.0);
+
+  // An edge at least as long as the path it parallels: no label
+  // improves, so the rebuilt adjacency shares the tables.
+  InMemoryNetworkView view(s.gen.net, s.points);
+  FrozenGraph frozen = std::move(view.Freeze()).value();
+  TraversalWorkspace ws(frozen.num_nodes());
+  const NodeId u = tables->landmarks()[0];
+  NodeId far = 0;
+  for (NodeId v = 0; v < frozen.num_nodes(); ++v) {
+    if (tables->row(v)[0] > tables->row(far)[0]) far = v;
+  }
+  ASSERT_FALSE(s.gen.net.HasEdge(u, far));
+  DijkstraDistances(frozen, {DijkstraSource{u, 0.0}}, &ws);
+  ASSERT_TRUE(world
+                  .Apply(NetworkUpdate::AddEdge(u, far,
+                                                ws.scratch.Get(far) + 1.0))
+                  .ok());
+  const World::Epoch long_edge = BuildOrDie(world.Build());
+  EXPECT_FALSE(long_edge.graph->SharesAdjacencyWith(*points_only.graph));
+  EXPECT_EQ(long_edge.graph->landmarks(), tables);
+
+  // A short edge from the first landmark's neighbour to the node
+  // farthest from it improves labels: the tables are repaired.
+  const NodeId near = s.gen.net.neighbors(u).front().first;
+  ASSERT_TRUE(world.Apply(NetworkUpdate::AddEdge(near, far, 0.125)).ok());
+  const World::Epoch short_edge = BuildOrDie(world.Build());
+  const LandmarkTables* repaired = short_edge.graph->landmarks();
+  ASSERT_NE(repaired, nullptr);
+  EXPECT_NE(repaired, tables);
+  EXPECT_TRUE(*repaired ==
+              *LandmarkTables::FromLandmarks(*short_edge.graph,
+                                             tables->landmarks()));
+  EXPECT_TRUE(repaired->row(far)[0] < tables->row(far)[0]);
+  EXPECT_GT(short_edge.landmarks_ms, 0.0);
+
+  // The repaired tables keep riding on points-only builds.
+  const Edge e1 = s.gen.net.Edges().back();
+  ASSERT_TRUE(
+      world.Apply(NetworkUpdate::AddPoint(e1.u, e1.v, 0.25 * e1.weight)).ok());
+  EXPECT_EQ(BuildOrDie(world.Build()).graph->landmarks(), repaired);
+  EXPECT_EQ(BuildOrDie(world.BuildFull()).graph->landmarks(), nullptr);
 }
 
 }  // namespace
