@@ -36,6 +36,9 @@
 #        - the query vocabulary (src/server/query.h) and the wire layer
 #          (src/net/) speak stable ObjectIds only — a raw PointId there
 #          would leak epoch-local dense indices to clients;
+#        - every src/ header is included from outside tests/ (its own
+#          .cc aside): code only the tests use lives in tests/support/,
+#          so the library holds what the system runs;
 #        - every public src/ function that only tests call is listed,
 #          with its reason, in DESIGN.md's test-only API ledger
 #          (scripts/test_only_api.py; needs python3).
@@ -157,6 +160,19 @@ for f in $(find src -mindepth 2 \( -name '*.h' -o -name '*.cc' \) | sort); do
       *) fail "$f: includes a $inc/ header; src/$dir/ may include only from: $dir $deps" ;;
     esac
   done
+done
+
+# Test-only header tripwire: a src/ header that nothing outside tests/
+# includes (its own .cc aside) is code the system never runs. Test
+# oracles and fault injection belong in tests/support/, linked into the
+# test binaries only, so they cannot drift back into the library.
+for f in $(find src -name '*.h' | sort); do
+  rel=${f#src/}
+  users=$(grep -rlE "^[[:space:]]*#[[:space:]]*include[[:space:]]*\"$rel\"" \
+            src bench examples perfbench/src | grep -vx "${f%.h}.cc" || true)
+  if [ -z "$users" ]; then
+    fail "$f: no file outside tests/ includes it; move test-only code to tests/support/"
+  fi
 done
 
 # Traversal layering tripwire: the clustering algorithms in src/core/

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 #include <set>
 #include <unordered_map>
 
@@ -287,8 +286,7 @@ void KNearestNeighbors(const NetworkView& view, const Graph& graph,
                        PointId center, uint32_t k, TraversalWorkspace* ws,
                        std::vector<RangeResult>* out) {
   out->clear();
-  TraversalCancel& cancel = ws->cancel;
-  cancel.triggered = false;
+  ws->cancel.triggered = false;
   if (k == 0) return;
   PointPos c = view.PointPosition(center);
   double wc = graph.EdgeWeight(c.u, c.v);
@@ -332,50 +330,24 @@ void KNearestNeighbors(const NetworkView& view, const Graph& graph,
     offer(own.first + i, std::fabs(own.offsets[i] - c.offset));
   }
 
-  // INE-style expansion: a point whose best offer has not arrived yet
-  // lies behind an unsettled node, so once the settle distance reaches
-  // the current k-th candidate no candidate can improve.
-  NodeScratch& scratch = ws->scratch;
-  scratch.NewEpoch();
-  struct Entry {
-    double dist;
-    NodeId node;
-    bool operator>(const Entry& other) const { return dist > other.dist; }
-  };
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  scratch.Set(c.u, c.offset);
-  heap.push(Entry{c.offset, c.u});
-  if (scratch.Get(c.v) > wc - c.offset) {
-    scratch.Set(c.v, wc - c.offset);
-    heap.push(Entry{wc - c.offset, c.v});
-  }
-  // The INE loop is not the shared kernel, so it polls the cancellation
-  // token itself, at the same cadence (every check_interval settles).
-  const uint32_t poll_interval = std::max<uint32_t>(1, cancel.check_interval);
-  uint32_t settles_until_poll = poll_interval;
-  while (!heap.empty()) {
-    auto [d, n] = heap.top();
-    heap.pop();
-    if (d > scratch.Get(n)) continue;  // stale
-    if (d >= bound()) break;
-    if (--settles_until_poll == 0) {
-      settles_until_poll = poll_interval;
-      if (cancel.ShouldCancel()) {
-        cancel.triggered = true;
-        return;  // `out` stays empty — partial candidates are garbage
-      }
-    }
-    VisitNeighbors(graph, n, [&](NodeId m, double we) {
-      // Offer via this (settled) side; the other side offers again when
-      // it settles, and per-point minimization keeps the best.
-      offer_edge(n, m, we, d);
-      double nd = d + we;
-      if (nd < scratch.Get(m)) {
-        scratch.Set(m, nd);
-        heap.push(Entry{nd, m});
-      }
-    });
-  }
+  // INE-style expansion on the shared kernel: a point whose best offer
+  // has not arrived yet lies behind an unsettled node, so once the settle
+  // distance reaches the current k-th candidate no candidate can improve.
+  ws->sources.assign({{c.u, c.offset}, {c.v, wc - c.offset}});
+  DijkstraExpandBounded(graph, ws->sources, kInfDist, ws,
+                        [&](NodeId n, double d) {
+                          if (d >= bound()) return false;
+                          // Offer via this (settled) side; the other side
+                          // offers again when it settles, and per-point
+                          // minimization keeps the best.
+                          VisitNeighbors(graph, n, [&](NodeId m, double we) {
+                            offer_edge(n, m, we, d);
+                          });
+                          return true;
+                        });
+  // Partial candidates of a cancelled expansion are garbage: `out` stays
+  // empty.
+  if (ws->cancel.triggered) return;
 
   std::vector<RangeResult> results;
   results.reserve(cand.size());

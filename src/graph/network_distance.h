@@ -98,13 +98,14 @@ void NodeRangeQuery(const NetworkView& view, const FrozenGraph& frozen,
                     std::vector<RangeResult>* out);
 
 /// Finds the `k` points nearest to `center` by network distance
-/// (excluding `center` itself), ordered by ascending distance. Fewer
-/// than k results when the reachable point population is smaller.
-/// Implemented as an expanding range search with a shrinking bound over
-/// `graph` (a snapshot of `view`, or the view itself; bit-identical
-/// results), in the spirit of the [16] query algorithms the paper builds
-/// on. The expansion polls `ws->cancel` like the Dijkstra kernel does;
-/// on cancellation `out` is cleared and `ws->cancel.triggered` is set.
+/// (excluding `center` itself), ordered by ascending distance, ties by
+/// ascending PointId. Fewer than k results when the reachable point
+/// population is smaller. Implemented as an expanding range search with
+/// a shrinking bound over `graph` (a snapshot of `view`, or the view
+/// itself; bit-identical results), in the spirit of the [16] query
+/// algorithms the paper builds on. The expansion runs on the Dijkstra
+/// kernel, so it bumps TraversalCounters and polls `ws->cancel`; on
+/// cancellation `out` stays empty and `ws->cancel.triggered` is set.
 template <TraversalGraph Graph>
 void KNearestNeighbors(const NetworkView& view, const Graph& graph,
                        PointId center, uint32_t k, TraversalWorkspace* ws,

@@ -180,7 +180,7 @@ Status ExecuteQueryInto(const NetworkView& view, const FrozenGraph* frozen,
       case QueryKind::kNearestObject: {
         std::vector<RangeResult>* raw = RawResultScratch();
         raw->clear();
-        // Already ordered by (distance, settle order) — that order is the
+        // Already ordered by (distance, dense PointId) — that order is the
         // answer; translation preserves it.
         KNearestNeighbors(view, graph, pa, req.k, ws, raw);
         out->results.reserve(raw->size());

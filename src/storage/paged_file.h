@@ -6,11 +6,12 @@
 // pages and counts every physical access, so experiments can report
 // hardware-independent I/O counts.
 //
-// PagedFile is an abstract interface. Three implementations exist: a POSIX
-// file on disk, an anonymous in-memory store (tests and benches that only
-// care about I/O counts), and FaultInjectionFile (storage/fault_injection.h),
-// a decorator that injects deterministic faults for robustness testing. All
-// share the bounds checks and counters of the non-virtual public methods.
+// PagedFile is an abstract interface. Two implementations live here: a
+// POSIX file on disk and an anonymous in-memory store (tests and benches
+// that only care about I/O counts). The tests add a third,
+// FaultInjectionFile (tests/support/fault_injection.h), a decorator that
+// injects deterministic faults for robustness testing. All share the
+// bounds checks and counters of the non-virtual public methods.
 #ifndef NETCLUS_STORAGE_PAGED_FILE_H_
 #define NETCLUS_STORAGE_PAGED_FILE_H_
 

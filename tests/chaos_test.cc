@@ -22,8 +22,8 @@
 #include "server/query_server.h"
 #include "server/update.h"
 #include "server/wal.h"
-#include "storage/fault_injection.h"
 #include "storage/paged_file.h"
+#include "support/fault_injection.h"
 
 namespace netclus {
 namespace {

@@ -17,8 +17,8 @@
 #include "graph/network_store.h"
 #include "netclus.h"
 #include "storage/buffer_manager.h"
-#include "storage/fault_injection.h"
 #include "storage/paged_file.h"
+#include "support/fault_injection.h"
 
 namespace netclus {
 namespace {

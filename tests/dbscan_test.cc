@@ -4,11 +4,11 @@
 
 #include <set>
 
-#include "core/brute_force.h"
 #include "core/dbscan.h"
 #include "gen/network_gen.h"
 #include "gen/workload_gen.h"
 #include "run_helpers.h"
+#include "support/brute_force.h"
 
 namespace netclus {
 namespace {

@@ -9,7 +9,6 @@
 #include <cstring>
 
 #include "common/random.h"
-#include "core/brute_force.h"
 #include "gen/network_gen.h"
 #include "gen/workload_gen.h"
 #include "graph/dijkstra.h"
@@ -19,6 +18,7 @@
 #include "graph/network_distance.h"
 #include "server/distance_cache.h"
 #include "server/query.h"
+#include "support/brute_force.h"
 
 namespace netclus {
 namespace {
@@ -595,6 +595,47 @@ TEST(KnnTest, ZeroKIsEmpty) {
   TraversalWorkspace ws(2);
   std::vector<RangeResult> got;
   KNearestNeighbors(view, view, 0, 0, &ws, &got);
+  EXPECT_TRUE(got.empty());
+}
+
+TEST(KnnTest, CountsSettlesAndHeapPopsOverFrozenGraph) {
+  GeneratedNetwork g = GenerateRoadNetwork({200, 1.3, 0.3, 31});
+  PointSet ps = std::move(GenerateUniformPoints(g.net, 100, 32)).value();
+  InMemoryNetworkView mem(g.net, ps);
+  const NetworkView& view = mem;
+  FrozenGraph frozen = std::move(mem.Freeze()).value();
+  TraversalWorkspace ws(g.net.num_nodes());
+  std::vector<RangeResult> got;
+
+  TraversalCounters before = LocalTraversalCounters();
+  KNearestNeighbors(view, frozen, 0, 10, &ws, &got);
+  TraversalCounters frozen_delta = LocalTraversalCounters() - before;
+  ASSERT_EQ(got.size(), 10u);
+  EXPECT_GT(frozen_delta.settled_nodes, 0u);
+  EXPECT_GE(frozen_delta.heap_pops, frozen_delta.settled_nodes);
+  EXPECT_GE(frozen_delta.heap_pushes, frozen_delta.heap_pops);
+
+  // The view runs the same expansion, so it counts the same work.
+  before = LocalTraversalCounters();
+  KNearestNeighbors(view, view, 0, 10, &ws, &got);
+  TraversalCounters view_delta = LocalTraversalCounters() - before;
+  EXPECT_EQ(view_delta.settled_nodes, frozen_delta.settled_nodes);
+  EXPECT_EQ(view_delta.heap_pops, frozen_delta.heap_pops);
+  EXPECT_EQ(view_delta.heap_pushes, frozen_delta.heap_pushes);
+}
+
+TEST(KnnTest, ExpiredDeadlineCancelsAndLeavesOutputEmpty) {
+  GeneratedNetwork g = GenerateRoadNetwork({200, 1.3, 0.3, 33});
+  PointSet ps = std::move(GenerateUniformPoints(g.net, 100, 34)).value();
+  InMemoryNetworkView mem(g.net, ps);
+  const NetworkView& view = mem;
+  TraversalWorkspace ws(g.net.num_nodes());
+  std::vector<RangeResult> got{{7, 1.0}};  // stale output must not survive
+
+  ws.cancel.deadline = TraversalCancel::Clock::now() - std::chrono::seconds(1);
+  ws.cancel.check_interval = 1;  // poll at the first settle
+  KNearestNeighbors(view, view, 0, 10, &ws, &got);
+  EXPECT_TRUE(ws.cancel.triggered);
   EXPECT_TRUE(got.empty());
 }
 

@@ -5,13 +5,13 @@
 
 #include <set>
 
-#include "core/brute_force.h"
 #include "core/dbscan.h"
 #include "core/eps_link.h"
 #include "eval/metrics.h"
 #include "gen/network_gen.h"
 #include "gen/workload_gen.h"
 #include "run_helpers.h"
+#include "support/brute_force.h"
 
 namespace netclus {
 namespace {

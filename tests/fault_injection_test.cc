@@ -10,8 +10,8 @@
 
 #include "common/crc32c.h"
 #include "storage/buffer_manager.h"
-#include "storage/fault_injection.h"
 #include "storage/paged_file.h"
+#include "support/fault_injection.h"
 
 namespace netclus {
 namespace {

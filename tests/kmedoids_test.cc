@@ -7,12 +7,12 @@
 #include <vector>
 
 #include "common/random.h"
-#include "core/brute_force.h"
 #include "core/kmedoids.h"
 #include "eval/metrics.h"
 #include "gen/network_gen.h"
 #include "gen/workload_gen.h"
 #include "run_helpers.h"
+#include "support/brute_force.h"
 
 namespace netclus {
 namespace {

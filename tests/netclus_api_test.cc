@@ -13,7 +13,7 @@
 #include "graph/dijkstra.h"
 #include "graph/network_store.h"
 #include "netclus.h"
-#include "storage/fault_injection.h"
+#include "support/fault_injection.h"
 
 namespace netclus {
 namespace {

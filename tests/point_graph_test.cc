@@ -2,12 +2,12 @@
 // parameter-suggestion helpers.
 #include <gtest/gtest.h>
 
-#include "core/brute_force.h"
 #include "core/parameter_selection.h"
-#include "core/point_graph.h"
 #include "gen/network_gen.h"
 #include "gen/workload_gen.h"
 #include "graph/dijkstra.h"
+#include "support/brute_force.h"
+#include "support/point_graph.h"
 
 namespace netclus {
 namespace {

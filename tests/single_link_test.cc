@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/brute_force.h"
 #include "core/eps_link.h"
 #include "core/single_link.h"
 #include "eval/metrics.h"
@@ -13,6 +12,7 @@
 #include "gen/workload_gen.h"
 #include "graph/dijkstra.h"
 #include "run_helpers.h"
+#include "support/brute_force.h"
 
 namespace netclus {
 namespace {

@@ -12,8 +12,8 @@
 #include "common/status.h"
 #include "server/update.h"
 #include "server/wal.h"
-#include "storage/fault_injection.h"
 #include "storage/paged_file.h"
+#include "support/fault_injection.h"
 
 namespace netclus {
 namespace {
