@@ -83,11 +83,14 @@ void BenchRecorder::EmitEntries(std::FILE* f, const char* indent) const {
     std::fprintf(f,
                  "%s{\"bench\": \"%s\", \"median_seconds\": %.9g, "
                  "\"p95_seconds\": %.9g, \"settled_nodes\": %llu, "
-                 "\"heap_pops\": %llu, \"heap_pushes\": %llu",
+                 "\"heap_pops\": %llu, \"heap_pushes\": %llu, "
+                 "\"points_examined\": %llu",
                  indent, e.bench.c_str(), e.median_seconds, e.p95_seconds,
                  static_cast<unsigned long long>(e.traversal.settled_nodes),
                  static_cast<unsigned long long>(e.traversal.heap_pops),
-                 static_cast<unsigned long long>(e.traversal.heap_pushes));
+                 static_cast<unsigned long long>(e.traversal.heap_pushes),
+                 static_cast<unsigned long long>(
+                     e.traversal.points_examined));
     for (const auto& [key, value] : e.extra) {
       std::fprintf(f, ", \"%s\": %.9g", key.c_str(), value);
     }

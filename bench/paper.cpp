@@ -228,6 +228,7 @@ double Fact(const Run& r, const std::string& name) {
   const SingleLinkStats& sl = r.out.single_link_stats;
   if (name == "settled") return r.work.settled_nodes;
   if (name == "heap_pops") return r.work.heap_pops;
+  if (name == "points_examined") return r.work.points_examined;
   if (name == "nodes") return r.data->gen.net.num_nodes();
   if (name == "points") return r.data->workload.points.size();
   if (name == "swaps") return km.committed_swaps;
@@ -685,8 +686,9 @@ std::vector<Experiment> Experiments() {
   }
   e.push_back({"fig13", "Figure 13: scalability with N on SF (§5.2)", by_n,
                kFourMethods, {},
-               Scales("points", {{1, "settled", kUngated,
-                                  "Fig. 13: DBSCAN settles grow with N"}})});
+               Scales("points",
+                      {{1, "points_examined", kGated,
+                        "Fig. 13: DBSCAN's points examined grow with N"}})});
   for (DataSpec& s : by_n) s.disk.pool_bytes = 1 << 20;
   e.push_back({"fig13-disk",
                "Figure 13 on disk (1MiB buffer, 4KiB pages) (§5.2)",
@@ -771,8 +773,9 @@ int main() {
     columns.insert(columns.end(), e.columns.begin(), e.columns.end());
     std::printf("\n## %s\n\n| dataset | method |", e.title);
     for (const std::string& c : columns) std::printf(" %s |", c.c_str());
-    std::printf(" settled | heap_pops | seconds |\n|---|---|");
-    for (size_t i = 0; i < columns.size() + 3; ++i) std::printf("---|");
+    std::printf(" settled | heap_pops | points_examined | seconds |\n"
+                "|---|---|");
+    for (size_t i = 0; i < columns.size() + 4; ++i) std::printf("---|");
     std::printf("\n");
     Grid grid;
     for (const DataSpec& spec : e.data) {
@@ -786,9 +789,10 @@ int main() {
           extra.emplace_back(col, Fact(r, col));
           std::printf(" %s |", Show(col, extra.back().second).c_str());
         }
-        std::printf(" %llu | %llu | %.4f |\n",
+        std::printf(" %llu | %llu | %llu | %.4f |\n",
                     static_cast<unsigned long long>(r.work.settled_nodes),
                     static_cast<unsigned long long>(r.work.heap_pops),
+                    static_cast<unsigned long long>(r.work.points_examined),
                     r.seconds);
         recorder.Add(std::string(e.name) + "/" + spec.label + "/" + m.label,
                      {r.seconds}, r.work, extra);

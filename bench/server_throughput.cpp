@@ -14,9 +14,13 @@
 // time a World (server/world.h) takes to build the next epoch from
 // scratch vs incrementally, two worlds fed the same mutations: a
 // sparse-mutation world with one AddEdge per build (an ungated record:
-// every such build rebuilds the CSR adjacency), a world serving an
-// ε-Link cluster_spec with about one point per node, where every build
-// also re-clusters (ratio gated below 0.5), and the same 20k points
+// the full build materializes the CSR adjacency, the incremental one
+// shifts its predecessor's), a world serving an ε-Link cluster_spec
+// with about one point per node, where every build also re-clusters
+// (ratio gated below 0.5, the median CSR stage of its AddEdge builds
+// at most 0.25 ms, and the median World::Checkpoint() of its
+// incremental world, timed every kCheckpointEvery builds, at most
+// 0.9 ms), and the same 20k points
 // with no cluster_spec and one AddPoint per build, where the PointSet
 // merge is the work (ratio gated below 0.5, every build must share its
 // predecessor's adjacency, and the median CSR stage, over every build
@@ -119,19 +123,22 @@ struct RunResult {
 // Publish latency over a 20k-node network: one World builds every
 // epoch from scratch (BuildFull), another incrementally (Build), both
 // fed the same mutations, one build per mutation. Edge leg: few points
-// and one AddEdge per build, so both worlds re-materialize the whole
-// adjacency each time (ungated: the record of what an edge publish
+// and one AddEdge per build: the full world re-materializes the whole
+// adjacency each time, the incremental one shifts its predecessor's by
+// the new edge's slots (ungated: the record of what an edge publish
 // costs). Re-cluster leg: about one point per node and an ε-Link
 // cluster_spec (eps half the mean edge weight), two
 // AddPoints then one AddEdge per three builds — the full build re-runs
 // RunClustering every epoch, the incremental one merges only the new
 // links (gated: ratio < 0.5; the median incremental re-cluster stage is
-// recorded). Point leg: the same 20k points, no cluster_spec, one
-// AddPoint per build — the full build sorts every point into a fresh
-// PointSet, the incremental one merges the new point into the last
-// epoch's, shares its adjacency and carries its point handle (gated:
-// ratio < 0.5, every build shares the adjacency, median CSR stage
-// < 0.2 ms over all builds and over the renumbering ones). The edge leg
+// recorded; the median CSR stage of its AddEdge builds and the median
+// Checkpoint() of its incremental world are gated). Point leg: the same
+// 20k points, no cluster_spec, one AddPoint per build — the full build
+// sorts every point into a fresh PointSet, the incremental one merges
+// the new point into the last epoch's, shares its adjacency and
+// carries its point handle (gated: ratio < 0.5, every build shares the
+// adjacency, median CSR stage < 0.2 ms over all builds and over the
+// renumbering ones). The edge leg
 // builds 9 epochs; the other two build kIncrementalBuilds each and time
 // BuildFull, which leaves its world as it is, on kFullBuilds of them
 // spread evenly. The edge and point legs' incremental worlds carry
@@ -147,6 +154,7 @@ enum class PublishLeg { kEdges, kRecluster, kPoints };
 constexpr int kEdgeBuilds = 9;
 constexpr int kIncrementalBuilds = 240;
 constexpr int kFullBuilds = 9;
+constexpr int kCheckpointEvery = 8;
 
 // Mean build and stage times of one leg, and the CSR and re-cluster
 // stage samples for their medians.
@@ -183,6 +191,14 @@ struct PublishLatency {
   /// CSR stage times of the incremental builds that renumbered their
   /// predecessor's point handle instead of sharing it.
   std::vector<double> renumbered_csr;
+  /// Re-cluster leg only: the CSR stage times of the incremental builds
+  /// that published an AddEdge, and the incremental world's Checkpoint()
+  /// times, taken every kCheckpointEvery builds, with the edge and
+  /// point counts of the last checkpoint.
+  std::vector<double> edge_csr;
+  std::vector<double> checkpoint_ms;
+  size_t checkpoint_edges = 0;
+  size_t checkpoint_points = 0;
   /// Landmark legs only: the tables' build time on the boot epoch, the
   /// incremental builds that carried tables and those that shared their
   /// predecessor's, and each build's landmark stage time.
@@ -279,6 +295,18 @@ PublishLatency MeasurePublishLatency(PointId num_points, PublishLeg leg) {
     timer.Restart();
     const World::Epoch epoch = BuildOrDie(incremental.Build());
     out.incremental.Add(timer.ElapsedMillis(), epoch);
+    if (recluster) {
+      if (mutation.kind == NetworkUpdate::Kind::kAddEdge) {
+        out.edge_csr.push_back(epoch.csr_ms);
+      }
+      if (i % kCheckpointEvery == kCheckpointEvery - 1) {
+        timer.Restart();
+        const CheckpointState state = incremental.Checkpoint();
+        out.checkpoint_ms.push_back(timer.ElapsedMillis());
+        out.checkpoint_edges = state.edges.size();
+        out.checkpoint_points = state.points.size();
+      }
+    }
     if (epoch.graph->SharesAdjacencyWith(*prev_graph)) ++out.shared_adjacency;
     if (epoch.graph->landmarks() != nullptr) {
       ++out.landmarks_carried;
@@ -500,6 +528,21 @@ int main() {
                        "publish latency, points only", pt, "gate < 0.5");
   const double rc_ratio = rc.ratio();
   const double pt_ratio = pt.ratio();
+  const double edge_csr = Percentile(rc.edge_csr, 0.5);
+  const double checkpoint_ms = Percentile(rc.checkpoint_ms, 0.5);
+  std::printf("edge csr stage: median %.3f ms over the %zu AddEdge builds "
+              "of the re-cluster leg (gate <= 0.25 ms)\n",
+              edge_csr, rc.edge_csr.size());
+  std::printf("checkpoint: median %.3f ms over %zu calls at 20000 nodes "
+              "(last: %zu edges, %zu points) (gate <= 0.9 ms)\n",
+              checkpoint_ms, rc.checkpoint_ms.size(), rc.checkpoint_edges,
+              rc.checkpoint_points);
+  rec.Add("edge_csr_stage", {edge_csr * 1e-3}, TraversalCounters{},
+          {{"median_ms", edge_csr},
+           {"builds", static_cast<double>(rc.edge_csr.size())}});
+  rec.Add("world_checkpoint", {checkpoint_ms * 1e-3}, TraversalCounters{},
+          {{"median_ms", checkpoint_ms},
+           {"calls", static_cast<double>(rc.checkpoint_ms.size())}});
   std::printf("re-cluster stage: incremental median %.3f ms (mean %.3f ms) "
               "over %llu builds (ungated)\n",
               rc.incremental.recluster_median(),
@@ -597,6 +640,21 @@ int main() {
                  "FAIL: points-only csr stage median %.3f ms (renumbered "
                  "%.3f ms) >= 0.2 ms\n",
                  pt_csr, pt_renumbered_csr);
+    return 1;
+  }
+
+  // An AddEdge build shifts its predecessor's adjacency by the new
+  // edge's two slots instead of rebuilding it from the network's rows,
+  // and a checkpoint copies the world's edge and point records as they
+  // are: both a fraction of a whole-world rebuild.
+  if (edge_csr > 0.25) {
+    std::fprintf(stderr, "FAIL: AddEdge csr stage median %.3f ms > 0.25 ms\n",
+                 edge_csr);
+    return 1;
+  }
+  if (checkpoint_ms > 0.9) {
+    std::fprintf(stderr, "FAIL: checkpoint median %.3f ms > 0.9 ms\n",
+                 checkpoint_ms);
     return 1;
   }
 

@@ -486,11 +486,12 @@ int RunServe(int argc, char** argv, const Network& net,
   }
   HealthReport health = server.Healthz();
   std::printf("health: %s (miss rate %.3f, publish failures %llu, wal "
-              "records %llu, checkpoints %llu%s)\n",
+              "records %llu, checkpoints %llu (mean %.3f ms)%s)\n",
               ServerHealthName(health.health), health.deadline_miss_rate,
               static_cast<unsigned long long>(stats.publish_failures),
               static_cast<unsigned long long>(stats.wal_records),
               static_cast<unsigned long long>(stats.checkpoints_written),
+              stats.mean_checkpoint_ms,
               health.wal_broken ? ", WAL BROKEN" : "");
   if (health.wal_broken) return 1;
   return err == 0 ? 0 : 1;

@@ -268,8 +268,10 @@ if [ "${1:-}" = "bench-smoke" ]; then
   # rebuild the adjacency; incremental vs full ε-Link re-cluster with
   # about one point per node; PointSet merge over a shared adjacency vs
   # full build with one AddPoint per publish, its CSR stage median gated
-  # below 0.2 ms, sharing its landmark tables on every build), and the
-  # edge leg's landmark carry record.
+  # below 0.2 ms, sharing its landmark tables on every build), the
+  # edge leg's landmark carry record, and two gated medians of the
+  # re-cluster leg: the CSR stage of its AddEdge builds (<= 0.25 ms)
+  # and World::Checkpoint() over its 20k-node world (<= 0.9 ms).
   ./build/bench/server_throughput 2>&1 | tee -a bench_smoke_output.txt
   # Every paper table/figure and ablation from one table, each shape
   # gated on hardware-independent counts (settles, page reads,
@@ -277,8 +279,9 @@ if [ "${1:-}" = "bench-smoke" ]; then
   ./build/bench/paper 2>&1 | tee -a bench_smoke_output.txt
   # Plain sh has no pipefail, so the tee above swallows the harnesses'
   # exit codes — re-assert their gates from the captured output: all
-  # three publish-latency rows, the points-only CSR stage and re-cluster
-  # stage lines, the three scaling ratios with their median and the
+  # three publish-latency rows, the points-only CSR stage, AddEdge CSR
+  # stage, checkpoint and re-cluster stage lines, the three scaling
+  # ratios with their median and the
   # paper driver's summary must be present, every point-only build must
   # have shared its predecessor's adjacency and landmark tables (n/n),
   # bench_smoke's landmark_build row and its served-distance landmark
@@ -291,6 +294,10 @@ if [ "${1:-}" = "bench-smoke" ]; then
   grep -q '^points-only csr stage: median .* ms over [0-9]* builds, .* (gate < 0.2 ms)$' \
     bench_smoke_output.txt
   grep -q '^re-cluster stage: incremental median .* ms' bench_smoke_output.txt
+  grep -q '^edge csr stage: median .* ms over the [0-9]* AddEdge builds .* (gate <= 0.25 ms)$' \
+    bench_smoke_output.txt
+  grep -q '^checkpoint: median .* ms over [0-9]* calls .* (gate <= 0.9 ms)$' \
+    bench_smoke_output.txt
   grep -q '^points-only landmarks: shared \([0-9]*\)/\1 ' \
     bench_smoke_output.txt
   grep -q '^edge landmarks: carried [0-9]*/[0-9]* ' bench_smoke_output.txt

@@ -56,10 +56,13 @@ class EpsLinkRunner {
     const size_t idx = seed >= pts.first && seed - pts.first < pts.count
                            ? seed - pts.first
                            : pts.count;
-    // Toward u (descending offsets).
+    // Toward u (descending offsets). `examined` counts the points each
+    // chain tests, the one that stops it included.
+    uint64_t examined = 0;
     double last_off = pos.offset;
     for (size_t j = idx; j-- > 0;) {
       const PointId p = pts.first + static_cast<PointId>(j);
+      ++examined;
       if (Clustered(p) || last_off - pts.offsets[j] > eps_) break;
       Assign(p, cluster_id);
       last_off = pts.offsets[j];
@@ -69,10 +72,12 @@ class EpsLinkRunner {
     last_off = pos.offset;
     for (size_t j = idx + 1; j < pts.count; ++j) {
       const PointId p = pts.first + static_cast<PointId>(j);
+      ++examined;
       if (Clustered(p) || pts.offsets[j] - last_off > eps_) break;
       Assign(p, cluster_id);
       last_off = pts.offsets[j];
     }
+    tc_.points_examined += examined;
     MaybeEnqueue(&q, pos.v, w - last_off);
 
     // Expansion: node distances shrink as points join the cluster; a node
@@ -126,18 +131,23 @@ class EpsLinkRunner {
       auto point_at = [&](size_t j) {
         return pts.first + static_cast<PointId>(at(j));
       };
+      // The points tested: the first, and the chain up to the one that
+      // stops it.
+      size_t examined = 1;
       if (!Clustered(point_at(0)) && off_from_b(0) + b.dist <= eps_) {
         newd_b = off_from_b(0);
         Assign(point_at(0), cluster_id);
         double last = off_from_b(0);
         newd_nz = we - last;
         for (size_t j = 1; j < n; ++j) {
+          ++examined;
           if (Clustered(point_at(j)) || off_from_b(j) - last > eps_) break;
           Assign(point_at(j), cluster_id);
           last = off_from_b(j);
           newd_nz = we - last;
         }
       }
+      tc_.points_examined += examined;
       MaybeEnqueue(q, b.node, newd_b);
     }
     MaybeEnqueue(q, nz, newd_nz);

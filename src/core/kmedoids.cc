@@ -109,8 +109,10 @@ class KMedoidsEngine {
   double AssignPoints(std::vector<int>* assignment) {
     assignment->assign(view_.num_points(), kNoise);
     double cost = 0.0;
+    TraversalCounters& tc = LocalTraversalCounters();
     reader_.ForEachGroup([&](NodeId u, NodeId v, double w,
                              const EdgePointSpan& pts) {
+      tc.points_examined += pts.count;
       double du = node_dist_[u], dv = node_dist_[v];
       int mu = node_med_[u], mv = node_med_[v];
       auto it = edge_medoids_.find(EdgeKeyOf(u, v));

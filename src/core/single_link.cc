@@ -93,6 +93,7 @@ Result<SingleLinkResult> SingleLinkCluster(const NetworkView& view,
       (void)count;
       double w = graph.EdgeWeight(u, v);
       view.GetEdgePoints(u, v, &pts);
+      tc.points_examined += pts.size();
       for (size_t i = 0; i + 1 < pts.size(); ++i) {
         push_pair(pts[i].id, pts[i + 1].id,
                   pts[i + 1].offset - pts[i].offset);

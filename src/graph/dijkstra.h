@@ -53,16 +53,23 @@ struct TraversalCounters {
   uint64_t heap_pushes = 0;
   uint64_t heap_pops = 0;
   uint64_t settled_nodes = 0;
+  /// Points whose distance a point layer computes: each point a range
+  /// scan emits, each point k-medoids' assignment scan assigns, and each
+  /// point the ε-Link and Single-Link point layers test on an edge.
+  /// Bumped once per edge group read, by that group's share.
+  uint64_t points_examined = 0;
 
   TraversalCounters operator-(const TraversalCounters& other) const {
     return TraversalCounters{heap_pushes - other.heap_pushes,
                              heap_pops - other.heap_pops,
-                             settled_nodes - other.settled_nodes};
+                             settled_nodes - other.settled_nodes,
+                             points_examined - other.points_examined};
   }
   TraversalCounters operator+(const TraversalCounters& other) const {
     return TraversalCounters{heap_pushes + other.heap_pushes,
                              heap_pops + other.heap_pops,
-                             settled_nodes + other.settled_nodes};
+                             settled_nodes + other.settled_nodes,
+                             points_examined + other.points_examined};
   }
 };
 

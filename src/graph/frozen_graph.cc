@@ -1,5 +1,6 @@
 #include "graph/frozen_graph.h"
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <utility>
@@ -139,6 +140,82 @@ FrozenGraph FrozenGraph::WithPoints(
   uint32_t* to = handle->slot_group.data();
   for (size_t s = 0; s < half_edges; ++s) to[s] = renumber[from[s]];
   for (uint32_t i : opened) g.AttachGroup(i, handle.get());
+  g.handle_ = std::move(handle);
+  return g;
+}
+
+FrozenGraph FrozenGraph::WithEdges(const std::vector<Edge>& added) const {
+  const NodeId n = num_nodes();
+  // The new half-edge slots by row, each row's in the order AddEdge
+  // appended them.
+  struct NewSlot {
+    NodeId row;
+    NodeId neighbor;
+    double weight;
+  };
+  std::vector<NewSlot> slots;
+  slots.reserve(2 * added.size());
+  for (const Edge& e : added) {
+    NETCLUS_CHECK(e.u < n && e.v < n && e.u != e.v)
+        << "WithEdges: edge {" << e.u << ", " << e.v
+        << "} does not join two nodes of a " << n << "-node snapshot";
+    slots.push_back(NewSlot{e.u, e.v, e.weight});
+    slots.push_back(NewSlot{e.v, e.u, e.weight});
+  }
+  std::stable_sort(slots.begin(), slots.end(),
+                   [](const NewSlot& a, const NewSlot& b) {
+                     return a.row < b.row;
+                   });
+
+  const Adjacency& from = *adj_;
+  const PointHandle& from_handle = *handle_;
+  const size_t half_edges = from.neighbors.size() + slots.size();
+  auto adj = std::make_shared<Adjacency>();
+  adj->offsets.resize(from.offsets.size());
+  adj->neighbors.resize(half_edges);
+  adj->weights.resize(half_edges);
+  auto handle = std::make_shared<PointHandle>();
+  handle->slot_group.resize(half_edges);
+  handle->group_weight = from_handle.group_weight;
+
+  // Row i starts later by the new slots of rows < i: k of them for the
+  // rows after the k-th new slot's row, up to and including the next's.
+  const uint32_t* from_offsets = from.offsets.data();
+  uint32_t* offsets = adj->offsets.data();
+  size_t row = 0;
+  for (size_t k = 0; k <= slots.size(); ++k) {
+    const size_t last = k < slots.size() ? slots[k].row : n;
+    const uint32_t shift = static_cast<uint32_t>(k);
+    for (; row <= last; ++row) offsets[row] = from_offsets[row] + shift;
+  }
+
+  // The base slots in runs up to the end of each new slot's row, each
+  // new slot after its run.
+  size_t src = 0;
+  size_t dst = 0;
+  auto copy_run = [&](size_t end) {
+    std::copy(from.neighbors.begin() + src, from.neighbors.begin() + end,
+              adj->neighbors.begin() + dst);
+    std::copy(from.weights.begin() + src, from.weights.begin() + end,
+              adj->weights.begin() + dst);
+    std::copy(from_handle.slot_group.begin() + src,
+              from_handle.slot_group.begin() + end,
+              handle->slot_group.begin() + dst);
+    dst += end - src;
+    src = end;
+  };
+  for (const NewSlot& slot : slots) {
+    copy_run(from_offsets[slot.row + 1]);
+    adj->neighbors[dst] = slot.neighbor;
+    adj->weights[dst] = slot.weight;
+    handle->slot_group[dst] = 0;  // a new edge holds none of these points
+    ++dst;
+  }
+  copy_run(from.neighbors.size());
+
+  FrozenGraph g;
+  g.adj_ = std::move(adj);
+  g.points_ = points_;
   g.handle_ = std::move(handle);
   return g;
 }

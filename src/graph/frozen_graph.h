@@ -135,6 +135,17 @@ class FrozenGraph {
   /// the adjacency they describe is the same.
   FrozenGraph WithPoints(std::shared_ptr<const PointSet> points) const;
 
+  /// The snapshot of this one's network after Network::AddEdge applied
+  /// `added`, in this order, over the same PointSet: what Materialize
+  /// returns for it. AddEdge appends each edge's slot to the end of both
+  /// endpoint rows, so the new adjacency is this one shifted: each row
+  /// moves by the new slots of the rows before it, and the slots and the
+  /// point handle are copied in runs with each new slot (which holds no
+  /// point) at the end of its row. The edges must be new to this
+  /// snapshot. The result carries no landmark tables: carrying them
+  /// over the new edges is LandmarkTables::Carry's job.
+  FrozenGraph WithEdges(const std::vector<Edge>& added) const;
+
   /// The landmark tables the point-to-point search prunes with
   /// (graph/landmarks.h); null when the snapshot carries none.
   const LandmarkTables* landmarks() const { return landmarks_.get(); }

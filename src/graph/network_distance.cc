@@ -29,10 +29,13 @@ namespace {
 // "<= eps" set is contiguous: du + off a prefix, dv + (we - off) a
 // suffix, |off - c.off| a window. Binary search finds the three runs and
 // only their union is visited — the same set, in the same order, with
-// the same distances as testing every point on the edge.
+// the same distances as testing every point on the edge. The emitted
+// points are the ones whose distance is computed, so they alone count as
+// examined: one bump for the edge.
 void EmitEdgeRange(const EdgePointSpan& pts, double du, double dv, double we,
-                   const PointPos* c, double eps,
+                   const PointPos* c, double eps, TraversalCounters* tc,
                    std::vector<RangeResult>* out) {
+  const size_t emitted_before = out->size();
   const double* off = pts.offsets;
   const uint32_t n = pts.count;
   auto index_of = [off](const double* it) {
@@ -68,6 +71,7 @@ void EmitEdgeRange(const EdgePointSpan& pts, double du, double dv, double we,
     }
     next = std::max(next, r.to);
   }
+  tc->points_examined += out->size() - emitted_before;
 }
 
 // Second phase of the point- and node-sourced range queries: inspect
@@ -83,13 +87,14 @@ void CollectRangePoints(const Graph& graph, const PointPos* c, double wc,
                         std::vector<RangeResult>* out) {
   EdgePointReader reader(graph);
   const NodeScratch& scratch = ws->scratch;
+  TraversalCounters& tc = LocalTraversalCounters();
   auto process_edge = [&](NodeId a, NodeId b, double we) {
     EdgePointSpan pts = reader.Get(a, b);
     if (pts.empty()) return;
     NodeId u = std::min(a, b), v = std::max(a, b);
     bool is_center_edge = c != nullptr && u == c->u && v == c->v;
     EmitEdgeRange(pts, scratch.Get(u), scratch.Get(v), we,
-                  is_center_edge ? c : nullptr, eps, out);
+                  is_center_edge ? c : nullptr, eps, &tc, out);
   };
 
   if (ws->stamp.size() < scratch.size()) ws->stamp.resize(scratch.size(), 0);

@@ -2,10 +2,13 @@
 // PointIds.
 //
 // The live world allocates one ObjectId per object (point or edge) when
-// it first appears and never reuses it; every epoch publish rebuilds the
-// dense PointId numbering (PointSetBuilder sorts points by edge and
-// offset), so the same object generally carries a different PointId in
-// every epoch. The IdentityMap is the ONE place that crossing happens:
+// it first appears and never reuses it; every epoch publish renumbers
+// the dense PointIds (PointSetBuilder sorts points by edge and offset),
+// so the same object generally carries a different PointId in every
+// epoch. The first epoch's map is built from its point records; every
+// later one is carried from its predecessor's through the merge's
+// renumbering (Carry), so a publish never rescans the world's records.
+// The IdentityMap is the ONE place that crossing happens:
 // the query layer translates request ObjectIds to this epoch's PointIds
 // on the way in and translates traversal results back on the way out.
 // Everything above the map (QueryRequest/QueryResponse, the wire codec,
@@ -21,6 +24,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -36,25 +40,67 @@ class IdentityMap {
   IdentityMap() = default;
 
   /// `object_of_point[p]` is the ObjectId of this epoch's dense point
-  /// `p`. Entries must be unique; kInvalidObjectId entries get no
-  /// reverse mapping. ObjectIds come from a watermark that counts every
-  /// object ever admitted, so the reverse table is a plain vector
-  /// indexed by ObjectId, as long as the largest id.
-  explicit IdentityMap(std::vector<ObjectId> object_of_point)
-      : object_of_point_(std::move(object_of_point)) {
-    size_t table_size = 0;
-    for (ObjectId oid : object_of_point_) {
-      if (oid != kInvalidObjectId) {
-        table_size = std::max(table_size, static_cast<size_t>(oid) + 1);
-      }
-    }
-    point_of_object_.assign(table_size, kInvalidPointId);
+  /// `p`. Entries must be unique and below `num_objects`, the watermark
+  /// that counts every object ever admitted, so the reverse table is a
+  /// plain vector indexed by ObjectId, `num_objects` long;
+  /// kInvalidObjectId entries get no reverse mapping.
+  IdentityMap(std::vector<ObjectId> object_of_point, size_t num_objects)
+      : object_of_point_(std::move(object_of_point)),
+        point_of_object_(num_objects, kInvalidPointId) {
     for (size_t p = 0; p < object_of_point_.size(); ++p) {
       if (object_of_point_[p] != kInvalidObjectId) {
         point_of_object_[static_cast<size_t>(object_of_point_[p])] =
             static_cast<PointId>(p);
       }
     }
+  }
+
+  /// The map of the epoch whose points merge new points into `base`'s:
+  /// base point q is now base_to_final[q] (ascending in q: a merge keeps
+  /// the base points in order), and `added` lists the new points' final
+  /// ids with their ObjectIds, which lie in [base's watermark,
+  /// `num_objects`). Equal to the map built from the merged epoch's
+  /// records, in one pass of run copies over the dense table and one
+  /// remap of the reverse one.
+  static IdentityMap Carry(const IdentityMap& base,
+                           const std::vector<PointId>& base_to_final,
+                           std::vector<std::pair<PointId, ObjectId>> added,
+                           size_t num_objects) {
+    std::sort(added.begin(), added.end());
+    IdentityMap next;
+    const std::vector<ObjectId>& from = base.object_of_point_;
+    next.object_of_point_.resize(from.size() + added.size());
+    // The base entries in runs between the added positions, which the
+    // merge interleaves in ascending final id.
+    ObjectId* to = next.object_of_point_.data();
+    size_t q = 0;
+    size_t p = 0;
+    for (const auto& [at, oid] : added) {
+      const size_t run = at - p;
+      std::copy(from.begin() + q, from.begin() + q + run, to + p);
+      q += run;
+      to[at] = oid;
+      p = at + 1;
+    }
+    std::copy(from.begin() + q, from.end(), to + p);
+
+    // Every object that was a point stays one at its new id; the rest
+    // (edges, and ids beyond the base) stay unmapped until the added
+    // points claim theirs.
+    const std::vector<PointId>& back = base.point_of_object_;
+    const PointId* final_of = base_to_final.data();
+    next.point_of_object_.reserve(num_objects);
+    std::transform(back.begin(), back.end(),
+                   std::back_inserter(next.point_of_object_),
+                   [final_of](PointId v) {
+                     return v == kInvalidPointId ? kInvalidPointId
+                                                 : final_of[v];
+                   });
+    next.point_of_object_.resize(num_objects, kInvalidPointId);
+    for (const auto& [at, oid] : added) {
+      next.point_of_object_[static_cast<size_t>(oid)] = at;
+    }
+    return next;
   }
 
   /// Number of dense points this epoch holds.
@@ -74,6 +120,18 @@ class IdentityMap {
     return oid < point_of_object_.size()
                ? point_of_object_[static_cast<size_t>(oid)]
                : kInvalidPointId;
+  }
+
+  /// True when both maps translate every ObjectId and every PointId
+  /// alike, reverse tables compared as long as the longer one.
+  bool SameMappingAs(const IdentityMap& other) const {
+    if (object_of_point_ != other.object_of_point_) return false;
+    const size_t n =
+        std::max(point_of_object_.size(), other.point_of_object_.size());
+    for (size_t oid = 0; oid < n; ++oid) {
+      if (PointOf(oid) != other.PointOf(oid)) return false;
+    }
+    return true;
   }
 
  private:

@@ -194,6 +194,7 @@ void QueryServer::MaybeCheckpoint() {
   // (replay is idempotent: it skips the covered prefix). Nothing is
   // synced, so this holds for a process crash, not for an OS crash or a
   // power cut, which can persist the truncation without the checkpoint.
+  WallTimer timer;
   CheckpointState state = world_->Checkpoint();
   state.covers_seq = wal_->next_seq();
   state.generation = ckpt_generation_ + 1;
@@ -213,8 +214,10 @@ void QueryServer::MaybeCheckpoint() {
     ++checkpoint_failures_;
     return;
   }
+  const double checkpoint_ms = timer.ElapsedMillis();
   MutexLock lock(&stats_mu_);
   ++checkpoints_written_;
+  checkpoint_ms_.Add(checkpoint_ms);
   wal_checkpoint_covers_ = state.covers_seq;
 }
 
@@ -729,6 +732,7 @@ ServerStats QueryServer::stats() const {
     s.landmark_build_ms = landmark_build_ms_;
     s.checkpoints_written = checkpoints_written_;
     s.checkpoint_failures = checkpoint_failures_;
+    s.mean_checkpoint_ms = checkpoint_ms_.mean();
     s.wal_recovered_from_checkpoint = wal_recovered_from_checkpoint_ ? 1 : 0;
     s.wal_checkpoint_covers = wal_checkpoint_covers_;
     s.mean_publish_full_ms = publish_full_ms_.mean();

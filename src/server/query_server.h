@@ -216,6 +216,9 @@ struct ServerStats {
   double landmark_build_ms = 0.0;
   uint64_t checkpoints_written = 0;  ///< completed checkpoint+truncate cycles
   uint64_t checkpoint_failures = 0;  ///< cycles that failed (write or trunc)
+  /// Mean wall time of a completed cycle: the world's Checkpoint(), the
+  /// slot write and the log truncation.
+  double mean_checkpoint_ms = 0.0;
   /// 1 when Start rebuilt the boot world from a checkpoint (plus a log
   /// suffix) rather than from the caller-provided base world.
   uint64_t wal_recovered_from_checkpoint = 0;
@@ -472,6 +475,7 @@ class QueryServer {
   RunningStats publish_incremental_ms_ NETCLUS_GUARDED_BY(stats_mu_);
   RunningStats publish_points_ms_ NETCLUS_GUARDED_BY(stats_mu_);
   RunningStats publish_csr_ms_ NETCLUS_GUARDED_BY(stats_mu_);
+  RunningStats checkpoint_ms_ NETCLUS_GUARDED_BY(stats_mu_);
   uint64_t reclusters_full_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
   uint64_t reclusters_incremental_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
   RunningStats recluster_ms_ NETCLUS_GUARDED_BY(stats_mu_);

@@ -14,13 +14,9 @@ World::World(Network net, CheckpointState state, WorldOptions options)
     : options_(std::move(options)),
       net_(std::move(net)),
       points_(std::move(state.points)),
+      edges_(std::move(state.edges)),
       next_object_id_(state.next_object_id),
-      recluster_ws_(net_.num_nodes()) {
-  edge_ids_.reserve(state.edges.size());
-  for (const CheckpointEdge& e : state.edges) {
-    edge_ids_[EdgeKeyOf(e.u, e.v)] = e.oid;
-  }
-}
+      recluster_ws_(net_.num_nodes()) {}
 
 World World::Boot(Network net, const PointSet& points, WorldOptions options) {
   CheckpointState state;
@@ -54,11 +50,7 @@ CheckpointState World::Checkpoint() const {
   CheckpointState state;
   state.next_object_id = next_object_id_;
   state.num_nodes = net_.num_nodes();
-  state.edges.reserve(net_.num_edges());
-  for (const Edge& e : net_.Edges()) {
-    state.edges.push_back(CheckpointEdge{e.u, e.v, e.weight,
-                                         edge_ids_.at(EdgeKeyOf(e.u, e.v))});
-  }
+  state.edges = edges_;
   state.points = points_;
   return state;
 }
@@ -70,7 +62,9 @@ Status World::Apply(const NetworkUpdate& update) {
   switch (update.kind) {
     case NetworkUpdate::Kind::kAddEdge: {
       NETCLUS_RETURN_IF_ERROR(net_.AddEdge(update.u, update.v, update.value));
-      edge_ids_[EdgeKeyOf(update.u, update.v)] = next_object_id_++;
+      edges_.push_back(CheckpointEdge{std::min(update.u, update.v),
+                                      std::max(update.u, update.v),
+                                      update.value, next_object_id_++});
       unpublished_.push_back(update);
       return Status::OK();
     }
@@ -94,6 +88,7 @@ Status World::Apply(const NetworkUpdate& update) {
 
 Result<PointSet> World::BuildPoints(
     bool merge, std::vector<uint32_t>* record_of_point,
+    std::vector<PointId>* base_to_final,
     std::vector<PointId>* added_points) const {
   const size_t known = merge ? base_graph_->points().size() : 0;
   PointSetBuilder builder;
@@ -109,6 +104,7 @@ Result<PointSet> World::BuildPoints(
     for (size_t i = 0; i < record_to_final.size(); ++i) {
       (*record_of_point)[record_to_final[i]] = static_cast<uint32_t>(i);
     }
+    base_to_final->clear();
     added_points->clear();
     return built;
   }
@@ -118,13 +114,12 @@ Result<PointSet> World::BuildPoints(
   // record to its final id is one pass of ascending writes.
   NETCLUS_DCHECK(base_record_of_point_.size() == known)
       << "merge base out of step with its mapping";
-  std::vector<PointId> base_to_final;
   NETCLUS_ASSIGN_OR_RETURN(
       PointSet merged, std::move(builder).Merge(net_, base_graph_->points(),
-                                                &base_to_final, added_points));
+                                                base_to_final, added_points));
   record_of_point->resize(points_.size());
   for (size_t q = 0; q < known; ++q) {
-    (*record_of_point)[base_to_final[q]] = base_record_of_point_[q];
+    (*record_of_point)[(*base_to_final)[q]] = base_record_of_point_[q];
   }
   for (size_t j = 0; j < added_points->size(); ++j) {
     (*record_of_point)[(*added_points)[j]] = static_cast<uint32_t>(known + j);
@@ -136,7 +131,8 @@ Result<PointSet> World::BuildPoints(
     std::vector<uint32_t> full_record_of_point;
     std::vector<PointId> none;
     NETCLUS_ASSIGN_OR_RETURN(
-        PointSet full, BuildPoints(false, &full_record_of_point, &none));
+        PointSet full,
+        BuildPoints(false, &full_record_of_point, &none, &none));
     if (!merged.BitIdenticalTo(full) ||
         *record_of_point != full_record_of_point) {
       return Status::Internal("merged PointSet diverged from full build");
@@ -145,39 +141,67 @@ Result<PointSet> World::BuildPoints(
   return merged;
 }
 
+IdentityMap World::FreshIdentityMap(
+    const std::vector<uint32_t>& record_of_point) const {
+  // Dense point p carries its record's ObjectId.
+  std::vector<ObjectId> object_of_point(record_of_point.size());
+  for (size_t p = 0; p < object_of_point.size(); ++p) {
+    object_of_point[p] = points_[record_of_point[p]].oid;
+  }
+  return IdentityMap(std::move(object_of_point), next_object_id_);
+}
+
 Result<World::Epoch> World::BuildPointsAndGraph(
-    bool incremental, const FrozenGraph* adjacency_base,
+    bool incremental, const std::vector<Edge>& added_edges,
     std::vector<uint32_t>* record_of_point,
     std::vector<PointId>* added_points) const {
   WallTimer timer;
   Epoch epoch;
   epoch.incremental = incremental;
-  NETCLUS_ASSIGN_OR_RETURN(
-      PointSet ps, BuildPoints(incremental, record_of_point, added_points));
+  std::vector<PointId> base_to_final;
+  NETCLUS_ASSIGN_OR_RETURN(PointSet ps,
+                           BuildPoints(incremental, record_of_point,
+                                       &base_to_final, added_points));
   // The one copy of the epoch's points: its graph co-owns it.
   auto points = std::make_shared<const PointSet>(std::move(ps));
-  // The epoch's identity map: dense point p carries its record's
-  // ObjectId.
-  std::vector<ObjectId> object_of_point(record_of_point->size());
-  for (size_t p = 0; p < object_of_point.size(); ++p) {
-    object_of_point[p] = points_[(*record_of_point)[p]].oid;
+  if (!incremental) {
+    epoch.ids =
+        std::make_shared<const IdentityMap>(FreshIdentityMap(*record_of_point));
+  } else {
+    // The base's map carried through the merge: the new points are
+    // records [known, ...), in record order in `added_points`.
+    const size_t known = points_.size() - added_points->size();
+    std::vector<std::pair<PointId, ObjectId>> added(added_points->size());
+    for (size_t j = 0; j < added.size(); ++j) {
+      added[j] = {(*added_points)[j], points_[known + j].oid};
+    }
+    epoch.ids = std::make_shared<const IdentityMap>(IdentityMap::Carry(
+        *base_ids_, base_to_final, std::move(added), next_object_id_));
+    if (options_.validate &&
+        !epoch.ids->SameMappingAs(FreshIdentityMap(*record_of_point))) {
+      // The oracle: the map built from every record must translate
+      // every ObjectId and PointId as the carried one does.
+      return Status::Internal("carried identity map diverged from full build");
+    }
   }
-  epoch.ids = std::make_shared<const IdentityMap>(std::move(object_of_point));
   epoch.points_ms = timer.ElapsedMillis();
 
   timer.Restart();
-  if (adjacency_base == nullptr) {
+  if (!incremental) {
     epoch.graph = std::make_shared<const FrozenGraph>(
         FrozenGraph::Materialize(net_, std::move(points)));
   } else {
-    // No edge since `adjacency_base` was built, so its rows are still
-    // the network's: share them, and carry its point handle over to the
-    // merged points.
-    FrozenGraph fg = adjacency_base->WithPoints(points);
+    // The base's rows, shifted by the edges added since (Network::AddEdge
+    // appends each to the end of both rows) or shared when there are
+    // none, and its point handle carried over to the merged points.
+    FrozenGraph fg =
+        added_edges.empty()
+            ? base_graph_->WithPoints(points)
+            : base_graph_->WithEdges(added_edges).WithPoints(points);
     if (options_.validate &&
         !fg.BitIdenticalTo(FrozenGraph::Materialize(net_, points))) {
       // The oracle: a from-scratch rebuild must be byte-for-byte the
-      // shared one. A divergence fails the Build, so queries keep
+      // carried one. A divergence fails the Build, so queries keep
       // serving the last good epoch, never a stale adjacency.
       return Status::Internal(
           "incremental publish diverged from full rebuild");
@@ -194,25 +218,24 @@ Result<World::Epoch> World::Build() {
   // it holds, the base's adjacency and distance cache stay exact and
   // ride along into the new epoch; an edge (or the first build)
   // replaces both.
-  const bool metric_changed =
-      !incremental ||
-      std::any_of(unpublished_.begin(), unpublished_.end(),
-                  [](const NetworkUpdate& u) {
-                    return u.kind == NetworkUpdate::Kind::kAddEdge;
-                  });
+  std::vector<Edge> added_edges;
+  for (const NetworkUpdate& u : unpublished_) {
+    if (u.kind == NetworkUpdate::Kind::kAddEdge) {
+      added_edges.push_back(Edge{u.u, u.v, u.value});
+    }
+  }
+  const bool metric_changed = !incremental || !added_edges.empty();
   std::vector<uint32_t> record_of_point;
   std::vector<PointId> added_points;
-  NETCLUS_ASSIGN_OR_RETURN(
-      Epoch epoch,
-      BuildPointsAndGraph(incremental,
-                          metric_changed ? nullptr : base_graph_.get(),
-                          &record_of_point, &added_points));
+  NETCLUS_ASSIGN_OR_RETURN(Epoch epoch,
+                           BuildPointsAndGraph(incremental, added_edges,
+                                               &record_of_point, &added_points));
   // A shared adjacency brought the base's tables along (WithPoints); a
-  // rebuilt one needs them carried over the new edges.
+  // shifted one needs them carried over the new edges.
   if (metric_changed && incremental && base_graph_->landmarks() != nullptr) {
     WallTimer timer;
     NETCLUS_ASSIGN_OR_RETURN(std::shared_ptr<const LandmarkTables> tables,
-                             CarryLandmarks(*epoch.graph));
+                             CarryLandmarks(*epoch.graph, added_edges));
     epoch.graph = std::make_shared<const FrozenGraph>(
         epoch.graph->WithLandmarks(std::move(tables)));
     epoch.landmarks_ms = timer.ElapsedMillis();
@@ -241,6 +264,7 @@ Result<World::Epoch> World::Build() {
   // The base advances only here, with the epoch it describes; a failed
   // Build leaves it in place, so its mutations merge next time.
   base_graph_ = epoch.graph;
+  base_ids_ = epoch.ids;
   base_record_of_point_ = std::move(record_of_point);
   unpublished_.clear();
   return epoch;
@@ -251,7 +275,7 @@ Result<World::Epoch> World::BuildFull() const {
   std::vector<PointId> added_points;
   NETCLUS_ASSIGN_OR_RETURN(
       Epoch epoch,
-      BuildPointsAndGraph(/*incremental=*/false, /*adjacency_base=*/nullptr,
+      BuildPointsAndGraph(/*incremental=*/false, /*added_edges=*/{},
                           &record_of_point, &added_points));
   if (options_.cluster_spec.has_value()) {
     WallTimer timer;
@@ -279,15 +303,9 @@ std::shared_ptr<const FrozenGraph> World::BuildLandmarks() {
 }
 
 Result<std::shared_ptr<const LandmarkTables>> World::CarryLandmarks(
-    const FrozenGraph& graph) const {
-  std::vector<Edge> added;
-  for (const NetworkUpdate& u : unpublished_) {
-    if (u.kind == NetworkUpdate::Kind::kAddEdge) {
-      added.push_back(Edge{u.u, u.v, u.value});
-    }
-  }
-  std::shared_ptr<const LandmarkTables> tables =
-      LandmarkTables::Carry(base_graph_->shared_landmarks(), graph, added);
+    const FrozenGraph& graph, const std::vector<Edge>& added_edges) const {
+  std::shared_ptr<const LandmarkTables> tables = LandmarkTables::Carry(
+      base_graph_->shared_landmarks(), graph, added_edges);
   // The oracle: fresh searches from the same landmarks over the new
   // graph must give the very same integers. Stale tables would not be
   // lower bounds, so a divergence fails the Build.

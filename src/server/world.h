@@ -9,12 +9,14 @@
 // the server wraps in an EpochSnapshot and publishes.
 //
 // Every Build after the first is incremental: it merges the new points
-// into the last successful Build's PointSet, shares that Build's CSR
-// adjacency when no edge was added since (and rebuilds it when one
-// was), and (ε-Link specs) merges only the components the new mutations
-// link, in a union-find kept across builds (DESIGN.md §16). The result
-// is bit for bit what BuildFull returns; with `validate` set every
-// incremental stage is checked against it.
+// into the last successful Build's PointSet, carries that Build's
+// identity map through the merge, shares its CSR adjacency when no edge
+// was added since (and shifts it by the new edges' slots when one was),
+// and (ε-Link specs) merges only the components the new mutations link,
+// in a union-find kept across builds (DESIGN.md §16). The result is bit
+// for bit what BuildFull returns; with `validate` set every incremental
+// stage is checked against it. The world keeps its edges in admission
+// order with their ObjectIds, so a checkpoint copies them as they are.
 //
 // A World is single-threaded: no locks, no threads. In a QueryServer
 // only the updater thread (and Start, before it) touches it.
@@ -25,7 +27,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -64,6 +65,7 @@ class World {
     /// Shares the previous epoch's adjacency when no edge was added
     /// since it was built; co-owns the epoch's PointSet (points()).
     std::shared_ptr<const FrozenGraph> graph;
+    /// Carried from the previous epoch's map after the first build.
     std::shared_ptr<const IdentityMap> ids;
     /// Null without a cluster_spec.
     std::shared_ptr<const ClusterOutput> clusters;
@@ -86,12 +88,13 @@ class World {
   /// The world of `net` and `points`, installed as the checkpoint state
   /// that describes it: points take ObjectIds 0..n-1 in dense order (the
   /// first epoch's identity map is the identity), edges the next ids in
-  /// Edges() order. `net` is kept as is, adjacency order included.
+  /// Edges() order, which is also the order the world lists them in.
+  /// `net` is kept as is, adjacency order included.
   static World Boot(Network net, const PointSet& points,
                     WorldOptions options);
 
   /// The world a checkpoint holds: its network rebuilt from the edge
-  /// list, its points, ids and watermark.
+  /// list, in the list's order, its points, ids and watermark.
   static Result<World> Restore(const CheckpointState& state,
                                WorldOptions options);
 
@@ -122,7 +125,9 @@ class World {
   std::shared_ptr<const FrozenGraph> BuildLandmarks();
 
   /// The world as a checkpoint stores it; `generation` and `covers_seq`
-  /// are the caller's to fill in.
+  /// are the caller's to fill in. Edges are listed in admission order:
+  /// the boot edges in Edges() order (or a restored checkpoint's in its
+  /// order), then each added edge as Apply admitted it.
   CheckpointState Checkpoint() const;
 
   NodeId num_nodes() const { return net_.num_nodes(); }
@@ -132,17 +137,25 @@ class World {
 
   /// The PointSet over every point record, and the record each of its
   /// dense points came from in `record_of_point`. With `merge` only the
-  /// records beyond the base are merged into the base's set, and
-  /// `added_points` receives their dense ids in record order; the base
+  /// records beyond the base are merged into the base's set,
+  /// `base_to_final` receives each base point's new dense id and
+  /// `added_points` the new points' dense ids in record order; the base
   /// points' records are carried over from the base's.
   Result<PointSet> BuildPoints(bool merge,
                                std::vector<uint32_t>* record_of_point,
+                               std::vector<PointId>* base_to_final,
                                std::vector<PointId>* added_points) const;
-  /// The points, identity map and CSR graph of the next epoch: points
-  /// merged onto the base when `incremental`, and the adjacency of
-  /// `adjacency_base` shared when it is not null.
+  /// The identity map built from the records: dense point p carries
+  /// record_of_point[p]'s ObjectId.
+  IdentityMap FreshIdentityMap(
+      const std::vector<uint32_t>& record_of_point) const;
+  /// The points, identity map and CSR graph of the next epoch: built
+  /// from scratch, or, when `incremental`, the points merged onto the
+  /// base's, its identity map carried and its adjacency shared or
+  /// shifted by `added_edges`, the edges applied since the base, in
+  /// Apply order.
   Result<Epoch> BuildPointsAndGraph(bool incremental,
-                                    const FrozenGraph* adjacency_base,
+                                    const std::vector<Edge>& added_edges,
                                     std::vector<uint32_t>* record_of_point,
                                     std::vector<PointId>* added_points) const;
   /// The epoch's clustering over `graph`, the snapshot of `view`.
@@ -155,10 +168,10 @@ class World {
                                   const std::vector<PointId>& added_points,
                                   bool incremental, bool* merged);
   /// The base's landmark tables carried onto `graph`, the next epoch's
-  /// graph, which adds this Build's unpublished edges to the base's
-  /// adjacency; checked against fresh tables when validating.
+  /// graph, which adds `added_edges` (this Build's unpublished edges) to
+  /// the base's adjacency; checked against fresh tables when validating.
   Result<std::shared_ptr<const LandmarkTables>> CarryLandmarks(
-      const FrozenGraph& graph) const;
+      const FrozenGraph& graph, const std::vector<Edge>& added_edges) const;
   /// Labels every dense point with its forest component, numbered in
   /// order of first appearance, or kNoise below `min_sup` points: what
   /// ε-Link returns for the components the forest holds.
@@ -169,18 +182,19 @@ class World {
   Network net_;
   /// Every point ever admitted, in admission order, with its ObjectId.
   std::vector<CheckpointPoint> points_;
-  /// Edge ObjectIds keyed by the canonical packed endpoint pair.
-  std::unordered_map<uint64_t, ObjectId> edge_ids_;
+  /// Every edge, in admission order (see Checkpoint), with its ObjectId.
+  std::vector<CheckpointEdge> edges_;
   uint64_t next_object_id_ = 0;
 
   /// Mutations applied since the last successful Build.
   std::vector<NetworkUpdate> unpublished_;
 
-  // The merge base: the last successful Build's graph, its points, and
-  // the record each of its points came from. Null before the first. Its
-  // landmark tables, once BuildLandmarks made them, are the world's: a
-  // Build hands them on with the adjacency.
+  // The merge base: the last successful Build's graph, its points, its
+  // identity map and the record each of its points came from. Null
+  // before the first. Its landmark tables, once BuildLandmarks made
+  // them, are the world's: a Build hands them on with the adjacency.
   std::shared_ptr<const FrozenGraph> base_graph_;
+  std::shared_ptr<const IdentityMap> base_ids_;
   std::vector<uint32_t> base_record_of_point_;
 
   // ε-Link components across builds: a forest over point record

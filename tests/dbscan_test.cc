@@ -1,10 +1,13 @@
 // Tests for the network DBSCAN adaptation: core/border/noise semantics
-// against brute-force flags, for several MinPts values.
+// against brute-force flags, for several MinPts values, and the points
+// its range scans examine growing with N.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "core/dbscan.h"
+#include "graph/dijkstra.h"
 #include "gen/network_gen.h"
 #include "gen/workload_gen.h"
 #include "run_helpers.h"
@@ -163,6 +166,30 @@ TEST(DbscanTest, DeterministicAcrossRuns) {
   Clustering a = std::move(RunDbscan(view, opts)).value();
   Clustering b = std::move(RunDbscan(view, opts)).value();
   EXPECT_EQ(a.assignment, b.assignment);
+}
+
+// DBSCAN's cost is its N range scans, which the settle counter does not
+// see grow (paper Fig. 13): on a fixed network and eps, more points mean
+// more scans over more points each, and every scan examines at least its
+// own center.
+TEST(DbscanTest, PointsExaminedGrowWithNOnAFixedNetwork) {
+  GeneratedNetwork g = GenerateRoadNetwork({200, 1.3, 0.3, 71});
+  DbscanOptions opts;
+  opts.eps = 0.5;
+  opts.min_pts = 3;
+  uint64_t last = 0;
+  for (PointId n : {100u, 200u, 400u, 800u}) {
+    SCOPED_TRACE("N = " + std::to_string(n));
+    PointSet ps = std::move(GenerateUniformPoints(g.net, n, 72)).value();
+    InMemoryNetworkView view(g.net, ps);
+    const TraversalCounters before = LocalTraversalCounters();
+    ASSERT_TRUE(RunDbscan(view, opts).ok());
+    const uint64_t examined =
+        (LocalTraversalCounters() - before).points_examined;
+    EXPECT_GE(examined, n);
+    EXPECT_GT(examined, last);
+    last = examined;
+  }
 }
 
 }  // namespace

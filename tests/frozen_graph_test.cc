@@ -2,8 +2,9 @@
 // neighbor-sequence equality with the source view on random networks,
 // edge-weight and point-range lookups, the co-owned PointSet and group
 // weights (audited by the validator and BitIdenticalTo), the point
-// handle WithPoints carries onto merged points (equal to a fresh
-// Materialize for every kind of batch), the validator's rejection of a
+// handle WithPoints carries onto merged points and the adjacency
+// WithEdges shifts by new edges (each equal to a fresh Materialize for
+// every kind of batch), the validator's rejection of a
 // corrupted snapshot, identical Dijkstra traversal counters over view
 // and snapshot, snapshot ownership across
 // Network mutation, the per-algorithm frozen-vs-live bit-identity of
@@ -390,6 +391,114 @@ TEST(FrozenGraphTest, CarriedHandleAcrossAnAddEdgeEpoch) {
   size_t added = 0;
   while (edges[added].u != 0 || edges[added].v != v) ++added;
   ExpectCarriedHandle(w.net, edges, with_edge, {{added, 0.5}, {4, 0.1}});
+}
+
+// A node not adjacent to `u` (nor `u` itself), searching up from
+// `from`.
+NodeId FreeNeighbor(const Network& net, NodeId u, NodeId from = 0) {
+  NodeId v = from;
+  while (v == u || net.HasEdge(u, v)) ++v;
+  return v;
+}
+
+// Applies `added` to `net` in order and expects WithEdges over `base`
+// (a snapshot of `net` before them) to be what Materialize builds from
+// the grown network over the same points: a new adjacency with no
+// landmark tables.
+FrozenGraph ExpectCarriedEdges(Network* net, const FrozenGraph& base,
+                               const std::vector<Edge>& added) {
+  for (const Edge& e : added) {
+    EXPECT_TRUE(net->AddEdge(e.u, e.v, e.weight).ok());
+  }
+  const FrozenGraph carried = base.WithEdges(added);
+  EXPECT_TRUE(carried.BitIdenticalTo(FrozenGraph::Materialize(
+      *net, std::make_shared<const PointSet>(base.points()))));
+  EXPECT_FALSE(carried.SharesAdjacencyWith(base));
+  EXPECT_EQ(carried.landmarks(), nullptr);
+  EXPECT_EQ(carried.num_half_edges(), base.num_half_edges() + 2 * added.size());
+  return carried;
+}
+
+TEST(FrozenGraphTest, CarriedEdgesOnTheFirstAndLastNode) {
+  CarryWorld w(81);
+  const NodeId last = w.net.num_nodes() - 1;
+  // The first row, the last row, and one edge joining both.
+  ExpectCarriedEdges(&w.net, w.base,
+                     {{0, FreeNeighbor(w.net, 0, 1), 1.5},
+                      {last, FreeNeighbor(w.net, last, 1), 2.5}});
+  CarryWorld again(81);
+  if (!again.net.HasEdge(0, last)) {
+    ExpectCarriedEdges(&again.net, again.base, {{0, last, 3.0}});
+  }
+}
+
+TEST(FrozenGraphTest, CarriedEdgesWithTheLargerEndpointFirst) {
+  CarryWorld w(82);
+  const NodeId u = 40;
+  const NodeId v = FreeNeighbor(w.net, u, 3);
+  ASSERT_GT(u, v);
+  ExpectCarriedEdges(&w.net, w.base, {{u, v, 0.75}});
+}
+
+TEST(FrozenGraphTest, CarriedEdgesSharingAnEndpointInOneBatch) {
+  CarryWorld w(83);
+  const NodeId hub = 17;
+  const NodeId a = FreeNeighbor(w.net, hub, 0);
+  const NodeId b = FreeNeighbor(w.net, hub, a + 1);
+  const NodeId c = FreeNeighbor(w.net, hub, b + 1);
+  // The hub's row gains three slots, in this order; a later edge on a
+  // row before the hub's shifts it once more.
+  ExpectCarriedEdges(&w.net, w.base,
+                     {{hub, b, 1.0},
+                      {a, hub, 2.0},
+                      {hub, c, 3.0},
+                      {1, FreeNeighbor(w.net, 1, 2), 4.0}});
+}
+
+// An edge and a point on it in one batch: the shifted snapshot, then the
+// merged points, equal a Materialize of both.
+TEST(FrozenGraphTest, CarriedEdgesWithAPointOnTheNewEdge) {
+  CarryWorld w(84);
+  const NodeId u = 9;
+  const NodeId v = FreeNeighbor(w.net, u, 20);
+  const std::vector<Edge> added = {{u, v, 2.0}};
+  const FrozenGraph shifted = ExpectCarriedEdges(&w.net, w.base, added);
+  PointSetBuilder builder;
+  builder.Add(u, v, 0.5, 1);
+  builder.Add(w.edges[4].u, w.edges[4].v, 0.5 * w.edges[4].weight, 1);
+  const auto points = std::make_shared<const PointSet>(
+      std::move(std::move(builder).Merge(w.net, w.base.points(), nullptr,
+                                         nullptr))
+          .value());
+  const FrozenGraph carried = shifted.WithPoints(points);
+  EXPECT_TRUE(carried.BitIdenticalTo(FrozenGraph::Materialize(w.net, points)));
+  EXPECT_EQ(carried.EdgePointRange(v, u).second, 1u);
+}
+
+// New slots on rows whose old slots hold point groups: the groups keep
+// their slots, shifted with the rows after them.
+TEST(FrozenGraphTest, CarriedEdgesOntoRowsWithPointGroups) {
+  CarryWorld w(85);
+  const Edge& held = w.edges[2];  // the first group's edge
+  ASSERT_GT(w.base.EdgePointRange(held.u, held.v).second, 0u);
+  const FrozenGraph carried = ExpectCarriedEdges(
+      &w.net, w.base,
+      {{held.u, FreeNeighbor(w.net, held.u), 1.25},
+       {held.v, FreeNeighbor(w.net, held.v), 1.75}});
+  for (size_t g = 0; g < w.base.points().num_groups(); ++g) {
+    const PointSet::Group& grp = w.base.points().group(g);
+    EXPECT_EQ(carried.EdgePointRange(grp.u, grp.v).first, grp.first);
+  }
+}
+
+// A points-only epoch (a carried handle), then an AddEdge onto it.
+TEST(FrozenGraphTest, CarriedEdgesAfterAPointsOnlyEpoch) {
+  CarryWorld w(86);
+  const FrozenGraph points_only =
+      ExpectCarriedHandle(w.net, w.edges, w.base, {{1, 0.4}, {9, 0.3}});
+  const FrozenGraph shifted = ExpectCarriedEdges(
+      &w.net, points_only, {{5, FreeNeighbor(w.net, 5), 0.9}});
+  EXPECT_TRUE(shifted.points().BitIdenticalTo(points_only.points()));
 }
 
 TEST(FrozenGraphTest, ValidatorAcceptsFaithfulSnapshot) {

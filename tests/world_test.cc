@@ -3,7 +3,9 @@
 // full build of the same world bit for bit; an epoch's PointSet is the
 // one its graph co-owns and is never copied on publish; a clustering run
 // over an epoch's graph equals one that freezes its own; a checkpoint
-// must restore the world it was taken from; a rejected mutation must
+// must restore the world it was taken from and lists the edges in the
+// order they were admitted; a carried identity map translates every
+// ObjectId as a fresh one does; a rejected mutation must
 // leave the world, its ObjectId watermark included, untouched; landmark
 // tables, once built, ride on every later epoch, shared while no label
 // improves and repaired to fresh searches' values when one does.
@@ -407,6 +409,96 @@ TEST(WorldTest, CheckpointRestoresTheSameWorld) {
     }
   }
   ExpectSameCheckpoint(restored.Checkpoint(), world.Checkpoint());
+}
+
+// Every Build after the first carries its predecessor's identity map
+// through the merge. With no oracle on, each carried map must translate
+// every ObjectId below the watermark (edge ids, which map to no point,
+// included) and every dense point as the map BuildFull builds from the
+// records does.
+TEST(WorldTest, CarriedIdentityMapMatchesAFreshOne) {
+  for (uint64_t seed : {41u, 42u, 43u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Scenario s(60, 80, seed);
+    World world = World::Boot(s.gen.net, s.points, WorldOptions{});
+    BuildOrDie(world.Build());
+    Mutator mutator(s.gen.net, s.eps, seed * 3);
+    Rng rng(seed);
+    for (int round = 0; round < 20; ++round) {
+      const uint64_t batch = 1 + rng.NextBounded(4);
+      for (uint64_t m = 0; m < batch; ++m) {
+        ASSERT_TRUE(world.Apply(mutator.Next(0.7)).ok());
+      }
+      const World::Epoch epoch = BuildOrDie(world.Build());
+      const World::Epoch full = BuildOrDie(world.BuildFull());
+      ASSERT_TRUE(epoch.incremental);
+      const IdentityMap& got = *epoch.ids;
+      const IdentityMap& want = *full.ids;
+      ASSERT_EQ(got.num_points(), want.num_points());
+      for (PointId p = 0; p < want.num_points(); ++p) {
+        ASSERT_EQ(got.ObjectOf(p), want.ObjectOf(p)) << "point " << p;
+      }
+      const ObjectId watermark = world.Checkpoint().next_object_id;
+      for (ObjectId oid = 0; oid <= watermark; ++oid) {
+        ASSERT_EQ(got.PointOf(oid), want.PointOf(oid)) << "object " << oid;
+      }
+      EXPECT_TRUE(got.SameMappingAs(want));
+    }
+  }
+}
+
+// The checkpoint lists the boot edges in Edges() order and every edge
+// added since in the order Apply admitted it, each with its ObjectId. A
+// world restored from it lists them alike, and so does its next
+// checkpoint after the same further edges.
+TEST(WorldTest, CheckpointListsEdgesInAdmissionOrder) {
+  Scenario s(40, 30, 47);
+  World world = World::Boot(s.gen.net, s.points, WorldOptions{});
+  BuildOrDie(world.Build());
+  const std::vector<Edge> boot_edges = s.gen.net.Edges();
+  Mutator mutator(s.gen.net, s.eps, 53);
+  std::vector<NetworkUpdate> added;
+  std::vector<ObjectId> added_ids;
+  ObjectId next = world.Checkpoint().next_object_id;
+  for (int m = 0; m < 10; ++m) {
+    const NetworkUpdate u = mutator.Next(0.5);
+    ASSERT_TRUE(world.Apply(u).ok());
+    if (u.kind == NetworkUpdate::Kind::kAddEdge) {
+      added.push_back(u);
+      added_ids.push_back(next);
+    }
+    ++next;
+    if (m % 3 == 2) BuildOrDie(world.Build());
+  }
+  ASSERT_GE(added.size(), 2u);
+
+  const CheckpointState state = world.Checkpoint();
+  ASSERT_EQ(state.edges.size(), boot_edges.size() + added.size());
+  for (size_t i = 0; i < boot_edges.size(); ++i) {
+    EXPECT_TRUE(state.edges[i].u == boot_edges[i].u &&
+                state.edges[i].v == boot_edges[i].v &&
+                state.edges[i].oid == s.points.size() + i)
+        << "boot edge " << i;
+  }
+  for (size_t j = 0; j < added.size(); ++j) {
+    const CheckpointEdge& e = state.edges[boot_edges.size() + j];
+    EXPECT_EQ(EdgeKeyOf(e.u, e.v), EdgeKeyOf(added[j].u, added[j].v))
+        << "added edge " << j;
+    EXPECT_EQ(std::memcmp(&e.weight, &added[j].value, sizeof(double)), 0);
+    EXPECT_EQ(e.oid, added_ids[j]);
+  }
+
+  Result<World> restored_or = World::Restore(state, WorldOptions{});
+  ASSERT_TRUE(restored_or.ok()) << restored_or.status().ToString();
+  World restored = std::move(restored_or).value();
+  ExpectSameCheckpoint(restored.Checkpoint(), state);
+  for (int m = 0; m < 3; ++m) {
+    const NetworkUpdate u = mutator.Next(0.0);
+    ASSERT_TRUE(world.Apply(u).ok());
+    ASSERT_TRUE(restored.Apply(u).ok());
+  }
+  ExpectSameCheckpoint(restored.Checkpoint(), world.Checkpoint());
+  EXPECT_EQ(world.Checkpoint().edges.size(), state.edges.size() + 3);
 }
 
 // A rejected mutation allocates no ObjectId and changes nothing: the
