@@ -29,7 +29,10 @@
 // stage times of both legs and how many incremental builds shared their
 // predecessor's adjacency and point handle; the two incremental legs
 // build hundreds of epochs, so a sub-0.2 ms stage is timed over enough
-// builds to gate it.
+// builds to gate it. A last, ungated leg builds the NA-size world that
+// cluster-batch generates (175,980 nodes, about 528k clustered points)
+// under an ε-Link spec and records the median one-point publish and its
+// points, CSR and re-cluster stages as `na_publish`.
 // BENCH_server.json is a per-revision history (one {sha, date, entries}
 // row per run), not a snapshot.
 // Wired into `run_all.sh bench-smoke` and `run_all.sh server-smoke`.
@@ -339,6 +342,80 @@ PublishLatency MeasurePublishLatency(PointId num_points, PublishLeg leg) {
   return out;
 }
 
+// The NA-size publish leg: the world cluster-batch generates at scale 1
+// (SpecNA(1.0), about 3 clustered points per node) under an ε-Link spec
+// at 0.5 x the mean edge, then kNaBuilds builds of one AddPoint each on
+// a random edge. An ungated record of what one publish costs at the
+// paper's largest network, stage by stage, before ROADMAP item 4's
+// contract change is judged on it.
+constexpr int kNaBuilds = 40;
+
+struct NaPublish {
+  NodeId nodes = 0;
+  PointId points = 0;
+  double boot_s = 0.0;
+  std::vector<double> total_ms;
+  std::vector<double> points_ms;
+  std::vector<double> csr_ms;
+  std::vector<double> recluster_ms;
+};
+
+NaPublish MeasureNaPublish() {
+  GeneratedNetwork gen = GenerateRoadNetwork(SpecNA(1.0));
+  const std::vector<Edge> edges = gen.net.Edges();
+  double total_weight = 0.0;
+  for (const Edge& e : edges) total_weight += e.weight;
+  ClusterWorkloadSpec ws;
+  ws.total_points = 3 * gen.net.num_nodes();
+  ws.num_clusters = 10;
+  ws.outlier_fraction = 0.01;
+  ws.magnification = 5.0;
+  // As cluster-batch: clusters cover about 6% of the total edge length.
+  ws.s_init = 0.06 * total_weight /
+              (3.0 * (1.0 - ws.outlier_fraction) * ws.total_points);
+  ws.seed = 94;
+  Result<GeneratedWorkload> generated = GenerateClusteredPoints(gen.net, ws);
+  if (!generated.ok()) {
+    std::fprintf(stderr, "NA point generation failed: %s\n",
+                 generated.status().ToString().c_str());
+    std::exit(1);
+  }
+  const PointSet& points = generated.value().points;
+  const double eps =
+      0.5 * total_weight / static_cast<double>(gen.net.num_edges());
+  NaPublish out;
+  out.nodes = gen.net.num_nodes();
+  out.points = points.size();
+  std::printf("na publish-latency: %u nodes, %zu edges, %u points, eps-link "
+              "at 0.5 x the mean edge, one point mutation per publish\n",
+              out.nodes, gen.net.num_edges(), out.points);
+
+  WorldOptions opts;
+  opts.cluster_spec = MakeSpec(EpsLinkOptions{eps, 1});
+  World world = World::Boot(gen.net, points, opts);
+  WallTimer timer;
+  BuildOrDie(world.Build());
+  out.boot_s = timer.ElapsedSeconds();
+  Rng rng(95);
+  for (int i = 0; i < kNaBuilds; ++i) {
+    const Edge& e = edges[rng.NextBounded(edges.size())];
+    ApplyOrDie(&world, NetworkUpdate::AddPoint(e.u, e.v,
+                                               rng.NextDouble() * e.weight));
+    timer.Restart();
+    const World::Epoch epoch = BuildOrDie(world.Build());
+    out.total_ms.push_back(timer.ElapsedMillis());
+    out.points_ms.push_back(epoch.points_ms);
+    out.csr_ms.push_back(epoch.csr_ms);
+    out.recluster_ms.push_back(epoch.recluster_ms);
+    if (!epoch.incremental || !epoch.recluster_incremental) {
+      std::fprintf(stderr, "na build %d: expected an incremental build and "
+                   "re-cluster\n", i);
+      std::exit(1);
+    }
+  }
+  return out;
+}
+
 // Prints one publish-latency probe's verdict line and records it in
 // BENCH_server.json. `gate` names the ratio gate main applies, if any.
 void ReportPublishLatency(BenchRecorder* rec, const std::string& bench,
@@ -526,6 +603,25 @@ int main() {
   const PublishLatency pt = MeasurePublishLatency(20000, PublishLeg::kPoints);
   ReportPublishLatency(&rec, "publish_latency_points",
                        "publish latency, points only", pt, "gate < 0.5");
+  const NaPublish na = MeasureNaPublish();
+  const double na_total = Percentile(na.total_ms, 0.5);
+  const double na_points = Percentile(na.points_ms, 0.5);
+  const double na_csr = Percentile(na.csr_ms, 0.5);
+  const double na_recluster = Percentile(na.recluster_ms, 0.5);
+  std::printf("na publish: median %.3f ms over %zu one-point builds at %u "
+              "nodes, %u points (points %.3f, csr %.3f, re-cluster %.3f "
+              "ms); boot build %.2f s (ungated)\n",
+              na_total, na.total_ms.size(), na.nodes, na.points, na_points,
+              na_csr, na_recluster, na.boot_s);
+  rec.Add("na_publish", {na_total * 1e-3}, TraversalCounters{},
+          {{"median_ms", na_total},
+           {"points_median_ms", na_points},
+           {"csr_median_ms", na_csr},
+           {"recluster_median_ms", na_recluster},
+           {"boot_s", na.boot_s},
+           {"nodes", static_cast<double>(na.nodes)},
+           {"points", static_cast<double>(na.points)},
+           {"builds", static_cast<double>(na.total_ms.size())}});
   const double rc_ratio = rc.ratio();
   const double pt_ratio = pt.ratio();
   const double edge_csr = Percentile(rc.edge_csr, 0.5);

@@ -43,8 +43,9 @@
 # scaling gate, an ungated edge-per-publish record, incremental/full
 # publish-latency ratios gated below 0.5 with ε-Link re-clustering and
 # below 0.5 for point-only publishes, every point-only publish
-# sharing its predecessor's CSR adjacency, and the point-only CSR stage
-# median below 0.2 ms) and the paper driver (bench/paper: every
+# sharing its predecessor's CSR adjacency, the point-only CSR stage
+# median below 0.2 ms, and an ungated NA-size one-point publish record
+# whose `na publish:` line it greps) and the paper driver (bench/paper: every
 # paper table/figure and ablation, each shape gated on settled nodes,
 # page reads or partitions; it prints FAIL and exits 1 when a gated shape
 # breaks), leaving machine-readable BENCH_*.json files at the repository
@@ -110,7 +111,7 @@ if [ "${1:-}" = "ubsan" ]; then
   cmake -B build-ubsan -G Ninja -DNETCLUS_SANITIZE=undefined
   cmake --build build-ubsan
   ctest --test-dir build-ubsan --output-on-failure \
-    -R 'KMedoids|EpsLink|Dbscan|SingleLink|Dendrogram|Dijkstra|RangeQuery|Knn|PointDistance|ExactLength|Landmark|InterestingLevels|Optics|Validate|NetclusApi|Integration|Index|DistanceCache|Frozen|Wal|Checkpoint|Incremental|World|Cancel|Deadline|WireCodec|WireFrame|Crc32c' \
+    -R 'KMedoids|EpsLink|Dbscan|SingleLink|Dendrogram|Dijkstra|RangeQuery|Knn|PointDistance|ExactLength|Landmark|InterestingLevels|Optics|Validate|NetclusApi|Integration|Index|DistanceCache|Frozen|Wal|Checkpoint|Incremental|World|Cancel|Deadline|WireCodec|WireFrame|Crc32c|PointSetMerge|Renumbering' \
     2>&1 | tee ubsan_output.txt
   exit 0
 fi
@@ -294,6 +295,8 @@ if [ "${1:-}" = "bench-smoke" ]; then
   grep -q '^points-only csr stage: median .* ms over [0-9]* builds, .* (gate < 0.2 ms)$' \
     bench_smoke_output.txt
   grep -q '^re-cluster stage: incremental median .* ms' bench_smoke_output.txt
+  grep -q '^na publish: median .* ms over [0-9]* one-point builds at 175980 nodes, .* (points .*, csr .*, re-cluster .* ms)' \
+    bench_smoke_output.txt
   grep -q '^edge csr stage: median .* ms over the [0-9]* AddEdge builds .* (gate <= 0.25 ms)$' \
     bench_smoke_output.txt
   grep -q '^checkpoint: median .* ms over [0-9]* calls .* (gate <= 0.9 ms)$' \

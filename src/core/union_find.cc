@@ -7,14 +7,6 @@ UnionFind::UnionFind(uint32_t n)
   for (uint32_t i = 0; i < n; ++i) parent_[i] = i;
 }
 
-void UnionFind::Grow(uint32_t n) {
-  for (uint32_t i = num_elements(); i < n; ++i) {
-    parent_.push_back(i);
-    size_.push_back(1);
-    ++num_sets_;
-  }
-}
-
 uint32_t UnionFind::FindAndCompress(uint32_t x) {
   uint32_t root = x;
   while (parent_[root] != root) root = parent_[root];

@@ -25,15 +25,10 @@ class UnionFind {
   /// Merges the sets of `a` and `b`; returns false when already merged.
   bool Union(uint32_t a, uint32_t b);
 
-  /// Appends singleton sets until the forest holds `n` elements (a
-  /// no-op when it already does). Existing sets are untouched.
-  void Grow(uint32_t n);
-
   /// Size of the set containing `x`.
   uint32_t SizeOf(uint32_t x) { return size_[Find(x)]; }
 
   uint32_t num_sets() const { return num_sets_; }
-  uint32_t num_elements() const { return static_cast<uint32_t>(parent_.size()); }
 
  private:
   uint32_t FindAndCompress(uint32_t x);

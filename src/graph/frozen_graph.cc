@@ -88,8 +88,8 @@ FrozenGraph FrozenGraph::Materialize(const Network& net,
   return g;
 }
 
-FrozenGraph FrozenGraph::WithPoints(
-    std::shared_ptr<const PointSet> points) const {
+FrozenGraph FrozenGraph::WithPoints(std::shared_ptr<const PointSet> points,
+                                    const Renumbering& opened) const {
   NETCLUS_CHECK(points != nullptr) << "a snapshot needs its PointSet";
   FrozenGraph g;
   g.adj_ = adj_;
@@ -98,48 +98,42 @@ FrozenGraph FrozenGraph::WithPoints(
   const PointSet& base = *points_;
   const PointSet& next = *g.points_;
   const size_t base_groups = base.num_groups();
-  if (next.num_groups() == base_groups) {
-    // Groups only ever gain points, never vanish, so the same number of
-    // groups means the same groups in the same order: every slot names
-    // the group it named before.
+  // Groups only ever gain points, never vanish, so the merged set holds
+  // every base group, in order, with the opened ones between them.
+  NETCLUS_CHECK(next.num_groups() == base_groups + opened.size())
+      << "WithPoints: the merged PointSet lacks a group of the snapshot's";
 #if NETCLUS_DCHECK_IS_ON()
-    for (size_t i = 0; i < base_groups; ++i) {
-      NETCLUS_DCHECK(base.group(i).u == next.group(i).u &&
-                     base.group(i).v == next.group(i).v)
-          << "WithPoints: the merged PointSet lacks a group of the snapshot's";
-    }
+  for (size_t b = 0; b < base_groups; ++b) {
+    const PointSet::Group& ng = next.group(opened.Remap(b));
+    NETCLUS_DCHECK(base.group(b).u == ng.u && base.group(b).v == ng.v)
+        << "WithPoints: the merged PointSet lacks a group of the snapshot's";
+  }
 #endif
+  if (opened.empty()) {
+    // Every slot names the group it named before.
     g.handle_ = handle_;
     return g;
   }
 
-  // One pass over both group tables in edge-key order: base group b is
-  // the next group now at renumber[b + 1] - 1, every other one is new.
-  // renumber[0] = 0 keeps the slots without points at 0.
-  std::vector<uint32_t> renumber(base_groups + 1, 0);
-  std::vector<uint32_t> opened;
+  // The base groups' weights in runs between the opened groups, and
+  // every slot's 1 + group index moved past the groups opened ahead of
+  // it (0, no group, stays 0); only the opened groups' edges are looked
+  // up in their rows.
   auto handle = std::make_shared<PointHandle>();
   handle->group_weight.resize(next.num_groups());
-  size_t b = 0;
-  for (size_t i = 0; i < next.num_groups(); ++i) {
-    const PointSet::Group& ng = next.group(i);
-    if (b < base_groups && base.group(b).u == ng.u &&
-        base.group(b).v == ng.v) {
-      renumber[b + 1] = static_cast<uint32_t>(i + 1);
-      handle->group_weight[i] = handle_->group_weight[b];
-      ++b;
-    } else {
-      opened.push_back(static_cast<uint32_t>(i));
-    }
-  }
-  NETCLUS_CHECK(b == base_groups)
-      << "WithPoints: the merged PointSet lacks a group of the snapshot's";
+  const double* weight_from = handle_->group_weight.data();
+  double* weight_to = handle->group_weight.data();
+  opened.ForEachRun(
+      base_groups,
+      [&](size_t q, size_t f, size_t n) {
+        std::copy(weight_from + q, weight_from + q + n, weight_to + f);
+      },
+      [](size_t, size_t) {});
   const size_t half_edges = num_half_edges();
   handle->slot_group.resize(half_edges);
-  const uint32_t* from = handle_->slot_group.data();
-  uint32_t* to = handle->slot_group.data();
-  for (size_t s = 0; s < half_edges; ++s) to[s] = renumber[from[s]];
-  for (uint32_t i : opened) g.AttachGroup(i, handle.get());
+  opened.Shifted(1).RemapAll(handle_->slot_group.data(), half_edges,
+                             handle->slot_group.data(), 0);
+  for (uint32_t i : opened.inserted()) g.AttachGroup(i, handle.get());
   g.handle_ = std::move(handle);
   return g;
 }

@@ -24,13 +24,13 @@
 // form the point handle, also immutable and shared: the handle names
 // groups, not point ids, so a batch that only adds points to edges that
 // already hold some leaves it as it is, and a batch that opens groups
-// renumbers it in one linear pass. The points themselves are not copied
-// either: the snapshot co-owns the PointSet (paper Section 4.1's points
-// file) and the traversal algorithms read its offsets in place
-// (graph/edge_points.h). Only an InMemoryNetworkView is ever frozen: a
-// disk-backed view is traversed directly, so the Section 5.2
-// experiments count the algorithms' own page reads rather than one copy
-// of the whole adjacency file.
+// remaps it in one linear pass past the opened groups. The points
+// themselves are not copied either: the snapshot co-owns the PointSet
+// (paper Section 4.1's points file) and the traversal algorithms read
+// its offsets in place (graph/edge_points.h). Only an
+// InMemoryNetworkView is ever frozen: a disk-backed view is traversed
+// directly, so the Section 5.2 experiments count the algorithms' own
+// page reads rather than one copy of the whole adjacency file.
 //
 // The neighbor order of each node matches the source view's iteration
 // order exactly, so a traversal over the snapshot settles nodes, pushes
@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "graph/renumbering.h"
 #include "graph/types.h"
 
 namespace netclus {
@@ -126,14 +127,16 @@ class FrozenGraph {
   /// adjacency, which it shares instead of copying: what Materialize
   /// returns for a network that still has exactly this adjacency, row
   /// order included (no edge added since). `points` must hold every
-  /// group of this snapshot's PointSet (a PointSetBuilder::Merge onto
-  /// it); a set that adds groups is checked against that, and one with
-  /// as many groups only in debug and validate builds. When it opened no
-  /// group the point handle is shared too; otherwise the base groups are
-  /// renumbered in one pass over the slots and only the new groups'
-  /// edges are looked up in their rows. The landmark tables ride along:
-  /// the adjacency they describe is the same.
-  FrozenGraph WithPoints(std::shared_ptr<const PointSet> points) const;
+  /// group of this snapshot's PointSet in order, with the groups at
+  /// `opened` between them (a PointSetBuilder::Merge onto it, whose
+  /// PointSetMerge::groups this is); the group count is checked, the
+  /// groups themselves in debug and validate builds. When no group
+  /// opened the point handle is shared too; otherwise each slot's group
+  /// is remapped past the opened ones (graph/renumbering.h) and only
+  /// their edges are looked up in their rows. The landmark tables ride
+  /// along: the adjacency they describe is the same.
+  FrozenGraph WithPoints(std::shared_ptr<const PointSet> points,
+                         const Renumbering& opened) const;
 
   /// The snapshot of this one's network after Network::AddEdge applied
   /// `added`, in this order, over the same PointSet: what Materialize

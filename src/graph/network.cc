@@ -125,10 +125,20 @@ void PointSetBuilder::Add(NodeId a, NodeId b, double offset_from_min,
                      static_cast<uint32_t>(raw_.size())});
 }
 
+Result<PointSet> PointSetBuilder::Build(
+    const Network& net, std::vector<PointId>* raw_to_final) && {
+  return std::move(*this).MergeInto(net, PointSet(), nullptr, raw_to_final);
+}
+
 Result<PointSet> PointSetBuilder::Merge(const Network& net,
                                         const PointSet& base,
-                                        std::vector<PointId>* base_to_final,
-                                        std::vector<PointId>* raw_to_final) && {
+                                        PointSetMerge* merge) && {
+  return std::move(*this).MergeInto(net, base, merge, nullptr);
+}
+
+Result<PointSet> PointSetBuilder::MergeInto(
+    const Network& net, const PointSet& base, PointSetMerge* merge,
+    std::vector<PointId>* raw_to_final) && {
   for (const Raw& r : raw_) {
     double w = net.EdgeWeight(EdgeKeyU(r.edge_key), EdgeKeyV(r.edge_key));
     if (w < 0.0) {
@@ -154,9 +164,7 @@ Result<PointSet> PointSetBuilder::Merge(const Network& net,
   ps.labels_.reserve(total);
   ps.group_of_.reserve(total);
   ps.groups_.reserve(base.groups_.size() + raw_keys);
-  if (base_to_final != nullptr) {
-    base_to_final->assign(base.offsets_.size(), kInvalidPointId);
-  }
+  if (merge != nullptr) *merge = PointSetMerge();
   if (raw_to_final != nullptr) {
     raw_to_final->assign(raw_.size(), kInvalidPointId);
   }
@@ -180,6 +188,10 @@ Result<PointSet> PointSetBuilder::Merge(const Network& net,
   auto append_raw = [&]() {
     const Raw& x = raw_[r++];
     const PointId id = append(x.edge_key, x.offset, x.label);
+    if (merge != nullptr) {
+      merge->points.Append(id);
+      merge->added_order.push_back(x.raw_index);
+    }
     if (raw_to_final != nullptr) (*raw_to_final)[x.raw_index] = id;
   };
   // Copies base groups [g0, g1) whole: no added point lands on their
@@ -196,20 +208,15 @@ Result<PointSet> PointSetBuilder::Merge(const Network& net,
     ps.labels_.insert(ps.labels_.end(), base.labels_.begin() + p0,
                       base.labels_.begin() + p1);
     const size_t at = ps.group_of_.size();
-    ps.group_of_.resize(at + (p1 - p0));
+    ps.group_of_.insert(ps.group_of_.end(), base.group_of_.begin() + p0,
+                        base.group_of_.begin() + p1);
     uint32_t* group_of = ps.group_of_.data() + at;
-    for (PointId p = p0; p < p1; ++p) {
-      group_of[p - p0] = base.group_of_[p] + group_shift;
-    }
-    if (base_to_final != nullptr) {
-      PointId* to_final = base_to_final->data();
-      for (PointId p = p0; p < p1; ++p) to_final[p] = p + point_shift;
-    }
-    for (size_t g = g0; g < g1; ++g) {
-      PointSet::Group moved = base.groups_[g];
-      moved.first += point_shift;
-      ps.groups_.push_back(moved);
-    }
+    for (size_t i = 0; i < p1 - p0; ++i) group_of[i] += group_shift;
+    const size_t first_group = ps.groups_.size();
+    ps.groups_.insert(ps.groups_.end(), base.groups_.begin() + g0,
+                      base.groups_.begin() + g1);
+    PointSet::Group* moved = ps.groups_.data() + first_group;
+    for (size_t i = 0; i < g1 - g0; ++i) moved[i].first += point_shift;
   };
 
   // One pass in edge-key order. Base groups before the next added
@@ -239,12 +246,15 @@ Result<PointSet> PointSetBuilder::Merge(const Network& net,
           append_raw();
           continue;
         }
-        const PointId id = append(key, base.offsets_[p], base.labels_[p]);
-        if (base_to_final != nullptr) (*base_to_final)[p] = id;
+        append(key, base.offsets_[p], base.labels_[p]);
         ++p;
       }
       ++g;
     } else {
+      // No base point on this edge: its added points open a group.
+      if (merge != nullptr) {
+        merge->groups.Append(static_cast<uint32_t>(ps.groups_.size()));
+      }
       while (r < raw_.size() && raw_[r].edge_key == key) append_raw();
     }
   }

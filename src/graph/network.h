@@ -8,6 +8,7 @@
 
 #include "common/status.h"
 #include "graph/network_view.h"
+#include "graph/renumbering.h"
 #include "graph/types.h"
 
 namespace netclus {
@@ -106,6 +107,20 @@ class PointSet {
   std::vector<Group> groups_;         // ordered by edge key and first id
 };
 
+/// \brief How PointSetBuilder::Merge renumbered its base
+/// (graph/renumbering.h). The base's points and groups keep their order;
+/// the added points, and the groups they opened, land between them.
+struct PointSetMerge {
+  /// The added points' final ids.
+  Renumbering points;
+  /// For each added point, in final id order, the Add() call (0-based)
+  /// it came from.
+  std::vector<uint32_t> added_order;
+  /// The final indices of the groups the added points opened: those on
+  /// edges that held no base point.
+  Renumbering groups;
+};
+
 /// \brief Accumulates raw point placements and finalizes them into a
 /// PointSet with canonical point-id assignment.
 class PointSetBuilder {
@@ -122,19 +137,22 @@ class PointSetBuilder {
   /// is exactly what Build() returns for base's points (in id order)
   /// followed by the added ones. `base` is trusted: it came out of an
   /// earlier build over a network that has only gained edges since.
-  /// When given, `base_to_final` receives each base point's final id
-  /// and `raw_to_final`, for each Add() call in order, the final id.
+  /// When given, `merge` receives how the base was renumbered.
   Result<PointSet> Merge(const Network& net, const PointSet& base,
-                         std::vector<PointId>* base_to_final,
-                         std::vector<PointId>* raw_to_final) &&;
+                         PointSetMerge* merge) &&;
 
-  /// Merge() onto an empty base.
+  /// Merge() onto an empty base. When given, `raw_to_final` receives,
+  /// for each Add() call in order, the final id.
   Result<PointSet> Build(const Network& net,
-                         std::vector<PointId>* raw_to_final = nullptr) && {
-    return std::move(*this).Merge(net, PointSet(), nullptr, raw_to_final);
-  }
+                         std::vector<PointId>* raw_to_final = nullptr) &&;
 
  private:
+  // Merge() with either output: the renumbering, or the final id of
+  // each Add() call.
+  Result<PointSet> MergeInto(const Network& net, const PointSet& base,
+                             PointSetMerge* merge,
+                             std::vector<PointId>* raw_to_final) &&;
+
   struct Raw {
     uint64_t edge_key;
     double offset;

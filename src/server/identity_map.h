@@ -7,7 +7,10 @@
 // so the same object generally carries a different PointId in every
 // epoch. The first epoch's map is built from its point records; every
 // later one is carried from its predecessor's through the merge's
-// renumbering (Carry), so a publish never rescans the world's records.
+// renumbering (Carry: run copies between the added points' dense ids,
+// and each stored PointId v moved to v + #{added points ahead of it};
+// graph/renumbering.h), so a publish never rescans the world's records
+// and gathers through no per-point table.
 // The IdentityMap is the ONE place that crossing happens:
 // the query layer translates request ObjectIds to this epoch's PointIds
 // on the way in and translates traversal results back on the way out.
@@ -24,10 +27,10 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <iterator>
 #include <utility>
 #include <vector>
 
+#include "graph/renumbering.h"
 #include "graph/types.h"
 
 namespace netclus {
@@ -56,49 +59,36 @@ class IdentityMap {
   }
 
   /// The map of the epoch whose points merge new points into `base`'s:
-  /// base point q is now base_to_final[q] (ascending in q: a merge keeps
-  /// the base points in order), and `added` lists the new points' final
-  /// ids with their ObjectIds, which lie in [base's watermark,
-  /// `num_objects`). Equal to the map built from the merged epoch's
-  /// records, in one pass of run copies over the dense table and one
-  /// remap of the reverse one.
-  static IdentityMap Carry(const IdentityMap& base,
-                           const std::vector<PointId>& base_to_final,
-                           std::vector<std::pair<PointId, ObjectId>> added,
+  /// `added` is the merge's renumbering of the dense ids
+  /// (PointSetMerge::points), and `added_oids[j]` the ObjectId of its
+  /// j-th added point, in [base's watermark, `num_objects`). Equal to the
+  /// map built from the merged epoch's records, in one pass of run
+  /// copies over the dense table and one remap of the reverse one; no
+  /// table indexed by base PointId is built.
+  static IdentityMap Carry(const IdentityMap& base, const Renumbering& added,
+                           const std::vector<ObjectId>& added_oids,
                            size_t num_objects) {
-    std::sort(added.begin(), added.end());
     IdentityMap next;
     const std::vector<ObjectId>& from = base.object_of_point_;
-    next.object_of_point_.resize(from.size() + added.size());
-    // The base entries in runs between the added positions, which the
-    // merge interleaves in ascending final id.
-    ObjectId* to = next.object_of_point_.data();
-    size_t q = 0;
-    size_t p = 0;
-    for (const auto& [at, oid] : added) {
-      const size_t run = at - p;
-      std::copy(from.begin() + q, from.begin() + q + run, to + p);
-      q += run;
-      to[at] = oid;
-      p = at + 1;
-    }
-    std::copy(from.begin() + q, from.end(), to + p);
+    std::vector<ObjectId>& to = next.object_of_point_;
+    to.reserve(from.size() + added.size());
+    added.ForEachRun(
+        from.size(),
+        [&](size_t q, size_t, size_t n) {
+          to.insert(to.end(), from.begin() + q, from.begin() + q + n);
+        },
+        [&](size_t j, size_t) { to.push_back(added_oids[j]); });
 
-    // Every object that was a point stays one at its new id; the rest
-    // (edges, and ids beyond the base) stay unmapped until the added
-    // points claim theirs.
+    // Every object that was a point stays one, moved past the points
+    // added ahead of it; the rest (edges, and ids beyond the base) stay
+    // unmapped until the added points claim theirs.
     const std::vector<PointId>& back = base.point_of_object_;
-    const PointId* final_of = base_to_final.data();
-    next.point_of_object_.reserve(num_objects);
-    std::transform(back.begin(), back.end(),
-                   std::back_inserter(next.point_of_object_),
-                   [final_of](PointId v) {
-                     return v == kInvalidPointId ? kInvalidPointId
-                                                 : final_of[v];
-                   });
     next.point_of_object_.resize(num_objects, kInvalidPointId);
-    for (const auto& [at, oid] : added) {
-      next.point_of_object_[static_cast<size_t>(oid)] = at;
+    added.RemapAll(back.data(), back.size(), next.point_of_object_.data(),
+                   kInvalidPointId);
+    for (size_t j = 0; j < added.size(); ++j) {
+      next.point_of_object_[static_cast<size_t>(added_oids[j])] =
+          added.inserted()[j];
     }
     return next;
   }

@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/timer.h"
+#include "core/union_find.h"
 #include "graph/network_distance.h"
 
 namespace netclus {
@@ -86,59 +87,20 @@ Status World::Apply(const NetworkUpdate& update) {
   return Status::InvalidArgument("unknown update kind");
 }
 
-Result<PointSet> World::BuildPoints(
-    bool merge, std::vector<uint32_t>* record_of_point,
-    std::vector<PointId>* base_to_final,
-    std::vector<PointId>* added_points) const {
-  const size_t known = merge ? base_graph_->points().size() : 0;
+Result<PointSet> World::FullPoints(
+    std::vector<uint32_t>* record_of_point) const {
   PointSetBuilder builder;
-  for (size_t i = known; i < points_.size(); ++i) {
-    const CheckpointPoint& p = points_[i];
+  for (const CheckpointPoint& p : points_) {
     builder.Add(p.u, p.v, p.offset, p.label);
   }
-  if (!merge) {
-    std::vector<PointId> record_to_final;
-    NETCLUS_ASSIGN_OR_RETURN(PointSet built,
-                             std::move(builder).Build(net_, &record_to_final));
-    record_of_point->resize(record_to_final.size());
-    for (size_t i = 0; i < record_to_final.size(); ++i) {
-      (*record_of_point)[record_to_final[i]] = static_cast<uint32_t>(i);
-    }
-    base_to_final->clear();
-    added_points->clear();
-    return built;
+  std::vector<PointId> record_to_final;
+  NETCLUS_ASSIGN_OR_RETURN(PointSet built,
+                           std::move(builder).Build(net_, &record_to_final));
+  record_of_point->resize(record_to_final.size());
+  for (size_t i = 0; i < record_to_final.size(); ++i) {
+    (*record_of_point)[record_to_final[i]] = static_cast<uint32_t>(i);
   }
-
-  // Records only grow, so the base holds exactly records [0, known).
-  // The merge keeps the base points in order, so carrying each one's
-  // record to its final id is one pass of ascending writes.
-  NETCLUS_DCHECK(base_record_of_point_.size() == known)
-      << "merge base out of step with its mapping";
-  NETCLUS_ASSIGN_OR_RETURN(
-      PointSet merged, std::move(builder).Merge(net_, base_graph_->points(),
-                                                base_to_final, added_points));
-  record_of_point->resize(points_.size());
-  for (size_t q = 0; q < known; ++q) {
-    (*record_of_point)[(*base_to_final)[q]] = base_record_of_point_[q];
-  }
-  for (size_t j = 0; j < added_points->size(); ++j) {
-    (*record_of_point)[(*added_points)[j]] = static_cast<uint32_t>(known + j);
-  }
-  if (options_.validate) {
-    // The oracle: a from-scratch build over every record must be
-    // byte-for-byte the merged set, and map every point alike. A
-    // divergence fails the Build; the base does not advance.
-    std::vector<uint32_t> full_record_of_point;
-    std::vector<PointId> none;
-    NETCLUS_ASSIGN_OR_RETURN(
-        PointSet full,
-        BuildPoints(false, &full_record_of_point, &none, &none));
-    if (!merged.BitIdenticalTo(full) ||
-        *record_of_point != full_record_of_point) {
-      return Status::Internal("merged PointSet diverged from full build");
-    }
-  }
-  return merged;
+  return built;
 }
 
 IdentityMap World::FreshIdentityMap(
@@ -153,35 +115,53 @@ IdentityMap World::FreshIdentityMap(
 
 Result<World::Epoch> World::BuildPointsAndGraph(
     bool incremental, const std::vector<Edge>& added_edges,
-    std::vector<uint32_t>* record_of_point,
-    std::vector<PointId>* added_points) const {
+    PointSetMerge* merge) const {
   WallTimer timer;
   Epoch epoch;
   epoch.incremental = incremental;
-  std::vector<PointId> base_to_final;
-  NETCLUS_ASSIGN_OR_RETURN(PointSet ps,
-                           BuildPoints(incremental, record_of_point,
-                                       &base_to_final, added_points));
-  // The one copy of the epoch's points: its graph co-owns it.
-  auto points = std::make_shared<const PointSet>(std::move(ps));
+  std::shared_ptr<const PointSet> points;
   if (!incremental) {
+    std::vector<uint32_t> record_of_point;
+    NETCLUS_ASSIGN_OR_RETURN(PointSet ps, FullPoints(&record_of_point));
+    // The one copy of the epoch's points: its graph co-owns it.
+    points = std::make_shared<const PointSet>(std::move(ps));
     epoch.ids =
-        std::make_shared<const IdentityMap>(FreshIdentityMap(*record_of_point));
+        std::make_shared<const IdentityMap>(FreshIdentityMap(record_of_point));
   } else {
-    // The base's map carried through the merge: the new points are
-    // records [known, ...), in record order in `added_points`.
-    const size_t known = points_.size() - added_points->size();
-    std::vector<std::pair<PointId, ObjectId>> added(added_points->size());
-    for (size_t j = 0; j < added.size(); ++j) {
-      added[j] = {(*added_points)[j], points_[known + j].oid};
+    // Records only grow, so the base holds exactly records [0, known)
+    // and the new points are the rest, merged in record order.
+    const PointSet& base = base_graph_->points();
+    const size_t known = base.size();
+    PointSetBuilder builder;
+    for (size_t i = known; i < points_.size(); ++i) {
+      const CheckpointPoint& p = points_[i];
+      builder.Add(p.u, p.v, p.offset, p.label);
+    }
+    NETCLUS_ASSIGN_OR_RETURN(PointSet ps,
+                             std::move(builder).Merge(net_, base, merge));
+    points = std::make_shared<const PointSet>(std::move(ps));
+    // The base's map carried through the merge's renumbering.
+    std::vector<ObjectId> added_oids(merge->added_order.size());
+    for (size_t j = 0; j < added_oids.size(); ++j) {
+      added_oids[j] = points_[known + merge->added_order[j]].oid;
     }
     epoch.ids = std::make_shared<const IdentityMap>(IdentityMap::Carry(
-        *base_ids_, base_to_final, std::move(added), next_object_id_));
-    if (options_.validate &&
-        !epoch.ids->SameMappingAs(FreshIdentityMap(*record_of_point))) {
-      // The oracle: the map built from every record must translate
-      // every ObjectId and PointId as the carried one does.
-      return Status::Internal("carried identity map diverged from full build");
+        *base_ids_, merge->points, added_oids, next_object_id_));
+    if (options_.validate) {
+      // The oracles: a from-scratch build over every record must be
+      // byte-for-byte the merged set, and the map built from those
+      // records must translate every ObjectId and PointId as the
+      // carried one does. A divergence fails the Build; the base does
+      // not advance.
+      std::vector<uint32_t> record_of_point;
+      NETCLUS_ASSIGN_OR_RETURN(PointSet full, FullPoints(&record_of_point));
+      if (!points->BitIdenticalTo(full)) {
+        return Status::Internal("merged PointSet diverged from full build");
+      }
+      if (!epoch.ids->SameMappingAs(FreshIdentityMap(record_of_point))) {
+        return Status::Internal(
+            "carried identity map diverged from full build");
+      }
     }
   }
   epoch.points_ms = timer.ElapsedMillis();
@@ -193,11 +173,12 @@ Result<World::Epoch> World::BuildPointsAndGraph(
   } else {
     // The base's rows, shifted by the edges added since (Network::AddEdge
     // appends each to the end of both rows) or shared when there are
-    // none, and its point handle carried over to the merged points.
+    // none, and its point handle carried past the opened groups.
     FrozenGraph fg =
         added_edges.empty()
-            ? base_graph_->WithPoints(points)
-            : base_graph_->WithEdges(added_edges).WithPoints(points);
+            ? base_graph_->WithPoints(points, merge->groups)
+            : base_graph_->WithEdges(added_edges)
+                  .WithPoints(points, merge->groups);
     if (options_.validate &&
         !fg.BitIdenticalTo(FrozenGraph::Materialize(net_, points))) {
       // The oracle: a from-scratch rebuild must be byte-for-byte the
@@ -225,11 +206,9 @@ Result<World::Epoch> World::Build() {
     }
   }
   const bool metric_changed = !incremental || !added_edges.empty();
-  std::vector<uint32_t> record_of_point;
-  std::vector<PointId> added_points;
-  NETCLUS_ASSIGN_OR_RETURN(Epoch epoch,
-                           BuildPointsAndGraph(incremental, added_edges,
-                                               &record_of_point, &added_points));
+  PointSetMerge merge;
+  NETCLUS_ASSIGN_OR_RETURN(
+      Epoch epoch, BuildPointsAndGraph(incremental, added_edges, &merge));
   // A shared adjacency brought the base's tables along (WithPoints); a
   // shifted one needs them carried over the new edges.
   if (metric_changed && incremental && base_graph_->landmarks() != nullptr) {
@@ -240,13 +219,15 @@ Result<World::Epoch> World::Build() {
         epoch.graph->WithLandmarks(std::move(tables)));
     epoch.landmarks_ms = timer.ElapsedMillis();
   }
+  const bool eps_link = options_.cluster_spec.has_value() &&
+                        options_.cluster_spec->algorithm == Algorithm::kEpsLink;
   if (options_.cluster_spec.has_value()) {
     WallTimer timer;
     InMemoryNetworkView view(net_, epoch.graph->points());
     NETCLUS_ASSIGN_OR_RETURN(
         ClusterOutput out,
-        Recluster(view, *epoch.graph, record_of_point, added_points,
-                  incremental, &epoch.recluster_incremental));
+        Recluster(view, *epoch.graph, merge.points, incremental,
+                  &epoch.recluster_incremental));
     epoch.clusters = std::make_shared<const ClusterOutput>(std::move(out));
     epoch.recluster_ms = timer.ElapsedMillis();
   }
@@ -265,18 +246,18 @@ Result<World::Epoch> World::Build() {
   // Build leaves it in place, so its mutations merge next time.
   base_graph_ = epoch.graph;
   base_ids_ = epoch.ids;
-  base_record_of_point_ = std::move(record_of_point);
+  if (eps_link) {
+    std::swap(components_, next_components_);
+    base_clusters_ = epoch.clusters;
+  }
   unpublished_.clear();
   return epoch;
 }
 
 Result<World::Epoch> World::BuildFull() const {
-  std::vector<uint32_t> record_of_point;
-  std::vector<PointId> added_points;
   NETCLUS_ASSIGN_OR_RETURN(
-      Epoch epoch,
-      BuildPointsAndGraph(/*incremental=*/false, /*added_edges=*/{},
-                          &record_of_point, &added_points));
+      Epoch epoch, BuildPointsAndGraph(/*incremental=*/false,
+                                       /*added_edges=*/{}, /*merge=*/nullptr));
   if (options_.cluster_spec.has_value()) {
     WallTimer timer;
     // The independent reference: RunClustering freezes its own snapshot.
@@ -317,41 +298,71 @@ Result<std::shared_ptr<const LandmarkTables>> World::CarryLandmarks(
   return tables;
 }
 
-Result<ClusterOutput> World::Recluster(
-    const NetworkView& view, const FrozenGraph& graph,
-    const std::vector<uint32_t>& record_of_point,
-    const std::vector<PointId>& added_points, bool incremental,
-    bool* merged) {
+namespace {
+
+// The clustering published at min_sup > 1 for the components
+// `of_point`, numbered by first dense id: each component below min_sup
+// is noise and the rest are renumbered in order through a
+// per-component rank table.
+void RankComponents(const std::vector<int>& of_point,
+                    const std::vector<uint32_t>& size, uint32_t min_sup,
+                    Clustering* out) {
+  std::vector<int> rank(size.size());
+  int next = 0;
+  for (size_t c = 0; c < size.size(); ++c) {
+    rank[c] = size[c] < min_sup ? kNoise : next++;
+  }
+  out->assignment.resize(of_point.size());
+  for (size_t p = 0; p < of_point.size(); ++p) {
+    out->assignment[p] = rank[static_cast<size_t>(of_point[p])];
+  }
+  out->num_clusters = next;
+}
+
+}  // namespace
+
+Result<ClusterOutput> World::Recluster(const NetworkView& view,
+                                       const FrozenGraph& graph,
+                                       const Renumbering& added,
+                                       bool incremental, bool* merged) {
   const ClusterSpec& spec = *options_.cluster_spec;
   *merged = false;
   if (spec.algorithm != Algorithm::kEpsLink) {
     return RunClustering(view, graph, spec);
   }
   const uint32_t min_sup = spec.eps_link.min_sup;
-  const uint32_t num_records = static_cast<uint32_t>(record_of_point.size());
-  if (!incremental || !components_seeded_) {
-    // Seed the forest from one full run at min_sup 1, so components
-    // still too small to publish are kept: insert-only mutations can
-    // grow them past min_sup later. Labelling the forest at the real
-    // min_sup gives exactly what a run at that min_sup returns.
+  // At min_sup 1 the published labels are the components themselves:
+  // the base's are read off its clustering, and the next epoch's are
+  // written straight into the output.
+  const bool published_are_components = min_sup <= 1;
+  Components& next = next_components_;
+  if (!incremental || !components_.seeded) {
+    // Seed from one full run at min_sup 1, so components still too small
+    // to publish are kept: insert-only mutations can grow them past
+    // min_sup later. Its labels are the components, numbered by first
+    // dense id; publishing them at the real min_sup gives exactly what
+    // a run at that min_sup returns.
     ClusterSpec seed_spec = spec;
     seed_spec.eps_link.min_sup = 1;
     NETCLUS_ASSIGN_OR_RETURN(ClusterOutput out,
                              RunClustering(view, graph, seed_spec));
-    components_ = UnionFind(num_records);
-    std::vector<uint32_t> first_record(
-        static_cast<size_t>(out.clustering.num_clusters), num_records);
-    for (uint32_t p = 0; p < num_records; ++p) {
-      const int label = out.clustering.assignment[p];
-      uint32_t& first = first_record[static_cast<size_t>(label)];
-      if (first == num_records) {
-        first = record_of_point[p];
-      } else {
-        components_.Union(first, record_of_point[p]);
+    const std::vector<int>& labels = out.clustering.assignment;
+    next.first.clear();
+    next.size.assign(static_cast<size_t>(out.clustering.num_clusters), 0);
+    for (size_t p = 0; p < labels.size(); ++p) {
+      const auto c = static_cast<size_t>(labels[p]);
+      if (next.size[c]++ == 0) {
+        NETCLUS_DCHECK(c == next.first.size())
+            << "ε-Link numbers its clusters by first dense id";
+        next.first.push_back(static_cast<PointId>(p));
       }
     }
-    components_seeded_ = true;
-    LabelComponents(record_of_point, min_sup, &out.clustering);
+    next.seeded = true;
+    next.of_point.clear();
+    if (!published_are_components) {
+      next.of_point = std::move(out.clustering.assignment);
+      RankComponents(next.of_point, next.size, min_sup, &out.clustering);
+    }
     return out;
   }
 
@@ -360,18 +371,30 @@ Result<ClusterOutput> World::Recluster(
   // are found on the final graph, which already holds the whole batch.
   WallTimer timer;
   const double eps = spec.eps_link.eps;
-  const uint32_t known = components_.num_elements();
-  components_.Grow(num_records);
+  const Components& base = components_;
+  const std::vector<int>& base_of_point =
+      published_are_components ? base_clusters_->clustering.assignment
+                               : base.of_point;
+  const std::vector<PointId>& at = added.inserted();
+  const auto k = static_cast<uint32_t>(at.size());
   TraversalWorkspace* ws = &recluster_ws_;
+
+  // Each link joins two nodes: node j < k is the j-th new point, node
+  // k + c the base component c of a base point.
+  auto node_of = [&](PointId f) -> uint32_t {
+    const auto j = static_cast<uint32_t>(
+        std::lower_bound(at.begin(), at.end(), f) - at.begin());
+    if (j < k && at[j] == f) return j;
+    // f is a base point with j new points ahead of it.
+    return k + static_cast<uint32_t>(base_of_point[f - j]);
+  };
+  std::vector<std::pair<uint32_t, uint32_t>> links;
 
   // A new point links to every point within eps of it, new ones too.
   std::vector<RangeResult> near;
-  for (size_t j = 0; j < added_points.size(); ++j) {
-    RangeQuery(view, graph, added_points[j], eps, ws, &near);
-    for (const RangeResult& r : near) {
-      components_.Union(known + static_cast<uint32_t>(j),
-                        record_of_point[r.id]);
-    }
+  for (uint32_t j = 0; j < k; ++j) {
+    RangeQuery(view, graph, at[j], eps, ws, &near);
+    for (const RangeResult& r : near) links.emplace_back(j, node_of(r.id));
   }
 
   // A new edge (u, v, w) links a within eps of u to b within eps of v
@@ -397,74 +420,157 @@ Result<ClusterOutput> World::Recluster(
     const RangeResult b_star = nearest(from_v);
     for (const RangeResult& b : from_v) {
       if (a_star.dist + upd.value + b.dist <= eps) {
-        components_.Union(record_of_point[a_star.id], record_of_point[b.id]);
+        links.emplace_back(node_of(a_star.id), node_of(b.id));
       }
     }
     for (const RangeResult& a : from_u) {
       if (a.dist + upd.value + b_star.dist <= eps) {
-        components_.Union(record_of_point[a.id], record_of_point[b_star.id]);
+        links.emplace_back(node_of(a.id), node_of(b_star.id));
       }
     }
   }
 
+  // The union-find holds the new points and the base components the
+  // links touch, compacted: touched[t] is node k + t.
+  std::vector<uint32_t> touched;
+  for (const auto& [x, y] : links) {
+    if (x >= k) touched.push_back(x - k);
+    if (y >= k) touched.push_back(y - k);
+  }
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  auto compact = [&](uint32_t node) {
+    return node < k ? node
+                    : k + static_cast<uint32_t>(
+                              std::lower_bound(touched.begin(), touched.end(),
+                                               node - k) -
+                              touched.begin());
+  };
+  const auto nodes = static_cast<uint32_t>(k + touched.size());
+  UnionFind uf(nodes);
+  for (const auto& [x, y] : links) uf.Union(compact(x), compact(y));
+
+  // Each merged component's first dense id and size, by root: a new
+  // point is its own first id, a touched component's first id moves
+  // past the new points ahead of it.
+  std::vector<PointId> merged_first(nodes, kInvalidPointId);
+  std::vector<uint32_t> merged_size(nodes, 0);
+  for (uint32_t i = 0; i < nodes; ++i) {
+    const uint32_t root = uf.Find(i);
+    const size_t c = i < k ? 0 : touched[i - k];
+    const PointId first = i < k ? at[i] : added.Remap(base.first[c]);
+    merged_first[root] = std::min(merged_first[root], first);
+    merged_size[root] += i < k ? 1 : base.size[c];
+  }
+  std::vector<uint32_t> roots;
+  for (uint32_t i = 0; i < nodes; ++i) {
+    if (uf.Find(i) == i) roots.push_back(i);
+  }
+  std::sort(roots.begin(), roots.end(), [&](uint32_t x, uint32_t y) {
+    return merged_first[x] < merged_first[y];
+  });
+
+  // Renumber by first dense id: the untouched components, already in
+  // order and moved past the new points ahead of them, merged with the
+  // merged ones in order. A merged component lands before the first
+  // base component whose moved first id is larger; between the landing
+  // places and the touched components, the untouched ones are copied in
+  // runs, their numbers shifted by a constant.
+  const size_t num_base = base.first.size();
+  std::vector<uint32_t> land(roots.size());
+  for (size_t r = 0; r < roots.size(); ++r) {
+    land[r] = static_cast<uint32_t>(
+        std::partition_point(base.first.begin(), base.first.end(),
+                             [&](PointId f) {
+                               return added.Remap(f) < merged_first[roots[r]];
+                             }) -
+        base.first.begin());
+  }
+  const size_t num_next = num_base - touched.size() + roots.size();
+  std::vector<uint32_t>& renumbered = renumbered_component_;
+  renumbered.resize(num_base);
+  next.first.resize(num_next);
+  next.size.resize(num_next);
+  std::vector<int> number_of_root(nodes, -1);
+  size_t c = 0;
+  size_t out_c = 0;
+  auto copy_untouched = [&](size_t end) {
+    const size_t n = end - c;
+    for (size_t i = 0; i < n; ++i) {
+      renumbered[c + i] = static_cast<uint32_t>(out_c + i);
+    }
+    added.RemapAll(base.first.data() + c, n, next.first.data() + out_c,
+                   kInvalidPointId);
+    std::copy(base.size.begin() + c, base.size.begin() + end,
+              next.size.begin() + out_c);
+    c = end;
+    out_c += n;
+  };
+  size_t t = 0;
+  size_t r = 0;
+  while (t < touched.size() || r < roots.size()) {
+    if (r < roots.size() && (t == touched.size() || land[r] <= touched[t])) {
+      copy_untouched(land[r]);
+      number_of_root[roots[r]] = static_cast<int>(out_c);
+      next.first[out_c] = merged_first[roots[r]];
+      next.size[out_c] = merged_size[roots[r]];
+      ++out_c;
+      ++r;
+    } else {
+      copy_untouched(touched[t]);
+      ++c;  // merged into a component placed by its root
+      ++t;
+    }
+  }
+  copy_untouched(num_base);
+  for (size_t i = 0; i < touched.size(); ++i) {
+    renumbered[touched[i]] = static_cast<uint32_t>(
+        number_of_root[uf.Find(k + static_cast<uint32_t>(i))]);
+  }
+
+  // Every point's component in one pass: the base points' in runs
+  // through the old → new table, each new point its merged component.
   ClusterOutput out;
   out.algorithm = Algorithm::kEpsLink;
-  LabelComponents(record_of_point, min_sup, &out.clustering);
+  std::vector<int>& of_point =
+      published_are_components ? out.clustering.assignment : next.of_point;
+  const int* from = base_of_point.data();
+  of_point.resize(base_of_point.size() + k);
+  int* to = of_point.data();
+  const uint32_t* table = renumbered.data();
+  added.ForEachRun(
+      base_of_point.size(),
+      [&](size_t q, size_t f, size_t n) {
+        for (size_t i = 0; i < n; ++i) {
+          to[f + i] = static_cast<int>(table[from[q + i]]);
+        }
+      },
+      [&](size_t j, size_t f) {
+        to[f] = number_of_root[uf.Find(static_cast<uint32_t>(j))];
+      });
+  next.seeded = true;
+  if (published_are_components) {
+    out.clustering.num_clusters = static_cast<int>(num_next);
+  } else {
+    RankComponents(next.of_point, next.size, min_sup, &out.clustering);
+  }
   out.wall_seconds = timer.ElapsedSeconds();
   *merged = true;
 
   if (options_.validate || spec.validate) {
     // The oracle: a full run must agree label for label. A divergence
     // fails the Build (the last good epoch keeps serving) and drops the
-    // forest, so the next Build reseeds it from a full run.
+    // components, so the next Build reseeds them from a full run.
     NETCLUS_ASSIGN_OR_RETURN(ClusterOutput full,
                              RunClustering(view, graph, spec));
     if (full.clustering.num_clusters != out.clustering.num_clusters ||
         full.clustering.assignment != out.clustering.assignment) {
-      components_seeded_ = false;
+      components_.seeded = false;
       return Status::Internal(
           "incremental re-cluster diverged from full RunClustering");
     }
   }
   return out;
-}
-
-void World::LabelComponents(const std::vector<uint32_t>& record_of_point,
-                            uint32_t min_sup, Clustering* out) {
-  // ε-Link numbers clusters by their smallest dense id, and a component
-  // below min_sup is noise. Three passes in dense order, none of which
-  // carries a dependence through memory from one point to the next, as
-  // numbering clusters in a table on the fly would: each point's root
-  // and each root's first point (running backwards, the first point
-  // writes last); the count of clusters opened before each point, which
-  // is its cluster's number when it is the first point; and each
-  // point's number read off its cluster's first point.
-  const size_t n = record_of_point.size();
-  std::vector<int>& label = out->assignment;
-  label.resize(n);
-  root_of_point_.resize(n);
-  if (first_point_of_root_.size() < n) first_point_of_root_.resize(n);
-  for (size_t p = n; p-- > 0;) {
-    const uint32_t root = components_.Find(record_of_point[p]);
-    root_of_point_[p] = root;
-    first_point_of_root_[root] = static_cast<uint32_t>(p);
-  }
-  int next = 0;
-  for (size_t p = 0; p < n; ++p) {
-    const uint32_t root = root_of_point_[p];
-    if (min_sup > 1 && components_.SizeOf(root) < min_sup) {
-      label[p] = kNoise;
-      continue;
-    }
-    label[p] = next;
-    next += first_point_of_root_[root] == p ? 1 : 0;
-  }
-  for (size_t p = 0; p < n; ++p) {
-    if (label[p] != kNoise) {
-      label[p] = label[first_point_of_root_[root_of_point_[p]]];
-    }
-  }
-  out->num_clusters = next;
 }
 
 }  // namespace netclus

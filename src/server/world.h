@@ -9,14 +9,20 @@
 // the server wraps in an EpochSnapshot and publishes.
 //
 // Every Build after the first is incremental: it merges the new points
-// into the last successful Build's PointSet, carries that Build's
-// identity map through the merge, shares its CSR adjacency when no edge
-// was added since (and shifts it by the new edges' slots when one was),
-// and (ε-Link specs) merges only the components the new mutations link,
-// in a union-find kept across builds (DESIGN.md §16). The result is bit
-// for bit what BuildFull returns; with `validate` set every incremental
-// stage is checked against it. The world keeps its edges in admission
-// order with their ObjectIds, so a checkpoint copies them as they are.
+// into the last successful Build's PointSet, which describes its
+// renumbering once (the new points' dense ids and the groups they
+// opened; graph/renumbering.h). That description carries the Build's
+// identity map and point handle in run copies, with no per-point table
+// or gather. The CSR adjacency is shared when no edge was added since,
+// and shifted by the new edges' slots when one was. For ε-Link specs the
+// base's components are carried by component, not by point: the new
+// links are merged in a union-find over only the components they touch
+// and the new points, and one pass of run copies relabels every point
+// through an old → new component table (DESIGN.md §16). The result is
+// bit for bit what BuildFull returns; with `validate` set every
+// incremental stage is checked against it. The world keeps its edges in
+// admission order with their ObjectIds, so a checkpoint copies them as
+// they are.
 //
 // A World is single-threaded: no locks, no threads. In a QueryServer
 // only the updater thread (and Start, before it) touches it.
@@ -30,7 +36,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/union_find.h"
 #include "graph/dijkstra.h"
 #include "graph/frozen_graph.h"
 #include "graph/landmarks.h"
@@ -109,7 +114,7 @@ class World {
   Result<Epoch> Build();
 
   /// The next epoch built from scratch (RunClustering for the spec),
-  /// leaving the base, the ε-Link forest and the distance cache alone:
+  /// leaving the base, its ε-Link components and the distance cache alone:
   /// what every incremental Build must equal. Its graph carries no
   /// landmark tables.
   Result<Epoch> BuildFull() const;
@@ -133,50 +138,53 @@ class World {
   NodeId num_nodes() const { return net_.num_nodes(); }
 
  private:
+  // ε-Link components of the base epoch: the connected components of
+  // the "within eps" graph over its points, numbered by their first
+  // dense id (ε-Link's numbering at min_sup 1). Components below min_sup
+  // are kept: insert-only mutations can grow them past it.
+  struct Components {
+    bool seeded = false;
+    /// Each dense point's component when min_sup > 1. At min_sup 1 the
+    /// published clustering is the components, so it is read instead.
+    std::vector<int> of_point;
+    /// Each component's first dense id, ascending, and its point count.
+    std::vector<PointId> first;
+    std::vector<uint32_t> size;
+  };
+
   World(Network net, CheckpointState state, WorldOptions options);
 
   /// The PointSet over every point record, and the record each of its
-  /// dense points came from in `record_of_point`. With `merge` only the
-  /// records beyond the base are merged into the base's set,
-  /// `base_to_final` receives each base point's new dense id and
-  /// `added_points` the new points' dense ids in record order; the base
-  /// points' records are carried over from the base's.
-  Result<PointSet> BuildPoints(bool merge,
-                               std::vector<uint32_t>* record_of_point,
-                               std::vector<PointId>* base_to_final,
-                               std::vector<PointId>* added_points) const;
+  /// dense points came from in `record_of_point`.
+  Result<PointSet> FullPoints(std::vector<uint32_t>* record_of_point) const;
   /// The identity map built from the records: dense point p carries
   /// record_of_point[p]'s ObjectId.
   IdentityMap FreshIdentityMap(
       const std::vector<uint32_t>& record_of_point) const;
   /// The points, identity map and CSR graph of the next epoch: built
-  /// from scratch, or, when `incremental`, the points merged onto the
-  /// base's, its identity map carried and its adjacency shared or
-  /// shifted by `added_edges`, the edges applied since the base, in
-  /// Apply order.
+  /// from scratch, or, when `incremental`, the records beyond the base
+  /// merged into the base's points (`merge` receives how that renumbered
+  /// them), its identity map carried through that renumbering and its
+  /// adjacency shared or shifted by `added_edges`, the edges applied
+  /// since the base, in Apply order.
   Result<Epoch> BuildPointsAndGraph(bool incremental,
                                     const std::vector<Edge>& added_edges,
-                                    std::vector<uint32_t>* record_of_point,
-                                    std::vector<PointId>* added_points) const;
+                                    PointSetMerge* merge) const;
   /// The epoch's clustering over `graph`, the snapshot of `view`.
-  /// ε-Link specs merge the links the unpublished mutations add (the new
-  /// points are `added_points`) into a seeded forest when `incremental`,
-  /// and seed it from one full run otherwise; others run RunClustering.
+  /// ε-Link specs write the next epoch's components to
+  /// `next_components_`: when `incremental`, the base's carried through
+  /// `added` (the new points' dense ids) with the links the unpublished
+  /// mutations add merged in; otherwise read off one full run. Others
+  /// run RunClustering.
   Result<ClusterOutput> Recluster(const NetworkView& view,
                                   const FrozenGraph& graph,
-                                  const std::vector<uint32_t>& record_of_point,
-                                  const std::vector<PointId>& added_points,
-                                  bool incremental, bool* merged);
+                                  const Renumbering& added, bool incremental,
+                                  bool* merged);
   /// The base's landmark tables carried onto `graph`, the next epoch's
   /// graph, which adds `added_edges` (this Build's unpublished edges) to
   /// the base's adjacency; checked against fresh tables when validating.
   Result<std::shared_ptr<const LandmarkTables>> CarryLandmarks(
       const FrozenGraph& graph, const std::vector<Edge>& added_edges) const;
-  /// Labels every dense point with its forest component, numbered in
-  /// order of first appearance, or kNoise below `min_sup` points: what
-  /// ε-Link returns for the components the forest holds.
-  void LabelComponents(const std::vector<uint32_t>& record_of_point,
-                       uint32_t min_sup, Clustering* out);
 
   WorldOptions options_;
   Network net_;
@@ -189,26 +197,21 @@ class World {
   /// Mutations applied since the last successful Build.
   std::vector<NetworkUpdate> unpublished_;
 
-  // The merge base: the last successful Build's graph, its points, its
-  // identity map and the record each of its points came from. Null
-  // before the first. Its landmark tables, once BuildLandmarks made
-  // them, are the world's: a Build hands them on with the adjacency.
+  // The merge base: the last successful Build's graph (which co-owns its
+  // points), its identity map and, for ε-Link specs, its clustering and
+  // components. Null before the first. Its landmark tables, once
+  // BuildLandmarks made them, are the world's: a Build hands them on
+  // with the adjacency.
   std::shared_ptr<const FrozenGraph> base_graph_;
   std::shared_ptr<const IdentityMap> base_ids_;
-  std::vector<uint32_t> base_record_of_point_;
-
-  // ε-Link components across builds: a forest over point record
-  // indices, which stay stable across dense renumbering because records
-  // only grow. Its sets are exactly the connected components of the
-  // "within eps" graph over the base, components below min_sup
-  // included.
-  UnionFind components_{0};
-  bool components_seeded_ = false;
-  /// LabelComponents' tables, kept across builds so labelling allocates
-  /// none: each dense point's forest root, and each root's first dense
-  /// point.
-  std::vector<uint32_t> root_of_point_;
-  std::vector<uint32_t> first_point_of_root_;
+  std::shared_ptr<const ClusterOutput> base_clusters_;
+  Components components_;
+  /// Recluster's output, installed as components_ when its Build
+  /// succeeds; the two swap, so a carry allocates nothing once warm.
+  Components next_components_;
+  /// Recluster's scratch: each base component's number in the next
+  /// epoch.
+  std::vector<uint32_t> renumbered_component_;
   /// Recluster's traversal state, kept so a Build allocates none.
   TraversalWorkspace recluster_ws_;
 

@@ -85,6 +85,58 @@ TEST(Crc32cTest, ExtendMatchesOneShot) {
   }
 }
 
+// Crc32cExtend runs the SSE4.2 instruction where the CPU has it; the
+// portable slice-by-8 path is the reference it must equal at every
+// length from 0 to 10k (the word loop and its byte tail) and at every
+// start alignment. On a CPU without SSE4.2 both sides run the portable
+// path and the test checks nothing beyond the other Crc32c tests.
+TEST(Crc32cTest, HardwarePathMatchesPortableAtEveryLengthAndAlignment) {
+  constexpr size_t kMaxLength = 10000;
+  std::vector<unsigned char> buf(kMaxLength + 8);
+  uint32_t x = 977;
+  for (unsigned char& b : buf) {
+    x = x * 1103515245u + 12345u;
+    b = static_cast<unsigned char>(x >> 24);
+  }
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t n = 0; n <= kMaxLength; ++n) {
+      const unsigned char* p = buf.data() + align;
+      ASSERT_EQ(Crc32cExtend(0, p, n), Crc32cExtendPortable(0, p, n))
+          << "alignment " << align << ", length " << n;
+    }
+  }
+  // A running checksum carried in: both paths extend it alike.
+  for (uint32_t crc : {0x1u, 0xDEADBEEFu, 0xFFFFFFFFu}) {
+    for (size_t n : {size_t{1}, size_t{7}, size_t{8}, size_t{4093}}) {
+      ASSERT_EQ(Crc32cExtend(crc, buf.data() + 3, n),
+                Crc32cExtendPortable(crc, buf.data() + 3, n))
+          << "crc " << crc << ", length " << n;
+    }
+  }
+}
+
+// Extending is composition: the checksum of a || b is the checksum of a
+// extended by b, on either path and across them, at every cut of a
+// buffer that spans several words and an odd tail.
+TEST(Crc32cTest, ExtendComposesOnBothPaths) {
+  std::vector<unsigned char> buf(1029);
+  for (size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<unsigned char>(i * 131 + 7);
+  }
+  const uint32_t whole = Crc32cExtendPortable(0, buf.data(), buf.size());
+  ASSERT_EQ(Crc32c(buf.data(), buf.size()), whole);
+  for (size_t cut = 0; cut <= buf.size(); ++cut) {
+    const unsigned char* tail = buf.data() + cut;
+    const size_t rest = buf.size() - cut;
+    const uint32_t hw = Crc32cExtend(0, buf.data(), cut);
+    const uint32_t sw = Crc32cExtendPortable(0, buf.data(), cut);
+    ASSERT_EQ(Crc32cExtend(hw, tail, rest), whole) << "cut " << cut;
+    ASSERT_EQ(Crc32cExtendPortable(sw, tail, rest), whole) << "cut " << cut;
+    ASSERT_EQ(Crc32cExtend(sw, tail, rest), whole) << "cut " << cut;
+    ASSERT_EQ(Crc32cExtendPortable(hw, tail, rest), whole) << "cut " << cut;
+  }
+}
+
 TEST(FaultInjectionFileTest, TransparentWithoutSchedule) {
   auto base = PagedFile::CreateInMemory(kPage);
   FaultInjectionFile faulty(base.get());

@@ -229,7 +229,7 @@ TEST(FrozenGraphTest, ValidatorRejectsCorruptedPointOffset) {
   Scenario s(110, 130, 53);
   const PointId p = s.points.size() / 2;
   const FrozenGraph tampered =
-      s.frozen.WithPoints(NudgeOffset(s.gen.net, s.points, p));
+      s.frozen.WithPoints(NudgeOffset(s.gen.net, s.points, p), {});
   ASSERT_NE(tampered.points().offset(p), s.points.offset(p));
   Status st = ValidateFrozenGraph(*s.view, tampered);
   EXPECT_FALSE(st.ok());
@@ -249,11 +249,11 @@ TEST(FrozenGraphTest, BitIdenticalToComparesPointLayer) {
   // Equal points over the shared adjacency rebuild the same ranges and
   // group weights.
   const FrozenGraph shared =
-      again.WithPoints(std::make_shared<const PointSet>(s.points));
+      again.WithPoints(std::make_shared<const PointSet>(s.points), {});
   EXPECT_TRUE(shared.SharesAdjacencyWith(again));
   EXPECT_TRUE(shared.BitIdenticalTo(s.frozen));
   const FrozenGraph tampered =
-      again.WithPoints(NudgeOffset(s.gen.net, s.points, 0));
+      again.WithPoints(NudgeOffset(s.gen.net, s.points, 0), {});
   EXPECT_TRUE(tampered.SharesAdjacencyWith(again));
   EXPECT_FALSE(tampered.BitIdenticalTo(s.frozen));
 }
@@ -289,19 +289,18 @@ struct Placement {
 };
 
 // `base`'s points with `batch` merged in, the way World merges a
-// publish's new points.
+// publish's new points; `merge` receives the renumbering.
 std::shared_ptr<const PointSet> MergeBatch(
     const Network& net, const std::vector<Edge>& edges,
-    const FrozenGraph& base, const std::vector<Placement>& batch) {
+    const FrozenGraph& base, const std::vector<Placement>& batch,
+    PointSetMerge* merge) {
   PointSetBuilder builder;
   for (const Placement& p : batch) {
     const Edge& e = edges[p.edge];
     builder.Add(e.u, e.v, p.at * e.weight, 1);
   }
   return std::make_shared<const PointSet>(
-      std::move(std::move(builder).Merge(net, base.points(), nullptr,
-                                         nullptr))
-          .value());
+      std::move(std::move(builder).Merge(net, base.points(), merge)).value());
 }
 
 // WithPoints over `base` must be what Materialize builds from scratch,
@@ -311,9 +310,10 @@ FrozenGraph ExpectCarriedHandle(const Network& net,
                                 const std::vector<Edge>& edges,
                                 const FrozenGraph& base,
                                 const std::vector<Placement>& batch) {
+  PointSetMerge merge;
   const std::shared_ptr<const PointSet> points =
-      MergeBatch(net, edges, base, batch);
-  const FrozenGraph carried = base.WithPoints(points);
+      MergeBatch(net, edges, base, batch, &merge);
+  const FrozenGraph carried = base.WithPoints(points, merge.groups);
   EXPECT_TRUE(carried.BitIdenticalTo(FrozenGraph::Materialize(net, points)));
   EXPECT_TRUE(carried.SharesAdjacencyWith(base));
   EXPECT_EQ(carried.SharesPointHandleWith(base),
@@ -466,11 +466,11 @@ TEST(FrozenGraphTest, CarriedEdgesWithAPointOnTheNewEdge) {
   PointSetBuilder builder;
   builder.Add(u, v, 0.5, 1);
   builder.Add(w.edges[4].u, w.edges[4].v, 0.5 * w.edges[4].weight, 1);
+  PointSetMerge merge;
   const auto points = std::make_shared<const PointSet>(
-      std::move(std::move(builder).Merge(w.net, w.base.points(), nullptr,
-                                         nullptr))
+      std::move(std::move(builder).Merge(w.net, w.base.points(), &merge))
           .value());
-  const FrozenGraph carried = shifted.WithPoints(points);
+  const FrozenGraph carried = shifted.WithPoints(points, merge.groups);
   EXPECT_TRUE(carried.BitIdenticalTo(FrozenGraph::Materialize(w.net, points)));
   EXPECT_EQ(carried.EdgePointRange(v, u).second, 1u);
 }

@@ -87,10 +87,11 @@ TEST(LandmarkTablesTest, SnapshotsShareTheTablesOfTheirAdjacency) {
   PointSetBuilder more;
   const Edge e = g.net.Edges().front();
   more.Add(e.u, e.v, 0.5 * e.weight, -1);
+  PointSetMerge merge;
   std::shared_ptr<const PointSet> merged = std::make_shared<const PointSet>(
-      std::move(more).Merge(g.net, points, nullptr, nullptr).value());
-  EXPECT_EQ(with.WithPoints(merged).landmarks(), t.get());
-  EXPECT_EQ(base.WithPoints(merged).landmarks(), nullptr);
+      std::move(more).Merge(g.net, points, &merge).value());
+  EXPECT_EQ(with.WithPoints(merged, merge.groups).landmarks(), t.get());
+  EXPECT_EQ(base.WithPoints(merged, merge.groups).landmarks(), nullptr);
 }
 
 TEST(LandmarkTablesTest, CarrySharesUnlessAnAddedEdgeImprovesALabel) {

@@ -10,6 +10,7 @@
 #include "common/random.h"
 #include "gen/network_gen.h"
 #include "graph/network.h"
+#include "graph/renumbering.h"
 
 namespace netclus {
 namespace {
@@ -246,20 +247,21 @@ PointSetBuilder BuilderOf(const std::vector<Placement>& placements) {
 }
 
 // Merging `batch` into the set built from `base` equals one Build over
-// base then batch: the same set bit for bit, each base point mapped
-// where that Build puts it (through base's own raw mapping, as a
-// server composes it), each batch point likewise — or, when the batch
-// holds a bad point, the same Status.
+// base then batch: the same set bit for bit, and the merge's renumbering
+// puts each base point where that Build puts it (through base's own raw
+// mapping, as a server composes it), each batch point likewise, and each
+// base group where that Build puts it, with the opened groups on edges
+// that held no base point — or, when the batch holds a bad point, the
+// same Status.
 void ExpectMergeEqualsBuild(const Network& net,
                             const std::vector<Placement>& base,
                             const std::vector<Placement>& batch) {
   std::vector<PointId> base_raw;
   Result<PointSet> base_set = BuilderOf(base).Build(net, &base_raw);
   ASSERT_TRUE(base_set.ok()) << base_set.status().ToString();
-  std::vector<PointId> base_to_final;
-  std::vector<PointId> raw_to_final;
-  Result<PointSet> merged = BuilderOf(batch).Merge(
-      net, base_set.value(), &base_to_final, &raw_to_final);
+  PointSetMerge merge;
+  Result<PointSet> merged =
+      BuilderOf(batch).Merge(net, base_set.value(), &merge);
 
   std::vector<Placement> all = base;
   all.insert(all.end(), batch.begin(), batch.end());
@@ -271,13 +273,34 @@ void ExpectMergeEqualsBuild(const Network& net,
     return;
   }
   EXPECT_TRUE(merged.value().BitIdenticalTo(full.value()));
-  ASSERT_EQ(base_to_final.size(), base.size());
-  ASSERT_EQ(raw_to_final.size(), batch.size());
+  ASSERT_EQ(merge.points.size(), batch.size());
+  ASSERT_EQ(merge.added_order.size(), batch.size());
   for (size_t i = 0; i < base.size(); ++i) {
-    EXPECT_EQ(base_to_final[base_raw[i]], all_raw[i]) << "base point " << i;
+    EXPECT_EQ(merge.points.Remap(base_raw[i]), all_raw[i])
+        << "base point " << i;
   }
-  for (size_t j = 0; j < batch.size(); ++j) {
-    EXPECT_EQ(raw_to_final[j], all_raw[base.size() + j]) << "added " << j;
+  std::vector<bool> seen(batch.size(), false);
+  for (size_t idx = 0; idx < batch.size(); ++idx) {
+    const uint32_t j = merge.added_order[idx];
+    ASSERT_LT(j, batch.size());
+    EXPECT_FALSE(seen[j]) << "added " << j << " listed twice";
+    seen[j] = true;
+    EXPECT_EQ(merge.points.inserted()[idx], all_raw[base.size() + j])
+        << "added " << j;
+  }
+  const PointSet& before = base_set.value();
+  const PointSet& after = full.value();
+  ASSERT_EQ(after.num_groups(), before.num_groups() + merge.groups.size());
+  for (uint32_t g = 0; g < before.num_groups(); ++g) {
+    const PointSet::Group& moved = after.group(merge.groups.Remap(g));
+    EXPECT_EQ(moved.u, before.group(g).u) << "base group " << g;
+    EXPECT_EQ(moved.v, before.group(g).v) << "base group " << g;
+  }
+  for (uint32_t g : merge.groups.inserted()) {
+    ASSERT_LT(g, after.num_groups());
+    EXPECT_EQ(before.EdgePointRange(after.group(g).u, after.group(g).v).second,
+              0u)
+        << "opened group " << g << " holds base points";
   }
 }
 
@@ -341,7 +364,7 @@ TEST(PointSetMergeTest, RandomMergesEqualOneBuild) {
 
     PointSet base_set = BuilderOf(base).Build(net).value();
     PointSet merged =
-        BuilderOf(batch).Merge(net, base_set, nullptr, nullptr).value();
+        BuilderOf(batch).Merge(net, base_set, nullptr).value();
     ExpectEdgePointRangeMatchesScan(merged, n);
     if (HasFailure()) return;
   }
@@ -353,15 +376,18 @@ TEST(PointSetMergeTest, EmptyBaseAndEmptyBatch) {
   ExpectMergeEqualsBuild(net, {{0, 1, 3.0, 1}, {2, 3, 1.0, 2}}, {});
   ExpectMergeEqualsBuild(net, {}, {{2, 3, 1.0, 2}, {0, 1, 3.0, 1}});
 
-  std::vector<PointId> base_to_final{7};
-  std::vector<PointId> raw_to_final{7};
+  // A stale description is replaced, not appended to.
+  PointSetMerge merge;
+  merge.points.Append(7);
+  merge.added_order = {7};
+  merge.groups.Append(7);
   PointSet empty =
-      PointSetBuilder().Merge(net, PointSet(), &base_to_final, &raw_to_final)
-          .value();
+      PointSetBuilder().Merge(net, PointSet(), &merge).value();
   EXPECT_EQ(empty.size(), 0u);
   EXPECT_EQ(empty.num_groups(), 0u);
-  EXPECT_TRUE(base_to_final.empty());
-  EXPECT_TRUE(raw_to_final.empty());
+  EXPECT_TRUE(merge.points.empty());
+  EXPECT_TRUE(merge.added_order.empty());
+  EXPECT_TRUE(merge.groups.empty());
   EXPECT_EQ(empty.EdgePointRange(0, 1).second, 0u);
 }
 
@@ -377,7 +403,7 @@ TEST(PointSetMergeTest, EqualOffsetsKeepBasePointsFirst) {
 
   PointSet base_set = BuilderOf(base).Build(net).value();
   PointSet merged =
-      BuilderOf(batch).Merge(net, base_set, nullptr, nullptr).value();
+      BuilderOf(batch).Merge(net, base_set, nullptr).value();
   ASSERT_EQ(merged.size(), 8u);
   const std::vector<int> want_labels = {1, 7, 2, 3, 8, 4, 9, 5};
   EXPECT_EQ(merged.labels(), want_labels);
@@ -403,7 +429,7 @@ TEST(PointSetMergeTest, BatchEdgesAroundEveryBaseGroup) {
 
   PointSet base_set = BuilderOf(base).Build(net).value();
   PointSet merged =
-      BuilderOf(batch).Merge(net, base_set, nullptr, nullptr).value();
+      BuilderOf(batch).Merge(net, base_set, nullptr).value();
   ASSERT_EQ(merged.num_groups(), 7u);
   for (size_t g = 0; g < merged.num_groups(); ++g) {
     EXPECT_EQ(merged.group(g).u, static_cast<NodeId>(g));
@@ -432,7 +458,7 @@ TEST(PointSetMergeTest, BadBatchPointsFailLikeBuild) {
     ExpectMergeEqualsBuild(net, base, batches[i]);
     PointSet base_set = BuilderOf(base).Build(net).value();
     EXPECT_TRUE(BuilderOf(batches[i])
-                    .Merge(net, base_set, nullptr, nullptr)
+                    .Merge(net, base_set, nullptr)
                     .status()
                     .IsInvalidArgument());
   }
@@ -468,6 +494,83 @@ TEST(PointSetMergeTest, BitIdenticalToRejectsEveryDifference) {
   }
   EXPECT_FALSE(a.BitIdenticalTo(b));
   EXPECT_FALSE(b.BitIdenticalTo(a));
+}
+
+// ---------------------------------------------------------------------
+// Renumbering: one merge's inserts, and the carriers built on it, held
+// to a table rebuilt by inserting entry by entry.
+// ---------------------------------------------------------------------
+
+// `old_size` old entries (values 100 + q) with inserts at `at` (values
+// 1000 + j), built by std::vector::insert one at a time.
+std::vector<uint32_t> InsertedOneByOne(size_t old_size,
+                                       const std::vector<uint32_t>& at) {
+  std::vector<uint32_t> table(old_size);
+  for (size_t q = 0; q < old_size; ++q) {
+    table[q] = 100 + static_cast<uint32_t>(q);
+  }
+  for (size_t j = 0; j < at.size(); ++j) {
+    table.insert(table.begin() + at[j], 1000 + static_cast<uint32_t>(j));
+  }
+  return table;
+}
+
+TEST(RenumberingTest, CarriersMatchInsertingOneByOne) {
+  const size_t old_size = 6;
+  // Inserts at the front, side by side, in the middle and at the end,
+  // and a batch whose search is deeper than RemapAll unrolls.
+  const std::vector<std::vector<uint32_t>> cases = {
+      {}, {0}, {6}, {0, 1}, {3, 4, 5}, {0, 4, 8}, {2, 7, 8, 9},
+      {0, 1, 2, 4, 6, 8, 10, 12, 14}};
+  for (const std::vector<uint32_t>& at : cases) {
+    SCOPED_TRACE("inserts " + ::testing::PrintToString(at));
+    Renumbering r;
+    for (uint32_t a : at) r.Append(a);
+    EXPECT_EQ(r.inserted(), at);
+    const std::vector<uint32_t> want = InsertedOneByOne(old_size, at);
+
+    // Run copies: every old entry and every insert lands where the
+    // one-by-one inserts put them.
+    std::vector<uint32_t> runs(old_size + at.size(), 0);
+    r.ForEachRun(
+        old_size,
+        [&](size_t q, size_t f, size_t n) {
+          ASSERT_GT(n, 0u);
+          for (size_t i = 0; i < n; ++i) {
+            runs[f + i] = 100 + static_cast<uint32_t>(q + i);
+          }
+        },
+        [&](size_t j, size_t f) {
+          EXPECT_EQ(f, at[j]);
+          runs[f] = 1000 + static_cast<uint32_t>(j);
+        });
+    EXPECT_EQ(runs, want);
+
+    // Remap and RemapAll: each old position moves to where its entry
+    // went; the sentinel stays.
+    std::vector<uint32_t> stored;
+    for (uint32_t q = 0; q < old_size; ++q) {
+      EXPECT_EQ(want[r.Remap(q)], 100 + q) << "old position " << q;
+      stored.push_back(q);
+      stored.push_back(kInvalidPointId);
+    }
+    std::vector<uint32_t> moved(stored.size());
+    r.RemapAll(stored.data(), stored.size(), moved.data(), kInvalidPointId);
+    for (size_t i = 0; i < stored.size(); ++i) {
+      EXPECT_EQ(moved[i], stored[i] == kInvalidPointId ? kInvalidPointId
+                                                       : r.Remap(stored[i]));
+    }
+    r.RemapAll(stored.data(), stored.size(), stored.data(), kInvalidPointId);
+    EXPECT_EQ(stored, moved);  // in place
+
+    // A 1-based numbering whose 0 means "none": 0 stays, q + 1 moves to
+    // Remap(q) + 1.
+    const Renumbering one_based = r.Shifted(1);
+    EXPECT_EQ(one_based.Remap(0), 0u);
+    for (uint32_t q = 0; q < old_size; ++q) {
+      EXPECT_EQ(one_based.Remap(q + 1), r.Remap(q) + 1);
+    }
+  }
 }
 
 }  // namespace

@@ -159,7 +159,7 @@ std::vector<std::pair<std::string, std::optional<ClusterSpec>>> Specs(
 
 // One mutation per build and batches of three, point-heavy and mixed:
 // every Build after the first is incremental and equals BuildFull of
-// the same world. An ε-Link spec merges its forest every time.
+// the same world. An ε-Link spec merges its components every time.
 TEST(WorldTest, IncrementalBuildsMatchTheFullBuild) {
   Scenario s(80, 120, 7);
   for (const auto& [name, spec] : Specs(s.eps)) {
@@ -445,6 +445,138 @@ TEST(WorldTest, CarriedIdentityMapMatchesAFreshOne) {
       EXPECT_TRUE(got.SameMappingAs(want));
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// The carriers of one merge's renumbering, each at the edge of its
+// range, each held to BuildFull.
+// ---------------------------------------------------------------------
+
+// Points on a path 0-1-...-7 of weight-4 edges, two on each of (1, 2),
+// (3, 4) and (5, 6): edges without points before, between and after
+// the groups.
+World PathWorld(WorldOptions options) {
+  const Network net = MakePathNetwork(8, 4.0);
+  PointSetBuilder builder;
+  for (NodeId u : {1u, 3u, 5u}) {
+    builder.Add(u, u + 1, 1.0, 0);
+    builder.Add(u, u + 1, 3.0, 0);
+  }
+  return World::Boot(net, std::move(builder).Build(net).value(),
+                     std::move(options));
+}
+
+// Applies `batch`, builds once, and holds the epoch and its identity
+// map to BuildFull's. Returns the epoch.
+World::Epoch BuildBatchAgainstFull(World* world,
+                                   const std::vector<NetworkUpdate>& batch) {
+  for (const NetworkUpdate& u : batch) EXPECT_TRUE(world->Apply(u).ok());
+  const World::Epoch full = BuildOrDie(world->BuildFull());
+  World::Epoch epoch = BuildOrDie(world->Build());
+  EXPECT_TRUE(epoch.incremental);
+  ExpectSameEpoch(epoch, full);
+  EXPECT_TRUE(epoch.ids->SameMappingAs(*full.ids));
+  return epoch;
+}
+
+// One batch inserts ahead of every base point, after every base point,
+// and two points side by side between two base points: the carried map
+// translates every ObjectId as the full build's does.
+TEST(WorldCarryTest, IdentityMapWithInsertsAtBothEndsAndSideBySide) {
+  World world = PathWorld(WorldOptions{});
+  BuildOrDie(world.Build());
+  // Boot: points 0..5 are ObjectIds 0..5, the 7 edges 6..12.
+  const World::Epoch epoch = BuildBatchAgainstFull(
+      &world, {NetworkUpdate::AddPoint(1, 2, 0.5),    // oid 13: first
+               NetworkUpdate::AddPoint(6, 5, 3.5),    // oid 14: last
+               NetworkUpdate::AddPoint(3, 4, 2.0),    // oids 15, 16:
+               NetworkUpdate::AddPoint(3, 4, 2.5)});  // side by side
+  EXPECT_EQ(epoch.ids->PointOf(13), 0u);
+  EXPECT_EQ(epoch.ids->PointOf(14), 9u);
+  EXPECT_EQ(epoch.ids->PointOf(15), 4u);
+  EXPECT_EQ(epoch.ids->PointOf(16), 5u);
+  EXPECT_EQ(epoch.ids->PointOf(6), kInvalidPointId);  // an edge
+}
+
+// One batch opens a group ahead of every base group and one after
+// them, and adds a point to a base group: the point handle is remapped
+// past both, not shared, and equals a fresh one.
+TEST(WorldCarryTest, PointHandleOpensTheFirstAndTheLastGroup) {
+  World world = PathWorld(WorldOptions{});
+  const World::Epoch boot = BuildOrDie(world.Build());
+  const World::Epoch epoch = BuildBatchAgainstFull(
+      &world, {NetworkUpdate::AddPoint(0, 1, 2.0),
+               NetworkUpdate::AddPoint(7, 6, 2.0),
+               NetworkUpdate::AddPoint(3, 4, 2.0)});
+  EXPECT_FALSE(epoch.graph->SharesPointHandleWith(*boot.graph));
+  ASSERT_EQ(epoch.graph->points().num_groups(), 5u);
+  EXPECT_EQ(epoch.graph->EdgePointRange(1, 0), std::make_pair(0u, 1u));
+  EXPECT_EQ(epoch.graph->EdgePointRange(6, 7), std::make_pair(8u, 1u));
+  EXPECT_EQ(epoch.graph->EdgePointRange(2, 1), std::make_pair(1u, 2u));
+}
+
+// Six nodes: a weight-1 edge (0, 5), the smallest edge key, and a path
+// 1-2-3-4-5 of weight-10 edges. `a` places points on (1, 2), `b` on
+// (4, 5), each at offsets from the smaller endpoint.
+World TwoGroupWorld(const std::vector<double>& a, const std::vector<double>& b,
+                    uint32_t min_sup) {
+  Network net(6);
+  EXPECT_TRUE(net.AddEdge(0, 5, 1.0).ok());
+  for (NodeId u = 1; u < 5; ++u) EXPECT_TRUE(net.AddEdge(u, u + 1, 10.0).ok());
+  PointSetBuilder builder;
+  for (double x : a) builder.Add(1, 2, x, 0);
+  for (double x : b) builder.Add(4, 5, x, 1);
+  WorldOptions options;
+  options.cluster_spec = MakeSpec(EpsLinkOptions{1.0, min_sup});
+  return World::Boot(net, std::move(builder).Build(net).value(), options);
+}
+
+// A new point lands ahead of every base point (on edge (0, 5), 0.1
+// from node 5) and within eps of cluster 1's points (0.2 and 0.5 past
+// node 5): it joins cluster 1, whose first dense id is now 0, so the
+// two clusters swap numbers.
+TEST(WorldCarryTest, NewFirstPointReordersTwoClusters) {
+  World world = TwoGroupWorld({1.0, 1.5}, {9.5, 9.8}, 1);
+  const World::Epoch boot = BuildOrDie(world.Build());
+  ASSERT_EQ(boot.clusters->clustering.assignment,
+            (std::vector<int>{0, 0, 1, 1}));
+  const World::Epoch epoch =
+      BuildBatchAgainstFull(&world, {NetworkUpdate::AddPoint(5, 0, 0.9)});
+  EXPECT_TRUE(epoch.recluster_incremental);
+  EXPECT_EQ(epoch.clusters->clustering.assignment,
+            (std::vector<int>{0, 1, 1, 0, 0}));
+}
+
+// An AddEdge within eps joins a point near node 2 to one near node 4:
+// the two clusters become one.
+TEST(WorldCarryTest, AddEdgeMergesTwoClusters) {
+  World world = TwoGroupWorld({9.5, 9.8}, {0.2, 0.5}, 1);
+  const World::Epoch boot = BuildOrDie(world.Build());
+  ASSERT_EQ(boot.clusters->clustering.num_clusters, 2);
+  const World::Epoch epoch =
+      BuildBatchAgainstFull(&world, {NetworkUpdate::AddEdge(4, 2, 0.3)});
+  EXPECT_TRUE(epoch.recluster_incremental);
+  EXPECT_EQ(epoch.clusters->clustering.num_clusters, 1);
+  EXPECT_EQ(epoch.clusters->clustering.assignment,
+            (std::vector<int>{0, 0, 0, 0}));
+}
+
+// At min_sup 3 the two points on (4, 5) are noise until a third joins
+// them; the next batch grows the other cluster and leaves them be.
+TEST(WorldCarryTest, ComponentCrossesMinSupThree) {
+  World world = TwoGroupWorld({1.0, 1.3, 1.6}, {9.5, 9.8}, 3);
+  const World::Epoch boot = BuildOrDie(world.Build());
+  ASSERT_EQ(boot.clusters->clustering.assignment,
+            (std::vector<int>{0, 0, 0, kNoise, kNoise}));
+  const World::Epoch joined =
+      BuildBatchAgainstFull(&world, {NetworkUpdate::AddPoint(4, 5, 9.2)});
+  EXPECT_EQ(joined.clusters->clustering.num_clusters, 2);
+  EXPECT_EQ(joined.clusters->clustering.assignment,
+            (std::vector<int>{0, 0, 0, 1, 1, 1}));
+  const World::Epoch grown =
+      BuildBatchAgainstFull(&world, {NetworkUpdate::AddPoint(2, 1, 2.2)});
+  EXPECT_EQ(grown.clusters->clustering.assignment,
+            (std::vector<int>{0, 0, 0, 0, 1, 1, 1}));
 }
 
 // The checkpoint lists the boot edges in Edges() order and every edge
