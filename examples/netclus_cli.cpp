@@ -470,14 +470,18 @@ int RunServe(int argc, char** argv, const Network& net,
               static_cast<unsigned long long>(stats.reclusters_incremental),
               stats.mean_recluster_ms);
   std::printf("landmark tables: %llu built (%.1f ms), carried by every "
-              "later epoch\n",
+              "later epoch; %llu repaired (mean %.2f ms)\n",
               static_cast<unsigned long long>(stats.landmark_builds),
-              stats.landmark_build_ms);
+              stats.landmark_build_ms,
+              static_cast<unsigned long long>(stats.landmark_repairs),
+              stats.mean_landmark_repair_ms);
   std::printf("batches %llu (mean size %.1f, mean %.2f ms); queue wait mean "
-              "%.2f ms, max %.2f ms\n",
+              "%.2f ms, max %.2f ms; worker parks %llu, wakes %llu\n",
               static_cast<unsigned long long>(stats.batches),
               stats.mean_batch_size, stats.mean_batch_ms,
-              stats.mean_queue_wait_ms, stats.max_queue_wait_ms);
+              stats.mean_queue_wait_ms, stats.max_queue_wait_ms,
+              static_cast<unsigned long long>(stats.worker_parks),
+              static_cast<unsigned long long>(stats.worker_wakes));
   if (opts.validate_replay) {
     std::printf("replay: %llu batches validated, %llu mismatches\n",
                 static_cast<unsigned long long>(stats.replay_batches),

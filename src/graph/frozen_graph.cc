@@ -164,46 +164,46 @@ FrozenGraph FrozenGraph::WithEdges(const std::vector<Edge>& added) const {
   const Adjacency& from = *adj_;
   const PointHandle& from_handle = *handle_;
   const size_t half_edges = from.neighbors.size() + slots.size();
+  // Every table is built by appending, so each entry is written once.
   auto adj = std::make_shared<Adjacency>();
-  adj->offsets.resize(from.offsets.size());
-  adj->neighbors.resize(half_edges);
-  adj->weights.resize(half_edges);
+  adj->offsets.reserve(from.offsets.size());
+  adj->neighbors.reserve(half_edges);
+  adj->weights.reserve(half_edges);
   auto handle = std::make_shared<PointHandle>();
-  handle->slot_group.resize(half_edges);
+  handle->slot_group.reserve(half_edges);
   handle->group_weight = from_handle.group_weight;
 
   // Row i starts later by the new slots of rows < i: k of them for the
   // rows after the k-th new slot's row, up to and including the next's.
   const uint32_t* from_offsets = from.offsets.data();
-  uint32_t* offsets = adj->offsets.data();
   size_t row = 0;
   for (size_t k = 0; k <= slots.size(); ++k) {
     const size_t last = k < slots.size() ? slots[k].row : n;
     const uint32_t shift = static_cast<uint32_t>(k);
-    for (; row <= last; ++row) offsets[row] = from_offsets[row] + shift;
+    for (; row <= last; ++row) {
+      adj->offsets.push_back(from_offsets[row] + shift);
+    }
   }
 
   // The base slots in runs up to the end of each new slot's row, each
   // new slot after its run.
   size_t src = 0;
-  size_t dst = 0;
   auto copy_run = [&](size_t end) {
-    std::copy(from.neighbors.begin() + src, from.neighbors.begin() + end,
-              adj->neighbors.begin() + dst);
-    std::copy(from.weights.begin() + src, from.weights.begin() + end,
-              adj->weights.begin() + dst);
-    std::copy(from_handle.slot_group.begin() + src,
-              from_handle.slot_group.begin() + end,
-              handle->slot_group.begin() + dst);
-    dst += end - src;
+    adj->neighbors.insert(adj->neighbors.end(), from.neighbors.begin() + src,
+                          from.neighbors.begin() + end);
+    adj->weights.insert(adj->weights.end(), from.weights.begin() + src,
+                        from.weights.begin() + end);
+    handle->slot_group.insert(handle->slot_group.end(),
+                              from_handle.slot_group.begin() + src,
+                              from_handle.slot_group.begin() + end);
     src = end;
   };
   for (const NewSlot& slot : slots) {
     copy_run(from_offsets[slot.row + 1]);
-    adj->neighbors[dst] = slot.neighbor;
-    adj->weights[dst] = slot.weight;
-    handle->slot_group[dst] = 0;  // a new edge holds none of these points
-    ++dst;
+    adj->neighbors.push_back(slot.neighbor);
+    adj->weights.push_back(slot.weight);
+    // A new edge holds none of these points.
+    handle->slot_group.push_back(0);
   }
   copy_run(from.neighbors.size());
 

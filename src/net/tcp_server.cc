@@ -47,8 +47,7 @@ void TcpServer::Stop() {
   listener_.Shutdown();
   if (acceptor_.joinable()) acceptor_.join();
   // Unblock every reader (Recv returns EOF after ShutdownBoth), then
-  // join outside the lock — readers take mu_ for their final counter
-  // bump on the way out.
+  // join outside the lock.
   std::vector<std::unique_ptr<Connection>> draining;
   {
     MutexLock lock(&mu_);
@@ -77,7 +76,7 @@ void TcpServer::AcceptLoop() {
       if (stopping_) return;
       ReapFinishedLocked();
       if (connections_.size() >= options_.max_connections) {
-        ++counters_.connections_refused;
+        Bump(&counters_.connections_refused);
         refuse = true;
       }
     }
@@ -91,9 +90,8 @@ void TcpServer::AcceptLoop() {
           server_->CurrentHealth());
       const std::string frame = EncodeStatusFrame(ws);
       if (sock.SendAll(frame.data(), frame.size()).ok()) {
-        MutexLock lock(&mu_);
-        ++counters_.frames_written;
-        counters_.bytes_written += frame.size();
+        Bump(&counters_.bytes_written, frame.size());
+        Bump(&counters_.frames_written);
       }
       continue;  // sock closes on scope exit
     }
@@ -106,7 +104,7 @@ void TcpServer::AcceptLoop() {
     {
       MutexLock lock(&mu_);
       if (stopping_) return;  // conn closes on scope exit
-      ++counters_.connections_accepted;
+      Bump(&counters_.connections_accepted);
       connections_.push_back(std::move(conn));
       raw->reader = std::thread(&TcpServer::ReaderLoop, this, raw);
     }
@@ -129,10 +127,7 @@ void TcpServer::ReaderLoop(Connection* conn) {
     }
     const size_t n = received.value();
     if (n == 0) break;  // orderly EOF
-    {
-      MutexLock lock(&mu_);
-      counters_.bytes_read += n;
-    }
+    Bump(&counters_.bytes_read, n);
     reader.Append(buf, n);
     bool drop = false;
     for (;;) {
@@ -141,19 +136,13 @@ void TcpServer::ReaderLoop(Connection* conn) {
       const Status s = reader.Next(&frame, &got);
       if (!s.ok()) {
         // Framing is lost; tell the peer why (best effort) and drop.
-        {
-          MutexLock lock(&mu_);
-          ++counters_.corrupt_frames;
-        }
+        Bump(&counters_.corrupt_frames);
         SendStatus(conn, s);
         drop = true;
         break;
       }
       if (!got) break;  // partial frame stays buffered
-      {
-        MutexLock lock(&mu_);
-        ++counters_.frames_read;
-      }
+      Bump(&counters_.frames_read);
       if (!HandleFrame(conn, frame)) {
         drop = true;
         break;
@@ -162,11 +151,8 @@ void TcpServer::ReaderLoop(Connection* conn) {
     if (drop) break;
   }
   conn->sock.ShutdownBoth();
-  {
-    MutexLock lock(&mu_);
-    ++counters_.connections_closed;
-    if (idle) ++counters_.idle_disconnects;
-  }
+  Bump(&counters_.connections_closed);
+  if (idle) Bump(&counters_.idle_disconnects);
   // After this store the thread touches nothing of *this — which is
   // what makes joining it under mu_ (ReapFinishedLocked) safe.
   conn->done.store(true, std::memory_order_release);
@@ -179,16 +165,11 @@ bool TcpServer::HandleFrame(Connection* conn, const WireFrame& frame) {
       const Status decoded =
           DecodeQueryPayload(frame.payload.data(), frame.payload.size(), &req);
       if (!decoded.ok()) {
-        MutexLock lock(&mu_);
-        ++counters_.corrupt_frames;
-        lock.Unlock();
+        Bump(&counters_.corrupt_frames);
         SendStatus(conn, decoded);
         return false;
       }
-      {
-        MutexLock lock(&mu_);
-        ++counters_.queries;
-      }
+      Bump(&counters_.queries);
       Result<QueryResponse> result = server_->Execute(req);
       if (!result.ok()) {
         // Carries the admission retry hint / deadline verdict verbatim;
@@ -200,17 +181,12 @@ bool TcpServer::HandleFrame(Connection* conn, const WireFrame& frame) {
     }
     case FrameType::kHealthz: {
       if (!frame.payload.empty()) {
-        MutexLock lock(&mu_);
-        ++counters_.protocol_errors;
-        lock.Unlock();
+        Bump(&counters_.protocol_errors);
         SendStatus(conn, Status::Corruption(
                              "wire: healthz frame carries a payload"));
         return false;
       }
-      {
-        MutexLock lock(&mu_);
-        ++counters_.healthz_probes;
-      }
+      Bump(&counters_.healthz_probes);
       Result<QueryResponse> result = server_->Execute(QueryRequest::Healthz());
       if (!result.ok()) {
         SendStatus(conn, result.status());
@@ -222,10 +198,7 @@ bool TcpServer::HandleFrame(Connection* conn, const WireFrame& frame) {
     case FrameType::kStatus: {
       // Server-to-client frame types arriving at the server: the peer
       // is confused; answer once and hang up.
-      {
-        MutexLock lock(&mu_);
-        ++counters_.protocol_errors;
-      }
+      Bump(&counters_.protocol_errors);
       SendStatus(conn,
                  Status::InvalidArgument(
                      std::string("wire: unexpected client frame type '") +
@@ -244,9 +217,8 @@ void TcpServer::SendStatus(Connection* conn, const Status& status) {
 
 bool TcpServer::SendEncoded(Connection* conn, const std::string& encoded) {
   if (!conn->sock.SendAll(encoded.data(), encoded.size()).ok()) return false;
-  MutexLock lock(&mu_);
-  ++counters_.frames_written;
-  counters_.bytes_written += encoded.size();
+  Bump(&counters_.bytes_written, encoded.size());
+  Bump(&counters_.frames_written);
   return true;
 }
 
@@ -263,8 +235,23 @@ void TcpServer::ReapFinishedLocked() {
 }
 
 TcpServerStats TcpServer::stats() const {
+  auto load = [](const std::atomic<uint64_t>& counter) {
+    return counter.load(std::memory_order_relaxed);
+  };
+  TcpServerStats out;
+  out.connections_accepted = load(counters_.connections_accepted);
+  out.connections_refused = load(counters_.connections_refused);
+  out.connections_closed = load(counters_.connections_closed);
+  out.idle_disconnects = load(counters_.idle_disconnects);
+  out.frames_read = load(counters_.frames_read);
+  out.frames_written = load(counters_.frames_written);
+  out.corrupt_frames = load(counters_.corrupt_frames);
+  out.protocol_errors = load(counters_.protocol_errors);
+  out.queries = load(counters_.queries);
+  out.healthz_probes = load(counters_.healthz_probes);
+  out.bytes_read = load(counters_.bytes_read);
+  out.bytes_written = load(counters_.bytes_written);
   MutexLock lock(&mu_);
-  TcpServerStats out = counters_;
   size_t open = 0;
   for (const auto& conn : connections_) {
     if (!conn->done.load(std::memory_order_acquire)) ++open;

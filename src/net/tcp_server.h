@@ -32,6 +32,7 @@
 #ifndef NETCLUS_NET_TCP_SERVER_H_
 #define NETCLUS_NET_TCP_SERVER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -130,18 +131,40 @@ class TcpServer {
   /// Acceptor thread (and Stop) only.
   void ReapFinishedLocked() NETCLUS_REQUIRES(mu_);
 
+  /// TcpServerStats' monotonic counters as relaxed atomics: each is
+  /// bumped on its own, and no reader relates one to another mid-flight.
+  struct Counters {
+    std::atomic<uint64_t> connections_accepted{0};
+    std::atomic<uint64_t> connections_refused{0};
+    std::atomic<uint64_t> connections_closed{0};
+    std::atomic<uint64_t> idle_disconnects{0};
+    std::atomic<uint64_t> frames_read{0};
+    std::atomic<uint64_t> frames_written{0};
+    std::atomic<uint64_t> corrupt_frames{0};
+    std::atomic<uint64_t> protocol_errors{0};
+    std::atomic<uint64_t> queries{0};
+    std::atomic<uint64_t> healthz_probes{0};
+    std::atomic<uint64_t> bytes_read{0};
+    std::atomic<uint64_t> bytes_written{0};
+  };
+
+  /// Adds `n` to one counter.
+  static void Bump(std::atomic<uint64_t>* counter, uint64_t n = 1) {
+    counter->fetch_add(n, std::memory_order_relaxed);
+  }
+
   QueryServer* const server_;  ///< borrowed; outlives the front end
   const TcpServerOptions options_;
   ListenSocket listener_;
 
-  // Connection table + transport counters. Never held across a blocking
-  // socket operation or a Submit — readers copy what they need and
-  // release.
+  // Connection table and the stopping flag. Never held across a
+  // blocking socket operation or a Submit, and never taken by a reader
+  // on its per-frame path: the counters below need no lock.
   mutable Mutex mu_{lock_rank::kNetServer, "TcpServer::mu_"};
   std::vector<std::unique_ptr<Connection>> connections_
       NETCLUS_GUARDED_BY(mu_);
   bool stopping_ NETCLUS_GUARDED_BY(mu_) = false;
-  TcpServerStats counters_ NETCLUS_GUARDED_BY(mu_);
+  Counters counters_;
 
   std::thread acceptor_;
 };

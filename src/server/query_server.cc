@@ -237,6 +237,7 @@ Status QueryServer::PublishWorld() {
   }
   publish_points_ms_.Add(epoch.points_ms);
   publish_csr_ms_.Add(epoch.csr_ms);
+  if (epoch.landmarks_repaired) landmark_repair_ms_.Add(epoch.landmarks_ms);
   if (options_.cluster_spec.has_value()) {
     ++(epoch.recluster_incremental ? reclusters_incremental_
                                    : reclusters_full_);
@@ -313,13 +314,21 @@ std::future<Result<QueryResponse>> QueryServer::Submit(
     return fut;
   }
   queue_.push_back(std::move(pq));
+  ++accepted_;
+  const bool wake = ClaimWakeLocked();
   lock.Unlock();
-  {
-    MutexLock slock(&stats_mu_);
-    ++accepted_;
-  }
-  queue_cv_.NotifyOne();
+  if (wake) queue_cv_.NotifyOne();
   return fut;
+}
+
+bool QueryServer::ClaimWakeLocked() {
+  // Without a parked worker every worker is between drains and re-checks
+  // the queue before it parks; with a wake pending, the worker it wakes
+  // passes the signal on if it leaves requests behind.
+  if (idle_workers_ == 0 || wake_pending_) return false;
+  wake_pending_ = true;
+  ++worker_wakes_;
+  return true;
 }
 
 Result<QueryResponse> QueryServer::Execute(const QueryRequest& req) {
@@ -384,14 +393,8 @@ ServerHealth QueryServer::CurrentHealth() const {
           options_.degraded_publish_failures) {
     return ServerHealth::kDegraded;
   }
-  if (options_.health_window > 0 && options_.degraded_miss_rate > 0.0) {
-    MutexLock lock(&stats_mu_);
-    const size_t samples =
-        outcome_full_ ? outcome_ring_.size() : outcome_next_;
-    if (samples >= kMinHealthSamples &&
-        DeadlineMissRateLocked() >= options_.degraded_miss_rate) {
-      return ServerHealth::kDegraded;
-    }
+  if (miss_rate_degraded_.load(std::memory_order_relaxed)) {
+    return ServerHealth::kDegraded;
   }
   return ServerHealth::kServing;
 }
@@ -423,6 +426,16 @@ void QueryServer::RecordOutcomeLocked(bool deadline_missed) {
     outcome_next_ = 0;
     outcome_full_ = true;
   }
+  // The window changes only here, so the verdict stored now is the one
+  // a reader would compute from the window until the next outcome.
+  if (options_.degraded_miss_rate > 0.0) {
+    const size_t samples =
+        outcome_full_ ? outcome_ring_.size() : outcome_next_;
+    miss_rate_degraded_.store(
+        samples >= kMinHealthSamples &&
+            DeadlineMissRateLocked() >= options_.degraded_miss_rate,
+        std::memory_order_relaxed);
+  }
 }
 
 double QueryServer::DeadlineMissRateLocked() const {
@@ -434,13 +447,26 @@ double QueryServer::DeadlineMissRateLocked() const {
 void QueryServer::WorkerLoop(NodeId num_nodes) {
   TraversalWorkspace ws(num_nodes);
   ws.cancel.check_interval = options_.cancel_check_interval;
+  DrainBuffers buf;
+  std::vector<PendingQuery>& batch = buf.batch;
+  std::vector<PendingQuery>& shed = buf.shed;
   for (;;) {
-    std::vector<PendingQuery> batch;
-    std::vector<PendingQuery> shed;
+    batch.clear();
+    shed.clear();
     double stall_ms = 0.0;
+    bool wake_next = false;
     {
       MutexLock lock(&queue_mu_);
-      while (!stopping_ && queue_.empty()) queue_cv_.Wait(&queue_mu_);
+      while (!stopping_ && queue_.empty()) {
+        ++idle_workers_;
+        ++worker_parks_;
+        queue_cv_.Wait(&queue_mu_);
+        --idle_workers_;
+        // Whatever ended the wait, the pending wake (if any) has done
+        // its job or been overtaken: a worker is awake and will look at
+        // the queue, so the next Submit may signal again.
+        wake_pending_ = false;
+      }
       // Stopping with nothing queued: drained; accepted work always
       // finishes.
       if (queue_.empty()) return;
@@ -468,7 +494,11 @@ void QueryServer::WorkerLoop(NodeId num_nodes) {
           chaos_stall_rng_.NextBernoulli(options_.chaos.worker_stall_prob)) {
         stall_ms = options_.chaos.worker_stall_ms;
       }
+      // Requests left behind this drain get a parked worker of their own
+      // rather than waiting for this one to finish.
+      wake_next = !queue_.empty() && ClaimWakeLocked();
     }
+    if (wake_next) queue_cv_.NotifyOne();
     if (!shed.empty()) {
       {
         MutexLock slock(&stats_mu_);
@@ -487,12 +517,13 @@ void QueryServer::WorkerLoop(NodeId num_nodes) {
             " ms ago while queued; request shed before execution"));
       }
     }
-    if (!batch.empty()) ExecuteBatch(&batch, stall_ms, &ws);
+    if (!batch.empty()) ExecuteBatch(&buf, stall_ms, &ws);
   }
 }
 
-void QueryServer::ExecuteBatch(std::vector<PendingQuery>* batch,
-                               double stall_ms, TraversalWorkspace* ws) {
+void QueryServer::ExecuteBatch(DrainBuffers* buf, double stall_ms,
+                               TraversalWorkspace* ws) {
+  std::vector<PendingQuery>* batch = &buf->batch;
   const double start_seconds = clock_.ElapsedSeconds();
   // Holding the shared_ptr is the pin: the epoch stays alive for this
   // drain even if the updater publishes a newer one meanwhile.
@@ -511,8 +542,12 @@ void QueryServer::ExecuteBatch(std::vector<PendingQuery>* batch,
   const ServerHealth health = CurrentHealth();
 
   const size_t n = batch->size();
-  std::vector<QueryResponse> responses(n);
-  std::vector<Status> statuses(n, Status::OK());
+  // Reused across drains: ExecuteQueryInto resets every field it answers
+  // with, and every status is assigned below.
+  std::vector<QueryResponse>& responses = buf->responses;
+  std::vector<Status>& statuses = buf->statuses;
+  responses.resize(n);
+  statuses.resize(n);
   for (size_t i = 0; i < n; ++i) {
     PendingQuery& pq = (*batch)[i];
     // A distance served without landmark tables asks the updater for
@@ -713,7 +748,6 @@ ServerStats QueryServer::stats() const {
   ServerStats s;
   {
     MutexLock lock(&stats_mu_);
-    s.accepted = accepted_;
     s.rejected = rejected_;
     s.completed = completed_;
     s.batches = batches_;
@@ -730,6 +764,8 @@ ServerStats QueryServer::stats() const {
     s.reclusters_incremental = reclusters_incremental_;
     s.landmark_builds = landmark_builds_;
     s.landmark_build_ms = landmark_build_ms_;
+    s.landmark_repairs = landmark_repair_ms_.count();
+    s.mean_landmark_repair_ms = landmark_repair_ms_.mean();
     s.checkpoints_written = checkpoints_written_;
     s.checkpoint_failures = checkpoint_failures_;
     s.mean_checkpoint_ms = checkpoint_ms_.mean();
@@ -750,7 +786,13 @@ ServerStats QueryServer::stats() const {
   s.epochs_drained = epochs_.epochs_drained();
   s.retired_epochs = epochs_.retired_count();
   {
+    // After the stats section: every request counted completed above was
+    // accepted first, so a snapshot never reads completed > accepted.
     MutexLock lock(&queue_mu_);
+    s.accepted = accepted_;
+    s.worker_parks = worker_parks_;
+    s.worker_wakes = worker_wakes_;
+    s.parked_workers = idle_workers_;
     s.queue_depth = queue_.size();
   }
   return s;

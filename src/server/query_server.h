@@ -19,7 +19,11 @@
 //                                       promises fulfilled, epoch id stamped
 //
 //   Workers drain in parallel, so no request waits behind a drain it is
-//   not part of.
+//   not part of. A Submit takes only the queue lock: it counts the
+//   request there and signals a parked worker only when one is parked
+//   and no earlier signal is still on its way; a worker that leaves
+//   requests queued behind its drain signals the next one itself. Each
+//   worker keeps its drain's buffers from one drain to the next.
 //
 //   ApplyUpdate ──> updater thread: World::Apply, then World::Build
 //                   the next PointSet + FrozenGraph (+ clustering when
@@ -192,6 +196,11 @@ struct ServerStats {
   uint64_t rejected = 0;   ///< requests refused with kUnavailable
   uint64_t completed = 0;  ///< requests whose promise was fulfilled
   uint64_t batches = 0;    ///< worker drains executed
+  /// Times a worker found the queue empty and parked on it, and times a
+  /// parked worker was signalled to take work (by a Submit, or by a
+  /// worker that left requests queued behind its drain).
+  uint64_t worker_parks = 0;
+  uint64_t worker_wakes = 0;
   uint64_t epochs_published = 0;
   uint64_t epochs_drained = 0;   ///< retired snapshots actually freed
   uint64_t retired_epochs = 0;   ///< retired, awaiting last reader
@@ -214,6 +223,11 @@ struct ServerStats {
   /// republish included.
   uint64_t landmark_builds = 0;
   double landmark_build_ms = 0.0;
+  /// Publishes whose added edges shortened a landmark label, so the
+  /// tables were repaired into a copy rather than shared, and the mean
+  /// wall time of such a publish's landmark stage.
+  uint64_t landmark_repairs = 0;
+  double mean_landmark_repair_ms = 0.0;
   uint64_t checkpoints_written = 0;  ///< completed checkpoint+truncate cycles
   uint64_t checkpoint_failures = 0;  ///< cycles that failed (write or trunc)
   /// Mean wall time of a completed cycle: the world's Checkpoint(), the
@@ -225,6 +239,10 @@ struct ServerStats {
   /// Global WAL sequence the newest durable checkpoint covers.
   uint64_t wal_checkpoint_covers = 0;
   size_t queue_depth = 0;  ///< requests waiting right now (gauge)
+  /// Workers parked on the empty queue right now (gauge). The handoff
+  /// tests wait on it to reach num_workers() before each burst, so that
+  /// every burst must wake a worker; keep it while they do.
+  size_t parked_workers = 0;
   double mean_queue_wait_ms = 0.0;
   double max_queue_wait_ms = 0.0;
   double mean_batch_size = 0.0;  ///< requests per drain
@@ -314,7 +332,8 @@ class QueryServer {
   /// The server's condition right now (DESIGN.md §13): kDegraded when
   /// the WAL is broken, publishes keep failing, or the recent
   /// deadline-miss rate crossed the configured bar — the server still
-  /// answers queries from the last good epoch in that state.
+  /// answers queries from the last good epoch in that state. Reads
+  /// atomics only, so every drain can stamp it without a lock.
   ServerHealth CurrentHealth() const;
 
   /// CurrentHealth plus the raw signals (the kHealthz payload's richer
@@ -379,13 +398,29 @@ class QueryServer {
   /// epoch carrying them (EpochManager::Republish): same epoch id,
   /// answers and cache. Updater thread only.
   void PublishLandmarks();
-  /// Serves one drain on the calling worker: pins the current epoch
+  /// One worker's drain buffers, kept across its drains so a drain
+  /// allocates none of them: the requests taken (`batch`), those shed
+  /// past their deadline, and the batch's answers.
+  struct DrainBuffers {
+    std::vector<PendingQuery> batch;
+    std::vector<PendingQuery> shed;
+    std::vector<QueryResponse> responses;
+    std::vector<Status> statuses;
+  };
+
+  /// Serves `buf->batch` on the calling worker: pins the current epoch
   /// once, stalls `stall_ms` (chaos), executes each request serially on
   /// `ws`, replay-validates, counts, then fulfils the promises.
-  void ExecuteBatch(std::vector<PendingQuery>* batch, double stall_ms,
+  void ExecuteBatch(DrainBuffers* buf, double stall_ms,
                     TraversalWorkspace* ws);
 
-  /// Records one request outcome in the health window.
+  /// Claims the one wake allowed in flight for a parked worker: true
+  /// (and counted) when a worker is parked and no wake is pending, and
+  /// the caller must then NotifyOne once it has let go of the lock.
+  bool ClaimWakeLocked() NETCLUS_REQUIRES(queue_mu_);
+
+  /// Records one request outcome in the health window and refreshes the
+  /// cached miss-rate verdict.
   void RecordOutcomeLocked(bool deadline_missed) NETCLUS_REQUIRES(stats_mu_);
   /// Miss fraction over the current window.
   double DeadlineMissRateLocked() const NETCLUS_REQUIRES(stats_mu_);
@@ -410,12 +445,21 @@ class QueryServer {
 
   // Query admission queue. Rank kQueryServerQueue: Submit's rejection
   // path records stats while still holding this lock, which is the only
-  // reason it ranks below stats_mu_.
+  // reason it ranks below stats_mu_. The accept path takes only this
+  // lock, so what it counts lives here.
   mutable Mutex queue_mu_{lock_rank::kQueryServerQueue,
                           "QueryServer::queue_mu_"};
   CondVar queue_cv_;
   std::deque<PendingQuery> queue_ NETCLUS_GUARDED_BY(queue_mu_);
   bool stopping_ NETCLUS_GUARDED_BY(queue_mu_) = false;
+  uint64_t accepted_ NETCLUS_GUARDED_BY(queue_mu_) = 0;
+  /// Workers waiting on queue_cv_ right now.
+  uint32_t idle_workers_ NETCLUS_GUARDED_BY(queue_mu_) = 0;
+  /// A NotifyOne is claimed and no worker has returned from its wait
+  /// since: later Submits leave the signalling to the worker it wakes.
+  bool wake_pending_ NETCLUS_GUARDED_BY(queue_mu_) = false;
+  uint64_t worker_parks_ NETCLUS_GUARDED_BY(queue_mu_) = 0;
+  uint64_t worker_wakes_ NETCLUS_GUARDED_BY(queue_mu_) = 0;
   /// Chaos stall stream: drawn once per drain, in drain order.
   Rng chaos_stall_rng_ NETCLUS_GUARDED_BY(queue_mu_);
 
@@ -440,17 +484,21 @@ class QueryServer {
   std::atomic<bool> stopping_flag_{false};
   std::atomic<bool> wal_broken_{false};
   std::atomic<uint32_t> consecutive_publish_failures_{0};
+  /// The miss-rate verdict over the outcome window: enough samples and
+  /// a rate at or above degraded_miss_rate. Stored by
+  /// RecordOutcomeLocked, the only writer of the window.
+  std::atomic<bool> miss_rate_degraded_{false};
 
   // Chaos: the updater's publish-failure stream, independent of the
   // workers' stall stream (chaos_stall_rng_), so neither perturbs the
   // other's sequence.
   Rng chaos_publish_rng_{0};
 
-  // Serving statistics. Rank kServerStats: acquired from Submit while
-  // queue_mu_ is still held (the backpressure rejection path) and from
-  // workers and the updater with nothing held; the innermost lock.
+  // Serving statistics. Rank kServerStats: acquired from Submit's
+  // rejection paths (the backpressure one while queue_mu_ is still
+  // held), never on its accept path, and from workers and the updater
+  // with nothing held; the innermost lock.
   mutable Mutex stats_mu_{lock_rank::kServerStats, "QueryServer::stats_mu_"};
-  uint64_t accepted_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
   uint64_t rejected_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
   uint64_t completed_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
   uint64_t batches_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
@@ -466,6 +514,7 @@ class QueryServer {
   uint64_t publishes_incremental_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
   uint64_t landmark_builds_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
   double landmark_build_ms_ NETCLUS_GUARDED_BY(stats_mu_) = 0.0;
+  RunningStats landmark_repair_ms_ NETCLUS_GUARDED_BY(stats_mu_);
   uint64_t checkpoints_written_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
   uint64_t checkpoint_failures_ NETCLUS_GUARDED_BY(stats_mu_) = 0;
   /// Fixed after Start.

@@ -215,6 +215,7 @@ Result<World::Epoch> World::Build() {
     WallTimer timer;
     NETCLUS_ASSIGN_OR_RETURN(std::shared_ptr<const LandmarkTables> tables,
                              CarryLandmarks(*epoch.graph, added_edges));
+    epoch.landmarks_repaired = tables != base_graph_->shared_landmarks();
     epoch.graph = std::make_shared<const FrozenGraph>(
         epoch.graph->WithLandmarks(std::move(tables)));
     epoch.landmarks_ms = timer.ElapsedMillis();

@@ -88,6 +88,9 @@ class World {
     double csr_ms = 0.0;
     double recluster_ms = 0.0;
     double landmarks_ms = 0.0;
+    /// An added edge shortened a landmark label, so the carry repaired a
+    /// copy of the base's tables instead of sharing them.
+    bool landmarks_repaired = false;
   };
 
   /// The world of `net` and `points`, installed as the checkpoint state

@@ -801,6 +801,49 @@ TEST(QueryServerLandmarkTest, ConcurrentFirstDistancesBuildOnce) {
   EXPECT_EQ(server.current_epoch(), 1u);
 }
 
+// A publish counts as a landmark repair only when its carry repaired a
+// copy of the tables: not when it adds points only (the tables ride
+// along), not for an edge longer than any path it could shorten (the
+// tables are shared across the new adjacency), and once for a shortcut
+// edge.
+TEST(QueryServerLandmarkTest, OnlyAShortcutEdgeCountsARepair) {
+  World w(400, 300, 59);
+  QueryServerOptions opts;
+  opts.num_workers = 2;
+  opts.validate_replay = true;
+  Result<std::unique_ptr<QueryServer>> started =
+      QueryServer::Start(w.gen.net, w.points, opts);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  QueryServer& server = *started.value();
+  const NodeId a = 0;
+  NodeId b = w.gen.net.num_nodes() - 1;
+  while (w.gen.net.HasEdge(a, b)) --b;
+  NodeId c = 1;
+  while (c == b || w.gen.net.HasEdge(a, c)) ++c;
+
+  ASSERT_TRUE(server.Execute(QueryRequest::PointDistance(0, 1)).ok());
+  ASSERT_TRUE(WaitForLandmarkBuilds(server, 1));
+  const Edge e = w.gen.net.Edges().front();
+  for (const NetworkUpdate& shares :
+       {NetworkUpdate::AddPoint(e.u, e.v, 0.5 * e.weight),
+        NetworkUpdate::AddEdge(a, c, 1e6)}) {
+    ASSERT_TRUE(server.ApplyUpdate(shares).ok());
+    ASSERT_TRUE(server.Flush().ok());
+  }
+  EXPECT_EQ(server.stats().landmark_repairs, 0u);
+
+  // A near-zero edge between two distant nodes shortens the label at one
+  // end for every landmark not equidistant from both.
+  ASSERT_TRUE(server.ApplyUpdate(NetworkUpdate::AddEdge(a, b, 1e-6)).ok());
+  ASSERT_TRUE(server.Flush().ok());
+  ASSERT_TRUE(server.Execute(QueryRequest::PointDistance(0, 1)).ok());
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.landmark_builds, 1u);
+  EXPECT_EQ(stats.landmark_repairs, 1u);
+  EXPECT_GT(stats.mean_landmark_repair_ms, 0.0);
+  EXPECT_EQ(stats.replay_mismatches, 0u);
+}
+
 // A logged AddEdge outside the weight domain is rejected live and again
 // at replay, so the recovered world is the one that served.
 TEST(QueryServerTest, WalReplayRejectsAWeightOutsideTheDomainAlike) {
@@ -1117,6 +1160,146 @@ TEST(QueryServerTest, IdleWorkerServesPastAStalledRequest) {
 }
 
 // ---------------------------------------------------------------------
+// QueryServer: handing requests to parked workers.
+// ---------------------------------------------------------------------
+
+// Spins until every worker of `server` is parked on the empty queue;
+// false after `seconds` without that.
+bool AwaitAllParked(const QueryServer& server, double seconds) {
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::duration<double>(seconds);
+  while (server.stats().parked_workers != server.num_workers()) {
+    if (std::chrono::steady_clock::now() > give_up) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+// Every burst lands on a server whose workers are all parked, so each
+// one is served only if a Submit (or the worker it wakes) signals; a
+// lost wakeup shows as a timeout, not a hang.
+TEST(QueryServerTest, SubmitAfterEveryWorkerParksIsServed) {
+  World w(100, 150, 41);
+  for (uint32_t workers = 1; workers <= 3; ++workers) {
+    QueryServerOptions opts;
+    opts.num_workers = workers;
+    Result<std::unique_ptr<QueryServer>> started =
+        QueryServer::Start(w.gen.net, w.points, opts);
+    ASSERT_TRUE(started.ok());
+    QueryServer& server = *started.value();
+    Rng rng(workers);
+    uint64_t submitted = 0;
+    for (int round = 0; round < 2000; ++round) {
+      ASSERT_TRUE(AwaitAllParked(server, 5.0))
+          << workers << " workers, round " << round;
+      const uint64_t burst = 1 + rng.NextBounded(2 * workers);
+      std::vector<std::future<Result<QueryResponse>>> futures;
+      for (uint64_t i = 0; i < burst; ++i) {
+        const PointId a = static_cast<PointId>(rng.NextBounded(150));
+        futures.push_back(server.Submit(QueryRequest::NearestObject(a, 1)));
+      }
+      submitted += burst;
+      for (std::future<Result<QueryResponse>>& f : futures) {
+        ASSERT_EQ(f.wait_for(std::chrono::seconds(5)),
+                  std::future_status::ready)
+            << "lost wakeup: " << workers << " workers, round " << round
+            << ", burst " << burst;
+        EXPECT_TRUE(f.get().ok());
+      }
+    }
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.accepted, submitted);
+    EXPECT_EQ(stats.completed, submitted);
+    // Every round began with all workers parked, so each needed a wake.
+    EXPECT_GE(stats.worker_wakes, 2000u);
+    EXPECT_GE(stats.worker_parks, stats.worker_wakes);
+  }
+}
+
+// Requests queued behind a drain are not left for its worker: with
+// every drain stalled, the second of two back-to-back requests must be
+// taken by the other parked worker, which only a wake passed on by the
+// first worker (or the second Submit) gives it.
+TEST(QueryServerTest, RequestsLeftBehindADrainWakeAnotherWorker) {
+  World w(100, 150, 43);
+  QueryServerOptions opts;
+  opts.num_workers = 2;
+  opts.chaos.seed = 5;
+  opts.chaos.worker_stall_prob = 1.0;
+  opts.chaos.worker_stall_ms = 400.0;
+  Result<std::unique_ptr<QueryServer>> started =
+      QueryServer::Start(w.gen.net, w.points, opts);
+  ASSERT_TRUE(started.ok());
+  QueryServer& server = *started.value();
+  for (int round = 0; round < 4; ++round) {
+    ASSERT_TRUE(AwaitAllParked(server, 5.0)) << "round " << round;
+    std::future<Result<QueryResponse>> first =
+        server.Submit(QueryRequest::NearestObject(0, 1));
+    std::future<Result<QueryResponse>> second =
+        server.Submit(QueryRequest::NearestObject(1, 1));
+    // One stall is 400 ms; waiting out the first drain's too takes 800.
+    ASSERT_EQ(second.wait_for(std::chrono::milliseconds(650)),
+              std::future_status::ready)
+        << "round " << round << ": the second request waited for the "
+        << "first one's worker";
+    EXPECT_TRUE(first.get().ok());
+    EXPECT_TRUE(second.get().ok());
+  }
+}
+
+// Many submitters racing the workers' park/wake cycle: every accepted
+// request resolves exactly once, at every worker count and batch size.
+TEST(QueryServerTest, ConcurrentSubmittersAllResolve) {
+  World w(100, 150, 47);
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 5000;
+  for (uint32_t workers : {1u, 3u}) {
+    for (size_t max_batch : {size_t{1}, size_t{64}}) {
+      QueryServerOptions opts;
+      opts.num_workers = workers;
+      opts.max_batch_size = max_batch;
+      opts.max_queue_depth = kThreads * kPerThread;
+      Result<std::unique_ptr<QueryServer>> started =
+          QueryServer::Start(w.gen.net, w.points, opts);
+      ASSERT_TRUE(started.ok());
+      QueryServer& server = *started.value();
+      std::atomic<int> resolved{0};
+      std::atomic<int> timed_out{0};
+      std::vector<std::thread> threads;
+      for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+          Rng rng(100 + static_cast<uint64_t>(t));
+          std::vector<std::future<Result<QueryResponse>>> futures;
+          futures.reserve(kPerThread);
+          for (int i = 0; i < kPerThread; ++i) {
+            const PointId a = static_cast<PointId>(rng.NextBounded(150));
+            futures.push_back(
+                server.Submit(QueryRequest::NearestObject(a, 1)));
+          }
+          for (std::future<Result<QueryResponse>>& f : futures) {
+            if (f.wait_for(std::chrono::seconds(10)) !=
+                std::future_status::ready) {
+              timed_out.fetch_add(1);
+              return;
+            }
+            if (f.get().ok()) resolved.fetch_add(1);
+          }
+        });
+      }
+      for (std::thread& t : threads) t.join();
+      ASSERT_EQ(timed_out.load(), 0)
+          << workers << " workers, max batch " << max_batch;
+      EXPECT_EQ(resolved.load(), kThreads * kPerThread);
+      const ServerStats stats = server.stats();
+      EXPECT_EQ(stats.rejected, 0u);
+      EXPECT_EQ(stats.accepted, static_cast<uint64_t>(kThreads * kPerThread));
+      EXPECT_EQ(stats.completed, stats.accepted);
+      EXPECT_LE(stats.worker_wakes, stats.worker_parks);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
 // QueryServer: admission control and shutdown.
 // ---------------------------------------------------------------------
 
@@ -1425,6 +1608,58 @@ TEST(QueryServerHealthTest, SustainedDeadlineMissesDegradeHealth) {
   Result<QueryResponse> r = server.Execute(QueryRequest::PointDistance(0, 1));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().health, ServerHealth::kDegraded);
+}
+
+// The cached verdict follows the window both ways: once on-time reads
+// have pushed every miss out, the server reports kServing again.
+TEST(QueryServerHealthTest, DegradedClearsOnceTheWindowRefills) {
+  World w(300, 400, 83);
+  QueryServerOptions opts;
+  opts.num_workers = 1;
+  opts.max_batch_size = 1;
+  opts.cancel_check_interval = 1;
+  opts.health_window = 16;
+  opts.degraded_miss_rate = 0.5;
+  Result<std::unique_ptr<QueryServer>> started =
+      QueryServer::Start(w.gen.net, w.points, opts);
+  ASSERT_TRUE(started.ok());
+  QueryServer& server = *started.value();
+
+  std::future<Result<QueryResponse>> blocker =
+      server.Submit(QueryRequest::Range(0, 1e18));
+  std::vector<std::future<Result<QueryResponse>>> doomed;
+  for (int i = 0; i < 24; ++i) {
+    doomed.push_back(server.Submit(
+        QueryRequest::PointDistance(0, 1).WithDeadline(0.0005)));
+  }
+  EXPECT_TRUE(blocker.get().ok());
+  for (std::future<Result<QueryResponse>>& f : doomed) {
+    EXPECT_TRUE(f.get().status().IsDeadlineExceeded());
+  }
+  ASSERT_EQ(server.CurrentHealth(), ServerHealth::kDegraded);
+
+  // A full window of on-time reads; the first of them are still served
+  // under the degraded verdict. Bounded waits: a lost wakeup fails here
+  // rather than hanging the suite.
+  auto read = [&server]() -> Result<QueryResponse> {
+    std::future<Result<QueryResponse>> f =
+        server.Submit(QueryRequest::PointDistance(0, 1));
+    if (f.wait_for(std::chrono::seconds(5)) != std::future_status::ready) {
+      return Status::DeadlineExceeded("read never served");
+    }
+    return f.get();
+  };
+  for (int i = 0; i < 16; ++i) {
+    Result<QueryResponse> r = read();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  }
+  EXPECT_EQ(server.CurrentHealth(), ServerHealth::kServing);
+  const HealthReport report = server.Healthz();
+  EXPECT_EQ(report.health, ServerHealth::kServing);
+  EXPECT_EQ(report.deadline_miss_rate, 0.0);
+  Result<QueryResponse> r = read();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().health, ServerHealth::kServing);
 }
 
 TEST(QueryServerHealthTest, StatsCoverResilienceCounters) {

@@ -727,6 +727,7 @@ TEST(WorldLandmarkTest, AddEdgeRepairsTablesOnlyWhenALabelImproves) {
   const World::Epoch points_only = BuildOrDie(world.Build());
   EXPECT_EQ(points_only.graph->landmarks(), tables);
   EXPECT_EQ(points_only.landmarks_ms, 0.0);
+  EXPECT_FALSE(points_only.landmarks_repaired);
 
   // An edge at least as long as the path it parallels: no label
   // improves, so the rebuilt adjacency shares the tables.
@@ -747,6 +748,7 @@ TEST(WorldLandmarkTest, AddEdgeRepairsTablesOnlyWhenALabelImproves) {
   const World::Epoch long_edge = BuildOrDie(world.Build());
   EXPECT_FALSE(long_edge.graph->SharesAdjacencyWith(*points_only.graph));
   EXPECT_EQ(long_edge.graph->landmarks(), tables);
+  EXPECT_FALSE(long_edge.landmarks_repaired);
 
   // A short edge from the first landmark's neighbour to the node
   // farthest from it improves labels: the tables are repaired.
@@ -761,6 +763,7 @@ TEST(WorldLandmarkTest, AddEdgeRepairsTablesOnlyWhenALabelImproves) {
                                              tables->landmarks()));
   EXPECT_TRUE(repaired->row(far)[0] < tables->row(far)[0]);
   EXPECT_GT(short_edge.landmarks_ms, 0.0);
+  EXPECT_TRUE(short_edge.landmarks_repaired);
 
   // The repaired tables keep riding on points-only builds.
   const Edge e1 = s.gen.net.Edges().back();
